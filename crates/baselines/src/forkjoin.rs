@@ -8,7 +8,19 @@
 //! A [`Joiner`] counts outstanding children; [`TaskCtx::sync`] helps run
 //! pool tasks until its joiner drains, which is the work-first "busy
 //! sync" of Cilk-style runtimes.
+//!
+//! Helping runs a task on top of the waiting frame, so which tasks a
+//! `sync` may run bounds the stack. Every task carries its spawn depth
+//! (the root frame of [`ForkJoinPool::run`] is depth 0, its children 1,
+//! theirs 2, …), and a `sync` at depth *d* runs only tasks deeper than
+//! *d*, yielding otherwise — TBB's depth rule. Nested frames then grow
+//! strictly deeper, so a thread's stack holds at most one frame per
+//! level of the task tree, whatever the schedule. Without the rule a
+//! waiting frame could run any stolen task, including a shallow one
+//! that syncs and helps in turn, and `examples/nqueens` overflowed a
+//! debug worker stack about one run in ten.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,7 +40,11 @@ pub enum Policy {
     CentralQueue,
 }
 
-type Task = Box<dyn FnOnce(&TaskCtx<'_>) + Send>;
+/// A queued task: its body and its spawn depth.
+struct Task {
+    depth: u32,
+    body: Box<dyn FnOnce(&TaskCtx<'_>) + Send>,
+}
 
 struct Shared {
     policy: Policy,
@@ -63,6 +79,9 @@ pub struct TaskCtx<'a> {
     shared: &'a Shared,
     local: &'a Worker<Task>,
     index: usize,
+    /// Depth of the frame running on this thread: 0 outside any task,
+    /// else the running task's spawn depth.
+    depth: Cell<u32>,
 }
 
 impl TaskCtx<'_> {
@@ -71,10 +90,13 @@ impl TaskCtx<'_> {
         joiner.0.fetch_add(1, Ordering::AcqRel);
         self.shared.live.fetch_add(1, Ordering::AcqRel);
         let j = Joiner(Arc::clone(&joiner.0));
-        let task: Task = Box::new(move |ctx| {
-            f(ctx);
-            j.0.fetch_sub(1, Ordering::AcqRel);
-        });
+        let task = Task {
+            depth: self.depth.get() + 1,
+            body: Box::new(move |ctx| {
+                f(ctx);
+                j.0.fetch_sub(1, Ordering::AcqRel);
+            }),
+        };
         match self.shared.policy {
             Policy::WorkStealing => self.local.push(task),
             Policy::CentralQueue => self.shared.central.push(task),
@@ -84,7 +106,8 @@ impl TaskCtx<'_> {
 
     /// Cilk's `sync` / OpenMP's `taskwait`: block until every child
     /// registered with `joiner` has finished, executing pool tasks
-    /// meanwhile (work-first).
+    /// deeper than this frame meanwhile (work-first, under the depth
+    /// rule of the module docs).
     pub fn sync(&self, joiner: &Joiner) {
         while joiner.0.load(Ordering::Acquire) > 0 {
             if !self.run_one() {
@@ -93,10 +116,14 @@ impl TaskCtx<'_> {
         }
     }
 
-    /// Pop-or-steal one task and run it. Returns whether anything ran.
+    /// Run one task deeper than the current frame, if one can be found.
+    /// Returns whether anything ran.
     fn run_one(&self) -> bool {
-        if let Some(task) = self.find_task() {
-            task(self);
+        let depth = self.depth.get();
+        if let Some(task) = self.find_task(depth) {
+            self.depth.set(task.depth);
+            (task.body)(self);
+            self.depth.set(depth);
             self.shared.executed.fetch_add(1, Ordering::Relaxed);
             let was = self.shared.live.fetch_sub(1, Ordering::AcqRel);
             if was == 1 {
@@ -108,11 +135,31 @@ impl TaskCtx<'_> {
         }
     }
 
-    fn find_task(&self) -> Option<Task> {
+    /// A task deeper than `depth`. At depth 0 (the worker loop and the
+    /// drain in [`ForkJoinPool::run`]) every task qualifies.
+    ///
+    /// Inside a task (`depth > 0`) only the own deque is searched. Its
+    /// owner end holds this frame's children and their descendants,
+    /// all deeper, above anything older, so a too-shallow pop means no
+    /// deeper task is left there: it goes back and the frame yields.
+    /// A stolen task could not go back to its victim, and parking it on
+    /// the own deque would bury the deeper tasks under it; so waiting
+    /// frames leave stealing to threads at depth 0, which run whatever
+    /// they steal. Every child is therefore either reachable by its
+    /// waiting parent or run to completion by a thief, and the rule
+    /// cannot deadlock.
+    fn find_task(&self, depth: u32) -> Option<Task> {
         match self.shared.policy {
             Policy::WorkStealing => {
                 if let Some(t) = self.local.pop() {
-                    return Some(t);
+                    if t.depth > depth {
+                        return Some(t);
+                    }
+                    self.local.push(t);
+                    return None;
+                }
+                if depth > 0 {
+                    return None;
                 }
                 let n = self.shared.stealers.len();
                 for off in 1..n {
@@ -134,9 +181,15 @@ impl TaskCtx<'_> {
                 }
                 None
             }
+            // One queue for everyone: a too-shallow task goes back to
+            // its tail for a thread at a lower depth.
             Policy::CentralQueue => loop {
                 match self.shared.central.steal() {
-                    Steal::Success(t) => return Some(t),
+                    Steal::Success(t) if t.depth > depth => return Some(t),
+                    Steal::Success(t) => {
+                        self.shared.central.push(t);
+                        return None;
+                    }
                     Steal::Empty => return None,
                     Steal::Retry => std::thread::yield_now(),
                 }
@@ -171,6 +224,12 @@ pub struct ForkJoinPool {
 
 impl ForkJoinPool {
     pub fn new(threads: usize, policy: Policy) -> Self {
+        Self::with_stack(threads, policy, None)
+    }
+
+    /// [`new`](Self::new) with an explicit worker stack size (`None`:
+    /// the platform default).
+    fn with_stack(threads: usize, policy: Policy, stack: Option<usize>) -> Self {
         assert!(threads >= 1);
         let mut locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let stealers = locals.iter().map(|w| w.stealer()).collect();
@@ -192,8 +251,12 @@ impl ForkJoinPool {
             .enumerate()
             .map(|(i, local)| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("forkjoin-{}", i + 1))
+                let builder = std::thread::Builder::new().name(format!("forkjoin-{}", i + 1));
+                let builder = match stack {
+                    Some(bytes) => builder.stack_size(bytes),
+                    None => builder,
+                };
+                builder
                     .spawn(move || worker_loop(shared, local, i + 1))
                     .expect("failed to spawn baseline worker")
             })
@@ -218,6 +281,7 @@ impl ForkJoinPool {
             shared: &self.shared,
             local: &self.main_local,
             index: 0,
+            depth: Cell::new(0),
         };
         let r = f(&ctx);
         // Drain any stragglers so the pool is reusable.
@@ -283,6 +347,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Task>, index: usize) {
         shared: &shared,
         local: &local,
         index,
+        depth: Cell::new(0),
     };
     let mut idle = 0;
     loop {
@@ -355,6 +420,71 @@ mod tests {
             ctx.sync(&j);
             assert_eq!(counter.load(Ordering::SeqCst), 100);
         });
+    }
+
+    /// Board prefixes of an n-queens search as one task each, the
+    /// Cilk-like shape of `cilk::nqueens`, counting how many task frames
+    /// are stacked on the running thread and recording the maximum.
+    fn queens_nested(
+        ctx: &TaskCtx<'_>,
+        sol: Vec<u32>,
+        row: usize,
+        total: &Arc<AtomicU64>,
+        deepest: &Arc<AtomicUsize>,
+    ) {
+        thread_local!(static NESTED: Cell<usize> = const { Cell::new(0) });
+        let n = sol.len();
+        if row == n {
+            total.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let j = Joiner::new();
+        for col in 0..n as u32 {
+            if smpss_apps::nqueens::safe(&sol, row, col) {
+                let mut next = sol.clone();
+                next[row] = col;
+                let (total, deepest) = (Arc::clone(total), Arc::clone(deepest));
+                ctx.spawn(&j, move |ctx| {
+                    let nested = NESTED.with(|c| {
+                        c.set(c.get() + 1);
+                        c.get()
+                    });
+                    deepest.fetch_max(nested, Ordering::Relaxed);
+                    queens_nested(ctx, next, row + 1, &total, &deepest);
+                    NESTED.with(|c| c.set(c.get() - 1));
+                });
+            }
+        }
+        ctx.sync(&j);
+    }
+
+    /// The depth rule bounds the stack by the task tree's depth: an
+    /// n = 12 n-queens tree (tasks at depths 1..=12) runs on 256 KiB
+    /// stacks, the caller's included, and no thread ever stacks more
+    /// task frames than the tree has levels. Without the rule a waiting
+    /// frame could run any stolen task, shallow ones included, so the
+    /// nesting was bounded only by the schedule.
+    #[test]
+    fn depth_rule_bounds_the_stack_by_tree_depth() {
+        const N: usize = 12;
+        const STACK: usize = 256 << 10;
+        let (solutions, deepest) = std::thread::Builder::new()
+            .stack_size(STACK)
+            .spawn(|| {
+                let pool = ForkJoinPool::with_stack(4, Policy::WorkStealing, Some(STACK));
+                let total = Arc::new(AtomicU64::new(0));
+                let deepest = Arc::new(AtomicUsize::new(0));
+                pool.run(|ctx| queens_nested(ctx, vec![0; N], 0, &total, &deepest));
+                (total.load(Ordering::SeqCst), deepest.load(Ordering::SeqCst))
+            })
+            .expect("spawn the caller thread")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(solutions, 14_200);
+        assert!(
+            deepest <= N,
+            "{deepest} task frames nested on one thread, tree depth {N}"
+        );
     }
 
     #[test]

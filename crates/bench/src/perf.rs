@@ -24,7 +24,7 @@
 //! null) with tests, also used by `perfsuite --check` to validate an
 //! emitted file structurally in CI.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use smpss::config::SchedulerPolicy;
 use smpss::sched::TaskSource;
@@ -782,6 +782,21 @@ pub fn app_nqueens(threads: usize, n: usize, levels: usize, reps: usize) -> Work
     }
 }
 
+/// Body time of the placement-pinning storms below. Twice the
+/// runtime's 1 µs inline threshold: a sub-µs body would run inline on
+/// the spawner and never reach the release and placement paths these
+/// storms (and the `release_ablation`/`locality_ablation` studies that
+/// reuse them) exist to exercise.
+const PLACEMENT_BODY: Duration = Duration::from_micros(2);
+
+/// Busy-wait for `d`: a task body of a fixed, measurable cost.
+fn spin_for(d: Duration) {
+    let t0 = Instant::now();
+    while t0.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
 /// Release-bound fan-out rounds (BENCH_0004): each round spawns one
 /// writer and `FAN` readers of the same object. The writer's completion
 /// releases the whole reader wave at once — the batched-publication
@@ -812,12 +827,16 @@ pub fn fanout_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool)
             {
                 let mut sp = rt.task("fs_write");
                 let mut w = sp.write(&h);
-                sp.submit(move || *w.get_mut() = 1);
+                sp.submit(move || {
+                    spin_for(PLACEMENT_BODY);
+                    *w.get_mut() = 1;
+                });
             }
             for _ in 0..FAN {
                 let mut sp = rt.task("fs_read");
                 let mut r = sp.read(&h);
                 sp.submit(move || {
+                    spin_for(PLACEMENT_BODY);
                     std::hint::black_box(*r.get());
                 });
             }
@@ -863,7 +882,10 @@ pub fn chain_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool) 
             for h in &hs {
                 let mut sp = rt.task("cs_bump");
                 let mut w = sp.inout(h);
-                sp.submit(move || *w.get_mut() += 1);
+                sp.submit(move || {
+                    spin_for(PLACEMENT_BODY);
+                    *w.get_mut() += 1;
+                });
             }
         }
         rt.barrier();
@@ -929,13 +951,17 @@ pub fn locality_storm_cfg(
                 let mut sp = rt.task("ls_read");
                 let mut r = sp.read(h);
                 sp.submit(move || {
+                    spin_for(PLACEMENT_BODY);
                     std::hint::black_box(r.get()[0]);
                 });
             }
             {
                 let mut sp = rt.task("ls_write");
                 let mut w = sp.inout(h);
-                sp.submit(move || w.get_mut()[0] += 1.0);
+                sp.submit(move || {
+                    spin_for(PLACEMENT_BODY);
+                    w.get_mut()[0] += 1.0;
+                });
             }
         }
         rt.barrier();

@@ -232,7 +232,9 @@ impl RuntimeBuilder {
 
     /// Cap on total bytes the version slab may hold parked as reusable
     /// spares (default: the [`memory_limit`](Self::memory_limit) if one
-    /// is set, else 64 MiB). Parking past the cap evicts oldest-first;
+    /// is set, else 64 MiB). Each spare counts at its resident size: its
+    /// declared bytes, but never less than its allocation plus its slab
+    /// entry. Parking past the cap evicts oldest-first;
     /// an evicted spare that readers still hold keeps its memory ticket
     /// until the last reader drops, so the live-bytes account stays
     /// exact regardless of the cap.

@@ -52,6 +52,7 @@
 //! byte gauge is unchanged (one buffer in, one out, same class) and
 //! the hit/age counters are plain fields under the gate.
 
+use std::alloc::Layout;
 use std::any::{Any, TypeId};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -82,7 +83,9 @@ pub(crate) const DEFAULT_SPARE_CAP: usize = 64 << 20;
 
 /// Identity of a reusable buffer shape. Two buffers are interchangeable
 /// exactly when their keys are equal: same concrete `VBuf<T>` type,
-/// same declared byte size, and the same reuse scope.
+/// same declared byte size, and the same reuse scope. The key also
+/// carries what one parked entry of this shape costs the spare cap
+/// (`charge`, derived from the other fields).
 ///
 /// The scope (`owner`) is what keeps cross-object reuse sound:
 /// [`data_sized`](crate::Runtime::data_sized) declares its byte figure
@@ -98,13 +101,20 @@ pub(crate) struct ReuseKey {
     tid: TypeId,
     bytes: usize,
     owner: u64,
+    /// Bytes one parked entry of this shape holds resident, charged
+    /// against the spare cap: the declared size, but never less than
+    /// the buffer's `Arc` allocation plus its [`Parked`] entry. Without
+    /// the floor an 8-byte `data()` version counted 8 bytes against the
+    /// cap while holding ~100, so small spares parked without bound.
+    charge: usize,
     /// `class_of(bytes)`, precomputed once per object so the rename
     /// hot path indexes its shelf without re-deriving the class.
     class: u8,
 }
 
-// `class` is derived from `bytes`, so equality is over the three
-// identity fields only — one fewer compare on the probe's hot path.
+// `charge` and `class` are derived from the other fields, so equality
+// is over the three identity fields only — fewer compares on the
+// probe's hot path.
 impl PartialEq for ReuseKey {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
@@ -121,6 +131,7 @@ impl ReuseKey {
             tid: TypeId::of::<V>(),
             bytes,
             owner: 0,
+            charge: bytes.max(resident_floor::<V>()),
             class: VersionSlab::class_of(bytes) as u8,
         }
     }
@@ -132,10 +143,21 @@ impl ReuseKey {
             tid: TypeId::of::<V>(),
             bytes,
             owner: id + 1,
+            charge: bytes.max(resident_floor::<V>()),
             class: VersionSlab::class_of(bytes) as u8,
         }
     }
+}
 
+/// What a parked `V` holds resident at the least: its `Arc` allocation
+/// (two reference counts, then `V`, as `ArcInner` lays it out) plus the
+/// slab's [`Parked`] entry.
+fn resident_floor<V>() -> usize {
+    let counts = Layout::new::<[usize; 2]>();
+    let (arc_inner, _) = counts
+        .extend(Layout::new::<V>())
+        .expect("a version buffer's layout fits in memory");
+    arc_inner.pad_to_align().size() + std::mem::size_of::<Parked>()
 }
 
 /// One parked version buffer. The `Arc` is the slab's clone of the
@@ -156,8 +178,8 @@ struct Parked {
 /// them.
 struct ShelfState {
     entries: VecDeque<Parked>,
-    /// Parked bytes on this shelf (mirrored to the gate-free gauge on
-    /// guard drop).
+    /// Parked bytes on this shelf, each entry at its key's `charge`
+    /// (mirrored to the gate-free gauge on guard drop).
     bytes: usize,
     clock: u64,
     hits: u64,
@@ -285,7 +307,7 @@ impl ShelfState {
     fn push(&mut self, key: ReuseKey, buf: Arc<dyn Any + Send + Sync>) {
         let age = self.clock;
         self.clock += 1;
-        self.bytes += key.bytes;
+        self.bytes += key.charge;
         self.entries.push_back(Parked { buf, key, age });
     }
 }
@@ -313,7 +335,7 @@ impl ShelfGuard<'_> {
         let age = st.clock;
         st.clock += 1;
         if !balanced {
-            st.bytes += key.bytes;
+            st.bytes += key.charge;
         }
         st.entries.push_back(Parked { buf, key, age });
     }
@@ -325,7 +347,7 @@ impl ShelfGuard<'_> {
 /// the back, so the front region is the oldest, and the age stamps
 /// make the pick exact even after `swap_remove_back` scrambles the
 /// tail. O(1): swap the pick to the front, pop it. Returns the
-/// evicted bytes.
+/// evicted entry's charge.
 fn evict_one(st: &mut ShelfState) -> Option<usize> {
     if st.entries.is_empty() {
         return None;
@@ -347,7 +369,7 @@ fn evict_one(st: &mut ShelfState) -> Option<usize> {
         st.entries.swap(0, pick);
     }
     let p = st.entries.pop_front().expect("checked non-empty");
-    st.bytes -= p.key.bytes;
+    st.bytes -= p.key.charge;
     if dead {
         st.evicted_dead += 1;
     } else {
@@ -356,7 +378,7 @@ fn evict_one(st: &mut ShelfState) -> Option<usize> {
         // Arcs, so no bytes are released before the last reader drops.
         st.evicted_live += 1;
     }
-    Some(p.key.bytes)
+    Some(p.key.charge)
 }
 
 /// Aggregated slab counters for [`StatsSnapshot`](crate::StatsSnapshot).
@@ -411,6 +433,15 @@ impl VersionSlab {
 
     pub(crate) fn peak(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
+    }
+
+    /// Parked entries across all shelves.
+    #[cfg(test)]
+    pub(crate) fn parked_entries(&self) -> usize {
+        self.shelves
+            .iter()
+            .map(|s| s.enter(self.concurrent).entries.len())
+            .sum()
     }
 
     /// Total parked bytes across all shelves (gate-free, advisory).
@@ -537,8 +568,10 @@ impl VersionSlab {
                 if Arc::strong_count(&st.entries[i].buf) == 1 {
                     std::sync::atomic::fence(Ordering::Acquire);
                     let p = st.entries.swap_remove_back(i).expect("index in range");
-                    st.bytes -= p.key.bytes;
+                    st.bytes -= p.key.charge;
                     st.evicted_dead += 1;
+                    // Counted in the live account's unit (declared
+                    // bytes): that is what the ticket drop releases.
                     freed += p.key.bytes;
                     // Dropping the dead buffer here releases its ticket
                     // (and any session attribution) immediately.
@@ -584,14 +617,14 @@ mod tests {
     fn exchange_misses_then_hits_same_key() {
         let acct = Arc::new(AtomicUsize::new(0));
         let slab = VersionSlab::new(1 << 20, true);
-        let key = ReuseKey::shared::<VBuf<i32>>(64);
-        assert!(slab.exchange(key, buf(1, 64, &acct)).is_none());
-        let got = slab.exchange(key, buf(2, 64, &acct)).expect("parked spare is dead");
+        let key = ReuseKey::shared::<VBuf<i32>>(1024);
+        assert!(slab.exchange(key, buf(1, 1024, &acct)).is_none());
+        let got = slab.exchange(key, buf(2, 1024, &acct)).expect("parked spare is dead");
         let got = got.downcast::<VBuf<i32>>().expect("key pins the type");
         unsafe { assert_eq!(*got.peek(), 1) };
         let c = slab.counters();
         assert_eq!(c.hits, 1);
-        assert_eq!(c.parked_bytes, 64);
+        assert_eq!(c.parked_bytes, 1024);
     }
 
     #[test]
@@ -658,24 +691,104 @@ mod tests {
     fn reclaim_frees_only_dead_bytes() {
         let acct = Arc::new(AtomicUsize::new(0));
         let slab = VersionSlab::new(1 << 20, true);
-        let key = ReuseKey::shared::<VBuf<i32>>(256);
+        let key = ReuseKey::shared::<VBuf<i32>>(4096);
         let held = {
-            let b = buf(1, 256, &acct);
+            let b = buf(1, 4096, &acct);
             let clone = Arc::clone(&b);
             slab.exchange(key, b);
             clone
         };
-        slab.exchange(ReuseKey::shared::<VBuf<i32>>(128), buf(2, 128, &acct));
-        assert_eq!(slab.parked_bytes(), 384);
-        assert_eq!(acct.load(Ordering::Relaxed), 384);
-        // Only the dead 128-byte spare can be reclaimed.
-        assert_eq!(slab.reclaim(usize::MAX), 128);
-        assert_eq!(slab.parked_bytes(), 256);
-        assert_eq!(acct.load(Ordering::Relaxed), 256);
+        slab.exchange(ReuseKey::shared::<VBuf<i32>>(2048), buf(2, 2048, &acct));
+        assert_eq!(slab.parked_bytes(), 6144);
+        assert_eq!(acct.load(Ordering::Relaxed), 6144);
+        // Only the dead 2 KiB spare can be reclaimed.
+        assert_eq!(slab.reclaim(usize::MAX), 2048);
+        assert_eq!(slab.parked_bytes(), 4096);
+        assert_eq!(acct.load(Ordering::Relaxed), 4096);
         assert_eq!(slab.reclaim(usize::MAX), 0);
         drop(held);
-        assert_eq!(slab.reclaim(usize::MAX), 256);
+        assert_eq!(slab.reclaim(usize::MAX), 4096);
         assert_eq!(acct.load(Ordering::Relaxed), 0);
+    }
+
+    /// Small spares count at their resident size. An 8-byte `data()`
+    /// version parked at its declared size let the spare cap admit
+    /// ~100 resident bytes per 8 charged, and per-object reuse keys make
+    /// the front probe miss under a shuffled storm, so the slab grew
+    /// without bound (the benchmark's `task_flood` gained ~1 MB per
+    /// repetition). Soak: 500 repetitions of a renaming `u64` storm in
+    /// shuffled object order, with 2 µs bodies so nothing runs inline;
+    /// a gate-held reader keeps every version pending, so every writer
+    /// renames. The parked entries must fit the cap at their resident
+    /// size, and their count must be flat once the cap binds.
+    #[test]
+    fn small_spares_are_capped_at_their_resident_size() {
+        const OBJECTS: usize = 128;
+        const CAP: usize = 128 << 10;
+        const REPS: usize = 500;
+        let rt = crate::Runtime::builder()
+            .threads(2)
+            .slab_spare_bytes(CAP)
+            .build();
+        let slab = Arc::clone(rt.shared.slab.as_ref().expect("slab on by default"));
+        let hs: Vec<_> = (0..OBJECTS).map(|i| rt.data(i as u64)).collect();
+        let mut order: Vec<usize> = (0..OBJECTS).collect();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut counts = Vec::with_capacity(REPS);
+        for rep in 0..REPS {
+            let gate = Arc::new(AtomicBool::new(false));
+            {
+                let mut sp = rt.task("hold");
+                let mut rs: Vec<_> = hs.iter().map(|h| sp.read(h)).collect();
+                let gate = Arc::clone(&gate);
+                sp.submit(move || {
+                    while !gate.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    std::hint::black_box(rs.iter_mut().map(|r| *r.get()).sum::<u64>());
+                });
+            }
+            for i in (1..OBJECTS).rev() {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                order.swap(i, (rng % (i as u64 + 1)) as usize);
+            }
+            for &o in &order {
+                let mut sp = rt.task("renamer");
+                let mut w = sp.write(&hs[o]);
+                sp.submit(move || {
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < std::time::Duration::from_micros(2) {
+                        std::hint::spin_loop();
+                    }
+                    *w.get_mut() = rep as u64;
+                });
+            }
+            gate.store(true, Ordering::Release);
+            rt.barrier();
+            assert!(
+                rt.stats().slab_parked_bytes <= CAP as u64,
+                "rep {rep}: parked bytes over the cap"
+            );
+            counts.push(slab.parked_entries());
+        }
+        assert!(
+            rt.stats().renames >= (REPS * OBJECTS) as u64,
+            "every writer renames"
+        );
+        let most = *counts.iter().max().expect("reps ran");
+        let resident = most * resident_floor::<VBuf<u64>>();
+        assert!(
+            resident <= CAP,
+            "{most} parked entries hold {resident} B resident, over the {CAP} B cap"
+        );
+        let early = counts[50..250].iter().max().expect("reps ran");
+        let late = counts[250..].iter().max().expect("reps ran");
+        assert!(
+            late <= early,
+            "parked entries grew after warm-up: {early} -> {late}"
+        );
     }
 
     #[test]

@@ -22,7 +22,8 @@ use crate::graph::node::{self, SuccNode, TaskNode};
 use crate::graph::record::GraphRecord;
 use crate::ids::{ObjectId, SessionId, TaskId};
 use crate::padded::CachePadded;
-use crate::sched::queues::{Job, SleepCtl};
+use crate::sched::cost::CostTable;
+use crate::sched::queues::{Job, SleepCtl, TaskSource};
 use crate::sched::worker::{enqueue_ready, find_task, run_task, worker_loop, WorkerCtx};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::trace::{EventKind, Trace, TraceCollector};
@@ -272,6 +273,16 @@ pub struct Shared {
     pub(crate) sessions: Mutex<Vec<Arc<session::SessionCtl>>>,
     /// Session id mint (1-based; 0 is [`SessionId::NONE`]).
     pub(crate) next_session: AtomicU32,
+    /// Sampled body cost per task name, which decides whether a
+    /// born-ready task runs inline on the spawner
+    /// ([`Runtime::publish_born_ready`]). `Some` exactly when inlining
+    /// can apply: at least two threads, unsharded, without sessions,
+    /// under the SMPSs policy. At `threads(1)` there is no hand-off to
+    /// save; submitter and session threads are producers whose time
+    /// belongs to the caller; and the central-queue ablation keeps every
+    /// task in its one queue, as it keeps them out of the SMPSs
+    /// policy's other private fast paths (hand-off, stash).
+    pub(crate) costs: Option<CostTable>,
 }
 
 /// The failure registry payload: every panicked and every cancelled
@@ -287,9 +298,8 @@ impl Shared {
     /// finished shard and one stealer per thread).
     fn build(cfg: RuntimeConfig, stealers: Vec<Stealer<Job>>) -> Shared {
         let n = cfg.threads;
-        let locality_routing = cfg.locality
-            && n > 1
-            && cfg.policy == crate::config::SchedulerPolicy::Smpss;
+        let smpss = cfg.policy == crate::config::SchedulerPolicy::Smpss;
+        let locality_routing = cfg.locality && n > 1 && smpss;
         let self_stash = locality_routing
             && (cfg.graph_size_limit.is_some() || cfg.memory_limit.is_some());
         let shards = cfg.shards;
@@ -347,6 +357,7 @@ impl Shared {
             faulted0: AtomicBool::new(false),
             sessions: Mutex::new(Vec::new()),
             next_session: AtomicU32::new(0),
+            costs: (n >= 2 && !sharded && smpss).then(CostTable::new),
         }
     }
 
@@ -640,7 +651,9 @@ pub(crate) fn harvest_links_into(cache: &mut Vec<LinkPtr>, mut chain: *mut SuccN
 /// objects created through it. The creating thread is the **main thread**
 /// of the paper's execution model: it runs the (sequential-looking) main
 /// program, performs all dependency analysis, and helps execute tasks when
-/// it blocks on a barrier or on the graph-size limit.
+/// it blocks on a barrier or on the graph-size limit. A ready task too
+/// cheap to ship to a worker (measured body under 1 µs) it runs itself,
+/// at submit.
 ///
 /// `Runtime` is deliberately `!Sync` (one main program thread, as in the
 /// paper): several single-writer fast paths — task/object id generation
@@ -1228,6 +1241,15 @@ impl Runtime {
     /// blocking condition between tasks — so a completion hand-off is
     /// *deferred* into the context's `pending` slot and picked up by the
     /// next call's lookup, still bypassing every queue.
+    ///
+    /// Helping never nests, unlike a fork-join `sync` that runs other
+    /// tasks on top of its waiting frame (see the depth rule in
+    /// `smpss_baselines::forkjoin`). Task bodies are `Send + 'static`
+    /// and `Runtime` is `!Sync`, so no body can hold a `&Runtime` and
+    /// call back into `barrier`, `wait_on`, `task` or the throttle; the
+    /// main thread's helpers (this, [`finish_helping`](Self::finish_helping)
+    /// and inline runs) therefore run at most one body deep, and
+    /// workers run their hand-off chains in a loop, not by recursion.
     pub(crate) fn help_once(&self) -> bool {
         let mut ctx = self.main_ctx.borrow_mut();
         // High-priority work preempts every private fast path, exactly
@@ -1275,17 +1297,22 @@ impl Runtime {
             if handoff.is_some() {
                 ctx.pending = handoff;
             }
-            if self.shared.cfg.node_pool {
-                // The helping thread *is* the spawner: skip the shared
-                // free stack and stash the node straight into the cache.
-                let mut cache = self.node_cache.borrow_mut();
-                if cache.len() < NODE_CACHE_MAX {
-                    cache.push(done);
-                }
-            }
+            self.cache_node(done);
             true
         } else {
             false
+        }
+    }
+
+    /// Return a node the main thread just ran to the spawn-side pool.
+    /// The running thread *is* the spawner: skip the shared free stack
+    /// and stash the node straight into the cache.
+    fn cache_node(&self, done: Job) {
+        if self.shared.cfg.node_pool {
+            let mut cache = self.node_cache.borrow_mut();
+            if cache.len() < NODE_CACHE_MAX {
+                cache.push(done);
+            }
         }
     }
 
@@ -1328,17 +1355,38 @@ impl Runtime {
         }
     }
 
-    /// Publish a task that is ready at submit time. The general case is
-    /// [`enqueue_ready`] (main list, or the preferred worker's mailbox
-    /// when a hint is live); the special case is **self-affinity**: the
-    /// ballot elected the spawning thread itself, and a blocking
-    /// condition guarantees this thread will act as a worker shortly —
-    /// then the task is parked in the private hand-off window and never
-    /// published at all (zero queue atomics, `take_body_owned` on
-    /// consumption), exactly like a completion's direct hand-off.
+    /// Publish a task that is ready at submit time. Three cases, first
+    /// match wins:
+    ///
+    /// 1. **Inline execution.** The task's site has a measured body cost
+    ///    under [`INLINE_MAX_NS`](crate::sched::cost::INLINE_MAX_NS) in
+    ///    [`Shared::costs`]: the task runs right here, on the spawning
+    ///    thread, before `submit` returns. This is the path `help_once`
+    ///    takes (owned body take, `catch_unwind` containment,
+    ///    completion, node back to the spawner's cache), so failure
+    ///    policies and counts behave exactly as on a worker. A born-ready
+    ///    task has no successors yet, so its completion releases
+    ///    nothing. Only `Priority::Normal` tasks inline, and only on a
+    ///    runtime that has a cost table (see [`Shared::costs`] for the
+    ///    scope); every other task, and every task of a site no thread
+    ///    has measured yet, takes the paths below unchanged.
+    /// 2. **Self-affinity.** The ballot elected the spawning thread
+    ///    itself, and a blocking condition guarantees this thread will
+    ///    act as a worker shortly: the task is parked in the private
+    ///    hand-off window and never published at all (zero queue
+    ///    atomics, `take_body_owned` on consumption), exactly like a
+    ///    completion's direct hand-off.
+    /// 3. [`enqueue_ready`]: the main list, or the preferred worker's
+    ///    mailbox when a hint is live.
     #[inline]
     pub(crate) fn publish_born_ready(&self, job: crate::sched::Job) {
         let shared = &*self.shared;
+        if let Some(costs) = &shared.costs {
+            if job.priority() == Priority::Normal && costs.is_cheap(job.name()) {
+                self.run_inline(job);
+                return;
+            }
+        }
         // High-priority tasks are "scheduled as soon as possible
         // independently of any locality consideration": never stashed —
         // `enqueue_ready` routes them to the global HP list.
@@ -1355,6 +1403,23 @@ impl Runtime {
             }
         }
         enqueue_ready(shared, None, job);
+    }
+
+    /// Run a born-ready task on the spawning thread (case 1 of
+    /// [`publish_born_ready`](Self::publish_born_ready)). Never
+    /// published, so the body take is owned. Counted as an own-list
+    /// pop of thread 0 and in `inline_runs`.
+    fn run_inline(&self, job: Job) {
+        let (done, handoff) = {
+            let mut ctx = self.main_ctx.borrow_mut();
+            run_task(&self.shared, &mut ctx, 0, job, TaskSource::OwnList, false, true)
+        };
+        debug_assert!(handoff.is_none(), "hand-off declined");
+        self.shared.stats.inline_runs();
+        // Our own completion: the cached finished lower bound stays a
+        // lower bound, and the next barrier need not re-sum the shards.
+        self.finished_seen.set(self.finished_seen.get() + 1);
+        self.cache_node(done);
     }
 
     /// Block the spawning path while a §III blocking condition holds

@@ -474,7 +474,8 @@ mod tests {
         }
         let surplus = subs[0].credit.surplus();
         assert!(surplus > 0, "a fresh rename must leave lane surplus");
-        gate.store(true, Ordering::Release);
+        // The gate stays shut until after the check: a blocker finishing
+        // in between would release the displaced version's bytes too.
         let before = rt.shared.live_bytes.load(Ordering::Acquire);
         drop(subs);
         assert_eq!(
@@ -482,6 +483,7 @@ mod tests {
             before - surplus,
             "dropping the submitters must return exactly the surplus"
         );
+        gate.store(true, Ordering::Release);
         rt.barrier();
     }
 }

@@ -25,7 +25,8 @@
 //!    to contend is gone. The barrier sums the shards (Acquire) when it
 //!    needs the total. The all-done wake is only probed on *leaf*
 //!    completions (`n_ready == 0` — only a leaf can be the last task)
-//!    and only when someone is actually parked; a cross-shard sum may
+//!    on a worker (the main thread is the one the wake is for) and
+//!    only when someone is actually parked; a cross-shard sum may
 //!    read a lagging remote shard and miss the instant of completion,
 //!    which the barrier's bounded park absorbs like every other
 //!    lost-wakeup window in the sleep protocol.
@@ -134,14 +135,18 @@ pub(crate) fn finish_task(
         // pairs with the barrier's Acquire sum, ordering this task's
         // effects before the barrier proceeds.
         shard.store(shard.load(Ordering::Relaxed) + 1, Ordering::Release);
-        // All-done probe, gated three ways before paying the cross-shard
-        // sum: only a leaf can be the last task, a thread whose own
-        // queues still hold work cannot have finished the graph, and
-        // the wake only matters when someone is parked. A completion
-        // that skips the probe by one of these gates and *was* the last
-        // task is caught by the barrier's bounded park, like every other
+        // All-done probe, gated four ways before paying the cross-shard
+        // sum: the wake is for the main thread parked in `barrier`, so
+        // a completion *on* the main thread (`idx == 0`, which helps or
+        // runs tasks inline and is therefore not parked) never owes it;
+        // only a leaf can be the last task; a thread whose own queues
+        // still hold work cannot have finished the graph; and the wake
+        // only matters when someone is parked. A worker completion that
+        // skips the probe by one of these gates and *was* the last task
+        // is caught by the barrier's bounded park, like every other
         // lost-wakeup window in the sleep protocol.
-        if n_ready == 0
+        if idx != 0
+            && n_ready == 0
             && claimed_empty
             && local.is_empty()
             && shared.sleep.has_sleepers()
@@ -507,6 +512,37 @@ mod tests {
         assert_eq!(wake, Wake::None, "a hand-off publishes nothing — no wake owed");
         shared.sleep.notify_all();
         parked.join().unwrap();
+    }
+
+    /// The all-done wake is for the main thread parked in `barrier`: a
+    /// completion on the main thread itself (an inline run, or a help)
+    /// that finishes the graph owes no wake, even with a sleeper
+    /// registered; the same completion on a worker still wakes all.
+    #[test]
+    fn main_thread_completion_skips_the_all_done_wake() {
+        for (idx, want) in [(0, Wake::None), (1, Wake::All)] {
+            let shared = std::sync::Arc::new(shared(2));
+            shared.next_task.store(1, Ordering::Relaxed);
+            let parked = {
+                let shared = std::sync::Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    shared.sleep.park(std::time::Duration::from_secs(5));
+                })
+            };
+            while !shared.sleep.has_sleepers() {
+                std::thread::yield_now();
+            }
+            let local = Worker::new_lifo();
+            let last = ready_node(1);
+            last.take_body().run_in_place();
+            let mut ready = Vec::new();
+            let (handoff, wake) = finish_task(&shared, &local, idx, &last, false, false, true, &mut ready);
+            assert!(handoff.is_none());
+            assert_eq!(shared.finished_total(), 1, "the graph is done");
+            assert_eq!(wake, want, "completion on thread {idx}");
+            shared.sleep.notify_all();
+            parked.join().unwrap();
+        }
     }
 
     /// A sharded runtime must keep the AcqRel successor-list close even

@@ -19,6 +19,7 @@
 //! limit.
 
 pub mod completion;
+pub(crate) mod cost;
 pub mod queues;
 pub mod worker;
 

@@ -3,11 +3,12 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam_deque::Worker;
 
 use super::completion::{finish_task, Wake};
+use super::cost::SAMPLE_EVERY;
 use super::queues::{
     pop_injector, pop_injector_batch, steal_from, steal_half_from, Job, TaskSource,
 };
@@ -65,6 +66,9 @@ pub struct WorkerCtx {
     /// (the batched-publication scratch space; capacity persists, so
     /// steady-state completions allocate nothing).
     ready: Vec<Job>,
+    /// Bodies this thread ran, modulo [`SAMPLE_EVERY`]: every
+    /// `SAMPLE_EVERY`-th one is timed into [`Shared::costs`].
+    runs: u32,
 }
 
 impl WorkerCtx {
@@ -76,6 +80,7 @@ impl WorkerCtx {
             stash: VecDeque::new(),
             pending: None,
             ready: Vec::with_capacity(32),
+            runs: 0,
         }
     }
 }
@@ -403,13 +408,28 @@ pub fn run_task(
         drop(body); // bindings drop here: read windows close lock-free
         contain_cancelled(shared, &job);
         poisoned = true;
-    } else if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::fault::body_site(job.id().0);
-        // By-ref: bindings drop inside; read windows close lock-free.
-        body.run_in_place();
-    })) {
-        contain_failed(shared, &job, payload);
-        poisoned = true;
+    } else {
+        // Cost sampling for inline placement (only on runtimes that can
+        // inline): one body in `SAMPLE_EVERY` on this thread is timed.
+        let sample = shared.costs.as_ref().and_then(|costs| {
+            ctx.runs = (ctx.runs + 1) % SAMPLE_EVERY;
+            (ctx.runs == 0).then(|| (costs, Instant::now()))
+        });
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::fault::body_site(job.id().0);
+            // By-ref: bindings drop inside; read windows close lock-free.
+            body.run_in_place();
+        })) {
+            Ok(()) => {
+                if let Some((costs, t0)) = sample {
+                    costs.record(job.name(), t0.elapsed().as_nanos() as u64);
+                }
+            }
+            Err(payload) => {
+                contain_failed(shared, &job, payload);
+                poisoned = true;
+            }
+        }
     }
     // CancelDependents propagates through the completion walk below;
     // FailFast relies on the runtime-wide flag instead, and Isolate

@@ -75,6 +75,8 @@ pub struct Stats {
     pub(crate) node_pool_hits: AtomicU64,
     /// Renames served by a recycled version buffer from the object's pool.
     pub(crate) version_pool_hits: AtomicU64,
+    /// Born-ready tasks the spawner ran inline at submit.
+    pub(crate) inline_runs: AtomicU64,
     /// Per-thread pop counters, indexed by thread index (0 = main).
     shards: Box<[PopShard]>,
     /// Task bodies that panicked (contained by `catch_unwind`).
@@ -150,6 +152,7 @@ impl Stats {
         copy_ins,
         node_pool_hits,
         version_pool_hits,
+        inline_runs,
         barriers,
         throttle_blocks,
     );
@@ -163,6 +166,7 @@ impl Stats {
             copy_ins: AtomicU64::new(0),
             node_pool_hits: AtomicU64::new(0),
             version_pool_hits: AtomicU64::new(0),
+            inline_runs: AtomicU64::new(0),
             shards: (0..threads.max(1)).map(|_| PopShard::default()).collect(),
             panics: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
@@ -267,6 +271,7 @@ impl Stats {
             copy_ins: ld(&self.copy_ins),
             node_pool_hits: ld(&self.node_pool_hits),
             version_pool_hits: ld(&self.version_pool_hits),
+            inline_runs: ld(&self.inline_runs),
             own_pops,
             main_pops,
             hp_pops,
@@ -312,6 +317,13 @@ pub struct StatsSnapshot {
     pub node_pool_hits: u64,
     /// Renames that reused a pooled version buffer instead of allocating.
     pub version_pool_hits: u64,
+    /// Born-ready tasks the spawning thread ran itself, inside `submit`,
+    /// because their task name's sampled body cost is under the inline
+    /// threshold (1 µs) — too cheap to pay for a hand-off to another
+    /// core. A subset of `own_pops` (thread 0 ran them without any
+    /// queue), like `handoffs`. Zero at one thread, with shards or
+    /// sessions, and for high-priority tasks.
+    pub inline_runs: u64,
     pub own_pops: u64,
     pub main_pops: u64,
     pub hp_pops: u64,
@@ -366,7 +378,9 @@ pub struct StatsSnapshot {
     /// slab's clone was dropped; the bytes stay charged until the last
     /// reader drops (the accounting invariant the slab pins).
     pub slab_evicted_live: u64,
-    /// Bytes currently parked in the slab as reusable spares. A gauge,
+    /// Bytes currently parked in the slab as reusable spares, each at
+    /// its resident size (declared bytes, but never less than its `Arc`
+    /// allocation plus its slab entry — what the spare cap bounds). A gauge,
     /// not a counter — overlaid at [`Runtime::stats`](crate::Runtime::stats)
     /// time, like the two fields below.
     pub slab_parked_bytes: u64,

@@ -109,7 +109,8 @@ proptest! {
 /// The direct hand-off is observable through the public stats surface:
 /// a dependency chain must be dominated by hand-offs (each completion
 /// runs its successor without a queue round-trip), and hand-offs are a
-/// subset of own-list pops so conservation still holds.
+/// subset of own-list pops so conservation still holds. Bodies of 2 µs,
+/// twice the inline threshold, keep the chain off the spawner.
 #[test]
 fn chains_ride_the_handoff_and_counters_stay_conserved() {
     let rt = Runtime::builder().threads(4).build();
@@ -118,7 +119,13 @@ fn chains_ride_the_handoff_and_counters_stay_conserved() {
     for _ in 0..N {
         let mut sp = rt.task("bump");
         let mut w = sp.inout(&x);
-        sp.submit(move || *w.get_mut() += 1);
+        sp.submit(move || {
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < std::time::Duration::from_micros(2) {
+                std::hint::spin_loop();
+            }
+            *w.get_mut() += 1;
+        });
     }
     rt.barrier();
     assert_eq!(rt.read(&x), N as i64);

@@ -7,6 +7,22 @@ task_def! {
     fn bump(inout x: i64) { *x += 1; }
 }
 
+task_def! {
+    /// `bump` with a 2 µs body, twice the inline threshold: tasks that
+    /// must reach the ready lists, not run inline on the spawner.
+    fn bump_slow(inout x: i64) {
+        spin_2us();
+        *x += 1;
+    }
+}
+
+fn spin_2us() {
+    let t0 = std::time::Instant::now();
+    while t0.elapsed() < std::time::Duration::from_micros(2) {
+        std::hint::spin_loop();
+    }
+}
+
 /// With one thread, tasks born ready go to the main list and are consumed
 /// in FIFO order; tasks released by a completion go to the (main thread's)
 /// own list and are consumed LIFO. We pin the order via side effects.
@@ -115,7 +131,7 @@ fn chains_exhibit_locality() {
     let x = rt.data(0i64);
     let n = 400;
     for _ in 0..n {
-        bump(&rt, &x);
+        bump_slow(&rt, &x);
     }
     rt.barrier();
     let st = rt.stats();
@@ -142,8 +158,8 @@ fn central_queue_vs_smpss_same_result() {
         let x = rt.data(1i64);
         let y = rt.data(2i64);
         for _ in 0..50 {
-            bump(&rt, &x);
-            bump(&rt, &y);
+            bump_slow(&rt, &x);
+            bump_slow(&rt, &y);
         }
         rt.barrier();
         (rt.read(&x), rt.read(&y), rt.stats())

@@ -76,7 +76,15 @@ fn simulated_policy_counters_match_real_runtime_shape() {
     // must both show own-list domination (the §III locality design).
     use smpss::{task_def, Runtime};
     task_def! {
-        fn bump(inout x: i64) { *x += 1; }
+        // 2 µs, twice the inline threshold: the chain must run on the
+        // ready lists, not inline on the spawner.
+        fn bump(inout x: i64) {
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < std::time::Duration::from_micros(2) {
+                std::hint::spin_loop();
+            }
+            *x += 1;
+        }
     }
     let rt = Runtime::builder().threads(4).record_graph(true).build();
     let x = rt.data(0i64);

@@ -10,6 +10,7 @@
 //! | workload                         | documented budget per task    |
 //! |----------------------------------|-------------------------------|
 //! | empty-body storm (throttled)     | 0 after warmup                |
+//! | empty-body storm run inline (2 threads) | 0 after warmup         |
 //! | `inout` dependency chain         | 0 (successor links recycle)   |
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version pool) | ≤ 1 (binding traffic)         |
@@ -93,6 +94,27 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     assert!(
         delta <= STORM_TASKS / 100,
         "steady-state empty-task storm must be allocation-free \
+         (documented budget 0/task), measured {} allocations for {} tasks",
+        delta,
+        STORM_TASKS
+    );
+
+    // --- inline storm: 0 allocations per task after warmup -----------
+    // Two threads and no throttle: once a worker has measured the site,
+    // the spawner runs each born-ready empty task itself, inside
+    // `submit`, and the node goes straight back to its cache.
+    let rt = Runtime::builder().threads(2).build();
+    let delta = measure(|| storm(&rt, 4_096), || storm(&rt, STORM_TASKS));
+    let st = rt.stats();
+    assert!(
+        st.inline_runs > STORM_TASKS * 9 / 10,
+        "the measured storm must run inline (inline_runs={})",
+        st.inline_runs
+    );
+    drop(rt);
+    assert!(
+        delta <= STORM_TASKS / 100,
+        "steady-state inline storm must be allocation-free \
          (documented budget 0/task), measured {} allocations for {} tasks",
         delta,
         STORM_TASKS

@@ -180,6 +180,16 @@ fn high_priority_ignores_locality_hints() {
     assert_eq!(st.total_pops(), st.tasks_executed);
 }
 
+/// Busy-wait for `us` microseconds: a body too dear to run inline on
+/// the spawner (the inline threshold is 1 µs), so the placement paths
+/// pinned below still see every task.
+fn spin_us(us: u64) {
+    let t0 = std::time::Instant::now();
+    while t0.elapsed() < std::time::Duration::from_micros(us) {
+        std::hint::spin_loop();
+    }
+}
+
 /// Born-ready readers of settled data carry their writer's hint: under
 /// a throttled read storm the spawner must route through the affinity
 /// mailboxes (observable as `locality_hits`), and every task still
@@ -196,13 +206,17 @@ fn born_ready_readers_ride_the_mailboxes() {
     for (i, h) in objs.iter().enumerate() {
         let mut sp = rt.task("init");
         let mut w = sp.write(h);
-        sp.submit(move || *w.get_mut() = i as u64);
+        sp.submit(move || {
+            spin_us(2);
+            *w.get_mut() = i as u64;
+        });
     }
     rt.barrier(); // writers finished: their ran_on records are settled
     for i in 0..READS {
         let mut sp = rt.task("probe");
         let mut r = sp.read(&objs[i % SITES]);
         sp.submit(move || {
+            spin_us(2);
             std::hint::black_box(*r.get());
         });
     }
