@@ -11,9 +11,11 @@ pub fn gemm_nt(m: usize) -> f64 {
     gemm(m)
 }
 
-/// Flops of the (full-block) `C -= A · Aᵀ` update.
+/// Flops of `C -= A · Aᵀ` on the lower triangle (incl. the diagonal) —
+/// the `m(m+1)/2` elements the kernel computes, `2m` flops each.
 pub fn syrk(m: usize) -> f64 {
-    gemm(m)
+    let m = m as f64;
+    m * m * (m + 1.0)
 }
 
 /// Flops of the in-place block Cholesky (`n³/3` leading term).
@@ -72,7 +74,7 @@ mod tests {
     fn basic_counts() {
         assert_eq!(gemm(10), 2000.0);
         assert_eq!(gemm_nt(10), gemm(10));
-        assert_eq!(syrk(10), gemm(10));
+        assert_eq!(syrk(10), 1100.0);
         assert_eq!(potrf(3), 9.0);
         assert_eq!(trsm(3), 27.0);
         assert_eq!(add(4), 16.0);
@@ -127,9 +129,9 @@ mod tests {
             + trsms as f64 * trsm(m);
         let total_flat = cholesky_total(n_blocks * m);
         let ratio = total_tiled / total_flat;
-        // The tiled count uses full-block syrk/gemm (2m³) where the flat
-        // count uses symmetric-aware n³/3, so the tiled sum overshoots by a
-        // bounded constant factor — but must stay in the same ballpark.
-        assert!((1.0..4.0).contains(&ratio), "ratio={ratio}");
+        // Every per-task count charges only what its kernel computes
+        // (syrk the lower triangle), so the tiled sum matches the flat
+        // n³/3 up to lower-order terms: 1.0014 at these sizes.
+        assert!((1.0..1.01).contains(&ratio), "ratio={ratio}");
     }
 }

@@ -5,11 +5,26 @@
 //!
 //! * [`gemm_add_ref`]/[`gemm_add_tuned`] — `C += A · B`            (matrix-multiply task, Fig. 1)
 //! * [`gemm_nt_sub_ref`]/[`gemm_nt_sub_tuned`] — `C -= A · Bᵀ`           (`sgemm_t` in the Cholesky of Fig. 4)
-//! * [`syrk_sub`]     — `C -= A · Aᵀ`           (`ssyrk_t`)
-//! * [`potrf`]        — in-place lower Cholesky (`spotrf_t`)
-//! * [`trsm_rlt`]     — `B ← B · L⁻ᵀ`           (`strsm_t`, right-solve with the
+//! * [`syrk_sub`]/[`syrk_sub_tuned`] — `C -= A · Aᵀ`           (`ssyrk_t`)
+//! * [`potrf`]/[`potrf_tuned`] — in-place lower Cholesky (`spotrf_t`)
+//! * [`trsm_rlt`]/[`trsm_rlt_tuned`] — `B ← B · L⁻ᵀ`           (`strsm_t`, right-solve with the
 //!   lower-triangular factor produced by `potrf`)
 //! * [`add`] / [`sub`] — block add/subtract     (Strassen, §VI.C)
+//!
+//! The reference kernels are textbook scalar loops; they are
+//! `Vendor::Reference` and the oracle every tuned kernel is tested
+//! against. The tuned kernels share one register-tiled micro-kernel in
+//! the packed-panel style of Goto & van de Geijn (TOMS 2008): operands
+//! are copied into `MR`-row and `NR`-column panels laid out k-major, and
+//! an `MR × NR` tile of accumulators is updated from one panel of each.
+//! `gemm_*` and `syrk` are that update alone (syrk only on tiles that
+//! touch the lower triangle); `trsm` and `potrf` are blocked by `NB`
+//! columns, with a small solve or factorisation on each diagonal block
+//! and every other flop on the micro-kernel. The LU kernels
+//! (`gemm_nn_sub`, `getrf_nopiv`, `trsm_llu`, `trsm_ru`) have one
+//! implementation each.
+
+use std::cell::RefCell;
 
 use crate::block::Block;
 
@@ -27,39 +42,15 @@ pub fn gemm_add_ref(a: &Block, b: &Block, c: &mut Block) {
     }
 }
 
-/// `C += A · B` — tuned (i-k-j with a slice-driven inner loop; the
-/// multiply-accumulate over contiguous rows autovectorises).
+/// `C += A · B` — tuned: `B` is packed untransposed (its rows are
+/// already k-major) and the whole block is one tiled update.
 pub fn gemm_add_tuned(a: &Block, b: &Block, c: &mut Block) {
     let m = check_dims(a, b, c);
-    for i in 0..m {
-        // Split borrows: rows of c and rows of b never alias (c != b is
-        // guaranteed by &mut), so index from raw slices.
-        for k in 0..m {
-            let aik = a.at(i, k);
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = b.row(k);
-            let crow = c.row_mut(i);
-            // Chunked by 8 to encourage vector codegen.
-            let mut j = 0;
-            while j + 8 <= m {
-                crow[j] += aik * brow[j];
-                crow[j + 1] += aik * brow[j + 1];
-                crow[j + 2] += aik * brow[j + 2];
-                crow[j + 3] += aik * brow[j + 3];
-                crow[j + 4] += aik * brow[j + 4];
-                crow[j + 5] += aik * brow[j + 5];
-                crow[j + 6] += aik * brow[j + 6];
-                crow[j + 7] += aik * brow[j + 7];
-                j += 8;
-            }
-            while j < m {
-                crow[j] += aik * brow[j];
-                j += 1;
-            }
-        }
-    }
+    with_packs(|ap, bp| {
+        let a = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
+        let b = pack::<NR>(bp, b.as_slice(), 1, m, m, m);
+        update(c.as_mut_slice(), m, &a, &b, 1.0, false);
+    });
 }
 
 /// `C -= A · Bᵀ` — reference.
@@ -77,34 +68,15 @@ pub fn gemm_nt_sub_ref(a: &Block, b: &Block, c: &mut Block) {
     }
 }
 
-/// `C -= A · Bᵀ` — tuned: the dot product runs over two contiguous rows.
+/// `C -= A · Bᵀ` — tuned: both operands are packed from their rows and
+/// the whole block is one tiled update.
 pub fn gemm_nt_sub_tuned(a: &Block, b: &Block, c: &mut Block) {
     let m = check_dims(a, b, c);
-    for i in 0..m {
-        let arow = a.row(i).to_vec(); // detach to allow c.row_mut aliasing a==c? (blocks are distinct objects in the apps, but stay safe)
-        for j in 0..m {
-            let brow = b.row(j);
-            let mut s0 = 0.0f32;
-            let mut s1 = 0.0f32;
-            let mut s2 = 0.0f32;
-            let mut s3 = 0.0f32;
-            let mut k = 0;
-            while k + 4 <= m {
-                s0 += arow[k] * brow[k];
-                s1 += arow[k + 1] * brow[k + 1];
-                s2 += arow[k + 2] * brow[k + 2];
-                s3 += arow[k + 3] * brow[k + 3];
-                k += 4;
-            }
-            let mut s = s0 + s1 + s2 + s3;
-            while k < m {
-                s += arow[k] * brow[k];
-                k += 1;
-            }
-            let v = c.at(i, j) - s;
-            c.set(i, j, v);
-        }
-    }
+    with_packs(|ap, bp| {
+        let a = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
+        let b = pack::<NR>(bp, b.as_slice(), m, 1, m, m);
+        update(c.as_mut_slice(), m, &a, &b, -1.0, false);
+    });
 }
 
 /// `C -= A · Aᵀ`, lower triangle only (BLAS `ssyrk` with `uplo = 'L'`):
@@ -125,30 +97,16 @@ pub fn syrk_sub(a: &Block, c: &mut Block) {
     }
 }
 
-/// Tuned variant of [`syrk_sub`] (contiguous-row dot products).
+/// Tuned variant of [`syrk_sub`]: the tiled update of `A · Aᵀ`, run only
+/// on tiles that touch the lower triangle and written back under the
+/// triangle mask, so the strict upper triangle is never stored to.
 pub fn syrk_sub_tuned(a: &Block, c: &mut Block) {
     let m = check_square(a, c);
-    for i in 0..m {
-        let arow_i = a.row(i).to_vec();
-        for j in 0..=i {
-            let arow_j = a.row(j);
-            let mut s0 = 0.0f32;
-            let mut s1 = 0.0f32;
-            let mut k = 0;
-            while k + 2 <= m {
-                s0 += arow_i[k] * arow_j[k];
-                s1 += arow_i[k + 1] * arow_j[k + 1];
-                k += 2;
-            }
-            let mut s = s0 + s1;
-            while k < m {
-                s += arow_i[k] * arow_j[k];
-                k += 1;
-            }
-            let v = c.at(i, j) - s;
-            c.set(i, j, v);
-        }
-    }
+    with_packs(|ap, bp| {
+        let rows = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
+        let cols = pack::<NR>(bp, a.as_slice(), m, 1, m, m);
+        update(c.as_mut_slice(), m, &rows, &cols, -1.0, true);
+    });
 }
 
 /// Error raised by [`potrf`] when a diagonal pivot is not positive.
@@ -193,6 +151,40 @@ pub fn potrf(a: &mut Block) -> Result<(), NotPositiveDefinite> {
     Ok(())
 }
 
+/// Tuned variant of [`potrf`], right-looking by `NB`-column blocks: a
+/// copy of the diagonal block is factored by [`potrf`] itself, the rows
+/// below it are solved against that factor, and the trailing lower
+/// triangle takes their `A·Aᵀ` update on the micro-kernel. Reads and
+/// writes only the lower triangle; a failing pivot is reported by its
+/// index in `a`, as [`potrf`] reports it.
+pub fn potrf_tuned(a: &mut Block) -> Result<(), NotPositiveDefinite> {
+    let m = a.dim();
+    let a = a.as_mut_slice();
+    with_packs(|ap, bp| {
+        for j0 in (0..m).step_by(NB) {
+            let nb = NB.min(m - j0);
+            // The diagonal block already holds every update from the
+            // columns left of it.
+            let mut l = diagonal_block(a, m, j0, nb);
+            potrf(&mut l).map_err(|local| NotPositiveDefinite {
+                pivot: j0 + local.pivot,
+            })?;
+            for i in 0..nb {
+                a[(j0 + i) * m + j0..][..=i].copy_from_slice(&l.row(i)[..=i]);
+            }
+            let j1 = j0 + nb;
+            if j1 < m {
+                solve_rows(&mut a[j1 * m + j0..], m, m - j1, &l);
+                // A[j1.., j1..] -= A[j1.., J] · A[j1.., J]ᵀ, lower triangle.
+                let rows = pack::<MR>(ap, &a[j1 * m + j0..], m, 1, m - j1, nb);
+                let cols = pack::<NR>(bp, &a[j1 * m + j0..], m, 1, m - j1, nb);
+                update(&mut a[j1 * m + j1..], m, &rows, &cols, -1.0, true);
+            }
+        }
+        Ok(())
+    })
+}
+
 /// `B ← B · L⁻ᵀ` where `l`'s lower triangle is the Cholesky factor of the
 /// diagonal block: the `strsm_t` of Figure 2/4.
 pub fn trsm_rlt(l: &Block, b: &mut Block) {
@@ -206,6 +198,28 @@ pub fn trsm_rlt(l: &Block, b: &mut Block) {
             b.set(r, j, s / l.at(j, j));
         }
     }
+}
+
+/// Tuned variant of [`trsm_rlt`], right-looking by `NB`-column blocks:
+/// each block column of `B` is solved against the diagonal block of `L`,
+/// then every column right of it takes the solved block's update on the
+/// micro-kernel. Reads only the lower triangle of `l`.
+pub fn trsm_rlt_tuned(l: &Block, b: &mut Block) {
+    let m = check_square(l, b);
+    let (l, b) = (l.as_slice(), b.as_mut_slice());
+    with_packs(|ap, bp| {
+        for j0 in (0..m).step_by(NB) {
+            let nb = NB.min(m - j0);
+            solve_rows(&mut b[j0..], m, m, &diagonal_block(l, m, j0, nb));
+            let j1 = j0 + nb;
+            if j1 < m {
+                // B[.., j1..] -= X[.., J] · L[j1.., J]ᵀ
+                let x = pack::<MR>(ap, &b[j0..], m, 1, m, nb);
+                let lt = pack::<NR>(bp, &l[j1 * m + j0..], m, 1, m - j1, nb);
+                update(&mut b[j1..], m, &x, &lt, -1.0, false);
+            }
+        }
+    });
 }
 
 /// `C -= A · B` (the trailing update of the blocked LU).
@@ -319,6 +333,181 @@ pub fn acc_sub(a: &Block, c: &mut Block) {
     assert_eq!(a.dim(), c.dim());
     for (cv, av) in c.as_mut_slice().iter_mut().zip(a.as_slice()) {
         *cv -= av;
+    }
+}
+
+// The tiled path shared by every tuned kernel.
+
+/// Rows of the micro-kernel's accumulator tile.
+const MR: usize = 4;
+/// Columns of the accumulator tile. `MR × NR` = 32 f32 accumulators fill
+/// 8 of the 16 SSE registers of the baseline x86-64 target, leaving room
+/// for the two B vectors and the broadcast A value of each k step.
+const NR: usize = 8;
+/// Width of the diagonal blocks `trsm` and `potrf` solve outside the
+/// micro-kernel.
+const NB: usize = 16;
+
+thread_local! {
+    /// Packed A and B operands, kept per thread so a task body reuses the
+    /// previous call's buffers instead of allocating.
+    static PACKS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+fn with_packs<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
+    PACKS.with(|packs| {
+        let (ap, bp) = &mut *packs.borrow_mut();
+        f(ap, bp)
+    })
+}
+
+/// An operand packed by [`pack`]: `n` rows of `depth` values in panels of
+/// `W` rows, each panel k-major (the `W` values of one k are adjacent).
+struct Panels<'a> {
+    data: &'a [f32],
+    n: usize,
+    depth: usize,
+}
+
+/// Packs the `n × depth` operand whose element `(p, k)` is
+/// `src[p * sp + k * sk]` into `out` as `⌈n / W⌉` panels of `W` rows.
+/// Rows past `n` are zero, so edge tiles compute on padding and are
+/// masked at write-back.
+fn pack<'a, const W: usize>(
+    out: &'a mut Vec<f32>,
+    src: &[f32],
+    sp: usize,
+    sk: usize,
+    n: usize,
+    depth: usize,
+) -> Panels<'a> {
+    out.clear();
+    out.resize(n.div_ceil(W) * W * depth, 0.0);
+    for (q, panel) in out.chunks_exact_mut(W * depth).enumerate() {
+        let (slots, _) = panel.as_chunks_mut::<W>();
+        for r in 0..W.min(n - q * W) {
+            let line = src[(q * W + r) * sp..].iter().step_by(sk);
+            for (slot, v) in slots.iter_mut().zip(line) {
+                slot[r] = *v;
+            }
+        }
+    }
+    Panels {
+        data: out,
+        n,
+        depth,
+    }
+}
+
+/// `C += alpha · A · Bᵀ` on the `a.n × b.n` window of `c` whose element
+/// `(i, j)` is `c[i * ldc + j]`, with `a` packed in `MR`-row and `b` in
+/// `NR`-row panels. With `lower`, only elements with `j ≤ i` are written
+/// and tiles wholly above the diagonal are not computed.
+fn update(c: &mut [f32], ldc: usize, a: &Panels, b: &Panels, alpha: f32, lower: bool) {
+    let depth = a.depth;
+    assert_eq!(b.depth, depth, "packed operands must have the same depth");
+    for (jp, bpanel) in b.data.chunks_exact(NR * depth).enumerate() {
+        let j0 = jp * NR;
+        for (ip, apanel) in a.data.chunks_exact(MR * depth).enumerate() {
+            let i0 = ip * MR;
+            if lower && j0 >= i0 + MR {
+                continue;
+            }
+            let tile = micro_kernel(apanel, bpanel);
+            for (r, acc) in tile.iter().enumerate().take(a.n - i0) {
+                let i = i0 + r;
+                let end = if lower { b.n.min(i + 1) } else { b.n };
+                if end <= j0 {
+                    continue;
+                }
+                let crow = &mut c[i * ldc + j0..][..NR.min(end - j0)];
+                match <&mut [f32; NR]>::try_from(&mut *crow) {
+                    // Full-width rows as one fixed-length (vector) loop.
+                    Ok(full) => {
+                        for (cv, av) in full.iter_mut().zip(acc) {
+                            *cv += alpha * av;
+                        }
+                    }
+                    Err(_) => {
+                        for (cv, av) in crow.iter_mut().zip(acc) {
+                            *cv += alpha * av;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The one register-tiled loop: `tile[i][j] = Σ_k a[k][i] · b[k][j]` over
+/// an `MR`-wide and an `NR`-wide k-major panel. The fixed trip counts let
+/// the autovectoriser keep the tile in registers (one broadcast of
+/// `a[k][i]` times two 4-lane vectors of `b[k]` per row).
+#[inline(always)]
+fn micro_kernel(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+    let mut tile = [[0.0f32; NR]; MR];
+    let (a, _) = a.as_chunks::<MR>();
+    let (b, _) = b.as_chunks::<NR>();
+    for (ak, bk) in a.iter().zip(b) {
+        for (row, &aik) in tile.iter_mut().zip(ak) {
+            for (t, &bkj) in row.iter_mut().zip(bk) {
+                *t += aik * bkj;
+            }
+        }
+    }
+    tile
+}
+
+/// The `nb × nb` diagonal block at `(j0, j0)` of the row-major `m × m`
+/// matrix `a`, lower triangle only: zero above the diagonal, so nothing
+/// of `a`'s strict upper triangle is read.
+fn diagonal_block(a: &[f32], m: usize, j0: usize, nb: usize) -> Block {
+    let mut l = Block::zeros(nb);
+    for i in 0..nb {
+        l.row_mut(i)[..=i].copy_from_slice(&a[(j0 + i) * m + j0..][..=i]);
+    }
+    l
+}
+
+/// `X ← X · L⁻ᵀ` on the `rows × nb` window of `x` whose element `(r, j)` is
+/// `x[r * ld + j]`, with `l` the lower-triangular `nb × nb` diagonal block
+/// (`nb ≤ NB`). Rows are taken `NR` at a time and transposed into a local
+/// tile, so every step of the substitution is one vector operation
+/// across those rows.
+fn solve_rows(x: &mut [f32], ld: usize, rows: usize, l: &Block) {
+    let nb = l.dim();
+    // A fixed-size copy, so the loops below index without bounds checks.
+    let mut lf = [[0.0f32; NB]; NB];
+    for (row, src) in lf.iter_mut().zip(l.as_slice().chunks_exact(nb)) {
+        row[..nb].copy_from_slice(src);
+    }
+    for r0 in (0..rows).step_by(NR) {
+        let h = NR.min(rows - r0);
+        let mut t = [[0.0f32; NR]; NB];
+        for r in 0..h {
+            for (j, v) in x[(r0 + r) * ld..][..nb].iter().enumerate() {
+                t[j][r] = *v;
+            }
+        }
+        for k in 0..nb {
+            let (head, below) = t[..nb].split_at_mut(k + 1);
+            let d = lf[k][k];
+            let xk = &mut head[k];
+            for v in xk.iter_mut() {
+                *v /= d;
+            }
+            for (tj, lj) in below.iter_mut().zip(&lf[k + 1..]) {
+                let ljk = lj[k];
+                for (v, xv) in tj.iter_mut().zip(xk.iter()) {
+                    *v -= xv * ljk;
+                }
+            }
+        }
+        for r in 0..h {
+            for (j, v) in x[(r0 + r) * ld..][..nb].iter_mut().enumerate() {
+                *v = t[j][r];
+            }
+        }
     }
 }
 

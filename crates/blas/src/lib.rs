@@ -6,8 +6,9 @@
 //! so this crate provides pure-Rust single-threaded f32 kernels with the
 //! same roles:
 //!
-//! * [`Vendor::Tuned`] — a register-blocked, slice-driven implementation
-//!   standing in for Goto BLAS;
+//! * [`Vendor::Tuned`] — packed panels and a 4×8 register-tiled
+//!   micro-kernel under gemm, syrk, trsm and potrf, standing in for Goto
+//!   BLAS;
 //! * [`Vendor::Reference`] — a plain textbook implementation standing in
 //!   for the (here: slower) second library, so benchmarks can plot the
 //!   paper's two "tiles" series (`SMPSs + Goto tiles` / `SMPSs + MKL

@@ -10,7 +10,10 @@ pub use crate::kernels::NotPositiveDefinite;
 /// comparison needs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Vendor {
-    /// Register-blocked kernels (the "Goto tiles" series).
+    /// Register-blocked kernels (the "Goto tiles" series): gemm, syrk,
+    /// trsm and potrf all run on one packed 4×8 micro-kernel. The LU
+    /// kernels and the element-wise ones have a single implementation
+    /// shared by both vendors.
     #[default]
     Tuned,
     /// Textbook kernels (the "MKL tiles" series).
@@ -52,12 +55,18 @@ impl Vendor {
 
     /// In-place lower Cholesky (`spotrf_t`).
     pub fn potrf(self, a: &mut Block) -> Result<(), NotPositiveDefinite> {
-        kernels::potrf(a)
+        match self {
+            Vendor::Tuned => kernels::potrf_tuned(a),
+            Vendor::Reference => kernels::potrf(a),
+        }
     }
 
     /// `B ← B · L⁻ᵀ` (`strsm_t`).
     pub fn trsm_rlt(self, l: &Block, b: &mut Block) {
-        kernels::trsm_rlt(l, b)
+        match self {
+            Vendor::Tuned => kernels::trsm_rlt_tuned(l, b),
+            Vendor::Reference => kernels::trsm_rlt(l, b),
+        }
     }
 
     /// `C -= A · B` (blocked LU trailing update).
@@ -124,24 +133,48 @@ mod tests {
         assert_ne!(Vendor::Tuned.label(), Vendor::Reference.label());
     }
 
+    /// A speed-ratio canary, not a benchmark: on a 128-block every tuned
+    /// kernel must beat its reference twin by at least 1.5x, both timed
+    /// in this process (median of 5). A ratio survives a shared host
+    /// where absolute Gflop/s do not.
     #[test]
     fn tuned_is_not_slower_on_large_blocks() {
-        // Smoke check, not a benchmark: on a 128-block the tuned kernel
-        // should not lose to the reference by more than 2x (it is normally
-        // several times faster; the margin keeps CI noise out).
         let m = 128;
         let a = Block::random(m, 1);
         let b = Block::random(m, 2);
-        let mut c = Block::zeros(m);
-        let t0 = std::time::Instant::now();
-        Vendor::Tuned.gemm_add(&a, &b, &mut c);
-        let tuned = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        Vendor::Reference.gemm_add(&a, &b, &mut c);
-        let reference = t0.elapsed();
-        assert!(
-            tuned < reference * 2,
-            "tuned {tuned:?} vs reference {reference:?}"
-        );
+        let spd = Block::random_spd(m, 3);
+        let mut l = spd.clone();
+        Vendor::Reference.potrf(&mut l).unwrap();
+        let median_secs = |run: &mut dyn FnMut()| {
+            let mut times: Vec<f64> = (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    run();
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect();
+            times.sort_by(f64::total_cmp);
+            times[2]
+        };
+        type Kernel<'a> = &'a dyn Fn(Vendor, &mut Block);
+        let kernels: [(&str, Kernel); 5] = [
+            ("gemm_add", &|v, c| v.gemm_add(&a, &b, c)),
+            ("gemm_nt_sub", &|v, c| v.gemm_nt_sub(&a, &b, c)),
+            ("syrk_sub", &|v, c| v.syrk_sub(&a, c)),
+            ("trsm_rlt", &|v, c| v.trsm_rlt(&l, c)),
+            ("potrf", &|v, c| {
+                c.as_mut_slice().copy_from_slice(spd.as_slice());
+                v.potrf(c).unwrap();
+            }),
+        ];
+        for (name, kernel) in kernels {
+            let mut c = Block::random(m, 4);
+            let [tuned, reference] = [Vendor::Tuned, Vendor::Reference]
+                .map(|v| median_secs(&mut || kernel(v, std::hint::black_box(&mut c))));
+            assert!(
+                tuned * 1.5 <= reference,
+                "{name}: tuned {tuned:.2e} s vs reference {reference:.2e} s"
+            );
+        }
     }
 }

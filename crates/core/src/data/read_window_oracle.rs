@@ -1,6 +1,7 @@
 //! The atomic read-window protocol checked against a **mutex oracle**
 //! (kept in its own module so the protocol sources themselves stay
-//! greppably mutex-free — the CI no-mutex check covers `version.rs`).
+//! mutex-free — the no-mutex test `tests/lock_free_sources.rs` covers
+//! `version.rs`).
 
 use super::version::ReadWindow;
 use proptest::prelude::*;

@@ -33,7 +33,8 @@
 //!
 //! # Concurrency discipline
 //!
-//! Same no-mutex rules as the shard and completion paths (CI-grepped):
+//! Same no-mutex rules as the shard and completion paths (pinned by the
+//! workspace test `tests/lock_free_sources.rs`):
 //! each shelf is a one-word CAS gate in front of plain state, exactly
 //! the [`LaneGate`](crate::runtime::shard::LaneGate) shape. Gates are
 //! never nested — a caller holds at most one shelf gate, and the
@@ -850,13 +851,14 @@ mod tests {
     }
 
     /// The slab is part of the analysis hot path: like the shard and
-    /// completion modules, it must stay greppably free of blocking
-    /// primitives (the CI step greps the same needles).
+    /// completion modules, it must stay free of blocking primitives
+    /// (the workspace test `tests/lock_free_sources.rs` checks the same
+    /// needles across every lock-free file).
     #[test]
     fn slab_module_contains_no_mutex() {
         let src = include_str!("slab.rs");
         // Assemble the needles at runtime so this test's own source
-        // does not trip the CI grep.
+        // does not match itself.
         let mutex = ["Mu", "tex"].concat();
         let lock = [".lo", "ck()"].concat();
         for needle in [mutex, lock] {

@@ -415,7 +415,7 @@ impl Shared {
     /// Enrol a session control block: keeps the pointee alive for the
     /// runtime's lifetime (task nodes stamp raw pointers to it) and
     /// latches the `sessions_used` probe. All registry locking lives
-    /// here so `session.rs` stays under the no-mutex grep.
+    /// here so `session.rs` stays under the no-mutex test.
     pub(crate) fn register_session(&self, ctl: &Arc<session::SessionCtl>) {
         self.sessions.lock().push(Arc::clone(ctl));
         self.sessions_used.store(true, Ordering::Relaxed);

@@ -35,8 +35,9 @@
 //! as the fault probe) — no session pointer is ever read or written.
 //! The admission path itself is atomics + backoff only: the session
 //! registry's locking lives behind `Shared` methods in `runtime/mod.rs`,
-//! and a unit test below (plus the CI grep) pins this file free of
-//! blocking primitives, like the completion path and the shard module.
+//! and a unit test below (plus the workspace test
+//! `tests/lock_free_sources.rs`) pins this file free of blocking
+//! primitives, like the completion path and the shard module.
 //!
 //! [`session_max_in_flight`]: crate::RuntimeBuilder::session_max_in_flight
 //! [`session_max_renamed_bytes`]: crate::RuntimeBuilder::session_max_renamed_bytes

@@ -17,8 +17,9 @@
 //!   CAS spin gate entered for the duration of one parameter's analysis.
 //!   It is the sharded generalisation of the `SpawnerCell` tripwire —
 //!   the cell's busy-flag assertion still fires if the gate discipline
-//!   is ever broken. (This file is covered by the same no-mutex CI grep
-//!   as the completion path and the deque shim.)
+//!   is ever broken. (This file is covered by the same no-mutex test,
+//!   `tests/lock_free_sources.rs`, as the completion path and the deque
+//!   shim.)
 //! * **Cross-shard edges need no new machinery**: the analyser counts a
 //!   dependency *before* CAS-publishing the successor link
 //!   (`add_successor_with`, Release), and the completion side walks the

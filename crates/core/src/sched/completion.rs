@@ -1,6 +1,7 @@
 //! The completion-side fast path: what a worker does after a task body
 //! returns, built so that **no mutex is reachable from it** (a unit test
-//! below and a CI grep pin this file lock-free, like the deque shim).
+//! below and the workspace test `tests/lock_free_sources.rs` pin this
+//! file lock-free, like the deque shim).
 //!
 //! Three mechanisms, mirroring the spawn-side fast path of BENCH_0003:
 //!
