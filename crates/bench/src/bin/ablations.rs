@@ -9,10 +9,9 @@
 //! 3. **graph-size limit** — §III blocking condition: how hard can the
 //!    main thread be throttled before makespan suffers?
 //! 4. **spawn-side fast path** — BENCH_0003's machinery: task-node /
-//!    version-buffer pools on vs off, and the tile-indexed region log
-//!    vs the retired linear scan (`spawn_ablation`). Structure is
-//!    asserted through the pool-hit counters and recorded-graph
-//!    equality; timing is reported, not asserted (1-CPU CI hosts).
+//!    version-buffer pools on vs off (`spawn_ablation`). Structure is
+//!    asserted through the pool-hit counters; timing is reported, not
+//!    asserted (1-CPU CI hosts).
 
 use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
@@ -211,7 +210,7 @@ fn ablation_graph_limit(cal: &Calibration) {
 
 fn ablation_spawn() {
     use std::time::Instant;
-    println!("\n== Ablation 4: spawn-side fast path (pools, indexed region log) ==\n");
+    println!("\n== Ablation 4: spawn-side fast path (node and version pools) ==\n");
 
     // --- task-node pool on a throttled spawner-thread storm ----------
     let spawn_rate = |pool: bool| {
@@ -288,68 +287,6 @@ fn ablation_spawn() {
         "version pool must serve steady-state renames"
     );
     assert_eq!(vst_off.version_pool_hits, 0);
-
-    // --- indexed vs linear region log --------------------------------
-    let region_rate = |indexed: bool| {
-        let (blocks, width, rounds) = (64usize, 64usize, 192usize);
-        let rt = Runtime::builder()
-            .threads(1)
-            .graph_size_limit(256)
-            .indexed_regions(indexed)
-            .build();
-        let data = rt.region_data(vec![0u8; blocks * width]);
-        let t0 = Instant::now();
-        for round in 0..rounds {
-            for b in 0..blocks {
-                let (lo, hi) = (b * width, b * width + width - 1);
-                let mut sp = rt.task("region");
-                let mut w = sp.write_region(&data, smpss::Region::d1(lo..=hi));
-                sp.submit(move || w.slice_mut(lo, hi)[0] = round as u8);
-            }
-        }
-        rt.barrier();
-        (blocks * rounds) as f64 / t0.elapsed().as_secs_f64()
-    };
-    let reg_idx = region_rate(true);
-    let reg_lin = region_rate(false);
-    println!(
-        "region log indexed: {:>9.0} tasks/s   linear: {:>9.0} tasks/s   ({:.2}x)",
-        reg_idx,
-        reg_lin,
-        reg_idx / reg_lin
-    );
-    // Structural equality of the two logs on one deterministic program
-    // (the timing above may wobble on shared hosts; this must not).
-    let record = |indexed: bool| {
-        let rt = Runtime::builder()
-            .threads(1)
-            .indexed_regions(indexed)
-            .record_graph(true)
-            .build();
-        let data = rt.region_data(vec![0u8; 256]);
-        for i in 0..48usize {
-            let lo = (i * 37) % 200;
-            let hi = lo + 20;
-            let mut sp = rt.task("acc");
-            if i % 3 == 0 {
-                let mut r = sp.read_region(&data, smpss::Region::d1(lo..=hi));
-                sp.submit(move || {
-                    std::hint::black_box(r.slice(lo, hi)[0]);
-                });
-            } else {
-                let mut w = sp.write_region(&data, smpss::Region::d1(lo..=hi));
-                sp.submit(move || w.slice_mut(lo, hi)[0] = 1);
-            }
-        }
-        rt.barrier();
-        rt.graph().unwrap().edges().to_vec()
-    };
-    assert_eq!(
-        record(true),
-        record(false),
-        "indexed and linear region logs must record identical edges"
-    );
-    println!("indexed/linear recorded-edge equality: ok");
 }
 
 fn ablation_release() {

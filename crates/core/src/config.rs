@@ -82,7 +82,6 @@ pub struct RuntimeConfig {
     pub(crate) version_pool: bool,
     pub(crate) version_slab: bool,
     pub(crate) slab_spare_bytes: Option<usize>,
-    pub(crate) indexed_regions: bool,
     pub(crate) lockfree_release: bool,
     pub(crate) locality: bool,
     pub(crate) shards: usize,
@@ -109,7 +108,6 @@ impl Default for RuntimeConfig {
             version_pool: true,
             version_slab: true,
             slab_spare_bytes: None,
-            indexed_regions: true,
             lockfree_release: true,
             locality: true,
             shards: 1,
@@ -243,15 +241,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Use the tile-indexed region access log (default: on). The off
-    /// position falls back to the retired linear scan — same edges,
-    /// O(n) per access — for the `spawn_ablation` study and the
-    /// equivalence tests.
-    pub fn indexed_regions(mut self, on: bool) -> Self {
-        self.cfg.indexed_regions = on;
-        self
-    }
-
     /// Enable or disable the completion-side fast path (default: on).
     /// With it, a finishing worker publishes its ready successors as one
     /// batch (first successor handed straight to the completing worker,
@@ -379,7 +368,6 @@ mod tests {
         assert!(c.version_pool);
         assert!(c.version_slab);
         assert!(c.slab_spare_bytes.is_none());
-        assert!(c.indexed_regions);
         assert!(c.lockfree_release);
         assert!(c.locality);
         assert_eq!(c.shards, 1);
@@ -401,14 +389,12 @@ mod tests {
             .node_pool(false)
             .version_pool(false)
             .version_slab(false)
-            .indexed_regions(false)
             .lockfree_release(false)
             .locality(false)
             .config();
         assert!(!c.node_pool);
         assert!(!c.version_pool);
         assert!(!c.version_slab);
-        assert!(!c.indexed_regions);
         assert!(!c.lockfree_release);
         assert!(!c.locality);
     }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use super::region::Region;
-use super::region_log::RegionLog;
+use super::region_log::RegionFrontier;
 use super::version::VBuf;
 use crate::ids::ObjectId;
 
@@ -81,21 +81,21 @@ unsafe impl<E: Send + 'static> RegionData for Box<[E]> {
 pub(crate) struct RegionObject<T: RegionData> {
     pub(crate) id: ObjectId,
     pub(crate) buf: Arc<VBuf<T>>,
-    /// Access log consulted for overlap edges — tile-indexed by default,
-    /// linear for the ablation (see [`RegionLog`]). Finished entries are
-    /// pruned eagerly unless the runtime records graphs (then pruning
-    /// would lose structural edges).
-    pub(crate) log: Mutex<RegionLog>,
+    /// The live accesses dependency analysis orders new ones after (see
+    /// [`RegionFrontier`]). Taken only by the spawning lane and by
+    /// `with_region`/`update_region`; finished accesses leave it unless
+    /// the runtime records graphs.
+    pub(crate) frontier: Mutex<RegionFrontier>,
     /// Dynamic validation of the disjointness invariant (see module docs).
     pub(crate) active: Mutex<Vec<(u64, Region, bool)>>,
 }
 
 impl<T: RegionData> RegionObject<T> {
-    pub(crate) fn new(id: ObjectId, value: T, indexed_log: bool) -> Self {
+    pub(crate) fn new(id: ObjectId, value: T) -> Self {
         RegionObject {
             id,
             buf: Arc::new(VBuf::new(value)),
-            log: Mutex::new(RegionLog::new(indexed_log)),
+            frontier: Mutex::new(RegionFrontier::default()),
             active: Mutex::new(Vec::new()),
         }
     }
@@ -332,7 +332,7 @@ mod tests {
     use super::*;
 
     fn obj(n: usize) -> Arc<RegionObject<Vec<i32>>> {
-        Arc::new(RegionObject::new(ObjectId(1), (0..n as i32).collect(), true))
+        Arc::new(RegionObject::new(ObjectId(1), (0..n as i32).collect()))
     }
 
     #[test]
@@ -414,7 +414,7 @@ mod tests {
     fn box_slice_impl() {
         let data: Box<[u8]> = vec![1, 2, 3].into_boxed_slice();
         assert_eq!(data.region_len(), 3);
-        let o = Arc::new(RegionObject::new(ObjectId(2), data, true));
+        let o = Arc::new(RegionObject::new(ObjectId(2), data));
         let mut r = RegionReadBinding::new(o, Region::d1(0..=2));
         assert_eq!(r.slice(0, 2), &[1, 2, 3]);
     }

@@ -1,42 +1,106 @@
-//! The region access log: overlap queries for §V.A dependency analysis.
+//! The region frontier: overlap analysis for §V.A array regions.
 //!
-//! Every region access must be compared against the live accesses of the
-//! same buffer; overlapping pairs become edges. The seed implementation
-//! kept a flat `Vec` and scanned it whole on every access — O(n) per
-//! access, O(n²) per program, and the dominant cost of region-heavy
-//! workloads (BENCH_0003's `region_storm`).
+//! Every region access must be ordered after the earlier accesses of the
+//! same buffer it conflicts with (write/read, read/write, write/write on
+//! overlapping regions). A log that keeps history and scans it pays for
+//! every access ever made; this module keeps only what can still gate a
+//! future access.
 //!
-//! [`IndexedLog`] replaces the scan with a **tile index over the first
-//! dimension**: the observed coordinate range is split into
-//! [`TILES`] equal tiles, each holding the handles of the entries whose
-//! dim-0 interval touches it. A query gathers candidates only from the
-//! tiles its own dim-0 interval spans (plus the `wide` list of
-//! full-dimension or very broad entries), deduplicates them with a query
-//! stamp, and checks exact N-dimensional overlap on that handful — O(tiles
-//! touched + candidates) instead of O(live entries). Entries whose dim-0
-//! coordinates fall outside the current range trigger an amortised
-//! rebuild with a doubled range.
+//! ## The structure
 //!
-//! **Eager pruning:** when structural recording is off, finished entries
-//! are dropped the moment a query encounters them, and a periodic sweep
-//! clears tiles that queries never revisit, so the log tracks the live
-//! frontier instead of program history.
+//! A per-buffer [`RegionFrontier`] keeps two maps of **disjoint dim-0
+//! pieces**, each tiling `0..=usize::MAX`:
 //!
-//! [`LinearLog`] — the retired scan — is kept behind
-//! [`RuntimeBuilder::indexed_regions(false)`](crate::RuntimeBuilder::indexed_regions)
-//! as the ablation baseline and as the oracle for the equivalence tests
-//! below: both logs must emit **exactly** the same edge sequence for any
-//! access sequence.
+//! * the **written** map: per piece, its *writer* — the last write that
+//!   covered the piece in every dimension (any 1-D write does) — and a
+//!   *writes* list of the later writes that did not (N-d writes bounded
+//!   in a later dimension, such as the stencil's 2-D bands);
+//! * the **reads** map: per piece, the *reads* list since the piece was
+//!   last covered by a write.
 //!
-//! **Sharded analysis:** a buffer's log belongs to the lane that owns
-//! the buffer's *representant* id (`runtime::shard::lane_of`). Under
-//! [`RuntimeBuilder::shards`](crate::RuntimeBuilder::shards) ≥ 2,
-//! `dep::region_deps` enters that lane's gate before touching the log,
-//! so all edge analysis over one buffer stays serialised — the
-//! log-insertion-order edge guarantee above holds per buffer unchanged —
-//! while accesses to buffers hashing to different lanes proceed
-//! concurrently.
+//! An access cuts a map at its own dim-0 bounds before it changes it, so
+//! it covers whole pieces; queries do not cut. A covering write merges
+//! the adjacent pieces it leaves in the same state, so a thousand tasks
+//! reading the same source range share one reads piece however many
+//! writers the range has.
+//!
+//! The lists are **persistent and shared**: an entry is one access,
+//! prepended once to each run of pieces it covers that had the same list
+//! head. Entries live in a reference-counted arena. A per-query stamp
+//! lets each entry be visited at most once per access: lists only ever
+//! share tails, so a walk stops at the first entry this access already
+//! saw.
+//!
+//! ## Invariants
+//!
+//! 1. Every list entry covers its pieces in dim 0, and a writer covers
+//!    its pieces in every dimension. Within a piece an access overlapping
+//!    it therefore conflicts with an entry exactly when
+//!    [`Region::overlaps`] holds past dim 0 (always, for 1-D entries).
+//! 2. For every earlier access *e* that a later access conflicts with,
+//!    the maps hold *e* or something *e* has a path to. A covering write
+//!    therefore **retires** its pieces: their lists are dropped (every
+//!    entry in them became a producer of that write) and the pieces merge
+//!    into one. A write that contains an earlier entry's whole region
+//!    supersedes it the same way. So the structure's size follows the
+//!    live intervals, not history.
+//! 3. Finished producers gate nothing: unless the graph is being
+//!    recorded, they are skipped and leave the lists as walks meet them
+//!    — spliced out of the shared chain, or, at the front of a list,
+//!    dropped by the piece whose walk met them (a producer that finished
+//!    *poisoned* is still linked, so a late consumer is cancelled like a
+//!    directly linked one).
+//!
+//! The unit tests check all of it against the retired linear scan as an
+//! oracle: every edge the frontier makes, joins expanded, is a
+//! conflicting earlier→later pair, and the two graphs have the same
+//! transitive closure.
+//!
+//! ## Join nodes
+//!
+//! When one access would link more than [`JOIN_MIN`] distinct unfinished
+//! producers, the producers are linked once into a bodiless join node
+//! and the consumer to the join (see `TaskNode::new_join`). A join is
+//! **memoised** where it can be reused:
+//!
+//! * *writer side* — a read's join, keyed on the exact read region, lives
+//!   until the buffer's next write (the write epoch): until then the
+//!   same region has the same producers;
+//! * *reader side* — a write's join over a reads list is stored on the
+//!   list's head entry: the list below a head never gains an entry.
+//!
+//! A memo hit links the consumer to the join and touches no producer.
+//! The chunked merge of `par_merge` is the case this is for: 1 024 chunk
+//! tasks each read both full source halves, which 1 024 tasks wrote —
+//! a million edges through direct links, a few thousand through
+//! memoised joins. Only joins that stand for *all* of an access's
+//! producers are memoised (no self-access, no other session's producer,
+//! no poisoned one left out), and only a task spawned after every member
+//! may take one: two spawners can be open at once, so an earlier task
+//! may be a member itself, and linking it to the join would close a
+//! cycle.
+//!
+//! ## Locality hints
+//!
+//! A query also names the worker that ran the latest finished write it
+//! conflicts with (the `last_writer` hint of scalar parameters, for
+//! regions). While finished accesses are being dropped, a finished
+//! write gives its hint once, to the first query that meets it — the
+//! rule of a log that hints from the finished writers it prunes — and
+//! a memo hit, which meets no producer, gives none.
+//!
+//! `JOIN_MIN` is 8: a join costs one allocation and one extra link, so
+//! an access with more than 8 producers pays at most a quarter more for
+//! a join that is never reused, and one reuse repays it. Below that,
+//! direct links are cheap, and capping them at 8 per access keeps
+//! `dep.true_edges_per_task` single-digit on the workloads that fan in.
+//!
+//! **Sharded analysis:** a buffer's frontier belongs to the lane that
+//! owns the buffer's *representant* id (`runtime::shard::lane_of`);
+//! `dep::region_deps` enters that lane's gate before touching it, so all
+//! analysis of one buffer stays serialised.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::data::region::{Region, RegionBound};
@@ -44,512 +108,841 @@ use crate::graph::node::{TaskNode, HINT_NONE};
 use crate::graph::record::EdgeKind;
 use crate::ids::TaskId;
 
-/// One logged access.
-pub(crate) struct Access {
-    pub(crate) region: Region,
-    pub(crate) write: bool,
-    pub(crate) node: Arc<TaskNode>,
-}
+/// One access links more than this many distinct unfinished producers
+/// through a join node instead of directly (rationale in the module
+/// docs).
+const JOIN_MIN: usize = 8;
 
-/// The dependency the pair `(earlier access, this access)` induces, if any.
-fn edge_kind(earlier_write: bool, write: bool) -> Option<EdgeKind> {
-    match (earlier_write, write) {
-        (true, false) => Some(EdgeKind::True),
-        (true, true) => Some(EdgeKind::Output),
-        (false, true) => Some(EdgeKind::Anti),
-        (false, false) => None, // read-read: no dependency
-    }
-}
+/// Writer-side memos kept per write epoch (distinct read regions; the
+/// chunked merge needs two).
+const READ_MEMOS: usize = 8;
 
-/// A region access log; see the module docs for the two variants.
-pub(crate) enum RegionLog {
-    Linear(LinearLog),
-    Indexed(IndexedLog),
-}
+/// The null entry index.
+const NIL: u32 = u32::MAX;
 
-impl RegionLog {
-    pub(crate) fn new(indexed: bool) -> Self {
-        if indexed {
-            RegionLog::Indexed(IndexedLog::default())
-        } else {
-            RegionLog::Linear(LinearLog::default())
-        }
-    }
-
-    /// Analyse one access: emit an edge for every live logged access
-    /// overlapping `region` (in log-insertion order, skipping entries of
-    /// the spawning task `me` itself), prune finished entries when
-    /// `prune`, then append the access.
-    ///
-    /// When `hint` is set, the scan additionally harvests a **locality
-    /// hint**: the worker that ran the most recently logged overlapping
-    /// *finished* writer (`None` when no such entry was encountered).
-    /// The harvest is advisory — the two log variants may disagree on
-    /// entries one of them already pruned — and never influences the
-    /// emitted edges, so the linear/indexed equivalence property is
-    /// untouched.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
+/// What the frontier asks of the spawning task while analysing one of
+/// its accesses. The runtime implements it on the task spawner; the
+/// tests implement it with an edge recorder.
+pub(crate) trait Linker {
+    /// Gate the consumer on `producer` directly.
+    fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind);
+    /// Gate the consumer on a fresh join over `members` (linked with
+    /// their own kinds), the consumer→join link being `kind`.
+    fn link_new_join(
         &mut self,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
-        prune: bool,
-        hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
-    ) -> Option<usize> {
-        match self {
-            RegionLog::Linear(l) => l.record(region, write, me, node, prune, hint, emit),
-            RegionLog::Indexed(l) => l.record(region, write, me, node, prune, hint, emit),
-        }
-    }
+        members: &[(Arc<TaskNode>, EdgeKind)],
+        kind: EdgeKind,
+    ) -> Arc<TaskNode>;
+    /// Gate the consumer on a memoised join. `recorded` are the producer
+    /// edges it stands for (kept only while the graph is recorded).
+    fn link_join(&mut self, join: &Arc<TaskNode>, kind: EdgeKind, recorded: &[(TaskId, EdgeKind)]);
+}
 
-    /// Have all logged accessors finished? (The `with_region` wait.)
-    pub(crate) fn all_finished(&self) -> bool {
-        match self {
-            RegionLog::Linear(l) => l.entries.iter().all(|e| e.node.is_finished()),
-            RegionLog::Indexed(l) => l
-                .slots
-                .iter()
-                .filter_map(|s| s.access.as_ref())
-                .all(|a| a.node.is_finished()),
-        }
-    }
+/// A join kept for reuse, with the producer edges it stands for when
+/// the graph is being recorded.
+struct Memo {
+    join: Arc<TaskNode>,
+    /// The join's latest-spawned member. Only a consumer spawned after
+    /// it may take the memo: an earlier one may be a member itself (two
+    /// spawners can be live at once), and linking it to the join would
+    /// close a cycle.
+    newest: TaskId,
+    recorded: Vec<(TaskId, EdgeKind)>,
+}
 
-    /// Live entries currently held (test observability).
-    #[cfg(test)]
-    pub(crate) fn live_len(&self) -> usize {
-        match self {
-            RegionLog::Linear(l) => l.entries.len(),
-            RegionLog::Indexed(l) => l.live,
-        }
+impl Memo {
+    /// May `consumer` link to this join instead of walking?
+    fn serves(&self, consumer: &TaskNode) -> bool {
+        consumer.id() > self.newest && self.join.same_session(consumer)
     }
 }
 
-// ---------------------------------------------------------------------
-// Linear oracle
-// ---------------------------------------------------------------------
-
-/// The retired O(n)-per-access log: scan everything, in order.
-#[derive(Default)]
-pub(crate) struct LinearLog {
-    entries: Vec<Access>,
-}
-
-impl LinearLog {
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
-        prune: bool,
-        hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
-    ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        if prune {
-            // Entries are in insertion order, so "last assignment wins"
-            // harvests the most recently logged finished writer.
-            self.entries.retain(|e| {
-                if e.node.is_finished() {
-                    if hint && e.write && e.node.id() != me && e.region.overlaps(region) {
-                        let w = e.node.ran_on();
-                        if w != HINT_NONE {
-                            best = Some(w);
-                        }
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        for e in self.entries.iter() {
-            if e.node.id() == me {
-                continue; // several regions of one task never self-depend
-            }
-            if !e.region.overlaps(region) {
-                continue;
-            }
-            // Structural-recording mode keeps finished entries: they may
-            // carry the hint (prune mode freed them in the retain above).
-            if hint && e.write && e.node.is_finished() {
-                let w = e.node.ran_on();
-                if w != HINT_NONE {
-                    best = Some(w);
-                }
-            }
-            if let Some(kind) = edge_kind(e.write, write) {
-                emit(&e.node, kind);
-            }
-        }
-        self.entries.push(Access {
-            region: region.clone(),
-            write,
-            node: Arc::clone(node),
-        });
-        best
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tile-indexed log
-// ---------------------------------------------------------------------
-
-/// Tiles over the observed dim-0 coordinate range.
-const TILES: usize = 64;
-
-/// Entries spanning more than this many tiles go to the `wide` list
-/// (checked by every query) instead of being registered per tile.
-const WIDE_SPAN: usize = TILES / 4;
-
-/// A handle into the slot slab: `(index, generation)`. Stale handles
-/// (generation mismatch) are removed lazily when encountered.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct EntryRef {
-    idx: u32,
-    gen: u32,
-}
-
-struct Slot {
-    gen: u32,
-    /// Insertion sequence number: queries sort their matches by it so
-    /// edge emission order equals linear-log (program) order.
+/// One access in a list (an arena slot; `node` is `None` when the slot
+/// is free).
+struct Entry {
+    node: Option<Arc<TaskNode>>,
+    /// The access's region when it is bounded past dim 0; `None` means
+    /// whole in every later dimension, which is all a 1-D access needs
+    /// (its dim-0 extent covers every piece it is in).
+    rest: Option<Region>,
+    /// Access sequence number (orders locality-hint candidates).
     seq: u64,
-    /// Last query that visited this slot (dedup across tiles).
+    /// This finished write has given its locality hint (see
+    /// [`Gather::hint`]).
+    hinted: bool,
+    next: u32,
+    /// References from piece heads and other entries' `next`.
+    rc: u32,
+    /// Last query that visited this entry.
     stamp: u64,
-    access: Option<Access>,
+    /// Reads lists only: the reader-side join memo of the list headed
+    /// here.
+    memo: Option<Box<Memo>>,
 }
 
-pub(crate) struct IndexedLog {
-    slots: Vec<Slot>,
+impl Entry {
+    /// The accessing task of an entry reachable from a list.
+    fn task(&self) -> &Arc<TaskNode> {
+        self.node.as_ref().expect("list entries are live")
+    }
+}
+
+/// The reference-counted entry store.
+#[derive(Default)]
+struct Arena {
+    entries: Vec<Entry>,
     free: Vec<u32>,
-    live: usize,
-    /// Per-tile entry handles over `[lo, hi)` on dimension 0.
-    tiles: Vec<Vec<EntryRef>>,
-    /// Full-dim-0 and very broad entries: candidates of every query.
-    wide: Vec<EntryRef>,
-    lo: usize,
-    hi: usize,
-    next_seq: u64,
-    query_stamp: u64,
-    /// Records since the last full sweep (amortised pruning trigger).
-    since_sweep: usize,
-    /// Scratch for match sorting (kept to avoid per-query allocation).
-    matches: Vec<(u64, u32)>,
-    /// Locality-hint harvest of the current query: `(seq, worker)` of
-    /// the latest overlapping finished writer seen so far. Only
-    /// maintained while `want_hint` (set per record call).
-    hint_best: Option<(u64, usize)>,
-    want_hint: bool,
 }
 
-impl Default for IndexedLog {
+impl Arena {
+    fn alloc(&mut self, node: &Arc<TaskNode>, rest: Option<&Region>, seq: u64, next: u32) -> u32 {
+        self.inc(next);
+        let entry = Entry {
+            node: Some(Arc::clone(node)),
+            rest: rest.cloned(),
+            seq,
+            hinted: false,
+            next,
+            rc: 0,
+            stamp: 0,
+            memo: None,
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.entries[i as usize] = entry;
+                i
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        }
+    }
+
+    fn inc(&mut self, e: u32) {
+        if e != NIL {
+            self.entries[e as usize].rc += 1;
+        }
+    }
+
+    /// Drop one reference; frees the entry (and, iteratively, the chain
+    /// it alone kept alive) when it was the last.
+    fn dec(&mut self, mut e: u32) {
+        while e != NIL {
+            let entry = &mut self.entries[e as usize];
+            entry.rc -= 1;
+            if entry.rc > 0 {
+                return;
+            }
+            let next = entry.next;
+            entry.node = None;
+            entry.rest = None;
+            entry.memo = None;
+            self.free.push(e);
+            e = next;
+        }
+    }
+
+    fn node(&self, e: u32) -> &Arc<TaskNode> {
+        self.entries[e as usize].task()
+    }
+
+    /// Point the list head `*head` at `new`, releasing the old head.
+    fn set(&mut self, head: &mut u32, new: u32) {
+        self.inc(new);
+        let old = std::mem::replace(head, new);
+        self.dec(old);
+    }
+}
+
+/// Finished cleanly (not poisoned): can gate nothing any more.
+fn spent(n: &TaskNode) -> bool {
+    n.is_finished() && !n.finished_poisoned()
+}
+
+/// The state a piece of one of the two maps carries.
+trait PieceState {
+    /// The state of a fresh map: nothing accessed yet.
+    fn empty() -> Self;
+    /// A copy for the other half of a split piece.
+    fn share(&self, arena: &mut Arena) -> Self;
+    /// Give up this copy's references.
+    fn release(self, arena: &mut Arena);
+    /// Adjacent pieces in the same state merge.
+    fn same(&self, other: &Self) -> bool;
+}
+
+struct Writer {
+    node: Arc<TaskNode>,
+    seq: u64,
+    /// As [`Entry::hinted`], per piece.
+    hinted: bool,
+}
+
+/// A piece of the written map.
+struct Written {
+    writer: Option<Writer>,
+    writes: u32,
+}
+
+impl PieceState for Written {
+    fn empty() -> Self {
+        Written {
+            writer: None,
+            writes: NIL,
+        }
+    }
+
+    fn share(&self, arena: &mut Arena) -> Self {
+        arena.inc(self.writes);
+        Written {
+            writer: self.writer.as_ref().map(|w| Writer {
+                node: Arc::clone(&w.node),
+                seq: w.seq,
+                hinted: w.hinted,
+            }),
+            writes: self.writes,
+        }
+    }
+
+    fn release(self, arena: &mut Arena) {
+        arena.dec(self.writes);
+    }
+
+    fn same(&self, other: &Self) -> bool {
+        let writer = match (&self.writer, &other.writer) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.node, &b.node),
+            _ => false,
+        };
+        writer && self.writes == other.writes
+    }
+}
+
+/// A piece of the reads map: its list head.
+struct Reads(u32);
+
+impl PieceState for Reads {
+    fn empty() -> Self {
+        Reads(NIL)
+    }
+
+    fn share(&self, arena: &mut Arena) -> Self {
+        arena.inc(self.0);
+        Reads(self.0)
+    }
+
+    fn release(self, arena: &mut Arena) {
+        arena.dec(self.0);
+    }
+
+    fn same(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+struct Piece<S> {
+    /// Inclusive end; the start is the map key.
+    end: usize,
+    state: S,
+}
+
+/// Disjoint pieces tiling `0..=usize::MAX`, keyed by their start.
+struct Tiles<S> {
+    map: BTreeMap<usize, Piece<S>>,
+    keys: Vec<usize>,
+}
+
+impl<S: PieceState> Tiles<S> {
+    fn new() -> Self {
+        let mut map = BTreeMap::new();
+        map.insert(
+            0,
+            Piece {
+                end: usize::MAX,
+                state: S::empty(),
+            },
+        );
+        Tiles {
+            map,
+            keys: Vec::new(),
+        }
+    }
+
+    /// Start of the piece holding `x`.
+    fn start_of(&self, x: usize) -> usize {
+        *self
+            .map
+            .range(..=x)
+            .next_back()
+            .expect("pieces tile the index space")
+            .0
+    }
+
+    /// Make `x` the start of a piece.
+    fn split_at(&mut self, x: usize, arena: &mut Arena) {
+        // Most cuts fall on a boundary an earlier access made: a point
+        // lookup settles those, cheaper than the range search.
+        if self.map.contains_key(&x) {
+            return;
+        }
+        let (_, piece) = self
+            .map
+            .range_mut(..x)
+            .next_back()
+            .expect("pieces tile the index space");
+        let tail = Piece {
+            end: piece.end,
+            state: piece.state.share(arena),
+        };
+        piece.end = x - 1;
+        self.map.insert(x, tail);
+    }
+
+    /// Make `lo..=hi` a union of whole pieces.
+    fn cut(&mut self, lo: usize, hi: usize, arena: &mut Arena) {
+        self.split_at(lo, arena);
+        if hi < usize::MAX {
+            self.split_at(hi + 1, arena);
+        }
+    }
+
+    /// The pieces overlapping `lo..=hi`. `cut`: the range was cut, so
+    /// `lo` starts a piece and needs no search.
+    fn overlapping(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        cut: bool,
+    ) -> impl Iterator<Item = &mut Piece<S>> {
+        let start = if cut { lo } else { self.start_of(lo) };
+        self.map.range_mut(start..=hi).map(|(_, p)| p)
+    }
+
+    /// Make the (cut) pieces of `lo..=hi` one piece in `state`.
+    fn replace(&mut self, lo: usize, hi: usize, state: S, arena: &mut Arena) {
+        self.keys.clear();
+        self.keys
+            .extend(self.map.range(lo..=hi).skip(1).map(|(&k, _)| k));
+        for k in self.keys.drain(..) {
+            self.map
+                .remove(&k)
+                .expect("key just listed")
+                .state
+                .release(arena);
+        }
+        let first = self.map.get_mut(&lo).expect("cut at the access start");
+        first.end = hi;
+        std::mem::replace(&mut first.state, state).release(arena);
+    }
+
+    /// Merge equal adjacent pieces among those overlapping `lo..=hi`
+    /// and their two neighbours, after a `replace`. (A prepend gives each
+    /// run of equal heads one fresh entry, so it never makes neighbours
+    /// equal; a walk that drops spent heads can, and those stay apart
+    /// until a covering write merges them — a size cost only.)
+    fn coalesce(&mut self, lo: usize, hi: usize, arena: &mut Arena) {
+        let from = self.start_of(lo.saturating_sub(1));
+        // One pass lists the pieces equal to their predecessor; only
+        // those cost a removal.
+        self.keys.clear();
+        let mut prev: Option<&S> = None;
+        for (&k, p) in self.map.range(from..=hi.saturating_add(1)) {
+            if prev.is_some_and(|s| s.same(&p.state)) {
+                self.keys.push(k);
+            }
+            prev = Some(&p.state);
+        }
+        for i in 0..self.keys.len() {
+            let gone = self.map.remove(&self.keys[i]).expect("key just listed");
+            let (_, keep) = self
+                .map
+                .range_mut(..self.keys[i])
+                .next_back()
+                .expect("merged into its predecessor");
+            keep.end = gone.end;
+            gone.state.release(arena);
+        }
+    }
+}
+
+/// The access being analysed.
+struct Access<'a> {
+    region: &'a Region,
+    write: bool,
+    /// Whole in every dimension past the first.
+    rest_full: bool,
+    node: &'a Arc<TaskNode>,
+    prune: bool,
+    hint: bool,
+}
+
+impl Access<'_> {
+    /// Does the access conflict with `entry` inside a piece both
+    /// overlap? (Invariant 1.)
+    fn overlaps(&self, entry: &Entry) -> bool {
+        self.rest_full || entry.rest.as_ref().is_none_or(|r| r.overlaps(self.region))
+    }
+
+    /// Does a *partial* write's region contain `entry`'s whole region?
+    /// (Entries whole past dim 0 are never inside a bounded one.)
+    fn supersedes(&self, entry: &Entry) -> bool {
+        self.write && entry.rest.as_ref().is_some_and(|r| self.region.contains(r))
+    }
+}
+
+/// What one query gathers: producers, and what stops their join from
+/// being memoised.
+#[derive(Default)]
+struct Gather {
+    producers: Vec<(Arc<TaskNode>, EdgeKind)>,
+    /// The consumer's own earlier access was among the conflicts.
+    saw_self: bool,
+    /// Locality hint: `(seq, worker)` of the latest finished write met.
+    best: Option<(u64, usize)>,
+}
+
+impl Gather {
+    /// Offer one conflicting earlier access. Returns whether it is spent
+    /// — a walk may unlink it when pruning.
+    fn offer(&mut self, acc: &Access<'_>, p: &Arc<TaskNode>, kind: EdgeKind) -> bool {
+        if Arc::ptr_eq(p, acc.node) {
+            self.saw_self = true;
+            return false;
+        }
+        let spent = spent(p);
+        if !(acc.prune && spent) {
+            self.producers.push((Arc::clone(p), kind));
+        }
+        spent
+    }
+
+    /// Harvest a locality hint from a conflicting earlier write `p`
+    /// (sequence number `seq`): the worker that ran the latest finished
+    /// one wins. When pruning, a finished write hints only the first
+    /// time a query meets it (`hinted` then records that it did): a log
+    /// that prunes finished writers hints from each once, as it drops
+    /// it, and the frontier keeps that rule even where it keeps the
+    /// entry (a list head, a piece's writer).
+    fn hint(&mut self, acc: &Access<'_>, p: &TaskNode, seq: u64, hinted: &mut bool) {
+        if !acc.hint || *hinted || !p.is_finished() || std::ptr::eq(p, &**acc.node) {
+            return;
+        }
+        *hinted = acc.prune;
+        let w = p.ran_on();
+        if w != HINT_NONE && self.best.is_none_or(|(s, _)| seq > s) {
+            self.best = Some((seq, w));
+        }
+    }
+}
+
+/// A per-buffer region frontier; see the module docs.
+pub(crate) struct RegionFrontier {
+    written: Tiles<Written>,
+    reads: Tiles<Reads>,
+    arena: Arena,
+    /// Access counter (entry and writer sequence numbers).
+    seq: u64,
+    /// Query stamp.
+    query: u64,
+    /// Writer-side memos of the current write epoch: cleared by every
+    /// write access.
+    read_memos: Vec<(Region, Memo)>,
+    gather: Gather,
+    /// One reads list's producers, while a write decides its join.
+    list: Gather,
+    members: Vec<(Arc<TaskNode>, EdgeKind)>,
+    /// Pieces and list entries visited (the history-independence test).
+    #[cfg(test)]
+    pub(crate) work: u64,
+}
+
+impl Default for RegionFrontier {
     fn default() -> Self {
-        IndexedLog {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            tiles: (0..TILES).map(|_| Vec::new()).collect(),
-            wide: Vec::new(),
-            lo: 0,
-            hi: 0,
-            next_seq: 0,
-            query_stamp: 0,
-            since_sweep: 0,
-            matches: Vec::new(),
-            hint_best: None,
-            want_hint: false,
+        RegionFrontier {
+            written: Tiles::new(),
+            reads: Tiles::new(),
+            arena: Arena::default(),
+            seq: 0,
+            query: 0,
+            read_memos: Vec::new(),
+            gather: Gather::default(),
+            list: Gather::default(),
+            members: Vec::new(),
+            #[cfg(test)]
+            work: 0,
         }
     }
 }
 
 /// The dim-0 interval of a region; missing dimensions are full
 /// (mirrors [`Region::overlaps`]' conservative arity handling).
-fn dim0(region: &Region) -> RegionBound {
-    region.dims().first().copied().unwrap_or(RegionBound::Full)
+fn dim0(region: &Region) -> (usize, usize) {
+    match region.dims().first().copied().unwrap_or(RegionBound::Full) {
+        RegionBound::Full => (0, usize::MAX),
+        RegionBound::Bounds(l, u) => (l, u),
+    }
 }
 
-impl IndexedLog {
-    fn tile_width(&self) -> usize {
-        ((self.hi - self.lo) / TILES).max(1)
+/// Walk the list at `*head`, visiting every entry this query has not
+/// seen yet (a seen entry's tail was seen with it). `visit` returns
+/// whether the entry may go. One behind a kept entry is spliced out of
+/// the chain, which every piece sharing the chain sees; a leading one
+/// only leaves this piece (`*head` moves past it), as other pieces may
+/// hold it as their head — each drops it when it meets it. Returns
+/// whether the walk reached the end of the list, and how many entries
+/// it visited.
+fn walk(
+    arena: &mut Arena,
+    head: &mut u32,
+    query: u64,
+    mut visit: impl FnMut(&mut Entry) -> bool,
+) -> (bool, u64) {
+    let mut prev = NIL;
+    let mut e = *head;
+    let mut visited = 0;
+    while e != NIL {
+        let entry = &mut arena.entries[e as usize];
+        if entry.stamp == query {
+            return (false, visited);
+        }
+        entry.stamp = query;
+        visited += 1;
+        let next = entry.next;
+        if !visit(entry) {
+            prev = e;
+        } else if prev == NIL {
+            arena.set(head, next);
+        } else {
+            arena.inc(next);
+            arena.entries[prev as usize].next = next;
+            arena.dec(e);
+        }
+        e = next;
     }
+    (true, visited)
+}
 
-    fn tile_of(&self, x: usize) -> usize {
-        ((x.saturating_sub(self.lo)) / self.tile_width()).min(TILES - 1)
+/// Link `gather`'s producers for one access as `kind`: through a join
+/// when more than [`JOIN_MIN`] of them are unfinished and of the
+/// consumer's session, directly otherwise. Returns the join as a memo
+/// when it stands for every producer.
+fn link_producers(
+    gather: &mut Gather,
+    members: &mut Vec<(Arc<TaskNode>, EdgeKind)>,
+    consumer: &TaskNode,
+    kind: EdgeKind,
+    record: bool,
+    linker: &mut dyn Linker,
+) -> Option<Memo> {
+    // A producer comes up once per piece it conflicts in, and once per
+    // access of it: in spawn order, each (producer, kind) is linked once
+    // and `JOIN_MIN` counts distinct producers.
+    let producers = &mut gather.producers;
+    if producers.is_empty() {
+        return None;
     }
-
-    /// Tile span of a bounded dim-0 interval, or `None` for wide entries.
-    fn span(&self, bound: RegionBound) -> Option<(usize, usize)> {
-        match bound {
-            RegionBound::Full => None,
-            RegionBound::Bounds(l, u) => {
-                let (t0, t1) = (self.tile_of(l), self.tile_of(u));
-                if t1 - t0 + 1 > WIDE_SPAN {
-                    None
-                } else {
-                    Some((t0, t1))
-                }
-            }
+    producers.sort_by_key(|(p, k)| (p.id(), *k == EdgeKind::Anti));
+    producers.dedup_by(|a, b| Arc::ptr_eq(&a.0, &b.0) && a.1 == b.1);
+    let joinable = |p: &TaskNode| !p.is_finished() && p.same_session(consumer);
+    let repeat = |i: usize| i > 0 && Arc::ptr_eq(&producers[i - 1].0, &producers[i].0);
+    let n = (0..producers.len())
+        .filter(|&i| !repeat(i) && joinable(&producers[i].0))
+        .count();
+    if n <= JOIN_MIN {
+        for (p, k) in producers.drain(..) {
+            linker.link(&p, k);
         }
+        return None;
     }
-
-    fn register(&mut self, idx: u32) {
-        let r = EntryRef {
-            idx,
-            gen: self.slots[idx as usize].gen,
-        };
-        let bound = dim0(&self.slots[idx as usize].access.as_ref().unwrap().region);
-        match self.span(bound) {
-            None => self.wide.push(r),
-            Some((t0, t1)) => {
-                for t in t0..=t1 {
-                    self.tiles[t].push(r);
-                }
-            }
-        }
-    }
-
-    fn free_slot(&mut self, idx: u32) {
-        let slot = &mut self.slots[idx as usize];
-        debug_assert!(slot.access.is_some());
-        slot.access = None;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(idx);
-        self.live -= 1;
-    }
-
-    /// Re-tile over the **tight** range covering `l..=u` and every live
-    /// bounded entry (dead and wide entries don't constrain it), with
-    /// power-of-two slack so a sliding frontier triggers O(log range)
-    /// rebuilds, not one per insert. Recomputing `lo` from the live
-    /// entries matters: accesses clustered at high offsets must get
-    /// per-cluster tiles, not tiles stretched back to zero.
-    fn rebuild_covering(&mut self, l: usize, u: usize) {
-        let mut lo = l;
-        let mut hi = u + 1;
-        for slot in &self.slots {
-            if let Some(a) = &slot.access {
-                if let RegionBound::Bounds(el, eu) = dim0(&a.region) {
-                    lo = lo.min(el);
-                    hi = hi.max(eu + 1);
-                }
-            }
-        }
-        let extent = (hi - lo).next_power_of_two();
-        self.lo = lo;
-        self.hi = lo + extent;
-        for t in &mut self.tiles {
-            t.clear();
-        }
-        self.wide.clear();
-        for idx in 0..self.slots.len() as u32 {
-            if self.slots[idx as usize].access.is_some() {
-                self.register(idx);
-            }
-        }
-    }
-
-    /// Drop every finished entry and rebuild the tile lists (amortised:
-    /// triggered when enough records have happened that untouched tiles
-    /// may be full of finished entries).
-    fn sweep(&mut self) {
-        for idx in 0..self.slots.len() as u32 {
-            let finished = matches!(
-                &self.slots[idx as usize].access,
-                Some(a) if a.node.is_finished()
-            );
-            if finished {
-                self.free_slot(idx);
-            }
-        }
-        for t in &mut self.tiles {
-            t.clear();
-        }
-        self.wide.clear();
-        for idx in 0..self.slots.len() as u32 {
-            if self.slots[idx as usize].access.is_some() {
-                self.register(idx);
-            }
-        }
-        self.since_sweep = 0;
-    }
-
-    /// Visit one candidate list (the wide list or one tile), collecting
-    /// overlap matches into `self.matches` and lazily removing
-    /// stale/finished handles. Read-after-read pairs are filtered here
-    /// (they can never emit an edge), so read-heavy queries don't sort
-    /// and walk useless matches.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_list(
-        &mut self,
-        wide: bool,
-        tile: usize,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        prune: bool,
-    ) {
-        let mut i = 0;
-        loop {
-            let r = {
-                let list = if wide { &self.wide } else { &self.tiles[tile] };
-                match list.get(i) {
-                    Some(r) => *r,
-                    None => break,
-                }
-            };
-            let slot = &mut self.slots[r.idx as usize];
-            let stale = slot.gen != r.gen || slot.access.is_none();
-            if stale {
-                let list = if wide { &mut self.wide } else { &mut self.tiles[tile] };
-                list.swap_remove(i);
-                continue;
-            }
-            if slot.stamp == self.query_stamp {
-                // Already visited via another tile this query — it may
-                // even be in `matches`, so it must not be freed below.
-                i += 1;
-                continue;
-            }
-            if prune && slot.access.as_ref().unwrap().node.is_finished() {
-                // About to be pruned: an overlapping finished writer is
-                // exactly a locality-hint source (the linear log
-                // harvests the same entries in its retain pass).
-                if self.want_hint {
-                    let seq = slot.seq;
-                    let a = slot.access.as_ref().unwrap();
-                    if a.write && a.node.id() != me && a.region.overlaps(region) {
-                        let w = a.node.ran_on();
-                        if w != HINT_NONE && self.hint_best.is_none_or(|(s, _)| seq > s) {
-                            self.hint_best = Some((seq, w));
-                        }
-                    }
-                }
-                self.free_slot(r.idx);
-                let list = if wide { &mut self.wide } else { &mut self.tiles[tile] };
-                list.swap_remove(i);
-                continue;
-            }
-            slot.stamp = self.query_stamp;
-            let a = slot.access.as_ref().unwrap();
-            if a.node.id() != me
-                && edge_kind(a.write, write).is_some()
-                && a.region.overlaps(region)
-            {
-                self.matches.push((slot.seq, r.idx));
-            }
-            i += 1;
+    let mut complete = !gather.saw_self;
+    let recorded: Vec<(TaskId, EdgeKind)> = if record {
+        producers.iter().map(|(p, k)| (p.id(), *k)).collect()
+    } else {
+        Vec::new()
+    };
+    members.clear();
+    for (p, k) in producers.drain(..) {
+        if members.last().is_some_and(|(q, _)| Arc::ptr_eq(q, &p)) {
+            // The join already waits for this producer.
+        } else if joinable(&p) {
+            members.push((p, k));
+        } else {
+            complete &= spent(&p) && p.same_session(consumer);
+            linker.link(&p, k);
         }
     }
+    let newest = members.last().map_or(TaskId(0), |(p, _)| p.id());
+    let join = linker.link_new_join(members, kind);
+    members.clear();
+    complete.then_some(Memo {
+        join,
+        newest,
+        recorded,
+    })
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn record(
+impl RegionFrontier {
+    /// Analyse one access of task `node`: link it after every earlier
+    /// access it conflicts with (through `linker`), then record it.
+    /// `prune` (graph not recorded) lets finished producers go; `hint`
+    /// asks for the worker that ran the latest finished writer met (a
+    /// locality hint; advisory).
+    pub(crate) fn record(
         &mut self,
         region: &Region,
         write: bool,
-        me: TaskId,
         node: &Arc<TaskNode>,
         prune: bool,
         hint: bool,
-        emit: &mut dyn FnMut(&Arc<TaskNode>, EdgeKind),
+        linker: &mut dyn Linker,
     ) -> Option<usize> {
-        self.query_stamp += 1;
-        self.since_sweep += 1;
-        self.want_hint = hint;
-        self.hint_best = None;
-        if prune && self.since_sweep > 2 * self.slots.len().max(64) {
-            self.sweep();
+        self.query += 1;
+        self.seq += 1;
+        let (lo, hi) = dim0(region);
+        let acc = Access {
+            region,
+            write,
+            rest_full: region
+                .dims()
+                .iter()
+                .skip(1)
+                .all(|d| *d == RegionBound::Full),
+            node,
+            prune,
+            hint,
+        };
+        if write {
+            self.read_memos.clear();
+        } else if let Some((_, memo)) = self
+            .read_memos
+            .iter()
+            .find(|(r, m)| r == region && m.serves(node))
+        {
+            linker.link_join(&memo.join, EdgeKind::True, &memo.recorded);
+            self.add_read(&acc, lo, hi);
+            return None;
         }
 
-        // Gather candidates: the wide list plus the tiles the query's
-        // dim-0 interval spans (a Full query spans them all).
-        self.matches.clear();
-        self.scan_list(true, 0, region, write, me, prune);
-        let span = if self.hi > self.lo {
-            match dim0(region) {
-                RegionBound::Full => Some((0, TILES - 1)),
-                RegionBound::Bounds(l, u) => {
-                    // Clamp to the indexed range: coordinates beyond it
-                    // cannot host any registered entry.
-                    let l = l.max(self.lo);
-                    let u = u.min(self.hi - 1);
-                    if l <= u {
-                        Some((self.tile_of(l), self.tile_of(u)))
-                    } else {
-                        None
-                    }
-                }
-            }
+        let kind = if write {
+            EdgeKind::Output
         } else {
-            None
+            EdgeKind::True
         };
-        if let Some((t0, t1)) = span {
-            for t in t0..=t1 {
-                self.scan_list(false, t, region, write, me, prune);
+        let query = self.query;
+        let mut visited = 0u64;
+        let RegionFrontier {
+            written,
+            reads,
+            arena,
+            seq,
+            gather,
+            list,
+            members,
+            ..
+        } = self;
+        gather.saw_self = false;
+        gather.best = None;
+        if write {
+            written.cut(lo, hi, arena);
+        }
+        // A partial write joins the pieces' writes lists in the same pass
+        // (a covering one replaces the pieces once the walks are done).
+        let mut prepend = (write && !acc.rest_full).then(|| Prepend::new(&acc, *seq));
+        for piece in written.overlapping(lo, hi, write) {
+            visited += 1;
+            if let Some(w) = &mut piece.state.writer {
+                gather.hint(&acc, &w.node, w.seq, &mut w.hinted);
+                gather.offer(&acc, &w.node, kind);
+            }
+            visited += walk(arena, &mut piece.state.writes, query, |e| {
+                if !acc.overlaps(e) {
+                    return false;
+                }
+                let p = e.node.as_ref().expect("list entries are live");
+                gather.hint(&acc, p, e.seq, &mut e.hinted);
+                let spent = gather.offer(&acc, p, kind);
+                (acc.prune && spent) || acc.supersedes(e)
+            })
+            .1;
+            if let Some(prepend) = &mut prepend {
+                prepend.to(&mut piece.state.writes, arena);
             }
         }
-
-        // Emit in insertion order — exactly the linear log's order.
-        self.matches.sort_unstable_by_key(|&(seq, _)| seq);
-        let matches = std::mem::take(&mut self.matches);
-        for &(seq, idx) in &matches {
-            let a = self.slots[idx as usize].access.as_ref().unwrap();
-            // Structural-recording mode keeps finished entries in the
-            // match set: harvest the hint here (prune mode harvested it
-            // on the free path in `scan_list`).
-            if hint && a.write && a.node.is_finished() {
-                let w = a.node.ran_on();
-                if w != HINT_NONE && self.hint_best.is_none_or(|(s, _)| seq > s) {
-                    self.hint_best = Some((seq, w));
+        if write {
+            if acc.rest_full {
+                reads.cut(lo, hi, arena);
+            }
+            for piece in reads.overlapping(lo, hi, acc.rest_full) {
+                visited += 1;
+                // Reads to order this write after: seen already, one
+                // memo hit, or a walk whose producers may become the
+                // list head's memo.
+                if piece.state.0 == NIL {
+                    continue;
+                }
+                let head = &mut arena.entries[piece.state.0 as usize];
+                if head.stamp == query {
+                    continue;
+                }
+                if let Some(memo) = head.memo.as_ref().filter(|m| m.serves(node)) {
+                    linker.link_join(&memo.join, EdgeKind::Anti, &memo.recorded);
+                    head.stamp = query;
+                    continue;
+                }
+                list.saw_self = false;
+                let mut one_dim = true;
+                let (whole, n) = walk(arena, &mut piece.state.0, query, |e| {
+                    one_dim &= e.rest.is_none();
+                    if !acc.overlaps(e) {
+                        return false;
+                    }
+                    let spent = list.offer(&acc, e.task(), EdgeKind::Anti);
+                    (acc.prune && spent) || acc.supersedes(e)
+                });
+                visited += n;
+                gather.saw_self |= list.saw_self;
+                if whole && one_dim {
+                    // The list's membership does not depend on this
+                    // write's region (invariant 1), so its join can
+                    // serve every later write of any piece sharing this
+                    // head.
+                    let memo = link_producers(list, members, node, EdgeKind::Anti, !prune, linker);
+                    if piece.state.0 != NIL {
+                        arena.entries[piece.state.0 as usize].memo = memo.map(Box::new);
+                    }
+                } else {
+                    gather.producers.append(&mut list.producers);
                 }
             }
-            if let Some(kind) = edge_kind(a.write, write) {
-                emit(&a.node, kind);
-            }
         }
-        self.matches = matches;
-
-        // Insert the new access.
-        if let RegionBound::Bounds(l, u) = dim0(region) {
-            if self.hi == self.lo || l < self.lo || u >= self.hi {
-                self.rebuild_covering(l, u);
-            }
+        #[cfg(test)]
+        {
+            self.work += visited;
         }
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                slot.seq = self.next_seq;
-                slot.stamp = 0;
-                slot.access = Some(Access {
-                    region: region.clone(),
-                    write,
+        let _ = visited; // only the tests read the count
+        let hint = self.gather.best.map(|(_, w)| w);
+        let memo = link_producers(
+            &mut self.gather,
+            &mut self.members,
+            node,
+            kind,
+            !prune,
+            linker,
+        );
+        if !write {
+            if let Some(memo) = memo {
+                if self.read_memos.len() == READ_MEMOS {
+                    self.read_memos.remove(0);
+                }
+                self.read_memos.push((region.clone(), memo));
+            }
+            self.add_read(&acc, lo, hi);
+        } else if acc.rest_full {
+            // Invariant 2: the covered pieces retire into one.
+            let writer = Written {
+                writer: Some(Writer {
                     node: Arc::clone(node),
-                });
-                idx
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    seq: self.next_seq,
-                    stamp: 0,
-                    access: Some(Access {
-                        region: region.clone(),
-                        write,
-                        node: Arc::clone(node),
-                    }),
-                });
-                idx
+                    seq: self.seq,
+                    hinted: false,
+                }),
+                writes: NIL,
+            };
+            self.written.replace(lo, hi, writer, &mut self.arena);
+            self.written.coalesce(lo, hi, &mut self.arena);
+            self.reads.replace(lo, hi, Reads(NIL), &mut self.arena);
+            self.reads.coalesce(lo, hi, &mut self.arena);
+        }
+        hint
+    }
+
+    /// Add a read to the reads map.
+    fn add_read(&mut self, acc: &Access<'_>, lo: usize, hi: usize) {
+        let RegionFrontier {
+            reads, arena, seq, ..
+        } = self;
+        reads.cut(lo, hi, arena);
+        let mut prepend = Prepend::new(acc, *seq);
+        for piece in reads.overlapping(lo, hi, true) {
+            prepend.to(&mut piece.state.0, arena);
+        }
+    }
+
+    /// Have all tracked accessors finished? (The `with_region` wait.)
+    pub(crate) fn all_finished(&self) -> bool {
+        self.written
+            .map
+            .values()
+            .all(|p| p.state.writer.as_ref().is_none_or(|w| w.node.is_finished()))
+            && self
+                .arena
+                .entries
+                .iter()
+                .all(|e| e.node.as_ref().is_none_or(|n| n.is_finished()))
+    }
+
+    /// Live list entries (test observability).
+    #[cfg(test)]
+    pub(crate) fn live_len(&self) -> usize {
+        self.arena
+            .entries
+            .iter()
+            .filter(|e| e.node.is_some())
+            .count()
+    }
+
+    /// Pieces of the written and the reads map (test observability).
+    #[cfg(test)]
+    pub(crate) fn piece_counts(&self) -> (usize, usize) {
+        (self.written.map.len(), self.reads.map.len())
+    }
+}
+
+/// Prepends one access to the lists of the pieces it covers, visited in
+/// order: one entry per run of pieces that shared a head. When pruning,
+/// the new entry skips a spent prefix of the list, and the prefix's
+/// first entry — still the head of other pieces — is relinked past it
+/// too, so the next piece sharing it skips it in one step.
+struct Prepend<'a, 'r> {
+    acc: &'a Access<'r>,
+    seq: u64,
+    /// The last run's old head and its new entry.
+    last: Option<(u32, u32)>,
+}
+
+impl<'a, 'r> Prepend<'a, 'r> {
+    fn new(acc: &'a Access<'r>, seq: u64) -> Self {
+        Prepend {
+            acc,
+            seq,
+            last: None,
+        }
+    }
+
+    /// Prepend to the next piece's list, at `head`.
+    fn to(&mut self, head: &mut u32, arena: &mut Arena) {
+        let old = *head;
+        let new = match self.last {
+            Some((o, n)) if o == old => n,
+            _ => {
+                let mut next = old;
+                if self.acc.prune && old != NIL && spent(arena.node(old)) {
+                    let mut after = arena.entries[old as usize].next;
+                    while after != NIL && spent(arena.node(after)) {
+                        after = arena.entries[after as usize].next;
+                    }
+                    let mut link = arena.entries[old as usize].next;
+                    arena.set(&mut link, after);
+                    arena.entries[old as usize].next = link;
+                    next = after;
+                }
+                let rest = (!self.acc.rest_full).then_some(self.acc.region);
+                let n = arena.alloc(self.acc.node, rest, self.seq, next);
+                self.last = Some((old, n));
+                n
             }
         };
-        self.next_seq += 1;
-        self.live += 1;
-        self.register(idx);
-        self.hint_best.map(|(_, w)| w)
+        arena.set(head, new);
     }
 }
 
@@ -557,6 +950,7 @@ impl IndexedLog {
 mod tests {
     use super::*;
     use crate::runtime::Priority;
+    use std::collections::HashMap;
 
     fn node(id: u64) -> Arc<TaskNode> {
         TaskNode::new(TaskId(id), "t", Priority::Normal)
@@ -568,55 +962,217 @@ mod tests {
         let _ = n.complete(false, |_| {});
     }
 
-    type Emitted = Vec<(u64, EdgeKind)>;
-
-    /// Apply the same access to both logs, returning the emitted
-    /// `(producer id, kind)` sequences for comparison.
-    fn record_both(
-        linear: &mut RegionLog,
-        indexed: &mut RegionLog,
-        region: &Region,
-        write: bool,
-        me: TaskId,
-        node: &Arc<TaskNode>,
-        prune: bool,
-    ) -> (Emitted, Emitted) {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        linear.record(region, write, me, node, prune, true, &mut |n, k| {
-            a.push((n.id().0, k))
-        });
-        indexed.record(region, write, me, node, prune, true, &mut |n, k| {
-            b.push((n.id().0, k))
-        });
-        (a, b)
+    /// The retired linear scan, kept as the oracle: every earlier access
+    /// of the buffer, in order.
+    #[derive(Default)]
+    struct LinearOracle {
+        entries: Vec<(Region, bool, u64)>,
     }
 
-    #[test]
-    fn indexed_matches_linear_on_a_block_pattern() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
-        let nodes: Vec<_> = (1..=40).map(node).collect();
-        for (i, n) in nodes.iter().enumerate() {
-            let b = i % 8;
-            let region = Region::d1(b * 10..=b * 10 + 9);
-            let (a, bq) = record_both(
-                &mut lin,
-                &mut idx,
-                &region,
-                i % 3 != 0,
-                n.id(),
-                n,
-                false,
+    impl LinearOracle {
+        /// Every earlier access `(region, write)` conflicts with: the
+        /// full, unreduced edge set.
+        fn record(&mut self, region: &Region, write: bool, id: u64) -> Vec<u64> {
+            let preds = self
+                .entries
+                .iter()
+                .filter(|(r, w, p)| *p != id && (*w || write) && r.overlaps(region))
+                .map(|&(_, _, p)| p)
+                .collect();
+            self.entries.push((region.clone(), write, id));
+            preds
+        }
+    }
+
+    /// A [`Linker`] that records the edges it is asked to make, joins
+    /// expanded to their members, and counts links and joins.
+    #[derive(Default)]
+    struct Recorder {
+        consumer: u64,
+        edges: Vec<(u64, u64, EdgeKind)>,
+        joins: HashMap<*const TaskNode, Vec<(u64, EdgeKind)>>,
+        links: usize,
+    }
+
+    impl Linker for Recorder {
+        fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+            self.links += 1;
+            self.edges.push((producer.id().0, self.consumer, kind));
+        }
+
+        fn link_new_join(
+            &mut self,
+            members: &[(Arc<TaskNode>, EdgeKind)],
+            kind: EdgeKind,
+        ) -> Arc<TaskNode> {
+            let join = TaskNode::new_join(&node(0));
+            let m: Vec<_> = members.iter().map(|(p, k)| (p.id().0, *k)).collect();
+            self.joins.insert(Arc::as_ptr(&join), m);
+            self.links += members.len();
+            self.link_join(&join, kind, &[]);
+            join
+        }
+
+        fn link_join(
+            &mut self,
+            join: &Arc<TaskNode>,
+            _: EdgeKind,
+            recorded: &[(TaskId, EdgeKind)],
+        ) {
+            self.links += 1;
+            let members = &self.joins[&Arc::as_ptr(join)];
+            if !recorded.is_empty() {
+                // Recording keeps the full producer set, a superset of
+                // the members (finished producers are linked directly).
+                for m in members {
+                    assert!(recorded.iter().any(|&(id, k)| (id.0, k) == *m));
+                }
+            }
+            for &(m, k) in members {
+                self.edges.push((m, self.consumer, k));
+            }
+        }
+    }
+
+    fn record(
+        f: &mut RegionFrontier,
+        r: &mut Recorder,
+        region: &Region,
+        write: bool,
+        n: &Arc<TaskNode>,
+        prune: bool,
+    ) -> Vec<u64> {
+        r.consumer = n.id().0;
+        let before = r.edges.len();
+        f.record(region, write, n, prune, true, r);
+        let mut preds: Vec<u64> = r.edges[before..].iter().map(|e| e.0).collect();
+        preds.sort_unstable();
+        preds.dedup();
+        preds
+    }
+
+    /// Transitive closure of a DAG over ids `1..=n` whose edges point
+    /// forward: `reach[j]` has bit `i` when `i` reaches `j`.
+    fn closure(n: usize, edges: &[(u64, u64)]) -> Vec<Vec<bool>> {
+        let mut preds = vec![Vec::new(); n + 1];
+        for &(f, t) in edges {
+            preds[t as usize].push(f as usize);
+        }
+        let mut reach = vec![vec![false; n + 1]; n + 1];
+        for j in 1..=n {
+            for &p in &preds[j] {
+                reach[j][p] = true;
+                let (lo, hi) = reach.split_at_mut(j);
+                for (i, r) in lo[p].iter().enumerate() {
+                    if *r {
+                        hi[0][i] = true;
+                    }
+                }
+            }
+        }
+        reach
+    }
+
+    /// The reachability oracle for one access sequence. Every frontier
+    /// edge, joins expanded, must be a conflicting, overlapping
+    /// earlier→later pair of the linear oracle; and every oracle pair
+    /// whose producer was still unfinished at the later access (all of
+    /// them, without pruning) must be reachable in the frontier graph —
+    /// so the two transitive closures agree.
+    struct Check {
+        frontier: RegionFrontier,
+        recorder: Recorder,
+        oracle: LinearOracle,
+        oracle_edges: Vec<(u64, u64)>,
+        nodes: Vec<Arc<TaskNode>>,
+        prune: bool,
+    }
+
+    impl Check {
+        fn new(prune: bool) -> Self {
+            Check {
+                frontier: RegionFrontier::default(),
+                recorder: Recorder::default(),
+                oracle: LinearOracle::default(),
+                oracle_edges: Vec::new(),
+                nodes: Vec::new(),
+                prune,
+            }
+        }
+
+        fn access(&mut self, region: &Region, write: bool) -> Arc<TaskNode> {
+            let n = node(self.nodes.len() as u64 + 1);
+            self.nodes.push(Arc::clone(&n));
+            let id = n.id().0;
+            let got = record(
+                &mut self.frontier,
+                &mut self.recorder,
+                region,
+                write,
+                &n,
+                self.prune,
             );
-            assert_eq!(a, bq, "access {} diverged", i);
+            let want = self.oracle.record(region, write, id);
+            for p in &got {
+                assert!(want.contains(p), "edge {p}->{id} is not a conflicting pair");
+            }
+            for p in want {
+                // Pruning may drop a finished producer: it gates nothing.
+                if !self.prune || !self.nodes[p as usize - 1].is_finished() {
+                    self.oracle_edges.push((p, id));
+                }
+            }
+            n
+        }
+
+        /// Complete every node up to and including id `upto`, in order
+        /// (a legal schedule: producers precede consumers).
+        fn finish_upto(&mut self, upto: usize) {
+            for n in self.nodes.iter().take(upto) {
+                if !n.is_finished() {
+                    finish(n);
+                }
+            }
+        }
+
+        fn assert_closures_equal(&self) {
+            let n = self.nodes.len();
+            let mine: Vec<(u64, u64)> = self
+                .recorder
+                .edges
+                .iter()
+                .map(|&(f, t, _)| (f, t))
+                .collect();
+            let got = closure(n, &mine);
+            let want = closure(n, &self.oracle_edges);
+            for j in 1..=n {
+                for i in 1..j {
+                    if want[j][i] {
+                        assert!(got[j][i], "{i} must reach {j}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
+    fn indexed_matches_linear_on_a_block_pattern() {
+        let mut c = Check::new(false);
+        for i in 0..40usize {
+            let b = i % 8;
+            c.access(&Region::d1(b * 10..=b * 10 + 9), i % 3 != 0);
+        }
+        c.assert_closures_equal();
+        // Eight disjoint blocks: the frontier holds eight written pieces
+        // plus the untouched tail, whatever the history length, and at
+        // most one reads piece per block and gap.
+        let (written, reads) = c.frontier.piece_counts();
+        assert_eq!(written, 9);
+        assert!(reads <= 17, "{reads} reads pieces");
+    }
+
+    #[test]
     fn indexed_matches_linear_with_full_and_2d_regions() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
         let regions = [
             Region::all(),
             Region::d1(0..=9),
@@ -625,83 +1181,87 @@ mod tests {
             Region::d1(100..=220),
             Region::d2(0..=100, 2..=2),
         ];
-        let nodes: Vec<_> = (1..=30).map(node).collect();
-        for (i, n) in nodes.iter().enumerate() {
-            let region = &regions[i % regions.len()];
-            let (a, b) = record_both(
-                &mut lin,
-                &mut idx,
-                region,
-                i % 2 == 0,
-                n.id(),
-                n,
-                false,
-            );
-            assert_eq!(a, b, "access {} diverged", i);
+        for prune in [false, true] {
+            let mut c = Check::new(prune);
+            for i in 0..30 {
+                c.access(&regions[i % regions.len()], i % 2 == 0);
+            }
+            c.assert_closures_equal();
         }
     }
 
     #[test]
     fn pruning_drops_finished_entries_and_preserves_edges() {
-        let mut lin = RegionLog::new(false);
-        let mut idx = RegionLog::new(true);
-        let nodes: Vec<_> = (1..=20).map(node).collect();
-        for (i, n) in nodes.iter().enumerate() {
-            if i >= 4 {
-                finish(&nodes[i - 4]); // trailing completion frontier
+        let live_after = |accesses: usize| {
+            let mut c = Check::new(true);
+            for i in 0..accesses {
+                if i >= 4 {
+                    c.finish_upto(i - 4); // trailing completion frontier
+                }
+                // Overlapping 1-D reads and 2-D band writes: lists, not
+                // writers, carry the history.
+                let k = (i % 5) * 8;
+                if i % 2 == 0 {
+                    c.access(&Region::d1(k..=k + 11), false);
+                } else {
+                    c.access(&Region::d2(k..=k + 11, 0..=3), true);
+                }
             }
-            let region = Region::d1((i % 5) * 8..=(i % 5) * 8 + 11);
-            let (a, b) = record_both(&mut lin, &mut idx, &region, true, n.id(), n, true);
-            assert_eq!(a, b, "access {} diverged under pruning", i);
-        }
-        // The linear log pruned every finished entry; the indexed log
-        // prunes what queries touch (all tiles were touched here).
-        assert!(lin.live_len() <= 20);
-        assert!(idx.live_len() <= lin.live_len() + 4);
+            c.assert_closures_equal();
+            c.frontier.live_len()
+        };
+        // Finished entries leave the lists: what stays is the unfinished
+        // tail plus at most a head per piece, however long the history.
+        let (short, long) = (live_after(40), live_after(400));
+        assert!(
+            long <= short,
+            "{short} live entries after 40 accesses, {long} after 400"
+        );
     }
 
     #[test]
     fn self_accesses_do_not_self_depend() {
-        for indexed in [false, true] {
-            let mut log = RegionLog::new(indexed);
+        for prune in [false, true] {
+            let mut f = RegionFrontier::default();
+            let mut r = Recorder::default();
             let n = node(1);
-            let mut edges = 0usize;
-            let mut emit = |_: &Arc<TaskNode>, _: EdgeKind| edges += 1;
-            log.record(&Region::d1(0..=9), true, TaskId(1), &n, true, false, &mut emit);
-            log.record(&Region::d1(5..=14), true, TaskId(1), &n, true, false, &mut emit);
-            assert_eq!(edges, 0, "indexed={}", indexed);
+            record(&mut f, &mut r, &Region::d1(0..=9), true, &n, prune);
+            record(&mut f, &mut r, &Region::d1(5..=14), false, &n, prune);
+            record(&mut f, &mut r, &Region::d1(5..=14), true, &n, prune);
+            assert_eq!(r.links, 0, "prune={prune}");
         }
     }
 
     #[test]
     fn all_finished_tracks_completion() {
-        for indexed in [false, true] {
-            let mut log = RegionLog::new(indexed);
-            let n = node(1);
-            log.record(&Region::d1(0..=3), true, TaskId(1), &n, true, false, &mut |_, _| {});
-            assert!(!log.all_finished(), "indexed={}", indexed);
-            finish(&n);
-            assert!(log.all_finished(), "indexed={}", indexed);
-        }
+        let mut f = RegionFrontier::default();
+        let mut r = Recorder::default();
+        let (a, b) = (node(1), node(2));
+        record(&mut f, &mut r, &Region::d1(0..=3), true, &a, true);
+        record(&mut f, &mut r, &Region::d2(2..=5, 0..=1), false, &b, true);
+        assert!(!f.all_finished());
+        finish(&a);
+        assert!(!f.all_finished(), "the reader is still running");
+        finish(&b);
+        assert!(f.all_finished());
     }
 
-    /// The ISSUE-3 equivalence property: for random access sequences —
-    /// random 1-D/2-D/full regions, random read/write directions,
-    /// random completion interleavings, pruning on and off (recording
-    /// off and on) — the indexed log emits **exactly** the same edge
-    /// sequence (producer id + kind, in order) as the retired linear
-    /// scan. The runtime-level twin (renaming on/off through the public
-    /// API) lives in `tests/regions.rs`.
+    /// The reachability property over random access sequences — random
+    /// 1-D/2-D/full regions, directions, completion interleavings, and
+    /// pruning on and off (graph recording off and on). The runtime-level
+    /// twin (recorded graphs through the public API, renaming on/off)
+    /// lives in `tests/regions.rs`.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
 
-        /// One scripted access: region shape, direction, and how many
-        /// of the oldest unfinished accessors complete first.
+        /// One scripted access: region shape, position, length,
+        /// direction, and how many of the oldest unfinished accessors
+        /// complete first.
         type Op = (usize, usize, usize, usize, usize);
 
         fn op() -> impl Strategy<Value = Op> {
-            (0..6usize, 0..90usize, 1..24usize, 0..2usize, 0..3usize)
+            (0..7usize, 0..90usize, 1..24usize, 0..2usize, 0..3usize)
         }
 
         fn region_of(kind: usize, a: usize, len: usize) -> Region {
@@ -710,9 +1270,10 @@ mod tests {
                 1 => Region::all(),
                 2 => Region::d2(a..=a + len - 1, a / 2..=a / 2 + len),
                 3 => Region::d2(RegionBound::Full, RegionBound::Bounds(a, a + len)),
-                // Far coordinates: exercises range growth/rebuild.
                 4 => Region::d1(a * 100..=a * 100 + len),
-                _ => Region::d1(a..=a + 2 * len),
+                5 => Region::d2(a..=a + 2 * len, RegionBound::Full),
+                // Aligned blocks: wide fan-ins that form joins.
+                _ => Region::d1((a % 4) * 32..=(a % 4) * 32 + 31),
             }
         }
 
@@ -724,38 +1285,19 @@ mod tests {
                 ops in proptest::collection::vec(op(), 1..80),
                 prune in 0..2usize,
             ) {
-                let prune = prune == 1;
-                let mut lin = RegionLog::new(false);
-                let mut idx = RegionLog::new(true);
-                let mut nodes: Vec<Arc<TaskNode>> = Vec::new();
-                let mut next_unfinished = 0usize;
-                for (i, &(kind, a, len, write, fin)) in ops.iter().enumerate() {
-                    // Complete `fin` of the oldest unfinished accessors.
-                    for _ in 0..fin {
-                        if next_unfinished < nodes.len() {
-                            finish(&nodes[next_unfinished]);
-                            next_unfinished += 1;
-                        }
-                    }
-                    let n = node(i as u64 + 1);
-                    nodes.push(Arc::clone(&n));
-                    let region = region_of(kind, a, len);
-                    let (le, ie) = record_both(
-                        &mut lin,
-                        &mut idx,
-                        &region,
-                        write == 1,
-                        n.id(),
-                        &n,
-                        prune,
-                    );
-                    prop_assert_eq!(le, ie, "access {} diverged (prune={})", i, prune);
+                let mut c = Check::new(prune == 1);
+                let mut finished = 0usize;
+                for &(kind, a, len, write, fin) in &ops {
+                    finished = (finished + fin).min(c.nodes.len());
+                    c.finish_upto(finished);
+                    c.access(&region_of(kind, a, len), write == 1);
                 }
-                // Liveness agrees too once both logs have pruned what
-                // they can see: every unfinished entry is still tracked.
+                c.assert_closures_equal();
+                // Liveness agrees too: the frontier is done exactly when
+                // every accessor is.
                 prop_assert_eq!(
-                    lin.all_finished(),
-                    idx.all_finished()
+                    c.frontier.all_finished(),
+                    c.nodes.iter().all(|n| n.is_finished())
                 );
             }
         }
@@ -763,26 +1305,169 @@ mod tests {
 
     #[test]
     fn range_growth_rebuilds_and_keeps_entries_queryable() {
-        let mut log = RegionLog::new(true);
-        let n1 = node(1);
-        log.record(&Region::d1(0..=9), true, TaskId(1), &n1, false, false, &mut |_, _| {});
-        // Far outside the initial range: forces a rebuild.
-        let n2 = node(2);
-        log.record(
+        let mut f = RegionFrontier::default();
+        let mut r = Recorder::default();
+        let (n1, n2, n3) = (node(1), node(2), node(3));
+        record(&mut f, &mut r, &Region::d1(0..=9), true, &n1, false);
+        // Far from the first access: just two more pieces.
+        record(
+            &mut f,
+            &mut r,
             &Region::d1(100_000..=100_009),
             true,
-            TaskId(2),
             &n2,
             false,
-            false,
-            &mut |_, _| {},
         );
-        // Overlaps the first entry: the rebuilt index must still find it.
-        let n3 = node(3);
-        let mut hit = Vec::new();
-        log.record(&Region::d1(5..=6), false, TaskId(3), &n3, false, false, &mut |n, k| {
-            hit.push((n.id().0, k))
-        });
-        assert_eq!(hit, vec![(1, EdgeKind::True)]);
+        let hit = record(&mut f, &mut r, &Region::d1(5..=6), false, &n3, false);
+        assert_eq!(hit, vec![1]);
+        assert_eq!(r.edges, vec![(1, 3, EdgeKind::True)]);
+        // A read at the very top of the index space.
+        let n4 = node(4);
+        let hit = record(
+            &mut f,
+            &mut r,
+            &Region::d1(usize::MAX - 1..=usize::MAX),
+            false,
+            &n4,
+            false,
+        );
+        assert!(hit.is_empty());
+    }
+
+    /// A fan-in of 64 writers read whole by 64 readers, then overwritten
+    /// chunk by chunk: one writer-side join serves every reader and one
+    /// reader-side join every overwrite.
+    #[test]
+    fn wide_fan_in_shares_one_join_per_side() {
+        let mut f = RegionFrontier::default();
+        let mut r = Recorder::default();
+        let mut id = 0u64;
+        let mut next = || {
+            id += 1;
+            node(id)
+        };
+        let writers: Vec<_> = (0..64).map(|_| next()).collect();
+        for (i, w) in writers.iter().enumerate() {
+            record(
+                &mut f,
+                &mut r,
+                &Region::d1(i * 16..=i * 16 + 15),
+                true,
+                w,
+                true,
+            );
+        }
+        for _ in 0..64 {
+            let n = next();
+            let preds = record(&mut f, &mut r, &Region::d1(0..=1023), false, &n, true);
+            assert_eq!(preds.len(), 64);
+        }
+        for i in 0..64 {
+            let n = next();
+            let preds = record(
+                &mut f,
+                &mut r,
+                &Region::d1(i * 16..=i * 16 + 15),
+                true,
+                &n,
+                true,
+            );
+            assert_eq!(preds.len(), 65, "its old writer and every reader");
+        }
+        assert_eq!(r.joins.len(), 2);
+        // 64 + 64 readers' links, 64 + 64 overwriters' members/links,
+        // and each overwrite's direct output edge.
+        assert!(r.links <= 5 * 64, "{} links", r.links);
+    }
+
+    /// A writer met in several pieces is one producer: it is linked
+    /// once and counts once against `JOIN_MIN`.
+    #[test]
+    fn a_producer_spanning_pieces_counts_once() {
+        let mut f = RegionFrontier::default();
+        let mut r = Recorder::default();
+        let whole = node(1);
+        record(&mut f, &mut r, &Region::d1(0..=89), true, &whole, true);
+        // Seven partial writes cut its piece into eight, each with its
+        // own writes list.
+        for k in 0..7 {
+            let n = node(k as u64 + 2);
+            let band = Region::d2(k * 10..=k * 10 + 9, 0..=3);
+            record(&mut f, &mut r, &band, true, &n, true);
+        }
+        let before = r.links;
+        let preds = record(&mut f, &mut r, &Region::d1(0..=89), false, &node(9), true);
+        assert_eq!(preds, (1..=8).collect::<Vec<_>>());
+        assert_eq!(r.links - before, 8, "eight producers, eight direct links");
+        assert!(r.joins.is_empty(), "eight distinct producers make no join");
+    }
+
+    /// A reads list that one write walks only in part — its tail was
+    /// already walked under another piece's head in the same query — must
+    /// not get a reader-side memo: a later write hitting it would miss the
+    /// tail's readers.
+    #[test]
+    fn a_list_walked_in_part_is_not_memoised() {
+        for prune in [false, true] {
+            let mut c = Check::new(prune);
+            // Ten readers of the whole range: the shared tail.
+            for _ in 0..10 {
+                c.access(&Region::d1(0..=99), false);
+            }
+            // Nine more of the upper half only: that half's list is its
+            // own nine entries on top of the shared tail.
+            for _ in 0..9 {
+                c.access(&Region::d1(50..=99), false);
+            }
+            // This write walks the lower half's list (the tail) first,
+            // then the upper half's, which stops at the tail.
+            c.access(&Region::d1(0..=79), true);
+            // The rest of the upper half still has the upper head.
+            c.access(&Region::d1(80..=99), true);
+            c.assert_closures_equal();
+        }
+    }
+
+    /// ROADMAP aim 3, "no input size at which analysis goes
+    /// superlinear": a banded 1-D program in which nothing retires
+    /// during the spawn (one thread) costs the same frontier work per
+    /// access at N, 2N and 4N accesses.
+    #[test]
+    fn per_access_work_is_independent_of_history() {
+        use crate::Runtime;
+        let per_access = |rounds: usize| {
+            let rt = Runtime::builder().threads(1).build();
+            let bands = 16usize;
+            let h = rt.region_data(vec![0u32; bands * 64]);
+            let mut accesses = 0u64;
+            for round in 0..rounds {
+                for b in 0..bands {
+                    let (lo, hi) = (b * 64, b * 64 + 63);
+                    let mut sp = rt.task("write");
+                    let mut w = sp.write_region(&h, Region::d1(lo..=hi));
+                    sp.submit(move || w.slice_mut(lo, hi)[0] = round as u32);
+                    // A reader straddling the band and the next one.
+                    let hi2 = (hi + 32).min(bands * 64 - 1);
+                    let mut sp = rt.task("read");
+                    let mut r = sp.read_region(&h, Region::d1(lo + 32..=hi2));
+                    sp.submit(move || {
+                        std::hint::black_box(r.slice(lo + 32, hi2)[0]);
+                    });
+                    accesses += 2;
+                }
+            }
+            let work = h.obj.frontier.lock().work;
+            assert_eq!(rt.stats().tasks_executed, 0, "nothing ran during the spawn");
+            rt.barrier();
+            work as f64 / accesses as f64
+        };
+        let n = 64;
+        let (w1, w2, w4) = (per_access(n), per_access(2 * n), per_access(4 * n));
+        for (w, label) in [(w2, "2N"), (w4, "4N")] {
+            assert!(
+                w <= 1.3 * w1 && w1 <= 1.3 * w,
+                "per-access work {w1} at N vs {w} at {label}"
+            );
+        }
     }
 }

@@ -306,7 +306,7 @@ impl<T> VBuf<T> {
 /// window per `input` binding; the worker that runs the task closes it
 /// when the binding drops — **without touching the object mutex**. The
 /// object lock is thereby single-owner (only the spawning thread takes
-/// it, for version bookkeeping and the region log), and a worker
+/// it, for version bookkeeping), and a worker
 /// finishing a task performs one `fetch_sub` per read parameter and
 /// nothing else.
 ///

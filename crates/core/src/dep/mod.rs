@@ -41,9 +41,12 @@
 //! links edges (including the producer edge, borrowed in place — no
 //! `Arc` clone per parameter) while *inside* the cell. The cell is not
 //! a lock, so no lock-ordering concern arises from taking the
-//! structural-recording mutex within it; the region analyser's log
-//! mutex (shared with workers' completion marks) is a real lock and
-//! nothing acquires it while holding the graph mutex.
+//! structural-recording mutex within it. The region frontier's mutex is
+//! a real lock, but workers never take it: only the spawning lane (here,
+//! in [`region_deps`]) and the main thread's `with_region` /
+//! `update_region` waits do. The analyser takes the graph mutex inside
+//! it, and nothing acquires the frontier mutex while holding the graph
+//! mutex.
 
 use std::sync::Arc;
 
@@ -52,9 +55,12 @@ use crate::data::region::Region;
 use crate::data::region_handle::{
     RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding,
 };
+use crate::data::region_log::Linker;
 use crate::data::version::{ReadBinding, WriteBinding};
 use crate::data::TaskData;
+use crate::graph::node::TaskNode;
 use crate::graph::record::EdgeKind;
+use crate::ids::TaskId;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 
 /// Refresh an object's `last_writer` locality hint and cast this
@@ -309,26 +315,46 @@ fn region_deps<T: RegionData, H: SpawnHost>(
     write: bool,
 ) {
     // Region analysis gates on the lane of the region's representant
-    // object id, like scalar analysis gates on the object id: the log
-    // mutex alone would keep the data safe, but the lane keeps one
-    // region's analysis ordered with respect to the rest of its lane's
-    // universe on a sharded runtime.
+    // object id, like scalar analysis gates on the object id: the
+    // frontier mutex alone would keep the data safe, but the lane keeps
+    // one region's analysis ordered with respect to the rest of its
+    // lane's universe on a sharded runtime.
     let _lane = sp.lane_enter(h.obj.id);
-    // Finished entries can no longer gate anything; the log prunes them
-    // eagerly unless the structural recorder needs the history.
+    // Finished producers can no longer gate anything; the frontier lets
+    // them go unless the structural recorder needs the history.
     let prune = !sp.record_graph();
-    let me = sp.node().id();
     let want_hint = sp.locality();
-    let mut log = h.obj.log.lock();
-    let hint = log.record(region, write, me, sp.node(), prune, want_hint, &mut |n, kind| {
-        sp.link(n, kind)
-    });
-    drop(log);
+    let mut linker = sp;
+    let hint =
+        h.obj
+            .frontier
+            .lock()
+            .record(region, write, sp.node(), prune, want_hint, &mut linker);
     if let Some(w) = hint {
         // Region votes weigh by region size (element count), so a
         // band's bulk input outvotes its halo rows; unbounded regions
         // weigh as "very large".
         let weight = region.volume().map(|v| v.max(1) as u64).unwrap_or(1 << 32);
         sp.vote(w, weight);
+    }
+}
+
+/// The frontier's view of the spawning task: its three ways of linking
+/// a producer (direct, through a fresh join, through a memoised join).
+impl<H: SpawnHost> Linker for &TaskSpawner<'_, H> {
+    fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+        TaskSpawner::link(self, producer, kind);
+    }
+
+    fn link_new_join(
+        &mut self,
+        members: &[(Arc<TaskNode>, EdgeKind)],
+        kind: EdgeKind,
+    ) -> Arc<TaskNode> {
+        TaskSpawner::link_new_join(self, members, kind)
+    }
+
+    fn link_join(&mut self, join: &Arc<TaskNode>, kind: EdgeKind, recorded: &[(TaskId, EdgeKind)]) {
+        TaskSpawner::link_join(self, join, kind, recorded);
     }
 }

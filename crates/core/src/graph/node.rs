@@ -41,6 +41,18 @@
 //!   steady-state spawning performs **zero** allocations.
 //!
 //! [`reset_for_reuse`]: TaskNode::reset_for_reuse
+//!
+//! ## Join nodes
+//!
+//! A **join** ([`TaskNode::new_join`]) is a bodiless node the region
+//! analyser puts between a wide set of producers and their consumers:
+//! the producers are linked into the join once, and every consumer
+//! links to the join instead of to each producer. A join is never
+//! queued, never run and never recycled; the thread whose completion
+//! releases its last dependency completes it on the spot, inside the
+//! same successor walk (see `release_successors`), so its consumers are
+//! released exactly as if they had been linked to the producers
+//! directly — poison included.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -254,6 +266,9 @@ pub struct TaskNode {
     pub(crate) id: TaskId,
     pub(crate) name: &'static str,
     pub(crate) high: AtomicBool,
+    /// A bodiless join node (see the module docs). Fixed at creation:
+    /// joins never enter the recycling pool.
+    join: bool,
     /// Outstanding dependencies + the spawn guard.
     pub(crate) deps: AtomicUsize,
     pub(crate) state: AtomicU8,
@@ -324,10 +339,25 @@ unsafe impl Sync for TaskNode {}
 
 impl TaskNode {
     pub(crate) fn new(id: TaskId, name: &'static str, priority: Priority) -> Arc<Self> {
+        Self::build(id, name, priority, false)
+    }
+
+    /// A join node for `consumer`'s session, holding only its creation
+    /// guard. It takes no user [`TaskId`] (its id is 0, which no task
+    /// has) and no body.
+    pub(crate) fn new_join(consumer: &TaskNode) -> Arc<Self> {
+        let join = Self::build(TaskId(0), "join", Priority::Normal, true);
+        join.sess_ctl
+            .store(consumer.sess_ctl.load(Ordering::Relaxed), Ordering::Relaxed);
+        join
+    }
+
+    fn build(id: TaskId, name: &'static str, priority: Priority, join: bool) -> Arc<Self> {
         Arc::new(TaskNode {
             id,
             name,
             high: AtomicBool::new(priority == Priority::High),
+            join,
             deps: AtomicUsize::new(1), // spawn guard
             state: AtomicU8::new(STATE_PENDING),
             fault: AtomicU8::new(FAULT_NONE),
@@ -385,6 +415,12 @@ impl TaskNode {
 
     pub(crate) fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// Is this a bodiless join node?
+    #[inline]
+    pub(crate) fn is_join(&self) -> bool {
+        self.join
     }
 
     pub(crate) fn priority(&self) -> Priority {
@@ -705,6 +741,23 @@ impl TaskNode {
         self.release_successors(head, poison, on_ready)
     }
 
+    /// Complete a join whose last dependency was just released: the
+    /// releasing thread does it inline. A cancellation request a
+    /// poisoned member stamped on the join makes it finish cancelled
+    /// and poison its consumers in turn, so the cancel set through a
+    /// join is the one direct edges would give. Always the concurrent
+    /// close: the spawner may be linking new consumers to a memoised
+    /// join right now. Non-generic, so the successor walk that calls it
+    /// does not instantiate itself recursively.
+    pub(crate) fn complete_join(&self, on_ready: &mut dyn FnMut(Arc<TaskNode>)) -> usize {
+        debug_assert!(self.join, "only joins complete without a body");
+        let poison = self.cancel_requested();
+        if poison {
+            self.stamp_cancelled();
+        }
+        self.complete(poison, on_ready)
+    }
+
     fn release_successors(
         &self,
         head: *mut SuccNode,
@@ -752,8 +805,14 @@ impl TaskNode {
                     succ.request_cancel();
                 }
                 if succ.release_dep() {
-                    n_ready += 1;
-                    on_ready(succ);
+                    if succ.is_join() {
+                        // A join has nothing to run: complete it here and
+                        // hand on whatever it releases.
+                        n_ready += succ.complete_join(&mut on_ready);
+                    } else {
+                        n_ready += 1;
+                        on_ready(succ);
+                    }
                 }
             }
         }
@@ -988,6 +1047,42 @@ mod tests {
         assert_eq!(ids, vec![2, 3, 4], "registration order must hold");
         for k in &ready {
             assert!(k.cancel_requested(), "poison must reach every successor");
+        }
+    }
+
+    /// A join completes inside the walk that releases its last member,
+    /// is never handed out itself, and passes a member's poison on to
+    /// its consumer.
+    #[test]
+    fn join_completes_inline_and_passes_poison_on() {
+        for poison in [false, true] {
+            let (a, b, consumer) = (node(1), node(2), node(3));
+            let join = TaskNode::new_join(&consumer);
+            assert!(join.is_join() && !consumer.is_join());
+            for m in [&a, &b] {
+                join.retain_dep();
+                assert!(m.add_successor(&join));
+            }
+            consumer.retain_dep();
+            assert!(join.add_successor(&consumer));
+            assert!(!join.release_dep(), "creation guard");
+            assert!(!consumer.release_dep(), "spawn guard");
+            a.install_body(|| {});
+            a.take_body().run_in_place();
+            assert!(complete_collect(&a).is_empty(), "b still holds the join");
+            assert!(!join.is_finished());
+            b.install_body(|| {});
+            b.take_body().run_in_place();
+            if poison {
+                b.stamp_failed();
+            }
+            let mut ready = Vec::new();
+            assert_eq!(b.complete(poison, |s| ready.push(s)), 1);
+            assert_eq!(ready.len(), 1);
+            assert_eq!(ready[0].id(), TaskId(3), "the consumer, not the join");
+            assert!(join.is_finished());
+            assert_eq!(join.finished_poisoned(), poison);
+            assert_eq!(ready[0].cancel_requested(), poison);
         }
     }
 

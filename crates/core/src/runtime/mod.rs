@@ -923,11 +923,7 @@ impl Runtime {
         self.shared.next_obj.store(next, Ordering::Relaxed);
         let id = ObjectId(next);
         RegionHandle {
-            obj: Arc::new(RegionObject::new(
-                id,
-                value,
-                self.shared.cfg.indexed_regions,
-            )),
+            obj: Arc::new(RegionObject::new(id, value)),
         }
     }
 
@@ -1158,8 +1154,8 @@ impl Runtime {
     pub fn with_region<T: RegionData, R>(&self, h: &RegionHandle<T>, f: impl FnOnce(&T) -> R) -> R {
         let out = loop {
             {
-                let log = h.obj.log.lock();
-                if log.all_finished() {
+                let frontier = h.obj.frontier.lock();
+                if frontier.all_finished() {
                     // SAFETY: all accessors finished; main thread is the
                     // only spawner, so no new ones can appear.
                     break unsafe { f(&*h.obj.buf.get()) };
@@ -1177,8 +1173,8 @@ impl Runtime {
     pub fn update_region<T: RegionData>(&self, h: &RegionHandle<T>, f: impl FnOnce(&mut T)) {
         loop {
             {
-                let log = h.obj.log.lock();
-                if log.all_finished() {
+                let frontier = h.obj.frontier.lock();
+                if frontier.all_finished() {
                     // SAFETY: as in `with_region`, plus exclusivity because
                     // no task is live on this object.
                     unsafe { f(&mut *h.obj.buf.get()) };

@@ -8,7 +8,7 @@
 //! id of the region representant object): each lane owns the
 //! `SpawnerCell` universes of the objects that hash to it, a per-lane
 //! task-node free stack and link cache, and its share of the
-//! tile-indexed region logs, so multiple [`Submitter`] threads can run
+//! region frontiers, so multiple [`Submitter`] threads can run
 //! analysis concurrently.
 //!
 //! Three properties keep this sound without adding locks anywhere hot:

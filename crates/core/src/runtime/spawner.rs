@@ -359,10 +359,80 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         if let Some(g) = &shared.graph {
             g.lock().add_edge(producer.id(), self.node.id(), kind);
         }
-        match kind {
-            EdgeKind::True => shared.stats.true_edges(),
-            EdgeKind::Anti | EdgeKind::Output => shared.stats.anti_edges(),
+        self.count_link(kind);
+        self.attach(producer);
+    }
+
+    /// Link this task through a fresh **join node** standing for
+    /// `members` (distinct, unfinished producers of one access, all of
+    /// this task's session): each member is linked into the join once,
+    /// and this task to the join, as `kind`. The recorded graph gets the
+    /// expanded member→task edges; the stats count the links made.
+    /// Returns the join so the analyser can memoise it for later
+    /// consumers of the same producers ([`link_join`](Self::link_join)).
+    pub(crate) fn link_new_join(
+        &self,
+        members: &[(Arc<TaskNode>, EdgeKind)],
+        kind: EdgeKind,
+    ) -> Arc<TaskNode> {
+        let shared = self.rt.shared();
+        if let Some(g) = &shared.graph {
+            let mut g = g.lock();
+            for (m, k) in members {
+                g.add_edge(m.id(), self.node.id(), *k);
+            }
         }
+        shared.stats.joins();
+        let join = TaskNode::new_join(&self.node);
+        // This task first, while the join's creation guard keeps it
+        // unfinished: the successor link cannot fail, and if every
+        // member turns out to be finished already, the join completes
+        // below with this task registered but still spawn-guarded.
+        self.count_link(kind);
+        self.attach(&join);
+        for (m, k) in members {
+            self.count_link(*k);
+            join.retain_dep();
+            self.register(&join, m);
+        }
+        if join.release_dep() {
+            join.complete_join(&mut |_| unreachable!("the consumer's spawn guard is held"));
+        }
+        join
+    }
+
+    /// Link this task to an existing (memoised) join, as `kind`.
+    /// `recorded` are the expanded producer edges the join stands for,
+    /// for the structural record (empty unless recording).
+    pub(crate) fn link_join(
+        &self,
+        join: &Arc<TaskNode>,
+        kind: EdgeKind,
+        recorded: &[(TaskId, EdgeKind)],
+    ) {
+        if let Some(g) = &self.rt.shared().graph {
+            let mut g = g.lock();
+            for &(p, k) in recorded {
+                g.add_edge(p, self.node.id(), k);
+            }
+        }
+        self.count_link(kind);
+        self.attach(join);
+    }
+
+    #[inline]
+    fn count_link(&self, kind: EdgeKind) {
+        let stats = &self.rt.shared().stats;
+        match kind {
+            EdgeKind::True => stats.true_edges(),
+            EdgeKind::Anti | EdgeKind::Output => stats.anti_edges(),
+        }
+    }
+
+    /// Gate this task on `producer`: count the dependency, then publish
+    /// the successor link (undone if the producer already finished).
+    #[inline]
+    fn attach(&self, producer: &Arc<TaskNode>) {
         // Count the dependency BEFORE publishing the successor link: the
         // producer may complete the instant `add_successor_with`
         // publishes, and its completion path must find the count already
@@ -381,32 +451,40 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         } else {
             self.node.retain_dep();
         }
+        if self.register(&self.node, producer) {
+            self.counted_edges.set(self.counted_edges.get() + 1);
+        }
+    }
+
+    /// Publish `consumer` as a successor of `producer`, whose dependency
+    /// the caller has already counted on `consumer` (under a guard that
+    /// is still held). Returns whether the producer was unfinished; if
+    /// not, the count is undone and a poisoned producer cancels the
+    /// consumer.
+    fn register(&self, consumer: &Arc<TaskNode>, producer: &Arc<TaskNode>) -> bool {
         // The link node comes from the spawner's spare-link cache (fed
         // by completed nodes), so the steady-state edge costs no
         // allocation on either side of its lifecycle.
         let link = self.rt.acquire_link();
-        if producer.add_successor_with(&self.node, link) {
-            self.counted_edges.set(self.counted_edges.get() + 1);
-        } else {
-            // Producer already finished: undo. The spawn guard is still
-            // held, so this can never release the task.
-            self.rt.release_link(link);
-            let became_ready = self.node.release_dep();
-            debug_assert!(!became_ready, "spawn guard must still be held");
-            // Spawn-after-failure: the producer completed poisoned
-            // before this edge existed, so the completion walk could
-            // not reach us — propagate the cancellation here. (The
-            // Acquire load that observed the closed list carries the
-            // fault stamp, which was stored before the close swap.)
-            // Session-scoped like the completion walk itself: a poisoned
-            // producer from *another* session never cancels this task.
-            if self.poison_new_deps
-                && producer.finished_poisoned()
-                && producer.same_session(&self.node)
-            {
-                self.node.request_cancel();
-            }
+        if producer.add_successor_with(consumer, link) {
+            return true;
         }
+        // Producer already finished: undo. The guard is still held, so
+        // this can never release the consumer.
+        self.rt.release_link(link);
+        let became_ready = consumer.release_dep();
+        debug_assert!(!became_ready, "spawn guard must still be held");
+        // Spawn-after-failure: the producer completed poisoned before
+        // this edge existed, so the completion walk could not reach the
+        // consumer — propagate the cancellation here. (The Acquire load
+        // that observed the closed list carries the fault stamp, which
+        // was stored before the close swap.) Session-scoped like the
+        // completion walk itself: a poisoned producer from *another*
+        // session never cancels the consumer.
+        if self.poison_new_deps && producer.finished_poisoned() && producer.same_session(consumer) {
+            consumer.request_cancel();
+        }
+        false
     }
 }
 

@@ -77,6 +77,8 @@ pub struct Stats {
     pub(crate) version_pool_hits: AtomicU64,
     /// Born-ready tasks the spawner ran inline at submit.
     pub(crate) inline_runs: AtomicU64,
+    /// Join nodes the region analyser created.
+    pub(crate) joins: AtomicU64,
     /// Per-thread pop counters, indexed by thread index (0 = main).
     shards: Box<[PopShard]>,
     /// Task bodies that panicked (contained by `catch_unwind`).
@@ -153,6 +155,7 @@ impl Stats {
         node_pool_hits,
         version_pool_hits,
         inline_runs,
+        joins,
         barriers,
         throttle_blocks,
     );
@@ -167,6 +170,7 @@ impl Stats {
             node_pool_hits: AtomicU64::new(0),
             version_pool_hits: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
+            joins: AtomicU64::new(0),
             shards: (0..threads.max(1)).map(|_| PopShard::default()).collect(),
             panics: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
@@ -272,6 +276,7 @@ impl Stats {
             node_pool_hits: ld(&self.node_pool_hits),
             version_pool_hits: ld(&self.version_pool_hits),
             inline_runs: ld(&self.inline_runs),
+            joins: ld(&self.joins),
             own_pops,
             main_pops,
             hp_pops,
@@ -324,6 +329,15 @@ pub struct StatsSnapshot {
     /// queue), like `handoffs`. Zero at one thread, with shards or
     /// sessions, and for high-priority tasks.
     pub inline_runs: u64,
+    /// Join nodes the region analyser created: each stands for a wide
+    /// set of producers that several consumers share (one `par_merge`'s
+    /// chunk tasks, for instance), linked once instead of once per
+    /// consumer. Joins have no body and no [`TaskId`](crate::TaskId):
+    /// they are not in `tasks_spawned`, `tasks_executed`, the recorded
+    /// graph (which holds their expanded producer→consumer edges) or
+    /// the trace. `true_edges`/`anti_edges` count the links actually
+    /// made, producer→join and join→consumer included.
+    pub joins: u64,
     pub own_pops: u64,
     pub main_pops: u64,
     pub hp_pops: u64,

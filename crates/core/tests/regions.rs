@@ -246,24 +246,32 @@ fn two_dimensional_regions_track_submatrices() {
     assert_eq!(g.predecessors(TaskId(2)).len(), 0);
 }
 
-/// ISSUE-3 equivalence through the public API: the tile-indexed region
-/// log must produce *exactly* the recorded edge set (kind + endpoints,
-/// in order) of the retired linear scan, on a pseudo-random program of
-/// overlapping 1-D and 2-D accesses — renaming on and off (the region
-/// analyser never renames, but whole-object renaming interleaves with
-/// region tracking in mixed programs, so both switches are exercised).
+/// Reachability through the public API: on a pseudo-random program of
+/// overlapping 1-D and 2-D region accesses interleaved with whole-object
+/// traffic, the recorded graph (joins expanded) must hold only
+/// conflicting, overlapping earlier→later pairs, and its transitive
+/// closure must equal that of the full pair set a linear scan of every
+/// earlier access finds — renaming on and off (the region analyser never
+/// renames, but whole-object renaming interleaves with region tracking
+/// in mixed programs, so both switches are exercised).
 #[test]
 fn indexed_region_log_records_the_same_graph_as_linear() {
-    fn run(indexed: bool, renaming: bool) -> Vec<(u64, u64, smpss::graph::record::EdgeKind)> {
+    use std::collections::BTreeSet;
+
+    /// One access: buffer (0 = `a`, 1 = `b`, 2 = the whole object),
+    /// region, write.
+    type Access = (usize, Region, bool);
+
+    fn run(renaming: bool) -> (Vec<(u64, u64)>, Vec<Vec<Access>>) {
         let rt = Runtime::builder()
             .threads(1)
-            .indexed_regions(indexed)
             .renaming(renaming)
             .record_graph(true)
             .build();
         let a = rt.region_data(vec![0u32; 400]);
         let b = rt.region_data(vec![0u32; 1024]); // 32x32, row-major
         let obj = rt.data(0u64); // whole-object traffic interleaved
+        let mut program: Vec<Vec<Access>> = Vec::new();
         // Deterministic LCG so both configurations see one program.
         let mut seed = 0x2545F4914F6CDD1Du64;
         let mut rand = move |m: usize| {
@@ -279,6 +287,7 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
                     let mut sp = rt.task("w1d");
                     let mut w = sp.write_region(&a, region![lo..=hi]);
                     sp.submit(move || w.slice_mut(lo, hi)[0] = i);
+                    program.push(vec![(0, region![lo..=hi], true)]);
                 }
                 1 => {
                     // 1-D read, sometimes the whole array.
@@ -289,6 +298,7 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
                     sp.submit(move || {
                         std::hint::black_box(r.slice(lo, hi)[0]);
                     });
+                    program.push(vec![(0, region![lo..=hi], false)]);
                 }
                 2 => {
                     // 2-D tile inout on `b`.
@@ -298,6 +308,7 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
                     let mut sp = rt.task("w2d");
                     let mut w = sp.inout_region(&b, region![r0..=r1, c0..=c1]);
                     sp.submit(move || w.row_slice_mut(32, r0, c0, c1)[0] = i);
+                    program.push(vec![(1, region![r0..=r1, c0..=c1], true)]);
                 }
                 3 => {
                     // Full-dimension row read on `b`.
@@ -307,29 +318,318 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
                     sp.submit(move || {
                         std::hint::black_box(r.row_slice(32, r0, 0, 31)[0]);
                     });
+                    program.push(vec![(1, region![r0..=r0, ..], false)]);
                 }
                 _ => {
                     // Whole-object churn: exercises renaming next to the
-                    // region log.
+                    // region analysis. An `inout` orders after every
+                    // earlier access of the object.
                     let mut sp = rt.task("bump");
                     let mut w = sp.inout(&obj);
                     sp.submit(move || *w.get_mut() += 1);
+                    program.push(vec![(2, Region::all(), true)]);
                 }
             }
         }
         rt.barrier();
         let g = rt.graph().expect("recording on");
-        g.edges().iter().map(|&(f, t, k)| (f.0, t.0, k)).collect()
+        assert_eq!(g.node_count(), program.len(), "joins are not graph nodes");
+        let edges = g.edges().iter().map(|&(f, t, _)| (f.0, t.0)).collect();
+        (edges, program)
+    }
+
+    /// The linear oracle: every earlier access each access conflicts with.
+    fn linear_pairs(program: &[Vec<Access>]) -> BTreeSet<(u64, u64)> {
+        let mut pairs = BTreeSet::new();
+        for (j, later) in program.iter().enumerate() {
+            for (i, earlier) in program[..j].iter().enumerate() {
+                let conflict = later.iter().any(|(bl, rl, wl)| {
+                    earlier
+                        .iter()
+                        .any(|(be, re, we)| be == bl && (*we || *wl) && re.overlaps(rl))
+                });
+                if conflict {
+                    pairs.insert((i as u64 + 1, j as u64 + 1));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// `reach[j]` = every id that reaches id `j` (ids are 1-based and
+    /// edges point forward, so visiting edges by target builds it in one
+    /// pass).
+    fn closure(n: usize, edges: &BTreeSet<(u64, u64)>) -> Vec<BTreeSet<u64>> {
+        let mut by_target: Vec<(u64, u64)> = edges.iter().copied().collect();
+        by_target.sort_by_key(|&(f, t)| (t, f));
+        let mut reach: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n + 1];
+        for (f, t) in by_target {
+            let from = reach[f as usize].clone();
+            reach[t as usize].insert(f);
+            reach[t as usize].extend(from);
+        }
+        reach
     }
 
     for renaming in [true, false] {
-        let linear = run(false, renaming);
-        let indexed = run(true, renaming);
+        let (edges, program) = run(renaming);
+        assert!(!edges.is_empty(), "program must induce edges");
+        let oracle = linear_pairs(&program);
+        let recorded: BTreeSet<(u64, u64)> = edges.into_iter().collect();
+        for e in &recorded {
+            assert!(
+                oracle.contains(e),
+                "recorded edge {e:?} is not a conflicting pair (renaming={renaming})"
+            );
+        }
         assert_eq!(
-            linear, indexed,
-            "edge sequences diverged (renaming={})",
-            renaming
+            closure(program.len(), &recorded),
+            closure(program.len(), &oracle),
+            "reachability diverged (renaming={renaming})"
         );
-        assert!(!linear.is_empty(), "program must induce edges");
+    }
+}
+
+/// `writers` tasks each write one chunk of a buffer, then `readers`
+/// tasks each read the whole buffer: a complete bipartite fan-in, the
+/// shape of one chunked `par_merge` level. At one thread nothing runs
+/// before the barrier, so every producer is live at every read. Returns
+/// where the readers push their sums once they run; `writer bad`
+/// panics instead of writing.
+fn fan_in(
+    rt: &Runtime,
+    writers: usize,
+    readers: usize,
+    bad: Option<usize>,
+) -> std::sync::Arc<std::sync::Mutex<Vec<u64>>> {
+    let chunk = 4usize;
+    let n = writers * chunk;
+    let data = rt.region_data(vec![0u64; n]);
+    for w in 0..writers {
+        let (lo, hi) = (w * chunk, w * chunk + chunk - 1);
+        let mut sp = rt.task("fill");
+        let mut out = sp.write_region(&data, region![lo..=hi]);
+        sp.submit(move || {
+            if bad == Some(w) {
+                panic!("fan-in writer failed");
+            }
+            out.slice_mut(lo, hi).fill(w as u64);
+        });
+    }
+    let sums = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    for _ in 0..readers {
+        let mut sp = rt.task("sum");
+        let mut r = sp.read_region(&data, region![0..=n - 1]);
+        let sums = sums.clone();
+        sp.submit(move || {
+            let s = r.slice(0, n - 1).iter().sum();
+            sums.lock().unwrap().push(s);
+        });
+    }
+    sums
+}
+
+#[test]
+fn wide_fan_in_links_through_shared_joins() {
+    let rt = Runtime::builder().threads(1).build();
+    let k = 1024u64;
+    let sums = fan_in(&rt, k as usize, k as usize, None);
+    rt.barrier();
+    let chunk_sum = 4 * k * (k - 1) / 2;
+    assert_eq!(*sums.lock().unwrap(), vec![chunk_sum; k as usize]);
+    let st = rt.stats();
+    // Direct links would be k * k = 1 M; the readers share one join.
+    let links = st.true_edges + st.anti_edges;
+    assert!(links <= 4 * k, "{links} links for a {k} x {k} fan-in");
+    assert!(st.joins >= 1 && st.joins <= 4, "{} joins", st.joins);
+    // Joins are not tasks.
+    assert_eq!(st.tasks_spawned, 2 * k);
+    assert_eq!(st.tasks_executed, 2 * k);
+    assert_eq!(st.total_pops(), 2 * k);
+}
+
+#[test]
+fn joins_stay_out_of_task_counts_ids_and_the_graph() {
+    let rt = Runtime::builder().threads(1).record_graph(true).build();
+    let (w, r) = (64usize, 64usize);
+    fan_in(&rt, w, r, None);
+    rt.barrier();
+    let st = rt.stats();
+    assert!(st.joins >= 1, "the fan-in must go through a join");
+    assert_eq!(st.tasks_executed, (w + r) as u64);
+    let g = rt.graph().unwrap();
+    assert_eq!(g.node_count(), w + r);
+    let ids: Vec<u64> = g.nodes().iter().map(|n| n.id.0).collect();
+    assert_eq!(
+        ids,
+        (1..=(w + r) as u64).collect::<Vec<_>>(),
+        "no id went to a join"
+    );
+    // The record holds the expanded edges: every reader after every
+    // writer, as direct links would have recorded them.
+    for reader in w + 1..=w + r {
+        let preds = g.predecessors(smpss::TaskId(reader as u64));
+        assert_eq!(preds, (1..=w as u64).map(smpss::TaskId).collect());
+    }
+}
+
+/// Two spawners can be open at once, so the task that hits a memoised
+/// join may be one of the join's own members: it must then link after
+/// the other producers, never to the join (which would wait for the
+/// task itself, and the barrier would hang). Both memo sides, at one
+/// thread so nothing runs before the barrier.
+#[test]
+fn a_memoised_join_never_serves_one_of_its_members() {
+    const CHUNKS: usize = 10;
+    const CHUNK: usize = 4;
+    const N: usize = CHUNKS * CHUNK;
+    fn chunk(c: usize) -> Region {
+        region![c * CHUNK..=c * CHUNK + CHUNK - 1]
+    }
+
+    // Writer side: `t` writes the last chunk, `u` reads the whole buffer
+    // through a join over every writer (`t` included), then `t` reads
+    // the same range.
+    fn writer_side() {
+        let rt = Runtime::builder().threads(1).build();
+        let data = rt.region_data(vec![0u64; N]);
+        for c in 0..CHUNKS - 1 {
+            let mut sp = rt.task("fill");
+            let mut out = sp.write_region(&data, chunk(c));
+            sp.submit(move || out.slice_mut(c * CHUNK, c * CHUNK + CHUNK - 1).fill(1));
+        }
+        let mut t = rt.task("last");
+        let mut out = t.write_region(&data, chunk(CHUNKS - 1));
+        let mut u = rt.task("sum");
+        let mut all = u.read_region(&data, region![0..=N - 1]);
+        let sum = std::sync::Arc::new(std::sync::Mutex::new(0u64));
+        let s = sum.clone();
+        u.submit(move || *s.lock().unwrap() = all.slice(0, N - 1).iter().sum());
+        drop(t.read_region(&data, region![0..=N - 1]));
+        t.submit(move || out.slice_mut(N - CHUNK, N - 1).fill(2));
+        rt.barrier();
+        assert!(rt.stats().joins >= 1, "u's read must go through a join");
+        assert_eq!(*sum.lock().unwrap(), (N - CHUNK) as u64 + 2 * CHUNK as u64);
+    }
+
+    // Reader side: nine readers and `t` read the whole buffer; `u`'s
+    // write of chunk 0 links them through a join memoised on `t`'s
+    // list entry, which still heads the rest of the buffer when `t`
+    // writes chunk 1.
+    fn reader_side() {
+        let rt = Runtime::builder().threads(1).build();
+        let data = rt.region_data(vec![1u64; N]);
+        let sums = std::sync::Arc::new(std::sync::Mutex::new(Vec::<u64>::new()));
+        for _ in 0..CHUNKS - 1 {
+            let mut sp = rt.task("sum");
+            let mut all = sp.read_region(&data, region![0..=N - 1]);
+            let s = sums.clone();
+            sp.submit(move || s.lock().unwrap().push(all.slice(0, N - 1).iter().sum()));
+        }
+        let mut t = rt.task("sum then write");
+        let mut all = t.read_region(&data, region![0..=N - 1]);
+        let mut u = rt.task("zero");
+        let mut first = u.write_region(&data, chunk(0));
+        u.submit(move || first.slice_mut(0, CHUNK - 1).fill(0));
+        let mut second = t.write_region(&data, chunk(1));
+        let s = sums.clone();
+        t.submit(move || {
+            let sum = all.slice(0, N - 1).iter().sum();
+            drop(all);
+            s.lock().unwrap().push(sum);
+            second.slice_mut(CHUNK, 2 * CHUNK - 1).fill(0);
+        });
+        rt.barrier();
+        assert!(rt.stats().joins >= 1, "u's write must go through a join");
+        assert_eq!(*sums.lock().unwrap(), vec![N as u64; CHUNKS]);
+    }
+
+    // A cycle hangs the barrier: run each side on its own thread and
+    // fail, rather than hang, when it does not come back.
+    for (side, run) in [
+        ("writer side", writer_side as fn()),
+        ("reader side", reader_side),
+    ] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            run();
+            tx.send(()).unwrap();
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{side}: the barrier hung on a join cycle")
+            }
+            // Disconnected: the side panicked; report its own failure.
+            _ => worker
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+        }
+    }
+}
+
+/// A panic in one writer of a fan-in that goes through a join gives the
+/// exact failure sets under every policy: with `CancelDependents` the
+/// cancelled set is the failed task's descendant closure in the recorded
+/// graph (every reader), `Isolate` cancels nothing, and `FailFast` at one
+/// thread cancels exactly the tasks that had not started.
+#[test]
+fn a_panic_through_a_join_gives_the_exact_failure_sets() {
+    use smpss::{OnPanic, TaskId};
+    use std::collections::BTreeSet;
+
+    static QUIET: std::sync::Once = std::sync::Once::new();
+    QUIET.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<&str>() != Some(&"fan-in writer failed") {
+                prev(info);
+            }
+        }));
+    });
+
+    let (w, r, bad) = (32usize, 32usize, 5usize);
+    let bad_id = TaskId(bad as u64 + 1);
+    for policy in [
+        OnPanic::CancelDependents,
+        OnPanic::Isolate,
+        OnPanic::FailFast,
+    ] {
+        let rt = Runtime::builder()
+            .threads(1)
+            .record_graph(true)
+            .on_panic(policy)
+            .build();
+        let sums = fan_in(&rt, w, r, Some(bad));
+        let err = rt.wait_all().expect_err("a writer panicked");
+        assert!(
+            rt.stats().joins >= 1,
+            "{policy:?}: the fan-in must go through a join"
+        );
+        let failed: Vec<TaskId> = err.failed.iter().map(|f| f.id).collect();
+        assert_eq!(failed, [bad_id], "{policy:?}");
+        let cancelled: BTreeSet<TaskId> = err.cancelled.iter().map(|c| c.id).collect();
+        let all = (w + r) as u64;
+        let expected: BTreeSet<TaskId> = match policy {
+            OnPanic::CancelDependents => {
+                // Descendant closure of the failed task in the record.
+                let g = rt.graph().unwrap();
+                let mut closure = BTreeSet::from([bad_id]);
+                for &(f, t, _) in g.edges() {
+                    if closure.contains(&f) {
+                        closure.insert(t);
+                    }
+                }
+                closure.remove(&bad_id);
+                closure
+            }
+            OnPanic::Isolate => BTreeSet::new(),
+            // One thread runs the writers in spawn order, the readers
+            // after them: everything after the panic is cancelled.
+            OnPanic::FailFast => (bad as u64 + 2..=all).map(TaskId).collect(),
+        };
+        assert_eq!(cancelled, expected, "{policy:?}");
+        let ran = sums.lock().unwrap().len();
+        let want_ran = if policy == OnPanic::Isolate { r } else { 0 };
+        assert_eq!(ran, want_ran, "{policy:?}: readers that ran");
     }
 }
