@@ -78,7 +78,6 @@ pub struct RuntimeConfig {
     pub(crate) policy: SchedulerPolicy,
     pub(crate) spin_tries: usize,
     pub(crate) park_micros: u64,
-    pub(crate) node_pool: bool,
     pub(crate) version_pool: bool,
     pub(crate) version_slab: bool,
     pub(crate) slab_spare_bytes: Option<usize>,
@@ -104,7 +103,6 @@ impl Default for RuntimeConfig {
             policy: SchedulerPolicy::Smpss,
             spin_tries: 16,
             park_micros: 100,
-            node_pool: true,
             version_pool: true,
             version_slab: true,
             slab_spare_bytes: None,
@@ -192,15 +190,6 @@ impl RuntimeBuilder {
     /// Park timeout for idle workers, in microseconds.
     pub fn park_micros(mut self, us: u64) -> Self {
         self.cfg.park_micros = us.max(1);
-        self
-    }
-
-    /// Enable or disable the spawn-side task-node pool (default: on).
-    /// With the pool, finished nodes are recycled through a lock-free
-    /// free stack and steady-state spawning allocates nothing; the off
-    /// position exists for the `spawn_ablation` study.
-    pub fn node_pool(mut self, on: bool) -> Self {
-        self.cfg.node_pool = on;
         self
     }
 
@@ -364,7 +353,6 @@ mod tests {
         assert!(!c.record_graph);
         assert!(!c.tracing);
         assert_eq!(c.policy, SchedulerPolicy::Smpss);
-        assert!(c.node_pool);
         assert!(c.version_pool);
         assert!(c.version_slab);
         assert!(c.slab_spare_bytes.is_none());
@@ -386,13 +374,11 @@ mod tests {
     #[test]
     fn builder_sets_fast_path_knobs() {
         let c = RuntimeBuilder::default()
-            .node_pool(false)
             .version_pool(false)
             .version_slab(false)
             .lockfree_release(false)
             .locality(false)
             .config();
-        assert!(!c.node_pool);
         assert!(!c.version_pool);
         assert!(!c.version_slab);
         assert!(!c.lockfree_release);

@@ -23,6 +23,10 @@
 //!   fresh buffer + deferred copy-in of the predecessor value (performed by
 //!   the task body once the producer has finished). Otherwise in place.
 //!
+//! Either writer displaces the object's previous producer, and hands it
+//! back to the spawn host: that slot is what keeps a finished task's
+//! node from the pool, so this is where most nodes return to it.
+//!
 //! ## Renaming disabled (ablation; SuperMatrix-style, §VII.C)
 //!
 //! Writers get anti-edges from all pending readers and an output edge from
@@ -50,13 +54,13 @@
 
 use std::sync::Arc;
 
-use crate::data::object::{CurrentVersion, Handle};
+use crate::data::object::{CurrentVersion, Handle, ObjState};
 use crate::data::region::Region;
 use crate::data::region_handle::{
     RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding,
 };
 use crate::data::region_log::Linker;
-use crate::data::version::{ReadBinding, WriteBinding};
+use crate::data::version::{ReadBinding, VBuf, WriteBinding};
 use crate::data::TaskData;
 use crate::graph::node::TaskNode;
 use crate::graph::record::EdgeKind;
@@ -76,7 +80,7 @@ use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 ///   there, so the parameter casts no vote (a stale hint would fight
 ///   the releaser's better information).
 /// * no producer (settled initial data) → vote the cached hint, if any.
-fn vote_last_writer<T, H: SpawnHost>(sp: &TaskSpawner<'_, H>, st: &mut crate::data::object::ObjState<T>) {
+fn vote_last_writer<T, H: SpawnHost>(sp: &TaskSpawner<'_, H>, st: &mut ObjState<T>) {
     let hint = match &st.current.producer {
         Some(p) if p.is_finished_relaxed() => {
             let w = p.ran_on();
@@ -118,7 +122,6 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
 ) -> WriteBinding<T> {
     let _lane = sp.lane_enter(h.obj.id);
     if sp.renaming() {
-        let pool = sp.version_pooling();
         let mut pooled_rename = None;
         let binding = {
             let mut st = h.obj.state.lock();
@@ -130,11 +133,9 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
                 vote_last_writer(sp, &mut st);
             }
             if quiescent(&st.current) {
-                st.current.producer = Some(Arc::clone(sp.node()));
-                WriteBinding::new(Arc::clone(&st.current.buf), None)
+                write_in_place(sp, &mut st)
             } else {
-                let (buf, _old, hit) =
-                    h.obj.rename_current(&mut st, Arc::clone(sp.node()), pool, sp.ticket_charge());
+                let (buf, _old, hit) = rename(sp, h, &mut st);
                 pooled_rename = Some(hit);
                 WriteBinding::new(buf, None)
             }
@@ -166,16 +167,10 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
             // the same way (renaming is what makes the declaration
             // well-defined).
             sp.stats().renames();
-            let (buf, _old, _) = h.obj.rename_current(
-                &mut st,
-                Arc::clone(sp.node()),
-                sp.version_pooling(),
-                sp.ticket_charge(),
-            );
+            let (buf, _old, _) = rename(sp, h, &mut st);
             WriteBinding::new(buf, None)
         } else {
-            st.current.producer = Some(Arc::clone(sp.node()));
-            WriteBinding::new(Arc::clone(&st.current.buf), None)
+            write_in_place(sp, &mut st)
         }
     }
 }
@@ -187,7 +182,6 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
 ) -> WriteBinding<T> {
     let _lane = sp.lane_enter(h.obj.id);
     if sp.renaming() {
-        let pool = sp.version_pooling();
         let mut pooled_rename = None;
         let mut st = h.obj.state.lock();
         if sp.locality() {
@@ -203,13 +197,11 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
         let readers = st.current.buf.window().pending_acquire();
         let binding = if readers > 0 {
             // WAR hazard: rename with deferred copy-in.
-            let (buf, old_buf, hit) =
-                h.obj.rename_current(&mut st, Arc::clone(sp.node()), pool, sp.ticket_charge());
+            let (buf, old_buf, hit) = rename(sp, h, &mut st);
             pooled_rename = Some(hit);
             WriteBinding::new(buf, Some(old_buf))
         } else {
-            st.current.producer = Some(Arc::clone(sp.node()));
-            WriteBinding::new(Arc::clone(&st.current.buf), None)
+            write_in_place(sp, &mut st)
         };
         drop(st);
         if let Some(hit) = pooled_rename {
@@ -234,18 +226,44 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
             // with a copy-in so the read half observes the old value.
             sp.stats().renames();
             sp.stats().copy_ins();
-            let (buf, old_buf, _) = h.obj.rename_current(
-                &mut st,
-                Arc::clone(sp.node()),
-                sp.version_pooling(),
-                sp.ticket_charge(),
-            );
+            let (buf, old_buf, _) = rename(sp, h, &mut st);
             WriteBinding::new(buf, Some(old_buf))
         } else {
-            st.current.producer = Some(Arc::clone(sp.node()));
-            WriteBinding::new(Arc::clone(&st.current.buf), None)
+            write_in_place(sp, &mut st)
         }
     }
+}
+
+/// Write the current version in place: the spawning task becomes its
+/// producer, and the producer it displaces goes back to the spawn host,
+/// whose node cache keeps it once nothing else holds it.
+fn write_in_place<T: TaskData, H: SpawnHost>(
+    sp: &TaskSpawner<'_, H>,
+    st: &mut ObjState<T>,
+) -> WriteBinding<T> {
+    let displaced = st.current.producer.replace(Arc::clone(sp.node()));
+    sp.release_producer(displaced);
+    WriteBinding::new(Arc::clone(&st.current.buf), None)
+}
+
+/// Switch the object to a fresh (or pooled) version produced by the
+/// spawning task; the displaced producer goes back to the spawn host as
+/// in [`write_in_place`]. Returns `DataObject::rename_current`'s
+/// `(new buffer, displaced buffer, pool hit?)`.
+fn rename<T: TaskData, H: SpawnHost>(
+    sp: &TaskSpawner<'_, H>,
+    h: &Handle<T>,
+    st: &mut ObjState<T>,
+) -> (Arc<VBuf<T>>, Arc<VBuf<T>>, bool) {
+    let displaced = st.current.producer.take();
+    let switched = h.obj.rename_current(
+        st,
+        Arc::clone(sp.node()),
+        sp.version_pooling(),
+        sp.ticket_charge(),
+    );
+    sp.release_producer(displaced);
+    switched
 }
 
 /// Is the current version settled (producer done, nobody still reading)?
@@ -271,7 +289,7 @@ fn quiescent<T>(cur: &CurrentVersion<T>) -> bool {
 /// the object lock: the ablation path is not perf-critical, and
 /// draining in place keeps `readers_list`'s capacity (and the path
 /// allocation-free) instead of stealing the buffer per writer.
-fn link_hazards<T, H: SpawnHost>(sp: &TaskSpawner<'_, H>, st: &mut crate::data::object::ObjState<T>) -> bool {
+fn link_hazards<T, H: SpawnHost>(sp: &TaskSpawner<'_, H>, st: &mut ObjState<T>) -> bool {
     let mut self_alias = false;
     for r in st.readers_list.drain(..) {
         if Arc::ptr_eq(&r, sp.node()) {

@@ -36,9 +36,11 @@
 //!   the same buffer.
 //! - finished nodes are returned to a runtime-wide free stack through
 //!   the intrusive [`free_next`](TaskNode::free_next) hook (see
-//!   `Shared::recycle_node`); the spawner pops them, proves exclusive
-//!   ownership via `Arc::get_mut`, and [`reset_for_reuse`]s them —
-//!   steady-state spawning performs **zero** allocations.
+//!   `Shared::recycle_node`), and producers a writer displaces from an
+//!   object go back to the spawner's cache; the spawner proves
+//!   exclusive ownership (`exclusive_node_mut`) and
+//!   [`reset_for_reuse`]s them — steady-state spawning performs
+//!   **zero** allocations.
 //!
 //! [`reset_for_reuse`]: TaskNode::reset_for_reuse
 //!
@@ -563,6 +565,17 @@ impl TaskNode {
         self.state.load(Ordering::Relaxed) == STATE_FINISHED
     }
 
+    /// Has this task closed its successor list, so that a new consumer
+    /// needs no edge to it? The Acquire load pairs with the closing
+    /// swap of a worker completion and carries the fault stamp written
+    /// before it; a list the registering thread closed itself
+    /// ([`complete_single`](Self::complete_single)) is ordered by
+    /// program order.
+    #[inline]
+    pub(crate) fn successors_closed(&self) -> bool {
+        self.succs.load(Ordering::Acquire) == closed()
+    }
+
     /// Try to register `succ` as a successor of `self`, storing the edge
     /// in the caller-provided spare link.
     ///
@@ -727,9 +740,14 @@ impl TaskNode {
         self.release_successors(head, poison, on_ready)
     }
 
-    /// [`complete`](Self::complete) for a single-threaded runtime: the
-    /// main thread is the only registrar and the only completer, so the
-    /// list close and the finish flag need no RMW or release ordering.
+    /// [`complete`](Self::complete) on the thread that registers
+    /// successors: the main thread of an unsharded runtime. Only that
+    /// thread ever calls [`add_successor_with`](Self::add_successor_with),
+    /// so when it completes a task no push can race the close, and the
+    /// close and the finish flag become plain stores. Every later
+    /// registration probe and finish-flag probe on this node runs on the
+    /// same thread (the spawner), so program order is all they need;
+    /// other threads only reach the successors through `release_dep`.
     pub(crate) fn complete_single(
         &self,
         poison: bool,

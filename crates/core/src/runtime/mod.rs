@@ -629,6 +629,22 @@ pub(crate) fn exclusive_node_mut(node: &mut Arc<TaskNode>) -> Option<&mut TaskNo
     }
 }
 
+/// Keep `node` in a spawn host's node cache if `node` is its last
+/// reference and the cache has room; drop it otherwise. Caching a node
+/// still pinned as an object's producer would only make the next
+/// acquire pop and drop it; it comes back through this same call when
+/// a writer displaces it (the analyser hands displaced producers to
+/// [`SpawnHost::cache_node`](spawner::SpawnHost::cache_node)). A node
+/// pinned elsewhere (a reader list, a region frontier entry) is freed
+/// by whichever holder drops it last. The count is only a filter:
+/// [`exclusive_node_mut`] proves exclusivity again, with its fence,
+/// when the node is reused.
+pub(crate) fn cache_if_last(cache: &mut Vec<Arc<TaskNode>>, node: Arc<TaskNode>) {
+    if Arc::strong_count(&node) == 1 && cache.len() < NODE_CACHE_MAX {
+        cache.push(node);
+    }
+}
+
 /// Feed a spare-link chain into a spawn host's link cache, freeing the
 /// overflow. The caller owns the chain exclusively (a recycled node's
 /// exclusivity proof covers the links it stashed).
@@ -763,34 +779,33 @@ impl Runtime {
 
     /// Obtain a task node: a recycled one from the pool when possible
     /// (steady-state spawning is then allocation-free), else a fresh
-    /// allocation. A candidate still referenced elsewhere (an object's
-    /// producer slot, a reader list) is simply dropped and freed by its
-    /// remaining holder.
+    /// allocation. A node a worker pushed onto the free stack may still
+    /// be pinned as an object's producer; such a candidate is dropped
+    /// here and comes back when a later writer displaces it.
     #[inline]
     pub(crate) fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        if self.shared.cfg.node_pool {
-            let mut cache = self.node_cache.borrow_mut();
-            if cache.is_empty() {
-                // The runtime's spawn path is lane 0 of the pool: when
-                // unsharded that is the only stack; when sharded the
-                // main thread shares it with submitter 0 (home-lane
-                // stamps route each node back to whoever acquired it,
-                // so the stack stays MPSC per lane).
-                self.shared.drain_free_nodes(0, &mut cache);
-            }
-            while let Some(mut node) = cache.pop() {
-                if let Some(n) = exclusive_node_mut(&mut node) {
-                    let links = n.take_spare_links();
-                    n.reset_for_reuse(id, name, Priority::Normal);
-                    self.harvest_links(links);
-                    self.shared.stats.node_pool_hits();
-                    if self.shared.sharded {
-                        // `help_once` caches nodes born on any lane;
-                        // re-stamp so this node recycles back to us.
-                        node.set_home(0);
-                    }
-                    return node;
+        let mut cache = self.node_cache.borrow_mut();
+        if cache.is_empty() {
+            // The runtime's spawn path is lane 0 of the pool: when
+            // unsharded that is the only stack; when sharded the main
+            // thread shares it with submitter 0 (home-lane stamps route
+            // each node back to whoever acquired it, so the stack stays
+            // MPSC per lane).
+            self.shared.drain_free_nodes(0, &mut cache);
+        }
+        while let Some(mut node) = cache.pop() {
+            if let Some(n) = exclusive_node_mut(&mut node) {
+                let links = n.take_spare_links();
+                n.reset_for_reuse(id, name, Priority::Normal);
+                self.harvest_links(links);
+                self.shared.stats.node_pool_hits();
+                if self.shared.sharded {
+                    // `help_once` and displaced producers bring nodes
+                    // born on any lane; re-stamp so this node recycles
+                    // back to us.
+                    node.set_home(0);
                 }
+                return node;
             }
         }
         let node = TaskNode::new(id, name, Priority::Normal);
@@ -1300,16 +1315,13 @@ impl Runtime {
         }
     }
 
-    /// Return a node the main thread just ran to the spawn-side pool.
-    /// The running thread *is* the spawner: skip the shared free stack
-    /// and stash the node straight into the cache.
-    fn cache_node(&self, done: Job) {
-        if self.shared.cfg.node_pool {
-            let mut cache = self.node_cache.borrow_mut();
-            if cache.len() < NODE_CACHE_MAX {
-                cache.push(done);
-            }
-        }
+    /// Return a node the main thread is done with to the spawn-side
+    /// pool: a task it just ran, or a producer its analyser displaced.
+    /// The main thread *is* the spawner, so the node skips the shared
+    /// free stack; a node still pinned elsewhere is not cached (see
+    /// [`cache_if_last`]).
+    fn cache_node(&self, node: Arc<TaskNode>) {
+        cache_if_last(&mut self.node_cache.borrow_mut(), node);
     }
 
     /// Re-publish the helper's deferred hand-off — and any leftover
@@ -1365,7 +1377,11 @@ impl Runtime {
     ///    nothing. Only `Priority::Normal` tasks inline, and only on a
     ///    runtime that has a cost table (see [`Shared::costs`] for the
     ///    scope); every other task, and every task of a site no thread
-    ///    has measured yet, takes the paths below unchanged.
+    ///    has measured yet, takes the paths below unchanged. A site one
+    ///    sample just evicted is watched: one in
+    ///    [`SAMPLE_EVERY`](crate::sched::cost::SAMPLE_EVERY) of its
+    ///    tasks still runs here, timed, so the spawner's own samples
+    ///    decide whether it comes back (see `sched::cost`).
     /// 2. **Self-affinity.** The ballot elected the spawning thread
     ///    itself, and a blocking condition guarantees this thread will
     ///    act as a worker shortly: the task is parked in the private
@@ -1378,7 +1394,10 @@ impl Runtime {
     pub(crate) fn publish_born_ready(&self, job: crate::sched::Job) {
         let shared = &*self.shared;
         if let Some(costs) = &shared.costs {
-            if job.priority() == Priority::Normal && costs.is_cheap(job.name()) {
+            if job.priority() == Priority::Normal
+                && (costs.is_cheap(job.name())
+                    || (costs.is_watched(job.name()) && self.main_ctx.borrow_mut().sample_turn()))
+            {
                 self.run_inline(job);
                 return;
             }
@@ -1549,6 +1568,11 @@ impl spawner::SpawnHost for Runtime {
     }
 
     #[inline]
+    fn cache_node(&self, node: Arc<TaskNode>) {
+        Runtime::cache_node(self, node)
+    }
+
+    #[inline]
     fn acquire_link(&self) -> *mut SuccNode {
         Runtime::acquire_link(self)
     }
@@ -1646,6 +1670,75 @@ mod tests {
         );
         assert!(rt.help_once(), "the hand-off is still parked");
         assert_eq!(pending_ran.load(Ordering::SeqCst), 2, "hand-off runs second");
+    }
+
+    /// A producer a writer displaces goes back to the node pool only
+    /// once it has finished. At `threads(1)` without a throttle every
+    /// task waits for the barrier: the spawn after a queued producer was
+    /// displaced allocates, and after the barrier the next spawn reuses
+    /// the finished producer the previous writer displaced. Values and
+    /// the recorded graph are the sequential program's.
+    #[test]
+    fn a_displaced_producer_is_reused_once_it_has_finished() {
+        use crate::graph::record::EdgeKind;
+        let rt = Runtime::builder().threads(1).record_graph(true).build();
+        let x = rt.data(1u64);
+        let bump = |k: u64| {
+            let mut sp = rt.task("bump");
+            let mut w = sp.inout(&x);
+            sp.submit(move || *w.get_mut() = *w.get_mut() * 10 + k);
+        };
+        let producer = || Arc::as_ptr(x.obj.state.lock().current.producer.as_ref().unwrap());
+        bump(1);
+        let t1 = producer();
+        bump(2); // displaces task 1 while it is queued
+        bump(3);
+        assert_ne!(producer(), t1, "a queued producer's node is never handed out");
+        assert_eq!(rt.stats().node_pool_hits, 0);
+        let t3 = producer();
+        rt.barrier();
+        assert_eq!(rt.read(&x), 1_123);
+        bump(4); // displaces the finished task 3
+        bump(5);
+        assert_eq!(producer(), t3, "the next spawn reuses the displaced, finished producer");
+        assert_eq!(rt.stats().node_pool_hits, 2);
+        rt.barrier();
+        assert_eq!(rt.read(&x), 112_345);
+        let chain: Vec<_> = (1..5).map(|i| (TaskId(i), TaskId(i + 1), EdgeKind::True)).collect();
+        assert_eq!(rt.graph().unwrap().edges(), &chain[..]);
+    }
+
+    /// A cheap site one outlier sample evicted comes back through the
+    /// spawner's own timed runs of it, although the spawner runs nothing
+    /// else and the workers' samples of it no longer count.
+    #[test]
+    fn an_evicted_cheap_site_comes_back_through_the_spawner() {
+        use crate::sched::cost::SAMPLE_EVERY;
+        const SITE: &str = "blip";
+        let rt = Runtime::builder().threads(2).build();
+        let costs = rt.shared.costs.as_ref().expect("two threads, unsharded");
+        let storm = |n: u32| {
+            for _ in 0..n {
+                rt.task(SITE).submit(|| {});
+            }
+        };
+        let t0 = Instant::now();
+        while !costs.is_cheap(SITE) {
+            assert!(t0.elapsed() < Duration::from_secs(30), "the site never measured cheap");
+            storm(64);
+            rt.barrier();
+        }
+        costs.record(SITE, 50_000, true);
+        assert!(!costs.is_cheap(SITE) && costs.is_watched(SITE));
+        let before = rt.stats().inline_runs;
+        let mut periods = 0;
+        while !costs.is_cheap(SITE) {
+            assert!(periods < 64, "the evicted site never came back");
+            storm(SAMPLE_EVERY);
+            periods += 1;
+        }
+        rt.barrier();
+        assert!(rt.stats().inline_runs > before, "the spawner timed it inline");
     }
 
     /// High-priority work preempts both private slots: with a live HP

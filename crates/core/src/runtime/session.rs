@@ -480,6 +480,11 @@ impl SpawnHost for Session {
     }
 
     #[inline]
+    fn cache_node(&self, node: Arc<TaskNode>) {
+        self.sub.cache_node(node)
+    }
+
+    #[inline]
     fn acquire_link(&self) -> *mut SuccNode {
         self.sub.acquire_link()
     }

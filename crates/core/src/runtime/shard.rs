@@ -47,7 +47,8 @@ use crate::ids::{ObjectId, TaskId};
 use crate::padded::CachePadded;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 use crate::runtime::{
-    exclusive_node_mut, harvest_links_into, LinkPtr, Priority, Runtime, Shared, LINK_CACHE_MAX,
+    cache_if_last, exclusive_node_mut, harvest_links_into, LinkPtr, Priority, Runtime, Shared,
+    LINK_CACHE_MAX,
 };
 use crate::sched::queues::{Backoff, Job};
 use crate::sched::worker::enqueue_ready;
@@ -206,20 +207,18 @@ impl SpawnHost for Submitter {
 
     #[inline]
     fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        if self.shared.cfg.node_pool {
-            let mut cache = self.node_cache.borrow_mut();
-            if cache.is_empty() {
-                self.shared.drain_free_nodes(self.lane, &mut cache);
-            }
-            while let Some(mut node) = cache.pop() {
-                if let Some(n) = exclusive_node_mut(&mut node) {
-                    let links = n.take_spare_links();
-                    n.reset_for_reuse(id, name, Priority::Normal);
-                    harvest_links_into(&mut self.link_cache.borrow_mut(), links);
-                    self.shared.stats.node_pool_hits();
-                    node.set_home(self.lane);
-                    return node;
-                }
+        let mut cache = self.node_cache.borrow_mut();
+        if cache.is_empty() {
+            self.shared.drain_free_nodes(self.lane, &mut cache);
+        }
+        while let Some(mut node) = cache.pop() {
+            if let Some(n) = exclusive_node_mut(&mut node) {
+                let links = n.take_spare_links();
+                n.reset_for_reuse(id, name, Priority::Normal);
+                harvest_links_into(&mut self.link_cache.borrow_mut(), links);
+                self.shared.stats.node_pool_hits();
+                node.set_home(self.lane);
+                return node;
             }
         }
         let node = TaskNode::new(id, name, Priority::Normal);
@@ -227,6 +226,13 @@ impl SpawnHost for Submitter {
         // *this* lane's free stack, wherever the task ends up running.
         node.set_home(self.lane);
         node
+    }
+
+    /// A displaced producer may have been born on another lane; the
+    /// acquire path re-stamps its home to this lane on reuse.
+    #[inline]
+    fn cache_node(&self, node: Arc<TaskNode>) {
+        cache_if_last(&mut self.node_cache.borrow_mut(), node);
     }
 
     #[inline]

@@ -59,6 +59,10 @@ pub(crate) trait SpawnHost {
     fn next_task_id(&self) -> TaskId;
     /// Obtain a task node, recycled from this host's pool when possible.
     fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode>;
+    /// Take back a node the analyser let go of — a producer a writer
+    /// just displaced from an object. Kept in this host's node cache
+    /// when that was its last reference, dropped otherwise.
+    fn cache_node(&self, node: Arc<TaskNode>);
     /// A spare successor link for the analyser.
     fn acquire_link(&self) -> *mut SuccNode;
     /// Return an unused spare link to this host's cache.
@@ -262,6 +266,17 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         &self.node
     }
 
+    /// Hand the producer a writer just displaced from an object back to
+    /// the spawn host. While the task runs (or waits) its job holds the
+    /// node too, so this only keeps nodes of finished tasks, and it is
+    /// what lets a node pinned by an object's `producer` slot return to
+    /// the pool.
+    pub(crate) fn release_producer(&self, displaced: Option<Arc<TaskNode>>) {
+        if let Some(node) = displaced {
+            self.rt.cache_node(node);
+        }
+    }
+
     pub(crate) fn renaming(&self) -> bool {
         self.renaming
     }
@@ -430,9 +445,16 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     }
 
     /// Gate this task on `producer`: count the dependency, then publish
-    /// the successor link (undone if the producer already finished).
+    /// the successor link (undone if the producer finished meanwhile).
+    /// A producer whose successor list is already closed gates nothing:
+    /// one load decides it, before `deps` or the link cache are touched,
+    /// and only the spawn-after-failure cancel remains to be applied.
     #[inline]
     fn attach(&self, producer: &Arc<TaskNode>) {
+        if producer.successors_closed() {
+            self.inherit_poison(&self.node, producer);
+            return;
+        }
         // Count the dependency BEFORE publishing the successor link: the
         // producer may complete the instant `add_successor_with`
         // publishes, and its completion path must find the count already
@@ -474,17 +496,21 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         self.rt.release_link(link);
         let became_ready = consumer.release_dep();
         debug_assert!(!became_ready, "spawn guard must still be held");
-        // Spawn-after-failure: the producer completed poisoned before
-        // this edge existed, so the completion walk could not reach the
-        // consumer — propagate the cancellation here. (The Acquire load
-        // that observed the closed list carries the fault stamp, which
-        // was stored before the close swap.) Session-scoped like the
-        // completion walk itself: a poisoned producer from *another*
-        // session never cancels the consumer.
+        self.inherit_poison(consumer, producer);
+        false
+    }
+
+    /// Spawn-after-failure: `producer` completed poisoned before an edge
+    /// to `consumer` existed, so its completion walk could not reach the
+    /// consumer — propagate the cancellation here. (The Acquire load
+    /// that observed the closed list carries the fault stamp, which was
+    /// stored before the close.) Session-scoped like the completion walk
+    /// itself: a poisoned producer from *another* session never cancels
+    /// the consumer.
+    fn inherit_poison(&self, consumer: &TaskNode, producer: &TaskNode) {
         if self.poison_new_deps && producer.finished_poisoned() && producer.same_session(consumer) {
             consumer.request_cancel();
         }
-        false
     }
 }
 

@@ -83,6 +83,11 @@ pub enum Wake {
 /// as it is released (the `OnPanic::CancelDependents` propagation step);
 /// a failed or cancelled task otherwise completes exactly like a
 /// successful one, so counts, pools and the barrier never diverge.
+///
+/// A completion on the main thread of an unsharded runtime (`idx == 0`,
+/// the only thread that registers successors there) closes the list
+/// with [`complete_single`](crate::graph::node::TaskNode::complete_single)'s
+/// plain stores; every other completion closes it with an AcqRel swap.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_task(
     shared: &Shared,
@@ -94,15 +99,16 @@ pub(crate) fn finish_task(
     claimed_empty: bool,
     ready: &mut Vec<Job>,
 ) -> (Option<Job>, Wake) {
-    // `threads == 1`: the main thread is the only consumer and the only
-    // completer, so the list close, the finish flag and the finished
-    // shard all degrade to plain loads and stores. A **sharded** runtime
-    // never qualifies: submitter lanes CAS successor links onto nodes
-    // concurrently even when only one compute thread exists, so the
-    // close must stay an AcqRel swap.
-    let single = shared.cfg.threads == 1 && !shared.sharded;
+    // The thread that registers successors closes lists with plain
+    // stores: on an unsharded runtime only the main thread (index 0)
+    // runs dependency analysis, so only it ever pushes onto a successor
+    // list, and a task it completes cannot have a push racing the close.
+    // Worker completions, and every completion on a sharded or session
+    // runtime (whose submitter lanes push concurrently, even at
+    // `threads == 1`), keep the AcqRel swap.
+    let registrar = idx == 0 && !shared.sharded;
     debug_assert!(ready.is_empty(), "ready buffer must be drained");
-    let n_ready = if single {
+    let n_ready = if registrar {
         job.complete_single(poison, |s| ready.push(s))
     } else {
         job.complete(poison, |s| ready.push(s))
@@ -126,12 +132,7 @@ pub(crate) fn finish_task(
     // and single-writer in the fast path; `Shared::finished_total` sums
     // them on demand.
     let shard = &shared.finished[idx];
-    if single {
-        // Same plain-store scheme as the sharded path — one code path
-        // for single-thread stats and barrier logic, minus the Release
-        // (nobody else exists to publish to).
-        shard.store(shard.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    } else if shared.cfg.lockfree_release {
+    if shared.cfg.lockfree_release {
         // Single-writer bump: load + Release store, no RMW. The Release
         // pairs with the barrier's Acquire sum, ordering this task's
         // effects before the barrier proceeds.
@@ -547,8 +548,9 @@ mod tests {
     }
 
     /// A sharded runtime must keep the AcqRel successor-list close even
-    /// at `threads == 1`: submitter lanes may be CAS-publishing links
-    /// concurrently (`complete_single`'s plain close would race them).
+    /// on the main thread at `threads == 1`: submitter lanes may be
+    /// CAS-publishing links concurrently (`complete_single`'s plain close
+    /// would race them).
     #[test]
     fn sharded_single_thread_uses_concurrent_close() {
         let shared = Shared::for_tests(
@@ -560,10 +562,9 @@ mod tests {
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
         let (_, _) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
-        // The Release-store accounting (not the single-thread Relaxed
-        // branch) must have run; both write shard 0, so the observable
-        // pin is the successor list being closed via the AcqRel swap —
-        // a late add_successor must fail as "already finished".
+        // Both closes look alike from one thread, so the observable pin
+        // is the list being closed at all — a late add_successor must
+        // fail as "already finished".
         let late = ready_node(2);
         assert!(
             !producer.add_successor(&late),

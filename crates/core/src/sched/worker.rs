@@ -83,6 +83,21 @@ impl WorkerCtx {
             runs: 0,
         }
     }
+
+    /// The spawner is about to publish a task of a watched site (see
+    /// `sched::cost`). If this thread's next run is a timed one, say so:
+    /// the caller runs the task here instead, and the sample is taken
+    /// on the spawner. Otherwise count the task against the schedule, so
+    /// one in [`SAMPLE_EVERY`] of such tasks runs here even when this
+    /// thread runs nothing else.
+    pub(crate) fn sample_turn(&mut self) -> bool {
+        if self.runs + 1 == SAMPLE_EVERY {
+            true
+        } else {
+            self.runs += 1;
+            false
+        }
+    }
 }
 
 /// Self-hand-off window size: how many born-ready self-affine tasks the
@@ -422,7 +437,9 @@ pub fn run_task(
         })) {
             Ok(()) => {
                 if let Some((costs, t0)) = sample {
-                    costs.record(job.name(), t0.elapsed().as_nanos() as u64);
+                    // Thread 0 is the spawner: a cost table exists only
+                    // on an unsharded runtime.
+                    costs.record(job.name(), t0.elapsed().as_nanos() as u64, idx == 0);
                 }
             }
             Err(payload) => {
@@ -530,12 +547,9 @@ pub fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, idx: usize) {
             let mut next = Some((job, src, owned));
             while let Some((job, src, owned)) = next.take() {
                 let (done, handoff) = run_task(&shared, &mut ctx, idx, job, src, true, owned);
-                if shared.cfg.node_pool {
-                    // Spawn-side fast path: hand the finished node back
-                    // via the lock-free free stack; the spawner recycles
-                    // it.
-                    shared.recycle_node(done);
-                }
+                // Spawn-side fast path: hand the finished node back via
+                // the lock-free free stack; the spawner recycles it.
+                shared.recycle_node(done);
                 if let Some(succ) = handoff {
                     if shared.hp_used.load(Ordering::Relaxed) && !shared.hp.is_empty() {
                         // High-priority work preempts the chain: park the

@@ -134,34 +134,65 @@ fn cancel_dependents_cancels_the_transitive_chain_only() {
 
 /// A task spawned *after* its producer already failed must still be
 /// cancelled (the poison check at link time, not only the completion
-/// walk).
+/// walk). Two ways the producer finishes first: at `threads(1)` the main
+/// thread runs it while helping in `wait_on`; at `threads(2)`, once
+/// its site is measured cheap, the spawner runs it inline inside
+/// `submit`. Either way the consumer meets a closed successor list.
 #[test]
 fn spawning_against_an_already_failed_producer_cancels() {
     quiet_worker_panics();
-    let rt = Runtime::builder().threads(1).build();
-    let x = rt.data(0i64);
-    let mut sp = rt.task("early_boom");
-    let _w = sp.write(&x);
-    let bad = sp.id();
-    sp.submit(|| panic!("early"));
-    // Run the failing task to completion before the dependent is even
-    // analysed (main-thread help executes it; the panic is contained).
-    rt.wait_on(&x);
+    fn early_boom(rt: &Runtime, x: &smpss::Handle<i64>, fail: bool) -> TaskId {
+        let mut sp = rt.task("early_boom");
+        let mut w = sp.write(x);
+        let id = sp.id();
+        sp.submit(move || {
+            if fail {
+                panic!("early");
+            }
+            *w.get_mut() = 1;
+        });
+        id
+    }
+    for threads in [1, 2] {
+        let rt = Runtime::builder().threads(threads).build();
+        if threads > 1 {
+            // Warm the site until the spawner runs it inline.
+            let warm: Vec<_> = (0..64).map(|_| rt.data(0i64)).collect();
+            let t0 = std::time::Instant::now();
+            while rt.stats().inline_runs == 0 {
+                assert!(t0.elapsed().as_secs() < 30, "the site never inlined");
+                for h in &warm {
+                    early_boom(&rt, h, false);
+                }
+                rt.barrier();
+            }
+        }
+        let x = rt.data(0i64);
+        let before = rt.stats().inline_runs;
+        let bad = early_boom(&rt, &x, true);
+        if threads > 1 {
+            assert_eq!(rt.stats().inline_runs - before, 1, "the producer ran inline");
+        }
+        // Run the failing task to completion before the dependent is
+        // even analysed (main-thread help executes it when it did not
+        // already run inline; the panic is contained).
+        rt.wait_on(&x);
 
-    let ran = Arc::new(AtomicBool::new(false));
-    let mut sp = rt.task("late_reader");
-    let mut r = sp.read(&x);
-    let late = sp.id();
-    let ran2 = ran.clone();
-    sp.submit(move || {
-        let _ = r.get();
-        ran2.store(true, Ordering::Relaxed);
-    });
+        let ran = Arc::new(AtomicBool::new(false));
+        let mut sp = rt.task("late_reader");
+        let mut r = sp.read(&x);
+        let late = sp.id();
+        let ran2 = ran.clone();
+        sp.submit(move || {
+            let _ = r.get();
+            ran2.store(true, Ordering::Relaxed);
+        });
 
-    let err = rt.wait_all().expect_err("producer failed");
-    assert_eq!(failed_ids(&err), [bad]);
-    assert_eq!(cancelled_ids(&err), [late].into_iter().collect());
-    assert!(!ran.load(Ordering::Relaxed));
+        let err = rt.wait_all().expect_err("producer failed");
+        assert_eq!(failed_ids(&err), [bad], "threads({threads})");
+        assert_eq!(cancelled_ids(&err), [late].into_iter().collect(), "threads({threads})");
+        assert!(!ran.load(Ordering::Relaxed), "threads({threads})");
+    }
 }
 
 /// `OnPanic::Isolate`: the failure is recorded but nothing is cancelled —

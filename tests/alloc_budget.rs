@@ -11,6 +11,7 @@
 //! |----------------------------------|-------------------------------|
 //! | empty-body storm (throttled)     | 0 after warmup                |
 //! | empty-body storm run inline (2 threads) | 0 after warmup         |
+//! | inline flood over 512 handles (pinned producers) | ≤ 1 per 100 tasks, pool hits > 9/10 |
 //! | `inout` dependency chain         | 0 (successor links recycle)   |
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version pool) | ≤ 1 (binding traffic)         |
@@ -118,6 +119,76 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
          (documented budget 0/task), measured {} allocations for {} tasks",
         delta,
         STORM_TASKS
+    );
+
+    // --- inline flood with pinned producers: the pool still hits -----
+    // The `task_flood` shape at two threads: `inout(a)`, `read(a) +
+    // inout(b)` and `read(a) + write(b)` over 512 handles, run inline by
+    // the spawner. Each finished task stays pinned as its object's
+    // producer until the next writer of that object displaces it; the
+    // displaced node must come back to the pool instead of being freed,
+    // or every spawn allocates a node.
+    const FLOOD_TASKS: u64 = 16_384;
+    const HANDLES: u64 = 512;
+    let rt = Runtime::builder().threads(2).build();
+    let hs: Vec<_> = (0..HANDLES).map(|i| rt.data(i)).collect();
+    let seed = std::cell::Cell::new(0x2545_F491_4F6C_DD1Du64);
+    let flood = |n: u64| {
+        let next = |m: u64| {
+            let mut s = seed.get();
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            seed.set(s);
+            s % m
+        };
+        for k in 0..n {
+            let a = next(HANDLES) as usize;
+            let b = (a + 1 + next(HANDLES - 1) as usize) % HANDLES as usize;
+            match next(10) {
+                0..=2 => {
+                    let mut sp = rt.task("flood_bump");
+                    let mut w = sp.inout(&hs[a]);
+                    sp.submit(move || *w.get_mut() = w.get_mut().wrapping_mul(31).wrapping_add(k));
+                }
+                3..=7 => {
+                    let mut sp = rt.task("flood_fold");
+                    let mut r = sp.read(&hs[a]);
+                    let mut w = sp.inout(&hs[b]);
+                    sp.submit(move || *w.get_mut() ^= r.get().rotate_left(7));
+                }
+                _ => {
+                    let mut sp = rt.task("flood_store");
+                    let mut r = sp.read(&hs[a]);
+                    let mut w = sp.write(&hs[b]);
+                    sp.submit(move || *w.get_mut() = r.get().wrapping_add(k));
+                }
+            }
+        }
+        rt.barrier();
+    };
+    flood(FLOOD_TASKS);
+    let st0 = rt.stats();
+    let delta = measure(|| flood(FLOOD_TASKS), || flood(FLOOD_TASKS));
+    let st = rt.stats();
+    let spawned = st.tasks_spawned - st0.tasks_spawned;
+    let hits = st.node_pool_hits - st0.node_pool_hits;
+    let inline = st.inline_runs - st0.inline_runs;
+    drop(rt);
+    assert!(
+        inline > spawned * 9 / 10,
+        "the measured flood must run inline (inline_runs={inline} of {spawned})"
+    );
+    assert!(
+        hits > spawned * 9 / 10,
+        "displaced producers must return to the node pool (hits={hits} spawned={spawned})"
+    );
+    assert!(
+        delta <= FLOOD_TASKS / 100,
+        "steady-state inline flood must stay within 1 allocation per 100 \
+         tasks, measured {} allocations for {} tasks",
+        delta,
+        FLOOD_TASKS
     );
 
     // --- dependency chain: 0 allocations per task (pooled links) -----
