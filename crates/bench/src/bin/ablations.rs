@@ -8,10 +8,13 @@
 //!    (SMPSs) vs one central queue (SuperMatrix) vs LIFO stealing.
 //! 3. **graph-size limit** — §III blocking condition: how hard can the
 //!    main thread be throttled before makespan suffers?
-//! 4. **spawn-side fast path** — BENCH_0003's machinery: the
-//!    version-buffer pool on vs off (`spawn_ablation`; the task-node pool
-//!    has no off switch). Structure is asserted through the pool-hit
-//!    counters; timing is reported, not asserted (1-CPU CI hosts).
+//! 4. **sharded analysis** — `shards(k)` lanes vs the single spawner
+//!    (`shard_ablation`): recorded-graph equality, concurrent
+//!    submitters, and the funnel-vs-lanes submission rate.
+//!
+//! The runtime's fast paths (completion hand-off, version slab) have no
+//! off switch, so they have no ablation here: the tier-1 suites check
+//! them against a sequential oracle instead.
 
 use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
@@ -208,205 +211,8 @@ fn ablation_graph_limit(cal: &Calibration) {
     );
 }
 
-fn ablation_spawn() {
-    use std::time::Instant;
-    println!("\n== Ablation 4: spawn-side fast path (version pool) ==\n");
-
-    // --- version-buffer pool on Strassen-shaped rename churn ---------
-    let rename_rate = |pool: bool| {
-        let pairs = 15_000u64;
-        let rt = Runtime::builder()
-            .threads(1)
-            .graph_size_limit(256)
-            .version_pool(pool)
-            .build();
-        let objs: Vec<_> = (0..64)
-            .map(|_| rt.data_sized(vec![0f32; 64], 256, || vec![0f32; 64]))
-            .collect();
-        let t0 = Instant::now();
-        for i in 0..pairs {
-            let h = &objs[(i % 64) as usize];
-            let mut sp = rt.task("r");
-            let mut r = sp.read(h);
-            sp.submit(move || {
-                std::hint::black_box(r.get()[0]);
-            });
-            let mut sp = rt.task("w");
-            let mut w = sp.write(h);
-            sp.submit(move || w.get_mut()[0] = 1.0);
-        }
-        rt.barrier();
-        let rate = 2.0 * pairs as f64 / t0.elapsed().as_secs_f64();
-        (rate, rt.stats())
-    };
-    let (vrate_on, vst_on) = rename_rate(true);
-    let (vrate_off, vst_off) = rename_rate(false);
-    println!(
-        "version pool ON : {:>9.0} tasks/s, {} pool hits / {} renames",
-        vrate_on, vst_on.version_pool_hits, vst_on.renames
-    );
-    println!(
-        "version pool OFF: {:>9.0} tasks/s, {} pool hits / {} renames",
-        vrate_off, vst_off.version_pool_hits, vst_off.renames
-    );
-    assert!(vst_on.renames > 0 && vst_off.renames > 0, "churn must rename");
-    assert!(
-        vst_on.version_pool_hits > vst_on.renames * 3 / 4,
-        "version pool must serve steady-state renames"
-    );
-    assert_eq!(vst_off.version_pool_hits, 0);
-}
-
-fn ablation_release() {
-    println!("\n== Ablation 5: completion-side fast path (lock-free release) ==\n");
-
-    // --- release-bound fan-out: batched vs per-successor publication -
-    // The exact BENCH_0004 workload shapes, via perf's `_cfg` variants,
-    // so the ablation always measures what the trajectory benchmarks.
-    let fanout_rate = |lockfree: bool| {
-        let r = smpss_bench::perf::fanout_storm_cfg(4, 30_000, 1, lockfree);
-        (r.tasks_per_sec, r.counters)
-    };
-    let (fr_on, fst_on) = fanout_rate(true);
-    let (fr_off, fst_off) = fanout_rate(false);
-    println!(
-        "fan-out  lock-free release: {:>9.0} tasks/s, {} hand-offs / {} tasks",
-        fr_on, fst_on.handoffs, fst_on.tasks_executed
-    );
-    println!(
-        "fan-out  legacy release   : {:>9.0} tasks/s, {} hand-offs",
-        fr_off, fst_off.handoffs
-    );
-    assert!(
-        fst_on.handoffs > 0,
-        "the fast path must hand completions off directly"
-    );
-    assert_eq!(fst_off.handoffs, 0, "the legacy path must never hand off");
-    assert_eq!(fst_on.total_pops(), fst_on.tasks_executed);
-    assert_eq!(fst_off.total_pops(), fst_off.tasks_executed);
-
-    // --- chain storm: the direct hand-off vs one enqueue+wake per link
-    let chain_rate = |lockfree: bool| {
-        let r = smpss_bench::perf::chain_storm_cfg(4, 30_000, 1, lockfree);
-        (r.tasks_per_sec, r.counters)
-    };
-    let (cr_on, cst_on) = chain_rate(true);
-    let (cr_off, cst_off) = chain_rate(false);
-    println!(
-        "chains   lock-free release: {:>9.0} tasks/s, {} hand-offs / {} tasks",
-        cr_on, cst_on.handoffs, cst_on.tasks_executed
-    );
-    println!(
-        "chains   legacy release   : {:>9.0} tasks/s, {} hand-offs",
-        cr_off, cst_off.handoffs
-    );
-    assert!(
-        cst_on.handoffs as f64 > 0.5 * cst_on.tasks_executed as f64,
-        "chains must ride the hand-off (handoffs={} of {})",
-        cst_on.handoffs,
-        cst_on.tasks_executed
-    );
-    assert_eq!(cst_off.handoffs, 0);
-
-    // Structural equality: the two release paths must record identical
-    // graphs and produce identical values on one deterministic program
-    // (timing above may wobble on shared hosts; this must not).
-    let record = |lockfree: bool| {
-        let rt = Runtime::builder()
-            .threads(1)
-            .lockfree_release(lockfree)
-            .record_graph(true)
-            .build();
-        let hs: Vec<_> = (0..4).map(|i| rt.data(i as i64)).collect();
-        for i in 0..64usize {
-            let (a, d) = (i % 4, (i * 7 + 1) % 4);
-            let mut sp = rt.task("acc");
-            let mut r = sp.read(&hs[a]);
-            let mut w = sp.inout(&hs[d]);
-            sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*r.get()));
-        }
-        rt.barrier();
-        let vals: Vec<i64> = hs.iter().map(|h| rt.read(h)).collect();
-        (vals, rt.graph().unwrap().edges().to_vec())
-    };
-    assert_eq!(
-        record(true),
-        record(false),
-        "lock-free and legacy release must record identical graphs"
-    );
-    println!("lock-free/legacy recorded-graph equality: ok");
-}
-
-fn ablation_locality() {
-    println!("\n== Ablation 6: locality-aware placement (hints, mailboxes, steal-half) ==\n");
-
-    // --- the BENCH_0005 gate shape, both switch positions ------------
-    let storm_rate = |locality: bool| {
-        let r = smpss_bench::perf::locality_storm_cfg(4, 30_000, 1, locality);
-        (r.tasks_per_sec, r.counters)
-    };
-    let (lr_on, lst_on) = storm_rate(true);
-    let (lr_off, lst_off) = storm_rate(false);
-    println!(
-        "locality ON : {:>9.0} tasks/s, {} renames / {} hint routes / {} batch steals",
-        lr_on, lst_on.renames, lst_on.locality_hits, lst_on.batch_steals
-    );
-    println!(
-        "locality OFF: {:>9.0} tasks/s, {} renames / {} hint routes ({:.2}x speedup)",
-        lr_off,
-        lst_off.renames,
-        lst_off.locality_hits,
-        lr_on / lr_off
-    );
-    assert!(
-        lst_on.locality_hits > 0,
-        "placement must route through the hints when enabled"
-    );
-    assert_eq!(lst_off.locality_hits, 0, "disabled placement must never route");
-    assert_eq!(lst_off.batch_steals, 0, "disabled placement keeps single steals");
-    assert!(
-        lst_on.renames * 10 < lst_off.renames,
-        "prompt affine consumption must collapse the WAR renames \
-         (on={}, off={})",
-        lst_on.renames,
-        lst_off.renames
-    );
-    assert_eq!(lst_on.total_pops(), lst_on.tasks_executed);
-    assert_eq!(lst_off.total_pops(), lst_off.tasks_executed);
-
-    // Structural equality: placement on/off must record identical
-    // graphs and values on one deterministic multi-threaded program
-    // (edges are timing-independent; only *where* tasks run may differ).
-    let record = |locality: bool| {
-        let rt = Runtime::builder()
-            .threads(4)
-            .locality(locality)
-            .record_graph(true)
-            .build();
-        let hs: Vec<_> = (0..4).map(|i| rt.data(i as i64)).collect();
-        for i in 0..96usize {
-            let (a, d) = (i % 4, (i * 5 + 2) % 4);
-            let mut sp = rt.task("acc");
-            let mut r = sp.read(&hs[a]);
-            let mut w = sp.inout(&hs[d]);
-            sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*r.get()));
-        }
-        rt.barrier();
-        let vals: Vec<i64> = hs.iter().map(|h| rt.read(h)).collect();
-        let mut edges = rt.graph().unwrap().edges().to_vec();
-        edges.sort_unstable_by_key(|(from, to, _)| (from.0, to.0));
-        (vals, edges)
-    };
-    assert_eq!(
-        record(true),
-        record(false),
-        "locality on/off must record identical graphs"
-    );
-    println!("locality on/off recorded-graph equality (4 threads): ok");
-}
-
 fn ablation_shard() {
-    println!("\n== Ablation 7: sharded dependency analysis (lanes, gates, submitters) ==\n");
+    println!("\n== Ablation 4: sharded dependency analysis (lanes, gates, submitters) ==\n");
 
     // --- graph equality: shards(k) vs the unsharded scheduler --------
     // Main-thread submission through a sharded runtime must record the
@@ -501,204 +307,17 @@ fn ablation_shard() {
     assert_eq!(sharded.tasks, funnel.tasks, "both modes run the same storm");
 }
 
-fn ablation_slab() {
-    use std::time::Instant;
-    println!("\n== Ablation 8: size-classed version slab (global spare pool) ==\n");
-
-    // --- occupancy counters on rename churn, both switch positions ---
-    // The BENCH_0009 shape: read+write pairs force a rename on nearly
-    // every writer. With the slab (default), renamed buffers come from
-    // the global size-classed pool; with `version_slab(false)` the
-    // legacy per-object spares must still serve them — same hit rate,
-    // different store.
-    let churn = |slab: bool| {
-        let pairs = 15_000u64;
-        let rt = Runtime::builder()
-            .threads(1)
-            .graph_size_limit(256)
-            .version_slab(slab)
-            .build();
-        let objs: Vec<_> = (0..64)
-            .map(|_| rt.data_sized(vec![0f32; 64], 256, || vec![0f32; 64]))
-            .collect();
-        let t0 = Instant::now();
-        for i in 0..pairs {
-            let h = &objs[(i % 64) as usize];
-            let mut sp = rt.task("r");
-            let mut r = sp.read(h);
-            sp.submit(move || {
-                std::hint::black_box(r.get()[0]);
-            });
-            let mut sp = rt.task("w");
-            let mut w = sp.write(h);
-            sp.submit(move || w.get_mut()[0] = 1.0);
-        }
-        rt.barrier();
-        let rate = 2.0 * pairs as f64 / t0.elapsed().as_secs_f64();
-        (rate, rt.stats())
-    };
-    let (rate_on, st_on) = churn(true);
-    let (rate_off, st_off) = churn(false);
-    println!(
-        "slab ON : {:>9.0} tasks/s, {} slab hits / {} renames, {} B parked, {} live-evictions",
-        rate_on, st_on.slab_hits, st_on.renames, st_on.slab_parked_bytes, st_on.slab_evicted_live
-    );
-    println!(
-        "slab OFF: {:>9.0} tasks/s, {} slab hits / {} renames ({} per-object hits)",
-        rate_off, st_off.slab_hits, st_off.renames, st_off.version_pool_hits
-    );
-    assert!(st_on.renames > 0 && st_off.renames > 0, "churn must rename");
-    assert!(
-        st_on.slab_hits > st_on.renames * 3 / 4,
-        "the slab must serve steady-state renames (hits={} renames={})",
-        st_on.slab_hits,
-        st_on.renames
-    );
-    assert_eq!(
-        st_on.slab_hits, st_on.version_pool_hits,
-        "on the slab path every pool hit is a slab hit"
-    );
-    assert_eq!(st_off.slab_hits, 0, "a disabled slab must never hit");
-    assert_eq!(st_off.slab_parked_bytes, 0, "a disabled slab holds no bytes");
-    assert!(
-        st_off.version_pool_hits > st_off.renames * 3 / 4,
-        "the legacy per-object spares must still serve the ablation"
-    );
-
-    // --- backpressure: resident bytes vs a working set 8x the limit --
-    let bounded = |slab: bool| {
-        const VERSION: usize = 16 * 1024;
-        const LIMIT: usize = 256 * 1024;
-        let rt = Runtime::builder()
-            .threads(2)
-            .memory_limit(LIMIT)
-            .version_slab(slab)
-            .build();
-        let objs: Vec<_> = (0..8)
-            .map(|_| rt.data_sized(vec![0u8; VERSION], VERSION, || vec![0u8; VERSION]))
-            .collect();
-        for i in 0..400usize {
-            let h = &objs[i % 8];
-            let mut sp = rt.task("r");
-            let mut r = sp.read(h);
-            // A real body (sum the version) keeps the read window open
-            // across the writer's analysis, so the writer renames
-            // instead of reusing in place — the byte churn under test.
-            sp.submit(move || {
-                std::hint::black_box(r.get().iter().map(|&b| b as u64).sum::<u64>());
-            });
-            let mut sp = rt.task("w");
-            let mut w = sp.write(h);
-            sp.submit(move || w.get_mut()[0] = 1);
-        }
-        rt.barrier();
-        let st = rt.stats();
-        let working = st.renames as usize * VERSION + 8 * VERSION;
-        if slab {
-            // Only the slab sustains churn under the throttle: the
-            // legacy path cannot reclaim its ticketed spares, so once
-            // over the limit every submit drains the graph, readers
-            // finish, and writers degrade to in-place reuse (single
-            // digit renames) — the stall-instead-of-churn failure mode
-            // this PR replaces.
-            assert!(
-                working >= 8 * LIMIT,
-                "the slab must sustain churn past the throttle \
-                 (renames={} working={working} limit={LIMIT})",
-                st.renames
-            );
-            assert!(
-                st.version_bytes_peak as usize <= LIMIT + 2 * VERSION,
-                "slab backpressure must hold resident bytes at the throttle \
-                 (peak={} limit={LIMIT})",
-                st.version_bytes_peak
-            );
-        }
-        (st.version_bytes_peak, working)
-    };
-    let (peak_on, working) = bounded(true);
-    let (peak_off, _) = bounded(false);
-    println!(
-        "backpressure (limit 256 KiB, working set {} KiB): peak slab {} KiB, legacy {} KiB",
-        working / 1024,
-        peak_on / 1024,
-        peak_off / 1024
-    );
-
-    // Structural equality: where a renamed buffer comes from must never
-    // change one analysis decision — slab on, slab off and a starved
-    // slab (cap 0: every park evicts mid-run) record identical graphs
-    // and values on one deterministic program.
-    let record = |slab: bool, spare: Option<usize>| {
-        let mut b = Runtime::builder()
-            .threads(1)
-            .version_slab(slab)
-            .record_graph(true);
-        if let Some(cap) = spare {
-            b = b.slab_spare_bytes(cap);
-        }
-        let rt = b.build();
-        let hs: Vec<_> = (0..4).map(|i| rt.data(i as i64)).collect();
-        for i in 0..96usize {
-            let (a, d) = (i % 4, (i * 7 + 1) % 4);
-            let mut sp = rt.task("acc");
-            let mut r = sp.read(&hs[a]);
-            let mut w = sp.inout(&hs[d]);
-            sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*r.get()));
-        }
-        rt.barrier();
-        let vals: Vec<i64> = hs.iter().map(|h| rt.read(h)).collect();
-        (vals, rt.graph().unwrap().edges().to_vec())
-    };
-    let base = record(false, None);
-    assert_eq!(
-        record(true, None),
-        base,
-        "slab on/off must record identical graphs"
-    );
-    assert_eq!(
-        record(true, Some(0)),
-        base,
-        "a starved slab (every park evicts) must record identical graphs"
-    );
-    println!("slab on/off/starved recorded-graph equality: ok");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "slab_ablation") {
-        ablation_slab();
-        println!("\nslab ablation checks passed.");
-        return;
-    }
     if args.iter().any(|a| a == "shard_ablation") {
         ablation_shard();
         println!("\nshard ablation checks passed.");
-        return;
-    }
-    if args.iter().any(|a| a == "spawn_ablation") {
-        ablation_spawn();
-        println!("\nspawn ablation checks passed.");
-        return;
-    }
-    if args.iter().any(|a| a == "release_ablation") {
-        ablation_release();
-        println!("\nrelease ablation checks passed.");
-        return;
-    }
-    if args.iter().any(|a| a == "locality_ablation") {
-        ablation_locality();
-        println!("\nlocality ablation checks passed.");
         return;
     }
     let cal = Calibration::default();
     ablation_renaming(&cal);
     ablation_queues(&cal);
     ablation_graph_limit(&cal);
-    ablation_spawn();
-    ablation_release();
-    ablation_locality();
     ablation_shard();
-    ablation_slab();
     println!("\nall ablation checks passed.");
 }

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use smpss::config::SchedulerPolicy;
 use smpss::sched::TaskSource;
-use smpss::{Runtime, RuntimeBuilder, StatsSnapshot};
+use smpss::{Runtime, StatsSnapshot};
 use smpss_apps::sort::{multisort, random_input, SortParams};
 use smpss_apps::{cholesky, nqueens, stencil, strassen, FlatMatrix, HyperMatrix};
 use smpss_blas::Vendor;
@@ -39,53 +39,6 @@ use crate::perf_baseline;
 /// file stays in git history, and `baseline` inside the new file carries
 /// the comparison point forward.
 pub const BENCH_ID: &str = "BENCH_0009";
-
-/// Locality placement for the suite's runtimes. Every workload builds
-/// its runtime through [`suite_builder`], so setting
-/// `SMPSS_PERF_LOCALITY=off` measures the whole suite on the
-/// pre-BENCH_0005 scheduler — `locality(false)` restores the BENCH_0004
-/// placement *exactly* (main-list born-ready publication, single-task
-/// steals, no hint bookkeeping) — which is how the frozen baseline in
-/// [`perf_baseline`] was captured at the pre-change commit. Cached: an
-/// env probe allocates, and the measurement-hygiene rules below forbid
-/// stray allocations near the clock.
-fn perf_locality() -> bool {
-    static LOCALITY: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *LOCALITY.get_or_init(|| std::env::var("SMPSS_PERF_LOCALITY").map_or(true, |v| v != "off"))
-}
-
-/// Version store for the suite's runtimes. `SMPSS_PERF_SLAB=off`
-/// selects the pre-BENCH_0009 per-object spares (`version_slab(false)`)
-/// for every suite runtime — which is how the frozen baseline rows,
-/// including `rename_churn`'s, were captured at the pre-change commit.
-/// Cached like [`perf_locality`].
-fn perf_slab() -> bool {
-    static SLAB: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SLAB.get_or_init(|| std::env::var("SMPSS_PERF_SLAB").map_or(true, |v| v != "off"))
-}
-
-/// The builder every suite workload starts from (threads + the
-/// env-selected locality and version-store switches; see
-/// [`perf_locality`], [`perf_slab`]).
-fn suite_builder(threads: usize) -> RuntimeBuilder {
-    Runtime::builder()
-        .threads(threads)
-        .locality(perf_locality())
-        .version_slab(perf_slab())
-}
-
-/// Sharded analysis for `submit_storm`. `SMPSS_PERF_SHARDS=off` selects
-/// the **funnel** baseline: the same producer threads, but a
-/// single-spawner runtime, so every submission ships its closure over a
-/// channel to the one thread allowed to analyse — the only
-/// multi-producer topology the pre-BENCH_0006 runtime admits. The frozen
-/// `submit_storm` baseline row was captured this way; the default
-/// (sharded) mode analyses in place on each producer through a
-/// [`Submitter`](smpss::Submitter) lane. Cached like [`perf_locality`].
-fn perf_shards() -> bool {
-    static SHARDS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SHARDS.get_or_init(|| std::env::var("SMPSS_PERF_SHARDS").map_or(true, |v| v != "off"))
-}
 
 /// Schema tag checked by `perfsuite --check`.
 pub const SCHEMA: &str = "smpss-bench/1";
@@ -427,7 +380,7 @@ pub fn task_storm(
     reps: usize,
 ) -> WorkloadResult {
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).policy(policy).build();
+        let rt = Runtime::builder().threads(threads).policy(policy).build();
         let t0 = Instant::now();
         for _ in 0..tasks {
             rt.task("storm").submit(|| {});
@@ -454,7 +407,7 @@ pub fn task_storm(
 #[inline(never)]
 pub fn task_chain(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let x = rt.data(0u64);
         let t0 = Instant::now();
         for _ in 0..tasks {
@@ -484,7 +437,7 @@ pub fn task_chain(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
 pub fn app_cholesky(threads: usize, n: usize, reps: usize) -> WorkloadResult {
     let spd = FlatMatrix::random_spd(n * STRUCT_M, 11);
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let a = HyperMatrix::from_flat(&rt, &spd, STRUCT_M);
         let t0 = Instant::now();
         cholesky::cholesky_hyper(&rt, &a, Vendor::Tuned);
@@ -511,7 +464,7 @@ pub fn app_strassen(threads: usize, n: usize, reps: usize) -> WorkloadResult {
     let af = FlatMatrix::random(n * STRUCT_M, 15);
     let bf = FlatMatrix::random(n * STRUCT_M, 16);
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let a = HyperMatrix::from_flat(&rt, &af, STRUCT_M);
         let b = HyperMatrix::from_flat(&rt, &bf, STRUCT_M);
         let c = HyperMatrix::dense_zeros(&rt, n, STRUCT_M);
@@ -543,7 +496,7 @@ pub fn app_strassen(threads: usize, n: usize, reps: usize) -> WorkloadResult {
 #[inline(never)]
 pub fn spawn_storm(tasks: u64, reps: usize) -> WorkloadResult {
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(1).graph_size_limit(256).build();
+        let rt = Runtime::builder().threads(1).graph_size_limit(256).build();
         let t0 = Instant::now();
         for _ in 0..tasks {
             rt.task("spawn").submit(|| {});
@@ -574,7 +527,7 @@ pub fn rename_storm(tasks: u64, reps: usize) -> WorkloadResult {
     const OBJECTS: usize = 64;
     const ELEMS: usize = 64;
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(1).graph_size_limit(256).build();
+        let rt = Runtime::builder().threads(1).graph_size_limit(256).build();
         let objs: Vec<_> = (0..OBJECTS)
             .map(|_| rt.data_sized(vec![0f32; ELEMS], ELEMS * 4, || vec![0f32; ELEMS]))
             .collect();
@@ -615,16 +568,14 @@ pub fn rename_storm(tasks: u64, reps: usize) -> WorkloadResult {
 /// capped at 8 MiB of resident version bytes — the run churns a working
 /// set two orders of magnitude past the cap. The slab's job is to hold
 /// resident bytes at the throttle (size-classed reuse, dead-spare
-/// reclaim, spawner stall) without giving up rename throughput; with
-/// `SMPSS_PERF_SLAB=off` the same program runs on the per-object spares
-/// path, which is how the frozen baseline row was captured.
+/// reclaim, spawner stall) without giving up rename throughput.
 #[inline(never)]
 pub fn rename_churn(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
     const OBJECTS: usize = 32;
     const BYTES: usize = 64 * 1024;
     const LIMIT: usize = 8 * 1024 * 1024;
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).memory_limit(LIMIT).build();
+        let rt = Runtime::builder().threads(threads).memory_limit(LIMIT).build();
         let objs: Vec<_> = (0..OBJECTS)
             .map(|_| rt.data_sized(vec![0u8; BYTES], BYTES, || vec![0u8; BYTES]))
             .collect();
@@ -652,27 +603,21 @@ pub fn rename_churn(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
         rt.barrier();
         let secs = t0.elapsed().as_secs_f64();
         let st = rt.stats();
-        // --- Audits, outside the clock. Slab runs only: the legacy
-        // store cannot reclaim its ticketed spares, so once over the
-        // limit every submit drains the graph and writers degrade to
-        // in-place reuse — the baseline row measures that degradation,
-        // it does not promise churn.
+        // --- Audits, outside the clock.
         let working = st.renames as usize * BYTES + OBJECTS * BYTES;
-        if perf_slab() {
-            assert!(
-                working >= 8 * LIMIT,
-                "the slab must sustain churn past the throttle \
-                 (renames={} working={working} limit={LIMIT})",
-                st.renames
-            );
-            // The BENCH_0009 resident-bytes gate: 1.25x the throttle.
-            assert!(
-                st.version_bytes_peak as usize <= LIMIT + LIMIT / 4,
-                "slab backpressure must hold resident bytes at the \
-                 throttle (peak={} limit={LIMIT})",
-                st.version_bytes_peak
-            );
-        }
+        assert!(
+            working >= 8 * LIMIT,
+            "the slab must sustain churn past the throttle \
+             (renames={} working={working} limit={LIMIT})",
+            st.renames
+        );
+        // The BENCH_0009 resident-bytes gate: 1.25x the throttle.
+        assert!(
+            st.version_bytes_peak as usize <= LIMIT + LIMIT / 4,
+            "slab backpressure must hold resident bytes at the \
+             throttle (peak={} limit={LIMIT})",
+            st.version_bytes_peak
+        );
         (secs, st.tasks_executed, st)
     });
     let peak = counters.version_bytes_peak as f64;
@@ -703,7 +648,7 @@ pub fn region_storm(tasks: u64, reps: usize) -> WorkloadResult {
     const BLOCKS: usize = 64;
     const WIDTH: usize = 64;
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(1).graph_size_limit(256).build();
+        let rt = Runtime::builder().threads(1).graph_size_limit(256).build();
         let data = rt.region_data(vec![0u8; BLOCKS * WIDTH]);
         let rounds = (tasks as usize).div_ceil(BLOCKS);
         let t0 = Instant::now();
@@ -740,7 +685,7 @@ pub fn app_multisort(threads: usize, n: usize, reps: usize) -> WorkloadResult {
         merge_chunk: 256,
     };
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let t0 = Instant::now();
         let sorted = multisort(&rt, input.clone(), params);
         let secs = t0.elapsed().as_secs_f64();
@@ -763,7 +708,7 @@ pub fn app_multisort(threads: usize, n: usize, reps: usize) -> WorkloadResult {
 #[inline(never)]
 pub fn app_nqueens(threads: usize, n: usize, levels: usize, reps: usize) -> WorkloadResult {
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let t0 = Instant::now();
         let _count = nqueens::nqueens_smpss(&rt, n, levels);
         rt.barrier();
@@ -782,11 +727,10 @@ pub fn app_nqueens(threads: usize, n: usize, levels: usize, reps: usize) -> Work
     }
 }
 
-/// Body time of the placement-pinning storms below. Twice the
+/// Body time of the release and placement storms below. Twice the
 /// runtime's 1 µs inline threshold: a sub-µs body would run inline on
 /// the spawner and never reach the release and placement paths these
-/// storms (and the `release_ablation`/`locality_ablation` studies that
-/// reuse them) exist to exercise.
+/// storms exist to exercise.
 const PLACEMENT_BODY: Duration = Duration::from_micros(2);
 
 /// Busy-wait for `d`: a task body of a fixed, measurable cost.
@@ -807,20 +751,10 @@ fn spin_for(d: Duration) {
 /// completion side, not the spawner, is the bottleneck.
 #[inline(never)]
 pub fn fanout_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
-    fanout_storm_cfg(threads, tasks, reps, true)
-}
-
-/// [`fanout_storm`] with the completion fast path switchable — the
-/// `release_ablation` study runs the *same* shape both ways instead of
-/// duplicating it.
-pub fn fanout_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool) -> WorkloadResult {
     const FAN: u64 = 12;
     let rounds = tasks / (FAN + 1);
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads)
-            .graph_size_limit(512)
-            .lockfree_release(lockfree)
-            .build();
+        let rt = Runtime::builder().threads(threads).graph_size_limit(512).build();
         let h = rt.data(0u64);
         let t0 = Instant::now();
         for _ in 0..rounds {
@@ -864,18 +798,10 @@ pub fn fanout_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool)
 /// `CHAINS`-wide so all workers ride a chain at once.
 #[inline(never)]
 pub fn chain_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
-    chain_storm_cfg(threads, tasks, reps, true)
-}
-
-/// [`chain_storm`] with the completion fast path switchable (see
-/// [`fanout_storm_cfg`]).
-pub fn chain_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool) -> WorkloadResult {
     const CHAINS: usize = 16;
     let per_chain = tasks / CHAINS as u64;
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads)
-            .lockfree_release(lockfree)
-            .build();
+        let rt = Runtime::builder().threads(threads).build();
         let hs: Vec<_> = (0..CHAINS).map(|_| rt.data(0u64)).collect();
         let t0 = Instant::now();
         for _ in 0..per_chain {
@@ -908,39 +834,17 @@ pub fn chain_storm_cfg(threads: usize, tasks: u64, reps: usize, lockfree: bool) 
 }
 
 /// Locality storm (BENCH_0005): reader + `inout`-writer churn over a
-/// fixed working set under a tight §III throttle — the pattern the
-/// placement subsystem was built for. Without placement, every reader
-/// funnels through the main list FIFO and is still *pending* when its
+/// fixed working set under a tight §III throttle. Every reader goes
+/// through the main list FIFO and is usually still *pending* when its
 /// site's next writer is analysed, so the writer renames and pays the
-/// deferred copy-in — 15k renames for 30k tasks, the WAR pathology of
-/// §III renaming under locality-blind scheduling. With placement on,
-/// the `last_writer` hints elect the spawning thread, the reader parks
-/// in the self-hand-off window and runs (LIFO, own-list discipline)
-/// *before* the writer's analysis: the writer finds the version
-/// quiescent and reuses it in place. Renames collapse to warm-up noise
-/// — the speedup is the measured price of the renames, copy-ins and
-/// buffer churn that prompt affine consumption avoids.
+/// deferred copy-in: the WAR pattern renaming exists for, with the
+/// version slab recycling the renamed-away buffers.
 #[inline(never)]
 pub fn locality_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
-    locality_storm_cfg(threads, tasks, reps, perf_locality())
-}
-
-/// [`locality_storm`] with the placement switch explicit (the
-/// `locality_ablation` study runs the same shape both ways).
-pub fn locality_storm_cfg(
-    threads: usize,
-    tasks: u64,
-    reps: usize,
-    locality: bool,
-) -> WorkloadResult {
     const SITES: usize = 64;
     const ELEMS: usize = 64;
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = Runtime::builder()
-            .threads(threads)
-            .graph_size_limit(32)
-            .locality(locality)
-            .build();
+        let rt = Runtime::builder().threads(threads).graph_size_limit(32).build();
         let objs: Vec<_> = (0..SITES)
             .map(|_| rt.data_sized(vec![0f32; ELEMS], ELEMS * 4, || vec![0f32; ELEMS]))
             .collect();
@@ -988,10 +892,11 @@ pub fn locality_storm_cfg(
 /// during the measured span no body runs and the CPU belongs entirely
 /// to the spawn path; release and drain happen outside the clock.
 ///
-/// In the default sharded mode every producer owns a
+/// In the sharded mode every producer owns a
 /// [`Submitter`](smpss::Submitter) lane and runs dependency analysis
-/// **in place**; in the funnel baseline (`SMPSS_PERF_SHARDS=off`, how
-/// the frozen row was captured) the same producers must ship each
+/// **in place**; in the funnel baseline ([`submit_storm_cfg`] with
+/// `sharded = false`, how the frozen row was captured and what the
+/// `shard_ablation` study compares against) the same producers must ship each
 /// submission — a boxed closure — over a bounded channel to the single
 /// thread allowed to analyse, the only multi-producer topology the
 /// pre-sharding runtime admits. The gap is mechanical, not parallel
@@ -1001,7 +906,7 @@ pub fn locality_storm_cfg(
 /// per-lane analysis simply does not perform.
 #[inline(never)]
 pub fn submit_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
-    submit_storm_cfg(threads, tasks, reps, perf_shards())
+    submit_storm_cfg(threads, tasks, reps, true)
 }
 
 /// [`submit_storm`] with the shard switch explicit (the `shard_ablation`
@@ -1029,7 +934,7 @@ pub fn submit_storm_cfg(
 
     let (secs, executed, counters) = best_of(reps, || {
         if sharded {
-            let rt = suite_builder(threads).shards(LANES).build();
+            let rt = Runtime::builder().threads(threads).shards(LANES).build();
             let gates: Vec<_> = (0..LANES).map(|_| rt.data(0u64)).collect();
             let release = Arc::new(AtomicBool::new(false));
             let submitters = rt.submitters();
@@ -1061,7 +966,7 @@ pub fn submit_storm_cfg(
             let st = rt.stats();
             (secs, st.tasks_executed, st)
         } else {
-            let rt = suite_builder(threads).build();
+            let rt = Runtime::builder().threads(threads).build();
             let gates: Vec<_> = (0..LANES).map(|_| rt.data(0u64)).collect();
             let release = Arc::new(AtomicBool::new(false));
             // A funnelled submission ships its closure's environment and
@@ -1169,7 +1074,7 @@ pub fn panic_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
     let chains = tasks / 2;
     let failing = chains.div_ceil(PANIC_EVERY);
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).graph_size_limit(512).build();
+        let rt = Runtime::builder().threads(threads).graph_size_limit(512).build();
         let hs: Vec<_> = (0..chains).map(|_| rt.data(0u64)).collect();
         let heads_run = Arc::new(AtomicU64::new(0));
         let tails_run = Arc::new(AtomicU64::new(0));
@@ -1332,7 +1237,8 @@ pub fn tenant_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
     }
 
     let builder = |threads: usize| {
-        suite_builder(threads)
+        Runtime::builder()
+            .threads(threads)
             .session_max_in_flight(QUOTA)
             .admission(AdmissionPolicy::Shed)
     };
@@ -1491,13 +1397,12 @@ pub fn tenant_storm(threads: usize, tasks: u64, reps: usize) -> WorkloadResult {
 /// Region stencil sweep (BENCH_0005): `steps` Jacobi waves over an
 /// `n x n` grid in horizontal bands (the §V.A wavefront). Each band of
 /// step `s+1` overlaps three writers of step `s`, so almost every task
-/// is completion-released with competing neighbour hints — the
-/// workload the per-object placement ballot (region votes weighed by
-/// size) and the steal-half spread were built for.
+/// is completion-released: the own-list and hand-off path of the §III
+/// order, with thieves spreading each wave.
 #[inline(never)]
 pub fn stencil_sweep(threads: usize, n: usize, steps: usize, reps: usize) -> WorkloadResult {
     let (secs, executed, counters) = best_of(reps, || {
-        let rt = suite_builder(threads).build();
+        let rt = Runtime::builder().threads(threads).build();
         let grid = vec![1.0f32; n * n];
         let t0 = Instant::now();
         let out = stencil::jacobi(&rt, grid, n, steps, 2);
@@ -1732,8 +1637,6 @@ pub fn parse_workload(doc: &JsonValue) -> Result<WorkloadResult, String> {
             hp_pops: cnum("hp_pops"),
             steals: cnum("steals"),
             handoffs: cnum("handoffs"),
-            locality_hits: cnum("locality_hits"),
-            batch_steals: cnum("batch_steals"),
             ..Default::default()
         },
         name,
@@ -1751,8 +1654,6 @@ fn counters_json(c: &StatsSnapshot) -> JsonValue {
         ("hp_pops".into(), JsonValue::Num(c.source_pops(TaskSource::HighPriority) as f64)),
         ("steals".into(), JsonValue::Num(c.source_pops(TaskSource::Stolen { victim: 0 }) as f64)),
         ("handoffs".into(), JsonValue::Num(c.handoffs as f64)),
-        ("locality_hits".into(), JsonValue::Num(c.locality_hits as f64)),
-        ("batch_steals".into(), JsonValue::Num(c.batch_steals as f64)),
     ])
 }
 

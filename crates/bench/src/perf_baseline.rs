@@ -4,7 +4,7 @@
 //! trajectory point compares against; do not edit by hand.
 
 pub const BASELINE_ID: &str =
-    "per-object-spares version store @this-commit (SMPSS_PERF_SLAB=off; \
+    "per-object-spares version store @this-commit (slab switched off; \
      process-isolated best-of-12, one child per workload, re-frozen \
      back-to-back with the BENCH_0009 run so the slab path is gated \
      against the exact code it replaces on the same host epoch)";

@@ -5,6 +5,13 @@
 //! off position reproduces the SuperMatrix-style analysis of §VII.C for
 //! ablation), the graph-size blocking condition of §III, graph recording
 //! (used to regenerate Figure 5) and the tracing runtime of §VII.C.
+//!
+//! Each runtime mechanism has one implementation and no on/off switch:
+//! completions publish their released successors as one batch with a
+//! direct hand-off, renamed-away versions park in the runtime-wide
+//! version slab, and ready tasks are placed by the §III order alone.
+//! What remains here are the paper's parameters, sizes and limits,
+//! the scheduler policy study, sharding and the session front door.
 
 /// How idle threads look for work. [`SchedulerPolicy::Smpss`] is the policy
 /// of §III of the paper; the alternatives exist for the ablation benches.
@@ -78,11 +85,7 @@ pub struct RuntimeConfig {
     pub(crate) policy: SchedulerPolicy,
     pub(crate) spin_tries: usize,
     pub(crate) park_micros: u64,
-    pub(crate) version_pool: bool,
-    pub(crate) version_slab: bool,
     pub(crate) slab_spare_bytes: Option<usize>,
-    pub(crate) lockfree_release: bool,
-    pub(crate) locality: bool,
     pub(crate) shards: usize,
     pub(crate) on_panic: OnPanic,
     pub(crate) sessions: bool,
@@ -103,11 +106,7 @@ impl Default for RuntimeConfig {
             policy: SchedulerPolicy::Smpss,
             spin_tries: 16,
             park_micros: 100,
-            version_pool: true,
-            version_slab: true,
             slab_spare_bytes: None,
-            lockfree_release: true,
-            locality: true,
             shards: 1,
             on_panic: OnPanic::CancelDependents,
             sessions: false,
@@ -193,30 +192,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enable or disable per-object version-buffer pooling (default:
-    /// on). With the pool, renaming reuses retired version buffers and
-    /// pending-reader counters instead of allocating fresh ones; the
-    /// off position exists for the `spawn_ablation` study.
-    pub fn version_pool(mut self, on: bool) -> Self {
-        self.cfg.version_pool = on;
-        self
-    }
-
-    /// Route version-buffer pooling through the runtime-wide
-    /// size-classed slab (default: on; only meaningful while
-    /// [`version_pool`](Self::version_pool) is on). With the slab,
-    /// renamed-away versions park in power-of-two size-class shelves
-    /// shared by every object — a hot object reuses spares a cold one
-    /// retired — and the parked bytes are real backpressure: the §III
-    /// memory throttle, the submitter backoff loop and the session
-    /// renamed-bytes probe all reclaim dead spares before waiting. The
-    /// off position keeps the per-object two-spare `retired` list
-    /// exactly, and is the `slab_ablation` baseline.
-    pub fn version_slab(mut self, on: bool) -> Self {
-        self.cfg.version_slab = on;
-        self
-    }
-
     /// Cap on total bytes the version slab may hold parked as reusable
     /// spares (default: the [`memory_limit`](Self::memory_limit) if one
     /// is set, else 64 MiB). Each spare counts at its resident size: its
@@ -227,34 +202,6 @@ impl RuntimeBuilder {
     /// exact regardless of the cap.
     pub fn slab_spare_bytes(mut self, bytes: usize) -> Self {
         self.cfg.slab_spare_bytes = Some(bytes);
-        self
-    }
-
-    /// Enable or disable the completion-side fast path (default: on).
-    /// With it, a finishing worker publishes its ready successors as one
-    /// batch (first successor handed straight to the completing worker,
-    /// the rest pushed with a single wake decision) and bumps a
-    /// per-thread finished shard instead of a global RMW. The off
-    /// position restores the BENCH_0003 release path — one enqueue +
-    /// wake-check per successor and a contended `finished` counter — for
-    /// the `release_ablation` study.
-    pub fn lockfree_release(mut self, on: bool) -> Self {
-        self.cfg.lockfree_release = on;
-        self
-    }
-
-    /// Enable or disable locality-aware placement (default: on; only
-    /// meaningful under the SMPSs policy with more than one thread).
-    /// With it, each data object tracks the worker that last wrote it
-    /// (§III's cache-affinity motivation for the per-thread lists); a
-    /// task whose hinted inputs agree is published to the **preferred
-    /// worker's** affinity mailbox instead of the main list, and thieves
-    /// steal **half** a victim's deque per traversal instead of one
-    /// task. The off position restores the BENCH_0004 placement (main
-    /// list for born-ready tasks, single-task steals) for the
-    /// `locality_ablation` study and the BENCH_0005 baseline.
-    pub fn locality(mut self, on: bool) -> Self {
-        self.cfg.locality = on;
         self
     }
 
@@ -353,11 +300,7 @@ mod tests {
         assert!(!c.record_graph);
         assert!(!c.tracing);
         assert_eq!(c.policy, SchedulerPolicy::Smpss);
-        assert!(c.version_pool);
-        assert!(c.version_slab);
         assert!(c.slab_spare_bytes.is_none());
-        assert!(c.lockfree_release);
-        assert!(c.locality);
         assert_eq!(c.shards, 1);
         assert_eq!(c.on_panic, OnPanic::CancelDependents);
     }
@@ -371,18 +314,14 @@ mod tests {
         assert_eq!(OnPanic::default(), OnPanic::CancelDependents);
     }
 
+    /// The fast paths have no switches; the idle-worker tuning is what
+    /// remains, clamped to at least one scan and one microsecond.
     #[test]
     fn builder_sets_fast_path_knobs() {
-        let c = RuntimeBuilder::default()
-            .version_pool(false)
-            .version_slab(false)
-            .lockfree_release(false)
-            .locality(false)
-            .config();
-        assert!(!c.version_pool);
-        assert!(!c.version_slab);
-        assert!(!c.lockfree_release);
-        assert!(!c.locality);
+        let c = RuntimeBuilder::default().spin_tries(4).park_micros(50).config();
+        assert_eq!((c.spin_tries, c.park_micros), (4, 50));
+        let c = RuntimeBuilder::default().spin_tries(0).park_micros(0).config();
+        assert_eq!((c.spin_tries, c.park_micros), (1, 1));
     }
 
     #[test]

@@ -123,24 +123,6 @@ pub(crate) struct CurrentVersion<T> {
     pub(crate) producer: Option<Arc<TaskNode>>,
 }
 
-/// A version displaced by renaming, parked for reuse. The buffer (and
-/// the read-window counter embedded in it) stays alive until every
-/// reader binding drops; once the refcount returns to 1 the renamer may
-/// resurrect it instead of allocating.
-pub(crate) struct RetiredVersion<T> {
-    pub(crate) buf: Arc<VBuf<T>>,
-    /// Monotonic stamp from [`ObjState::retire_clock`]: eviction picks
-    /// the minimum, so `swap_remove`'s order scrambling never changes
-    /// which entry counts as oldest.
-    pub(crate) age: u64,
-}
-
-/// Retired versions kept beyond the reusable spares; pushing past this
-/// evicts dead entries so an object that stops renaming does not hoard
-/// buffers (the eviction releases the entry's memory ticket, keeping
-/// the §III renamed-bytes account tight).
-const RETIRED_SPARES: usize = 2;
-
 /// Mutable object state, guarded by the object mutex. Only the spawning
 /// thread rewrites it (dependency analysis is performed on the main thread,
 /// §III), but readers' pending counts are decremented from worker threads.
@@ -149,21 +131,6 @@ pub(crate) struct ObjState<T> {
     /// Unfinished readers of the current version — only maintained when
     /// renaming is disabled, to generate anti-dependency edges instead.
     pub(crate) readers_list: Vec<Arc<TaskNode>>,
-    /// The per-object version-buffer pool: renamed-away versions
-    /// awaiting reuse. Only populated on the legacy path (slab ablated
-    /// off via [`version_slab(false)`](crate::RuntimeBuilder::version_slab));
-    /// with the slab, displaced versions park runtime-wide instead.
-    pub(crate) retired: Vec<RetiredVersion<T>>,
-    /// Age stamps for `retired` (see [`RetiredVersion::age`]).
-    pub(crate) retire_clock: u64,
-    /// Locality hint: worker that ran the last *finished* writer of
-    /// this object ([`HINT_NONE`](crate::graph::node::HINT_NONE) until
-    /// one is observed). A plain field in the spawner-owned cell — the
-    /// analyser refreshes it when it sees the current producer finished
-    /// and feeds it into the spawning task's preferred-worker vote; no
-    /// new synchronisation anywhere (the producer's finish flag already
-    /// orders its `ran_on` record).
-    pub(crate) last_writer: usize,
 }
 
 pub(crate) struct DataObject<T: TaskData> {
@@ -175,10 +142,9 @@ pub(crate) struct DataObject<T: TaskData> {
     pub(crate) version_bytes: usize,
     /// Runtime-wide live-version byte counter.
     pub(crate) acct: Arc<AtomicUsize>,
-    /// The runtime-wide version slab; `None` keeps the legacy
-    /// per-object `retired` spares exactly (the `slab_ablation`
-    /// baseline).
-    slab: Option<Arc<VersionSlab>>,
+    /// The runtime-wide version slab, where renamed-away versions park
+    /// until a rename of the same shape reuses them.
+    slab: Arc<VersionSlab>,
     /// This object's slab bucket: shared scope when the declared byte
     /// size is an exact shape contract (`data_sized`), private scope
     /// otherwise — see [`ReuseKey`] for why that distinction is load-
@@ -194,13 +160,11 @@ impl<T: TaskData> DataObject<T> {
         alloc: Box<dyn Fn() -> T + Send + Sync>,
         version_bytes: usize,
         acct: Arc<AtomicUsize>,
-        slab: Option<Arc<VersionSlab>>,
+        slab: Arc<VersionSlab>,
         shape_exact: bool,
     ) -> Self {
         let ticket = crate::data::version::MemTicket::new(version_bytes, Arc::clone(&acct));
-        if let Some(slab) = &slab {
-            slab.note_peak(acct.load(Ordering::Acquire));
-        }
+        slab.note_peak(acct.load(Ordering::Acquire));
         let reuse_key = if shape_exact {
             ReuseKey::shared::<VBuf<T>>(version_bytes)
         } else {
@@ -219,9 +183,6 @@ impl<T: TaskData> DataObject<T> {
                     producer: None,
                 },
                 readers_list: Vec::new(),
-                retired: Vec::new(),
-                retire_clock: 0,
-                last_writer: crate::graph::node::HINT_NONE,
             }),
         }
     }
@@ -236,97 +197,35 @@ impl<T: TaskData> DataObject<T> {
             Arc::clone(&self.acct),
             charge,
         );
-        if let Some(slab) = &self.slab {
-            slab.note_peak(self.acct.load(Ordering::Acquire));
-        }
+        self.slab.note_peak(self.acct.load(Ordering::Acquire));
         Arc::new(VBuf::with_ticket((self.alloc)(), ticket))
     }
 
-    /// A version for the renamer: a recycled retired one when the pool
-    /// holds a dead buffer, else a fresh allocation. Returns
-    /// `(buffer, pool hit?)`.
-    ///
-    /// A retired entry is dead exactly when its strong count is 1 —
-    /// only the pool itself still holds it, so no binding can read or
-    /// write the buffer concurrently (the read-window counter lives
-    /// inside the buffer, so one count covers both). `strong_count` is
-    /// a relaxed load; the Acquire fence after a successful probe pairs
-    /// with the Release decrement of the last dropped `Arc`, ordering
-    /// that reader's final buffer accesses before our reuse.
-    /// A pool hit allocates (and attributes) nothing: the recycled
-    /// buffer keeps its creation-time ticket, so `charge` only applies
-    /// on the fresh-allocation path.
-    pub(crate) fn acquire_version(
-        &self,
-        st: &mut ObjState<T>,
-        pool: bool,
-        charge: TicketCharge<'_>,
-    ) -> (Arc<VBuf<T>>, bool) {
-        if pool {
-            for i in (0..st.retired.len()).rev() {
-                let r = &st.retired[i];
-                if Arc::strong_count(&r.buf) == 1 {
-                    std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
-                    let r = st.retired.swap_remove(i);
-                    r.buf.window().reset_for_reuse();
-                    return (r.buf, true);
-                }
-            }
-        }
-        (self.fresh_version_buf(charge), false)
-    }
-
     /// The renamer's version switch, shared by every renaming branch of
-    /// `dep::{write, inout}`: install a fresh (or pooled) version with
-    /// `producer` as its writer and park the displaced one in the pool.
-    /// Returns `(new buffer, displaced buffer, pool hit?)` — the
-    /// displaced buffer is what a renamed `inout` copies in from.
-    #[inline]
+    /// `dep::{write, inout}`: install a version with `producer` as its
+    /// writer and park the displaced one in the slab. Returns
+    /// `(new buffer, displaced buffer)` — the displaced buffer is what a
+    /// renamed `inout` copies in from.
+    ///
+    /// One shelf gate entry ([`VersionSlab::begin`] + `ShelfGuard::park`)
+    /// probes for a dead same-shape spare and parks the displaced
+    /// version; a miss releases the gate before allocating, so a slow
+    /// `alloc` never stalls other renamers of the class. Parking moves
+    /// the displaced `Arc` instead of cloning it. The caller's copy-in
+    /// clone is taken before the park, so the parked entry's strong
+    /// count stays ≥ 2 until the rename is fully wired and a concurrent
+    /// probe can never see it dead early — deadness is strictly "only
+    /// the slab holds it". A recycled buffer keeps its creation-time
+    /// memory ticket, so `charge` applies only to a fresh allocation.
+    #[inline(always)]
     pub(crate) fn rename_current(
         &self,
         st: &mut ObjState<T>,
         producer: Arc<TaskNode>,
-        pool: bool,
         charge: TicketCharge<'_>,
-    ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>, bool) {
-        if pool {
-            if let Some(slab) = &self.slab {
-                return self.rename_via_slab(st, producer, slab, charge);
-            }
-        }
-        let (buf, hit) = self.acquire_version(st, pool, charge);
-        let old = std::mem::replace(
-            &mut st.current,
-            CurrentVersion {
-                buf: Arc::clone(&buf),
-                producer: Some(producer),
-            },
-        );
-        let old_buf = Arc::clone(&old.buf);
-        retire_version(st, old.buf, pool);
-        (buf, old_buf, hit)
-    }
-
-    /// The slab-backed version switch: probe for a dead same-shape
-    /// spare and park the displaced current version in **one** shelf
-    /// gate entry ([`VersionSlab::begin`] + `ShelfGuard::park`);
-    /// allocate only on a miss (gate released first, so a slow `alloc`
-    /// never stalls other renamers of the class). Parking moves the
-    /// displaced `Arc` instead of cloning it — refcount parity with the
-    /// legacy in-cell pool. The caller's copy-in clone is taken before
-    /// the park, so the parked entry's strong count stays ≥ 2 until the
-    /// rename is fully wired and a concurrent probe can never see it
-    /// dead early — deadness is strictly "only the slab holds it".
-    #[inline(always)]
-    fn rename_via_slab(
-        &self,
-        st: &mut ObjState<T>,
-        producer: Arc<TaskNode>,
-        slab: &Arc<VersionSlab>,
-        charge: TicketCharge<'_>,
-    ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>, bool) {
-        let (guard, found) = slab.begin(self.reuse_key);
-        let (buf, hit) = match found {
+    ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>) {
+        let (guard, found) = self.slab.begin(self.reuse_key);
+        let buf = match found {
             Some(any) => {
                 // SAFETY: the probe only returns entries whose `ReuseKey`
                 // equals ours, and the key carries `TypeId::of::<VBuf<T>>()`
@@ -334,79 +233,37 @@ impl<T: TaskData> DataObject<T> {
                 // so the erased type is exactly `VBuf<T>`. This is
                 // `Arc::downcast` minus its virtual `type_id` re-check,
                 // which the key equality already performed under the gate.
-                let buf = unsafe {
-                    Arc::from_raw(Arc::into_raw(any) as *const VBuf<T>)
-                };
+                let buf = unsafe { Arc::from_raw(Arc::into_raw(any) as *const VBuf<T>) };
                 buf.window().reset_for_reuse();
-                (buf, true)
+                buf
             }
             None => {
                 drop(guard);
                 let buf = self.fresh_version_buf(charge);
-                let old = std::mem::replace(
-                    &mut st.current,
-                    CurrentVersion {
-                        buf: Arc::clone(&buf),
-                        producer: Some(producer),
-                    },
-                );
-                let old_buf = Arc::clone(&old.buf);
-                slab.park_displaced(self.reuse_key, old.buf as _);
-                return (buf, old_buf, false);
+                let old = self.install(st, &buf, producer);
+                let old_buf = Arc::clone(&old);
+                self.slab.park_displaced(self.reuse_key, old as _);
+                return (buf, old_buf);
             }
         };
+        let old = self.install(st, &buf, producer);
+        let old_buf = Arc::clone(&old);
+        guard.park(self.reuse_key, old as _);
+        (buf, old_buf)
+    }
+
+    /// Make `buf`, written by `producer`, the current version; returns
+    /// the displaced buffer.
+    #[inline(always)]
+    fn install(&self, st: &mut ObjState<T>, buf: &Arc<VBuf<T>>, producer: Arc<TaskNode>) -> Arc<VBuf<T>> {
         let old = std::mem::replace(
             &mut st.current,
             CurrentVersion {
-                buf: Arc::clone(&buf),
+                buf: Arc::clone(buf),
                 producer: Some(producer),
             },
         );
-        let old_buf = Arc::clone(&old.buf);
-        guard.park(self.reuse_key, old.buf as _);
-        (buf, old_buf, hit)
-    }
-}
-
-/// Park a displaced version in the object's legacy per-object pool
-/// (renaming just replaced it as the current version; with the slab on,
-/// [`DataObject::rename_current`] parks runtime-wide instead and never
-/// comes here). The pool is capped **strictly** at [`RETIRED_SPARES`]
-/// entries: beyond that, dead entries are evicted first (their ticket
-/// drop releases the bytes immediately), then the minimum-age live one —
-/// an evicted live entry simply reverts to the pre-pool lifecycle: its
-/// memory ticket travels inside the buffer, so the bytes stay charged
-/// until the last reader binding drops and the §III account is exact
-/// throughout (pinned by `live_eviction_keeps_the_account_exact` in
-/// `tests/slab_semantics.rs`). Eviction is O(1): `swap_remove` on the
-/// age-stamped minimum instead of the former `remove(0)` front shift.
-pub(crate) fn retire_version<T: TaskData>(
-    st: &mut ObjState<T>,
-    buf: Arc<VBuf<T>>,
-    pool: bool,
-) {
-    if !pool {
-        return; // dropping here releases the version as before the pool
-    }
-    let age = st.retire_clock;
-    st.retire_clock += 1;
-    st.retired.push(RetiredVersion { buf, age });
-    while st.retired.len() > RETIRED_SPARES {
-        let pick = st
-            .retired
-            .iter()
-            .position(|r| Arc::strong_count(&r.buf) == 1)
-            .unwrap_or_else(|| {
-                // No dead entry: evict the oldest live one (readers keep
-                // it alive through their own Arcs; we only lose reuse).
-                st.retired
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, r)| r.age)
-                    .map(|(i, _)| i)
-                    .expect("len > RETIRED_SPARES >= 1")
-            });
-        st.retired.swap_remove(pick);
+        old.buf
     }
 }
 
@@ -450,38 +307,54 @@ impl<T: TaskData> std::fmt::Debug for Handle<T> {
 mod tests {
     use super::*;
 
-    fn obj(v: i32) -> DataObject<i32> {
+    fn obj_in(v: i32, bytes: usize, slab: Arc<VersionSlab>) -> DataObject<i32> {
         DataObject::new(
             ObjectId(1),
             v,
             Box::new(|| 0),
-            4,
+            bytes,
             Arc::new(AtomicUsize::new(0)),
-            None,
-            false,
+            slab,
+            true,
         )
     }
 
-    /// The legacy pool's oldest-live eviction is O(1) and age-exact:
-    /// even after `swap_remove` scrambles positions, the minimum age
-    /// stamp (not slot 0) is what gets evicted.
+    fn obj(v: i32) -> DataObject<i32> {
+        obj_in(v, 4, Arc::new(VersionSlab::new(1 << 20, false)))
+    }
+
+    /// An object's displaced versions park in the slab, and an over-cap
+    /// park evicts the minimum-age one, not whatever sits in the front
+    /// slot. A reclaim that swap-removes a dead front entry moves the
+    /// newest version to the front; the next over-cap park must still
+    /// evict the oldest.
     #[test]
     fn legacy_eviction_picks_minimum_age_not_front_slot() {
-        let o = obj(0);
+        const BYTES: usize = 4096;
+        let slab = Arc::new(VersionSlab::new(3 * BYTES, false));
+        let o = obj_in(0, BYTES, Arc::clone(&slab));
         let mut st = o.state.lock();
-        // Park 5 live versions (keep clones so none is dead).
-        let mut held = Vec::new();
-        for _ in 0..5 {
-            let b = o.fresh_version_buf(TicketCharge::NONE);
-            held.push(Arc::clone(&b));
-            let st = &mut *st;
-            retire_version(st, b, true);
+        let producer = TaskNode::new(crate::ids::TaskId(1), "w", crate::runtime::Priority::Normal);
+        // Rename four times, holding every displaced version as a reader
+        // would: v0 (the initial one) .. v3 park in age order.
+        let mut held: Vec<_> = (0..4)
+            .map(|_| o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE).1)
+            .collect();
+        // Four parked entries exceed the three-entry cap: v0, the oldest
+        // and front one, went first.
+        assert_eq!(Arc::strong_count(&held[0]), 1, "the oldest was evicted");
+        // v1 dies; reclaiming it swap-removes v3 into the front slot.
+        held.remove(1);
+        assert_eq!(slab.reclaim(1), BYTES);
+        // Two more renames reuse nothing (every parked entry is read)
+        // and park v4 and v5; the second goes over the cap again.
+        for _ in 0..2 {
+            held.push(o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE).1);
         }
-        // Cap is RETIRED_SPARES: the survivors must be the two highest
-        // ages regardless of where swap_remove parked them.
-        let mut ages: Vec<u64> = st.retired.iter().map(|r| r.age).collect();
-        ages.sort_unstable();
-        assert_eq!(ages, vec![3, 4]);
+        // v2, the minimum age but not in the front slot, was evicted.
+        let parked: Vec<usize> = held[1..].iter().map(Arc::strong_count).collect();
+        assert_eq!(parked, vec![1, 2, 2, 2], "v2 evicted; v3, v4 and v5 still parked");
+        assert_eq!(slab.counters().evicted_live, 2);
     }
 
     #[test]

@@ -80,15 +80,6 @@
 //! may be a member itself, and linking it to the join would close a
 //! cycle.
 //!
-//! ## Locality hints
-//!
-//! A query also names the worker that ran the latest finished write it
-//! conflicts with (the `last_writer` hint of scalar parameters, for
-//! regions). While finished accesses are being dropped, a finished
-//! write gives its hint once, to the first query that meets it — the
-//! rule of a log that hints from the finished writers it prunes — and
-//! a memo hit, which meets no producer, gives none.
-//!
 //! `JOIN_MIN` is 8: a join costs one allocation and one extra link, so
 //! an access with more than 8 producers pays at most a quarter more for
 //! a join that is never reused, and one reuse repays it. Below that,
@@ -104,7 +95,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::data::region::{Region, RegionBound};
-use crate::graph::node::{TaskNode, HINT_NONE};
+use crate::graph::node::TaskNode;
 use crate::graph::record::EdgeKind;
 use crate::ids::TaskId;
 
@@ -165,11 +156,6 @@ struct Entry {
     /// whole in every later dimension, which is all a 1-D access needs
     /// (its dim-0 extent covers every piece it is in).
     rest: Option<Region>,
-    /// Access sequence number (orders locality-hint candidates).
-    seq: u64,
-    /// This finished write has given its locality hint (see
-    /// [`Gather::hint`]).
-    hinted: bool,
     next: u32,
     /// References from piece heads and other entries' `next`.
     rc: u32,
@@ -195,13 +181,11 @@ struct Arena {
 }
 
 impl Arena {
-    fn alloc(&mut self, node: &Arc<TaskNode>, rest: Option<&Region>, seq: u64, next: u32) -> u32 {
+    fn alloc(&mut self, node: &Arc<TaskNode>, rest: Option<&Region>, next: u32) -> u32 {
         self.inc(next);
         let entry = Entry {
             node: Some(Arc::clone(node)),
             rest: rest.cloned(),
-            seq,
-            hinted: false,
             next,
             rc: 0,
             stamp: 0,
@@ -272,16 +256,10 @@ trait PieceState {
     fn same(&self, other: &Self) -> bool;
 }
 
-struct Writer {
-    node: Arc<TaskNode>,
-    seq: u64,
-    /// As [`Entry::hinted`], per piece.
-    hinted: bool,
-}
-
 /// A piece of the written map.
 struct Written {
-    writer: Option<Writer>,
+    /// The last covering writer.
+    writer: Option<Arc<TaskNode>>,
     writes: u32,
 }
 
@@ -296,11 +274,7 @@ impl PieceState for Written {
     fn share(&self, arena: &mut Arena) -> Self {
         arena.inc(self.writes);
         Written {
-            writer: self.writer.as_ref().map(|w| Writer {
-                node: Arc::clone(&w.node),
-                seq: w.seq,
-                hinted: w.hinted,
-            }),
+            writer: self.writer.clone(),
             writes: self.writes,
         }
     }
@@ -312,7 +286,7 @@ impl PieceState for Written {
     fn same(&self, other: &Self) -> bool {
         let writer = match (&self.writer, &other.writer) {
             (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(&a.node, &b.node),
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
         writer && self.writes == other.writes
@@ -474,7 +448,6 @@ struct Access<'a> {
     rest_full: bool,
     node: &'a Arc<TaskNode>,
     prune: bool,
-    hint: bool,
 }
 
 impl Access<'_> {
@@ -498,8 +471,6 @@ struct Gather {
     producers: Vec<(Arc<TaskNode>, EdgeKind)>,
     /// The consumer's own earlier access was among the conflicts.
     saw_self: bool,
-    /// Locality hint: `(seq, worker)` of the latest finished write met.
-    best: Option<(u64, usize)>,
 }
 
 impl Gather {
@@ -516,24 +487,6 @@ impl Gather {
         }
         spent
     }
-
-    /// Harvest a locality hint from a conflicting earlier write `p`
-    /// (sequence number `seq`): the worker that ran the latest finished
-    /// one wins. When pruning, a finished write hints only the first
-    /// time a query meets it (`hinted` then records that it did): a log
-    /// that prunes finished writers hints from each once, as it drops
-    /// it, and the frontier keeps that rule even where it keeps the
-    /// entry (a list head, a piece's writer).
-    fn hint(&mut self, acc: &Access<'_>, p: &TaskNode, seq: u64, hinted: &mut bool) {
-        if !acc.hint || *hinted || !p.is_finished() || std::ptr::eq(p, &**acc.node) {
-            return;
-        }
-        *hinted = acc.prune;
-        let w = p.ran_on();
-        if w != HINT_NONE && self.best.is_none_or(|(s, _)| seq > s) {
-            self.best = Some((seq, w));
-        }
-    }
 }
 
 /// A per-buffer region frontier; see the module docs.
@@ -541,8 +494,6 @@ pub(crate) struct RegionFrontier {
     written: Tiles<Written>,
     reads: Tiles<Reads>,
     arena: Arena,
-    /// Access counter (entry and writer sequence numbers).
-    seq: u64,
     /// Query stamp.
     query: u64,
     /// Writer-side memos of the current write epoch: cleared by every
@@ -563,7 +514,6 @@ impl Default for RegionFrontier {
             written: Tiles::new(),
             reads: Tiles::new(),
             arena: Arena::default(),
-            seq: 0,
             query: 0,
             read_memos: Vec::new(),
             gather: Gather::default(),
@@ -685,20 +635,16 @@ fn link_producers(
 impl RegionFrontier {
     /// Analyse one access of task `node`: link it after every earlier
     /// access it conflicts with (through `linker`), then record it.
-    /// `prune` (graph not recorded) lets finished producers go; `hint`
-    /// asks for the worker that ran the latest finished writer met (a
-    /// locality hint; advisory).
+    /// `prune` (graph not recorded) lets finished producers go.
     pub(crate) fn record(
         &mut self,
         region: &Region,
         write: bool,
         node: &Arc<TaskNode>,
         prune: bool,
-        hint: bool,
         linker: &mut dyn Linker,
-    ) -> Option<usize> {
+    ) {
         self.query += 1;
-        self.seq += 1;
         let (lo, hi) = dim0(region);
         let acc = Access {
             region,
@@ -710,7 +656,6 @@ impl RegionFrontier {
                 .all(|d| *d == RegionBound::Full),
             node,
             prune,
-            hint,
         };
         if write {
             self.read_memos.clear();
@@ -721,7 +666,7 @@ impl RegionFrontier {
         {
             linker.link_join(&memo.join, EdgeKind::True, &memo.recorded);
             self.add_read(&acc, lo, hi);
-            return None;
+            return;
         }
 
         let kind = if write {
@@ -735,33 +680,28 @@ impl RegionFrontier {
             written,
             reads,
             arena,
-            seq,
             gather,
             list,
             members,
             ..
         } = self;
         gather.saw_self = false;
-        gather.best = None;
         if write {
             written.cut(lo, hi, arena);
         }
         // A partial write joins the pieces' writes lists in the same pass
         // (a covering one replaces the pieces once the walks are done).
-        let mut prepend = (write && !acc.rest_full).then(|| Prepend::new(&acc, *seq));
+        let mut prepend = (write && !acc.rest_full).then(|| Prepend::new(&acc));
         for piece in written.overlapping(lo, hi, write) {
             visited += 1;
-            if let Some(w) = &mut piece.state.writer {
-                gather.hint(&acc, &w.node, w.seq, &mut w.hinted);
-                gather.offer(&acc, &w.node, kind);
+            if let Some(w) = &piece.state.writer {
+                gather.offer(&acc, w, kind);
             }
             visited += walk(arena, &mut piece.state.writes, query, |e| {
                 if !acc.overlaps(e) {
                     return false;
                 }
-                let p = e.node.as_ref().expect("list entries are live");
-                gather.hint(&acc, p, e.seq, &mut e.hinted);
-                let spent = gather.offer(&acc, p, kind);
+                let spent = gather.offer(&acc, e.task(), kind);
                 (acc.prune && spent) || acc.supersedes(e)
             })
             .1;
@@ -821,7 +761,6 @@ impl RegionFrontier {
             self.work += visited;
         }
         let _ = visited; // only the tests read the count
-        let hint = self.gather.best.map(|(_, w)| w);
         let memo = link_producers(
             &mut self.gather,
             &mut self.members,
@@ -841,11 +780,7 @@ impl RegionFrontier {
         } else if acc.rest_full {
             // Invariant 2: the covered pieces retire into one.
             let writer = Written {
-                writer: Some(Writer {
-                    node: Arc::clone(node),
-                    seq: self.seq,
-                    hinted: false,
-                }),
+                writer: Some(Arc::clone(node)),
                 writes: NIL,
             };
             self.written.replace(lo, hi, writer, &mut self.arena);
@@ -853,16 +788,13 @@ impl RegionFrontier {
             self.reads.replace(lo, hi, Reads(NIL), &mut self.arena);
             self.reads.coalesce(lo, hi, &mut self.arena);
         }
-        hint
     }
 
     /// Add a read to the reads map.
     fn add_read(&mut self, acc: &Access<'_>, lo: usize, hi: usize) {
-        let RegionFrontier {
-            reads, arena, seq, ..
-        } = self;
+        let RegionFrontier { reads, arena, .. } = self;
         reads.cut(lo, hi, arena);
-        let mut prepend = Prepend::new(acc, *seq);
+        let mut prepend = Prepend::new(acc);
         for piece in reads.overlapping(lo, hi, true) {
             prepend.to(&mut piece.state.0, arena);
         }
@@ -873,7 +805,7 @@ impl RegionFrontier {
         self.written
             .map
             .values()
-            .all(|p| p.state.writer.as_ref().is_none_or(|w| w.node.is_finished()))
+            .all(|p| p.state.writer.as_ref().is_none_or(|w| w.is_finished()))
             && self
                 .arena
                 .entries
@@ -905,18 +837,13 @@ impl RegionFrontier {
 /// too, so the next piece sharing it skips it in one step.
 struct Prepend<'a, 'r> {
     acc: &'a Access<'r>,
-    seq: u64,
     /// The last run's old head and its new entry.
     last: Option<(u32, u32)>,
 }
 
 impl<'a, 'r> Prepend<'a, 'r> {
-    fn new(acc: &'a Access<'r>, seq: u64) -> Self {
-        Prepend {
-            acc,
-            seq,
-            last: None,
-        }
+    fn new(acc: &'a Access<'r>) -> Self {
+        Prepend { acc, last: None }
     }
 
     /// Prepend to the next piece's list, at `head`.
@@ -937,7 +864,7 @@ impl<'a, 'r> Prepend<'a, 'r> {
                     next = after;
                 }
                 let rest = (!self.acc.rest_full).then_some(self.acc.region);
-                let n = arena.alloc(self.acc.node, rest, self.seq, next);
+                let n = arena.alloc(self.acc.node, rest, next);
                 self.last = Some((old, n));
                 n
             }
@@ -1044,7 +971,7 @@ mod tests {
     ) -> Vec<u64> {
         r.consumer = n.id().0;
         let before = r.edges.len();
-        f.record(region, write, n, prune, true, r);
+        f.record(region, write, n, prune, r);
         let mut preds: Vec<u64> = r.edges[before..].iter().map(|e| e.0).collect();
         preds.sort_unstable();
         preds.dedup();

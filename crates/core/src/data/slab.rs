@@ -391,9 +391,9 @@ pub(crate) struct SlabCounters {
     pub(crate) parked_bytes: usize,
 }
 
-/// The runtime-wide size-classed version store. One per runtime (when
-/// [`version_slab`](crate::RuntimeBuilder::version_slab) is on), shared
-/// by every [`DataObject`](super::object::DataObject) through an `Arc`.
+/// The runtime-wide size-classed version store. One per runtime,
+/// shared by every [`DataObject`](super::object::DataObject) through an
+/// `Arc`; the only place renamed-away versions park.
 pub(crate) struct VersionSlab {
     shelves: Box<[CachePadded<ClassShelf>]>,
     /// Cap on total parked bytes across all shelves. Parking past it
@@ -731,7 +731,7 @@ mod tests {
             .threads(2)
             .slab_spare_bytes(CAP)
             .build();
-        let slab = Arc::clone(rt.shared.slab.as_ref().expect("slab on by default"));
+        let slab = Arc::clone(&rt.shared.slab);
         let hs: Vec<_> = (0..OBJECTS).map(|i| rt.data(i as u64)).collect();
         let mut order: Vec<usize> = (0..OBJECTS).collect();
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;

@@ -15,9 +15,9 @@
 //! * `input` — a true edge from the producer of the current version.
 //! * `output` — the old value is dead to us: if the current version is
 //!   quiescent (producer finished, no pending readers) we reuse its buffer
-//!   in place; otherwise we take a **fresh version** — recycled from the
-//!   object's retired pool when one is dead, allocated otherwise — and
-//!   leave the old one to its readers. Either way, *no edge* is created.
+//!   in place; otherwise we take a **fresh version** — a dead spare of
+//!   the same shape from the runtime's version slab when there is one,
+//!   allocated otherwise — and leave the old one to its readers. Either way, *no edge* is created.
 //! * `inout` — a true edge from the producer. If the current version has
 //!   pending readers, writing in place would be a WAR hazard, so we rename:
 //!   fresh buffer + deferred copy-in of the predecessor value (performed by
@@ -67,32 +67,6 @@ use crate::graph::record::EdgeKind;
 use crate::ids::TaskId;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 
-/// Refresh an object's `last_writer` locality hint and cast this
-/// parameter's preferred-worker vote (weight 1 for whole-object
-/// parameters). Called only when locality placement is live (the
-/// spawner caches the flag), so the ablation/off path pays one branch.
-///
-/// The hint protocol, all plain stores in the spawner-owned cell:
-/// * producer finished → its `ran_on` record **is** the last writer;
-///   cache it in the cell and vote for it.
-/// * producer pending → this task will be *released by* whichever
-///   worker runs that producer — the completion path already places it
-///   there, so the parameter casts no vote (a stale hint would fight
-///   the releaser's better information).
-/// * no producer (settled initial data) → vote the cached hint, if any.
-fn vote_last_writer<T, H: SpawnHost>(sp: &TaskSpawner<'_, H>, st: &mut ObjState<T>) {
-    let hint = match &st.current.producer {
-        Some(p) if p.is_finished_relaxed() => {
-            let w = p.ran_on();
-            st.last_writer = w;
-            w
-        }
-        Some(_) => return,
-        None => st.last_writer,
-    };
-    sp.vote(hint, 1);
-}
-
 /// Analyse an `input` parameter.
 pub(crate) fn read<T: TaskData, H: SpawnHost>(
     sp: &TaskSpawner<'_, H>,
@@ -102,9 +76,6 @@ pub(crate) fn read<T: TaskData, H: SpawnHost>(
     let mut st = h.obj.state.lock();
     if !sp.renaming() {
         st.readers_list.push(Arc::clone(sp.node()));
-    }
-    if sp.locality() {
-        vote_last_writer(sp, &mut st);
     }
     // The producer edge is linked in place, borrowing the producer from
     // the (single-owner, cost-free) state cell — the per-parameter
@@ -122,41 +93,26 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
 ) -> WriteBinding<T> {
     let _lane = sp.lane_enter(h.obj.id);
     if sp.renaming() {
-        let mut pooled_rename = None;
+        let mut renamed = false;
         let binding = {
             let mut st = h.obj.state.lock();
-            if sp.locality() {
-                // An output parameter reads nothing, but the buffer's
-                // cache lines live where it was last written — the
-                // write wants them exclusive there, so the last writer
-                // still gets this parameter's vote.
-                vote_last_writer(sp, &mut st);
-            }
             if quiescent(&st.current) {
                 write_in_place(sp, &mut st)
             } else {
-                let (buf, _old, hit) = rename(sp, h, &mut st);
-                pooled_rename = Some(hit);
+                let (buf, _old) = rename(sp, h, &mut st);
+                renamed = true;
                 WriteBinding::new(buf, None)
             }
         };
-        if let Some(hit) = pooled_rename {
+        if renamed {
+            // Whether the slab served the buffer never changes the
+            // analysis: the graph is decided before the buffer's origin
+            // is known. The slab counts its own hits.
             sp.stats().renames();
-            // A hit means the rename reused a parked buffer — from the
-            // runtime-wide size-classed slab by default, or from this
-            // object's own `retired` list under `version_slab(false)`.
-            // Which store served it never changes the analysis: the
-            // graph is decided before the buffer's origin is known.
-            if hit {
-                sp.stats().version_pool_hits();
-            }
         }
         binding
     } else {
         let mut st = h.obj.state.lock();
-        if sp.locality() {
-            vote_last_writer(sp, &mut st);
-        }
         let self_alias = link_hazards(sp, &mut st);
         if self_alias {
             // This task also *reads* the object (same pointer passed as
@@ -167,7 +123,7 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
             // the same way (renaming is what makes the declaration
             // well-defined).
             sp.stats().renames();
-            let (buf, _old, _) = rename(sp, h, &mut st);
+            let (buf, _old) = rename(sp, h, &mut st);
             WriteBinding::new(buf, None)
         } else {
             write_in_place(sp, &mut st)
@@ -182,13 +138,8 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
 ) -> WriteBinding<T> {
     let _lane = sp.lane_enter(h.obj.id);
     if sp.renaming() {
-        let mut pooled_rename = None;
+        let mut renamed = false;
         let mut st = h.obj.state.lock();
-        if sp.locality() {
-            // The read half of an `inout` wants the bytes the last
-            // writer produced, exactly like `input`.
-            vote_last_writer(sp, &mut st);
-        }
         // Linked in place, as in `read`: the borrow ends before the
         // version switch below rewrites `current`.
         if let Some(p) = &st.current.producer {
@@ -197,26 +148,20 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
         let readers = st.current.buf.window().pending_acquire();
         let binding = if readers > 0 {
             // WAR hazard: rename with deferred copy-in.
-            let (buf, old_buf, hit) = rename(sp, h, &mut st);
-            pooled_rename = Some(hit);
+            let (buf, old_buf) = rename(sp, h, &mut st);
+            renamed = true;
             WriteBinding::new(buf, Some(old_buf))
         } else {
             write_in_place(sp, &mut st)
         };
         drop(st);
-        if let Some(hit) = pooled_rename {
+        if renamed {
             sp.stats().renames();
             sp.stats().copy_ins();
-            if hit {
-                sp.stats().version_pool_hits();
-            }
         }
         binding
     } else {
         let mut st = h.obj.state.lock();
-        if sp.locality() {
-            vote_last_writer(sp, &mut st);
-        }
         if let Some(p) = &st.current.producer {
             sp.link(p, EdgeKind::True);
         }
@@ -226,7 +171,7 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
             // with a copy-in so the read half observes the old value.
             sp.stats().renames();
             sp.stats().copy_ins();
-            let (buf, old_buf, _) = rename(sp, h, &mut st);
+            let (buf, old_buf) = rename(sp, h, &mut st);
             WriteBinding::new(buf, Some(old_buf))
         } else {
             write_in_place(sp, &mut st)
@@ -246,22 +191,17 @@ fn write_in_place<T: TaskData, H: SpawnHost>(
     WriteBinding::new(Arc::clone(&st.current.buf), None)
 }
 
-/// Switch the object to a fresh (or pooled) version produced by the
+/// Switch the object to a fresh (or recycled) version produced by the
 /// spawning task; the displaced producer goes back to the spawn host as
 /// in [`write_in_place`]. Returns `DataObject::rename_current`'s
-/// `(new buffer, displaced buffer, pool hit?)`.
+/// `(new buffer, displaced buffer)`.
 fn rename<T: TaskData, H: SpawnHost>(
     sp: &TaskSpawner<'_, H>,
     h: &Handle<T>,
     st: &mut ObjState<T>,
-) -> (Arc<VBuf<T>>, Arc<VBuf<T>>, bool) {
+) -> (Arc<VBuf<T>>, Arc<VBuf<T>>) {
     let displaced = st.current.producer.take();
-    let switched = h.obj.rename_current(
-        st,
-        Arc::clone(sp.node()),
-        sp.version_pooling(),
-        sp.ticket_charge(),
-    );
+    let switched = h.obj.rename_current(st, Arc::clone(sp.node()), sp.ticket_charge());
     sp.release_producer(displaced);
     switched
 }
@@ -341,20 +281,11 @@ fn region_deps<T: RegionData, H: SpawnHost>(
     // Finished producers can no longer gate anything; the frontier lets
     // them go unless the structural recorder needs the history.
     let prune = !sp.record_graph();
-    let want_hint = sp.locality();
     let mut linker = sp;
-    let hint =
-        h.obj
-            .frontier
-            .lock()
-            .record(region, write, sp.node(), prune, want_hint, &mut linker);
-    if let Some(w) = hint {
-        // Region votes weigh by region size (element count), so a
-        // band's bulk input outvotes its halo rows; unbounded regions
-        // weigh as "very large".
-        let weight = region.volume().map(|v| v.max(1) as u64).unwrap_or(1 << 32);
-        sp.vote(w, weight);
-    }
+    h.obj
+        .frontier
+        .lock()
+        .record(region, write, sp.node(), prune, &mut linker);
 }
 
 /// The frontier's view of the spawning task: its three ways of linking

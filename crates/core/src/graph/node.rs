@@ -65,12 +65,6 @@ use std::sync::Arc;
 use crate::ids::TaskId;
 use crate::runtime::Priority;
 
-/// Sentinel for the worker-hint fields below: no worker recorded.
-const NO_WORKER: u32 = u32::MAX;
-
-/// "No hint" as the `usize` the placement code traffics in.
-pub(crate) const HINT_NONE: usize = usize::MAX;
-
 /// Boxed fallback for task bodies that do not fit the inline buffer.
 pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
 
@@ -287,19 +281,6 @@ pub struct TaskNode {
     body: UnsafeCell<BodySlot>,
     /// Head of the successor stack, or [`closed`] once finished.
     succs: AtomicPtr<SuccNode>,
-    /// Worker index that executed the body (`NO_WORKER` until then) —
-    /// the source of the `last_writer` locality hints. Written with one
-    /// Relaxed store by the executing worker *before* the finish flag's
-    /// Release store, so any thread that observed `is_finished` reads a
-    /// settled value; a racing Relaxed probe can at worst read the
-    /// sentinel, which only weakens a placement hint, never correctness.
-    ran_on: AtomicU32,
-    /// Preferred worker computed from the parameters' `last_writer`
-    /// hints at spawn time (`NO_WORKER` = no live hint). Stamped by the
-    /// spawner before the task is published — the publication's
-    /// Release/Acquire edges carry it to whichever thread releases the
-    /// task — and read at release time to route the ready task.
-    pref: AtomicU32,
     /// Intrusive link for the runtime-wide free stack (node recycling).
     /// Written exactly once per lifecycle, by the completing thread as
     /// it pushes the node; cleared on reset.
@@ -365,8 +346,6 @@ impl TaskNode {
             fault: AtomicU8::new(FAULT_NONE),
             body: UnsafeCell::new(BodySlot::empty()),
             succs: AtomicPtr::new(ptr::null_mut()),
-            ran_on: AtomicU32::new(NO_WORKER),
-            pref: AtomicU32::new(NO_WORKER),
             free_next: AtomicPtr::new(ptr::null_mut()),
             home: AtomicU32::new(0),
             spare_links: UnsafeCell::new(ptr::null_mut()),
@@ -397,8 +376,6 @@ impl TaskNode {
         *self.state.get_mut() = STATE_PENDING;
         *self.fault.get_mut() = FAULT_NONE;
         *self.succs.get_mut() = ptr::null_mut();
-        *self.ran_on.get_mut() = NO_WORKER;
-        *self.pref.get_mut() = NO_WORKER;
         *self.free_next.get_mut() = ptr::null_mut();
         *self.sess_ctl.get_mut() = ptr::null_mut();
     }
@@ -435,39 +412,6 @@ impl TaskNode {
 
     pub(crate) fn set_high_priority(&self) {
         self.high.store(true, Ordering::Relaxed);
-    }
-
-    /// Record the worker index executing this task (placement hints).
-    #[inline]
-    pub(crate) fn set_ran_on(&self, idx: usize) {
-        self.ran_on.store(idx as u32, Ordering::Relaxed);
-    }
-
-    /// Worker index that ran this task, or [`HINT_NONE`]. Advisory: the
-    /// caller pairs it with a finished-state observation for a settled
-    /// value (see the field docs).
-    #[inline]
-    pub(crate) fn ran_on(&self) -> usize {
-        match self.ran_on.load(Ordering::Relaxed) {
-            NO_WORKER => HINT_NONE,
-            w => w as usize,
-        }
-    }
-
-    /// Stamp the preferred worker computed from the parameter hints.
-    /// Spawner-side, pre-publication: a plain store.
-    #[inline]
-    pub(crate) fn set_pref_worker(&self, idx: usize) {
-        self.pref.store(idx as u32, Ordering::Relaxed);
-    }
-
-    /// The preferred worker, if a live hint was stamped at spawn time.
-    #[inline]
-    pub(crate) fn pref_worker(&self) -> Option<usize> {
-        match self.pref.load(Ordering::Relaxed) {
-            NO_WORKER => None,
-            w => Some(w as usize),
-        }
     }
 
     /// Stamp the owning analysis lane (pre-publication plain store;

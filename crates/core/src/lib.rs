@@ -14,7 +14,9 @@
 //! 2. applies **renaming** — the technique used by superscalar processors —
 //!    so only *true* (read-after-write) dependencies remain in the graph, and
 //! 3. schedules the task on a worker thread once its inputs are produced,
-//!    using a locality-aware work-stealing policy (§III of the paper).
+//!    in the §III order: a high-priority list, then the thread's own
+//!    list (LIFO, where the tasks it released go), then the main list
+//!    (FIFO), then stealing from the other threads in creation order.
 //!
 //! ## Quick start
 //!

@@ -160,31 +160,6 @@ pub struct Shared {
     /// The main ready list (FIFO): "a point of distribution of tasks in
     /// areas of the graph that are not being explored".
     pub(crate) main_q: Injector<Job>,
-    /// Per-worker **affinity mailboxes** (one per thread, index 0 =
-    /// main): the locality-aware placement's extension of the own
-    /// lists. A Chase–Lev deque only admits owner pushes, so a ready
-    /// task whose `last_writer` hints prefer a *different* worker is
-    /// published to that worker's mailbox instead; the owner drains its
-    /// mailbox right after its own list (batched claim, counted as
-    /// own-list pops), and thieves raid other workers' mailboxes only
-    /// as a last resort — after **every** victim deque came up empty —
-    /// so mailbox work is never stranded but locality-neutral stealable
-    /// work always goes first. Built for every runtime but only pushed
-    /// to when [`locality_routing`] is set.
-    ///
-    /// [`locality_routing`]: Shared::locality_routing
-    pub(crate) mailboxes: Box<[Injector<Job>]>,
-    /// Locality placement is live: `cfg.locality`, SMPSs policy, and
-    /// more than one thread (hints are meaningless to a single
-    /// consumer). Derived once at build.
-    pub(crate) locality_routing: bool,
-    /// The spawner may park born-ready **self-affine** tasks in its
-    /// private hand-off window ([`WorkerCtx::stash`]): requires locality
-    /// routing plus a configured §III blocking condition — the throttle
-    /// is what guarantees the spawner regularly becomes a worker and
-    /// drains the window, so a stashed task can never wait longer than
-    /// one throttle oscillation.
-    pub(crate) self_stash: bool,
     /// Single central queue for [`SchedulerPolicy::CentralQueue`](crate::config::SchedulerPolicy).
     pub(crate) central: Injector<Job>,
     /// FIFO-stealing ends of every thread's own list (index 0 = main).
@@ -194,18 +169,15 @@ pub struct Shared {
     /// with that index) bumping it with a load + Release store, so
     /// completion pays no RMW and no shared line — the live graph size
     /// is `next_task - finished_total()`, summed on demand by the
-    /// barrier/throttle side. (The `lockfree_release(false)` ablation
-    /// funnels every completion through shard 0 with the old AcqRel
-    /// RMW.)
+    /// barrier/throttle side.
     pub(crate) finished: Box<[CachePadded<AtomicU64>]>,
     /// Bytes held by live data versions (initial buffers + renamed
     /// copies); watched by the §III memory-limit blocking condition.
     pub(crate) live_bytes: Arc<AtomicUsize>,
     /// The runtime-wide size-classed store displaced version buffers
-    /// park in awaiting reuse ([`data::slab::VersionSlab`]); `None`
-    /// when `version_slab(false)` keeps the legacy per-object spares
-    /// (the `slab_ablation` baseline) or pooling is off entirely.
-    pub(crate) slab: Option<Arc<crate::data::slab::VersionSlab>>,
+    /// park in awaiting reuse ([`data::slab::VersionSlab`]), shared by
+    /// every data object.
+    pub(crate) slab: Arc<crate::data::slab::VersionSlab>,
     /// Single-writer spawn counter (the spawn count doubles as the
     /// liveness numerator). Padded: the spawner bumps it per task while
     /// workers read it in completion probes — without padding it would
@@ -281,7 +253,7 @@ pub struct Shared {
     /// save; submitter and session threads are producers whose time
     /// belongs to the caller; and the central-queue ablation keeps every
     /// task in its one queue, as it keeps them out of the SMPSs
-    /// policy's other private fast paths (hand-off, stash).
+    /// policy's other private fast path, the completion hand-off.
     pub(crate) costs: Option<CostTable>,
 }
 
@@ -299,9 +271,6 @@ impl Shared {
     fn build(cfg: RuntimeConfig, stealers: Vec<Stealer<Job>>) -> Shared {
         let n = cfg.threads;
         let smpss = cfg.policy == crate::config::SchedulerPolicy::Smpss;
-        let locality_routing = cfg.locality && n > 1 && smpss;
-        let self_stash = locality_routing
-            && (cfg.graph_size_limit.is_some() || cfg.memory_limit.is_some());
         let shards = cfg.shards;
         // Sessions ride the submitter-lane machinery even at one shard:
         // each session wraps a lane, so a sessioned runtime is sharded
@@ -310,17 +279,15 @@ impl Shared {
         let sharded = shards > 1 || cfg.sessions;
         // Spare cap: the explicit knob, else the memory limit (spares
         // should never out-budget the throttle), else a fixed default.
-        let slab = (cfg.version_pool && cfg.version_slab).then(|| {
-            let cap = cfg
-                .slab_spare_bytes
-                .or(cfg.memory_limit)
-                .unwrap_or(crate::data::slab::DEFAULT_SPARE_CAP);
-            // `sharded` doubles as the slab's access mode: only
-            // submitter lanes (shards >= 2) or sessions let a second
-            // thread into the rename/reclaim paths, so the default
-            // runtime shape gets tripwire shelf gates instead of CAS.
-            Arc::new(crate::data::slab::VersionSlab::new(cap, sharded))
-        });
+        let cap = cfg
+            .slab_spare_bytes
+            .or(cfg.memory_limit)
+            .unwrap_or(crate::data::slab::DEFAULT_SPARE_CAP);
+        // `sharded` doubles as the slab's access mode: only submitter
+        // lanes (shards >= 2) or sessions let a second thread into the
+        // rename/reclaim paths, so the default runtime shape gets
+        // tripwire shelf gates instead of CAS.
+        let slab = Arc::new(crate::data::slab::VersionSlab::new(cap, sharded));
         let mut stats = Stats::new(n);
         // Sharded analysis has concurrent spawners: the spawner-side
         // counters switch from single-writer load+store to RMWs.
@@ -333,9 +300,6 @@ impl Shared {
             hp: Injector::new(),
             hp_used: CachePadded::new(AtomicBool::new(false)),
             main_q: Injector::new(),
-            mailboxes: (0..n).map(|_| Injector::new()).collect(),
-            locality_routing,
-            self_stash,
             central: Injector::new(),
             stealers,
             finished: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
@@ -373,18 +337,13 @@ impl Shared {
     /// what makes the §III blocking conditions real backpressure: the
     /// throttle, the submitter backoff loop and the session quota probe
     /// all reclaim before (and instead of) waiting. Cheap when there is
-    /// nothing to do — no slab, under the limit, or nothing parked.
+    /// nothing to do — under the limit, or nothing parked.
     pub(crate) fn reclaim_spares(&self, limit: usize) -> usize {
-        match &self.slab {
-            Some(slab) => {
-                let live = self.live_bytes.load(Ordering::Acquire);
-                if live > limit {
-                    slab.reclaim(live - limit)
-                } else {
-                    0
-                }
-            }
-            None => 0,
+        let live = self.live_bytes.load(Ordering::Acquire);
+        if live > limit {
+            self.slab.reclaim(live - limit)
+        } else {
+            0
         }
     }
 
@@ -395,7 +354,7 @@ impl Shared {
     ///
     /// [`reclaim_spares`]: Shared::reclaim_spares
     pub(crate) fn reclaim_dead_spares(&self, want: usize) -> usize {
-        self.slab.as_ref().map_or(0, |s| s.reclaim(want))
+        self.slab.reclaim(want)
     }
 
     /// Has any [`Runtime::session`] been opened? One Relaxed flag load;
@@ -699,14 +658,6 @@ pub struct Runtime {
     /// Monotonic-safe: the bound only lags, so `spawned - bound` only
     /// overestimates liveness — the throttle can never under-block.
     finished_seen: Cell<u64>,
-    /// Did the most recent [`throttle`](Self::throttle) call actually
-    /// block (and therefore help)? The self-hand-off stash is only fed
-    /// while this holds: a *configured but never-binding* limit must
-    /// not strand born-ready work in the private window — when the
-    /// throttle is not oscillating, self-affine tasks go to the
-    /// (thief-reachable) mailbox instead, and the stash depth stays
-    /// O(1) because every submit that stashes also triggers a help.
-    throttle_engaged: Cell<bool>,
     /// Spawner-side cache of recycled task nodes, refilled from
     /// [`Shared::free_nodes`]. `RefCell` keeps `Runtime: !Sync`, which
     /// is load-bearing: only the single spawning thread touches it.
@@ -770,7 +721,6 @@ impl Runtime {
             shared,
             main_ctx: RefCell::new(WorkerCtx::new(main_local)),
             finished_seen: Cell::new(0),
-            throttle_engaged: Cell::new(false),
             node_cache: RefCell::new(Vec::new()),
             link_cache: RefCell::new(Vec::new()),
             joins,
@@ -908,7 +858,7 @@ impl Runtime {
                 Box::new(alloc),
                 version_bytes,
                 Arc::clone(&self.shared.live_bytes),
-                self.shared.slab.clone(),
+                Arc::clone(&self.shared.slab),
                 shape_exact,
             )),
         }
@@ -998,7 +948,6 @@ impl Runtime {
                 }
             }
             self.finished_seen.set(seen);
-            self.throttle_engaged.set(false);
             self.shared.trace_event(0, EventKind::BarrierEnd);
             return;
         }
@@ -1023,10 +972,6 @@ impl Runtime {
             }
         }
         self.finished_seen.set(seen);
-        // The graph just drained: whatever throttling phase preceded
-        // this barrier is over, so the next born-ready task must not be
-        // stashed on a stale "spawner is regularly helping" signal.
-        self.throttle_engaged.set(false);
         self.shared.trace_event(0, EventKind::BarrierEnd);
     }
 
@@ -1203,21 +1148,22 @@ impl Runtime {
         self.finish_helping();
     }
 
-    /// Snapshot of the runtime counters. The slab occupancy gauges
-    /// (`slab_*`, `version_bytes_*`) are overlaid here from the live
-    /// slab and byte account — they are point-in-time states, not
-    /// monotonic event counters like the rest of the snapshot.
+    /// Snapshot of the runtime counters. The slab's counters and
+    /// occupancy gauges (`slab_*`, `version_pool_hits`,
+    /// `version_bytes_*`) are overlaid here from the live slab and byte
+    /// account; the gauges are point-in-time states, not monotonic
+    /// event counters like the rest of the snapshot.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = self.shared.stats.snapshot();
+        let slab = &self.shared.slab;
+        let c = slab.counters();
+        snap.version_pool_hits = c.hits;
+        snap.slab_hits = c.hits;
+        snap.slab_evicted_dead = c.evicted_dead;
+        snap.slab_evicted_live = c.evicted_live;
+        snap.slab_parked_bytes = c.parked_bytes as u64;
         snap.version_bytes_live = self.shared.live_bytes.load(Ordering::Acquire) as u64;
-        if let Some(slab) = &self.shared.slab {
-            let c = slab.counters();
-            snap.slab_hits = c.hits;
-            snap.slab_evicted_dead = c.evicted_dead;
-            snap.slab_evicted_live = c.evicted_live;
-            snap.slab_parked_bytes = c.parked_bytes as u64;
-            snap.version_bytes_peak = slab.peak() as u64;
-        }
+        snap.version_bytes_peak = slab.peak() as u64;
         snap
     }
 
@@ -1263,45 +1209,24 @@ impl Runtime {
     /// workers run their hand-off chains in a loop, not by recursion.
     pub(crate) fn help_once(&self) -> bool {
         let mut ctx = self.main_ctx.borrow_mut();
-        // High-priority work preempts every private fast path, exactly
-        // as it preempts the worker loop's hand-off chain: the deferred
-        // hand-off is demoted to the own list and the stash shortcut is
-        // skipped, so the lookup below serves the HP list first ("as
-        // soon as possible independently of any locality
-        // consideration"; `find_task` still reaches the stash right
-        // after).
-        let hp_live =
-            self.shared.hp_used.load(Ordering::Relaxed) && !self.shared.hp.is_empty();
-        if hp_live {
+        // High-priority work preempts the deferred hand-off, exactly as
+        // it preempts the worker loop's hand-off chain: the hand-off is
+        // demoted to the own list, so the lookup below serves the HP
+        // list first ("as soon as possible independently of any
+        // locality consideration").
+        if self.shared.hp_used.load(Ordering::Relaxed) && !self.shared.hp.is_empty() {
             if let Some(job) = ctx.pending.take() {
                 ctx.local.push(job);
             }
         }
-        // Both private slots hold never-published (owned) work; the own
-        // list is LIFO, so the *most recently readied* task runs first —
-        // a task stashed by the submit that triggered this help beats
-        // the hand-off parked by an earlier completion. Running the
-        // just-spawned reader before the spawner analyses the next
-        // writer is also what lets that writer reuse the version in
-        // place instead of renaming (see `WorkerCtx::stash`).
-        // (A stalled hand-off cannot starve: once the live count exceeds
-        // the throttle limit by more than the stash refill rate, the
-        // extra helps drain the stash and reach `pending`.)
-        let stashed = if self.shared.locality_routing && !hp_live {
-            ctx.stash.pop_back()
-        } else {
-            None
-        };
-        let found = if let Some(job) = stashed {
-            Some((job, crate::sched::TaskSource::OwnList, true))
-        } else if let Some(job) = ctx.pending.take() {
+        let found = if let Some(job) = ctx.pending.take() {
             // The deferred hand-off: never published, statically ours.
             // Counted here — at consumption — so a hand-off demoted to
             // an own-list push by HP preemption is not misreported.
             self.shared.stats.handoffs(0);
-            Some((job, crate::sched::TaskSource::OwnList, true))
+            Some((job, TaskSource::OwnList, true))
         } else {
-            find_task(&self.shared, &mut ctx, 0)
+            find_task(&self.shared, &mut ctx, 0).map(|(job, src)| (job, src, false))
         };
         if let Some((job, src, owned)) = found {
             let (done, handoff) = run_task(&self.shared, &mut ctx, 0, job, src, true, owned);
@@ -1324,46 +1249,28 @@ impl Runtime {
         cache_if_last(&mut self.node_cache.borrow_mut(), node);
     }
 
-    /// Re-publish the helper's deferred hand-off — and any leftover
-    /// self-hand-off stash or claimed-but-unrun mailbox batch — onto
-    /// the (stealable) own list. Called when a helping loop exits: its
-    /// caller may not help again for a long time, and tasks parked in
-    /// `pending`/`stash`/`hinted` are invisible to thieves — without
-    /// this, a ready task could serialize behind the spawner's next
-    /// blocking condition.
+    /// Re-publish the helper's deferred hand-off onto the (stealable)
+    /// own list. Called when a helping loop exits: its caller may not
+    /// help again for a long time, and a task parked in `pending` is
+    /// invisible to thieves — without this, a ready task could
+    /// serialize behind the spawner's next blocking condition.
     fn finish_helping(&self) {
-        // A helping loop just ended; until the next `throttle` call
-        // re-evaluates the blocking conditions, assume the spawner is
-        // *not* regularly helping (the stash gate errs toward
-        // publishing). The throttle's own exit path overwrites this
-        // right after, so steady-state oscillation keeps stashing.
-        self.throttle_engaged.set(false);
         if self.shared.cfg.threads == 1 {
-            // No thieves exist: the private slots cannot starve anyone,
-            // and the next helping call consumes them queue-free.
+            // No thieves exist: the private slot cannot starve anyone,
+            // and the next helping call consumes it queue-free.
             return;
         }
         let mut ctx = self.main_ctx.borrow_mut();
-        let was_empty = ctx.local.is_empty();
-        let mut pushed = false;
         if let Some(job) = ctx.pending.take() {
+            let was_empty = ctx.local.is_empty();
             ctx.local.push(job);
-            pushed = true;
-        }
-        while let Some(job) = ctx.stash.pop_front() {
-            ctx.local.push(job);
-            pushed = true;
-        }
-        while let Some(job) = ctx.hinted.pop_front() {
-            ctx.local.push(job);
-            pushed = true;
-        }
-        if pushed && was_empty {
-            self.shared.sleep.notify_one();
+            if was_empty {
+                self.shared.sleep.notify_one();
+            }
         }
     }
 
-    /// Publish a task that is ready at submit time. Three cases, first
+    /// Publish a task that is ready at submit time. Two cases, first
     /// match wins:
     ///
     /// 1. **Inline execution.** The task's site has a measured body cost
@@ -1382,14 +1289,7 @@ impl Runtime {
     ///    [`SAMPLE_EVERY`](crate::sched::cost::SAMPLE_EVERY) of its
     ///    tasks still runs here, timed, so the spawner's own samples
     ///    decide whether it comes back (see `sched::cost`).
-    /// 2. **Self-affinity.** The ballot elected the spawning thread
-    ///    itself, and a blocking condition guarantees this thread will
-    ///    act as a worker shortly: the task is parked in the private
-    ///    hand-off window and never published at all (zero queue
-    ///    atomics, `take_body_owned` on consumption), exactly like a
-    ///    completion's direct hand-off.
-    /// 3. [`enqueue_ready`]: the main list, or the preferred worker's
-    ///    mailbox when a hint is live.
+    /// 2. [`enqueue_ready`]: the main list (or the high-priority list).
     #[inline]
     pub(crate) fn publish_born_ready(&self, job: crate::sched::Job) {
         let shared = &*self.shared;
@@ -1402,22 +1302,7 @@ impl Runtime {
                 return;
             }
         }
-        // High-priority tasks are "scheduled as soon as possible
-        // independently of any locality consideration": never stashed —
-        // `enqueue_ready` routes them to the global HP list.
-        if shared.self_stash
-            && self.throttle_engaged.get()
-            && job.priority() == Priority::Normal
-            && job.pref_worker() == Some(0)
-        {
-            let mut ctx = self.main_ctx.borrow_mut();
-            if ctx.stash.len() < crate::sched::worker::STASH_MAX {
-                shared.stats.locality_hits(0);
-                ctx.stash.push_back(job);
-                return;
-            }
-        }
-        enqueue_ready(shared, None, job);
+        enqueue_ready(shared, job);
     }
 
     /// Run a born-ready task on the spawning thread (case 1 of
@@ -1441,12 +1326,10 @@ impl Runtime {
     /// (graph-size limit or memory limit), helping run tasks meanwhile.
     #[inline]
     pub(crate) fn throttle(&self) {
-        let mut engaged = false;
         // Fault-injection site: a planned forced stall turns this
         // submit into one help quantum, exactly as if a §III blocking
         // condition held. Compiles to nothing by default.
         if crate::fault::throttle_site() {
-            engaged = true;
             self.shared.stats.throttle_blocks();
             let _ = self.help_once();
             self.finish_helping();
@@ -1462,7 +1345,6 @@ impl Runtime {
                 self.finished_seen.set(seen);
             }
             if spawned.saturating_sub(seen) as usize > limit {
-                engaged = true;
                 self.shared.stats.throttle_blocks();
                 self.shared.trace_event(0, EventKind::BarrierBegin);
                 // Same cached-lag drain as `barrier`: helping advances
@@ -1490,7 +1372,6 @@ impl Runtime {
                 self.shared.reclaim_spares(limit);
             }
             if self.shared.live_bytes.load(Ordering::Acquire) > limit {
-                engaged = true;
                 self.shared.stats.throttle_blocks();
                 self.shared.trace_event(0, EventKind::BarrierBegin);
                 // Versions retire when tasks finish and their bindings
@@ -1518,10 +1399,6 @@ impl Runtime {
                 self.shared.trace_event(0, EventKind::BarrierEnd);
             }
         }
-        // Feed the self-hand-off gate: the stash is only a good home
-        // for born-ready self-affine work while the throttle is
-        // actively turning the spawner into a worker.
-        self.throttle_engaged.set(engaged);
     }
 
     /// Enter the lane owning object `id` — only on a sharded runtime,
@@ -1539,8 +1416,8 @@ impl Runtime {
 }
 
 /// The [`Runtime`] itself is the canonical spawn host: the paper's
-/// master thread. Single-writer id minting and the private hand-off
-/// stash stay exclusive to this impl; when the runtime is sharded its
+/// master thread. Single-writer id minting and inline runs stay
+/// exclusive to this impl; when the runtime is sharded its
 /// counters switch to the same RMWs the submitter lanes use, and its
 /// object accesses gate like any other lane's.
 impl spawner::SpawnHost for Runtime {
@@ -1631,45 +1508,44 @@ mod tests {
     use crate::ids::TaskId;
     use std::sync::atomic::AtomicU64;
 
-    /// PR 5 documented (prose only, until now) that `help_once` must
-    /// drain the self-affinity stash **before** consuming the deferred
-    /// completion hand-off: the stash holds the task the *triggering
-    /// submit* just made ready, and running it first is what lets the
-    /// next writer reuse its version in place — on the swapped order
-    /// the runtime locks into a self-sustaining rename loop. This test
-    /// fails if the two private slots are ever consumed in the other
-    /// order.
+    /// A stamping body: writes the next tick of `clock` into `slot`.
+    fn stamp(clock: &Arc<AtomicU64>, slot: &Arc<AtomicU64>) -> impl FnOnce() + Send + 'static {
+        let (clock, slot) = (Arc::clone(clock), Arc::clone(slot));
+        move || slot.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst)
+    }
+
+    /// The main thread's one private slot is the deferred completion
+    /// hand-off, and `help_once` consumes it before anything published:
+    /// the hand-off first (counted as one), then the own list (LIFO),
+    /// then the main list (FIFO) — the §III order behind the hand-off.
     #[test]
     fn help_once_drains_stash_before_the_handoff() {
-        let rt = Runtime::builder().threads(2).build();
-        assert!(rt.shared.locality_routing, "stash path needs locality");
+        // One thread: no worker can take the queued tasks first.
+        let rt = Runtime::builder().threads(1).build();
         let clock = Arc::new(AtomicU64::new(1));
-        let stamp = |slot: &Arc<AtomicU64>| {
-            let clock = Arc::clone(&clock);
-            let slot = Arc::clone(slot);
-            move || {
-                slot.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-            }
-        };
-        let stash_ran = Arc::new(AtomicU64::new(0));
-        let pending_ran = Arc::new(AtomicU64::new(0));
-        let stash_job = TaskNode::new(TaskId(1), "stashed", Priority::Normal);
-        stash_job.install_body(stamp(&stash_ran));
-        let pending_job = TaskNode::new(TaskId(2), "handoff", Priority::Normal);
-        pending_job.install_body(stamp(&pending_ran));
+        let ran: Vec<_> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        let jobs: Vec<_> = ran
+            .iter()
+            .zip(1u64..)
+            .map(|(slot, id)| {
+                let job = TaskNode::new(TaskId(id), "private", Priority::Normal);
+                job.install_body(stamp(&clock, slot));
+                job
+            })
+            .collect();
         {
             let mut ctx = rt.main_ctx.borrow_mut();
-            ctx.stash.push_back(stash_job);
-            ctx.pending = Some(pending_job);
+            ctx.pending = Some(Arc::clone(&jobs[0]));
+            ctx.local.push(Arc::clone(&jobs[1]));
         }
-        assert!(rt.help_once(), "two private tasks are waiting");
-        assert_eq!(
-            (stash_ran.load(Ordering::SeqCst), pending_ran.load(Ordering::SeqCst)),
-            (1, 0),
-            "the stashed task must run before the deferred hand-off"
-        );
-        assert!(rt.help_once(), "the hand-off is still parked");
-        assert_eq!(pending_ran.load(Ordering::SeqCst), 2, "hand-off runs second");
+        rt.shared.main_q.push(Arc::clone(&jobs[2]));
+        drop(jobs);
+        for _ in 0..3 {
+            assert!(rt.help_once(), "three private tasks are waiting");
+        }
+        let order: Vec<u64> = ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert_eq!(order, vec![1, 2, 3], "hand-off, then own list, then main list");
+        assert_eq!(rt.stats().handoffs, 1);
     }
 
     /// A producer a writer displaces goes back to the node pool only
@@ -1741,37 +1617,28 @@ mod tests {
         assert!(rt.stats().inline_runs > before, "the spawner timed it inline");
     }
 
-    /// High-priority work preempts both private slots: with a live HP
-    /// task, `help_once` demotes the hand-off to the own list and skips
-    /// the stash shortcut, so the HP task runs first.
+    /// High-priority work preempts the deferred hand-off: with a live
+    /// HP task, `help_once` demotes the hand-off to the own list, so the
+    /// HP task runs first and the demoted task is not counted as a
+    /// hand-off.
     #[test]
     fn high_priority_preempts_stash_and_handoff() {
-        let rt = Runtime::builder().threads(2).build();
+        let rt = Runtime::builder().threads(1).build();
         let clock = Arc::new(AtomicU64::new(1));
-        let stamp = |slot: &Arc<AtomicU64>| {
-            let clock = Arc::clone(&clock);
-            let slot = Arc::clone(slot);
-            move || {
-                slot.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-            }
-        };
-        let stash_ran = Arc::new(AtomicU64::new(0));
+        let pending_ran = Arc::new(AtomicU64::new(0));
         let hp_ran = Arc::new(AtomicU64::new(0));
-        let stash_job = TaskNode::new(TaskId(1), "stashed", Priority::Normal);
-        stash_job.install_body(stamp(&stash_ran));
+        let pending_job = TaskNode::new(TaskId(1), "handoff", Priority::Normal);
+        pending_job.install_body(stamp(&clock, &pending_ran));
         let hp_job = TaskNode::new(TaskId(2), "urgent", Priority::Normal);
         hp_job.set_high_priority();
-        hp_job.install_body(stamp(&hp_ran));
-        {
-            let mut ctx = rt.main_ctx.borrow_mut();
-            ctx.stash.push_back(stash_job);
-        }
+        hp_job.install_body(stamp(&clock, &hp_ran));
+        rt.main_ctx.borrow_mut().pending = Some(pending_job);
         rt.shared.hp_used.store(true, Ordering::Relaxed);
         rt.shared.hp.push(hp_job);
         assert!(rt.help_once());
-        assert_eq!(hp_ran.load(Ordering::SeqCst), 1, "HP first, stash waits");
-        // Drain the stashed task so runtime drop sees a clean context.
+        assert_eq!(hp_ran.load(Ordering::SeqCst), 1, "HP first, the hand-off waits");
         assert!(rt.help_once());
-        assert_eq!(stash_ran.load(Ordering::SeqCst), 2);
+        assert_eq!(pending_ran.load(Ordering::SeqCst), 2);
+        assert_eq!(rt.stats().handoffs, 0, "a demoted hand-off is an own-list pop");
     }
 }

@@ -696,14 +696,14 @@ mod tests {
 
     /// Renamed-bytes quota: forcing a rename under a session charges
     /// the session's byte account, and the Shed policy refuses while
-    /// the charge is live.
+    /// the charge is live. The displaced version parks in the slab; it
+    /// was never this session's, so freeing it leaves the quota alone.
     #[test]
     fn renamed_bytes_quota_sheds_until_versions_retire() {
         let rt = Runtime::builder()
             .threads(2)
             .session_max_renamed_bytes(512)
             .admission(AdmissionPolicy::Shed)
-            .version_pool(false)
             .build();
         let s = rt.session();
         let h = rt.data_sized(vec![0u8; 1024], 1024, || vec![0u8; 1024]);
@@ -734,8 +734,13 @@ mod tests {
         gate.store(true, Ordering::Release);
         s.wait().expect("no failures");
         rt.barrier();
-        // The superseded version retired with the graph drain; the
-        // session account followed it down.
+        // The superseded initial version sits dead in the slab. It was
+        // minted outside the session, so reclaiming it returns global
+        // bytes only; the renamed current version stays charged.
+        assert_eq!(rt.stats().slab_parked_bytes, 1024);
+        let live = rt.live_version_bytes();
+        assert_eq!(rt.shared.reclaim_dead_spares(usize::MAX), 1024);
+        assert_eq!(rt.live_version_bytes(), live - 1024);
         assert_eq!(s.renamed_bytes(), 1024, "current version still charged");
     }
 

@@ -254,13 +254,12 @@ impl SpawnHost for Submitter {
         }
     }
 
-    /// Publish a born-ready task. A submitter has no private hand-off
-    /// window (it never becomes a worker), so everything goes through
-    /// the public routes: HP list, preferred worker's mailbox, or the
-    /// main list — with the usual empty-transition wake.
+    /// Publish a born-ready task. A submitter never runs tasks, so
+    /// everything goes through the public routes: the HP list or the
+    /// main list, with the usual empty-transition wake.
     #[inline]
     fn publish_born_ready(&self, job: Job) {
-        enqueue_ready(&self.shared, None, job);
+        enqueue_ready(&self.shared, job);
     }
 
     /// The submitter-side §III throttle: watch the same shared live-task
@@ -446,15 +445,14 @@ mod tests {
     /// Regression: a `Submitter` dropped mid-graph with un-returned
     /// byte-credit surplus must hand the debt back to the global
     /// throttle account — `live_bytes` may only count live version
-    /// tickets once no lane holds a credit.
+    /// tickets once no lane holds a credit. The rename parks the
+    /// displaced version in the slab, where its ticket stays charged
+    /// until the slab lets it go.
     #[test]
     fn dropped_submitter_returns_byte_credit_debt() {
-        let rt = Runtime::builder()
-            .threads(2)
-            .shards(2)
-            .version_pool(false)
-            .build();
-        let h = rt.data_sized(vec![0u8; 1024], 1024, || vec![0u8; 1024]);
+        const BYTES: usize = 1024;
+        let rt = Runtime::builder().threads(2).shards(2).build();
+        let h = rt.data_sized(vec![0u8; BYTES], BYTES, || vec![0u8; BYTES]);
         let gate = Arc::new(AtomicBool::new(false));
         let subs = rt.submitters();
         {
@@ -490,7 +488,18 @@ mod tests {
             before - surplus,
             "dropping the submitters must return exactly the surplus"
         );
+        assert_eq!(
+            rt.shared.live_bytes.load(Ordering::Acquire),
+            2 * BYTES,
+            "the current version and the displaced one parked in the slab"
+        );
         gate.store(true, Ordering::Release);
         rt.barrier();
+        // The blocker's binding has dropped: the parked version is dead,
+        // still charged, and the slab's reclaim is what returns it.
+        assert_eq!(rt.stats().slab_parked_bytes, BYTES as u64);
+        assert_eq!(rt.shared.live_bytes.load(Ordering::Acquire), 2 * BYTES);
+        assert_eq!(rt.shared.reclaim_dead_spares(usize::MAX), BYTES);
+        assert_eq!(rt.shared.live_bytes.load(Ordering::Acquire), BYTES);
     }
 }

@@ -110,30 +110,12 @@ pub struct TaskSpawner<'rt, H: SpawnHost = Runtime> {
     /// RMW for born-ready tasks. (`Cell`: the analyser links through
     /// `&TaskSpawner`.)
     counted_edges: std::cell::Cell<usize>,
-    /// Cached "locality placement is live" (`cfg.locality`, SMPSs
-    /// policy, more than one thread): gates the per-parameter hint work
-    /// so the ablation/off path pays a single branch.
-    locality: bool,
     /// Cached `cfg.on_panic == CancelDependents`: an edge linked against
     /// an already-finished **poisoned** producer must cancel this task
     /// (the completion walk only poisons successors registered before
     /// the producer finished; this covers spawn-after-failure).
     poison_new_deps: bool,
-    /// Preferred-worker ballot: per-parameter `last_writer` hints
-    /// accumulate weight per distinct worker ([`VOTE_SLOTS`] distinct
-    /// workers tracked — beyond that, surplus hints are dropped, which
-    /// can only weaken a placement hint). `Cell` of a small `Copy`
-    /// array: the analyser votes through `&TaskSpawner`.
-    votes: std::cell::Cell<[(u32, u64); VOTE_SLOTS]>,
 }
-
-/// Distinct hinted workers tracked per spawn. Tasks rarely read data
-/// written by more than a handful of workers; a ballot overflow drops
-/// the surplus vote (hint-weakening only, never wrong).
-const VOTE_SLOTS: usize = 4;
-
-/// Empty ballot slot marker.
-const NO_VOTE: u32 = u32::MAX;
 
 #[allow(private_bounds)]
 impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
@@ -159,9 +141,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
             renaming: shared.cfg.renaming,
             record: shared.cfg.record_graph,
             counted_edges: std::cell::Cell::new(0),
-            locality: shared.locality_routing,
             poison_new_deps: shared.cfg.on_panic == crate::config::OnPanic::CancelDependents,
-            votes: std::cell::Cell::new([(NO_VOTE, 0); VOTE_SLOTS]),
         }
     }
 
@@ -235,14 +215,6 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         F: FnOnce() + Send + 'static,
     {
         self.node.install_body(body);
-        if self.locality {
-            // Stamp the preferred worker before any publication: the
-            // readiness hand-off (guard release / queue push) carries
-            // the plain store to whichever thread releases the task.
-            if let Some(w) = self.elect_pref() {
-                self.node.set_pref_worker(w);
-            }
-        }
         self.rt.shared().trace_event(0, EventKind::Spawn(self.node.id()));
         self.submitted = true;
         // SAFETY: `submitted` is set, so Drop will not touch `node`
@@ -290,65 +262,8 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         self.rt.lane_enter(id)
     }
 
-    /// Is locality placement live for this runtime? (Cached; gates the
-    /// analyser's per-parameter hint work.)
-    #[inline]
-    pub(crate) fn locality(&self) -> bool {
-        self.locality
-    }
-
-    /// Cast one parameter's preferred-worker vote: `weight` ballots for
-    /// `worker` (ignored when the hint is dead or locality is off).
-    /// Majority with a first-writer tie-break resolves at submit.
-    pub(crate) fn vote(&self, worker: usize, weight: u64) {
-        if !self.locality || worker == crate::graph::node::HINT_NONE {
-            return;
-        }
-        let mut v = self.votes.get();
-        for slot in v.iter_mut() {
-            if slot.0 == worker as u32 {
-                slot.1 = slot.1.saturating_add(weight);
-                self.votes.set(v);
-                return;
-            }
-            if slot.0 == NO_VOTE {
-                *slot = (worker as u32, weight);
-                self.votes.set(v);
-                return;
-            }
-        }
-        // Ballot overflow (more than VOTE_SLOTS distinct hinted
-        // workers): drop the vote — weakens the hint, never wrong.
-    }
-
-    /// The ballot's winner: highest weight, earliest-voted on a tie
-    /// (the first-writer rule). Slots fill in order, so an empty first
-    /// slot means no parameter voted — the common case for parameter-
-    /// less storms, which must not pay a full scan per spawn.
-    fn elect_pref(&self) -> Option<usize> {
-        let v = self.votes.get();
-        if v[0].0 == NO_VOTE {
-            return None;
-        }
-        let mut best: Option<(u32, u64)> = None;
-        for (w, weight) in v {
-            if w != NO_VOTE && best.is_none_or(|(_, bw)| weight > bw) {
-                best = Some((w, weight));
-            }
-        }
-        best.map(|(w, _)| w as usize)
-    }
-
     pub(crate) fn record_graph(&self) -> bool {
         self.record
-    }
-
-    /// Whether renames may reuse parked version buffers at all. With
-    /// pooling on, the store is the runtime-wide size-classed slab by
-    /// default (`Shared::slab`), or the legacy per-object `retired`
-    /// list under `version_slab(false)` — `rename_current` picks.
-    pub(crate) fn version_pooling(&self) -> bool {
-        self.rt.shared().cfg.version_pool
     }
 
     /// The host's ticket-charging context for this spawn's renames.

@@ -1,9 +1,10 @@
-//! The completion-side fast path: what a worker does after a task body
-//! returns, built so that **no mutex is reachable from it** (a unit test
-//! below and the workspace test `tests/lock_free_sources.rs` pin this
-//! file lock-free, like the deque shim).
+//! The completion-side release path: what a thread does after a task
+//! body returns, built so that **no mutex is reachable from it** (a unit
+//! test below and the workspace test `tests/lock_free_sources.rs` pin
+//! this file lock-free, like the deque shim). It is the only release
+//! path, on workers and on the main thread alike.
 //!
-//! Three mechanisms, mirroring the spawn-side fast path of BENCH_0003:
+//! Three mechanisms, mirroring the spawn-side fast path:
 //!
 //! 1. **Lock-free read-window close** — happens before this module runs:
 //!    dropping the body's `ReadBinding`s closes each read window through
@@ -17,13 +18,13 @@
 //!    one the own-list LIFO would pop next anyway — is handed straight
 //!    back to the completing worker (the paper's cache-affinity argument
 //!    for per-thread lists, taken to its limit: no queue round-trip at
-//!    all), the rest are pushed as a batch, and one wake decision
-//!    replaces the old one-wake-check-per-successor. A chain completion
-//!    therefore publishes nothing and wakes nobody.
+//!    all), the rest are pushed to its own list as a batch, and one wake
+//!    decision covers them all. A chain completion therefore publishes
+//!    nothing and wakes nobody.
 //! 3. **Sharded completion accounting**: each thread owns a
 //!    cache-line-padded `finished` shard bumped with a single-writer
-//!    load + Release store — the global AcqRel RMW every completion used
-//!    to contend is gone. The barrier sums the shards (Acquire) when it
+//!    load + Release store, so completions share no counter line and
+//!    pay no RMW. The barrier sums the shards (Acquire) when it
 //!    needs the total. The all-done wake is only probed on *leaf*
 //!    completions (`n_ready == 0` — only a leaf can be the last task)
 //!    on a worker (the main thread is the one the wake is for) and
@@ -31,18 +32,12 @@
 //!    read a lagging remote shard and miss the instant of completion,
 //!    which the barrier's bounded park absorbs like every other
 //!    lost-wakeup window in the sleep protocol.
-//!
-//! The pre-BENCH_0004 path — one `enqueue_ready` + wake-check per
-//! successor and a global `finished` RMW — is preserved behind
-//! [`RuntimeBuilder::lockfree_release(false)`](crate::RuntimeBuilder::lockfree_release)
-//! for the `release_ablation` study.
 
 use std::sync::atomic::Ordering;
 
 use crossbeam_deque::Worker;
 
 use super::queues::Job;
-use super::worker::enqueue_ready;
 use crate::config::SchedulerPolicy;
 use crate::runtime::{Priority, Shared};
 
@@ -116,53 +111,34 @@ pub(crate) fn finish_task(
 
     let mut wake = Wake::None;
     let mut handoff = None;
-    if shared.cfg.lockfree_release {
-        if !ready.is_empty() {
-            wake = publish_batch(shared, local, idx, ready, allow_handoff, &mut handoff);
-        }
-    } else {
-        // Ablation path (BENCH_0003 behaviour): one enqueue and one
-        // wake-check per successor, no hand-off.
-        for s in ready.drain(..) {
-            enqueue_ready(shared, Some(local), s);
-        }
+    if !ready.is_empty() {
+        wake = publish_batch(shared, local, ready, allow_handoff, &mut handoff);
     }
 
-    // Completion accounting. The shards are indexed by thread, padded,
-    // and single-writer in the fast path; `Shared::finished_total` sums
-    // them on demand.
+    // Completion accounting. The shards are indexed by thread, padded
+    // and single-writer: a load + Release store, no RMW. The Release
+    // pairs with the barrier's Acquire sum (`Shared::finished_total`),
+    // ordering this task's effects before the barrier proceeds.
     let shard = &shared.finished[idx];
-    if shared.cfg.lockfree_release {
-        // Single-writer bump: load + Release store, no RMW. The Release
-        // pairs with the barrier's Acquire sum, ordering this task's
-        // effects before the barrier proceeds.
-        shard.store(shard.load(Ordering::Relaxed) + 1, Ordering::Release);
-        // All-done probe, gated four ways before paying the cross-shard
-        // sum: the wake is for the main thread parked in `barrier`, so
-        // a completion *on* the main thread (`idx == 0`, which helps or
-        // runs tasks inline and is therefore not parked) never owes it;
-        // only a leaf can be the last task; a thread whose own queues
-        // still hold work cannot have finished the graph; and the wake
-        // only matters when someone is parked. A worker completion that
-        // skips the probe by one of these gates and *was* the last task
-        // is caught by the barrier's bounded park, like every other
-        // lost-wakeup window in the sleep protocol.
-        if idx != 0
-            && n_ready == 0
-            && claimed_empty
-            && local.is_empty()
-            && shared.sleep.has_sleepers()
-            && shared.finished_total() == shared.next_task.load(Ordering::Acquire)
-        {
-            wake = Wake::All;
-        }
-    } else {
-        // Ablation path: the contended global RMW on shard 0 and the
-        // eager all-done / surplus wake of BENCH_0003.
-        let now = shared.finished[0].fetch_add(1, Ordering::AcqRel) + 1;
-        if now == shared.next_task.load(Ordering::Acquire) || n_ready > 1 {
-            wake = Wake::All;
-        }
+    shard.store(shard.load(Ordering::Relaxed) + 1, Ordering::Release);
+    // All-done probe, gated four ways before paying the cross-shard
+    // sum: the wake is for the main thread parked in `barrier`, so a
+    // completion *on* the main thread (`idx == 0`, which helps or runs
+    // tasks inline and is therefore not parked) never owes it; only a
+    // leaf can be the last task; a thread whose own queues still hold
+    // work cannot have finished the graph; and the wake only matters
+    // when someone is parked. A worker completion that skips the probe
+    // by one of these gates and *was* the last task is caught by the
+    // barrier's bounded park, like every other lost-wakeup window in
+    // the sleep protocol.
+    if idx != 0
+        && n_ready == 0
+        && claimed_empty
+        && local.is_empty()
+        && shared.sleep.has_sleepers()
+        && shared.finished_total() == shared.next_task.load(Ordering::Acquire)
+    {
+        wake = Wake::All;
     }
 
     // Session completion accounting: a task stamped with a session bumps
@@ -182,42 +158,29 @@ pub(crate) fn finish_task(
 /// Publish one completion's released successors as a batch. Successors
 /// arrive in registration order (the order `complete` releases and the
 /// policy tests pin). High-priority successors go to the global HP list
-/// as always ("independently of any locality consideration"). Under the
-/// SMPSs policy with locality placement live, a successor whose
-/// `last_writer` hints elected a **different** worker is published to
-/// that worker's affinity mailbox (its inputs are hot in that worker's
-/// cache, not ours); of the successors that stay here, the *last* one is
-/// returned as the hand-off when allowed — exactly the task the own
-/// list's LIFO pop would have produced next — and the rest are pushed
-/// to the completing worker's own list. The central-queue policy pushes
+/// ("independently of any locality consideration"). Under the SMPSs
+/// policy every other successor stays with the completing worker — the
+/// §III rule for a task whose last input dependency this thread removed
+/// — and the *last* one is returned as the hand-off when allowed,
+/// exactly the task the own list's LIFO pop would have produced next;
+/// the rest are pushed to the own list. The central-queue policy pushes
 /// everything to the central FIFO. One wake decision covers the batch:
-/// `One` for surplus work, an empty-transition, or a hint-routed task
-/// landing in an empty mailbox (the woken thief propagates further
-/// wakes on demand), `All` only when several high-priority tasks appear
-/// at once.
+/// `One` for surplus work or an empty-transition (the woken thief
+/// propagates further wakes on demand), `All` only when several
+/// high-priority tasks appear at once.
 fn publish_batch(
     shared: &Shared,
     local: &Worker<Job>,
-    idx: usize,
     ready: &mut Vec<Job>,
     allow_handoff: bool,
     handoff: &mut Option<Job>,
 ) -> Wake {
     let central = shared.cfg.policy == SchedulerPolicy::CentralQueue;
-    let route = shared.locality_routing && !central;
-    // A successor leaves for another worker's mailbox when its hint is
-    // live and names someone else; everything else stays local.
-    let remote_of = |s: &Job| -> Option<usize> {
-        if !route {
-            return None;
-        }
-        s.pref_worker().filter(|&p| p != idx && p < shared.cfg.threads)
-    };
-    let local_normals = ready
+    let normals = ready
         .iter()
-        .filter(|s| s.priority() == Priority::Normal && remote_of(s).is_none())
+        .filter(|s| s.priority() == Priority::Normal)
         .count();
-    let take_handoff = allow_handoff && !central && local_normals > 0;
+    let take_handoff = allow_handoff && !central && normals > 0;
     let was_empty = if central {
         shared.central.is_empty()
     } else {
@@ -225,26 +188,15 @@ fn publish_batch(
     };
     let mut hp_pushed = 0usize;
     let mut pushed = 0usize;
-    let mut locals_seen = 0usize;
-    let mut remote_wakes = 0usize;
-    let mut remote_pushed = 0usize;
+    let mut normals_seen = 0usize;
     for s in ready.drain(..) {
         if s.priority() == Priority::High {
             shared.hp_used.store(true, Ordering::Relaxed);
             shared.hp.push(s);
             hp_pushed += 1;
-        } else if let Some(p) = remote_of(&s) {
-            shared.stats.locality_hits(idx);
-            let mb = &shared.mailboxes[p];
-            // Same empty-transition wake discipline as the own list: a
-            // non-empty mailbox already triggered a wake whose
-            // propagation (or the owner's own drain) covers this task.
-            remote_wakes += mb.is_empty() as usize;
-            mb.push(s);
-            remote_pushed += 1;
         } else {
-            locals_seen += 1;
-            if take_handoff && locals_seen == local_normals {
+            normals_seen += 1;
+            if take_handoff && normals_seen == normals {
                 *handoff = Some(s);
             } else if central {
                 shared.central.push(s);
@@ -255,16 +207,11 @@ fn publish_batch(
             }
         }
     }
-    // Several *distinct* empty mailboxes means several distinct
-    // preferred workers should come — and mailbox steals deliberately
-    // do not propagate wakes, so a single woken thief would drain them
-    // serially: wake everyone, and each parked worker finds its own
-    // hinted work first thing after its own list.
-    if hp_pushed > 1 || remote_wakes > 1 {
+    if hp_pushed > 1 {
         Wake::All
-    } else if hp_pushed == 1 || remote_wakes == 1 || pushed > 1 || (pushed == 1 && was_empty) {
+    } else if hp_pushed == 1 || pushed > 1 || (pushed == 1 && was_empty) {
         Wake::One
-    } else if (pushed > 0 || remote_pushed > 0) && shared.sleep.has_sleepers() {
+    } else if pushed > 0 && shared.sleep.has_sleepers() {
         // Lost-wakeup re-probe: the empty-transition checks above were
         // all evaluated *before* this batch's pushes became visible. A
         // worker whose last scan missed them may have registered as a
@@ -388,19 +335,17 @@ mod tests {
         assert_eq!(local.pop().unwrap().id(), TaskId(2));
     }
 
-    /// Locality placement: a released successor whose hint names a
-    /// *different* worker leaves for that worker's affinity mailbox;
-    /// hint-less (and own-hinted) successors keep the hand-off/own-list
-    /// behaviour, and the hand-off is elected among the ones that stay.
+    /// A fan-out at four threads stays with the completing worker: the
+    /// §III rule puts a task whose last input dependency this thread
+    /// removed on this thread's list, and the batch hands the last one
+    /// off. Nothing reaches the main list, and nothing is routed by
+    /// where its inputs were written (`locality_hits` stays 0).
     #[test]
     fn hinted_successor_routes_to_the_preferred_mailbox() {
-        let shared = shared(4); // locality_routing is on by default
-        assert!(shared.locality_routing);
+        let shared = shared(4);
         let local = Worker::new_lifo();
         let producer = ready_node(1);
         let succs: Vec<Job> = (2..5).map(ready_node).collect();
-        succs[0].set_pref_worker(3); // inputs last written by worker 3
-        succs[1].set_pref_worker(0); // our own hint: stays local
         for s in &succs {
             assert!(producer.add_successor(s));
             s.retain_dep();
@@ -408,40 +353,46 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
-        // Successor 2 left for mailbox 3; of the local pair {3, 4}, the
-        // last (4) is the hand-off and 3 sits on the own list.
+        let (handoff, wake) = finish_task(&shared, &local, 3, &producer, false, true, true, &mut ready);
         assert_eq!(handoff.expect("local successors hand off").id(), TaskId(4));
-        assert_eq!(wake, Wake::One, "an empty mailbox transition wakes a thief");
+        assert_eq!(wake, Wake::One, "surplus on the own list wakes a thief");
         assert_eq!(local.pop().unwrap().id(), TaskId(3));
+        assert_eq!(local.pop().unwrap().id(), TaskId(2));
         assert!(local.pop().is_none());
-        let routed = crate::sched::queues::pop_injector(&shared.mailboxes[3]).unwrap();
-        assert_eq!(routed.id(), TaskId(2));
-        assert!(shared.mailboxes[0].is_empty(), "own hint is not a route");
-        assert_eq!(shared.stats.snapshot().locality_hits, 1);
+        assert!(shared.main_q.is_empty(), "released tasks never go to the main list");
+        assert_eq!(shared.stats.snapshot().locality_hits, 0);
+        assert_eq!(shared.finished[3].load(Ordering::Relaxed), 1);
     }
 
-    /// With the builder switch off, hints are stamped nowhere and the
-    /// batch keeps the BENCH_0004 shape: everything stays local.
+    /// Under the central-queue policy a completion hands nothing off and
+    /// keeps nothing: every released successor goes to the one central
+    /// FIFO, in release order, and the own list stays empty.
     #[test]
     fn locality_off_never_routes() {
         let shared = Shared::for_tests(
-            crate::RuntimeBuilder::default().threads(4).locality(false).config(),
+            crate::RuntimeBuilder::default()
+                .threads(4)
+                .policy(SchedulerPolicy::CentralQueue)
+                .config(),
         );
-        assert!(!shared.locality_routing);
         let local = Worker::new_lifo();
         let producer = ready_node(1);
-        let succ = ready_node(2);
-        succ.set_pref_worker(3); // even a stamped hint is ignored
-        assert!(producer.add_successor(&succ));
-        succ.retain_dep();
-        assert!(!succ.release_dep());
+        let succs: Vec<Job> = (2..4).map(ready_node).collect();
+        for s in &succs {
+            assert!(producer.add_successor(s));
+            s.retain_dep();
+            assert!(!s.release_dep());
+        }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, _) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
-        assert_eq!(handoff.unwrap().id(), TaskId(2));
-        assert!(shared.mailboxes[3].is_empty());
-        assert_eq!(shared.stats.snapshot().locality_hits, 0);
+        let (handoff, wake) = finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
+        assert!(handoff.is_none(), "the central queue takes every task");
+        assert_eq!(wake, Wake::One);
+        assert!(local.is_empty());
+        let order: Vec<_> = std::iter::from_fn(|| crate::sched::queues::pop_injector(&shared.central))
+            .map(|j| j.id())
+            .collect();
+        assert_eq!(order, vec![TaskId(2), TaskId(3)]);
     }
 
     /// Lost-wakeup regression (the batched-publication bugfix): a push
@@ -573,16 +524,13 @@ mod tests {
         assert_eq!(shared.finished_total(), 1);
     }
 
-    /// The legacy ablation path keeps the BENCH_0003 shape: per-successor
-    /// enqueue, no hand-off, global RMW on shard 0.
+    /// There is one release path, on workers as on the main thread: a
+    /// worker's fan-out completion hands the last successor off, pushes
+    /// the rest in order, and bumps the worker's own finished shard —
+    /// never shard 0, and never with an RMW another thread contends.
     #[test]
     fn legacy_release_path_matches_bench_0003_shape() {
-        let shared = Shared::for_tests(
-            crate::RuntimeBuilder::default()
-                .threads(2)
-                .lockfree_release(false)
-                .config(),
-        );
+        let shared = shared(2);
         let local = Worker::new_lifo();
         let producer = ready_node(1);
         let succs: Vec<Job> = (2..5).map(ready_node).collect();
@@ -594,11 +542,10 @@ mod tests {
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
         let (handoff, wake) = finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
-        assert!(handoff.is_none(), "legacy path never hands off");
-        assert_eq!(wake, Wake::All, "legacy surplus release wakes all");
-        assert_eq!(local.len(), 3);
-        // Legacy accounting lands on shard 0 regardless of thread index.
-        assert_eq!(shared.finished[0].load(Ordering::Relaxed), 1);
-        assert_eq!(shared.finished[1].load(Ordering::Relaxed), 0);
+        assert_eq!(handoff.expect("worker completions hand off").id(), TaskId(4));
+        assert_eq!(wake, Wake::One, "surplus wakes one thief, not all");
+        assert_eq!(local.len(), 2);
+        assert_eq!(shared.finished[0].load(Ordering::Relaxed), 0);
+        assert_eq!(shared.finished[1].load(Ordering::Relaxed), 1);
     }
 }

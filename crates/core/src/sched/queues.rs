@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+use crossbeam_deque::{Injector, Steal, Stealer};
 use parking_lot::{Condvar, Mutex};
 
 use crate::graph::node::TaskNode;
@@ -86,9 +86,7 @@ const CLAIM_BATCH: usize = 8;
 /// (`Injector::steal_batch_with_limit_and_collect` in the deque shim).
 /// This is the batched main-list pop of the completion-side fast path —
 /// the throttled helper and every worker hitting the main list pay one
-/// fenced claim per [`CLAIM_BATCH`] tasks instead of one per task —
-/// and, since BENCH_0005, also how a worker drains its own affinity
-/// mailbox.
+/// fenced claim per [`CLAIM_BATCH`] tasks instead of one per task.
 ///
 /// Where the surplus goes is the caller's liveness decision. A private
 /// buffer (plain fence-free pops) is sound only while nobody can starve
@@ -134,37 +132,6 @@ pub(crate) fn steal_from(stealer: &Stealer<Job>) -> Option<Job> {
         }
     }
 }
-
-/// How many tasks one steal-half traversal may move (the shim
-/// additionally caps at half the victim's observed queue). Same value
-/// as [`CLAIM_BATCH`]: amortise the traversal without one thief
-/// hoarding a whole fan-out.
-const STEAL_BATCH: usize = 8;
-
-/// Steal **half** of a victim's deque (capped at [`STEAL_BATCH`]) in
-/// one traversal: the first task is returned, the surplus is pushed
-/// onto the thief's own list — where follow-up pops are cheap owner
-/// pops and other thieves can re-steal, so a fan-out spreads in
-/// O(log n) traversals instead of one fenced steal per task. Returns
-/// the first job and the number of surplus tasks moved.
-pub(crate) fn steal_half_from(stealer: &Stealer<Job>, local: &Worker<Job>) -> Option<(Job, usize)> {
-    if stealer.is_empty() {
-        return None;
-    }
-    let mut backoff = Backoff::new();
-    loop {
-        let mut extra = 0usize;
-        match stealer.steal_batch_with_limit_and_collect(STEAL_BATCH, &mut |job| {
-            local.push(job);
-            extra += 1;
-        }) {
-            Steal::Success(job) => return Some((job, extra)),
-            Steal::Empty => return None,
-            Steal::Retry => backoff.snooze(),
-        }
-    }
-}
-
 
 /// Idle-thread parking. Workers that repeatedly find no work park on the
 /// condvar with a timeout; every enqueue wakes one sleeper.

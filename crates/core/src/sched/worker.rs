@@ -1,4 +1,12 @@
 //! The worker loop: task lookup, execution and completion propagation.
+//!
+//! A thread looks for work in exactly the §III order — high-priority
+//! list, own list (LIFO), main list (FIFO), then one task stolen from
+//! the other threads in creation order starting from the next one
+//! (FIFO) — and, after running a
+//! task, takes the released successor the completion hands it
+//! ([`finish_task`]) before looking again. Nothing else decides where a
+//! ready task runs.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -9,9 +17,7 @@ use crossbeam_deque::Worker;
 
 use super::completion::{finish_task, Wake};
 use super::cost::SAMPLE_EVERY;
-use super::queues::{
-    pop_injector, pop_injector_batch, steal_from, steal_half_from, Job, TaskSource,
-};
+use super::queues::{pop_injector, pop_injector_batch, steal_from, Job, TaskSource};
 use crate::config::{OnPanic, SchedulerPolicy};
 use crate::runtime::{Priority, Shared};
 use crate::trace::EventKind;
@@ -35,27 +41,6 @@ pub struct WorkerCtx {
     /// thief can reach would strand the whole batch behind one blocking
     /// body — the BENCH_0008 head-of-line hang.
     claimed: VecDeque<Job>,
-    /// Tasks batch-claimed from this thread's **affinity mailbox** but
-    /// not yet run — the same private single-owner discipline and the
-    /// same sessions-gated spill as `claimed`. On session runtimes
-    /// advertising hint-routed tasks to thieves costs a little
-    /// placement fidelity (they were sent here on purpose), but the
-    /// mailbox raid in [`find_task`] already concedes that placement
-    /// yields to liveness, and a private batch re-opens exactly the
-    /// stranding the raid exists to prevent.
-    /// `finish_helping` republishes leftovers like `pending`/`stash`.
-    pub(crate) hinted: VecDeque<Job>,
-    /// The spawner's **self-hand-off window** (main context only): a
-    /// born-ready task whose hints elected the spawning thread itself is
-    /// parked here instead of being published anywhere — the spawn-side
-    /// twin of the completion hand-off. Never published means the
-    /// consumer is statically unique (`take_body_owned`, no
-    /// consumer-election CAS) and the task costs zero queue atomics end
-    /// to end. Bounded by [`STASH_MAX`] and only used when a §III
-    /// blocking condition is configured (the throttle is what guarantees
-    /// the spawner drains it promptly); `finish_helping` republishes any
-    /// leftovers when a helping loop exits.
-    pub(crate) stash: VecDeque<Job>,
     /// The helper path's deferred hand-off: `help_once` must return
     /// after one task (its caller re-checks a blocking condition), so
     /// the released successor the worker loop would run immediately is
@@ -76,8 +61,6 @@ impl WorkerCtx {
         WorkerCtx {
             local,
             claimed: VecDeque::with_capacity(16),
-            hinted: VecDeque::with_capacity(16),
-            stash: VecDeque::new(),
             pending: None,
             ready: Vec::with_capacity(32),
             runs: 0,
@@ -100,34 +83,16 @@ impl WorkerCtx {
     }
 }
 
-/// Self-hand-off window size: how many born-ready self-affine tasks the
-/// spawner may hold privately before falling back to published
-/// queues. About one throttle oscillation's worth of fine-grain tasks —
-/// microseconds of work, the same order as the claimed main-list batch.
-pub(crate) const STASH_MAX: usize = 512;
-
 /// Look for a ready task following the paper's §III order:
-/// high-priority list → own list (the deferred hand-off first, LIFO
-/// pops, then the thread's **affinity mailbox** — hint-routed tasks,
-/// logically the cold end of the own list) → main list (FIFO; served
-/// first from the privately claimed batch, then by a fresh batch claim)
-/// → steal from other threads in creation order starting from the next
-/// one (FIFO; with locality on, a **steal-half** batch from the
-/// victim's deque, then the victim's mailbox). A successful steal from
-/// a victim that still has work wakes one more sleeper — demand-driven
-/// wake propagation, which lets completions wake a single thief instead
-/// of broadcasting.
-///
-/// The third tuple element is the `owned` flag for
-/// [`run_task`]: `true` exactly when the job was never published to any
-/// queue (the spawner's self-hand-off stash), so its consumer is
-/// statically unique and the body take needs no consumer-election CAS.
+/// high-priority list → own list (LIFO) → main list (FIFO; served first
+/// from the privately claimed batch, then by a fresh batch claim) →
+/// steal one task from the other threads in creation order starting
+/// from the next one (FIFO). A successful steal from a victim that
+/// still has work wakes one more sleeper — demand-driven wake
+/// propagation, which lets completions wake a single thief instead of
+/// broadcasting.
 #[inline]
-pub fn find_task(
-    shared: &Shared,
-    ctx: &mut WorkerCtx,
-    idx: usize,
-) -> Option<(Job, TaskSource, bool)> {
+pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Job, TaskSource)> {
     // One relaxed load short-circuits the high-priority probe for
     // programs that never use `highpriority` (the common case); once a
     // single HP task has been enqueued the full check runs forever
@@ -135,50 +100,23 @@ pub fn find_task(
     // later, like any other push that races a scan.
     if shared.hp_used.load(Ordering::Relaxed) {
         if let Some(job) = pop_injector(&shared.hp) {
-            return Some((job, TaskSource::HighPriority, false));
+            return Some((job, TaskSource::HighPriority));
         }
     }
     match shared.cfg.policy {
         SchedulerPolicy::Smpss => {
             if let Some(job) = ctx.local.pop() {
-                return Some((job, TaskSource::OwnList, false));
-            }
-            if shared.locality_routing {
-                // The self-hand-off window: born-ready tasks this very
-                // thread spawned *and* is the preferred worker for.
-                // Never published, so the consumer is statically this
-                // thread (`owned`). Consumed LIFO — the §III own-list
-                // discipline — which also runs a just-spawned reader
-                // *now*, before the next writer of its object is
-                // analysed: the writer then finds the version quiescent
-                // and reuses it in place instead of renaming.
-                if let Some(job) = ctx.stash.pop_back() {
-                    return Some((job, TaskSource::OwnList, true));
-                }
-                // Tasks other threads routed here because this worker
-                // last wrote their inputs: the previously claimed batch
-                // (plain pops, counted own-list pops like the rest of
-                // the own list).
-                if let Some(job) = ctx.hinted.pop_front() {
-                    return Some((job, TaskSource::OwnList, false));
-                }
+                return Some((job, TaskSource::OwnList));
             }
             // Previously claimed main-list tasks: the front of the main
-            // list, FIFO, already paid for — a plain buffer pop. Probed
-            // *before* the mailbox: these are in hand (already removed
-            // from the main list), and skipping the mailbox's fenced
-            // empty probe on buffer-served pops keeps the mailbox
-            // machinery free for workloads that never route (the probe
-            // still runs before any fresh main-list claim, so hinted
-            // work outranks new main-list work by at most one claimed
-            // batch).
+            // list, FIFO, already paid for — a plain buffer pop.
             if let Some(job) = ctx.claimed.pop_front() {
-                return Some((job, TaskSource::MainList, false));
+                return Some((job, TaskSource::MainList));
             }
             // Batch claims: one fenced head claim pays for the whole
             // batch. Where the surplus lands is a policy split:
             //
-            // - **Private buffers** (plain fence-free pops) whenever the
+            // - **A private buffer** (plain fence-free pops) whenever the
             //   claimer can't starve anyone: a single-thread runtime (no
             //   thieves exist), or a sessions-off runtime — the paper's
             //   single-tenant model, where task bodies are compute
@@ -201,19 +139,6 @@ pub fn find_task(
             // futex wake per claimed batch measurably drags every
             // fine-grain storm on an oversubscribed host.
             let private_ok = shared.cfg.threads == 1 || !shared.cfg.sessions;
-            if shared.locality_routing {
-                // A fresh batched claim from this worker's affinity
-                // mailbox.
-                let job = if private_ok {
-                    pop_injector_batch(&shared.mailboxes[idx], &mut |j| ctx.hinted.push_back(j))
-                } else {
-                    let local = &ctx.local;
-                    pop_injector_batch(&shared.mailboxes[idx], &mut |j| local.push(j))
-                };
-                if let Some(job) = job {
-                    return Some((job, TaskSource::OwnList, false));
-                }
-            }
             let job = if private_ok {
                 pop_injector_batch(&shared.main_q, &mut |j| ctx.claimed.push_back(j))
             } else {
@@ -221,82 +146,39 @@ pub fn find_task(
                 pop_injector_batch(&shared.main_q, &mut |j| local.push(j))
             };
             if let Some(job) = job {
-                return Some((job, TaskSource::MainList, false));
+                return Some((job, TaskSource::MainList));
             }
             let n = shared.stealers.len();
             for off in 1..n {
                 let victim = (idx + off) % n;
-                if shared.locality_routing {
-                    // Steal-half: the surplus lands on this thread's own
-                    // list (cheap owner pops, re-stealable), so a spread
-                    // costs one traversal per half instead of one fenced
-                    // steal per task.
-                    if let Some((job, extra)) =
-                        steal_half_from(&shared.stealers[victim], &ctx.local)
-                    {
-                        if extra > 0 {
-                            shared.stats.batch_steals(idx);
-                        }
-                        if !shared.stealers[victim].is_empty() {
-                            shared.sleep.notify_one();
-                        }
-                        return Some((job, TaskSource::Stolen { victim }, false));
-                    }
-                } else if let Some(job) = steal_from(&shared.stealers[victim]) {
+                if let Some(job) = steal_from(&shared.stealers[victim]) {
                     if !shared.stealers[victim].is_empty() {
                         // The victim has more: propagate the wake so the
-                        // next sleeper comes for it (replaces the old
-                        // broadcast on surplus releases).
+                        // next sleeper comes for it.
                         shared.sleep.notify_one();
                     }
-                    return Some((job, TaskSource::Stolen { victim }, false));
-                }
-            }
-            if shared.locality_routing {
-                // Last resort, after **every** deque came up empty:
-                // other workers' unclaimed mailbox work. Hint-routed
-                // tasks are never stranded behind a busy (or parked)
-                // preferred worker, but they are the work the ballot
-                // just paid to place elsewhere, so locality-neutral
-                // stealable work is always preferred over raiding a
-                // foreign mailbox. One task per raid, and deliberately
-                // **no wake propagation**: a mailbox backlog belongs to
-                // its owner (who drains it in batches); recruiting more
-                // thieves for it would undo the placement.
-                for off in 1..n {
-                    let victim = (idx + off) % n;
-                    if let Some(job) = pop_injector(&shared.mailboxes[victim]) {
-                        return Some((job, TaskSource::Stolen { victim }, false));
-                    }
+                    return Some((job, TaskSource::Stolen { victim }));
                 }
             }
             None
         }
         SchedulerPolicy::CentralQueue => {
-            pop_injector(&shared.central).map(|job| (job, TaskSource::MainList, false))
+            pop_injector(&shared.central).map(|job| (job, TaskSource::MainList))
         }
     }
 }
 
-/// Put a task that just became ready where the policy says it belongs.
+/// Publish a task born ready on the spawning path: to the main list
+/// under the SMPSs policy (the §III "point of distribution of tasks in
+/// areas of the graph that are not being explored"), to the central
+/// queue under the central-queue policy. High-priority tasks always go
+/// to the global high-priority list so that they are "scheduled as soon
+/// as possible independently of any locality consideration".
 ///
-/// With the SMPSs policy, a task whose **last input dependency was removed
-/// by thread t** goes to t's own list (`local = Some`); tasks born ready on
-/// the spawning path go to the main list (`local = None`) — unless
-/// locality placement is live and the task's `last_writer` hints elected
-/// a preferred worker, in which case it goes to that worker's affinity
-/// mailbox (the paper's cache-affinity rule: run where the inputs were
-/// last written). High-priority tasks always go to the global
-/// high-priority list so that they are "scheduled as soon as possible
-/// independently of any locality consideration".
-///
-/// This is the spawn-side (and legacy-ablation) publication primitive;
-/// completions on the fast path publish through
-/// [`finish_task`](super::completion::finish_task)'s batch instead. The
-/// legacy (`local = Some`) branch deliberately ignores hints: it exists
-/// to preserve the BENCH_0003 release behaviour for the ablations.
+/// Tasks a completion releases never come here: the completing thread
+/// keeps them ([`finish_task`]'s batch and hand-off).
 #[inline]
-pub fn enqueue_ready(shared: &Shared, local: Option<&Worker<Job>>, job: Job) {
+pub fn enqueue_ready(shared: &Shared, job: Job) {
     // Wake a sleeper only when the target queue transitions from empty
     // to non-empty: while it stays non-empty, awake workers are already
     // draining it, and parked workers re-scan within one bounded park
@@ -308,43 +190,13 @@ pub fn enqueue_ready(shared: &Shared, local: Option<&Worker<Job>>, job: Job) {
         shared.hp.push(job);
         true
     } else {
-        match shared.cfg.policy {
-            SchedulerPolicy::Smpss => match local {
-                Some(w) => {
-                    let was_empty = w.is_empty();
-                    w.push(job);
-                    was_empty
-                }
-                None => {
-                    let pref = if shared.locality_routing {
-                        job.pref_worker().filter(|&p| p < shared.cfg.threads)
-                    } else {
-                        None
-                    };
-                    match pref {
-                        Some(p) => {
-                            // The spawner is thread 0: its routed
-                            // publications land on shard 0.
-                            shared.stats.locality_hits(0);
-                            let mb = &shared.mailboxes[p];
-                            let was_empty = mb.is_empty();
-                            mb.push(job);
-                            was_empty
-                        }
-                        None => {
-                            let was_empty = shared.main_q.is_empty();
-                            shared.main_q.push(job);
-                            was_empty
-                        }
-                    }
-                }
-            },
-            SchedulerPolicy::CentralQueue => {
-                let was_empty = shared.central.is_empty();
-                shared.central.push(job);
-                was_empty
-            }
-        }
+        let queue = match shared.cfg.policy {
+            SchedulerPolicy::Smpss => &shared.main_q,
+            SchedulerPolicy::CentralQueue => &shared.central,
+        };
+        let was_empty = queue.is_empty();
+        queue.push(job);
+        was_empty
     };
     if wake {
         shared.sleep.notify_one();
@@ -368,7 +220,7 @@ pub fn run_task(
     allow_handoff: bool,
     owned: bool,
 ) -> (Job, Option<Job>) {
-    let claimed_empty = ctx.claimed.is_empty() && ctx.hinted.is_empty() && ctx.stash.is_empty();
+    let claimed_empty = ctx.claimed.is_empty();
     match source {
         TaskSource::HighPriority => shared.stats.hp_pops(idx),
         TaskSource::OwnList => shared.stats.own_pops(idx),
@@ -379,12 +231,6 @@ pub fn run_task(
         }
     }
     shared.trace_event(idx, EventKind::Start(job.id(), job.name()));
-    if shared.locality_routing {
-        // Record the executing worker before the body runs: the finish
-        // flag's Release store (in `complete`) orders this plain store
-        // for every hint probe that observed the task finished.
-        job.set_ran_on(idx);
-    }
     // `threads == 1` means the main thread is the only consumer and the
     // only completer: the one-shot protocols degrade to plain loads and
     // stores (no CAS, no RMW, no wakeups — nobody else exists to race
@@ -541,10 +387,10 @@ pub fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, idx: usize) {
     let mut idle_scans = 0usize;
     let mut parks = 0u32;
     loop {
-        if let Some((job, src, owned)) = find_task(&shared, &mut ctx, idx) {
+        if let Some((job, src)) = find_task(&shared, &mut ctx, idx) {
             idle_scans = 0;
             parks = 0;
-            let mut next = Some((job, src, owned));
+            let mut next = Some((job, src, false));
             while let Some((job, src, owned)) = next.take() {
                 let (done, handoff) = run_task(&shared, &mut ctx, idx, job, src, true, owned);
                 // Spawn-side fast path: hand the finished node back via

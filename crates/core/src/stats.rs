@@ -3,7 +3,8 @@
 //! The counters make scheduler and analyser behaviour observable, which the
 //! test-suite and the ablation benches rely on: e.g. renaming must drive
 //! `anti_edges` to zero ("the graph only contains true dependencies", §III),
-//! and locality scheduling should make `own_pops` dominate `steals`.
+//! and the §III own lists plus the completion hand-off should make
+//! `own_pops` dominate `steals` on dependency chains.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,22 +24,12 @@ pub(crate) struct PopShard {
     /// completing worker ran the released successor immediately, with no
     /// queue round-trip (a subset of `own_pops`, not a fifth source).
     handoffs: AtomicU64,
-    /// Ready tasks this thread *placed by their `last_writer` hints*:
-    /// routed to a preferred worker's affinity mailbox, or (spawner
-    /// only) parked in the self-hand-off window (the locality-aware
-    /// placement of BENCH_0005). Not a pop source: the placed task is
-    /// later popped by its target (counted `own_pops`) or stolen.
-    locality_hits: AtomicU64,
-    /// Deque steals that claimed more than one task in a single
-    /// steal-half traversal (the extra tasks land in the thief's own
-    /// list and surface later as `own_pops`).
-    batch_steals: AtomicU64,
 }
 
 impl PopShard {
     /// `concurrent` selects the sharded-spawner mode: submitter lanes
-    /// can bump the spawn-path counters (and thread 0's placement
-    /// counters) from several threads at once, so the single-writer
+    /// can bump the spawn-path counters from several threads at once,
+    /// so the single-writer
     /// load+store upgrades to a Relaxed `fetch_add`. With one lane
     /// (the default), the plain store path is kept bit-for-bit.
     #[inline]
@@ -73,8 +64,6 @@ pub struct Stats {
     pub(crate) copy_ins: AtomicU64,
     /// Task spawns served by a recycled node from the spawn-side pool.
     pub(crate) node_pool_hits: AtomicU64,
-    /// Renames served by a recycled version buffer from the object's pool.
-    pub(crate) version_pool_hits: AtomicU64,
     /// Born-ready tasks the spawner ran inline at submit.
     pub(crate) inline_runs: AtomicU64,
     /// Join nodes the region analyser created.
@@ -153,7 +142,6 @@ impl Stats {
         renames,
         copy_ins,
         node_pool_hits,
-        version_pool_hits,
         inline_runs,
         joins,
         barriers,
@@ -168,7 +156,6 @@ impl Stats {
             renames: AtomicU64::new(0),
             copy_ins: AtomicU64::new(0),
             node_pool_hits: AtomicU64::new(0),
-            version_pool_hits: AtomicU64::new(0),
             inline_runs: AtomicU64::new(0),
             joins: AtomicU64::new(0),
             shards: (0..threads.max(1)).map(|_| PopShard::default()).collect(),
@@ -207,16 +194,6 @@ impl Stats {
     #[inline]
     pub(crate) fn handoffs(&self, idx: usize) {
         PopShard::bump(&self.shards[idx].handoffs, self.concurrent);
-    }
-
-    #[inline]
-    pub(crate) fn locality_hits(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].locality_hits, self.concurrent);
-    }
-
-    #[inline]
-    pub(crate) fn batch_steals(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].batch_steals, self.concurrent);
     }
 
     /// Completion-side fault counters: always a `fetch_add` — any worker
@@ -264,8 +241,6 @@ impl Stats {
         let hp_pops: u64 = sum(|s| &s.hp_pops);
         let steals: u64 = sum(|s| &s.steals);
         let handoffs: u64 = sum(|s| &s.handoffs);
-        let locality_hits: u64 = sum(|s| &s.locality_hits);
-        let batch_steals: u64 = sum(|s| &s.batch_steals);
         StatsSnapshot {
             tasks_spawned: ld(&self.tasks_spawned),
             tasks_executed: own_pops + main_pops + hp_pops + steals,
@@ -274,7 +249,6 @@ impl Stats {
             renames: ld(&self.renames),
             copy_ins: ld(&self.copy_ins),
             node_pool_hits: ld(&self.node_pool_hits),
-            version_pool_hits: ld(&self.version_pool_hits),
             inline_runs: ld(&self.inline_runs),
             joins: ld(&self.joins),
             own_pops,
@@ -282,8 +256,6 @@ impl Stats {
             hp_pops,
             steals,
             handoffs,
-            locality_hits,
-            batch_steals,
             panics: ld(&self.panics),
             cancelled: ld(&self.cancelled),
             barriers: ld(&self.barriers),
@@ -292,9 +264,12 @@ impl Stats {
             admission_sheds: ld(&self.admission_sheds),
             admission_waits: ld(&self.admission_waits),
             deadline_fires: ld(&self.deadline_fires),
-            // Slab occupancy lives with the slab, not in this event-
-            // counter block; `Runtime::stats` overlays it.
+            // The slab counts its own hits and occupancy; `Runtime::stats`
+            // overlays them.
+            version_pool_hits: 0,
             slab_hits: 0,
+            locality_hits: 0,
+            batch_steals: 0,
             slab_evicted_dead: 0,
             slab_evicted_live: 0,
             slab_parked_bytes: 0,
@@ -320,7 +295,10 @@ pub struct StatsSnapshot {
     pub copy_ins: u64,
     /// Spawns that reused a pooled task node (spawn-side fast path).
     pub node_pool_hits: u64,
-    /// Renames that reused a pooled version buffer instead of allocating.
+    /// Renames that reused a parked version buffer from the version
+    /// slab instead of allocating. The slab is the only version store,
+    /// so this always equals [`slab_hits`](Self::slab_hits): the two
+    /// names read one counter.
     pub version_pool_hits: u64,
     /// Born-ready tasks the spawning thread ran itself, inside `submit`,
     /// because their task name's sampled body cost is under the inline
@@ -346,18 +324,12 @@ pub struct StatsSnapshot {
     /// path): the released successor ran next on the completing worker
     /// without touching any queue. Subset of `own_pops`.
     pub handoffs: u64,
-    /// Ready tasks *placed by their `last_writer` hints* instead of the
-    /// main list: routed to a preferred worker's affinity mailbox, or
-    /// parked in the spawner's self-hand-off window when the hints
-    /// elected the spawning thread itself (the two mechanisms of
-    /// locality-aware placement — this counts placement decisions, not
-    /// mailbox traffic). Zero when
-    /// [`RuntimeBuilder::locality(false)`](crate::RuntimeBuilder::locality),
-    /// under the central-queue policy, or at one thread.
+    /// Always 0. Ready tasks are placed by the §III order alone, with
+    /// no routing by where their inputs were last written; the field
+    /// stays so snapshot consumers keep compiling.
     pub locality_hits: u64,
-    /// Steal-half traversals that moved more than one task (the batch's
-    /// surplus lands in the thief's own list instead of costing one
-    /// fenced steal each).
+    /// Always 0. Every steal takes one task, in creation order (§III);
+    /// the field stays so snapshot consumers keep compiling.
     pub batch_steals: u64,
     /// Task bodies that panicked; the panics were contained and the
     /// tasks completed through the normal protocol (see
@@ -381,9 +353,8 @@ pub struct StatsSnapshot {
     /// Session deadlines that fired (shed at admission or cancelled at
     /// dispatch).
     pub deadline_fires: u64,
-    /// Renames served by the runtime-wide version slab (subset of
-    /// `version_pool_hits`; zero with
-    /// [`version_slab(false)`](crate::RuntimeBuilder::version_slab)).
+    /// Renames served by the runtime-wide version slab; equal to
+    /// [`version_pool_hits`](Self::version_pool_hits).
     pub slab_hits: u64,
     /// Parked spares evicted while dead — their memory tickets released
     /// the bytes immediately (spare-cap trims + backpressure reclaims).
@@ -402,7 +373,7 @@ pub struct StatsSnapshot {
     /// [`Runtime::live_version_bytes`](crate::Runtime::live_version_bytes).
     pub version_bytes_live: u64,
     /// High-water mark of the live-version account, sampled at every
-    /// fresh version allocation. Zero without the slab.
+    /// fresh version allocation.
     pub version_bytes_peak: u64,
 }
 

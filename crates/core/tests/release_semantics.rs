@@ -1,108 +1,48 @@
-//! The completion-side fast path must be **semantically invisible**:
-//! batched publication + direct hand-off + sharded accounting
-//! (`lockfree_release(true)`, the default) must produce exactly the
-//! same results and exactly the same recorded dependency graph as the
-//! legacy per-successor release path, with renaming on or off, at one
-//! thread or many.
-//!
-//! The random programs mix every directionality over a small object
-//! working set (the shape of the determinism suite) so producer chains,
-//! fan-outs (many readers of one version) and WAR-hazard renames all
-//! occur; the proptest shim drives reproducible instances.
+//! The completion-side release path — batched publication, direct
+//! hand-off and sharded accounting — must be **semantically
+//! invisible**: every run computes the sequential program's values and
+//! records a graph the shared oracle accepts, with renaming on or off,
+//! at one thread or many.
 
 use proptest::prelude::*;
+use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
 
-/// One randomly generated task program, interpreted over `CELLS`
-/// objects. Returns the final cell values.
-type Edges = Vec<(smpss::TaskId, smpss::TaskId, smpss::graph::record::EdgeKind)>;
+#[macro_use]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
 
-fn run_program(
-    ops: &[(u8, usize, usize, usize)],
-    threads: usize,
-    renaming: bool,
-    lockfree: bool,
-    record: bool,
-) -> (Vec<i64>, Option<Edges>) {
-    const CELLS: usize = 5;
-    let rt = Runtime::builder()
-        .threads(threads)
-        .renaming(renaming)
-        .lockfree_release(lockfree)
-        .record_graph(record)
-        .build();
-    let hs: Vec<_> = (0..CELLS).map(|i| rt.data(i as i64)).collect();
-    for &(kind, a, b, dst) in ops {
-        let (a, b, dst) = (a % CELLS, b % CELLS, dst % CELLS);
-        match kind % 4 {
-            0 => {
-                let mut sp = rt.task("add");
-                let mut ra = sp.read(&hs[a]);
-                let mut rb = sp.read(&hs[b]);
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
-            }
-            1 => {
-                let mut sp = rt.task("acc");
-                let mut ra = sp.read(&hs[a]);
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-            }
-            2 => {
-                let mut sp = rt.task("fan");
-                let mut ra = sp.read(&hs[a]);
-                sp.submit(move || {
-                    std::hint::black_box(*ra.get());
-                });
-            }
-            _ => {
-                let mut sp = rt.task("mut");
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || {
-                    let v = w.get_mut();
-                    *v = v.wrapping_mul(3).wrapping_add(1);
-                });
-            }
-        }
-    }
-    rt.barrier();
-    let values = hs.iter().map(|h| rt.read(h)).collect();
-    let edges = rt.graph().map(|g| {
-        let mut e: Vec<_> = g.edges().to_vec();
-        e.sort_unstable_by_key(|(from, to, _)| (from.0, to.0));
-        e
-    });
-    (values, edges)
-}
+use oracle::{check_graph, program, run, sequential, Front};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Lock-free vs legacy release: identical results and identical
-    /// recorded graphs, across renaming settings, single-threaded
-    /// (where the recorded graph is deterministic).
+    /// At one thread and at eight, with renaming on and off, the
+    /// recorded graph orders every conflict the program has (and only
+    /// those), and the values are the sequential program's.
     #[test]
     fn release_paths_record_identical_graphs(
-        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 10..80),
+        ops in program(10..80),
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
-        let (vals_fast, edges_fast) = run_program(&ops, 1, renaming, true, true);
-        let (vals_legacy, edges_legacy) = run_program(&ops, 1, renaming, false, true);
-        prop_assert_eq!(&vals_fast, &vals_legacy);
-        prop_assert_eq!(edges_fast.as_ref().unwrap(), edges_legacy.as_ref().unwrap());
+        for threads in [1, 8] {
+            let b = Runtime::builder().threads(threads).renaming(renaming).record_graph(true);
+            let out = run(&ops, b, Front::Runtime);
+            prop_assert_eq!(&out.values, &sequential(&ops), "t{}", threads);
+            let check = check_graph(&ops, &out.graph.expect("recording was on"), renaming);
+            prop_assert!(check.is_ok(), "t{} renaming {}: {:?}", threads, renaming, check);
+        }
     }
 
-    /// Multi-threaded execution with the fast path must match the
-    /// single-threaded legacy oracle value-for-value (sequential
-    /// semantics, §II).
+    /// Multi-threaded execution must match the sequential interpreter
+    /// value for value (sequential semantics, §II).
     #[test]
     fn fast_path_preserves_sequential_semantics_at_eight_threads(
-        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 10..60),
+        ops in program(10..60),
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
-        let (oracle, _) = run_program(&ops, 1, renaming, false, false);
-        let (fast, _) = run_program(&ops, 8, renaming, true, false);
-        prop_assert_eq!(&fast, &oracle);
+        let out = run(&ops, Runtime::builder().threads(8).renaming(renaming), Front::Runtime);
+        prop_assert_eq!(&out.values, &sequential(&ops));
     }
 }
 
@@ -145,10 +85,14 @@ fn chains_ride_the_handoff_and_counters_stay_conserved() {
     );
 }
 
-/// The legacy ablation path must never hand off.
+/// The one release that never hands off is the central-queue policy's:
+/// every released task goes to the central FIFO, chains included.
 #[test]
 fn legacy_release_never_hands_off() {
-    let rt = Runtime::builder().threads(4).lockfree_release(false).build();
+    let rt = Runtime::builder()
+        .threads(4)
+        .policy(SchedulerPolicy::CentralQueue)
+        .build();
     let x = rt.data(0i64);
     for _ in 0..200 {
         let mut sp = rt.task("bump");
@@ -157,5 +101,8 @@ fn legacy_release_never_hands_off() {
     }
     rt.barrier();
     assert_eq!(rt.read(&x), 200);
-    assert_eq!(rt.stats().handoffs, 0);
+    let st = rt.stats();
+    assert_eq!(st.handoffs, 0);
+    assert_eq!(st.own_pops, 0, "the central queue is a main-list pop");
+    assert_eq!(st.total_pops(), 200);
 }

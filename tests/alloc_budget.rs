@@ -3,7 +3,7 @@
 //! The PR that introduced the node/version pools claims steady-state
 //! spawning is **allocation-free**: task nodes are recycled through the
 //! free stack, bodies up to 64 bytes live inline in the node, renamed
-//! versions come from the per-object retired pool, and the injector
+//! versions come from the runtime-wide version slab, and the injector
 //! reuses consumed blocks. This test makes that budget mechanical so
 //! the pools cannot silently regress:
 //!
@@ -14,7 +14,7 @@
 //! | inline flood over 512 handles (pinned producers) | ≤ 1 per 100 tasks, pool hits > 9/10 |
 //! | `inout` dependency chain         | 0 (successor links recycle)   |
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
-//! | read+rename churn (version pool) | ≤ 1 (binding traffic)         |
+//! | read+rename churn (version slab) | ≤ 1 (binding traffic)         |
 //! | sharded submitter storm (per-lane pools) | 0 after warmup        |
 //!
 //! The chain and fan-out budgets dropped to **zero** with the
@@ -220,10 +220,10 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     // shape): the writer's completion publishes the reader wave as one
     // batch into the reusable per-thread buffer, and every successor
     // link cycles spawn → stack → completion stash → spawner cache.
-    // The throttle keeps ~2 rounds in flight so the version pool's two
-    // retired spares cover the writer's rename each round; a deeper
-    // window would measure version churn (a spawn-side, RETIRED_SPARES
-    // property), not the release path under test.
+    // The throttle keeps ~2 rounds in flight so the slab's spares cover
+    // the writer's rename each round; a deeper window would measure
+    // version churn (a spawn-side property), not the release path under
+    // test.
     const FAN: u64 = 12;
     const ROUNDS: u64 = 512;
     let rt = Runtime::builder().threads(1).graph_size_limit(26).build();
@@ -254,69 +254,53 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
         fan_tasks
     );
 
-    // --- rename churn: the version store absorbs buffer allocation ---
+    // --- rename churn: the version slab absorbs buffer allocation ---
     // Reader-then-writer pairs force a rename on nearly every writer
-    // (the BENCH_0003 `rename_storm` shape). With a version store,
-    // renames reuse retired buffers (the read-window counter lives
-    // inside the buffer, one liveness check instead of two) and
-    // successor links recycle, so the budget tightened from two
-    // allocations per task to one. Measured for BOTH stores — the
-    // global size-classed slab (the default) and the per-object spares
-    // it replaced (`version_slab(false)`) — so the slab is held to the
-    // budget the legacy path set, and the ablation cannot regress it.
+    // (the BENCH_0003 `rename_storm` shape). Renames reuse the slab's
+    // dead spares (the read-window counter lives inside the buffer, one
+    // liveness check instead of two) and successor links recycle, so
+    // the budget is one allocation per task.
     const PAIRS: u64 = 2_048;
-    let churn_delta = |slab: bool| -> u64 {
-        let rt = Runtime::builder()
-            .threads(1)
-            .graph_size_limit(64)
-            .version_slab(slab)
-            .build();
-        let objs: Vec<_> = (0..16)
-            .map(|_| rt.data_sized(vec![0f32; 64], 256, || vec![0f32; 64]))
-            .collect();
-        let churn = |pairs: u64| {
-            for i in 0..pairs {
-                let h = &objs[(i % 16) as usize];
-                let mut sp = rt.task("r");
-                let mut r = sp.read(h);
-                sp.submit(move || {
-                    std::hint::black_box(r.get()[0]);
-                });
-                let mut sp = rt.task("w");
-                let mut w = sp.write(h);
-                sp.submit(move || w.get_mut()[0] = 1.0);
-            }
-            rt.barrier();
-        };
-        let delta = measure(|| churn(1_024), || churn(PAIRS));
-        let st = rt.stats();
-        assert!(
-            st.renames > PAIRS / 2,
-            "the churn must actually rename (renames={} slab={slab})",
-            st.renames
-        );
-        assert!(
-            st.version_pool_hits > st.renames * 3 / 4,
-            "the version store must serve steady-state renames \
-             (hits={} renames={} slab={slab})",
-            st.version_pool_hits,
-            st.renames
-        );
-        drop(rt);
-        delta
+    let rt = Runtime::builder().threads(1).graph_size_limit(64).build();
+    let objs: Vec<_> = (0..16)
+        .map(|_| rt.data_sized(vec![0f32; 64], 256, || vec![0f32; 64]))
+        .collect();
+    let churn = |pairs: u64| {
+        for i in 0..pairs {
+            let h = &objs[(i % 16) as usize];
+            let mut sp = rt.task("r");
+            let mut r = sp.read(h);
+            sp.submit(move || {
+                std::hint::black_box(r.get()[0]);
+            });
+            let mut sp = rt.task("w");
+            let mut w = sp.write(h);
+            sp.submit(move || w.get_mut()[0] = 1.0);
+        }
+        rt.barrier();
     };
+    let delta = measure(|| churn(1_024), || churn(PAIRS));
+    let st = rt.stats();
+    assert!(
+        st.renames > PAIRS / 2,
+        "the churn must actually rename (renames={})",
+        st.renames
+    );
+    assert!(
+        st.slab_hits > st.renames * 3 / 4,
+        "the slab must serve steady-state renames (hits={} renames={})",
+        st.slab_hits,
+        st.renames
+    );
+    assert_eq!(st.version_pool_hits, st.slab_hits, "one counter, two names");
+    drop(rt);
     let tasks = PAIRS * 2;
-    for slab in [true, false] {
-        let delta = churn_delta(slab);
-        assert!(
-            delta <= tasks,
-            "rename churn budget is ≤1 allocation per task, measured {} \
-             for {} (slab={})",
-            delta,
-            tasks,
-            slab
-        );
-    }
+    assert!(
+        delta <= tasks,
+        "rename churn budget is ≤1 allocation per task, measured {} for {}",
+        delta,
+        tasks
+    );
 
     // --- sharded spawning: per-lane pools keep submitters at 0 -------
     // The BENCH_0006 claim: a sharded runtime's per-lane free stacks

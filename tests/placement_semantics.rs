@@ -1,162 +1,121 @@
-//! Locality-aware placement must be **semantically invisible**: the
-//! `last_writer` hints, the preferred-worker ballot, the affinity
-//! mailboxes and the steal-half batches (`locality(true)`, the default)
-//! only move ready tasks between queues — they must never change what
-//! the analyser records or what a program computes, with renaming on or
-//! off, at one thread or many. Placement itself is pinned through the
-//! public stats surface: on a stencil sweep the own-list/hand-off
-//! counters must dominate steals and main-list pops, and the
-//! `locality_hits` counter must be exactly zero when the builder switch
-//! is off. (Shape of `crates/core/tests/release_semantics.rs`.)
+//! Ready-task placement is the paper's §III order and nothing else:
+//! born-ready tasks go to the main list (or run inline on the spawner
+//! when they are cheap), released tasks stay with the thread that
+//! released them (the completion hand-off, then its own list), and idle
+//! threads steal one task at a time in creation order. Placement must
+//! never change what the analyser records or what a program computes —
+//! checked against the shared sequential oracle under both scheduler
+//! policies, with and without the §III throttle — and the counts a
+//! fixed schedule determines are pinned through the public stats.
 
 use proptest::prelude::*;
+use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
 use smpss_apps::stencil;
 
-type Edges = Vec<(smpss::TaskId, smpss::TaskId, smpss::graph::record::EdgeKind)>;
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
 
-/// One randomly generated task program over `CELLS` objects, mixing
-/// every directionality so producer chains, fan-outs and WAR renames
-/// all occur; returns final values and (optionally) the recorded graph.
-fn run_program(
-    ops: &[(u8, usize, usize, usize)],
-    threads: usize,
-    renaming: bool,
-    locality: bool,
-    record: bool,
-) -> (Vec<i64>, Option<Edges>) {
-    const CELLS: usize = 5;
-    let rt = Runtime::builder()
-        .threads(threads)
-        .renaming(renaming)
-        .locality(locality)
-        .record_graph(record)
-        .build();
-    let hs: Vec<_> = (0..CELLS).map(|i| rt.data(i as i64)).collect();
-    for &(kind, a, b, dst) in ops {
-        let (a, b, dst) = (a % CELLS, b % CELLS, dst % CELLS);
-        match kind % 4 {
-            0 => {
-                let mut sp = rt.task("add");
-                let mut ra = sp.read(&hs[a]);
-                let mut rb = sp.read(&hs[b]);
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
-            }
-            1 => {
-                let mut sp = rt.task("acc");
-                let mut ra = sp.read(&hs[a]);
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-            }
-            2 => {
-                let mut sp = rt.task("fan");
-                let mut ra = sp.read(&hs[a]);
-                sp.submit(move || {
-                    std::hint::black_box(*ra.get());
-                });
-            }
-            _ => {
-                let mut sp = rt.task("mut");
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || {
-                    let v = w.get_mut();
-                    *v = v.wrapping_mul(3).wrapping_add(1);
-                });
-            }
-        }
-    }
-    rt.barrier();
-    let values = hs.iter().map(|h| rt.read(h)).collect();
-    let edges = rt.graph().map(|g| {
-        let mut e: Vec<_> = g.edges().to_vec();
-        e.sort_unstable_by_key(|(from, to, _)| (from.0, to.0));
-        e
-    });
-    (values, edges)
-}
+use oracle::{check_graph, program, run, sequential, Front};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Locality on vs off: identical results and identical recorded
-    /// graphs, across renaming settings (single-threaded, where the
-    /// recorded graph is deterministic).
+    /// Under both policies, with the main thread throttled into helping
+    /// or not, the recorded graph passes the oracle's check and the
+    /// values are the sequential program's.
     #[test]
     fn placement_records_identical_graphs(
-        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 10..80),
+        ops in program(10..80),
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
-        let (vals_on, edges_on) = run_program(&ops, 1, renaming, true, true);
-        let (vals_off, edges_off) = run_program(&ops, 1, renaming, false, true);
-        prop_assert_eq!(&vals_on, &vals_off);
-        prop_assert_eq!(edges_on.as_ref().unwrap(), edges_off.as_ref().unwrap());
+        for policy in [SchedulerPolicy::Smpss, SchedulerPolicy::CentralQueue] {
+            for limit in [None, Some(2)] {
+                let mut b = Runtime::builder()
+                    .threads(4)
+                    .policy(policy)
+                    .renaming(renaming)
+                    .record_graph(true);
+                if let Some(l) = limit {
+                    b = b.graph_size_limit(l);
+                }
+                let out = run(&ops, b, Front::Runtime);
+                prop_assert_eq!(&out.values, &sequential(&ops), "{:?} limit {:?}", policy, limit);
+                let check = check_graph(&ops, &out.graph.expect("recording was on"), renaming);
+                prop_assert!(check.is_ok(), "{:?} limit {:?}: {:?}", policy, limit, check);
+            }
+        }
     }
 
-    /// Eight threads with hints, mailboxes and steal-half batches live
-    /// must match the single-threaded locality-off oracle value for
-    /// value (sequential semantics, §II).
+    /// Eight threads, with the spawner throttled so it helps between
+    /// submits, must match the sequential interpreter value for value
+    /// (sequential semantics, §II).
     #[test]
     fn placement_preserves_sequential_semantics_at_eight_threads(
-        ops in prop::collection::vec((0u8..4, 0usize..5, 0usize..5, 0usize..5), 10..60),
+        ops in program(10..60),
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
-        let (oracle, _) = run_program(&ops, 1, renaming, false, false);
-        let (placed, _) = run_program(&ops, 8, renaming, true, false);
-        prop_assert_eq!(&placed, &oracle);
+        let b = Runtime::builder().threads(8).renaming(renaming).graph_size_limit(4);
+        let out = run(&ops, b, Front::Runtime);
+        prop_assert_eq!(&out.values, &sequential(&ops));
     }
 }
 
-/// A Jacobi stencil sweep with `steps` waves of `bands` region tasks:
-/// the placement-pinning workload (each band's halo rows were written
-/// by neighbouring bands, so hints and completion-releases interact).
-fn jacobi_stats(threads: usize, locality: bool) -> (Vec<f32>, smpss::StatsSnapshot) {
-    let n = 66; // 64 interior rows
-    let steps = 24;
-    let rt = Runtime::builder().threads(threads).locality(locality).build();
-    let grid = vec![1.0f32; n * n];
-    let out = stencil::jacobi(&rt, grid, n, steps, 4);
+const N: usize = 66; // 64 interior rows
+const STEPS: usize = 24;
+const BAND: usize = 4;
+const BANDS: u64 = ((N - 2) / BAND) as u64;
+
+/// A Jacobi stencil sweep: `STEPS` waves of `BANDS` region tasks, each
+/// band reading its neighbours' rows of the previous wave.
+fn jacobi_stats(threads: usize) -> (Vec<f32>, smpss::StatsSnapshot) {
+    let rt = Runtime::builder().threads(threads).build();
+    let out = stencil::jacobi(&rt, vec![1.0f32; N * N], N, STEPS, BAND);
     (out, rt.stats())
 }
 
-/// The stats-based placement gate: with locality on, a stencil's tasks
-/// are overwhelmingly consumed from own lists (waves released by
-/// completions, hint-routed mailbox drains, direct hand-offs) — steals
-/// and main-list pops must stay a small minority.
+/// At one thread the schedule is fixed: every task is spawned before
+/// the barrier runs any, so only the first wave is born ready. Those
+/// are the main-list pops; every later wave is released by a
+/// completion and consumed from the own list, most of it straight off
+/// the hand-off. Nobody steals.
 #[test]
 fn stencil_own_list_consumption_dominates() {
-    let (grid, st) = jacobi_stats(4, true);
-    // Semantics first: the sweep must still compute the right thing.
-    assert_eq!(grid, stencil::jacobi_ref(vec![1.0f32; 66 * 66], 66, 24));
-    assert_eq!(st.total_pops(), st.tasks_executed, "pop conservation");
-    let affine = st.own_pops + st.handoffs;
-    let spread = st.steals + st.main_pops;
-    assert!(
-        affine >= 2 * spread,
-        "locality placement must keep the stencil on own lists \
-         (own_pops={} handoffs={} vs steals={} main_pops={})",
+    let (grid, st) = jacobi_stats(1);
+    assert_eq!(grid, stencil::jacobi_ref(vec![1.0f32; N * N], N, STEPS));
+    let tasks = BANDS * STEPS as u64;
+    assert_eq!(st.tasks_executed, tasks);
+    assert_eq!(st.total_pops(), tasks, "pop conservation");
+    assert_eq!(st.main_pops, BANDS, "only the first wave is born ready");
+    assert_eq!(
         st.own_pops,
+        tasks - BANDS,
+        "released waves stay on the own list"
+    );
+    assert_eq!(st.steals, 0);
+    assert!(
+        st.handoffs > 0 && st.handoffs <= st.own_pops,
+        "hand-offs are a share of own-list pops (handoffs={} own={})",
         st.handoffs,
-        st.steals,
-        st.main_pops
+        st.own_pops
     );
 }
 
-/// The ablation switch is airtight: with `locality(false)` no task is
-/// ever hint-routed and no steal moves more than one task.
+/// No task is routed by where its inputs were last written and no
+/// steal takes more than one task: the two counters are fixed at 0.
 #[test]
 fn locality_off_records_no_hits() {
-    let (grid, st) = jacobi_stats(4, false);
-    assert_eq!(grid, stencil::jacobi_ref(vec![1.0f32; 66 * 66], 66, 24));
-    assert_eq!(st.locality_hits, 0, "switch off: no hint routing");
-    assert_eq!(st.batch_steals, 0, "switch off: single-task steals only");
+    let (grid, st) = jacobi_stats(4);
+    assert_eq!(grid, stencil::jacobi_ref(vec![1.0f32; N * N], N, STEPS));
+    assert_eq!(st.locality_hits, 0, "no hint routing");
+    assert_eq!(st.batch_steals, 0, "single-task steals only");
     assert_eq!(st.total_pops(), st.tasks_executed);
 }
 
 /// High-priority tasks are "scheduled as soon as possible independently
-/// of any locality consideration": even a born-ready HP task whose
-/// hints elect the throttling spawner itself must take the global HP
-/// list (pinned as `hp_pops`), never the private self-hand-off window.
+/// of any locality consideration": even under a throttle that keeps the
+/// spawner helping, every HP task comes off the global HP list.
 #[test]
 fn high_priority_ignores_locality_hints() {
     let rt = Runtime::builder().threads(2).graph_size_limit(1).build();
@@ -181,8 +140,7 @@ fn high_priority_ignores_locality_hints() {
 }
 
 /// Busy-wait for `us` microseconds: a body too dear to run inline on
-/// the spawner (the inline threshold is 1 µs), so the placement paths
-/// pinned below still see every task.
+/// the spawner (the inline threshold is 1 µs).
 fn spin_us(us: u64) {
     let t0 = std::time::Instant::now();
     while t0.elapsed() < std::time::Duration::from_micros(us) {
@@ -190,18 +148,15 @@ fn spin_us(us: u64) {
     }
 }
 
-/// Born-ready readers of settled data carry their writer's hint: under
-/// a throttled read storm the spawner must route through the affinity
-/// mailboxes (observable as `locality_hits`), and every task still
-/// executes exactly once.
+/// Born-ready readers of settled data all go through the main list:
+/// none has a producer left to release it, so no task ever reaches an
+/// own list (except the spawner's inline runs, which count there) and
+/// nothing is stolen. Every task executes exactly once.
 #[test]
 fn born_ready_readers_ride_the_mailboxes() {
     const SITES: usize = 16;
     const READS: usize = 1200;
-    let rt = Runtime::builder()
-        .threads(4)
-        .graph_size_limit(64)
-        .build();
+    let rt = Runtime::builder().threads(4).graph_size_limit(64).build();
     let objs: Vec<_> = (0..SITES).map(|_| rt.data(0u64)).collect();
     for (i, h) in objs.iter().enumerate() {
         let mut sp = rt.task("init");
@@ -211,7 +166,7 @@ fn born_ready_readers_ride_the_mailboxes() {
             *w.get_mut() = i as u64;
         });
     }
-    rt.barrier(); // writers finished: their ran_on records are settled
+    rt.barrier();
     for i in 0..READS {
         let mut sp = rt.task("probe");
         let mut r = sp.read(&objs[i % SITES]);
@@ -222,13 +177,14 @@ fn born_ready_readers_ride_the_mailboxes() {
     }
     rt.barrier();
     let st = rt.stats();
-    assert_eq!(st.tasks_executed, (SITES + READS) as u64);
-    assert_eq!(st.total_pops(), st.tasks_executed);
-    assert!(
-        st.locality_hits > (READS / 2) as u64,
-        "settled-writer hints must route the read storm \
-         (locality_hits={} of {} reads)",
-        st.locality_hits,
-        READS
+    let tasks = (SITES + READS) as u64;
+    assert_eq!(st.tasks_executed, tasks);
+    assert_eq!(st.total_pops(), tasks);
+    assert_eq!(
+        st.main_pops + st.inline_runs,
+        tasks,
+        "every task is born ready"
     );
+    assert_eq!(st.own_pops, st.inline_runs);
+    assert_eq!((st.steals, st.handoffs, st.locality_hits), (0, 0, 0));
 }

@@ -1,15 +1,13 @@
 //! The size-classed version slab must be invisible in program
 //! semantics and exact in its byte accounting.
 //!
-//! Three layers of evidence, matching the BENCH_0009 gate:
+//! Three layers of evidence:
 //!
-//! 1. **Graph equality.** For random task programs, a runtime with the
-//!    global slab (`version_slab(true)`, the default) records
-//!    *bit-identical* dependency graphs to the per-object-spares path
-//!    (`version_slab(false)`) — same nodes, same edges, same order —
-//!    across threads {1,8} × shards {1,4} × sessions on/off, and even
-//!    with a zero-byte spare cap that forces an eviction for every
-//!    parked version mid-run. Where a renamed buffer comes *from* may
+//! 1. **The oracle.** For random task programs, every run — threads
+//!    {1,8} × shards {1,4} × sessions on/off, and a slab starved to a
+//!    zero-byte spare cap so every parked version is evicted mid-run —
+//!    computes the sequential program's values and records a graph the
+//!    shared oracle accepts. Where a renamed buffer comes *from* may
 //!    never change one analysis decision.
 //! 2. **Live-eviction accounting.** Evicting a still-read parked
 //!    version releases slab occupancy but must NOT release its memory
@@ -26,164 +24,43 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use smpss::Runtime;
 
-/// A random straight-line program over whole-object cells. Half the
-/// cells are created with `data` (owned reuse scope: spares return to
-/// their object only), half with `data_sized` (shared scope: spares
-/// cross objects through the slab's size class) — so both `ReuseKey`
-/// scopes face the equality gate.
-#[derive(Clone, Debug)]
-enum Op {
-    /// cells[dst] = cells[a] + cells[b]
-    Add { a: usize, b: usize, dst: usize },
-    /// cells[dst] += cells[a]
-    Acc { a: usize, dst: usize },
-    /// cells[dst] = k
-    Set { dst: usize, k: i64 },
-}
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
 
-const CELLS: usize = 6;
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..CELLS, 0..CELLS, 0..CELLS).prop_map(|(a, b, dst)| Op::Add { a, b, dst }),
-        (0..CELLS, 0..CELLS).prop_map(|(a, dst)| Op::Acc { a, dst }),
-        (0..CELLS, -100i64..100).prop_map(|(dst, k)| Op::Set { dst, k }),
-    ]
-}
-
-/// Ground truth: run the program sequentially.
-fn run_sequential(ops: &[Op]) -> Vec<i64> {
-    let mut cells = vec![0i64; CELLS];
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => cells[dst] = cells[a].wrapping_add(cells[b]),
-            Op::Acc { a, dst } => cells[dst] = cells[dst].wrapping_add(cells[a]),
-            Op::Set { dst, k } => cells[dst] = k,
-        }
-    }
-    cells
-}
-
-/// Drive the program through a spawner source — `$spawn` is a closure
-/// returning a ready `TaskSpawner`, so one body serves both the
-/// runtime front door and the session front door (their spawner types
-/// differ only in the parent parameter).
-macro_rules! drive {
-    ($ops:expr, $cells:expr, $spawn:expr) => {
-        for op in $ops {
-            match *op {
-                Op::Add { a, b, dst } => {
-                    let mut sp = $spawn("add");
-                    let mut ra = sp.read(&$cells[a]);
-                    let mut rb = sp.read(&$cells[b]);
-                    let mut w = sp.write(&$cells[dst]);
-                    sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
-                }
-                Op::Acc { a, dst } => {
-                    let mut sp = $spawn("acc");
-                    let mut ra = sp.read(&$cells[a]);
-                    let mut w = sp.inout(&$cells[dst]);
-                    sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-                }
-                Op::Set { dst, k } => {
-                    let mut sp = $spawn("set");
-                    let mut w = sp.write(&$cells[dst]);
-                    sp.submit(move || *w.get_mut() = k);
-                }
-            }
-        }
-    };
-}
-
-type Recorded = (
-    Vec<i64>,
-    Vec<smpss::graph::record::NodeInfo>,
-    Vec<(smpss::TaskId, smpss::TaskId, smpss::graph::record::EdgeKind)>,
-);
-
-/// Run the program with the given scheduler shape, recording the
-/// graph. `spare` overrides the slab's spare-byte cap (`Some(0)`
-/// starves it: every park evicts immediately).
-fn run_recorded(
-    ops: &[Op],
-    threads: usize,
-    shards: usize,
-    sessions: bool,
-    slab: bool,
-    spare: Option<usize>,
-) -> Recorded {
-    let mut b = Runtime::builder()
-        .threads(threads)
-        .shards(shards)
-        .record_graph(true)
-        .version_slab(slab);
-    if sessions {
-        b = b.sessions(true);
-    }
-    if let Some(cap) = spare {
-        b = b.slab_spare_bytes(cap);
-    }
-    let rt = b.build();
-    let cells: Vec<_> = (0..CELLS)
-        .map(|i| {
-            if i % 2 == 0 {
-                rt.data(0i64)
-            } else {
-                rt.data_sized(0i64, std::mem::size_of::<i64>(), || 0i64)
-            }
-        })
-        .collect();
-    if sessions {
-        // Drained by the barrier below, not `Session::wait` — a session
-        // wait helps nobody, and `threads(1)` has no worker besides the
-        // barrier-helping main thread.
-        let sess = rt.session();
-        drive!(ops, cells, (|n| sess.task(n).expect("no quota configured")));
-    } else {
-        drive!(ops, cells, (|n| rt.task(n)));
-    }
-    rt.barrier();
-    let vals = cells.iter().map(|h| rt.read(h)).collect();
-    let g = rt.graph().expect("graph recording was enabled");
-    (vals, g.nodes().to_vec(), g.edges().to_vec())
-}
+use oracle::{check_graph, program, run, sequential, Front};
 
 /// threads {1,8} × shards {1,4} × sessions on/off, covered pairwise.
-const COMBOS: &[(usize, usize, bool)] = &[
-    (1, 1, false),
-    (8, 4, false),
-    (1, 4, true),
-    (8, 1, true),
+const COMBOS: &[(usize, usize, Front)] = &[
+    (1, 1, Front::Runtime),
+    (8, 4, Front::Runtime),
+    (1, 4, Front::Session),
+    (8, 1, Front::Session),
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The BENCH_0009 equality gate: for every scheduler shape, the
-    /// slab and the per-object-spares path record the same graph, node
-    /// for node and edge for edge, and both produce the sequential
-    /// values — including a starved slab whose every park evicts.
+    /// For every scheduler shape, and for a starved slab whose every
+    /// park evicts, the values are the sequential program's and the
+    /// recorded graph passes the oracle's check.
     #[test]
-    fn the_slab_never_changes_the_recorded_graph(
-        ops in prop::collection::vec(op_strategy(), 1..60)
-    ) {
-        let expect = run_sequential(&ops);
-        for &(threads, shards, sessions) in COMBOS {
-            let on = run_recorded(&ops, threads, shards, sessions, true, None);
-            let off = run_recorded(&ops, threads, shards, sessions, false, None);
-            prop_assert_eq!(&on.0, &expect, "slab-on values (t{} sh{} sess {})", threads, shards, sessions);
-            prop_assert_eq!(&off.0, &expect, "slab-off values (t{} sh{} sess {})", threads, shards, sessions);
-            prop_assert_eq!(&on.1, &off.1, "nodes (t{} sh{} sess {})", threads, shards, sessions);
-            prop_assert_eq!(&on.2, &off.2, "edges (t{} sh{} sess {})", threads, shards, sessions);
+    fn the_slab_never_changes_the_recorded_graph(ops in program(1..60)) {
+        let expect = sequential(&ops);
+        let starved = (2, 1, Front::Runtime);
+        for &(threads, shards, front) in COMBOS.iter().chain([&starved]) {
+            let mut b = Runtime::builder().threads(threads).shards(shards).record_graph(true);
+            if (threads, shards, front) == starved {
+                // Cap 0: renames always miss, and eviction runs on the
+                // analysis path.
+                b = b.slab_spare_bytes(0);
+            }
+            let out = run(&ops, b, front);
+            prop_assert_eq!(&out.values, &expect, "t{} sh{} {:?}", threads, shards, front);
+            let check = check_graph(&ops, &out.graph.expect("recording was on"), true);
+            prop_assert!(check.is_ok(), "t{} sh{} {:?}: {:?}", threads, shards, front, check);
+            prop_assert_eq!(out.stats.slab_hits, out.stats.version_pool_hits);
         }
-        // Cap 0: every parked version is evicted on the spot — renames
-        // always miss, eviction runs on the analysis path, and none of
-        // it may leak into one analysis decision.
-        let starved = run_recorded(&ops, 2, 1, false, true, Some(0));
-        let off = run_recorded(&ops, 2, 1, false, false, None);
-        prop_assert_eq!(&starved.0, &expect);
-        prop_assert_eq!(&starved.1, &off.1, "nodes (starved slab)");
-        prop_assert_eq!(&starved.2, &off.2, "edges (starved slab)");
     }
 }
 
@@ -309,4 +186,5 @@ fn memory_throttle_bounds_resident_bytes_under_churn() {
         st.slab_hits > 0,
         "steady-state churn at the limit is served from the spare pool"
     );
+    assert_eq!(st.slab_hits, st.version_pool_hits, "one counter, two names");
 }
