@@ -8,13 +8,12 @@
 //!    (SMPSs) vs one central queue (SuperMatrix) vs LIFO stealing.
 //! 3. **graph-size limit** — §III blocking condition: how hard can the
 //!    main thread be throttled before makespan suffers?
-//! 4. **sharded analysis** — `shards(k)` lanes vs the single spawner
-//!    (`shard_ablation`): recorded-graph equality, concurrent
-//!    submitters, and the funnel-vs-lanes submission rate.
 //!
 //! The runtime's fast paths (completion hand-off, version slab) have no
 //! off switch, so they have no ablation here: the tier-1 suites check
-//! them against a sequential oracle instead.
+//! them against a sequential oracle instead. Sharded analysis has none
+//! either: recorded-graph equality across `shards(k)` and concurrent
+//! submitters on one object are tests in `tests/shard_semantics.rs`.
 
 use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
@@ -211,113 +210,10 @@ fn ablation_graph_limit(cal: &Calibration) {
     );
 }
 
-fn ablation_shard() {
-    println!("\n== Ablation 4: sharded dependency analysis (lanes, gates, submitters) ==\n");
-
-    // --- graph equality: shards(k) vs the unsharded scheduler --------
-    // Main-thread submission through a sharded runtime must record the
-    // same graph bit for bit: `shards(1)` takes the untouched
-    // single-writer path, `k > 1` adds lane gates + RMW counters and
-    // still may not change one analysis decision.
-    let record = |shards: Option<usize>| {
-        let mut b = Runtime::builder().threads(1).record_graph(true);
-        if let Some(k) = shards {
-            b = b.shards(k);
-        }
-        let rt = b.build();
-        let hs: Vec<_> = (0..6).map(|i| rt.data(i as i64)).collect();
-        let buf = rt.region_data(vec![0i64; 64]);
-        for i in 0..96usize {
-            let (a, d) = (i % 6, (i * 7 + 1) % 6);
-            match i % 3 {
-                0 => {
-                    let mut sp = rt.task("acc");
-                    let mut r = sp.read(&hs[a]);
-                    let mut w = sp.inout(&hs[d]);
-                    sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*r.get()));
-                }
-                1 => {
-                    let (lo, hi) = ((i * 11) % 48, (i * 11) % 48 + 7);
-                    let mut sp = rt.task("blit");
-                    let mut w = sp.write_region(&buf, smpss::Region::d1(lo..=hi));
-                    sp.submit(move || w.slice_mut(lo, hi).fill(1));
-                }
-                _ => {
-                    let (lo, hi) = ((i * 5) % 40, (i * 5) % 40 + 11);
-                    let mut sp = rt.task("gather");
-                    let mut r = sp.read_region(&buf, smpss::Region::d1(lo..=hi));
-                    let mut w = sp.write(&hs[a]);
-                    sp.submit(move || *w.get_mut() = r.slice(lo, hi).iter().sum());
-                }
-            }
-        }
-        rt.barrier();
-        let vals: Vec<i64> = hs.iter().map(|h| rt.read(h)).collect();
-        (vals, rt.graph().unwrap().edges().to_vec())
-    };
-    let base = record(None);
-    for k in [1usize, 2, 7] {
-        assert_eq!(
-            record(Some(k)),
-            base,
-            "shards({}) must record the unsharded graph exactly",
-            k
-        );
-    }
-    println!("shards(1)/(2)/(7) recorded-graph equality vs unsharded: ok");
-
-    // --- multi-submitter correctness ---------------------------------
-    // Four concurrent lanes hammering one shared object: the lane gate
-    // serialises analysis, the graph serialises bodies; nothing is lost.
-    let rt = Runtime::builder().threads(2).shards(4).build();
-    let total = rt.data(0u64);
-    let lanes = {
-        let submitters = rt.submitters();
-        let n = submitters.len() as u64;
-        std::thread::scope(|s| {
-            for sub in submitters {
-                let total = total.clone();
-                s.spawn(move || {
-                    for _ in 0..1_000u64 {
-                        let mut sp = sub.task("acc");
-                        let mut w = sp.inout(&total);
-                        sp.submit(move || *w.get_mut() += 1);
-                    }
-                });
-            }
-        });
-        n
-    };
-    rt.barrier();
-    assert_eq!(rt.read(&total), 1_000 * lanes);
-    println!("4 concurrent submitters, one shared object: {} updates, none lost", 1_000 * lanes);
-
-    // --- funnel vs sharded submission rate (reported, not asserted) --
-    let sharded = smpss_bench::perf::submit_storm_cfg(4, 30_000, 1, true);
-    let funnel = smpss_bench::perf::submit_storm_cfg(4, 30_000, 1, false);
-    println!(
-        "submit   sharded lanes   : {:>9.0} tasks/s",
-        sharded.tasks_per_sec
-    );
-    println!(
-        "submit   funnel baseline : {:>9.0} tasks/s   ({:.2}x)",
-        funnel.tasks_per_sec,
-        sharded.tasks_per_sec / funnel.tasks_per_sec
-    );
-    assert_eq!(sharded.tasks, funnel.tasks, "both modes run the same storm");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "shard_ablation") {
-        ablation_shard();
-        println!("\nshard ablation checks passed.");
-        return;
-    }
     let cal = Calibration::default();
     ablation_renaming(&cal);
     ablation_queues(&cal);
     ablation_graph_limit(&cal);
-    ablation_shard();
     println!("\nall ablation checks passed.");
 }

@@ -214,8 +214,8 @@ impl RuntimeBuilder {
     /// under that lane's gate, task-node pools are per lane, and
     /// cross-lane edges settle through the lock-free successor
     /// machinery. `shards(1)` preserves today's single-spawner path
-    /// exactly (no gates, no RMWs on the spawn counters) and is the
-    /// `shard_ablation` baseline.
+    /// exactly (no gates, no RMWs on the spawn counters); every shard
+    /// count records the same graph (`tests/shard_semantics.rs`).
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "a runtime needs at least one analysis lane");
         self.cfg.shards = n;

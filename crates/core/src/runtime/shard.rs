@@ -35,8 +35,8 @@
 //!
 //! `shards(1)` (the default) builds none of this into the hot path: the
 //! runtime's own spawn path keeps its single-writer counters and takes
-//! no gate, which the `shard_ablation` binary and the graph-equality
-//! proptests pin bit-for-bit against the pre-shard scheduler.
+//! no gate; the graph-equality proptests (`tests/shard_semantics.rs`)
+//! pin every shard count bit-for-bit against it.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};

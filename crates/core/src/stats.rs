@@ -389,7 +389,7 @@ impl StatsSnapshot {
     }
 
     /// Pops attributed to one [`TaskSource`] of the §III lookup order.
-    /// Lets external harnesses (perfsuite, the determinism test) assert
+    /// Lets code outside the crate (the determinism test) assert
     /// scheduler behaviour without private counter access. Steal counts
     /// are aggregated over victims.
     pub fn source_pops(&self, src: crate::sched::TaskSource) -> u64 {
@@ -403,8 +403,8 @@ impl StatsSnapshot {
     }
 
     /// All four ready-list counters, labelled in the §III lookup order
-    /// (high-priority, own, main, stolen) — the mechanical form
-    /// `perfsuite` serialises.
+    /// (high-priority, own, main, stolen), in a form ready to
+    /// serialise.
     pub fn pops_by_source(&self) -> [(&'static str, u64); 4] {
         [
             ("hp_pops", self.hp_pops),

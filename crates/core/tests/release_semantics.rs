@@ -47,36 +47,43 @@ proptest! {
 }
 
 /// The direct hand-off is observable through the public stats surface:
-/// a dependency chain must be dominated by hand-offs (each completion
-/// runs its successor without a queue round-trip), and hand-offs are a
-/// subset of own-list pops so conservation still holds. Bodies of 2 µs,
-/// twice the inline threshold, keep the chain off the spawner.
+/// every link of a dependency chain is a hand-off (each completion runs
+/// its successor without a queue round-trip), and hand-offs are a
+/// subset of own-list pops so conservation still holds. A gate task
+/// holds the chain's object until the whole chain is spawned, so every
+/// link is pending when its predecessor finishes, and the hand-off count
+/// is exact whoever wins the spawn race.
 #[test]
 fn chains_ride_the_handoff_and_counters_stay_conserved() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
     let rt = Runtime::builder().threads(4).build();
     let x = rt.data(0i64);
+    let release = Arc::new(AtomicBool::new(false));
+    {
+        let release = Arc::clone(&release);
+        let mut sp = rt.task("gate");
+        let mut w = sp.inout(&x);
+        sp.submit(move || {
+            let _ = w.get_mut();
+            while !release.load(Ordering::Acquire) {
+                std::thread::park_timeout(std::time::Duration::from_micros(200));
+            }
+        });
+    }
     const N: u64 = 400;
     for _ in 0..N {
         let mut sp = rt.task("bump");
         let mut w = sp.inout(&x);
-        sp.submit(move || {
-            let t0 = std::time::Instant::now();
-            while t0.elapsed() < std::time::Duration::from_micros(2) {
-                std::hint::spin_loop();
-            }
-            *w.get_mut() += 1;
-        });
+        sp.submit(move || *w.get_mut() += 1);
     }
+    release.store(true, Ordering::Release);
     rt.barrier();
     assert_eq!(rt.read(&x), N as i64);
     let st = rt.stats();
     assert_eq!(st.total_pops(), st.tasks_executed);
-    assert!(
-        st.handoffs as f64 >= 0.8 * N as f64,
-        "a chain should ride the direct hand-off (handoffs={} of {})",
-        st.handoffs,
-        N
-    );
+    assert_eq!(st.handoffs, N, "every link rides the direct hand-off");
     assert!(
         st.handoffs <= st.own_pops,
         "hand-offs are a subset of own-list pops (handoffs={}, own={})",

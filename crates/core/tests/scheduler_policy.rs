@@ -1,7 +1,10 @@
 //! Tests pinning the §III scheduling policy: queue disciplines, lookup
 //! order, locality, stealing.
 
-use smpss::{task_def, Runtime};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use smpss::{task_def, Handle, Runtime};
 
 task_def! {
     fn bump(inout x: i64) { *x += 1; }
@@ -21,6 +24,24 @@ fn spin_2us() {
     while t0.elapsed() < std::time::Duration::from_micros(2) {
         std::hint::spin_loop();
     }
+}
+
+/// Spawn a task that holds `objs` (`inout`) until the returned flag is
+/// set: tasks spawned on them meanwhile are pending, not born ready.
+fn gate(rt: &Runtime, objs: &[&Handle<i64>]) -> Arc<AtomicBool> {
+    let release = Arc::new(AtomicBool::new(false));
+    let mut sp = rt.task("gate");
+    let mut ws: Vec<_> = objs.iter().map(|h| sp.inout(h)).collect();
+    let flag = Arc::clone(&release);
+    sp.submit(move || {
+        for w in &mut ws {
+            let _ = w.get_mut();
+        }
+        while !flag.load(Ordering::Acquire) {
+            std::thread::park_timeout(std::time::Duration::from_micros(200));
+        }
+    });
+    release
 }
 
 /// With one thread, tasks born ready go to the main list and are consumed
@@ -122,32 +143,35 @@ fn stealing_spreads_a_fat_release() {
     assert_eq!(rt.stats().tasks_executed, 65);
 }
 
-/// The locality design: a linear chain should mostly stay on one thread
-/// (each completion feeds the successor to the finisher's own list), so
-/// own-pops dominate and steals stay rare even with many workers.
+/// The locality design: a linear chain stays on one thread (each
+/// completion hands its successor to the finisher), so with many workers
+/// every link is an own-list pop and none is stolen. A gate task holds
+/// the chain's object until the whole chain is spawned, so every link is
+/// pending when its predecessor finishes, whoever wins the spawn race.
 #[test]
 fn chains_exhibit_locality() {
     let rt = Runtime::builder().threads(4).build();
     let x = rt.data(0i64);
+    let release = gate(&rt, &[&x]);
     let n = 400;
     for _ in 0..n {
         bump_slow(&rt, &x);
     }
+    release.store(true, Ordering::Release);
     rt.barrier();
     let st = rt.stats();
     assert_eq!(rt.read(&x), n as i64);
-    assert!(
-        st.own_pops as f64 >= 0.8 * n as f64,
-        "a dependency chain should be consumed depth-first from own lists \
-         (own_pops={}, steals={}, main_pops={})",
-        st.own_pops,
-        st.steals,
-        st.main_pops
+    assert_eq!(
+        (st.main_pops, st.own_pops, st.steals),
+        (1, n, 0),
+        "the gate comes off the main list, then the chain is consumed \
+         depth-first from own lists"
     );
 }
 
 /// Ablation guard: the central-queue policy must not use own lists at all,
-/// and both policies compute the same result.
+/// and both policies compute the same result. Both chains start behind a
+/// gate task, so the placements below do not depend on the spawn race.
 #[test]
 fn central_queue_vs_smpss_same_result() {
     let run = |policy| {
@@ -157,16 +181,22 @@ fn central_queue_vs_smpss_same_result() {
             .build();
         let x = rt.data(1i64);
         let y = rt.data(2i64);
+        let release = gate(&rt, &[&x, &y]);
         for _ in 0..50 {
             bump_slow(&rt, &x);
             bump_slow(&rt, &y);
         }
+        release.store(true, Ordering::Release);
         rt.barrier();
         (rt.read(&x), rt.read(&y), rt.stats())
     };
     let (x1, y1, s1) = run(smpss::config::SchedulerPolicy::Smpss);
     let (x2, y2, s2) = run(smpss::config::SchedulerPolicy::CentralQueue);
     assert_eq!((x1, y1), (x2, y2));
-    assert!(s1.own_pops > 0);
+    // Behind the gate every bump is pending when its predecessor
+    // finishes: each chain continues on the finisher's own list, except
+    // that one of the gate's two successors may be stolen.
+    assert_eq!(s1.own_pops + s1.steals, 100);
+    assert!(s1.own_pops >= 99);
     assert_eq!(s2.own_pops, 0);
 }

@@ -33,9 +33,11 @@ fn task_wave(rounds: usize, cells_n: usize) {
     assert_eq!(st.total_pops(), (rounds * cells_n) as u64);
 }
 
+/// One thread, so the spawner itself runs every task: the third link
+/// finds two in flight and blocks, whatever the timing.
 fn deep_chain(len: i64) {
     let rt = Runtime::builder()
-        .threads(2)
+        .threads(1)
         .graph_size_limit(2)
         .build();
     let x = rt.data(0i64);

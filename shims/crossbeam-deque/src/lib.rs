@@ -199,71 +199,6 @@ impl<T> Inner<T> {
         let t = self.top.load(Ordering::Acquire);
         b.wrapping_sub(t).max(0) as usize
     }
-
-    /// Steal up to `limit` tasks (capped at **half** the observed queue,
-    /// rounded up — the Cilk steal-half rule) from the thieves' end. The
-    /// first claimed task is returned; the rest are fed to `sink` oldest
-    /// first.
-    ///
-    /// Unlike the injector's batch claim, a LIFO Chase–Lev deque cannot
-    /// claim several slots with one `top` CAS: the owner's `pop` only
-    /// synchronises through `top` for the *last* element, so a
-    /// multi-slot claim could race a bottom pop of a middle slot and
-    /// consume it twice. Elements are therefore claimed **one CAS at a
-    /// time** (exactly upstream crossbeam's LIFO batch-steal shape); the
-    /// win over repeated `steal()` calls is that one traversal keeps the
-    /// hot `top`/`bottom` lines and re-checks, and thieves leave with
-    /// half the queue instead of re-contending per task. A lost CAS
-    /// before the first claim is [`Steal::Retry`]; after it, the batch
-    /// simply ends.
-    fn steal_batch(&self, limit: usize, sink: &mut dyn FnMut(T)) -> Steal<T> {
-        assert!(limit >= 1, "batch limit must be at least 1");
-        let t0 = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        let len = b.wrapping_sub(t0);
-        if len <= 0 {
-            return Steal::Empty;
-        }
-        // Steal half of what was observed (rounded up), at most `limit`.
-        let target = (len as usize).div_ceil(2).min(limit);
-        let mut t = t0;
-        let mut first: Option<T> = None;
-        while t.wrapping_sub(t0) < target as isize {
-            if t != t0 {
-                // Later claims re-validate against the owner's end: the
-                // owner may have popped the remaining elements since the
-                // first observation. Same fence discipline as `steal`.
-                fence(Ordering::SeqCst);
-                let b = self.bottom.load(Ordering::Acquire);
-                if b.wrapping_sub(t) <= 0 {
-                    break;
-                }
-            }
-            let buf = self.buffer.load(Ordering::Acquire);
-            // Speculative: only valid if the CAS below claims index `t`.
-            let value = unsafe { (*buf).read(t) };
-            if self
-                .top
-                .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                match first {
-                    // Lost the very first claim: nothing taken, retry.
-                    None => return Steal::Retry,
-                    // Batch ends at the first lost race; keep the spoils.
-                    Some(v) => return Steal::Success(v),
-                }
-            }
-            let v = unsafe { value.assume_init() };
-            match first {
-                None => first = Some(v),
-                Some(_) => sink(v),
-            }
-            t = t.wrapping_add(1);
-        }
-        Steal::Success(first.expect("target >= 1 and first claim succeeded"))
-    }
 }
 
 impl<T> Drop for Inner<T> {
@@ -468,41 +403,10 @@ impl<T> Clone for Stealer<T> {
     }
 }
 
-/// Default cap for [`Stealer::steal_batch_and_pop`] — matches the
-/// injector's [`MAX_BATCH`]: enough to amortise the traversal across
-/// several tasks without one thief hoarding a whole fan-out.
-const MAX_DEQUE_BATCH: usize = 8;
-
 impl<T> Stealer<T> {
     #[inline]
     pub fn steal(&self) -> Steal<T> {
         self.inner.steal()
-    }
-
-    /// Steal up to half the deque (capped at [`MAX_DEQUE_BATCH`]) in one
-    /// traversal: the first task is returned, the rest are pushed into
-    /// `dest` oldest-first (crossbeam-compatible signature).
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        self.steal_batch_with_limit_and_pop(dest, MAX_DEQUE_BATCH)
-    }
-
-    /// [`steal_batch_and_pop`](Self::steal_batch_and_pop) with an
-    /// explicit cap (still never more than half the observed queue).
-    pub fn steal_batch_with_limit_and_pop(&self, dest: &Worker<T>, limit: usize) -> Steal<T> {
-        self.inner.steal_batch(limit, &mut |t| dest.push(t))
-    }
-
-    /// The steal-half primitive behind the two methods above: returns
-    /// the first claimed task and feeds the rest, oldest-first, to
-    /// `sink`. **Shim extension over upstream crossbeam** (mirroring the
-    /// injector's collect variant), for callers that want the batch in a
-    /// private buffer or need to count the extra claims.
-    pub fn steal_batch_with_limit_and_collect(
-        &self,
-        limit: usize,
-        sink: &mut impl FnMut(T),
-    ) -> Steal<T> {
-        self.inner.steal_batch(limit, sink)
     }
 
     #[inline]
@@ -1186,107 +1090,6 @@ mod tests {
                 }
             }
             assert_eq!(got, 4 * BLOCK_CAP);
-        }
-        assert_eq!(Arc::strong_count(&probe), 1);
-    }
-
-    #[test]
-    fn stealer_batch_takes_half_fifo() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        for i in 0..10 {
-            w.push(i);
-        }
-        // 10 elements: half = 5, FIFO from the thieves' end.
-        let mut rest = Vec::new();
-        assert_eq!(
-            s.steal_batch_with_limit_and_collect(64, &mut |v| rest.push(v)),
-            Steal::Success(0)
-        );
-        assert_eq!(rest, vec![1, 2, 3, 4]);
-        // 5 left: half rounds up to 3, but the limit caps at 2.
-        rest.clear();
-        assert_eq!(
-            s.steal_batch_with_limit_and_collect(2, &mut |v| rest.push(v)),
-            Steal::Success(5)
-        );
-        assert_eq!(rest, vec![6]);
-        // Owner still pops LIFO over the remainder.
-        assert_eq!(w.pop(), Some(9));
-        assert_eq!(w.pop(), Some(8));
-        assert_eq!(w.pop(), Some(7));
-        assert_eq!(w.pop(), None);
-        assert!(s.steal_batch_and_pop(&Worker::new_lifo()).is_empty());
-    }
-
-    #[test]
-    fn stealer_batch_pop_pushes_rest_into_dest() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        for i in 0..8 {
-            w.push(i);
-        }
-        let dest = Worker::new_lifo();
-        // Half of 8 = 4: first returned, 3 land in dest.
-        assert_eq!(s.steal_batch_and_pop(&dest), Steal::Success(0));
-        assert_eq!(dest.len(), 3);
-        assert_eq!(dest.pop(), Some(3)); // dest is LIFO
-        assert_eq!(dest.pop(), Some(2));
-        assert_eq!(dest.pop(), Some(1));
-        assert_eq!(w.len(), 4);
-    }
-
-    #[test]
-    fn stealer_batch_single_element() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        w.push(42);
-        let mut rest = Vec::new();
-        assert_eq!(
-            s.steal_batch_with_limit_and_collect(8, &mut |v| rest.push(v)),
-            Steal::Success(42)
-        );
-        assert!(rest.is_empty());
-        assert!(w.pop().is_none());
-    }
-
-    #[test]
-    fn stealer_batch_spans_growth_boundaries() {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        let n = MIN_CAP * 4 + 3;
-        for i in 0..n {
-            w.push(i);
-        }
-        // Drain thief-side in batches: strict global FIFO (the first
-        // returned task precedes the sink's tasks, batch after batch).
-        let mut out = Vec::new();
-        loop {
-            let mut rest = Vec::new();
-            match s.steal_batch_with_limit_and_collect(usize::MAX / 2, &mut |v| rest.push(v)) {
-                Steal::Success(v) => {
-                    out.push(v);
-                    out.append(&mut rest);
-                }
-                Steal::Empty => break,
-                Steal::Retry => {}
-            }
-        }
-        assert_eq!(out, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stealer_batch_drop_frees_unconsumed() {
-        let probe = Arc::new(());
-        {
-            let w = Worker::new_lifo();
-            let s = w.stealer();
-            for _ in 0..20 {
-                w.push(Arc::clone(&probe));
-            }
-            let dest = Worker::new_lifo();
-            assert!(s.steal_batch_and_pop(&dest).is_success());
-            // w, dest and the returned task all drop here.
         }
         assert_eq!(Arc::strong_count(&probe), 1);
     }

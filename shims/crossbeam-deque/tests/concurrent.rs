@@ -186,133 +186,6 @@ fn injector_fifo_per_producer_under_contention() {
 }
 
 #[test]
-fn stealer_batch_mpmc_exactly_once() {
-    // Mixed single steals and steal-half batches racing one LIFO deque
-    // while the owner pushes and pops: the exactly-once contract must
-    // survive per-element top claims interleaved with bottom pops and
-    // buffer growth (the batch path is the one the scheduler's
-    // steal-half thieves ride).
-    const THIEVES: usize = 2;
-    const BATCHERS: usize = 2;
-    const PUSHES: usize = 20_000;
-
-    let w: Worker<usize> = Worker::new_lifo();
-    let seen: Arc<Vec<AtomicUsize>> = Arc::new((0..PUSHES).map(|_| AtomicUsize::new(0)).collect());
-    let done = Arc::new(AtomicBool::new(false));
-
-    let mut handles = Vec::new();
-    for thief in 0..THIEVES + BATCHERS {
-        let s = w.stealer();
-        let seen = Arc::clone(&seen);
-        let done = Arc::clone(&done);
-        let use_batch = thief < BATCHERS;
-        handles.push(std::thread::spawn(move || loop {
-            let got = if use_batch {
-                s.steal_batch_with_limit_and_collect(8, &mut |v| {
-                    seen[v].fetch_add(1, Ordering::Relaxed);
-                })
-            } else {
-                s.steal()
-            };
-            match got {
-                Steal::Success(v) => {
-                    seen[v].fetch_add(1, Ordering::Relaxed);
-                }
-                Steal::Empty => {
-                    if done.load(Ordering::Acquire) && s.is_empty() {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-                Steal::Retry => std::thread::yield_now(),
-            }
-        }));
-    }
-
-    // Owner: push bursts with interleaved pops, as in the worker loop.
-    let mut next = 0usize;
-    while next < PUSHES {
-        let burst = (next % 11) + 1;
-        for _ in 0..burst {
-            if next == PUSHES {
-                break;
-            }
-            w.push(next);
-            next += 1;
-        }
-        for _ in 0..burst / 2 {
-            if let Some(v) = w.pop() {
-                seen[v].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    while let Some(v) = w.pop() {
-        seen[v].fetch_add(1, Ordering::Relaxed);
-    }
-    done.store(true, Ordering::Release);
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (v, count) in seen.iter().enumerate() {
-        assert_eq!(count.load(Ordering::Relaxed), 1, "value {} lost or duplicated", v);
-    }
-}
-
-#[test]
-fn stealer_batch_leaks_nothing_under_contention() {
-    // Arc payloads racing through steal-half batches: every strong
-    // count must return to 1 (no task leaked in a lost race, none
-    // double-dropped at a batch boundary).
-    const PUSHES: usize = 10_000;
-    let probe = Arc::new(());
-    {
-        let w: Worker<Arc<()>> = Worker::new_lifo();
-        let done = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let s = w.stealer();
-            let done = Arc::clone(&done);
-            handles.push(std::thread::spawn(move || {
-                let dest = Worker::new_lifo();
-                loop {
-                    match s.steal_batch_and_pop(&dest) {
-                        Steal::Success(v) => {
-                            drop(v);
-                            while let Some(v) = dest.pop() {
-                                drop(v);
-                            }
-                        }
-                        Steal::Empty => {
-                            if done.load(Ordering::Acquire) && s.is_empty() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                        Steal::Retry => std::thread::yield_now(),
-                    }
-                }
-            }));
-        }
-        for i in 0..PUSHES {
-            w.push(Arc::clone(&probe));
-            if i % 5 == 0 {
-                if let Some(v) = w.pop() {
-                    drop(v);
-                }
-            }
-        }
-        done.store(true, Ordering::Release);
-        for h in handles {
-            h.join().unwrap();
-        }
-        while let Some(v) = w.pop() {
-            drop(v);
-        }
-    }
-    assert_eq!(Arc::strong_count(&probe), 1);
-}
-
-#[test]
 fn chase_lev_owner_and_thieves_exactly_once() {
     const THIEVES: usize = 3;
     const PUSHES: usize = 20_000;
@@ -484,54 +357,6 @@ proptest! {
             prop_assert_eq!(steal_one(|| inj.steal()), Some(expect));
         }
         prop_assert!(inj.is_empty());
-    }
-
-    /// Steal-half model: single-threaded, a batch of limit L against a
-    /// deque of length n must take exactly `min(L, (n+1)/2)` oldest
-    /// elements in FIFO order (first returned, rest sunk in order), and
-    /// leave the owner's LIFO view of the remainder intact.
-    #[test]
-    fn steal_half_matches_model(ops in ops_strategy(), limit in 1usize..12) {
-        let w = Worker::new_lifo();
-        let s = w.stealer();
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    w.push(v);
-                    model.push_back(v);
-                }
-                Op::Pop => prop_assert_eq!(w.pop(), model.pop_back()),
-                Op::Steal => {
-                    // A steal-half batch instead of a single steal.
-                    let mut rest = Vec::new();
-                    let got = loop {
-                        match s.steal_batch_with_limit_and_collect(limit, &mut |v| rest.push(v)) {
-                            Steal::Success(v) => break Some(v),
-                            Steal::Empty => break None,
-                            Steal::Retry => std::thread::yield_now(),
-                        }
-                    };
-                    let expect_n = limit.min(model.len().div_ceil(2));
-                    match got {
-                        None => prop_assert!(model.is_empty()),
-                        Some(first) => {
-                            prop_assert_eq!(Some(first), model.pop_front());
-                            prop_assert_eq!(rest.len(), expect_n - 1);
-                            for v in rest {
-                                prop_assert_eq!(Some(v), model.pop_front());
-                            }
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(w.len(), model.len());
-        }
-        // Owner drains the remainder LIFO.
-        while let Some(expect) = model.pop_back() {
-            prop_assert_eq!(w.pop(), Some(expect));
-        }
-        prop_assert!(w.is_empty());
     }
 
     #[test]

@@ -138,8 +138,7 @@ fn lookup_order_is_observable_through_public_counters() {
     // Conservation: every executed task was popped from exactly one list.
     assert_eq!(st.total_pops(), st.tasks_executed);
     assert_eq!(st.tasks_spawned, st.tasks_executed);
-    // The labelled form perfsuite serialises agrees with the per-source
-    // accessor.
+    // The labelled form agrees with the per-source accessor.
     let by_source = st.pops_by_source();
     assert_eq!(by_source[0], ("hp_pops", 0));
     assert_eq!(by_source[1], ("own_pops", N - 1));
