@@ -34,6 +34,14 @@ pub fn quick_mode() -> bool {
 /// Checks on what the repository benchmark (`benchmark/`) relies on: the
 /// runtime counters it reads and the result files it commits. The
 /// benchmark itself is a stand-alone package, so these run here.
+///
+/// The module is called `perf` only so that its tests keep the ids
+/// (`perf::tests::*`) they had when this crate held a performance
+/// harness. By subject, the counter tests belong in the root suites
+/// (`tests/determinism.rs`, `tests/shard_semantics.rs`,
+/// `tests/session_semantics.rs`, `crates/core/tests/failure_semantics.rs`)
+/// and the result-file tests in a root `tests/benchmark_files.rs`;
+/// moving them there changes their ids.
 #[cfg(test)]
 mod perf {
     mod tests;

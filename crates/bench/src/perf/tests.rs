@@ -16,13 +16,11 @@ mod json;
 
 use json::Json;
 
-/// Parks the calling worker until `release` is set: a gate task's body,
-/// which keeps its readers pending until the whole program is submitted.
-fn hold(release: &AtomicBool) {
-    while !release.load(Ordering::Acquire) {
-        std::thread::park_timeout(std::time::Duration::from_micros(200));
-    }
-}
+#[allow(dead_code)]
+#[path = "../../../../tests/support/gate.rs"]
+mod gate;
+
+use gate::hold;
 
 #[test]
 fn storm_counts_every_task_exactly_once() {
@@ -283,6 +281,11 @@ fn committed_runs() -> Vec<(PathBuf, Json)> {
 /// A result file counts as evidence when it is a full (not `--quick`)
 /// run of the current schema that reports, for every workload
 /// `BENCHMARK.json` declares, each end-to-end metric and no failure.
+///
+/// The benchmark's own `report::check` makes the same checks, but it
+/// cannot be included here the way `json.rs` is: `report.rs` pulls in the
+/// benchmark's `spec`, `summary` and `workloads` modules, and with them
+/// the whole benchmark package.
 fn check_full_run(doc: &Json, spec: &Json) -> Result<(), String> {
     if doc.get("schema").and_then(Json::as_str) != Some("smpss-benchmark/1") {
         return Err("schema is not smpss-benchmark/1".into());

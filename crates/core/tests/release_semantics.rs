@@ -14,6 +14,10 @@ mod oracle;
 
 use oracle::{check_graph, program, run, sequential, Front};
 
+#[allow(dead_code)]
+#[path = "../../../tests/support/gate.rs"]
+mod gate;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -55,23 +59,11 @@ proptest! {
 /// is exact whoever wins the spawn race.
 #[test]
 fn chains_ride_the_handoff_and_counters_stay_conserved() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::Ordering;
 
     let rt = Runtime::builder().threads(4).build();
     let x = rt.data(0i64);
-    let release = Arc::new(AtomicBool::new(false));
-    {
-        let release = Arc::clone(&release);
-        let mut sp = rt.task("gate");
-        let mut w = sp.inout(&x);
-        sp.submit(move || {
-            let _ = w.get_mut();
-            while !release.load(Ordering::Acquire) {
-                std::thread::park_timeout(std::time::Duration::from_micros(200));
-            }
-        });
-    }
+    let release = gate::gate(&rt, &[&x]);
     const N: u64 = 400;
     for _ in 0..N {
         let mut sp = rt.task("bump");

@@ -1,10 +1,15 @@
 //! Tests pinning the §III scheduling policy: queue disciplines, lookup
 //! order, locality, stealing.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
-use smpss::{task_def, Handle, Runtime};
+use smpss::{task_def, Runtime};
+
+#[allow(dead_code)]
+#[path = "../../../tests/support/gate.rs"]
+mod gate;
+
+use gate::gate;
 
 task_def! {
     fn bump(inout x: i64) { *x += 1; }
@@ -24,24 +29,6 @@ fn spin_2us() {
     while t0.elapsed() < std::time::Duration::from_micros(2) {
         std::hint::spin_loop();
     }
-}
-
-/// Spawn a task that holds `objs` (`inout`) until the returned flag is
-/// set: tasks spawned on them meanwhile are pending, not born ready.
-fn gate(rt: &Runtime, objs: &[&Handle<i64>]) -> Arc<AtomicBool> {
-    let release = Arc::new(AtomicBool::new(false));
-    let mut sp = rt.task("gate");
-    let mut ws: Vec<_> = objs.iter().map(|h| sp.inout(h)).collect();
-    let flag = Arc::clone(&release);
-    sp.submit(move || {
-        for w in &mut ws {
-            let _ = w.get_mut();
-        }
-        while !flag.load(Ordering::Acquire) {
-            std::thread::park_timeout(std::time::Duration::from_micros(200));
-        }
-    });
-    release
 }
 
 /// With one thread, tasks born ready go to the main list and are consumed

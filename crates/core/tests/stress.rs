@@ -33,11 +33,15 @@ fn task_wave(rounds: usize, cells_n: usize) {
     assert_eq!(st.total_pops(), (rounds * cells_n) as u64);
 }
 
-/// One thread, so the spawner itself runs every task: the third link
-/// finds two in flight and blocks, whatever the timing.
-fn deep_chain(len: i64) {
+/// An `inout` chain of `len` links under a graph-size limit of 2. At
+/// one thread the spawner itself runs every task, so the third link
+/// finds two in flight and blocks, whatever the timing. At more
+/// threads the blocked spawner races the workers' completion wake-ups;
+/// whether it blocks at all is up to that race, so only the result and
+/// the pop count are checked.
+fn deep_chain(threads: usize, len: i64) {
     let rt = Runtime::builder()
-        .threads(1)
+        .threads(threads)
         .graph_size_limit(2)
         .build();
     let x = rt.data(0i64);
@@ -46,7 +50,11 @@ fn deep_chain(len: i64) {
     }
     rt.barrier();
     assert_eq!(rt.read(&x), len);
-    assert!(rt.stats().throttle_blocks > 0);
+    let st = rt.stats();
+    assert_eq!(st.total_pops(), len as u64);
+    if threads == 1 {
+        assert!(st.throttle_blocks > 0);
+    }
 }
 
 #[test]
@@ -62,13 +70,18 @@ fn hundred_thousand_task_wave() {
 
 #[test]
 fn deep_chain_with_tiny_graph_limit() {
-    deep_chain(2_000);
+    deep_chain(1, 2_000);
+}
+
+#[test]
+fn deep_chain_with_tiny_graph_limit_across_threads() {
+    deep_chain(2, 2_000);
 }
 
 #[test]
 #[ignore = "heavy: 50k-deep dependency chain; run with `cargo test -- --ignored`"]
 fn very_deep_chain_with_tiny_graph_limit() {
-    deep_chain(50_000);
+    deep_chain(2, 50_000);
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! | workload                         | documented budget per task    |
 //! |----------------------------------|-------------------------------|
 //! | empty-body storm (throttled)     | 0 after warmup                |
-//! | empty-body storm run inline (2 threads) | 0 after warmup         |
-//! | inline flood over 512 handles (pinned producers) | ≤ 1 per 100 tasks, pool hits > 9/10 |
+//! | empty-body storm run inline (2 threads) | 0 after warmup, > 9/10 inline |
+//! | flood over 512 handles, 1 thread, 1 task in flight (pinned producers) | ≤ 1 per 100 tasks, pool hits > 9/10 |
+//! | the same flood run inline (2 threads, > 9/10 inline) | ≤ 1 per 100 tasks + 1 per rename and pool miss, pool hits > 9/10 |
 //! | `inout` dependency chain         | 0 (successor links recycle)   |
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version slab) | ≤ 1 (binding traffic)         |
@@ -103,28 +104,35 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     // --- inline storm: 0 allocations per task after warmup -----------
     // Two threads and no throttle: once a worker has measured the site,
     // the spawner runs each born-ready empty task itself, inside
-    // `submit`, and the node goes straight back to its cache. How many
-    // it runs depends on timing samples (one preempted sample sends the
-    // site to the worker for a while), so only the path's use is
-    // checked; the budget holds for either placement.
+    // `submit`, and the node goes straight back to its cache. The budget
+    // holds for either placement. One preempted timing sample sends the
+    // site to the worker until the spawner has timed it again, but no
+    // outlier strikes every repetition: one of `INLINE_TRIES` measured
+    // storms must run nine tenths of its tasks inline.
+    const INLINE_TRIES: usize = 4;
     let rt = Runtime::builder().threads(2).build();
-    let before = std::cell::Cell::new(0);
-    let delta = measure(
-        || {
-            storm(&rt, 4_096);
-            before.set(rt.stats().inline_runs);
-        },
-        || storm(&rt, STORM_TASKS),
-    );
-    let inline = rt.stats().inline_runs - before.get();
-    assert!(inline > 0, "the measured storm must use the inline path");
+    storm(&rt, 4_096);
+    let mut best_inline = 0;
+    for _ in 0..INLINE_TRIES {
+        let before = rt.stats().inline_runs;
+        let delta = measure(|| {}, || storm(&rt, STORM_TASKS));
+        assert!(
+            delta <= STORM_TASKS / 100,
+            "steady-state inline storm must be allocation-free \
+             (documented budget 0/task), measured {} allocations for {} tasks",
+            delta,
+            STORM_TASKS
+        );
+        best_inline = best_inline.max(rt.stats().inline_runs - before);
+        if best_inline > STORM_TASKS * 9 / 10 {
+            break;
+        }
+    }
     drop(rt);
     assert!(
-        delta <= STORM_TASKS / 100,
-        "steady-state inline storm must be allocation-free \
-         (documented budget 0/task), measured {} allocations for {} tasks",
-        delta,
-        STORM_TASKS
+        best_inline > STORM_TASKS * 9 / 10,
+        "the measured storm must run inline (best {best_inline} of {STORM_TASKS} \
+         in {INLINE_TRIES} tries)"
     );
 
     // --- flood with pinned producers: the pool still hits ------------
@@ -132,25 +140,15 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     // `read(a) + write(b)` over 512 handles. Each finished task stays
     // pinned as its object's producer until the next writer of that
     // object displaces it; the displaced node must come back to the pool
-    // instead of being freed, or every spawn allocates a node. One
-    // thread and a limit of one task in flight fix the schedule. A write
-    // that finds its object's readers pending renames it, and renames of
-    // these 8-byte values still allocate, so the budget holds only while
-    // almost nothing is pending: at two threads that depends on how many
-    // tasks timing samples send to the worker instead of inline.
+    // instead of being freed, or every spawn allocates a node.
     const FLOOD_TASKS: u64 = 16_384;
     const HANDLES: u64 = 512;
-    let rt = Runtime::builder().threads(1).graph_size_limit(1).build();
-    let hs: Vec<_> = (0..HANDLES).map(|i| rt.data(i)).collect();
-    let seed = std::cell::Cell::new(0x2545_F491_4F6C_DD1Du64);
-    let flood = |n: u64| {
-        let next = |m: u64| {
-            let mut s = seed.get();
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            seed.set(s);
-            s % m
+    let flood = |rt: &Runtime, hs: &[smpss::Handle<u64>], seed: &mut u64, n: u64| {
+        let mut next = |m: u64| {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed % m
         };
         for k in 0..n {
             let a = next(HANDLES) as usize;
@@ -177,12 +175,21 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
         }
         rt.barrier();
     };
-    flood(FLOOD_TASKS);
+
+    // One thread and a limit of one task in flight fix the schedule: a
+    // write almost never finds its object's readers pending, so almost
+    // nothing renames, and the budget is 1 allocation per 100 tasks.
+    let rt = Runtime::builder().threads(1).graph_size_limit(1).build();
+    let hs: Vec<_> = (0..HANDLES).map(|i| rt.data(i)).collect();
+    let mut seed = 0x2545_F491_4F6C_DD1Du64;
+    flood(&rt, &hs, &mut seed, FLOOD_TASKS);
+    flood(&rt, &hs, &mut seed, FLOOD_TASKS);
     let st0 = rt.stats();
-    let delta = measure(|| flood(FLOOD_TASKS), || flood(FLOOD_TASKS));
+    let delta = measure(|| {}, || flood(&rt, &hs, &mut seed, FLOOD_TASKS));
     let st = rt.stats();
     let spawned = st.tasks_spawned - st0.tasks_spawned;
     let hits = st.node_pool_hits - st0.node_pool_hits;
+    drop(hs);
     drop(rt);
     assert!(
         hits > spawned * 9 / 10,
@@ -194,6 +201,56 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
          tasks, measured {} allocations for {} tasks",
         delta,
         FLOOD_TASKS
+    );
+
+    // The same flood at two threads, run inline by the spawner: the
+    // displaced nodes of inline runs must reach the pool too. The budget
+    // is for a flood the spawner runs (> 9/10 inline); one of
+    // `INLINE_TRIES` measured floods must be one. A task a timing
+    // outlier sends to the worker is held as a producer by the tasks
+    // behind it, so its node may miss the pool, and it leaves its
+    // readers pending: the next write to their object renames it, and a
+    // rename of these 8-byte values allocates its buffer (it almost
+    // never hits the slab). So the budget is 1 allocation per 100 tasks
+    // plus one per rename and one per pool miss. A flood that sends many
+    // tasks to the worker has no budget.
+    let rt = Runtime::builder().threads(2).build();
+    let hs: Vec<_> = (0..HANDLES).map(|i| rt.data(i)).collect();
+    let mut seed = 0x2545_F491_4F6C_DD1Du64;
+    flood(&rt, &hs, &mut seed, FLOOD_TASKS);
+    flood(&rt, &hs, &mut seed, FLOOD_TASKS);
+    let mut inline_tries = Vec::new();
+    for _ in 0..INLINE_TRIES {
+        let st0 = rt.stats();
+        let delta = measure(|| {}, || flood(&rt, &hs, &mut seed, FLOOD_TASKS));
+        let st = rt.stats();
+        let inline = st.inline_runs - st0.inline_runs;
+        inline_tries.push(inline);
+        if inline <= FLOOD_TASKS * 9 / 10 {
+            continue;
+        }
+        let spawned = st.tasks_spawned - st0.tasks_spawned;
+        let hits = st.node_pool_hits - st0.node_pool_hits;
+        let renames = st.renames - st0.renames;
+        assert!(
+            hits > spawned * 9 / 10,
+            "displaced producers of inline runs must return to the node pool \
+             (hits={hits} spawned={spawned})"
+        );
+        assert!(
+            delta <= FLOOD_TASKS / 100 + renames + (spawned - hits),
+            "steady-state inline flood must stay within 1 allocation per 100 \
+             tasks plus one per rename and pool miss, measured {delta} \
+             allocations for {spawned} tasks, {renames} renames, {hits} hits"
+        );
+        break;
+    }
+    drop(hs);
+    drop(rt);
+    assert!(
+        inline_tries.iter().any(|&n| n > FLOOD_TASKS * 9 / 10),
+        "the measured flood must run inline (inline runs per try: {inline_tries:?} \
+         of {FLOOD_TASKS})"
     );
 
     // --- dependency chain: 0 allocations per task (pooled links) -----

@@ -108,16 +108,19 @@ fn spawn_flood(rt: &Runtime, ops: &[Op], hs: &[Handle<u64>]) {
 }
 
 /// Tiny bodies over many objects at `threads(2)`: after one warm-up
-/// repetition has measured the three sites, the spawner runs tasks
-/// itself, and every repetition still ends where the plain sequential
-/// program does. How many run inline is not asserted: one preempted
-/// timing sample evicts a site for a while, and a task whose input is
-/// still running on the worker is not born ready, so the share depends
-/// on the host. The benchmark's `task_flood` measures it.
+/// repetition has measured the three sites, the spawner runs nearly
+/// every task itself, and every repetition still ends where the plain
+/// sequential program does. One preempted timing sample evicts a site
+/// until the spawner has timed it again, and the tasks it sends to the
+/// worker leave the tasks behind them not born ready, so one
+/// repetition's share depends on the host. No outlier strikes every
+/// repetition, though: at least one of up to `MAX_REPS` measured
+/// repetitions runs 95 % of its tasks inline.
 #[test]
 fn flood_inlines_and_matches_the_sequential_replay() {
     const TASKS: usize = 20_000;
     const HANDLES: usize = 512;
+    const MAX_REPS: usize = 8;
     let ops = flood_ops(TASKS, HANDLES);
     let init: Vec<u64> = (0..HANDLES as u64)
         .map(|i| i.wrapping_mul(0x1F1F_1F1F))
@@ -127,7 +130,8 @@ fn flood_inlines_and_matches_the_sequential_replay() {
 
     let rt = Runtime::builder().threads(2).build();
     let hs: Vec<_> = init.iter().map(|&v| rt.data(v)).collect();
-    for rep in 0..3 {
+    let mut best = 0;
+    for rep in 0..=MAX_REPS {
         for (h, &v) in hs.iter().zip(&init) {
             rt.update(h, |x| *x = v);
         }
@@ -137,12 +141,16 @@ fn flood_inlines_and_matches_the_sequential_replay() {
         let got: Vec<u64> = hs.iter().map(|h| rt.read(h)).collect();
         assert!(got == oracle, "repetition {rep} diverged from the replay");
         if rep > 0 {
-            assert!(
-                inline_since(&rt, before) > 0,
-                "repetition {rep}: no task ran inline"
-            );
+            best = best.max(inline_since(&rt, before));
+            if rep >= 2 && best as f64 >= 0.95 * TASKS as f64 {
+                break;
+            }
         }
     }
+    assert!(
+        best as f64 >= 0.95 * TASKS as f64,
+        "at best {best} of {TASKS} tasks ran inline in {MAX_REPS} repetitions"
+    );
     let st = rt.stats();
     assert!(
         st.inline_runs <= st.own_pops,
