@@ -9,7 +9,7 @@
 use smpss_bench::calibrate::Calibration;
 use smpss_bench::record::cholesky_flat_graph;
 use smpss_bench::series::Table;
-use smpss_blas::flops;
+use smpss_blas::{flops, kernels};
 use smpss_sim::models::gflops;
 use smpss_sim::{simulate, MachineConfig, SimGraph};
 
@@ -26,8 +26,11 @@ fn main() {
         "# Figure 8 — Cholesky on {threads} threads, {matrix}x{matrix} f32, varying block size"
     );
     println!(
-        "# calibration: tuned {:.2} Gflop/s, reference {:.2} Gflop/s per core\n",
-        cal.tuned.gemm_gflops, cal.reference.gemm_gflops
+        "# calibration: tuned {:.2} Gflop/s, reference {:.2} Gflop/s per core; \
+         tuned kernel instance on this CPU: {}\n",
+        cal.tuned.gemm_gflops,
+        cal.reference.gemm_gflops,
+        kernels::instance()
     );
 
     let mut table = Table::new(

@@ -17,6 +17,9 @@
 //! the packed-panel style of Goto & van de Geijn (TOMS 2008): operands
 //! are copied into `MR`-row and `NR`-column panels laid out k-major, and
 //! an `MR × NR` tile of accumulators is updated from one panel of each.
+//! That path is one generic source compiled twice: a portable 4×8
+//! instance and, on x86-64 CPUs reporting AVX2 and FMA, a 6×16 instance
+//! built for those features, chosen per call ([`instance`]).
 //! `gemm_*` and `syrk` are that update alone (syrk only on tiles that
 //! touch the lower triangle); `trsm` and `potrf` are blocked by `NB`
 //! columns, with a small solve or factorisation on each diagonal block
@@ -45,12 +48,7 @@ pub fn gemm_add_ref(a: &Block, b: &Block, c: &mut Block) {
 /// `C += A · B` — tuned: `B` is packed untransposed (its rows are
 /// already k-major) and the whole block is one tiled update.
 pub fn gemm_add_tuned(a: &Block, b: &Block, c: &mut Block) {
-    let m = check_dims(a, b, c);
-    with_packs(|ap, bp| {
-        let a = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
-        let b = pack::<NR>(bp, b.as_slice(), 1, m, m, m);
-        update(c.as_mut_slice(), m, &a, &b, 1.0, false);
-    });
+    Isa::selected().gemm_add(a, b, c)
 }
 
 /// `C -= A · Bᵀ` — reference.
@@ -71,12 +69,7 @@ pub fn gemm_nt_sub_ref(a: &Block, b: &Block, c: &mut Block) {
 /// `C -= A · Bᵀ` — tuned: both operands are packed from their rows and
 /// the whole block is one tiled update.
 pub fn gemm_nt_sub_tuned(a: &Block, b: &Block, c: &mut Block) {
-    let m = check_dims(a, b, c);
-    with_packs(|ap, bp| {
-        let a = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
-        let b = pack::<NR>(bp, b.as_slice(), m, 1, m, m);
-        update(c.as_mut_slice(), m, &a, &b, -1.0, false);
-    });
+    Isa::selected().gemm_nt_sub(a, b, c)
 }
 
 /// `C -= A · Aᵀ`, lower triangle only (BLAS `ssyrk` with `uplo = 'L'`):
@@ -101,12 +94,7 @@ pub fn syrk_sub(a: &Block, c: &mut Block) {
 /// on tiles that touch the lower triangle and written back under the
 /// triangle mask, so the strict upper triangle is never stored to.
 pub fn syrk_sub_tuned(a: &Block, c: &mut Block) {
-    let m = check_square(a, c);
-    with_packs(|ap, bp| {
-        let rows = pack::<MR>(ap, a.as_slice(), m, 1, m, m);
-        let cols = pack::<NR>(bp, a.as_slice(), m, 1, m, m);
-        update(c.as_mut_slice(), m, &rows, &cols, -1.0, true);
-    });
+    Isa::selected().syrk_sub(a, c)
 }
 
 /// Error raised by [`potrf`] when a diagonal pivot is not positive.
@@ -129,60 +117,42 @@ impl std::error::Error for NotPositiveDefinite {}
 /// strict upper triangle is left untouched.
 pub fn potrf(a: &mut Block) -> Result<(), NotPositiveDefinite> {
     let m = a.dim();
+    potrf_in(a.as_mut_slice(), m, m)
+}
+
+/// [`potrf`] on the `m × m` window of `a` whose element `(i, j)` is
+/// `a[i * ld + j]`.
+fn potrf_in(a: &mut [f32], ld: usize, m: usize) -> Result<(), NotPositiveDefinite> {
     for j in 0..m {
-        let mut d = a.at(j, j);
+        let mut d = a[j * ld + j];
         for k in 0..j {
-            let v = a.at(j, k);
+            let v = a[j * ld + k];
             d -= v * v;
         }
         if d <= 0.0 || !d.is_finite() {
             return Err(NotPositiveDefinite { pivot: j });
         }
         let d = d.sqrt();
-        a.set(j, j, d);
+        a[j * ld + j] = d;
         for i in j + 1..m {
-            let mut s = a.at(i, j);
+            let mut s = a[i * ld + j];
             for k in 0..j {
-                s -= a.at(i, k) * a.at(j, k);
+                s -= a[i * ld + k] * a[j * ld + k];
             }
-            a.set(i, j, s / d);
+            a[i * ld + j] = s / d;
         }
     }
     Ok(())
 }
 
-/// Tuned variant of [`potrf`], right-looking by `NB`-column blocks: a
-/// copy of the diagonal block is factored by [`potrf`] itself, the rows
+/// Tuned variant of [`potrf`], right-looking by `NB`-column blocks: the
+/// diagonal block is factored in place by [`potrf`]'s own loop, the rows
 /// below it are solved against that factor, and the trailing lower
 /// triangle takes their `A·Aᵀ` update on the micro-kernel. Reads and
 /// writes only the lower triangle; a failing pivot is reported by its
 /// index in `a`, as [`potrf`] reports it.
 pub fn potrf_tuned(a: &mut Block) -> Result<(), NotPositiveDefinite> {
-    let m = a.dim();
-    let a = a.as_mut_slice();
-    with_packs(|ap, bp| {
-        for j0 in (0..m).step_by(NB) {
-            let nb = NB.min(m - j0);
-            // The diagonal block already holds every update from the
-            // columns left of it.
-            let mut l = diagonal_block(a, m, j0, nb);
-            potrf(&mut l).map_err(|local| NotPositiveDefinite {
-                pivot: j0 + local.pivot,
-            })?;
-            for i in 0..nb {
-                a[(j0 + i) * m + j0..][..=i].copy_from_slice(&l.row(i)[..=i]);
-            }
-            let j1 = j0 + nb;
-            if j1 < m {
-                solve_rows(&mut a[j1 * m + j0..], m, m - j1, &l);
-                // A[j1.., j1..] -= A[j1.., J] · A[j1.., J]ᵀ, lower triangle.
-                let rows = pack::<MR>(ap, &a[j1 * m + j0..], m, 1, m - j1, nb);
-                let cols = pack::<NR>(bp, &a[j1 * m + j0..], m, 1, m - j1, nb);
-                update(&mut a[j1 * m + j1..], m, &rows, &cols, -1.0, true);
-            }
-        }
-        Ok(())
-    })
+    Isa::selected().potrf(a)
 }
 
 /// `B ← B · L⁻ᵀ` where `l`'s lower triangle is the Cholesky factor of the
@@ -205,21 +175,7 @@ pub fn trsm_rlt(l: &Block, b: &mut Block) {
 /// then every column right of it takes the solved block's update on the
 /// micro-kernel. Reads only the lower triangle of `l`.
 pub fn trsm_rlt_tuned(l: &Block, b: &mut Block) {
-    let m = check_square(l, b);
-    let (l, b) = (l.as_slice(), b.as_mut_slice());
-    with_packs(|ap, bp| {
-        for j0 in (0..m).step_by(NB) {
-            let nb = NB.min(m - j0);
-            solve_rows(&mut b[j0..], m, m, &diagonal_block(l, m, j0, nb));
-            let j1 = j0 + nb;
-            if j1 < m {
-                // B[.., j1..] -= X[.., J] · L[j1.., J]ᵀ
-                let x = pack::<MR>(ap, &b[j0..], m, 1, m, nb);
-                let lt = pack::<NR>(bp, &l[j1 * m + j0..], m, 1, m - j1, nb);
-                update(&mut b[j1..], m, &x, &lt, -1.0, false);
-            }
-        }
-    });
+    Isa::selected().trsm_rlt(l, b)
 }
 
 /// `C -= A · B` (the trailing update of the blocked LU).
@@ -338,27 +294,182 @@ pub fn acc_sub(a: &Block, c: &mut Block) {
 
 // The tiled path shared by every tuned kernel.
 
-/// Rows of the micro-kernel's accumulator tile.
-const MR: usize = 4;
-/// Columns of the accumulator tile. `MR × NR` = 32 f32 accumulators fill
-/// 8 of the 16 SSE registers of the baseline x86-64 target, leaving room
-/// for the two B vectors and the broadcast A value of each k step.
-const NR: usize = 8;
 /// Width of the diagonal blocks `trsm` and `potrf` solve outside the
 /// micro-kernel.
 const NB: usize = 16;
 
-thread_local! {
-    /// Packed A and B operands, kept per thread so a task body reuses the
-    /// previous call's buffers instead of allocating.
-    static PACKS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+/// The name of the tiled-path instance the tuned kernels run on this
+/// CPU: `"x86-64-v3 6x16 fma"` on an x86-64 CPU that reports AVX2 and
+/// FMA, `"portable 4x8"` otherwise.
+pub fn instance() -> &'static str {
+    Isa::selected().name()
 }
 
-fn with_packs<R>(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
-    PACKS.with(|packs| {
-        let (ap, bp) = &mut *packs.borrow_mut();
-        f(ap, bp)
-    })
+/// The tiled path, compiled once per instance from this one source: an
+/// `MR × NR` tile of f32 accumulators and, with `FMA`, every multiply-add
+/// of the micro-kernel, the write-back and the solve fused into one
+/// rounding. Each instance's tile is sized to its register file.
+struct Tiled<const MR: usize, const NR: usize, const FMA: bool>;
+
+/// Built for the baseline x86-64 target (SSE2, 16 registers of 4 f32):
+/// the 4×8 = 32 accumulators fill 8 registers, leaving room for the two
+/// B vectors and the broadcast A value of each k step.
+type Portable = Tiled<4, 8, false>;
+
+/// Built with AVX2 and FMA (16 registers of 8 f32): the 6×16 = 96
+/// accumulators fill 12 registers, the B row 2 more and the broadcast 1.
+/// The same tile on the baseline target needs 24 of its 16 registers and
+/// spills, which is why [`Portable`] keeps 4×8.
+#[cfg(target_arch = "x86_64")]
+type X86V3 = Tiled<6, 16, true>;
+
+/// The instances of the tiled path in this build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    /// [`Portable`], for any CPU.
+    Portable,
+    /// [`X86V3`], for an x86-64 CPU with AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    X86V3,
+}
+
+#[cfg(target_arch = "x86_64")]
+fn has_avx2_fma() -> bool {
+    std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+}
+
+/// Packed A and B operands.
+type Packs = (Vec<f32>, Vec<f32>);
+
+thread_local! {
+    /// Kept per thread so a task body reuses the previous call's buffers
+    /// instead of allocating.
+    static PACKS: RefCell<Packs> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// One tuned kernel call on row-major `m × m` blocks, handed whole to an
+/// instance so that every loop of it runs on that instance's code.
+enum Call<'a> {
+    /// `C += alpha · A · Bᵀ`, with `A`'s element `(p, k)` at `a[p * m +
+    /// k]` and `Bᵀ`'s at `b[p * sp + k * sk]` for `b_strides = (sp, sk)`;
+    /// `lower` as in [`Tiled::update`].
+    Update {
+        a: &'a [f32],
+        b: &'a [f32],
+        b_strides: (usize, usize),
+        c: &'a mut [f32],
+        alpha: f32,
+        lower: bool,
+    },
+    /// `B ← B · L⁻ᵀ`, reading only `L`'s lower triangle.
+    Trsm { l: &'a [f32], b: &'a mut [f32] },
+    /// In-place lower Cholesky.
+    Potrf { a: &'a mut [f32] },
+}
+
+impl Isa {
+    /// The instance this CPU runs: x86-64-v3 when it reports AVX2 and FMA.
+    fn selected() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2_fma() {
+            return Isa::X86V3;
+        }
+        Isa::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Portable => "portable 4x8",
+            #[cfg(target_arch = "x86_64")]
+            Isa::X86V3 => "x86-64-v3 6x16 fma",
+        }
+    }
+
+    fn gemm_add(self, a: &Block, b: &Block, c: &mut Block) {
+        self.update(a, b, (1, a.dim()), c, 1.0, false)
+    }
+
+    fn gemm_nt_sub(self, a: &Block, b: &Block, c: &mut Block) {
+        self.update(a, b, (b.dim(), 1), c, -1.0, false)
+    }
+
+    fn syrk_sub(self, a: &Block, c: &mut Block) {
+        self.update(a, a, (a.dim(), 1), c, -1.0, true)
+    }
+
+    /// [`Call::Update`] on whole blocks.
+    fn update(
+        self,
+        a: &Block,
+        b: &Block,
+        b_strides: (usize, usize),
+        c: &mut Block,
+        alpha: f32,
+        lower: bool,
+    ) {
+        let m = check_dims(a, b, c);
+        let call = Call::Update {
+            a: a.as_slice(),
+            b: b.as_slice(),
+            b_strides,
+            c: c.as_mut_slice(),
+            alpha,
+            lower,
+        };
+        self.run(m, call).expect("only potrf fails");
+    }
+
+    fn trsm_rlt(self, l: &Block, b: &mut Block) {
+        let m = check_square(l, b);
+        let (l, b) = (l.as_slice(), b.as_mut_slice());
+        self.run(m, Call::Trsm { l, b }).expect("only potrf fails");
+    }
+
+    fn potrf(self, a: &mut Block) -> Result<(), NotPositiveDefinite> {
+        let m = a.dim();
+        let a = a.as_mut_slice();
+        self.run(m, Call::Potrf { a })
+    }
+
+    /// Runs `call` on this instance with the thread's packing scratch.
+    fn run(self, m: usize, call: Call) -> Result<(), NotPositiveDefinite> {
+        PACKS.with(|packs| {
+            let packs = &mut *packs.borrow_mut();
+            match self {
+                Isa::Portable => Portable::run(m, call, packs),
+                #[cfg(target_arch = "x86_64")]
+                Isa::X86V3 => {
+                    assert!(has_avx2_fma(), "the x86-64-v3 instance needs AVX2 and FMA");
+                    // SAFETY: `run_x86_v3` is compiled for AVX2 and FMA, so
+                    // it may only run on a CPU that has both. The assert
+                    // above checks this CPU's report of both with
+                    // `has_avx2_fma`, the check `selected` uses; the unit
+                    // test `selected_instance_follows_the_cpu` pins that
+                    // choice against the CPU's own report.
+                    unsafe { run_x86_v3(m, call, packs) }
+                }
+            }
+        })
+    }
+}
+
+/// [`X86V3`] built with AVX2 and FMA enabled. Every function of the
+/// tiled path is `#[inline(always)]`, so all of its loops are compiled
+/// into this one function for those features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn run_x86_v3(m: usize, call: Call, packs: &mut Packs) -> Result<(), NotPositiveDefinite> {
+    X86V3::run(m, call, packs)
+}
+
+/// `a · b + c`, rounded once when `FMA`.
+#[inline(always)]
+fn madd<const FMA: bool>(a: f32, b: f32, c: f32) -> f32 {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
 }
 
 /// An operand packed by [`pack`]: `n` rows of `depth` values in panels of
@@ -373,6 +484,7 @@ struct Panels<'a> {
 /// `src[p * sp + k * sk]` into `out` as `⌈n / W⌉` panels of `W` rows.
 /// Rows past `n` are zero, so edge tiles compute on padding and are
 /// masked at write-back.
+#[inline(always)]
 fn pack<'a, const W: usize>(
     out: &'a mut Vec<f32>,
     src: &[f32],
@@ -399,116 +511,184 @@ fn pack<'a, const W: usize>(
     }
 }
 
-/// `C += alpha · A · Bᵀ` on the `a.n × b.n` window of `c` whose element
-/// `(i, j)` is `c[i * ldc + j]`, with `a` packed in `MR`-row and `b` in
-/// `NR`-row panels. With `lower`, only elements with `j ≤ i` are written
-/// and tiles wholly above the diagonal are not computed.
-fn update(c: &mut [f32], ldc: usize, a: &Panels, b: &Panels, alpha: f32, lower: bool) {
-    let depth = a.depth;
-    assert_eq!(b.depth, depth, "packed operands must have the same depth");
-    for (jp, bpanel) in b.data.chunks_exact(NR * depth).enumerate() {
-        let j0 = jp * NR;
-        for (ip, apanel) in a.data.chunks_exact(MR * depth).enumerate() {
-            let i0 = ip * MR;
-            if lower && j0 >= i0 + MR {
-                continue;
+impl<const MR: usize, const NR: usize, const FMA: bool> Tiled<MR, NR, FMA> {
+    /// Runs `call` on `m × m` blocks with `packs` as packing scratch.
+    #[inline(always)]
+    fn run(m: usize, call: Call, (ap, bp): &mut Packs) -> Result<(), NotPositiveDefinite> {
+        match call {
+            Call::Update {
+                a,
+                b,
+                b_strides: (sp, sk),
+                c,
+                alpha,
+                lower,
+            } => {
+                let a = pack::<MR>(ap, a, m, 1, m, m);
+                let b = pack::<NR>(bp, b, sp, sk, m, m);
+                Self::update(c, m, &a, &b, alpha, lower);
             }
-            let tile = micro_kernel(apanel, bpanel);
-            for (r, acc) in tile.iter().enumerate().take(a.n - i0) {
-                let i = i0 + r;
-                let end = if lower { b.n.min(i + 1) } else { b.n };
-                if end <= j0 {
+            Call::Trsm { l, b } => Self::trsm(m, l, b, ap, bp),
+            Call::Potrf { a } => Self::potrf(m, a, ap, bp)?,
+        }
+        Ok(())
+    }
+
+    /// See [`trsm_rlt_tuned`].
+    #[inline(always)]
+    fn trsm(m: usize, l: &[f32], b: &mut [f32], ap: &mut Vec<f32>, bp: &mut Vec<f32>) {
+        for j0 in (0..m).step_by(NB) {
+            let nb = NB.min(m - j0);
+            Self::solve_rows(&mut b[j0..], m, m, &diagonal_factor(l, m, j0, nb), nb);
+            let j1 = j0 + nb;
+            if j1 < m {
+                // B[.., j1..] -= X[.., J] · L[j1.., J]ᵀ
+                let x = pack::<MR>(ap, &b[j0..], m, 1, m, nb);
+                let lt = pack::<NR>(bp, &l[j1 * m + j0..], m, 1, m - j1, nb);
+                Self::update(&mut b[j1..], m, &x, &lt, -1.0, false);
+            }
+        }
+    }
+
+    /// See [`potrf_tuned`].
+    #[inline(always)]
+    fn potrf(
+        m: usize,
+        a: &mut [f32],
+        ap: &mut Vec<f32>,
+        bp: &mut Vec<f32>,
+    ) -> Result<(), NotPositiveDefinite> {
+        for j0 in (0..m).step_by(NB) {
+            let nb = NB.min(m - j0);
+            // The diagonal block already holds every update from the
+            // columns left of it.
+            potrf_in(&mut a[j0 * m + j0..], m, nb).map_err(|local| NotPositiveDefinite {
+                pivot: j0 + local.pivot,
+            })?;
+            let j1 = j0 + nb;
+            if j1 < m {
+                let l = diagonal_factor(a, m, j0, nb);
+                Self::solve_rows(&mut a[j1 * m + j0..], m, m - j1, &l, nb);
+                // A[j1.., j1..] -= A[j1.., J] · A[j1.., J]ᵀ, lower triangle.
+                let rows = pack::<MR>(ap, &a[j1 * m + j0..], m, 1, m - j1, nb);
+                let cols = pack::<NR>(bp, &a[j1 * m + j0..], m, 1, m - j1, nb);
+                Self::update(&mut a[j1 * m + j1..], m, &rows, &cols, -1.0, true);
+            }
+        }
+        Ok(())
+    }
+
+    /// `C += alpha · A · Bᵀ` on the `a.n × b.n` window of `c` whose element
+    /// `(i, j)` is `c[i * ldc + j]`, with `a` packed in `MR`-row and `b` in
+    /// `NR`-row panels. With `lower`, only elements with `j ≤ i` are written
+    /// and tiles wholly above the diagonal are not computed.
+    #[inline(always)]
+    fn update(c: &mut [f32], ldc: usize, a: &Panels, b: &Panels, alpha: f32, lower: bool) {
+        let depth = a.depth;
+        assert_eq!(b.depth, depth, "packed operands must have the same depth");
+        for (jp, bpanel) in b.data.chunks_exact(NR * depth).enumerate() {
+            let j0 = jp * NR;
+            for (ip, apanel) in a.data.chunks_exact(MR * depth).enumerate() {
+                let i0 = ip * MR;
+                if lower && j0 >= i0 + MR {
                     continue;
                 }
-                let crow = &mut c[i * ldc + j0..][..NR.min(end - j0)];
-                match <&mut [f32; NR]>::try_from(&mut *crow) {
-                    // Full-width rows as one fixed-length (vector) loop.
-                    Ok(full) => {
-                        for (cv, av) in full.iter_mut().zip(acc) {
-                            *cv += alpha * av;
-                        }
+                let tile = Self::micro_kernel(apanel, bpanel);
+                for (r, acc) in tile.iter().enumerate().take(a.n - i0) {
+                    let i = i0 + r;
+                    let end = if lower { b.n.min(i + 1) } else { b.n };
+                    if end <= j0 {
+                        continue;
                     }
-                    Err(_) => {
-                        for (cv, av) in crow.iter_mut().zip(acc) {
-                            *cv += alpha * av;
+                    let crow = &mut c[i * ldc + j0..][..NR.min(end - j0)];
+                    match <&mut [f32; NR]>::try_from(&mut *crow) {
+                        // Full-width rows as one fixed-length (vector) loop.
+                        Ok(full) => {
+                            for (cv, av) in full.iter_mut().zip(acc) {
+                                *cv = madd::<FMA>(alpha, *av, *cv);
+                            }
+                        }
+                        Err(_) => {
+                            for (cv, av) in crow.iter_mut().zip(acc) {
+                                *cv = madd::<FMA>(alpha, *av, *cv);
+                            }
                         }
                     }
                 }
             }
         }
     }
-}
 
-/// The one register-tiled loop: `tile[i][j] = Σ_k a[k][i] · b[k][j]` over
-/// an `MR`-wide and an `NR`-wide k-major panel. The fixed trip counts let
-/// the autovectoriser keep the tile in registers (one broadcast of
-/// `a[k][i]` times two 4-lane vectors of `b[k]` per row).
-#[inline(always)]
-fn micro_kernel(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    let mut tile = [[0.0f32; NR]; MR];
-    let (a, _) = a.as_chunks::<MR>();
-    let (b, _) = b.as_chunks::<NR>();
-    for (ak, bk) in a.iter().zip(b) {
-        for (row, &aik) in tile.iter_mut().zip(ak) {
-            for (t, &bkj) in row.iter_mut().zip(bk) {
-                *t += aik * bkj;
+    /// The one register-tiled loop: `tile[i][j] = Σ_k a[k][i] · b[k][j]`
+    /// over an `MR`-wide and an `NR`-wide k-major panel. The fixed trip
+    /// counts let the autovectoriser keep the tile in registers (one
+    /// broadcast of `a[k][i]` times the vectors of `b[k]` per row). Each
+    /// row is rebuilt as a whole array, not stored element by element:
+    /// with element stores the 6×16 row loop was left rolled in some
+    /// inlining contexts (trsm's, in builds without LTO), and the tile
+    /// then lived in stack memory under scalar FMAs.
+    #[inline(always)]
+    fn micro_kernel(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+        let mut tile = [[0.0f32; NR]; MR];
+        let (a, _) = a.as_chunks::<MR>();
+        let (b, _) = b.as_chunks::<NR>();
+        for (ak, bk) in a.iter().zip(b) {
+            for (row, &aik) in tile.iter_mut().zip(ak) {
+                *row = std::array::from_fn(|j| madd::<FMA>(aik, bk[j], row[j]));
+            }
+        }
+        tile
+    }
+
+    /// `X ← X · L⁻ᵀ` on the `rows × nb` window of `x` whose element `(r, j)`
+    /// is `x[r * ld + j]`, with `l` the lower-triangular `nb × nb` diagonal
+    /// block (`nb ≤ NB`). Rows are taken `NR` at a time and transposed into
+    /// a local tile, so every step of the substitution is one vector
+    /// operation across those rows.
+    #[inline(always)]
+    fn solve_rows(x: &mut [f32], ld: usize, rows: usize, l: &[[f32; NB]; NB], nb: usize) {
+        for r0 in (0..rows).step_by(NR) {
+            let h = NR.min(rows - r0);
+            let mut t = [[0.0f32; NR]; NB];
+            for r in 0..h {
+                for (j, v) in x[(r0 + r) * ld..][..nb].iter().enumerate() {
+                    t[j][r] = *v;
+                }
+            }
+            for k in 0..nb {
+                let (head, below) = t[..nb].split_at_mut(k + 1);
+                let d = l[k][k];
+                let xk = &mut head[k];
+                for v in xk.iter_mut() {
+                    *v /= d;
+                }
+                for (tj, lj) in below.iter_mut().zip(&l[k + 1..]) {
+                    let ljk = lj[k];
+                    for (v, xv) in tj.iter_mut().zip(xk.iter()) {
+                        *v = madd::<FMA>(-xv, ljk, *v);
+                    }
+                }
+            }
+            for r in 0..h {
+                for (j, v) in x[(r0 + r) * ld..][..nb].iter_mut().enumerate() {
+                    *v = t[j][r];
+                }
             }
         }
     }
-    tile
 }
 
-/// The `nb × nb` diagonal block at `(j0, j0)` of the row-major `m × m`
-/// matrix `a`, lower triangle only: zero above the diagonal, so nothing
-/// of `a`'s strict upper triangle is read.
-fn diagonal_block(a: &[f32], m: usize, j0: usize, nb: usize) -> Block {
-    let mut l = Block::zeros(nb);
-    for i in 0..nb {
-        l.row_mut(i)[..=i].copy_from_slice(&a[(j0 + i) * m + j0..][..=i]);
+/// The lower triangle of the `nb × nb` diagonal block at `(j0, j0)` of
+/// the row-major `m × m` matrix `a`, as a fixed-size array (so the solve
+/// indexes it without bounds checks) that is zero above the diagonal:
+/// nothing of `a`'s strict upper triangle is read.
+#[inline(always)]
+fn diagonal_factor(a: &[f32], m: usize, j0: usize, nb: usize) -> [[f32; NB]; NB] {
+    let mut l = [[0.0f32; NB]; NB];
+    for (i, row) in l.iter_mut().enumerate().take(nb) {
+        row[..=i].copy_from_slice(&a[(j0 + i) * m + j0..][..=i]);
     }
     l
-}
-
-/// `X ← X · L⁻ᵀ` on the `rows × nb` window of `x` whose element `(r, j)` is
-/// `x[r * ld + j]`, with `l` the lower-triangular `nb × nb` diagonal block
-/// (`nb ≤ NB`). Rows are taken `NR` at a time and transposed into a local
-/// tile, so every step of the substitution is one vector operation
-/// across those rows.
-fn solve_rows(x: &mut [f32], ld: usize, rows: usize, l: &Block) {
-    let nb = l.dim();
-    // A fixed-size copy, so the loops below index without bounds checks.
-    let mut lf = [[0.0f32; NB]; NB];
-    for (row, src) in lf.iter_mut().zip(l.as_slice().chunks_exact(nb)) {
-        row[..nb].copy_from_slice(src);
-    }
-    for r0 in (0..rows).step_by(NR) {
-        let h = NR.min(rows - r0);
-        let mut t = [[0.0f32; NR]; NB];
-        for r in 0..h {
-            for (j, v) in x[(r0 + r) * ld..][..nb].iter().enumerate() {
-                t[j][r] = *v;
-            }
-        }
-        for k in 0..nb {
-            let (head, below) = t[..nb].split_at_mut(k + 1);
-            let d = lf[k][k];
-            let xk = &mut head[k];
-            for v in xk.iter_mut() {
-                *v /= d;
-            }
-            for (tj, lj) in below.iter_mut().zip(&lf[k + 1..]) {
-                let ljk = lj[k];
-                for (v, xv) in tj.iter_mut().zip(xk.iter()) {
-                    *v -= xv * ljk;
-                }
-            }
-        }
-        for r in 0..h {
-            for (j, v) in x[(r0 + r) * ld..][..nb].iter_mut().enumerate() {
-                *v = t[j][r];
-            }
-        }
-    }
 }
 
 fn check_dims(a: &Block, b: &Block, c: &Block) -> usize {
@@ -530,6 +710,49 @@ mod tests {
 
     const EPS: f32 = 1e-3;
 
+    /// Every instance this CPU can run, whichever one it selects.
+    fn instances() -> Vec<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2_fma() {
+            return vec![Isa::Portable, Isa::X86V3];
+        }
+        eprintln!("skipping the x86-64-v3 instance: not an x86-64 CPU with AVX2 and FMA");
+        vec![Isa::Portable]
+    }
+
+    /// Block sizes the instance sweeps cover: every remainder of both
+    /// tiles and of `NB`, plus two full diagonal blocks and a ragged third.
+    const SIZES: std::ops::RangeInclusive<usize> = 1..=40;
+
+    /// Every entry of `got` is within `tol` of `want`, relative to
+    /// `want`'s largest entry; a NaN anywhere fails.
+    fn close(got: &Block, want: &Block, tol: f32) -> bool {
+        let scale = want.as_slice().iter().fold(1.0f32, |s, v| s.max(v.abs()));
+        got.as_slice()
+            .iter()
+            .zip(want.as_slice())
+            .all(|(g, w)| (g - w).abs() <= tol * scale)
+    }
+
+    /// An SPD block whose strict upper triangle holds `fill`: a NaN
+    /// catches a read of it, a finite value a write.
+    fn spd_with_upper(m: usize, seed: u64, fill: f32) -> Block {
+        let mut a = Block::random_spd(m, seed);
+        for i in 0..m {
+            for j in i + 1..m {
+                a.set(i, j, fill);
+            }
+        }
+        a
+    }
+
+    fn upper_bits(a: &Block) -> Vec<u32> {
+        let m = a.dim();
+        (0..m)
+            .flat_map(|i| (i + 1..m).map(move |j| a.at(i, j).to_bits()))
+            .collect()
+    }
+
     #[test]
     fn gemm_identity() {
         let a = Block::random(8, 1);
@@ -544,27 +767,31 @@ mod tests {
 
     #[test]
     fn tuned_matches_reference_gemm() {
-        for m in [1, 2, 3, 7, 8, 16, 33] {
-            let a = Block::random(m, 10 + m as u64);
-            let b = Block::random(m, 20 + m as u64);
-            let mut c1 = Block::random(m, 30 + m as u64);
-            let mut c2 = c1.clone();
-            gemm_add_ref(&a, &b, &mut c1);
-            gemm_add_tuned(&a, &b, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < EPS, "m={m}");
+        for isa in instances() {
+            for m in SIZES {
+                let a = Block::random(m, 10 + m as u64);
+                let b = Block::random(m, 20 + m as u64);
+                let mut want = Block::random(m, 30 + m as u64);
+                let mut got = want.clone();
+                gemm_add_ref(&a, &b, &mut want);
+                isa.gemm_add(&a, &b, &mut got);
+                assert!(close(&got, &want, 1e-5), "{isa:?} m={m}");
+            }
         }
     }
 
     #[test]
     fn tuned_matches_reference_gemm_nt() {
-        for m in [1, 5, 8, 17] {
-            let a = Block::random(m, 1);
-            let b = Block::random(m, 2);
-            let mut c1 = Block::random(m, 3);
-            let mut c2 = c1.clone();
-            gemm_nt_sub_ref(&a, &b, &mut c1);
-            gemm_nt_sub_tuned(&a, &b, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < EPS, "m={m}");
+        for isa in instances() {
+            for m in SIZES {
+                let a = Block::random(m, 1);
+                let b = Block::random(m, 2);
+                let mut want = Block::random(m, 3);
+                let mut got = want.clone();
+                gemm_nt_sub_ref(&a, &b, &mut want);
+                isa.gemm_nt_sub(&a, &b, &mut got);
+                assert!(close(&got, &want, 1e-5), "{isa:?} m={m}");
+            }
         }
     }
 
@@ -652,15 +879,20 @@ mod tests {
         }
     }
 
+    /// syrk agrees on the lower triangle and leaves the strict upper
+    /// triangle bit-for-bit as it was.
     #[test]
     fn syrk_tuned_matches_reference() {
-        for m in [1, 3, 8, 13] {
-            let a = Block::random(m, 6);
-            let mut c1 = Block::random(m, 7);
-            let mut c2 = c1.clone();
-            syrk_sub(&a, &mut c1);
-            syrk_sub_tuned(&a, &mut c2);
-            assert!(c1.max_abs_diff(&c2) < EPS, "m={m}");
+        for isa in instances() {
+            for m in SIZES {
+                let a = Block::random(m, 6);
+                let c = Block::random(m, 7);
+                let (mut got, mut want) = (c.clone(), c.clone());
+                syrk_sub(&a, &mut want);
+                isa.syrk_sub(&a, &mut got);
+                assert!(close(&got, &want, 1e-5), "{isa:?} m={m}");
+                assert_eq!(upper_bits(&got), upper_bits(&c), "{isa:?} m={m}");
+            }
         }
     }
 
@@ -781,5 +1013,76 @@ mod tests {
         let b = Block::zeros(3);
         let mut c = Block::zeros(2);
         gemm_add_ref(&a, &b, &mut c);
+    }
+
+    /// The instance is chosen from the CPU's own report, checked here
+    /// apart from `has_avx2_fma`: a broken detection that fell back to
+    /// the portable instance would pass every numeric test.
+    #[test]
+    fn selected_instance_follows_the_cpu() {
+        #[cfg(target_arch = "x86_64")]
+        let want = if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+        {
+            "x86-64-v3 6x16 fma"
+        } else {
+            "portable 4x8"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let want = "portable 4x8";
+        assert_eq!(instance(), want);
+    }
+
+    #[test]
+    fn tuned_trsm_matches_reference_reading_only_the_lower_triangle() {
+        for isa in instances() {
+            for m in SIZES {
+                let mut l = spd_with_upper(m, 6, f32::NAN);
+                potrf(&mut l).unwrap();
+                let b = Block::random(m, 7);
+                let (mut got, mut want) = (b.clone(), b);
+                isa.trsm_rlt(&l, &mut got);
+                trsm_rlt(&l, &mut want);
+                assert!(close(&got, &want, 1e-4), "{isa:?} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn tuned_potrf_matches_reference_on_the_lower_triangle_only() {
+        for isa in instances() {
+            for m in SIZES {
+                for fill in [f32::NAN, -7.0] {
+                    let a = spd_with_upper(m, 8, fill);
+                    let (mut got, mut want) = (a.clone(), a.clone());
+                    isa.potrf(&mut got).unwrap();
+                    potrf(&mut want).unwrap();
+                    for i in 0..m {
+                        for j in 0..=i {
+                            let (x, y) = (got.at(i, j), want.at(i, j));
+                            assert!(
+                                (x - y).abs() <= 1e-4 * y.abs().max(1.0),
+                                "{isa:?} m={m} ({i}, {j})"
+                            );
+                        }
+                    }
+                    assert_eq!(upper_bits(&got), upper_bits(&a), "{isa:?} m={m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tuned_potrf_fails_an_indefinite_block_at_the_reference_pivot() {
+        for isa in instances() {
+            for m in SIZES {
+                for pivot in [0, m / 2, m - 1] {
+                    let mut a = Block::random_spd(m, 9);
+                    a.set(pivot, pivot, -1.0);
+                    let want = potrf(&mut a.clone());
+                    assert_eq!(want, Err(NotPositiveDefinite { pivot }));
+                    assert_eq!(isa.potrf(&mut a), want, "{isa:?} m={m}");
+                }
+            }
+        }
     }
 }

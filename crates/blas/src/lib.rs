@@ -6,9 +6,11 @@
 //! so this crate provides pure-Rust single-threaded f32 kernels with the
 //! same roles:
 //!
-//! * [`Vendor::Tuned`] — packed panels and a 4×8 register-tiled
-//!   micro-kernel under gemm, syrk, trsm and potrf, standing in for Goto
-//!   BLAS;
+//! * [`Vendor::Tuned`] — packed panels and a register-tiled micro-kernel
+//!   under gemm, syrk, trsm and potrf, standing in for Goto BLAS: one
+//!   source compiled twice, a portable 4×8 instance and a 6×16 AVX2+FMA
+//!   one selected at run time on CPUs that have them
+//!   ([`kernels::instance`] names the one in use);
 //! * [`Vendor::Reference`] — a plain textbook implementation standing in
 //!   for the (here: slower) second library, so benchmarks can plot the
 //!   paper's two "tiles" series (`SMPSs + Goto tiles` / `SMPSs + MKL

@@ -11,9 +11,10 @@ pub use crate::kernels::NotPositiveDefinite;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Vendor {
     /// Register-blocked kernels (the "Goto tiles" series): gemm, syrk,
-    /// trsm and potrf all run on one packed 4×8 micro-kernel. The LU
-    /// kernels and the element-wise ones have a single implementation
-    /// shared by both vendors.
+    /// trsm and potrf all run on one packed micro-kernel, 6×16 with FMA
+    /// on CPUs with AVX2 and FMA and 4×8 elsewhere (see
+    /// [`kernels::instance`]). The LU kernels and the element-wise ones
+    /// have a single implementation shared by both vendors.
     #[default]
     Tuned,
     /// Textbook kernels (the "MKL tiles" series).

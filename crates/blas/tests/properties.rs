@@ -8,8 +8,10 @@ fn random_block(m: usize, seed: u64) -> Block {
 }
 
 /// Block sizes the Tuned-vs-Reference properties sweep: every remainder
-/// of the 4×8 register tile and of the 16-wide trsm/potrf diagonal block,
-/// plus two full diagonal blocks and a ragged third.
+/// of the register tile (4×8 portable, 6×16 with AVX2+FMA) and of the
+/// 16-wide trsm/potrf diagonal block, plus two full diagonal blocks and a
+/// ragged third. These run whichever instance this CPU selects; the unit
+/// tests in `kernels.rs` run both.
 const SIZES: std::ops::RangeInclusive<usize> = 1..=40;
 
 /// Every entry of `got` is within `tol` of `want`, relative to `want`'s

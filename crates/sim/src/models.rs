@@ -179,8 +179,7 @@ mod tests {
     #[test]
     fn rates_convert_sanely() {
         let r = KernelRates::default();
-        // 2·256³ flops at 5.6 Gflop/s ≈ 5992 µs? No: 33.5M flops / 5600
-        // Mflop-per-µs… compute: flops/(gflops*1e3) µs.
+        // 2·256³ flops at 5.6 Gflop/s ≈ 5 992 µs.
         let us = r.task_cost_us("sgemm_t", 256);
         let expect = 2.0 * 256.0f64.powi(3) / (5.6 * 1e3);
         assert!((us - expect).abs() < 1e-9);
