@@ -16,7 +16,7 @@
 //! * [`region`] / [`region_handle`] — the §V.A array-region extension.
 //! * [`opaque`] — `void *`-style parameters that skip dependency analysis.
 //! * [`representant`] — §V.B: dependency-only stand-ins for region sets.
-//! * [`slab`] — the runtime-wide size-classed store renamed-away versions
+//! * `slab` — the runtime-wide size-classed store renamed-away versions
 //!   park in awaiting reuse (BENCH_0009).
 
 pub mod object;

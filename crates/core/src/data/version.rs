@@ -32,7 +32,7 @@ use crate::runtime::session::SessionCtl;
 /// trades memory for parallelism, and the ticket count is exactly that
 /// traded memory. The counter is a single shared atomic (AcqRel both
 /// ways), so under sharded analysis every lane's renames fold into one
-/// account: the spawn throttle (`Runtime::throttle`, and each
+/// account: the spawn throttle (`Runtime::after_submit`, and each
 /// `Submitter`'s post-submit wait) observes the *sum* of renamed bytes
 /// across all submitter lanes, never a per-lane undercount.
 ///

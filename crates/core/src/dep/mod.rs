@@ -47,7 +47,7 @@
 //! a lock, so no lock-ordering concern arises from taking the
 //! structural-recording mutex within it. The region frontier's mutex is
 //! a real lock, but workers never take it: only the spawning lane (here,
-//! in [`region_deps`]) and the main thread's `with_region` /
+//! in `region_deps`) and the main thread's `with_region` /
 //! `update_region` waits do. The analyser takes the graph mutex inside
 //! it, and nothing acquires the frontier mutex while holding the graph
 //! mutex.

@@ -4,7 +4,7 @@
 //! propagation, forced throttle stalls, spurious wakes — are exactly the
 //! paths a normal test run almost never exercises. This module plants
 //! **named injection sites** in the runtime ([`body_site`],
-//! [`throttle_site`], [`park_site`]) and a seeded [`FaultPlan`] that
+//! [`throttle_site`], [`park_site`]) and a seeded `FaultPlan` that
 //! decides, reproducibly, which site invocations fire.
 //!
 //! Two design rules keep the harness honest:
@@ -16,13 +16,13 @@
 //!   (`SMPSS_FAULT_INJECT_HOOKS`) that CI greps release binaries for, to
 //!   prove no fault machinery leaks into default builds.
 //! * **Host-predictable decisions.** Which tasks panic is a pure
-//!   function of `(seed, task id)` ([`FaultPlan::hits_body`]), so a test
+//!   function of `(seed, task id)` (`FaultPlan::hits_body`), so a test
 //!   computes the expected failed set up front and asserts
 //!   [`wait_all`](crate::Runtime::wait_all) reports exactly it.
 //!
-//! The plan is installed process-globally ([`FaultPlan::install`]):
+//! The plan is installed process-globally (`FaultPlan::install`):
 //! tests that install one must serialise with each other and
-//! [`clear`](FaultPlan::clear) when done.
+//! `FaultPlan::clear` when done.
 
 #[cfg(feature = "fault-inject")]
 mod imp {

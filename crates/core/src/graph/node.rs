@@ -12,12 +12,12 @@
 //!
 //! - the **body** lives in an [`UnsafeCell`] slot whose unique consumer
 //!   is picked by the `PENDING -> RUNNING` state CAS in
-//!   [`take_body`](TaskNode::take_body) (installation happens-before any
+//!   `take_body` (installation happens-before any
 //!   consumer via the readiness release on `deps` and the ready-queue
 //!   hand-off);
 //! - the **successor list** is a lock-free linked stack
-//!   ([`add_successor`](TaskNode::add_successor) pushes with CAS) that
-//!   [`complete`](TaskNode::complete) closes with a swap to a sentinel,
+//!   (`add_successor` pushes with CAS) that
+//!   `complete` closes with a swap to a sentinel,
 //!   so completion publishes successors without ever blocking the
 //!   spawning thread, and enqueueing happens outside any critical
 //!   section.
@@ -29,24 +29,22 @@
 //! allocation for the `Arc<TaskNode>` and one for the boxed body per
 //! spawned task. Both are gone in steady state:
 //!
-//! - the body slot is a fixed [`BODY_INLINE`]-byte inline buffer; any
+//! - the body slot is a fixed `BODY_INLINE`-byte inline buffer; any
 //!   closure that fits (almost every task body in this tree — a handful
 //!   of bindings) is written in place with monomorphised call/drop
 //!   thunks, no box. Oversized closures fall back to a box stored in
 //!   the same buffer.
 //! - finished nodes are returned to a runtime-wide free stack through
-//!   the intrusive [`free_next`](TaskNode::free_next) hook (see
+//!   the intrusive `free_next` hook (see
 //!   `Shared::recycle_node`), and producers a writer displaces from an
-//!   object go back to the spawner's cache; the spawner proves
-//!   exclusive ownership (`exclusive_node_mut`) and
-//!   [`reset_for_reuse`]s them — steady-state spawning performs
+//!   object go back to the spawner's lane cache (`runtime::shard`);
+//!   the spawner proves exclusive ownership (`exclusive_node_mut`) and
+//!   resets them (`reset_for_reuse`) — steady-state spawning performs
 //!   **zero** allocations.
-//!
-//! [`reset_for_reuse`]: TaskNode::reset_for_reuse
 //!
 //! ## Join nodes
 //!
-//! A **join** ([`TaskNode::new_join`]) is a bodiless node the region
+//! A **join** (`TaskNode::new_join`) is a bodiless node the region
 //! analyser puts between a wide set of producers and their consumers:
 //! the producers are linked into the join once, and every consumer
 //! links to the join instead of to each producer. A join is never

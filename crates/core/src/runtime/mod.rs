@@ -18,10 +18,11 @@ use crate::data::object::{DataObject, Handle};
 use crate::data::region_handle::{RegionData, RegionHandle, RegionObject};
 use crate::data::representant::Representant;
 use crate::data::TaskData;
-use crate::graph::node::{self, SuccNode, TaskNode};
+use crate::graph::node::TaskNode;
 use crate::graph::record::GraphRecord;
 use crate::ids::{ObjectId, SessionId, TaskId};
 use crate::padded::CachePadded;
+use crate::runtime::spawner::SpawnHost;
 use crate::sched::cost::CostTable;
 use crate::sched::queues::{Job, SleepCtl, TaskSource};
 use crate::sched::worker::{enqueue_ready, find_task, run_task, worker_loop, WorkerCtx};
@@ -193,8 +194,8 @@ pub struct Shared {
     /// one lane total when unsharded). Completing threads push finished
     /// nodes through [`TaskNode::free_next`] onto the stack of the
     /// node's **home lane** (stamped at acquire); only that lane's
-    /// spawner pops, with a single `swap` that detaches the whole
-    /// chain, so each stack is MPSC and immune to ABA. Padded: every
+    /// caches (`shard::LaneCache`) pop, each with a single `swap` that
+    /// detaches the whole chain, so no pop can see ABA. Padded: every
     /// worker CAS-pushes here once per task while the spawner swaps it.
     pub(crate) free_nodes: Box<[CachePadded<AtomicPtr<TaskNode>>]>,
     /// One [`LaneGate`](shard::LaneGate) per analysis lane: entry
@@ -202,10 +203,11 @@ pub struct Shared {
     /// [`sharded`](Shared::sharded) — the single-spawner path never
     /// touches them.
     pub(crate) lanes: Box<[shard::LaneGate]>,
-    /// More than one analysis lane (`cfg.shards > 1`): spawn counters
-    /// become RMWs, object accesses gate through [`lanes`](Shared::lanes),
-    /// and completion must assume concurrent successor registration even
-    /// at `threads == 1`. Derived once at build.
+    /// More than one thread may spawn (`cfg.shards > 1`, or sessions):
+    /// spawn counters become RMWs, object accesses gate through
+    /// [`lanes`](Shared::lanes), and completion must assume concurrent
+    /// successor registration even at `threads == 1`. Derived once at
+    /// build.
     pub(crate) sharded: bool,
     /// Latches true on the first failed or cancelled task. The
     /// `OnPanic::FailFast` probe and [`Submitter::has_failures`]
@@ -247,7 +249,7 @@ pub struct Shared {
     pub(crate) next_session: AtomicU32,
     /// Sampled body cost per task name, which decides whether a
     /// born-ready task runs inline on the spawner
-    /// ([`Runtime::publish_born_ready`]). `Some` exactly when inlining
+    /// (`Runtime::publish_born_ready`). `Some` exactly when inlining
     /// can apply: at least two threads, unsharded, without sessions,
     /// under the SMPSs policy. At `threads(1)` there is no hand-off to
     /// save; submitter and session threads are producers whose time
@@ -505,29 +507,6 @@ impl Shared {
             }
         }
     }
-
-    /// Detach lane `lane`'s whole free stack into `cache` (newest
-    /// first). The Acquire swap pairs with the Release pushes in
-    /// [`recycle_node`](Self::recycle_node), so every completing
-    /// thread's writes to a popped node happened-before the spawner
-    /// reads it. Returns whether anything was drained.
-    pub(crate) fn drain_free_nodes(&self, lane: usize, cache: &mut Vec<Arc<TaskNode>>) -> bool {
-        let mut p = self.free_nodes[lane].swap(std::ptr::null_mut(), Ordering::Acquire);
-        if p.is_null() {
-            return false;
-        }
-        while !p.is_null() {
-            // SAFETY: the swap made this thread the chain's unique
-            // owner; each raw pointer was produced by `Arc::into_raw`.
-            let next = unsafe { (*p).free_next.load(Ordering::Relaxed) };
-            let node = unsafe { Arc::from_raw(p) };
-            if cache.len() < NODE_CACHE_MAX {
-                cache.push(node);
-            }
-            p = next;
-        }
-        true
-    }
 }
 
 impl Drop for Shared {
@@ -542,82 +521,6 @@ impl Drop for Shared {
                 drop(unsafe { Arc::from_raw(p) });
                 p = next;
             }
-        }
-    }
-}
-
-/// Upper bound on spawner-side cached free nodes; everything beyond it
-/// is dropped at drain time (the pool should hold about one throttle
-/// window's worth of nodes, not the whole program).
-pub(crate) const NODE_CACHE_MAX: usize = 4096;
-
-/// Upper bound on spawner-side cached spare successor links (same
-/// rationale as [`NODE_CACHE_MAX`]; a link is 24 bytes).
-pub(crate) const LINK_CACHE_MAX: usize = 4096;
-
-/// A spare successor link in a spawn host's cache. Plain heap data with
-/// a dead payload slot, so moving it between threads is trivially fine;
-/// the newtype exists to keep `Runtime` (and `Submitter`) `Send`
-/// despite the raw pointer.
-pub(crate) struct LinkPtr(pub(crate) *mut SuccNode);
-
-// SAFETY: a spare link is exclusively-owned inert heap memory.
-unsafe impl Send for LinkPtr {}
-
-/// Exclusive access to a pooled node, or `None` if it is still
-/// referenced elsewhere. This is `Arc::get_mut` minus the weak-count
-/// lock round-trip (two RMWs on the per-spawn critical path):
-///
-/// - `strong_count == 1` means this `Arc` is the only strong handle, and
-///   since we hold it, no thread can mint another;
-/// - the crate never creates a `Weak<TaskNode>` (the only raw pointers —
-///   the free-stack links — are strong references converted with
-///   `into_raw`/`from_raw`), so there is no weak upgrade to race with;
-///   the debug assert keeps that invariant honest;
-/// - the Acquire fence pairs with the Release decrement of the last
-///   dropped clone, ordering that thread's final accesses before ours.
-pub(crate) fn exclusive_node_mut(node: &mut Arc<TaskNode>) -> Option<&mut TaskNode> {
-    if Arc::strong_count(node) == 1 {
-        debug_assert_eq!(Arc::weak_count(node), 0, "Weak<TaskNode> must never exist");
-        std::sync::atomic::fence(Ordering::Acquire);
-        // SAFETY: sole strong owner, no weak refs (above); `&mut Arc`
-        // guarantees no concurrent use of this handle.
-        Some(unsafe { &mut *(Arc::as_ptr(node) as *mut TaskNode) })
-    } else {
-        None
-    }
-}
-
-/// Keep `node` in a spawn host's node cache if `node` is its last
-/// reference and the cache has room; drop it otherwise. Caching a node
-/// still pinned as an object's producer would only make the next
-/// acquire pop and drop it; it comes back through this same call when
-/// a writer displaces it (the analyser hands displaced producers to
-/// [`SpawnHost::cache_node`](spawner::SpawnHost::cache_node)). A node
-/// pinned elsewhere (a reader list, a region frontier entry) is freed
-/// by whichever holder drops it last. The count is only a filter:
-/// [`exclusive_node_mut`] proves exclusivity again, with its fence,
-/// when the node is reused.
-pub(crate) fn cache_if_last(cache: &mut Vec<Arc<TaskNode>>, node: Arc<TaskNode>) {
-    if Arc::strong_count(&node) == 1 && cache.len() < NODE_CACHE_MAX {
-        cache.push(node);
-    }
-}
-
-/// Feed a spare-link chain into a spawn host's link cache, freeing the
-/// overflow. The caller owns the chain exclusively (a recycled node's
-/// exclusivity proof covers the links it stashed).
-pub(crate) fn harvest_links_into(cache: &mut Vec<LinkPtr>, mut chain: *mut SuccNode) {
-    while !chain.is_null() {
-        // SAFETY: exclusively-owned spare chain (see above).
-        unsafe {
-            let next = (*chain).next;
-            if cache.len() < LINK_CACHE_MAX {
-                cache.push(LinkPtr(chain));
-            } else {
-                node::free_link(chain);
-            }
-            chain = next;
         }
     }
 }
@@ -658,16 +561,10 @@ pub struct Runtime {
     /// Monotonic-safe: the bound only lags, so `spawned - bound` only
     /// overestimates liveness — the throttle can never under-block.
     finished_seen: Cell<u64>,
-    /// Spawner-side cache of recycled task nodes, refilled from
-    /// [`Shared::free_nodes`]. `RefCell` keeps `Runtime: !Sync`, which
-    /// is load-bearing: only the single spawning thread touches it.
-    node_cache: RefCell<Vec<Arc<TaskNode>>>,
-    /// Spawner-side cache of spare successor links, harvested from
-    /// recycled nodes (each completed node stashes its walked successor
-    /// links — see `TaskNode::spare_links`). With it, the steady-state
-    /// release path allocates and frees **nothing**: links cycle
-    /// spawn → successor stack → completion stash → here → spawn.
-    link_cache: RefCell<Vec<LinkPtr>>,
+    /// Lane 0's cache of recycled task nodes and spare successor links:
+    /// the spawn-side pool of the main thread, shared by no one else
+    /// (its `RefCell`s keep `Runtime: !Sync` too).
+    cache: shard::LaneCache,
     joins: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -718,80 +615,12 @@ impl Runtime {
             }
         }
         Ok(Runtime {
+            cache: shard::LaneCache::new(Arc::clone(&shared), 0),
             shared,
             main_ctx: RefCell::new(WorkerCtx::new(main_local)),
             finished_seen: Cell::new(0),
-            node_cache: RefCell::new(Vec::new()),
-            link_cache: RefCell::new(Vec::new()),
             joins,
         })
-    }
-
-    /// Obtain a task node: a recycled one from the pool when possible
-    /// (steady-state spawning is then allocation-free), else a fresh
-    /// allocation. A node a worker pushed onto the free stack may still
-    /// be pinned as an object's producer; such a candidate is dropped
-    /// here and comes back when a later writer displaces it.
-    #[inline]
-    pub(crate) fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        let mut cache = self.node_cache.borrow_mut();
-        if cache.is_empty() {
-            // The runtime's spawn path is lane 0 of the pool: when
-            // unsharded that is the only stack; when sharded the main
-            // thread shares it with submitter 0 (home-lane stamps route
-            // each node back to whoever acquired it, so the stack stays
-            // MPSC per lane).
-            self.shared.drain_free_nodes(0, &mut cache);
-        }
-        while let Some(mut node) = cache.pop() {
-            if let Some(n) = exclusive_node_mut(&mut node) {
-                let links = n.take_spare_links();
-                n.reset_for_reuse(id, name, Priority::Normal);
-                self.harvest_links(links);
-                self.shared.stats.node_pool_hits();
-                if self.shared.sharded {
-                    // `help_once` and displaced producers bring nodes
-                    // born on any lane; re-stamp so this node recycles
-                    // back to us.
-                    node.set_home(0);
-                }
-                return node;
-            }
-        }
-        let node = TaskNode::new(id, name, Priority::Normal);
-        debug_assert_eq!(node.home(), 0, "fresh nodes are born on lane 0");
-        node
-    }
-
-    /// A spare successor link for the analyser: recycled from the link
-    /// cache when one is parked there, freshly allocated otherwise.
-    #[inline]
-    pub(crate) fn acquire_link(&self) -> *mut SuccNode {
-        self.link_cache
-            .borrow_mut()
-            .pop()
-            .map(|l| l.0)
-            .unwrap_or_else(node::alloc_link)
-    }
-
-    /// Return an unused spare link (the producer had already finished,
-    /// so no edge was stored) to the cache.
-    pub(crate) fn release_link(&self, link: *mut SuccNode) {
-        let mut cache = self.link_cache.borrow_mut();
-        if cache.len() < LINK_CACHE_MAX {
-            cache.push(LinkPtr(link));
-        } else {
-            // SAFETY: the link is spare and exclusively ours.
-            unsafe { node::free_link(link) };
-        }
-    }
-
-    /// Feed a recycled node's harvested spare-link chain into the link
-    /// cache. The exclusivity proof for the node (strong_count == 1 +
-    /// Acquire fence over the free-stack hand-off) covers the chain: the
-    /// completing thread stashed it before pushing the node.
-    fn harvest_links(&self, chain: *mut SuccNode) {
-        harvest_links_into(&mut self.link_cache.borrow_mut(), chain);
     }
 
     /// Number of compute threads (main + workers).
@@ -924,42 +753,21 @@ impl Runtime {
     pub fn barrier(&self) {
         self.shared.stats.barriers();
         self.shared.trace_event(0, EventKind::BarrierBegin);
-        if self.shared.sharded {
-            // Submitter lanes may still be spawning concurrently, so
-            // the spawn count is **not** stable here: re-read it every
-            // idle pass. The barrier quiesces every task spawned up to
-            // the moment both counters agree; join (or pause) the
-            // submitter threads first for a full program quiesce.
-            let mut seen = self.finished_seen.get();
-            loop {
-                let spawned = self.shared.next_task.load(Ordering::Acquire);
-                if spawned.saturating_sub(seen) == 0 {
-                    break;
-                }
-                if self.help_once() {
-                    seen += 1; // our completion, a still-valid lower bound
-                    continue;
-                }
-                seen = self.shared.finished_total();
-                if spawned.saturating_sub(seen) > 0 {
-                    self.shared
-                        .sleep
-                        .park(Duration::from_micros(self.shared.cfg.park_micros));
-                }
-            }
-            self.finished_seen.set(seen);
-            self.shared.trace_event(0, EventKind::BarrierEnd);
-            return;
-        }
-        // Drain on the cached finished lower bound: while the main
-        // thread is helping, each run task advances the bound by one
-        // (its own completion is real), so the busy loop never pays the
-        // cross-shard sum; only an idle pass (workers hold the last
-        // tasks) re-sums before parking. `next_task` is stable here —
-        // the spawner is this thread, and it is in the barrier.
-        let spawned = self.shared.next_task.load(Ordering::Relaxed);
+        // Submitter lanes and sessions may still be spawning, so the
+        // spawn count is **not** stable here: re-read it every pass. The
+        // barrier quiesces every task spawned up to the moment both
+        // counters agree; join (or pause) the submitter threads first
+        // for a full program quiesce. Drain on the cached finished lower
+        // bound: while the main thread is helping, each run task
+        // advances the bound by one (its own completion is real), so the
+        // busy loop never pays the cross-shard sum; only an idle pass
+        // (workers hold the last tasks) re-sums before parking.
         let mut seen = self.finished_seen.get();
-        while spawned.saturating_sub(seen) > 0 {
+        loop {
+            let spawned = self.shared.next_task.load(Ordering::Acquire);
+            if spawned.saturating_sub(seen) == 0 {
+                break;
+            }
             if self.help_once() {
                 seen += 1; // our completion, a still-valid lower bound
                 continue;
@@ -1047,34 +855,22 @@ impl Runtime {
     /// # rt.barrier();
     /// ```
     pub fn wait_on<T: TaskData>(&self, h: &Handle<T>) {
-        loop {
-            let producer = {
-                // On a sharded runtime a submitter may be analysing a
-                // task on this object right now: enter its lane before
-                // touching the `SpawnerCell`. (The probe only
-                // synchronises with tasks spawned so far — quiesce any
-                // submitter that may still *write* `h` before relying
-                // on the result.)
-                let _lane = self.lane_gate(h.obj.id);
-                h.obj.state.lock().current.producer.clone()
-            };
-            match producer {
-                None => break,
-                Some(p) if p.is_finished() => break,
-                Some(_) => {
-                    if !self.help_once() {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        self.finish_helping();
+        // On a sharded runtime a submitter may be analysing a task on
+        // this object right now: enter its lane before touching the
+        // `SpawnerCell`. (The probe only synchronises with tasks spawned
+        // so far — quiesce any submitter that may still *write* `h`
+        // before relying on the result.)
+        self.help_until(|| {
+            let _lane = self.lane_enter(h.obj.id);
+            let st = h.obj.state.lock();
+            st.current.producer.as_ref().is_none_or(|p| p.is_finished()).then_some(())
+        })
     }
 
     /// Wait for `h` to be produced, then return a copy of its value.
     pub fn read<T: TaskData>(&self, h: &Handle<T>) -> T {
         self.wait_on(h);
-        let _lane = self.lane_gate(h.obj.id);
+        let _lane = self.lane_enter(h.obj.id);
         let st = h.obj.state.lock();
         // SAFETY: the producer has finished and no new writer can appear
         // — the main thread is right here, and on a sharded runtime the
@@ -1086,40 +882,60 @@ impl Runtime {
     /// Wait until `h` is fully quiescent (produced and no pending readers),
     /// then mutate it in place from the main thread.
     pub fn update<T: TaskData>(&self, h: &Handle<T>, f: impl FnOnce(&mut T)) {
-        loop {
-            {
-                let _lane = self.lane_gate(h.obj.id);
-                let st = h.obj.state.lock();
-                let settled = st.current.producer.as_ref().is_none_or(|p| p.is_finished())
-                    && st.current.buf.window().pending_acquire() == 0;
-                if settled {
-                    // SAFETY: no producer running, no pending readers,
-                    // and no concurrent spawns on this object — the
-                    // lane is held for the mutation, and submitters
-                    // that access `h` must be quiesced by the caller
-                    // (see `wait_on`).
-                    unsafe { f(st.current.buf.peek_mut()) };
-                    break;
-                }
-            }
-            if !self.help_once() {
-                std::thread::yield_now();
-            }
-        }
-        self.finish_helping();
+        let (_lane, st) = self.help_until(|| {
+            let lane = self.lane_enter(h.obj.id);
+            let st = h.obj.state.lock();
+            let settled = st.current.producer.as_ref().is_none_or(|p| p.is_finished())
+                && st.current.buf.window().pending_acquire() == 0;
+            settled.then_some((lane, st))
+        });
+        // SAFETY: no producer running, no pending readers, and no
+        // concurrent spawns on this object — the lane and the object's
+        // state are held for the mutation, and submitters that access
+        // `h` must be quiesced by the caller (see `wait_on`).
+        unsafe { f(st.current.buf.peek_mut()) };
     }
 
     /// Wait until every task that accessed region-handle `h` has finished,
     /// then run `f` with shared access to the buffer.
     pub fn with_region<T: RegionData, R>(&self, h: &RegionHandle<T>, f: impl FnOnce(&T) -> R) -> R {
+        let _frontier = self.region_settled(h);
+        // SAFETY: see `region_settled`; readers share immutably.
+        unsafe { f(&*h.obj.buf.get()) }
+    }
+
+    /// Mutate a region buffer from the main thread once fully quiescent.
+    pub fn update_region<T: RegionData>(&self, h: &RegionHandle<T>, f: impl FnOnce(&mut T)) {
+        let _frontier = self.region_settled(h);
+        // SAFETY: see `region_settled`; no task is live on this object,
+        // so the access is exclusive.
+        unsafe { f(&mut *h.obj.buf.get()) }
+    }
+
+    /// Help until every task that accessed `h` has finished, and return
+    /// the locked frontier. While the guard is held no task can gain
+    /// access to the buffer: every spawner — the main thread, a
+    /// submitter or a session — records a region access under this
+    /// same mutex (`dep::region_deps`), so no new accessor can appear.
+    fn region_settled<'a, T: RegionData>(
+        &self,
+        h: &'a RegionHandle<T>,
+    ) -> parking_lot::MutexGuard<'a, crate::data::region_log::RegionFrontier> {
+        self.help_until(|| {
+            let frontier = h.obj.frontier.lock();
+            frontier.all_finished().then_some(frontier)
+        })
+    }
+
+    /// The one helping wait: run `probe` until it yields, helping run a
+    /// task (or yielding when none is ready) between probes, then
+    /// republish any deferred hand-off before returning the probe's
+    /// value. Whatever the value holds (a lane entry, a lock) is held
+    /// across that republication and released by the caller.
+    fn help_until<R>(&self, mut probe: impl FnMut() -> Option<R>) -> R {
         let out = loop {
-            {
-                let frontier = h.obj.frontier.lock();
-                if frontier.all_finished() {
-                    // SAFETY: all accessors finished; main thread is the
-                    // only spawner, so no new ones can appear.
-                    break unsafe { f(&*h.obj.buf.get()) };
-                }
+            if let Some(out) = probe() {
+                break out;
             }
             if !self.help_once() {
                 std::thread::yield_now();
@@ -1127,25 +943,6 @@ impl Runtime {
         };
         self.finish_helping();
         out
-    }
-
-    /// Mutate a region buffer from the main thread once fully quiescent.
-    pub fn update_region<T: RegionData>(&self, h: &RegionHandle<T>, f: impl FnOnce(&mut T)) {
-        loop {
-            {
-                let frontier = h.obj.frontier.lock();
-                if frontier.all_finished() {
-                    // SAFETY: as in `with_region`, plus exclusivity because
-                    // no task is live on this object.
-                    unsafe { f(&mut *h.obj.buf.get()) };
-                    break;
-                }
-            }
-            if !self.help_once() {
-                std::thread::yield_now();
-            }
-        }
-        self.finish_helping();
     }
 
     /// Snapshot of the runtime counters. The slab's counters and
@@ -1233,20 +1030,13 @@ impl Runtime {
             if handoff.is_some() {
                 ctx.pending = handoff;
             }
-            self.cache_node(done);
+            // The main thread is lane 0's spawner, so the node skips
+            // the shared free stack.
+            self.cache.cache_node(done);
             true
         } else {
             false
         }
-    }
-
-    /// Return a node the main thread is done with to the spawn-side
-    /// pool: a task it just ran, or a producer its analyser displaced.
-    /// The main thread *is* the spawner, so the node skips the shared
-    /// free stack; a node still pinned elsewhere is not cached (see
-    /// [`cache_if_last`]).
-    fn cache_node(&self, node: Arc<TaskNode>) {
-        cache_if_last(&mut self.node_cache.borrow_mut(), node);
     }
 
     /// Re-publish the helper's deferred hand-off onto the (stealable)
@@ -1267,6 +1057,49 @@ impl Runtime {
             if was_empty {
                 self.shared.sleep.notify_one();
             }
+        }
+    }
+
+    /// Run a born-ready task on the spawning thread (case 1 of
+    /// `publish_born_ready`). Never published, so the body take is
+    /// owned. Counted as an own-list pop of thread 0 and in
+    /// `inline_runs`.
+    fn run_inline(&self, job: Job) {
+        let (done, handoff) = {
+            let mut ctx = self.main_ctx.borrow_mut();
+            run_task(&self.shared, &mut ctx, 0, job, TaskSource::OwnList, false, true)
+        };
+        debug_assert!(handoff.is_none(), "hand-off declined");
+        self.shared.stats.inline_runs();
+        // Our own completion: the cached finished lower bound stays a
+        // lower bound, and the next barrier need not re-sum the shards.
+        self.finished_seen.set(self.finished_seen.get() + 1);
+        self.cache.cache_node(done);
+    }
+}
+
+/// The [`Runtime`] itself is the canonical spawn host: the paper's
+/// master thread, spawning through lane 0's cache. Single-writer id
+/// minting and inline runs stay exclusive to this impl; when the
+/// runtime is sharded its id counter switches to the same RMW the
+/// submitter lanes use, and its object accesses gate like any other
+/// lane's.
+impl SpawnHost for Runtime {
+    #[inline]
+    fn lane_cache(&self) -> &shard::LaneCache {
+        &self.cache
+    }
+
+    #[inline]
+    fn next_task_id(&self) -> TaskId {
+        if self.shared.sharded {
+            TaskId(self.shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
+        } else {
+            // Single writer (`Runtime: !Sync` pins spawning to one
+            // thread): load+store avoids a locked RMW per task.
+            let next = self.shared.next_task.load(Ordering::Relaxed) + 1;
+            self.shared.next_task.store(next, Ordering::Relaxed);
+            TaskId(next)
         }
     }
 
@@ -1291,7 +1124,7 @@ impl Runtime {
     ///    decide whether it comes back (see `sched::cost`).
     /// 2. [`enqueue_ready`]: the main list (or the high-priority list).
     #[inline]
-    pub(crate) fn publish_born_ready(&self, job: crate::sched::Job) {
+    fn publish_born_ready(&self, job: Job) {
         let shared = &*self.shared;
         if let Some(costs) = &shared.costs {
             if job.priority() == Priority::Normal
@@ -1305,27 +1138,10 @@ impl Runtime {
         enqueue_ready(shared, job);
     }
 
-    /// Run a born-ready task on the spawning thread (case 1 of
-    /// [`publish_born_ready`](Self::publish_born_ready)). Never
-    /// published, so the body take is owned. Counted as an own-list
-    /// pop of thread 0 and in `inline_runs`.
-    fn run_inline(&self, job: Job) {
-        let (done, handoff) = {
-            let mut ctx = self.main_ctx.borrow_mut();
-            run_task(&self.shared, &mut ctx, 0, job, TaskSource::OwnList, false, true)
-        };
-        debug_assert!(handoff.is_none(), "hand-off declined");
-        self.shared.stats.inline_runs();
-        // Our own completion: the cached finished lower bound stays a
-        // lower bound, and the next barrier need not re-sum the shards.
-        self.finished_seen.set(self.finished_seen.get() + 1);
-        self.cache_node(done);
-    }
-
     /// Block the spawning path while a §III blocking condition holds
     /// (graph-size limit or memory limit), helping run tasks meanwhile.
     #[inline]
-    pub(crate) fn throttle(&self) {
+    fn after_submit(&self) {
         // Fault-injection site: a planned forced stall turns this
         // submit into one help quantum, exactly as if a §III blocking
         // condition held. Compiles to nothing by default.
@@ -1401,76 +1217,17 @@ impl Runtime {
         }
     }
 
-    /// Enter the lane owning object `id` — only on a sharded runtime,
-    /// where submitter threads may be analysing concurrently. Unsharded
-    /// (the default), this is a single branch and no atomics: the main
-    /// thread is the only spawner, exactly the paper's model.
+    /// Only a sharded runtime gates: submitter or session threads may
+    /// be analysing concurrently. Unsharded (the default), this is a
+    /// single branch and no atomics: the main thread is the only
+    /// spawner, exactly the paper's model.
     #[inline]
-    fn lane_gate(&self, id: ObjectId) -> Option<shard::LaneEntry<'_>> {
+    fn lane_enter(&self, id: ObjectId) -> Option<shard::LaneEntry<'_>> {
         if self.shared.sharded {
             Some(self.shared.lane_enter(id))
         } else {
             None
         }
-    }
-}
-
-/// The [`Runtime`] itself is the canonical spawn host: the paper's
-/// master thread. Single-writer id minting and inline runs stay
-/// exclusive to this impl; when the runtime is sharded its
-/// counters switch to the same RMWs the submitter lanes use, and its
-/// object accesses gate like any other lane's.
-impl spawner::SpawnHost for Runtime {
-    #[inline]
-    fn shared(&self) -> &Shared {
-        &self.shared
-    }
-
-    #[inline]
-    fn next_task_id(&self) -> TaskId {
-        if self.shared.sharded {
-            TaskId(self.shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
-        } else {
-            // Single writer (`Runtime: !Sync` pins spawning to one
-            // thread): load+store avoids a locked RMW per task.
-            let next = self.shared.next_task.load(Ordering::Relaxed) + 1;
-            self.shared.next_task.store(next, Ordering::Relaxed);
-            TaskId(next)
-        }
-    }
-
-    #[inline]
-    fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        Runtime::acquire_node(self, id, name)
-    }
-
-    #[inline]
-    fn cache_node(&self, node: Arc<TaskNode>) {
-        Runtime::cache_node(self, node)
-    }
-
-    #[inline]
-    fn acquire_link(&self) -> *mut SuccNode {
-        Runtime::acquire_link(self)
-    }
-
-    fn release_link(&self, link: *mut SuccNode) {
-        Runtime::release_link(self, link)
-    }
-
-    #[inline]
-    fn publish_born_ready(&self, job: crate::sched::Job) {
-        Runtime::publish_born_ready(self, job)
-    }
-
-    #[inline]
-    fn after_submit(&self) {
-        self.throttle();
-    }
-
-    #[inline]
-    fn lane_enter(&self, id: ObjectId) -> Option<shard::LaneEntry<'_>> {
-        self.lane_gate(id)
     }
 }
 
@@ -1484,11 +1241,6 @@ impl Drop for Runtime {
         self.shared.sleep.notify_all();
         for j in self.joins.drain(..) {
             let _ = j.join();
-        }
-        // Free the cached spare links (plain owned heap memory).
-        for l in self.link_cache.borrow_mut().drain(..) {
-            // SAFETY: cache entries are spare and exclusively ours.
-            unsafe { node::free_link(l.0) };
         }
     }
 }

@@ -47,14 +47,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::AdmissionPolicy;
-use crate::data::version::TicketCharge;
-use crate::graph::node::{SuccNode, TaskNode};
-use crate::ids::{ObjectId, SessionId, TaskId};
+use crate::ids::SessionId;
 use crate::padded::CachePadded;
-use crate::runtime::shard::{LaneEntry, Submitter};
+use crate::runtime::shard::Submitter;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 use crate::runtime::{Runtime, Shared, TaskFailures};
-use crate::sched::queues::{Backoff, Job};
+use crate::sched::queues::Backoff;
 
 /// Per-session control block. One allocation per session, owned by the
 /// runtime's session registry (so the raw pointers stamped on task
@@ -270,9 +268,10 @@ impl std::fmt::Display for Overloaded {
 
 impl std::error::Error for Overloaded {}
 
-/// One tenant's front door onto a shared [`Runtime`]. Created by
-/// [`Runtime::session`]; `Send + !Sync` like the [`Submitter`] lane it
-/// wraps — move it onto the tenant's thread and spawn through
+/// One tenant's front door onto a shared [`Runtime`]: a [`Submitter`]
+/// lane that stamps its tasks with the session, plus admission control.
+/// Created by [`Runtime::session`]; `Send + !Sync` like the submitter it
+/// is — move it onto the tenant's thread and spawn through
 /// [`task`](Session::task).
 ///
 /// ```
@@ -290,10 +289,11 @@ impl std::error::Error for Overloaded {}
 /// assert_eq!(rt.read(&x), 7);
 /// ```
 pub struct Session {
-    shared: Arc<Shared>,
     /// The analysis lane this session spawns through (lane index
-    /// `(id - 1) % shards`): sessions get sharded analysis, per-lane
-    /// node pools and chunked byte-credit for free.
+    /// `(id - 1) % shards`), carrying `ctl`: the session spawns exactly
+    /// as a submitter does — same id minting, pools, publication and
+    /// throttle, so its recorded graph is bit-identical to a submitter
+    /// run's — and the lane stamps every node it acquires with `ctl`.
     sub: Submitter,
     ctl: Arc<SessionCtl>,
 }
@@ -312,7 +312,7 @@ impl Session {
     /// Tasks already executing run to completion — cancellation is
     /// between tasks, never inside one.
     pub fn with_deadline(self, budget: Duration) -> Self {
-        self.ctl.arm_deadline(&self.shared, budget);
+        self.ctl.arm_deadline(self.sub.shared(), budget);
         self
     }
 
@@ -329,9 +329,9 @@ impl Session {
     /// [`Runtime::task`](crate::Runtime::task). `Err` means the quota
     /// verdict of the configured [`AdmissionPolicy`] (or a revoked /
     /// expired session) — nothing was created.
-    pub fn task(&self, name: &'static str) -> Result<TaskSpawner<'_, Session>, Overloaded> {
+    pub fn task(&self, name: &'static str) -> Result<TaskSpawner<'_, Submitter>, Overloaded> {
         self.admit()?;
-        Ok(TaskSpawner::new(self, name))
+        Ok(self.sub.task(name))
     }
 
     /// Block until every task admitted through this session has
@@ -347,7 +347,7 @@ impl Session {
         while self.ctl.finished.load(Ordering::Acquire) < target {
             backoff.snooze();
         }
-        let log = self.shared.drain_session_failures(self.ctl.id());
+        let log = self.sub.shared().drain_session_failures(self.ctl.id());
         // A drained session resumes scheduling under FailFast, exactly
         // like `wait_all`'s global reset — but scoped to this tenant.
         self.ctl.clear_faulted();
@@ -384,7 +384,7 @@ impl Session {
             if self.ctl.revoked() {
                 return Err(self.refuse(OverloadReason::Revoked));
             }
-            if self.ctl.deadline_expired(&self.shared) {
+            if self.ctl.deadline_expired(self.sub.shared()) {
                 return Err(self.refuse(OverloadReason::DeadlineExpired));
             }
             match self.over_quota() {
@@ -392,9 +392,9 @@ impl Session {
                     self.ctl.note_spawned();
                     return Ok(());
                 }
-                Some(reason) => match self.shared.cfg.admission {
+                Some(reason) => match self.sub.shared().cfg.admission {
                     AdmissionPolicy::Shed => {
-                        self.shared.stats.admission_sheds();
+                        self.sub.shared().stats.admission_sheds();
                         return Err(self.refuse(reason));
                     }
                     // `Deadline` is `Block` whose wait the loop head
@@ -403,7 +403,7 @@ impl Session {
                     AdmissionPolicy::Block | AdmissionPolicy::Deadline => {
                         if !counted_wait {
                             counted_wait = true;
-                            self.shared.stats.admission_waits();
+                            self.sub.shared().stats.admission_waits();
                         }
                         backoff.snooze();
                     }
@@ -421,7 +421,7 @@ impl Session {
         if crate::fault::admission_site() || crate::fault::shed_site() {
             return Some(OverloadReason::InFlight);
         }
-        let cfg = &self.shared.cfg;
+        let cfg = &self.sub.shared().cfg;
         if let Some(limit) = cfg.session_max_in_flight {
             if self.ctl.in_flight() >= limit as u64 {
                 return Some(OverloadReason::InFlight);
@@ -436,7 +436,7 @@ impl Session {
                 // slab to free dead spares before refusing or blocking:
                 // each one minted by us returns its bytes to the quota
                 // through the ticket's drop.
-                self.shared.reclaim_dead_spares(self.ctl.bytes() - limit);
+                self.sub.shared().reclaim_dead_spares(self.ctl.bytes() - limit);
                 if self.ctl.bytes() > limit {
                     return Some(OverloadReason::RenamedBytes);
                 }
@@ -450,73 +450,6 @@ impl Session {
         Overloaded {
             session: self.ctl.id(),
             reason,
-        }
-    }
-}
-
-/// A session spawns exactly like its underlying [`Submitter`] lane —
-/// same id minting, pools, publication and throttle, so the recorded
-/// graph of a session run is bit-identical to a submitter run — plus
-/// the one session-specific step: every acquired node is stamped with
-/// the session's control block *before* analysis links it anywhere, so
-/// the containment walk, the completion accounting and the failure
-/// records all see the stamp.
-impl SpawnHost for Session {
-    #[inline]
-    fn shared(&self) -> &Shared {
-        &self.shared
-    }
-
-    #[inline]
-    fn next_task_id(&self) -> TaskId {
-        self.sub.next_task_id()
-    }
-
-    #[inline]
-    fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        let node = self.sub.acquire_node(id, name);
-        node.set_session_ctl(Arc::as_ptr(&self.ctl));
-        node
-    }
-
-    #[inline]
-    fn cache_node(&self, node: Arc<TaskNode>) {
-        self.sub.cache_node(node)
-    }
-
-    #[inline]
-    fn acquire_link(&self) -> *mut SuccNode {
-        self.sub.acquire_link()
-    }
-
-    fn release_link(&self, link: *mut SuccNode) {
-        self.sub.release_link(link)
-    }
-
-    #[inline]
-    fn publish_born_ready(&self, job: Job) {
-        self.sub.publish_born_ready(job)
-    }
-
-    #[inline]
-    fn after_submit(&self) {
-        self.sub.after_submit()
-    }
-
-    #[inline]
-    fn lane_enter(&self, id: ObjectId) -> Option<LaneEntry<'_>> {
-        self.sub.lane_enter(id)
-    }
-
-    /// Renamed-version tickets minted under this session charge the
-    /// lane's byte credit (chunked pre-payment) *and* carry the session
-    /// attribution, so the renamed-bytes quota tracks exactly the
-    /// versions this tenant forced into existence.
-    #[inline]
-    fn ticket_charge(&self) -> TicketCharge<'_> {
-        TicketCharge {
-            credit: Some(&self.sub.credit),
-            sess: Some(&self.ctl),
         }
     }
 }
@@ -551,8 +484,7 @@ impl Runtime {
         let ctl = Arc::new(SessionCtl::new(id));
         self.shared.register_session(&ctl);
         Session {
-            shared: Arc::clone(&self.shared),
-            sub: Submitter::new_lane(Arc::clone(&self.shared), lane),
+            sub: Submitter::new_lane(Arc::clone(&self.shared), lane, Some(Arc::clone(&ctl))),
             ctl,
         }
     }

@@ -1,4 +1,4 @@
-//! Sharded dependency analysis: lanes, lane gates and [`Submitter`]s.
+//! Analysis lanes: lane gates, lane caches and [`Submitter`]s.
 //!
 //! SMPSs runs all dependency analysis on the single master thread, and
 //! the bench trajectory hit exactly that wall: task_storm throughput is
@@ -6,14 +6,18 @@
 //! `SpawnerCell` universe. This module shards the analysis across N
 //! **lanes** keyed by a hash of the object id (for region handles, the
 //! id of the region representant object): each lane owns the
-//! `SpawnerCell` universes of the objects that hash to it, a per-lane
-//! task-node free stack and link cache, and its share of the
-//! region frontiers, so multiple [`Submitter`] threads can run
-//! analysis concurrently.
+//! `SpawnerCell` universes of the objects that hash to it, a free stack
+//! of recycled task nodes, and its share of the region frontiers, so
+//! multiple [`Submitter`] threads can run analysis concurrently.
+//!
+//! Every spawning thread draws nodes and links from one `LaneCache`:
+//! the runtime's main thread from lane 0's, each submitter (and so each
+//! [`Session`](crate::Session), which is a submitter plus admission)
+//! from its own lane's.
 //!
 //! Three properties keep this sound without adding locks anywhere hot:
 //!
-//! * **Per-object exclusion** comes from the [`LaneGate`]: a one-word
+//! * **Per-object exclusion** comes from the `LaneGate`: a one-word
 //!   CAS spin gate entered for the duration of one parameter's analysis.
 //!   It is the sharded generalisation of the `SpawnerCell` tripwire —
 //!   the cell's busy-flag assertion still fires if the gate discipline
@@ -33,10 +37,11 @@
 //!   count, so the §III blocking conditions bound the whole fleet, not
 //!   one lane.
 //!
-//! `shards(1)` (the default) builds none of this into the hot path: the
-//! runtime's own spawn path keeps its single-writer counters and takes
-//! no gate; the graph-equality proptests (`tests/shard_semantics.rs`)
-//! pin every shard count bit-for-bit against it.
+//! `shards(1)` (the default) builds none of the gating into the hot
+//! path: the runtime's own spawn path keeps its single-writer counters
+//! and takes no gate; the graph-equality proptests
+//! (`tests/shard_semantics.rs`) pin every shard count bit-for-bit
+//! against it.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,11 +50,9 @@ use std::sync::Arc;
 use crate::graph::node::{self, SuccNode, TaskNode};
 use crate::ids::{ObjectId, TaskId};
 use crate::padded::CachePadded;
+use crate::runtime::session::SessionCtl;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
-use crate::runtime::{
-    cache_if_last, exclusive_node_mut, harvest_links_into, LinkPtr, Priority, Runtime, Shared,
-    LINK_CACHE_MAX,
-};
+use crate::runtime::{Priority, Runtime, Shared};
 use crate::sched::queues::{Backoff, Job};
 use crate::sched::worker::enqueue_ready;
 
@@ -116,6 +119,206 @@ impl Shared {
     }
 }
 
+/// Upper bound on a lane cache's nodes; everything beyond it is dropped
+/// at drain time (the pool should hold about one throttle window's
+/// worth of nodes, not the whole program).
+const NODE_CACHE_MAX: usize = 4096;
+
+/// Upper bound on a lane cache's spare successor links (same rationale
+/// as [`NODE_CACHE_MAX`]; a link is 24 bytes).
+const LINK_CACHE_MAX: usize = 4096;
+
+/// A spare successor link in a lane cache. Plain heap data with a dead
+/// payload slot, so moving it between threads is trivially fine; the
+/// newtype exists to keep the cache's owners `Send` despite the raw
+/// pointer.
+struct LinkPtr(*mut SuccNode);
+
+// SAFETY: a spare link is exclusively-owned inert heap memory.
+unsafe impl Send for LinkPtr {}
+
+/// One spawning thread's recycled task nodes and spare successor links,
+/// for analysis lane `lane`. The [`Runtime`] owns lane 0's; every
+/// [`Submitter`] owns one for its lane. `RefCell` keeps both owners
+/// `!Sync`: one thread spawns through a cache.
+///
+/// With it, steady-state spawning allocates and frees **nothing**:
+/// nodes cycle spawn → completion → the home lane's free stack
+/// (`Shared::recycle_node`) → this cache, and links cycle spawn →
+/// successor stack → completion stash (`TaskNode::spare_links`) →
+/// harvested here when the node is reused.
+pub(crate) struct LaneCache {
+    shared: Arc<Shared>,
+    lane: usize,
+    nodes: RefCell<Vec<Arc<TaskNode>>>,
+    links: RefCell<Vec<LinkPtr>>,
+}
+
+impl LaneCache {
+    pub(crate) fn new(shared: Arc<Shared>, lane: usize) -> LaneCache {
+        LaneCache {
+            shared,
+            lane,
+            nodes: RefCell::new(Vec::new()),
+            links: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The shared runtime state this cache's lane belongs to.
+    #[inline]
+    pub(crate) fn shared(&self) -> &Shared {
+        &self.shared
+    }
+
+    /// Obtain a task node: a recycled one when possible, else a fresh
+    /// allocation. Either way it is stamped with this lane, so its
+    /// completion recycles it back here wherever the task runs (nodes a
+    /// helping main thread ran, or producers a writer displaced, may
+    /// have been born on any lane). A node the free stack handed over
+    /// may still be pinned as an object's producer; such a candidate is
+    /// dropped here and comes back when a later writer displaces it.
+    #[inline]
+    pub(crate) fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
+        let mut nodes = self.nodes.borrow_mut();
+        if nodes.is_empty() {
+            self.drain_free_stack(&mut nodes);
+        }
+        let node = loop {
+            let Some(mut node) = nodes.pop() else {
+                break TaskNode::new(id, name, Priority::Normal);
+            };
+            if let Some(n) = exclusive_node_mut(&mut node) {
+                let links = n.take_spare_links();
+                n.reset_for_reuse(id, name, Priority::Normal);
+                self.harvest(links);
+                self.shared.stats.node_pool_hits();
+                break node;
+            }
+        };
+        node.set_home(self.lane);
+        node
+    }
+
+    /// Keep a node the owner is done with — a task the main thread just
+    /// ran, or a producer a writer displaced — if it is the node's last
+    /// reference and the cache has room; drop it otherwise. Such a node
+    /// skips the shared free stack. Caching a node still pinned as an
+    /// object's producer would only make the next acquire pop and drop
+    /// it; it comes back through this same call when a writer displaces
+    /// it. A node pinned elsewhere (a reader list, a region frontier
+    /// entry) is freed by whichever holder drops it last. The count is
+    /// only a filter: [`exclusive_node_mut`] proves exclusivity again,
+    /// with its fence, when the node is reused.
+    #[inline]
+    pub(crate) fn cache_node(&self, node: Arc<TaskNode>) {
+        let mut nodes = self.nodes.borrow_mut();
+        if Arc::strong_count(&node) == 1 && nodes.len() < NODE_CACHE_MAX {
+            nodes.push(node);
+        }
+    }
+
+    /// A spare successor link for the analyser: recycled when one is
+    /// cached, freshly allocated otherwise.
+    #[inline]
+    pub(crate) fn acquire_link(&self) -> *mut SuccNode {
+        self.links
+            .borrow_mut()
+            .pop()
+            .map(|l| l.0)
+            .unwrap_or_else(node::alloc_link)
+    }
+
+    /// Return an unused spare link (the producer had already finished,
+    /// so no edge was stored).
+    pub(crate) fn release_link(&self, link: *mut SuccNode) {
+        let mut links = self.links.borrow_mut();
+        if links.len() < LINK_CACHE_MAX {
+            links.push(LinkPtr(link));
+        } else {
+            // SAFETY: the link is spare and exclusively ours.
+            unsafe { node::free_link(link) };
+        }
+    }
+
+    /// Feed a reused node's spare-link chain into the link cache,
+    /// freeing the overflow. The exclusivity proof for the node covers
+    /// the chain: the completing thread stashed it before pushing the
+    /// node.
+    fn harvest(&self, mut chain: *mut SuccNode) {
+        let mut links = self.links.borrow_mut();
+        while !chain.is_null() {
+            // SAFETY: exclusively-owned spare chain (see above).
+            unsafe {
+                let next = (*chain).next;
+                if links.len() < LINK_CACHE_MAX {
+                    links.push(LinkPtr(chain));
+                } else {
+                    node::free_link(chain);
+                }
+                chain = next;
+            }
+        }
+    }
+
+    /// Detach this lane's whole free stack into `nodes` (newest first).
+    /// The Acquire swap pairs with the Release pushes in
+    /// `Shared::recycle_node`, so every completing thread's writes to a
+    /// popped node happened-before this thread reads it.
+    fn drain_free_stack(&self, nodes: &mut Vec<Arc<TaskNode>>) {
+        let mut p = self.shared.free_nodes[self.lane].swap(std::ptr::null_mut(), Ordering::Acquire);
+        while !p.is_null() {
+            // SAFETY: the swap made this thread the chain's unique
+            // owner; each raw pointer was produced by `Arc::into_raw`.
+            let next = unsafe { (*p).free_next.load(Ordering::Relaxed) };
+            let node = unsafe { Arc::from_raw(p) };
+            if nodes.len() < NODE_CACHE_MAX {
+                nodes.push(node);
+            }
+            p = next;
+        }
+    }
+}
+
+impl Drop for LaneCache {
+    fn drop(&mut self) {
+        // Hand cached nodes back to their lane's free stack (a later
+        // cache on the lane reuses them; `Shared`'s Drop frees whatever
+        // remains) and free the spare links, which only this cache ever
+        // owned.
+        for n in self.nodes.get_mut().drain(..) {
+            self.shared.recycle_node(n);
+        }
+        for l in self.links.get_mut().drain(..) {
+            // SAFETY: cache entries are spare and exclusively ours.
+            unsafe { node::free_link(l.0) };
+        }
+    }
+}
+
+/// Exclusive access to a pooled node, or `None` if it is still
+/// referenced elsewhere. This is `Arc::get_mut` minus the weak-count
+/// lock round-trip (two RMWs on the per-spawn critical path):
+///
+/// - `strong_count == 1` means this `Arc` is the only strong handle, and
+///   since we hold it, no thread can mint another;
+/// - the crate never creates a `Weak<TaskNode>` (the only raw pointers —
+///   the free-stack links — are strong references converted with
+///   `into_raw`/`from_raw`), so there is no weak upgrade to race with;
+///   the debug assert keeps that invariant honest;
+/// - the Acquire fence pairs with the Release decrement of the last
+///   dropped clone, ordering that thread's final accesses before ours.
+fn exclusive_node_mut(node: &mut Arc<TaskNode>) -> Option<&mut TaskNode> {
+    if Arc::strong_count(node) == 1 {
+        debug_assert_eq!(Arc::weak_count(node), 0, "Weak<TaskNode> must never exist");
+        std::sync::atomic::fence(Ordering::Acquire);
+        // SAFETY: sole strong owner, no weak refs (above); `&mut Arc`
+        // guarantees no concurrent use of this handle.
+        Some(unsafe { &mut *(Arc::as_ptr(node) as *mut TaskNode) })
+    } else {
+        None
+    }
+}
+
 /// One dependency-analysis lane of a sharded runtime, handed out by
 /// [`Runtime::submitters`]. A `Submitter` is `Send` but not `Sync`:
 /// move each one onto its own thread and spawn through
@@ -137,14 +340,11 @@ impl Shared {
 /// submitter-side throttle waits for workers to drain the graph rather
 /// than helping (it has no scheduling context to help with).
 pub struct Submitter {
-    shared: Arc<Shared>,
-    lane: usize,
-    /// Lane-local cache of recycled task nodes, refilled from this
-    /// lane's shard of `Shared::free_nodes`.
-    node_cache: RefCell<Vec<Arc<TaskNode>>>,
-    /// Lane-local cache of spare successor links, harvested from
-    /// recycled nodes (see `Runtime::link_cache`).
-    link_cache: RefCell<Vec<LinkPtr>>,
+    cache: LaneCache,
+    /// The session this lane spawns for, when it is a
+    /// [`Session`](crate::Session)'s: every acquired node is stamped
+    /// with it, and renamed versions are attributed to it.
+    session: Option<Arc<SessionCtl>>,
     /// Chunked pre-payment against `Shared::live_bytes`: this lane's
     /// renames are covered from a local surplus instead of one global
     /// RMW each. The surplus is returned when the lane hits the memory
@@ -155,22 +355,25 @@ pub struct Submitter {
 }
 
 impl Submitter {
-    /// One lane of `shared`'s sharded analysis (crate-internal: sessions
-    /// wrap a lane through this same constructor).
-    pub(crate) fn new_lane(shared: Arc<Shared>, lane: usize) -> Submitter {
+    /// One lane of `shared`'s sharded analysis, spawning for `session`
+    /// when given (crate-internal: sessions open their lane through
+    /// this same constructor).
+    pub(crate) fn new_lane(
+        shared: Arc<Shared>,
+        lane: usize,
+        session: Option<Arc<SessionCtl>>,
+    ) -> Submitter {
         let credit = crate::data::version::ByteCredit::new(Arc::clone(&shared.live_bytes));
         Submitter {
-            shared,
-            lane,
-            node_cache: RefCell::new(Vec::new()),
-            link_cache: RefCell::new(Vec::new()),
+            cache: LaneCache::new(shared, lane),
+            session,
             credit,
         }
     }
 
     /// This submitter's lane index (`0..shards`).
     pub fn lane(&self) -> usize {
-        self.lane
+        self.cache.lane
     }
 
     /// Begin a task invocation on this lane. Same contract as
@@ -188,70 +391,21 @@ impl Submitter {
     /// [`wait_all`](Runtime::wait_all); this is only the tripwire.
     #[inline]
     pub fn has_failures(&self) -> bool {
-        self.shared.faulted()
+        self.shared().faulted()
     }
 }
 
 impl SpawnHost for Submitter {
     #[inline]
-    fn shared(&self) -> &Shared {
-        &self.shared
+    fn lane_cache(&self) -> &LaneCache {
+        &self.cache
     }
 
     #[inline]
     fn next_task_id(&self) -> TaskId {
         // Concurrent spawners: the id counter must be an RMW. This is
         // the one globally-contended atomic on the sharded spawn path.
-        TaskId(self.shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    #[inline]
-    fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        let mut cache = self.node_cache.borrow_mut();
-        if cache.is_empty() {
-            self.shared.drain_free_nodes(self.lane, &mut cache);
-        }
-        while let Some(mut node) = cache.pop() {
-            if let Some(n) = exclusive_node_mut(&mut node) {
-                let links = n.take_spare_links();
-                n.reset_for_reuse(id, name, Priority::Normal);
-                harvest_links_into(&mut self.link_cache.borrow_mut(), links);
-                self.shared.stats.node_pool_hits();
-                node.set_home(self.lane);
-                return node;
-            }
-        }
-        let node = TaskNode::new(id, name, Priority::Normal);
-        // Stamp the home lane so completion recycles the node back to
-        // *this* lane's free stack, wherever the task ends up running.
-        node.set_home(self.lane);
-        node
-    }
-
-    /// A displaced producer may have been born on another lane; the
-    /// acquire path re-stamps its home to this lane on reuse.
-    #[inline]
-    fn cache_node(&self, node: Arc<TaskNode>) {
-        cache_if_last(&mut self.node_cache.borrow_mut(), node);
-    }
-
-    #[inline]
-    fn acquire_link(&self) -> *mut SuccNode {
-        self.link_cache
-            .borrow_mut()
-            .pop()
-            .map(|l| l.0)
-            .unwrap_or_else(node::alloc_link)
-    }
-
-    fn release_link(&self, link: *mut SuccNode) {
-        let mut cache = self.link_cache.borrow_mut();
-        if cache.len() < LINK_CACHE_MAX {
-            cache.push(LinkPtr(link));
-        } else {
-            // SAFETY: the link is spare and exclusively ours.
-            unsafe { node::free_link(link) };
-        }
+        TaskId(self.shared().next_task.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Publish a born-ready task. A submitter never runs tasks, so
@@ -259,7 +413,7 @@ impl SpawnHost for Submitter {
     /// main list, with the usual empty-transition wake.
     #[inline]
     fn publish_born_ready(&self, job: Job) {
-        enqueue_ready(&self.shared, job);
+        enqueue_ready(self.shared(), job);
     }
 
     /// The submitter-side §III throttle: watch the same shared live-task
@@ -268,7 +422,7 @@ impl SpawnHost for Submitter {
     /// but *wait* for the workers instead of helping (a submitter has
     /// no worker context).
     fn after_submit(&self) {
-        let shared = &*self.shared;
+        let shared = self.shared();
         if let Some(limit) = shared.cfg.graph_size_limit {
             if shared.live_now() > limit {
                 shared.stats.throttle_blocks();
@@ -305,31 +459,19 @@ impl SpawnHost for Submitter {
 
     #[inline]
     fn lane_enter(&self, id: ObjectId) -> Option<LaneEntry<'_>> {
-        Some(self.shared.lane_enter(id))
+        Some(self.shared().lane_enter(id))
     }
 
+    /// Renamed-version tickets minted on this lane charge its byte
+    /// credit (chunked pre-payment) and, on a session's lane, carry the
+    /// session attribution, so the renamed-bytes quota tracks exactly
+    /// the versions this tenant forced into existence. The session is
+    /// also what `TaskSpawner::new` stamps on every node it acquires.
     #[inline]
     fn ticket_charge(&self) -> crate::data::version::TicketCharge<'_> {
         crate::data::version::TicketCharge {
             credit: Some(&self.credit),
-            sess: None,
-        }
-    }
-}
-
-impl Drop for Submitter {
-    fn drop(&mut self) {
-        // Hand cached nodes back to their lane's shared free stack (a
-        // later submitter generation reuses them; `Shared`'s Drop frees
-        // whatever remains) and free the spare links, which only this
-        // submitter ever owned. The byte-credit surplus is returned by
-        // the `credit` field's own Drop, which runs after this body.
-        for n in self.node_cache.borrow_mut().drain(..) {
-            self.shared.recycle_node(n);
-        }
-        for l in self.link_cache.borrow_mut().drain(..) {
-            // SAFETY: cache entries are spare and exclusively ours.
-            unsafe { node::free_link(l.0) };
+            sess: self.session.as_ref(),
         }
     }
 }
@@ -351,7 +493,7 @@ impl Runtime {
             "submitters() requires a sharded runtime: RuntimeBuilder::shards(n) with n >= 2"
         );
         (0..self.shared.cfg.shards)
-            .map(|lane| Submitter::new_lane(Arc::clone(&self.shared), lane))
+            .map(|lane| Submitter::new_lane(Arc::clone(&self.shared), lane, None))
             .collect()
     }
 }

@@ -17,14 +17,20 @@
 //!
 //! ## Spawn hosts
 //!
-//! The spawner is generic over **who** is running the analysis
-//! ([`SpawnHost`]): the [`Runtime`] itself — the paper's single master
-//! thread, with single-writer counters and no gates — or a
-//! [`Submitter`](crate::Submitter) lane when dependency analysis is
-//! sharded (`RuntimeBuilder::shards(n)`). The host supplies the id
-//! minting discipline, the node/link pools, the born-ready publication
-//! route and the lane gate; the analysis sequence itself is identical,
-//! which is what the shard-equality proptests pin.
+//! The spawner is generic over **who** is running the analysis: the
+//! [`Runtime`] itself — the paper's single master thread, with
+//! single-writer counters, inline runs and no gates on the default
+//! shape — or a [`Submitter`](crate::Submitter) lane, handed out by
+//! [`Runtime::submitters`] on a sharded runtime or wrapped, with
+//! admission in front, by every [`Session`](crate::Session). These two
+//! are the only hosts. Both draw nodes and links from one lane cache
+//! (lane 0's for the runtime, the submitter's own lane's otherwise), so
+//! the pool code exists once. The host supplies only what differs: the
+//! id minting discipline, the born-ready publication route, the
+//! post-submit blocking condition, the lane gate, and the ticket
+//! charge, which on a session's lane also names the session every
+//! acquired node is stamped with. The analysis sequence itself is
+//! identical, which is what the shard-equality proptests pin.
 
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
@@ -36,10 +42,10 @@ use crate::data::region_handle::{RegionData, RegionHandle, RegionReadBinding, Re
 use crate::data::version::{ReadBinding, TicketCharge, WriteBinding};
 use crate::data::TaskData;
 use crate::dep;
-use crate::graph::node::{SuccNode, TaskNode};
+use crate::graph::node::TaskNode;
 use crate::graph::record::{EdgeKind, NodeInfo};
 use crate::ids::{ObjectId, TaskId};
-use crate::runtime::shard::LaneEntry;
+use crate::runtime::shard::{LaneCache, LaneEntry};
 use crate::runtime::{Runtime, Shared};
 use crate::sched::queues::Job;
 use crate::stats::Stats;
@@ -47,26 +53,22 @@ use crate::trace::EventKind;
 
 /// A thread that may run dependency analysis: the [`Runtime`] (the
 /// paper's single master thread) or one [`Submitter`](crate::Submitter)
-/// lane of a sharded runtime. The host decides how task ids are minted
-/// (single-writer load+store vs. an RMW), which node/link pool feeds the
-/// spawn, how a born-ready task is published, what the post-submit
-/// blocking condition looks like, and whether object state must be
-/// entered under a lane gate.
+/// lane, a session's included. The host decides how task ids are
+/// minted (single-writer load+store vs. an RMW), how a born-ready task
+/// is published, what the post-submit blocking condition looks like,
+/// whether object state must be entered under a lane gate, and how
+/// renamed versions are charged; its lane cache feeds the spawn.
 pub(crate) trait SpawnHost {
+    /// Where this host's spawns get nodes and links, and where the
+    /// producers its analyser displaces go back.
+    fn lane_cache(&self) -> &LaneCache;
     /// The shared runtime state this host spawns into.
-    fn shared(&self) -> &Shared;
+    #[inline]
+    fn shared(&self) -> &Shared {
+        self.lane_cache().shared()
+    }
     /// Mint the next task id (1-based invocation order).
     fn next_task_id(&self) -> TaskId;
-    /// Obtain a task node, recycled from this host's pool when possible.
-    fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode>;
-    /// Take back a node the analyser let go of — a producer a writer
-    /// just displaced from an object. Kept in this host's node cache
-    /// when that was its last reference, dropped otherwise.
-    fn cache_node(&self, node: Arc<TaskNode>);
-    /// A spare successor link for the analyser.
-    fn acquire_link(&self) -> *mut SuccNode;
-    /// Return an unused spare link to this host's cache.
-    fn release_link(&self, link: *mut SuccNode);
     /// Publish a task that is ready at submit time.
     fn publish_born_ready(&self, job: Job);
     /// Run the §III blocking conditions after a submit.
@@ -122,7 +124,13 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     #[inline]
     pub(crate) fn new(rt: &'rt H, name: &'static str) -> Self {
         let id = rt.next_task_id();
-        let node = rt.acquire_node(id, name);
+        let node = rt.lane_cache().acquire_node(id, name);
+        // A session's lane stamps its tasks before analysis links them
+        // anywhere, so the containment walk, the completion accounting
+        // and the failure records all see the stamp.
+        if let Some(ctl) = rt.ticket_charge().sess {
+            node.set_session_ctl(Arc::as_ptr(ctl));
+        }
         let shared = rt.shared();
         // Liveness accounting is free here: `next_task` *is* the spawn
         // count; only completion pays an RMW (`Shared::finished`).
@@ -245,7 +253,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     /// the pool.
     pub(crate) fn release_producer(&self, displaced: Option<Arc<TaskNode>>) {
         if let Some(node) = displaced {
-            self.rt.cache_node(node);
+            self.rt.lane_cache().cache_node(node);
         }
     }
 
@@ -402,13 +410,14 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         // The link node comes from the spawner's spare-link cache (fed
         // by completed nodes), so the steady-state edge costs no
         // allocation on either side of its lifecycle.
-        let link = self.rt.acquire_link();
+        let cache = self.rt.lane_cache();
+        let link = cache.acquire_link();
         if producer.add_successor_with(consumer, link) {
             return true;
         }
         // Producer already finished: undo. The guard is still held, so
         // this can never release the consumer.
-        self.rt.release_link(link);
+        cache.release_link(link);
         let became_ready = consumer.release_dep();
         debug_assert!(!became_ready, "spawn guard must still be held");
         self.inherit_poison(consumer, producer);

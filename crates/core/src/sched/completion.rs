@@ -11,7 +11,7 @@
 //!    the [`ReadWindow`](crate::data::version) protocol (one Release
 //!    `fetch_sub` per `input` parameter). The object mutex is never
 //!    touched off the spawning thread.
-//! 2. **Batched ready publication** ([`finish_task`]): `complete()`
+//! 2. **Batched ready publication** (`finish_task`): `complete()`
 //!    detaches the successor stack with one swap; the released-ready
 //!    successors are walked into a reusable per-worker buffer and
 //!    published in one shot. The *last* released normal successor — the
@@ -100,7 +100,12 @@ pub(crate) fn finish_task(
     // list, and a task it completes cannot have a push racing the close.
     // Worker completions, and every completion on a sharded or session
     // runtime (whose submitter lanes push concurrently, even at
-    // `threads == 1`), keep the AcqRel swap.
+    // `threads == 1`), keep the AcqRel swap. "A lane has one registrar"
+    // does not rescue the main thread there: lanes are per object, not
+    // per task, and a producer is linked from whichever lane owns the
+    // consumer's objects. On a session runtime, session threads register
+    // successors on the main thread's tasks while it helps, so an
+    // `idx == 0` completion must assume a concurrent push.
     let registrar = idx == 0 && !shared.sharded;
     debug_assert!(ready.is_empty(), "ready buffer must be drained");
     let n_ready = if registrar {

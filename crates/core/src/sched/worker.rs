@@ -5,7 +5,7 @@
 //! the other threads in creation order starting from the next one
 //! (FIFO) — and, after running a
 //! task, takes the released successor the completion hands it
-//! ([`finish_task`]) before looking again. Nothing else decides where a
+//! (`finish_task`) before looking again. Nothing else decides where a
 //! ready task runs.
 
 use std::collections::VecDeque;
@@ -176,7 +176,7 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
 /// as possible independently of any locality consideration".
 ///
 /// Tasks a completion releases never come here: the completing thread
-/// keeps them ([`finish_task`]'s batch and hand-off).
+/// keeps them (`finish_task`'s batch and hand-off).
 #[inline]
 pub fn enqueue_ready(shared: &Shared, job: Job) {
     // Wake a sleeper only when the target queue transitions from empty

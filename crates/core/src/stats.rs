@@ -27,25 +27,20 @@ pub(crate) struct PopShard {
 }
 
 impl PopShard {
-    /// `concurrent` selects the sharded-spawner mode: submitter lanes
-    /// can bump the spawn-path counters from several threads at once,
-    /// so the single-writer
-    /// load+store upgrades to a Relaxed `fetch_add`. With one lane
-    /// (the default), the plain store path is kept bit-for-bit.
+    /// Single-writer bump on every runtime shape: a pop shard is indexed
+    /// by the thread that runs the task, and only task-running threads
+    /// (the workers, and the main thread as it helps or runs inline)
+    /// bump one. Submitter and session threads never run tasks.
     #[inline]
-    fn bump(c: &AtomicU64, concurrent: bool) {
-        if concurrent {
-            c.fetch_add(1, Ordering::Relaxed);
-        } else {
-            c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
+    fn bump(c: &AtomicU64) {
+        c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
 /// Shared atomic counters.
 ///
 /// Three cost tiers, hottest first: the four pop counters are sharded
-/// per thread (see [`PopShard`]); the analyser-side counters are
+/// per thread (see `PopShard`); the analyser-side counters are
 /// single-writer (`Runtime: !Sync` pins spawning to one thread) and use
 /// load+store; `tasks_executed` is *derived* in the snapshot — every
 /// executed task is popped from exactly one ready list, so the pop sum
@@ -104,7 +99,7 @@ pub struct Stats {
 
 impl Default for Stats {
     /// One shard — enough for single-threaded unit tests; the runtime
-    /// builds with [`Stats::new`].
+    /// builds with `Stats::new`.
     fn default() -> Self {
         Stats::new(1)
     }
@@ -173,27 +168,27 @@ impl Stats {
 
     #[inline]
     pub(crate) fn own_pops(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].own_pops, self.concurrent);
+        PopShard::bump(&self.shards[idx].own_pops);
     }
 
     #[inline]
     pub(crate) fn main_pops(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].main_pops, self.concurrent);
+        PopShard::bump(&self.shards[idx].main_pops);
     }
 
     #[inline]
     pub(crate) fn hp_pops(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].hp_pops, self.concurrent);
+        PopShard::bump(&self.shards[idx].hp_pops);
     }
 
     #[inline]
     pub(crate) fn steals(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].steals, self.concurrent);
+        PopShard::bump(&self.shards[idx].steals);
     }
 
     #[inline]
     pub(crate) fn handoffs(&self, idx: usize) {
-        PopShard::bump(&self.shards[idx].handoffs, self.concurrent);
+        PopShard::bump(&self.shards[idx].handoffs);
     }
 
     /// Completion-side fault counters: always a `fetch_add` — any worker
@@ -388,7 +383,7 @@ impl StatsSnapshot {
         self.own_pops + self.main_pops + self.hp_pops + self.steals
     }
 
-    /// Pops attributed to one [`TaskSource`] of the §III lookup order.
+    /// Pops attributed to one [`TaskSource`](crate::TaskSource) of the §III lookup order.
     /// Lets code outside the crate (the determinism test) assert
     /// scheduler behaviour without private counter access. Steal counts
     /// are aggregated over victims.

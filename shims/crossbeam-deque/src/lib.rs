@@ -731,7 +731,7 @@ impl<T> Injector<T> {
         }
     }
 
-    /// Steal up to [`MAX_BATCH`] tasks in one head claim: the first is
+    /// Steal up to `MAX_BATCH` tasks in one head claim: the first is
     /// returned, the rest are pushed into `dest` in FIFO order.
     pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
         self.steal_batch_with_limit_and_pop(dest, MAX_BATCH)

@@ -1,7 +1,7 @@
 //! Minimal API-compatible stand-in for `proptest` (the build container
 //! has no registry access). Implements the subset the workspace's tests
 //! use: the [`proptest!`] macro with `#![proptest_config(..)]`,
-//! [`Strategy`] with `prop_map`, range and tuple strategies,
+//! [`Strategy`](strategy::Strategy) with `prop_map`, range and tuple strategies,
 //! [`prop_oneof!`], `prop::collection::vec`, and the `prop_assert*`
 //! macros.
 //!

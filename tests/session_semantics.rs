@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smpss::{Handle, Runtime, Session};
+use smpss::{Handle, Runtime, Session, SessionId};
 
 /// A random straight-line program over one survivor's private cells.
 #[derive(Clone, Debug)]
@@ -358,4 +358,66 @@ fn batch_claimed_tasks_survive_a_blocking_neighbour() {
     watchdog.join().expect("watchdog");
     hog.wait().expect("blocker completes once released");
     assert_eq!(rt.read(&gate), 1);
+}
+
+/// The main thread and a session spawn from one node pool (lane 0 at
+/// one shard), so main-thread tasks run on nodes a session task used
+/// before, and a session task may run on a node the main thread used.
+/// Reuse must not carry a session stamp across: each failure names the
+/// session its task was spawned under, and nothing else.
+#[test]
+fn node_reuse_across_hosts_keeps_failure_attribution_exact() {
+    const CHAIN: u64 = 1_000;
+    const MAIN: u64 = 64;
+    let rt = Runtime::builder().sessions(true).threads(2).build();
+    let s = rt.session();
+    let x = rt.data(0u64);
+    // The chain starts behind a gate task, so the session spawns every
+    // node before any completes: all of them are session-born, and all
+    // are back in the pool once `wait` returns.
+    let open = Arc::new(AtomicBool::new(false));
+    for k in 0..CHAIN {
+        let mut sp = s.task("chain").expect("no quota configured");
+        let mut w = sp.inout(&x);
+        let open = (k == 0).then(|| Arc::clone(&open));
+        sp.submit(move || {
+            if let Some(open) = open {
+                while !open.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            *w.get_mut() += 1;
+        });
+    }
+    open.store(true, Ordering::Release);
+    s.wait().expect("the chain never fails");
+    assert_eq!(rt.read(&x), CHAIN);
+
+    let hits = rt.stats().node_pool_hits;
+    for k in 0..MAIN {
+        rt.task("main").submit(move || {
+            if k % 8 == 7 {
+                panic!("main task {k}");
+            }
+        });
+    }
+    let err = rt.wait_all().expect_err("every 8th main-thread task panics");
+    assert_eq!(err.failed.len(), (MAIN / 8) as usize);
+    assert!(err.cancelled.is_empty());
+    assert!(
+        err.failed.iter().all(|f| f.session == SessionId::NONE),
+        "main-thread failures carry no session: {:?}",
+        err.failed
+    );
+    assert_eq!(
+        rt.stats().node_pool_hits - hits,
+        MAIN,
+        "every main-thread spawn reuses a session-born node"
+    );
+
+    s.task("boom").expect("no quota configured").submit(|| panic!("session task"));
+    let err = s.wait().expect_err("the session task panics");
+    assert_eq!(err.failed.len(), 1);
+    assert_eq!(err.failed[0].session, s.id());
+    rt.wait_all().expect("the session drained its own failure");
 }
