@@ -83,8 +83,6 @@ pub struct RuntimeConfig {
     pub(crate) record_graph: bool,
     pub(crate) tracing: bool,
     pub(crate) policy: SchedulerPolicy,
-    pub(crate) spin_tries: usize,
-    pub(crate) park_micros: u64,
     pub(crate) slab_spare_bytes: Option<usize>,
     pub(crate) shards: usize,
     pub(crate) on_panic: OnPanic,
@@ -104,8 +102,6 @@ impl Default for RuntimeConfig {
             record_graph: false,
             tracing: false,
             policy: SchedulerPolicy::Smpss,
-            spin_tries: 16,
-            park_micros: 100,
             slab_spare_bytes: None,
             shards: 1,
             on_panic: OnPanic::CancelDependents,
@@ -177,18 +173,6 @@ impl RuntimeBuilder {
     /// Scheduler policy (default [`SchedulerPolicy::Smpss`]).
     pub fn policy(mut self, policy: SchedulerPolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// How many failed full scans an idle worker performs before parking.
-    pub fn spin_tries(mut self, tries: usize) -> Self {
-        self.cfg.spin_tries = tries.max(1);
-        self
-    }
-
-    /// Park timeout for idle workers, in microseconds.
-    pub fn park_micros(mut self, us: u64) -> Self {
-        self.cfg.park_micros = us.max(1);
         self
     }
 
@@ -314,14 +298,22 @@ mod tests {
         assert_eq!(OnPanic::default(), OnPanic::CancelDependents);
     }
 
-    /// The fast paths have no switches; the idle-worker tuning is what
-    /// remains, clamped to at least one scan and one microsecond.
+    /// The fast paths have no switches, and idle workers no tuning: the
+    /// spin window is a constant inside the 60–100 µs band that covers
+    /// the open loop's 50 µs arrival gap, and the park has no timeout.
+    /// What the builder still sets on the scheduling path is the thread
+    /// count, the analysis lanes and the policy.
     #[test]
     fn builder_sets_fast_path_knobs() {
-        let c = RuntimeBuilder::default().spin_tries(4).park_micros(50).config();
-        assert_eq!((c.spin_tries, c.park_micros), (4, 50));
-        let c = RuntimeBuilder::default().spin_tries(0).park_micros(0).config();
-        assert_eq!((c.spin_tries, c.park_micros), (1, 1));
+        let window = crate::sched::queues::SPIN_WINDOW.as_micros();
+        assert!((60..=100).contains(&window), "spin window {window} us");
+        let c = RuntimeBuilder::default()
+            .threads(3)
+            .shards(2)
+            .policy(SchedulerPolicy::CentralQueue)
+            .config();
+        assert_eq!((c.threads, c.shards), (3, 2));
+        assert_eq!(c.policy, SchedulerPolicy::CentralQueue);
     }
 
     #[test]

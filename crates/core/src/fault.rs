@@ -4,8 +4,8 @@
 //! propagation, forced throttle stalls, spurious wakes — are exactly the
 //! paths a normal test run almost never exercises. This module plants
 //! **named injection sites** in the runtime ([`body_site`],
-//! [`throttle_site`], [`park_site`]) and a seeded `FaultPlan` that
-//! decides, reproducibly, which site invocations fire.
+//! [`throttle_site`], [`park_site`], [`wake_site`]) and a seeded
+//! `FaultPlan` that decides, reproducibly, which site invocations fire.
 //!
 //! Two design rules keep the harness honest:
 //!
@@ -42,6 +42,7 @@ mod imp {
     /// install.
     static THROTTLE_HITS: AtomicU64 = AtomicU64::new(0);
     static PARK_CALLS: AtomicU64 = AtomicU64::new(0);
+    static WAKE_CALLS: AtomicU64 = AtomicU64::new(0);
     static ADMISSION_HITS: AtomicU64 = AtomicU64::new(0);
     static DEADLINE_HITS: AtomicU64 = AtomicU64::new(0);
     static SHED_HITS: AtomicU64 = AtomicU64::new(0);
@@ -68,6 +69,8 @@ mod imp {
         throttle_stalls: u64,
         /// Spuriously wake one park in N (counted per park call).
         spurious_wake_one_in: Option<u64>,
+        /// Stall one `wake_site` invocation in N for ~200 µs.
+        wake_stall_one_in: Option<u64>,
         /// Force the first N session admission checks to report
         /// over-quota (stalling Block sessions, shedding Shed ones).
         admission_stalls: u64,
@@ -118,6 +121,16 @@ mod imp {
             self
         }
 
+        /// Stall one [`wake_site`] invocation in `n` for ~200 µs,
+        /// yielding the core: a sleeper between its announcement and
+        /// its re-scan, or a publisher between its push and its sleeper
+        /// probe, is held there while the other side runs. On one CPU
+        /// this is where a lost wakeup would show.
+        pub fn wake_stall_one_in(mut self, n: u64) -> Self {
+            self.wake_stall_one_in = Some(n.max(1));
+            self
+        }
+
         /// Force the first `n` session admission checks to see the
         /// session as over-quota: Block/Deadline sessions stall one
         /// backoff quantum each, Shed sessions return `Err(Overloaded)`.
@@ -148,7 +161,7 @@ mod imp {
                 return true;
             }
             match self.panic_one_in {
-                Some(n) => mix(self.seed, id) % n == 0,
+                Some(n) => mix(self.seed, id).is_multiple_of(n),
                 None => false,
             }
         }
@@ -158,6 +171,7 @@ mod imp {
         pub fn install(self) {
             THROTTLE_HITS.store(0, Ordering::Relaxed);
             PARK_CALLS.store(0, Ordering::Relaxed);
+            WAKE_CALLS.store(0, Ordering::Relaxed);
             ADMISSION_HITS.store(0, Ordering::Relaxed);
             DEADLINE_HITS.store(0, Ordering::Relaxed);
             SHED_HITS.store(0, Ordering::Relaxed);
@@ -194,14 +208,36 @@ mod imp {
         }
     }
 
-    /// Park site: `true` turns this park into a spurious wake.
+    /// Park site: reached by every thread about to park (its re-scan
+    /// found nothing) while a plan is installed, and counted. `true`
+    /// turns this park into a spurious wake.
     pub fn park_site() -> bool {
         match plan() {
-            Some(p) => match p.spurious_wake_one_in {
-                Some(n) => PARK_CALLS.fetch_add(1, Ordering::Relaxed) % n == n - 1,
-                None => false,
-            },
+            Some(p) => {
+                let k = PARK_CALLS.fetch_add(1, Ordering::Relaxed);
+                p.spurious_wake_one_in.is_some_and(|n| k % n == n - 1)
+            }
             None => false,
+        }
+    }
+
+    /// How many times [`park_site`] was reached since the plan was
+    /// installed.
+    pub fn park_calls() -> u64 {
+        PARK_CALLS.load(Ordering::Relaxed)
+    }
+
+    /// Wake site: between a sleeper's announcement and its re-scan, and
+    /// between a publisher's push and its sleeper probe. A planned hit
+    /// yields the core for ~200 µs.
+    pub fn wake_site() {
+        if let Some(n) = plan().and_then(|p| p.wake_stall_one_in) {
+            if WAKE_CALLS.fetch_add(1, Ordering::Relaxed) % n == n - 1 {
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < std::time::Duration::from_micros(200) {
+                    std::thread::yield_now();
+                }
+            }
         }
     }
 
@@ -239,7 +275,8 @@ mod imp {
 
 #[cfg(feature = "fault-inject")]
 pub use imp::{
-    admission_site, body_site, deadline_site, park_site, shed_site, throttle_site, FaultPlan,
+    admission_site, body_site, deadline_site, park_calls, park_site, shed_site, throttle_site,
+    wake_site, FaultPlan,
 };
 
 /// Default build: every site is an empty inline function the optimiser
@@ -261,6 +298,9 @@ mod imp {
     }
 
     #[inline(always)]
+    pub fn wake_site() {}
+
+    #[inline(always)]
     pub fn admission_site() -> bool {
         false
     }
@@ -277,7 +317,9 @@ mod imp {
 }
 
 #[cfg(not(feature = "fault-inject"))]
-pub use imp::{admission_site, body_site, deadline_site, park_site, shed_site, throttle_site};
+pub use imp::{
+    admission_site, body_site, deadline_site, park_site, shed_site, throttle_site, wake_site,
+};
 
 #[cfg(all(test, feature = "fault-inject"))]
 mod tests {

@@ -8,7 +8,7 @@ pub mod spawner;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::Mutex;
@@ -24,7 +24,7 @@ use crate::ids::{ObjectId, SessionId, TaskId};
 use crate::padded::CachePadded;
 use crate::runtime::spawner::SpawnHost;
 use crate::sched::cost::CostTable;
-use crate::sched::queues::{Job, SleepCtl, TaskSource};
+use crate::sched::queues::{Idle, Job, SleepCtl, TaskSource};
 use crate::sched::worker::{enqueue_ready, find_task, run_task, worker_loop, WorkerCtx};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::trace::{EventKind, Trace, TraceCollector};
@@ -309,7 +309,7 @@ impl Shared {
             slab,
             next_task: CachePadded::new(AtomicU64::new(0)),
             next_obj: AtomicU64::new(0),
-            sleep: SleepCtl::default(),
+            sleep: SleepCtl::new(n),
             shutdown: AtomicBool::new(false),
             free_nodes: (0..shards)
                 .map(|_| CachePadded::new(AtomicPtr::new(std::ptr::null_mut())))
@@ -462,13 +462,25 @@ impl Shared {
         }
     }
 
+    /// Is any task published where a thread could take it: the
+    /// high-priority list, the main list, the central queue, or any
+    /// thread's own list? The pre-park re-scan of the sleep protocol
+    /// (see `SleepCtl`): run after the announcement, it sees every push
+    /// whose publisher's sleeper probe missed that announcement.
+    pub(crate) fn has_work(&self) -> bool {
+        !self.hp.is_empty()
+            || !self.main_q.is_empty()
+            || !self.central.is_empty()
+            || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
     /// Total finished tasks: the Acquire sum of the per-thread shards.
     /// Each shard is monotonic and its Release bump pairs with these
     /// Acquire loads, so the sum orders every counted task's effects
     /// before the caller proceeds — and can only *lag* the truth, never
     /// overshoot (a barrier therefore never exits early; a momentarily
-    /// stale remote shard is caught by the next loop iteration or the
-    /// bounded park).
+    /// stale remote shard is caught by the barrier's post-announcement
+    /// re-read, which the all-done wake pairs with).
     #[inline]
     pub(crate) fn finished_total(&self) -> u64 {
         self.finished.iter().map(|s| s.load(Ordering::Acquire)).sum()
@@ -761,8 +773,14 @@ impl Runtime {
         // bound: while the main thread is helping, each run task
         // advances the bound by one (its own completion is real), so the
         // busy loop never pays the cross-shard sum; only an idle pass
-        // (workers hold the last tasks) re-sums before parking.
+        // (workers hold the last tasks) re-sums before waiting. The wait
+        // is a worker's: spin within the window, then park in slot 0.
+        // The park's re-scan re-reads both counters after announcing,
+        // and the last worker completion pairs its finished-shard store
+        // with that announcement (`finish_task`'s all-done wake), so
+        // the barrier needs no timeout.
         let mut seen = self.finished_seen.get();
+        let mut idle = Idle::default();
         loop {
             let spawned = self.shared.next_task.load(Ordering::Acquire);
             if spawned.saturating_sub(seen) == 0 {
@@ -770,14 +788,18 @@ impl Runtime {
             }
             if self.help_once() {
                 seen += 1; // our completion, a still-valid lower bound
+                idle.end();
                 continue;
             }
             seen = self.shared.finished_total();
-            if spawned.saturating_sub(seen) > 0 {
-                self.shared
-                    .sleep
-                    .park(Duration::from_micros(self.shared.cfg.park_micros));
+            if spawned.saturating_sub(seen) == 0 {
+                continue;
             }
+            let shared = &self.shared;
+            idle.wait(&shared.sleep, 0, || {
+                shared.has_work()
+                    || shared.finished_total() >= shared.next_task.load(Ordering::Acquire)
+            });
         }
         self.finished_seen.set(seen);
         self.shared.trace_event(0, EventKind::BarrierEnd);
@@ -1052,11 +1074,8 @@ impl Runtime {
         }
         let mut ctx = self.main_ctx.borrow_mut();
         if let Some(job) = ctx.pending.take() {
-            let was_empty = ctx.local.is_empty();
             ctx.local.push(job);
-            if was_empty {
-                self.shared.sleep.notify_one();
-            }
+            self.shared.sleep.notify_one();
         }
     }
 
@@ -1259,6 +1278,7 @@ mod tests {
     use super::*;
     use crate::ids::TaskId;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     /// A stamping body: writes the next tick of `clock` into `slot`.
     fn stamp(clock: &Arc<AtomicU64>, slot: &Arc<AtomicU64>) -> impl FnOnce() + Send + 'static {

@@ -27,11 +27,13 @@
 //!    pay no RMW. The barrier sums the shards (Acquire) when it
 //!    needs the total. The all-done wake is only probed on *leaf*
 //!    completions (`n_ready == 0` — only a leaf can be the last task)
-//!    on a worker (the main thread is the one the wake is for) and
-//!    only when someone is actually parked; a cross-shard sum may
-//!    read a lagging remote shard and miss the instant of completion,
-//!    which the barrier's bounded park absorbs like every other
-//!    lost-wakeup window in the sleep protocol.
+//!    on a worker (the main thread is the one the wake is for) whose
+//!    own queues are empty, and only there does it pay the sleep
+//!    protocol's fence: shard store, fence, sleeper load, then the
+//!    cross-shard sum. The barrier announces, fences and re-sums, so
+//!    either it sees the last shard store or the last completer sees
+//!    its announcement, and two racing last completers see each
+//!    other's stores. The wake is exact; no park times out.
 
 use std::sync::atomic::Ordering;
 
@@ -41,10 +43,9 @@ use super::queues::Job;
 use crate::config::SchedulerPolicy;
 use crate::runtime::{Priority, Shared};
 
-/// How strongly to wake sleepers after a completion. The caller (the
-/// worker loop) executes the plan against [`SleepCtl`]; keeping the
-/// condvar interaction out of this module is what makes "no mutex
-/// reachable from the completion path" a greppable property.
+/// How strongly to wake sleepers after a completion. The caller
+/// (`run_task`) executes the plan against [`SleepCtl`], whose notify is
+/// the publisher's fence and sleeper probe.
 ///
 /// Surplus releases wake **one** sleeper, not all: the woken thief
 /// propagates the wake if its victim still has work (`find_task`), so a
@@ -54,11 +55,11 @@ use crate::runtime::{Priority, Shared};
 /// [`SleepCtl`]: super::queues::SleepCtl
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Wake {
-    /// Nothing new became stealable (or nothing transitioned from
-    /// empty): let running workers find the work.
+    /// Nothing was published (a chain hand-off, or a leaf): no probe.
     None,
-    /// New stealable or high-priority work: one sleeper comes, and
-    /// brings the next one itself if there is more (wake propagation).
+    /// New stealable or high-priority work: probe for sleepers; one
+    /// comes, and brings the next one itself if there is more (wake
+    /// propagation).
     One,
     /// The whole graph may just have drained (or several high-priority
     /// tasks appeared): everyone should look, the barrier included.
@@ -126,16 +127,15 @@ pub(crate) fn finish_task(
     // ordering this task's effects before the barrier proceeds.
     let shard = &shared.finished[idx];
     shard.store(shard.load(Ordering::Relaxed) + 1, Ordering::Release);
-    // All-done probe, gated four ways before paying the cross-shard
-    // sum: the wake is for the main thread parked in `barrier`, so a
-    // completion *on* the main thread (`idx == 0`, which helps or runs
-    // tasks inline and is therefore not parked) never owes it; only a
-    // leaf can be the last task; a thread whose own queues still hold
-    // work cannot have finished the graph; and the wake only matters
-    // when someone is parked. A worker completion that skips the probe
-    // by one of these gates and *was* the last task is caught by the
-    // barrier's bounded park, like every other lost-wakeup window in
-    // the sleep protocol.
+    // All-done probe, gated three ways before paying the sleep
+    // protocol's fence: the wake is for the main thread parked in
+    // `barrier`, so a completion *on* the main thread (`idx == 0`,
+    // which helps or runs tasks inline and is therefore not parked)
+    // never owes it; only a leaf can be the last task; and a thread
+    // whose own queues still hold work cannot have finished the graph.
+    // None of these gates can skip the last task's wake. Past them the
+    // fence orders the shard store above before the sleeper load and
+    // the cross-shard sum, pairing with the barrier's announcement.
     if idx != 0
         && n_ready == 0
         && claimed_empty
@@ -170,9 +170,10 @@ pub(crate) fn finish_task(
 /// exactly the task the own list's LIFO pop would have produced next;
 /// the rest are pushed to the own list. The central-queue policy pushes
 /// everything to the central FIFO. One wake decision covers the batch:
-/// `One` for surplus work or an empty-transition (the woken thief
-/// propagates further wakes on demand), `All` only when several
-/// high-priority tasks appear at once.
+/// `One` whenever anything was pushed (the notify's sleeper probe is
+/// what keeps the publication exact; the woken thief propagates further
+/// wakes on demand), `All` only when several high-priority tasks appear
+/// at once.
 fn publish_batch(
     shared: &Shared,
     local: &Worker<Job>,
@@ -186,11 +187,6 @@ fn publish_batch(
         .filter(|s| s.priority() == Priority::Normal)
         .count();
     let take_handoff = allow_handoff && !central && normals > 0;
-    let was_empty = if central {
-        shared.central.is_empty()
-    } else {
-        local.is_empty()
-    };
     let mut hp_pushed = 0usize;
     let mut pushed = 0usize;
     let mut normals_seen = 0usize;
@@ -212,22 +208,12 @@ fn publish_batch(
             }
         }
     }
+    // No emptiness heuristic: "the queue was non-empty" does not imply
+    // "someone awake will drain it" (the last scanner may have announced
+    // since), so every push is followed by the notify's sleeper probe.
     if hp_pushed > 1 {
         Wake::All
-    } else if hp_pushed == 1 || pushed > 1 || (pushed == 1 && was_empty) {
-        Wake::One
-    } else if pushed > 0 && shared.sleep.has_sleepers() {
-        // Lost-wakeup re-probe: the empty-transition checks above were
-        // all evaluated *before* this batch's pushes became visible. A
-        // worker whose last scan missed them may have registered as a
-        // sleeper in between — its registration (Release under the
-        // sleep protocol) is visible to this Acquire probe, which runs
-        // after our pushes. "Queue was non-empty" therefore no longer
-        // implies "someone awake is draining it": if anything was
-        // published and someone is parked right now, send one wake.
-        // The remaining unwoken window is a sleeper that registers
-        // after this probe, having scanned before our pushes — closed
-        // by its own pre-park re-scan or the bounded park timeout.
+    } else if hp_pushed + pushed > 0 {
         Wake::One
     } else {
         Wake::None
@@ -405,7 +391,7 @@ mod tests {
     /// on the theory that an awake worker was draining the list — but a
     /// worker that parked *after* the publisher's emptiness observation
     /// and *before* the push breaks that theory. The publisher must
-    /// re-probe the sleeper count after publishing and wake one.
+    /// probe the sleeper count after every push and wake one.
     #[test]
     fn publish_to_nonempty_queue_wakes_a_late_sleeper() {
         let shared = std::sync::Arc::new(shared(2));
@@ -413,7 +399,7 @@ mod tests {
         let parked = {
             let shared = std::sync::Arc::clone(&shared);
             std::thread::spawn(move || {
-                shared.sleep.park(std::time::Duration::from_secs(5));
+                shared.sleep.park(1, || false);
             })
         };
         while !shared.sleep.has_sleepers() {
@@ -451,7 +437,7 @@ mod tests {
         let parked = {
             let shared = std::sync::Arc::clone(&shared);
             std::thread::spawn(move || {
-                shared.sleep.park(std::time::Duration::from_secs(5));
+                shared.sleep.park(1, || false);
             })
         };
         while !shared.sleep.has_sleepers() {
@@ -484,7 +470,7 @@ mod tests {
             let parked = {
                 let shared = std::sync::Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    shared.sleep.park(std::time::Duration::from_secs(5));
+                    shared.sleep.park(1, || false);
                 })
             };
             while !shared.sleep.has_sleepers() {

@@ -1,11 +1,13 @@
-//! Ready-queue plumbing: injector draining, idle parking.
+//! Ready-queue plumbing: injector draining, the idle spin and the
+//! event-count park.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{fence, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use crossbeam_deque::{Injector, Steal, Stealer};
-use parking_lot::{Condvar, Mutex};
 
 use crate::graph::node::TaskNode;
 use crate::padded::CachePadded;
@@ -133,83 +135,225 @@ pub(crate) fn steal_from(stealer: &Stealer<Job>) -> Option<Job> {
     }
 }
 
-/// Idle-thread parking. Workers that repeatedly find no work park on the
-/// condvar with a timeout; every enqueue wakes one sleeper.
+/// How long an idle thread keeps scanning before it parks: 80 µs.
 ///
-/// Wakeup protocol: `sleepers` is incremented **under the lock** before
-/// waiting and a notifier that observes `sleepers > 0` takes the same
-/// lock before notifying, so a notify cannot slip between a parker's
-/// registration and its wait. Publication paths additionally **re-probe
-/// after publishing**: batched completion publication
-/// (`sched/completion.rs`) decides its wake against pre-push emptiness
-/// observations, then — if that decision was "nobody to wake" despite
-/// having pushed work — checks [`has_sleepers`](SleepCtl::has_sleepers)
-/// once more *after* the pushes are visible, so a worker that parked
-/// between a publisher's scan of the queues and its push is still
-/// woken. The one remaining window is a worker whose last queue scan
-/// missed the push **and** whose sleeper registration lands after the
-/// publisher's re-probe; that stale miss is bounded by the park timeout
-/// (`RuntimeConfig::park_micros`, default 100µs): the worker re-scans
-/// at most one timeout later, so the scheduler can stall but never
-/// hang.
-///
-/// Orderings: Acquire/Release suffice. The notifier's Release increment
-/// of queue state happens before its Acquire load of `sleepers`; the
-/// parker's Release increment of `sleepers` (under the lock) pairs with
-/// it. No ordering between two unrelated wakeups is needed, so SeqCst
-/// buys nothing here.
-pub struct SleepCtl {
-    lock: Mutex<()>,
-    cv: Condvar,
-    /// Cache-line-padded: every completion probes this count (the wake
-    /// fast path), and without padding it false-shares with the mutex
-    /// word that parking threads write.
-    sleepers: CachePadded<AtomicUsize>,
+/// The window is sized to the open-loop regime where waking is most of
+/// a request's latency: at 20 000 requests/s (`tenant_open_loop.r1`)
+/// work arrives every 50 µs, so a worker that finishes a ~3 µs body is
+/// idle for ~47 µs before the next one. A window that covers that gap,
+/// with 30 µs of slack for host jitter, finds the next request by
+/// scanning instead of paying a park and a wake (~8 µs on a KVM guest);
+/// a 20 µs window measured no gain. Past a gap of that size a wake is a
+/// small share of the wait, and the window is capped so an idle thread
+/// burns at most 80 µs of CPU per idle spell.
+pub(crate) const SPIN_WINDOW: Duration = Duration::from_micros(80);
+
+/// One thread's idle spell: when it started, and whether the thread
+/// still spins at its start. The spin is **arrival-adaptive**: a thread
+/// whose previous spell outlasted [`SPIN_WINDOW`] parks right after its
+/// first empty scan, so sparse traffic and an idle runtime pay no spin.
+/// A spell is measured from the first empty scan to the next task found,
+/// parks included, so a thread that parks on a short gap learns to spin
+/// again on the next one.
+pub(crate) struct Idle {
+    since: Option<Instant>,
+    spin: bool,
 }
 
-impl Default for SleepCtl {
+impl Default for Idle {
     fn default() -> Self {
-        SleepCtl {
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-            sleepers: CachePadded::new(AtomicUsize::new(0)),
+        Idle {
+            since: None,
+            spin: true,
         }
     }
 }
 
-impl SleepCtl {
-    /// Park the calling thread for at most `timeout`.
-    pub fn park(&self, timeout: Duration) {
-        let mut guard = self.lock.lock();
-        // Registered under the lock: a notifier that sees this count
-        // holds the lock before notifying, so it cannot fire before the
-        // wait below starts.
-        self.sleepers.fetch_add(1, Ordering::Release);
-        self.cv.wait_for(&mut guard, timeout);
-        self.sleepers.fetch_sub(1, Ordering::Release);
-        drop(guard);
+impl Idle {
+    /// The thread found work: close the spell, if one was open, and
+    /// remember whether it ended inside the window.
+    #[inline]
+    pub(crate) fn end(&mut self) {
+        if let Some(t0) = self.since.take() {
+            self.spin = t0.elapsed() <= SPIN_WINDOW;
+        }
     }
 
-    /// Is anyone parked right now? The completion path gates its
-    /// all-done probe on this (an Acquire load, lock-free).
+    /// The thread's scan came up empty: inside the window, yield once
+    /// and return for another scan; past it, park thread `idx` in
+    /// `sleep` (see [`SleepCtl::park`] for `ready`). Opens a spell on
+    /// the first empty scan.
+    #[inline]
+    pub(crate) fn wait(&mut self, sleep: &SleepCtl, idx: usize, ready: impl FnOnce() -> bool) {
+        let t0 = *self.since.get_or_insert_with(Instant::now);
+        if self.spin && t0.elapsed() < SPIN_WINDOW {
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        } else {
+            sleep.park(idx, ready);
+        }
+    }
+}
+
+const AWAKE: u8 = 0;
+const CLAIMED: u8 = 1;
+const PARKED: u8 = 2;
+const NOTIFYING: u8 = 3;
+const NOTIFIED: u8 = 4;
+
+/// One thread's sleeper slot. `state` moves `AWAKE → CLAIMED → PARKED`
+/// (a parking thread takes the slot, stores its handle, announces), then
+/// either `PARKED → AWAKE` (it cancels) or `PARKED → NOTIFYING →
+/// NOTIFIED → AWAKE` (a waker claims the slot, copies the handle out,
+/// releases it, and the owner consumes the wake). `thread` is written
+/// only in `CLAIMED`, by the one thread whose CAS took the slot, and
+/// read only in `NOTIFYING`, by the one waker whose CAS took it, so the
+/// two never overlap.
+#[derive(Default)]
+struct Slot {
+    state: AtomicU8,
+    thread: UnsafeCell<Option<Thread>>,
+}
+
+/// Idle-thread parking: an **event count** with one sleeper slot per
+/// compute thread (index 0 is the main thread, parked in `barrier`).
+///
+/// The protocol, in full:
+///
+/// - **Sleeper** (`park`): announce (mark the slot `PARKED`, a SeqCst
+///   increment of `sleepers`, a SeqCst fence), re-scan every queue and
+///   the shutdown flag (the caller's `ready` probe), and if that finds
+///   nothing, park with no timeout until a waker releases the slot.
+/// - **Waker** (`notify_one` / `notify_all`), after publishing: one
+///   SeqCst fence and one load of `sleepers`. Only a nonzero count costs
+///   more: claim an announced slot and unpark its thread.
+///
+/// The two fences make it exact. Either the waker's load sees the
+/// announcement, and a parked or about-to-park thread is woken, or the
+/// sleeper's re-scan sees the publication and it does not park. So
+/// every publication that could leave a thread asleep next to work
+/// calls a notify after its push: `enqueue_ready`, a completion's batch
+/// (`Wake` in `sched/completion.rs`), the main thread's
+/// `finish_helping`, the steal-propagation wake and the session spill in
+/// `find_task`, and shutdown; `barrier`'s all-done wake pairs the
+/// finished-shard store with the main thread's announcement the same
+/// way. No park has a timeout, and none needs one.
+pub struct SleepCtl {
+    /// Announced, unreleased slots. Cache-line-padded: every publication
+    /// loads it, and parking threads write it.
+    sleepers: CachePadded<AtomicUsize>,
+    slots: Box<[CachePadded<Slot>]>,
+}
+
+// SAFETY: `sleepers` and every slot's `state` are atomics. The one
+// non-`Sync` field, `Slot::thread`, holds a `Thread` (itself `Send +
+// Sync`) that the slot state machine gives one accessor at a time: the
+// thread whose CAS took the slot writes it in `CLAIMED`, the waker
+// whose CAS took it reads it in `NOTIFYING` (see `Slot`).
+unsafe impl Sync for SleepCtl {}
+
+impl SleepCtl {
+    /// Sleeper slots for `threads` compute threads.
+    pub fn new(threads: usize) -> Self {
+        SleepCtl {
+            sleepers: CachePadded::new(AtomicUsize::new(0)),
+            slots: (0..threads)
+                .map(|_| CachePadded::new(Slot::default()))
+                .collect(),
+        }
+    }
+
+    /// Park the calling thread in slot `idx` until a waker releases it,
+    /// unless `ready` — the caller's re-scan of every queue it serves
+    /// and of its exit condition — finds a reason not to, after the
+    /// announcement. Panics if another thread is parked in the slot.
+    pub fn park(&self, idx: usize, ready: impl FnOnce() -> bool) {
+        let slot = &self.slots[idx];
+        let took =
+            slot.state
+                .compare_exchange(AWAKE, CLAIMED, Ordering::Acquire, Ordering::Relaxed);
+        assert!(
+            took.is_ok(),
+            "one thread at a time parks in sleeper slot {idx}"
+        );
+        // SAFETY: our CAS took the slot, so nobody else touches the
+        // handle until we publish it with the `PARKED` store.
+        unsafe { *slot.thread.get() = Some(std::thread::current()) };
+        slot.state.store(PARKED, Ordering::Release);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        crate::fault::wake_site();
+        // A planned spurious wake returns as if woken: the caller
+        // re-scans, which it must tolerate anyway.
+        if (ready() || crate::fault::park_site())
+            && slot
+                .state
+                .compare_exchange(PARKED, AWAKE, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+        {
+            self.sleepers.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        // Parked, or a waker already claimed the slot: wait for the
+        // release. `thread::park` may return spuriously; the loop
+        // re-checks the state.
+        while slot.state.load(Ordering::Acquire) != NOTIFIED {
+            std::thread::park();
+        }
+        slot.state.store(AWAKE, Ordering::Release);
+    }
+
+    /// Has some thread announced? The waker side's probe: a SeqCst fence,
+    /// then one load. The fence orders the caller's publication before
+    /// the load, pairing with the fence in `park`.
+    #[inline]
     pub fn has_sleepers(&self) -> bool {
+        fence(Ordering::SeqCst);
         self.sleepers.load(Ordering::Acquire) > 0
     }
 
-    /// Wake one parked thread, if any. The unlocked fast path is a
-    /// single Acquire load when nobody sleeps (the steady busy state).
+    /// Wake one announced thread, if any. Call after publishing work.
+    #[inline]
     pub fn notify_one(&self) {
-        if self.sleepers.load(Ordering::Acquire) > 0 {
-            let _guard = self.lock.lock();
-            self.cv.notify_one();
+        crate::fault::wake_site();
+        if self.has_sleepers() {
+            self.release(false);
         }
     }
 
-    /// Wake every parked thread (shutdown, barrier completion).
+    /// Wake every announced thread (shutdown, the all-done wake, several
+    /// high-priority tasks at once).
+    #[inline]
     pub fn notify_all(&self) {
-        if self.sleepers.load(Ordering::Acquire) > 0 {
-            let _guard = self.lock.lock();
-            self.cv.notify_all();
+        crate::fault::wake_site();
+        if self.has_sleepers() {
+            self.release(true);
+        }
+    }
+
+    #[cold]
+    fn release(&self, all: bool) {
+        for slot in self.slots.iter() {
+            if slot.state.load(Ordering::Relaxed) == PARKED
+                && slot
+                    .state
+                    .compare_exchange(PARKED, NOTIFYING, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                self.sleepers.fetch_sub(1, Ordering::Relaxed);
+                // SAFETY: our CAS took the slot in `NOTIFYING`: nobody
+                // writes the handle until the slot is `AWAKE` again,
+                // after our `NOTIFIED` store, and the Acquire CAS saw
+                // the handle stored before `PARKED`.
+                let thread = unsafe { (*slot.thread.get()).clone() };
+                slot.state.store(NOTIFIED, Ordering::Release);
+                if let Some(t) = thread {
+                    t.unpark();
+                }
+                if !all {
+                    return;
+                }
+            }
         }
     }
 }
@@ -252,27 +396,64 @@ mod tests {
         assert!(w.pop().is_none());
     }
 
-    #[test]
-    fn park_times_out() {
-        let ctl = SleepCtl::default();
-        let t0 = std::time::Instant::now();
-        ctl.park(Duration::from_millis(5));
-        assert!(t0.elapsed() >= Duration::from_millis(4));
-    }
-
-    #[test]
-    fn notify_wakes_parked_thread() {
-        let ctl = Arc::new(SleepCtl::default());
-        let c2 = Arc::clone(&ctl);
+    /// Spawn a thread parked in slot 1 of `ctl` (nothing to re-scan)
+    /// and wait until it has announced.
+    fn parked(ctl: &Arc<SleepCtl>, woke: &Arc<AtomicUsize>) -> std::thread::JoinHandle<()> {
+        let (c2, w2) = (Arc::clone(ctl), Arc::clone(woke));
         let h = std::thread::spawn(move || {
-            c2.park(Duration::from_secs(10));
+            c2.park(1, || false);
+            w2.fetch_add(1, Ordering::SeqCst);
         });
-        // Give the thread a moment to park, then wake it; the join proves
-        // the wakeup (well before the 10s timeout).
-        while ctl.sleepers.load(Ordering::SeqCst) == 0 {
+        while !ctl.has_sleepers() {
             std::thread::yield_now();
         }
+        h
+    }
+
+    /// There is no park timeout: an announced sleeper that nobody wakes
+    /// stays parked, however long, and a wake that finds no announced
+    /// slot costs nothing.
+    #[test]
+    fn park_times_out() {
+        let ctl = Arc::new(SleepCtl::new(2));
+        ctl.notify_one(); // nobody announced: a fence and a load
+        let woke = Arc::new(AtomicUsize::new(0));
+        let h = parked(&ctl, &woke);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(woke.load(Ordering::SeqCst), 0, "no wake, no return");
+        assert!(ctl.has_sleepers(), "still announced");
+        ctl.notify_one();
+        h.join().unwrap();
+        assert_eq!(woke.load(Ordering::SeqCst), 1);
+        assert!(!ctl.has_sleepers(), "the wake released the slot");
+    }
+
+    /// A notify releases a parked thread, and a `ready` re-scan that
+    /// finds work after the announcement cancels the park outright.
+    #[test]
+    fn notify_wakes_parked_thread() {
+        let ctl = Arc::new(SleepCtl::new(2));
+        let woke = Arc::new(AtomicUsize::new(0));
+        let h = parked(&ctl, &woke);
         ctl.notify_all();
         h.join().unwrap();
+        assert_eq!(woke.load(Ordering::SeqCst), 1);
+        ctl.park(0, || true);
+        assert!(!ctl.has_sleepers(), "a cancelled park leaves no sleeper");
+    }
+
+    /// A slot holds one parked thread: a second thread parking in the
+    /// same slot panics instead of racing the first for its handle.
+    #[test]
+    fn a_slot_parks_one_thread() {
+        let ctl = Arc::new(SleepCtl::new(2));
+        let woke = Arc::new(AtomicUsize::new(0));
+        let h = parked(&ctl, &woke);
+        let second =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctl.park(1, || true)));
+        assert!(second.is_err(), "slot 1 is taken");
+        ctl.notify_one();
+        h.join().unwrap();
+        assert_eq!(woke.load(Ordering::SeqCst), 1);
     }
 }

@@ -11,13 +11,13 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam_deque::Worker;
 
 use super::completion::{finish_task, Wake};
 use super::cost::SAMPLE_EVERY;
-use super::queues::{pop_injector, pop_injector_batch, steal_from, Job, TaskSource};
+use super::queues::{pop_injector, pop_injector_batch, steal_from, Idle, Job, TaskSource};
 use crate::config::{OnPanic, SchedulerPolicy};
 use crate::runtime::{Priority, Shared};
 use crate::trace::EventKind;
@@ -96,8 +96,9 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
     // One relaxed load short-circuits the high-priority probe for
     // programs that never use `highpriority` (the common case); once a
     // single HP task has been enqueued the full check runs forever
-    // after. A racing first-HP-push is caught at worst one bounded park
-    // later, like any other push that races a scan.
+    // after. The latch is stored before the push, and the pre-park
+    // re-scan (`Shared::has_work`) probes the HP list itself, so a
+    // racing first HP push is never slept through.
     if shared.hp_used.load(Ordering::Relaxed) {
         if let Some(job) = pop_injector(&shared.hp) {
             return Some((job, TaskSource::HighPriority));
@@ -132,18 +133,27 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
             //   task — the price of making every claimed task reachable
             //   without the claimer's cooperation.
             //
-            // No wake is issued for a spill: the tasks already paid the
-            // enqueue-side wake discipline when they entered the
-            // injector, thieves probe the deque anyway, and a parked
-            // worker re-scans at most one park timeout later — whereas a
-            // futex wake per claimed batch measurably drags every
-            // fine-grain storm on an oversubscribed host.
+            // A spill is a publication like any other, so it probes for
+            // sleepers: the claim emptied the main list, and a worker
+            // that announced before it would otherwise sleep next to
+            // stealable work while the claimer blocks in a body. The
+            // probe is a fence and a load; the futex wake is paid only
+            // when someone has announced, which spinning workers in a
+            // storm have not.
             let private_ok = shared.cfg.threads == 1 || !shared.cfg.sessions;
             let job = if private_ok {
                 pop_injector_batch(&shared.main_q, &mut |j| ctx.claimed.push_back(j))
             } else {
                 let local = &ctx.local;
-                pop_injector_batch(&shared.main_q, &mut |j| local.push(j))
+                let mut spilled = false;
+                let job = pop_injector_batch(&shared.main_q, &mut |j| {
+                    local.push(j);
+                    spilled = true;
+                });
+                if spilled {
+                    shared.sleep.notify_one();
+                }
+                job
             };
             if let Some(job) = job {
                 return Some((job, TaskSource::MainList));
@@ -179,28 +189,19 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
 /// keeps them (`finish_task`'s batch and hand-off).
 #[inline]
 pub fn enqueue_ready(shared: &Shared, job: Job) {
-    // Wake a sleeper only when the target queue transitions from empty
-    // to non-empty: while it stays non-empty, awake workers are already
-    // draining it, and parked workers re-scan within one bounded park
-    // timeout anyway (see `SleepCtl`). This keeps a task storm from
-    // paying one futex wake per task. High-priority tasks always wake —
-    // they are "scheduled as soon as possible".
-    let wake = if job.priority() == Priority::High {
+    // Every push probes for sleepers (see `SleepCtl`): a fence and a
+    // load, and a futex wake only if some thread has announced. A task
+    // storm onto busy or spinning workers therefore pays no system call.
+    if job.priority() == Priority::High {
         shared.hp_used.store(true, Ordering::Relaxed);
         shared.hp.push(job);
-        true
     } else {
-        let queue = match shared.cfg.policy {
-            SchedulerPolicy::Smpss => &shared.main_q,
-            SchedulerPolicy::CentralQueue => &shared.central,
-        };
-        let was_empty = queue.is_empty();
-        queue.push(job);
-        was_empty
-    };
-    if wake {
-        shared.sleep.notify_one();
+        match shared.cfg.policy {
+            SchedulerPolicy::Smpss => shared.main_q.push(job),
+            SchedulerPolicy::CentralQueue => shared.central.push(job),
+        }
     }
+    shared.sleep.notify_one();
 }
 
 /// Execute one task and propagate readiness to its successors. Returns
@@ -374,22 +375,17 @@ fn contain_failed(shared: &Shared, job: &Job, payload: Box<dyn std::any::Any + S
 /// After each task the worker first rides the direct hand-off chain —
 /// the released successor runs immediately, no queue, no wake — unless
 /// high-priority work appeared, which preempts the chain ("scheduled as
-/// soon as possible"). Idle handling: spin-scan a few times, then park.
-/// The park timeout starts at `park_micros` and doubles per consecutive
-/// fruitless park (capped at 32x): a worker that keeps finding nothing
-/// stops burning cycles re-scanning — it is woken promptly by the
-/// empty-to-non-empty notify when work appears, so the growing timeout
-/// only bounds the rare lost-wakeup window (see
-/// [`SleepCtl`](super::queues::SleepCtl)).
+/// soon as possible"). Idle handling is one bounded spin and one exact
+/// park: the worker keeps scanning for up to `SPIN_WINDOW` (80 µs; not
+/// at all if its last idle spell outlasted the window), then parks in its
+/// [`SleepCtl`](super::queues::SleepCtl) slot with no timeout. The
+/// park's re-scan covers every queue and the shutdown flag.
 pub fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, idx: usize) {
-    const MAX_PARK_SHIFT: u32 = 5;
     let mut ctx = WorkerCtx::new(local);
-    let mut idle_scans = 0usize;
-    let mut parks = 0u32;
+    let mut idle = Idle::default();
     loop {
         if let Some((job, src)) = find_task(&shared, &mut ctx, idx) {
-            idle_scans = 0;
-            parks = 0;
+            idle.end();
             let mut next = Some((job, src, false));
             while let Some((job, src, owned)) = next.take() {
                 let (done, handoff) = run_task(&shared, &mut ctx, idx, job, src, true, owned);
@@ -413,19 +409,8 @@ pub fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, idx: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        idle_scans += 1;
-        if idle_scans < shared.cfg.spin_tries {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        } else {
-            let micros = shared.cfg.park_micros << parks.min(MAX_PARK_SHIFT);
-            parks = parks.saturating_add(1);
-            // Fault-injection site: a planned spurious wake skips the
-            // park entirely, exercising the re-scan path the scheduler
-            // must tolerate anyway. Compiles to nothing by default.
-            if !crate::fault::park_site() {
-                shared.sleep.park(Duration::from_micros(micros));
-            }
-        }
+        idle.wait(&shared.sleep, idx, || {
+            shared.has_work() || shared.shutdown.load(Ordering::Acquire)
+        });
     }
 }

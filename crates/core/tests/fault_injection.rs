@@ -1,8 +1,8 @@
 //! Integration tests for the deterministic fault-injection harness
 //! (`--features fault-inject`): a seeded [`FaultPlan`] drives body
-//! panics, forced throttle stalls and spurious wakes through the named
-//! sites in the scheduler, and the failed set is exactly predictable
-//! from the plan alone.
+//! panics, forced throttle stalls, spurious wakes and stalls inside the
+//! wake protocol through the named sites in the scheduler, and the
+//! failed set is exactly predictable from the plan alone.
 
 #![cfg(feature = "fault-inject")]
 
@@ -103,21 +103,186 @@ fn forced_throttle_stalls_engage_the_throttle_path() {
     );
 }
 
+/// A planned spurious wake returns from the park as if woken, with no
+/// notify: the thread re-scans and parks again. Idle gaps between the
+/// rounds make the workers park, so the planned wakes really fire, and
+/// the results stay intact.
 #[test]
 fn spurious_wakes_do_not_perturb_results() {
     let _installed = Installed::new(FaultPlan::seeded(2).spurious_wake_one_in(2));
     let rt = Runtime::builder().threads(2).build();
     let x = rt.data(0i64);
-    for _ in 0..100 {
-        let mut sp = rt.task("inc");
-        let mut w = sp.inout(&x);
-        sp.submit(move || {
-            std::thread::sleep(std::time::Duration::from_micros(20));
-            *w.get_mut() += 1;
-        });
+    for _ in 0..10 {
+        for _ in 0..10 {
+            let mut sp = rt.task("inc");
+            let mut w = sp.inout(&x);
+            sp.submit(move || {
+                std::thread::sleep(std::time::Duration::from_micros(20));
+                *w.get_mut() += 1;
+            });
+        }
+        rt.barrier();
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    rt.barrier();
-    assert_eq!(rt.read(&x), 100, "every park became a rescan, work intact");
+    assert_eq!(
+        rt.read(&x),
+        100,
+        "every spurious wake became a rescan, work intact"
+    );
+    assert!(
+        smpss::fault::park_calls() >= 2,
+        "the idle gaps parked a thread at least twice, so a planned wake fired"
+    );
+}
+
+/// Fails the process if `body` does not return within 30 s: a lost
+/// wakeup is a hang, and no park timeout will rescue it.
+fn within_30s(what: &'static str, body: impl FnOnce()) {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let done = Arc::new(AtomicBool::new(false));
+    let watchdog = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let t0 = std::time::Instant::now();
+            while !done.load(Ordering::Acquire) {
+                if t0.elapsed() > std::time::Duration::from_secs(30) {
+                    // Written past the test harness's output capture,
+                    // which `exit` would discard.
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "liveness watchdog: {what} hung for 30 s (lost wakeup)"
+                    );
+                    std::process::exit(101);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        })
+    };
+    body();
+    done.store(true, Ordering::Release);
+    watchdog.join().unwrap();
+}
+
+/// A runtime whose workers have spun out their window and parked.
+fn parked_runtime(builder: smpss::RuntimeBuilder) -> Runtime {
+    let rt = builder.build();
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    rt
+}
+
+/// Liveness with no timeout to hide behind: every sleeper is held
+/// ~200 µs between its announcement and its re-scan, and every
+/// publisher between its push and its sleeper probe, one time in
+/// eight, across the shapes that exercise each publication point. The
+/// session shapes run on parked workers and wait without helping, so
+/// a publication that skipped its sleeper probe would hang them.
+#[test]
+fn wake_stalls_never_lose_a_wakeup() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let _installed = Installed::new(FaultPlan::seeded(6).wake_stall_one_in(8));
+
+    within_30s("10 000-link inout chain", || {
+        let rt = parked_runtime(Runtime::builder().threads(3));
+        let x = rt.data(0u64);
+        for _ in 0..10_000 {
+            let mut sp = rt.task("link");
+            let mut w = sp.inout(&x);
+            sp.submit(move || *w.get_mut() += 1);
+        }
+        rt.barrier();
+        assert_eq!(rt.read(&x), 10_000);
+    });
+
+    within_30s("50 000-task session fan-out flood", || {
+        let rt = parked_runtime(Runtime::builder().threads(3).sessions(true));
+        let s = rt.session();
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..50_000 {
+            let ran = Arc::clone(&ran);
+            s.task("leaf").expect("no quota").submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        s.wait().expect("no body panics");
+        assert_eq!(ran.load(Ordering::Relaxed), 50_000);
+    });
+
+    // Each round's one task runs on a worker before the barrier starts
+    // and outlasts the spin window, so the barrier parks and only the
+    // all-done wake ends it.
+    within_30s("1 000 back-to-back barriers", || {
+        let rt = Runtime::builder().threads(3).build();
+        let x = rt.data(0u64);
+        for _ in 0..1_000 {
+            let started = Arc::new(AtomicBool::new(false));
+            let mut sp = rt.task("step");
+            let mut w = sp.inout(&x);
+            let st = Arc::clone(&started);
+            sp.submit(move || {
+                st.store(true, Ordering::Release);
+                let t0 = std::time::Instant::now();
+                while t0.elapsed() < std::time::Duration::from_micros(300) {
+                    std::hint::spin_loop();
+                }
+                *w.get_mut() += 1;
+            });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            rt.barrier();
+        }
+        assert_eq!(rt.read(&x), 1_000);
+    });
+
+    // The session batch-claim shape: one tenant's blocker and eight
+    // tenants' born-ready tasks on the main list; whichever worker
+    // claims the batch blocks, and the other must run the rest.
+    within_30s("batch-claimed tasks beside a blocking neighbour", || {
+        let rt = parked_runtime(Runtime::builder().threads(3).sessions(true));
+        let hog = rt.session();
+        let tenants: Vec<_> = (0..8).map(|_| rt.session()).collect();
+        let release = Arc::new(AtomicBool::new(false));
+        {
+            let release = Arc::clone(&release);
+            hog.task("blocker").expect("no quota").submit(move || {
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        let ran = Arc::new(AtomicU64::new(0));
+        for s in &tenants {
+            let ran = Arc::clone(&ran);
+            s.task("polite").expect("no quota").submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        for s in &tenants {
+            s.wait().expect("tenant work never fails");
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 8);
+        release.store(true, Ordering::Release);
+        hog.wait().expect("the blocker completes once released");
+    });
+}
+
+/// An idle runtime goes quiet: each worker spins out one window, parks
+/// once, and stays parked — no timer wakes it to re-scan.
+#[test]
+fn idle_runtime_parks_each_worker_once() {
+    let _installed = Installed::new(FaultPlan::seeded(7));
+    let rt = Runtime::builder().threads(4).build();
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let parks = smpss::fault::park_calls();
+    assert!(
+        parks <= 3,
+        "three idle workers parked {parks} times in 200 ms (at most one each)"
+    );
+    drop(rt);
 }
 
 /// Session site: forced admission stalls. The planned hits read as
