@@ -16,6 +16,23 @@
 //! merges exactly those elements. Task structure and region declarations
 //! stay spawn-time-static; the data-dependent work lives inside the task
 //! bodies — precisely the contract the SMPSs model requires.
+//!
+//! ## Kernels
+//!
+//! The two task bodies are tuned the way the BLAS blocks are:
+//! [`seq_sort`] is the standard library's unstable quicksort (small-sort
+//! base cases, no allocation), and [`seq_merge`] is a branchless merge
+//! whose "`a` wins ties" rule [`merge_partition`] relies on. Slow bodies
+//! would hide the runtime: with a hand-rolled 3-way quicksort and a
+//! branchy merge the bodies took three times as long as the region
+//! analysis they are meant to exercise.
+//!
+//! Every consumer of a multisort runs these same two kernels: the task
+//! graph here, the sequential baseline [`sequential_multisort`], the
+//! Cilk-style baseline (`smpss_baselines::cilk`) and the simulator's
+//! kernel calibration (`smpss_bench::calibrate`). A speedup over the
+//! sequential sort, or one programming model against another, then
+//! compares scheduling, not kernels.
 
 use smpss::{region, RegionHandle, Runtime};
 
@@ -41,51 +58,13 @@ impl Default for SortParams {
     }
 }
 
-/// Sequential quicksort with insertion sort for small ranges — "the main
+/// The `seqquick` kernel: the standard library's unstable sort, a
+/// pattern-defeating quicksort with small-sort base cases — "the main
 /// recursive part uses quicksort to solve the base case and insertion
-/// sort for very small regions" (§VI.D). Used by the `seqquick` task and
-/// by the sequential baseline.
+/// sort for very small regions" (§VI.D). It sorts in place and never
+/// allocates. Used by the `seqquick` task and by every baseline.
 pub fn seq_sort(v: &mut [Elm]) {
-    const INSERTION: usize = 24;
-    if v.len() <= INSERTION {
-        insertion_sort(v);
-        return;
-    }
-    let (a, b, c) = (v[0], v[v.len() / 2], v[v.len() - 1]);
-    let pivot = median3(a, b, c);
-    let (mut lt, mut i, mut gt) = (0usize, 0usize, v.len());
-    while i < gt {
-        match v[i].cmp(&pivot) {
-            std::cmp::Ordering::Less => {
-                v.swap(lt, i);
-                lt += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                gt -= 1;
-                v.swap(i, gt);
-            }
-            std::cmp::Ordering::Equal => i += 1,
-        }
-    }
-    let (left, rest) = v.split_at_mut(lt);
-    let right = &mut rest[gt - lt..];
-    seq_sort(left);
-    seq_sort(right);
-}
-
-fn insertion_sort(v: &mut [Elm]) {
-    for i in 1..v.len() {
-        let mut j = i;
-        while j > 0 && v[j - 1] > v[j] {
-            v.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-}
-
-fn median3(a: Elm, b: Elm, c: Elm) -> Elm {
-    a.max(b).min(a.min(b).max(c))
+    v.sort_unstable();
 }
 
 /// Sequential mergesort-by-quadrisection — the same algorithm shape as
@@ -124,18 +103,56 @@ fn seq_sort_rec(v: &mut [Elm], tmp: &mut [Elm], quick: usize) {
     seq_merge(ta, tb, v);
 }
 
-/// Plain two-way merge of sorted inputs.
+/// The `seqmerge` kernel: a branchless two-way merge of sorted inputs.
+/// On equal keys `a` wins, the rule [`merge_partition`] assumes, so
+/// chunked merges through it concatenate to this merge exactly.
+///
+/// Two independent chains run interleaved, so the processor overlaps
+/// them: the front one places the smallest remaining element, the back
+/// one the largest. Each step's choice compiles to a select, not a
+/// branch, so random keys cost no mispredictions.
 pub fn seq_merge(a: &[Elm], b: &[Elm], out: &mut [Elm]) {
     assert_eq!(a.len() + b.len(), out.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
-            *slot = a[i];
-            i += 1;
-        } else {
-            *slot = b[j];
-            j += 1;
+    // Unmerged: a[i..ie] and b[j..je], bound for out[i + j..ie + je].
+    let (mut i, mut j, mut ie, mut je) = (0, 0, a.len(), b.len());
+    loop {
+        // A step pair takes at most two elements from either side, so
+        // `steps` pairs keep every index inside its side, whatever the
+        // inputs hold.
+        let steps = (ie - i).min(je - j) / 2;
+        if steps == 0 {
+            break;
         }
+        for _ in 0..steps {
+            let (x, y) = (a[i], b[j]);
+            let take_b = y < x;
+            out[i + j] = if take_b { y } else { x };
+            i += !take_b as usize;
+            j += take_b as usize;
+            // From the back, `b` wins ties: its equal keys go last.
+            let (x, y) = (a[ie - 1], b[je - 1]);
+            let take_a = x > y;
+            out[ie + je - 1] = if take_a { x } else { y };
+            ie -= take_a as usize;
+            je -= !take_a as usize;
+        }
+    }
+    // One side has at most one element left.
+    let (a, b, out) = (&a[i..ie], &b[j..je], &mut out[i + j..ie + je]);
+    match (a, b) {
+        ([x], _) => {
+            let k = b.partition_point(|y| y < x);
+            out[..k].copy_from_slice(&b[..k]);
+            out[k] = *x;
+            out[k + 1..].copy_from_slice(&b[k..]);
+        }
+        (_, [y]) => {
+            let k = a.partition_point(|x| x <= y);
+            out[..k].copy_from_slice(&a[..k]);
+            out[k] = *y;
+            out[k + 1..].copy_from_slice(&a[k..]);
+        }
+        _ => out.copy_from_slice(if a.is_empty() { b } else { a }),
     }
 }
 
@@ -222,9 +239,7 @@ pub fn multisort_range(
     if size <= params.quick_size.max(4) {
         let mut sp = rt.task("seqquick");
         let mut w = sp.inout_region(data, region![lo..=hi]);
-        sp.submit(move || {
-            seq_sort(w.slice_mut(lo, hi));
-        });
+        sp.submit(move || seq_sort(w.declared_mut()));
         return;
     }
     let q = size / 4;
@@ -304,6 +319,109 @@ mod tests {
         let mut v = input.clone();
         seq_sort(&mut v);
         assert_sorted_permutation(&input, &v);
+    }
+
+    /// The textbook merge, kept as the oracle for the branchless one.
+    fn reference_merge(a: &[Elm], b: &[Elm]) -> Vec<Elm> {
+        let (mut i, mut j) = (0, 0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        while i < a.len() || j < b.len() {
+            if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+                out.push(a[i]);
+                i += 1;
+            } else {
+                out.push(b[j]);
+                j += 1;
+            }
+        }
+        out
+    }
+
+    /// A sorted run of `n` keys drawn from `distinct` values: few
+    /// distinct values make heavy duplicates.
+    fn sorted_run(n: usize, distinct: i64, seed: u64) -> Vec<Elm> {
+        let mut v: Vec<Elm> = random_input(n, seed)
+            .into_iter()
+            .map(|x| x.rem_euclid(distinct))
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn seq_merge_matches_the_reference_merge() {
+        let mut seed = 10;
+        for (na, nb) in [
+            (0, 0),
+            (0, 7),
+            (9, 0),
+            (1, 1),
+            (33, 5),
+            (100, 100),
+            (257, 31),
+        ] {
+            for distinct in [1, 3, 1_000_000] {
+                seed += 1;
+                let a = sorted_run(na, distinct, seed);
+                let b = sorted_run(nb, distinct, seed + 1000);
+                let mut out = vec![0; na + nb];
+                seq_merge(&a, &b, &mut out);
+                assert_eq!(out, reference_merge(&a, &b), "{na}+{nb}, {distinct} keys");
+            }
+        }
+        // Unsorted inputs break the contract, not memory safety: every
+        // element still lands in the output exactly once.
+        let (a, b) = (random_input(37, 1), random_input(64, 2));
+        let mut out = vec![0; a.len() + b.len()];
+        seq_merge(&a, &b, &mut out);
+        let mut all = [a, b].concat();
+        all.sort();
+        out.sort();
+        assert_eq!(out, all);
+    }
+
+    #[test]
+    fn chunked_merges_concatenate_to_the_whole_merge() {
+        let a = sorted_run(150, 5, 21);
+        let b = sorted_run(97, 5, 22);
+        let whole = reference_merge(&a, &b);
+        let total = a.len() + b.len();
+        for chunk in 1..=64 {
+            let mut out = Vec::with_capacity(total);
+            let mut k0 = 0;
+            while k0 < total {
+                let k1 = (k0 + chunk).min(total);
+                let (ia0, ib0) = merge_partition(&a, &b, k0);
+                let (ia1, ib1) = merge_partition(&a, &b, k1);
+                let mut part = vec![0; k1 - k0];
+                seq_merge(&a[ia0..ia1], &b[ib0..ib1], &mut part);
+                out.extend_from_slice(&part);
+                k0 = k1;
+            }
+            assert_eq!(out, whole, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn seq_sort_matches_the_stable_sort_on_structured_inputs() {
+        let n = 1_000;
+        let half = n as Elm / 2;
+        let inputs: [(&str, Vec<Elm>); 4] = [
+            ("sorted", (0..n as Elm).collect()),
+            ("reversed", (0..n as Elm).rev().collect()),
+            ("all equal", vec![7; n]),
+            (
+                "organ pipe",
+                (0..n as Elm).map(|i| half - (i - half).abs()).collect(),
+            ),
+        ];
+        for (name, input) in inputs {
+            let mut v = input.clone();
+            seq_sort(&mut v);
+            let mut expect = input;
+            expect.sort();
+            assert_eq!(v, expect, "{name}");
+        }
     }
 
     #[test]

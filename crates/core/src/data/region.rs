@@ -101,38 +101,70 @@ impl fmt::Display for RegionBound {
 
 /// An N-dimensional region: one [`RegionBound`] per dimension, interpreted
 /// "in the same order as the dimension specifiers" (§V.A).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A region is a plain value: up to two dimensions (every region the
+/// paper's kernels declare) are stored inline, so building, cloning and
+/// comparing one never allocates. Three or more spill to the heap.
+#[derive(Clone)]
 pub struct Region {
-    dims: Vec<RegionBound>,
+    dims: Dims,
+}
+
+/// The bounds of a [`Region`]; [`Region::dims`] is the one view of them,
+/// so a region's identity never depends on which variant holds it.
+#[derive(Clone)]
+enum Dims {
+    One(RegionBound),
+    Two([RegionBound; 2]),
+    /// Three or more dimensions.
+    Many(Box<[RegionBound]>),
 }
 
 impl Region {
     pub fn new(dims: Vec<RegionBound>) -> Self {
+        match *dims {
+            [d] => Region::d1(d),
+            [r, c] => Region::d2(r, c),
+            _ => Region::spilled(dims.into_boxed_slice()),
+        }
+    }
+
+    fn spilled(dims: Box<[RegionBound]>) -> Self {
         assert!(!dims.is_empty(), "a region needs at least one dimension");
-        Region { dims }
+        Region {
+            dims: Dims::Many(dims),
+        }
     }
 
     /// 1-D region over an inclusive index range.
     pub fn d1(bound: impl Into<RegionBound>) -> Self {
-        Region::new(vec![bound.into()])
+        Region {
+            dims: Dims::One(bound.into()),
+        }
     }
 
     /// 2-D region (rows, cols).
     pub fn d2(rows: impl Into<RegionBound>, cols: impl Into<RegionBound>) -> Self {
-        Region::new(vec![rows.into(), cols.into()])
+        Region {
+            dims: Dims::Two([rows.into(), cols.into()]),
+        }
     }
 
     /// Region covering everything, any dimensionality.
     pub fn all() -> Self {
-        Region::new(vec![RegionBound::Full])
+        Region::d1(RegionBound::Full)
     }
 
     pub fn ndims(&self) -> usize {
-        self.dims.len()
+        self.dims().len()
     }
 
     pub fn dims(&self) -> &[RegionBound] {
-        &self.dims
+        match &self.dims {
+            Dims::One(d) => std::slice::from_ref(d),
+            Dims::Two(ds) => ds,
+            Dims::Many(ds) => ds,
+        }
     }
 
     /// Two regions overlap iff they overlap in **every** dimension.
@@ -140,35 +172,69 @@ impl Region {
     /// dimensions are treated as full (so `Region::all()` overlaps
     /// anything).
     pub fn overlaps(&self, other: &Region) -> bool {
-        let n = self.dims.len().max(other.dims.len());
-        (0..n).all(|i| {
-            let a = self.dims.get(i).copied().unwrap_or(RegionBound::Full);
-            let b = other.dims.get(i).copied().unwrap_or(RegionBound::Full);
-            a.overlaps(b)
+        let (a, b) = (self.dims(), other.dims());
+        (0..a.len().max(b.len())).all(|i| {
+            let x = a.get(i).copied().unwrap_or(RegionBound::Full);
+            let y = b.get(i).copied().unwrap_or(RegionBound::Full);
+            x.overlaps(y)
         })
     }
 
     /// Is `other` contained in `self` in every dimension?
     pub fn contains(&self, other: &Region) -> bool {
-        let n = self.dims.len().max(other.dims.len());
-        (0..n).all(|i| {
-            let a = self.dims.get(i).copied().unwrap_or(RegionBound::Full);
-            let b = other.dims.get(i).copied().unwrap_or(RegionBound::Full);
-            a.contains(b)
+        let (a, b) = (self.dims(), other.dims());
+        (0..a.len().max(b.len())).all(|i| {
+            let x = a.get(i).copied().unwrap_or(RegionBound::Full);
+            let y = b.get(i).copied().unwrap_or(RegionBound::Full);
+            x.contains(y)
         })
     }
 
     /// Total element count, if every dimension is bounded.
     pub fn volume(&self) -> Option<usize> {
-        self.dims.iter().try_fold(1usize, |acc, d| {
-            d.len().map(|l| acc.saturating_mul(l))
-        })
+        self.dims()
+            .iter()
+            .try_fold(1usize, |acc, d| d.len().map(|l| acc.saturating_mul(l)))
+    }
+}
+
+/// The array form `region!` expands to: built in place, no allocation
+/// up to two dimensions.
+impl<const N: usize> From<[RegionBound; N]> for Region {
+    fn from(dims: [RegionBound; N]) -> Self {
+        match dims.as_slice() {
+            &[d] => Region::d1(d),
+            &[r, c] => Region::d2(r, c),
+            ds => Region::spilled(ds.into()),
+        }
+    }
+}
+
+impl PartialEq for Region {
+    fn eq(&self, other: &Region) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for Region {}
+
+impl std::hash::Hash for Region {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
+    }
+}
+
+impl fmt::Debug for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Region")
+            .field("dims", &self.dims())
+            .finish()
     }
 }
 
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for d in &self.dims {
+        for d in self.dims() {
             write!(f, "{d}")?;
         }
         Ok(())
@@ -176,7 +242,8 @@ impl fmt::Display for Region {
 }
 
 /// Build a [`Region`] from per-dimension range expressions, mirroring the
-/// paper's specifier list.
+/// paper's specifier list. The bounds are collected into an array, so a
+/// region of up to two dimensions is built in place.
 ///
 /// ```
 /// use smpss::{region, Region, RegionBound};
@@ -189,7 +256,7 @@ impl fmt::Display for Region {
 #[macro_export]
 macro_rules! region {
     ($($bound:expr),+ $(,)?) => {
-        $crate::Region::new(vec![$($crate::RegionBound::from($bound)),+])
+        $crate::Region::from([$($crate::RegionBound::from($bound)),+])
     };
 }
 
@@ -261,6 +328,92 @@ mod tests {
     #[test]
     fn display_matches_paper_flavour() {
         assert_eq!(format!("{}", region![2..=5, ..]), "{2..5}{}");
+    }
+
+    fn hash_of(r: &Region) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        r.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn inline_and_vec_built_regions_are_one_value() {
+        use RegionBound::{Bounds, Full};
+        let pairs = [
+            (region![3..=9], Region::new(vec![Bounds(3, 9)])),
+            (region![2..=5, ..], Region::new(vec![Bounds(2, 5), Full])),
+            (
+                Region::d2(0..=1, 4..8),
+                Region::new(vec![Bounds(0, 1), Bounds(4, 7)]),
+            ),
+            (
+                region![0..=1, .., 4..8],
+                Region::new(vec![Bounds(0, 1), Full, Bounds(4, 7)]),
+            ),
+        ];
+        for (a, b) in pairs {
+            assert_eq!(a, b);
+            assert_eq!(hash_of(&a), hash_of(&b), "{a}");
+            assert_eq!(a.clone(), b);
+        }
+        assert_ne!(region![0..=1], region![0..=1, ..]);
+    }
+
+    #[test]
+    fn spilled_regions_overlap_and_contain() {
+        let a = region![0..=3, 0..=3, 0..=3];
+        assert_eq!(a.ndims(), 3);
+        // Disjoint in the last dimension only.
+        assert!(!a.overlaps(&region![2..=5, 2..=5, 4..=7]));
+        let b = region![2..=5, 2..=5, 3..=7];
+        assert!(a.overlaps(&b) && b.overlaps(&a));
+        assert!(region![0..=9, .., 0..=9].contains(&a));
+        assert!(!a.contains(&b));
+        // Against inline regions, missing dimensions are whole.
+        assert!(Region::d2(0..=1, 0..=1).overlaps(&a));
+        assert!(Region::d2(0..=3, 0..=3).contains(&a));
+        assert!(!a.contains(&Region::d2(0..=3, 0..=3)));
+        assert_eq!(a.volume(), Some(64));
+    }
+
+    #[test]
+    fn spilled_regions_go_through_region_deps() {
+        use crate::graph::record::EdgeKind;
+        use crate::ids::TaskId;
+        let rt = crate::Runtime::builder()
+            .threads(1)
+            .record_graph(true)
+            .build();
+        let data = rt.region_data(vec![0u8; 64]);
+        let accesses = [
+            (region![0..=3, 0..=3, 0..=3], true),
+            (region![2..=5, 2..=5, 3..=7], false),
+            (region![0..=3, 0..=3, 4..=7], false),
+            (region![.., .., 3..=3], true),
+        ];
+        for (r, write) in accesses {
+            let mut sp = rt.task("cube");
+            if write {
+                let w = sp.write_region(&data, r);
+                sp.submit(move || drop(w));
+            } else {
+                let rd = sp.read_region(&data, r);
+                sp.submit(move || drop(rd));
+            }
+        }
+        rt.barrier();
+        let mut edges = rt.graph().unwrap().edges().to_vec();
+        edges.sort_by_key(|&(a, b, _)| (a, b));
+        let t = TaskId;
+        assert_eq!(
+            edges,
+            [
+                (t(1), t(2), EdgeKind::True),
+                (t(1), t(4), EdgeKind::Output),
+                (t(2), t(4), EdgeKind::Anti),
+            ]
+        );
     }
 
     #[test]

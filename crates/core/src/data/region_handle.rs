@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use super::region::Region;
+use super::region::{Region, RegionBound};
 use super::region_log::RegionFrontier;
 use super::version::VBuf;
 use crate::ids::ObjectId;
@@ -86,8 +86,10 @@ pub(crate) struct RegionObject<T: RegionData> {
     /// `with_region`/`update_region`; finished accesses leave it unless
     /// the runtime records graphs.
     pub(crate) frontier: Mutex<RegionFrontier>,
-    /// Dynamic validation of the disjointness invariant (see module docs).
-    pub(crate) active: Mutex<Vec<(u64, Region, bool)>>,
+    /// Dynamic validation of the disjointness invariant (see module docs):
+    /// the regions of the live bindings, with their write flags. Equal
+    /// entries are interchangeable, so a binding is removed by value.
+    pub(crate) active: Mutex<Vec<(Region, bool)>>,
 }
 
 impl<T: RegionData> RegionObject<T> {
@@ -100,9 +102,13 @@ impl<T: RegionData> RegionObject<T> {
         }
     }
 
-    fn activate(&self, token: u64, region: &Region, write: bool) {
+    /// Check a binding's region against every live conflicting one and
+    /// register it. This is the one run-time check of region analysis,
+    /// so it stays on in release builds; regions are values and the list
+    /// keeps its capacity, so it does not allocate.
+    fn activate(&self, region: &Region, write: bool) {
         let mut act = self.active.lock();
-        for (_, r, w) in act.iter() {
+        for (r, w) in act.iter() {
             let conflict = (write || *w) && r.overlaps(region);
             assert!(
                 !conflict,
@@ -111,12 +117,12 @@ impl<T: RegionData> RegionObject<T> {
                 r, region
             );
         }
-        act.push((token, region.clone(), write));
+        act.push((region.clone(), write));
     }
 
-    fn deactivate(&self, token: u64) {
+    fn deactivate(&self, region: &Region, write: bool) {
         let mut act = self.active.lock();
-        if let Some(pos) = act.iter().position(|(t, _, _)| *t == token) {
+        if let Some(pos) = act.iter().position(|(r, w)| *w == write && r == region) {
             act.swap_remove(pos);
         }
     }
@@ -148,17 +154,10 @@ impl<T: RegionData> std::fmt::Debug for RegionHandle<T> {
     }
 }
 
-static BINDING_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn next_token() -> u64 {
-    BINDING_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Read access to a declared region (1-D slice API).
 pub struct RegionReadBinding<T: RegionData> {
     obj: Arc<RegionObject<T>>,
     region: Region,
-    token: u64,
     active: bool,
 }
 
@@ -167,7 +166,6 @@ impl<T: RegionData> RegionReadBinding<T> {
         RegionReadBinding {
             obj,
             region,
-            token: next_token(),
             active: false,
         }
     }
@@ -179,7 +177,7 @@ impl<T: RegionData> RegionReadBinding<T> {
 
     fn ensure_active(&mut self) {
         if !self.active {
-            self.obj.activate(self.token, &self.region, false);
+            self.obj.activate(&self.region, false);
             self.active = true;
         }
     }
@@ -219,7 +217,7 @@ impl<T: RegionData> RegionReadBinding<T> {
 impl<T: RegionData> Drop for RegionReadBinding<T> {
     fn drop(&mut self) {
         if self.active {
-            self.obj.deactivate(self.token);
+            self.obj.deactivate(&self.region, false);
         }
     }
 }
@@ -228,7 +226,6 @@ impl<T: RegionData> Drop for RegionReadBinding<T> {
 pub struct RegionWriteBinding<T: RegionData> {
     obj: Arc<RegionObject<T>>,
     region: Region,
-    token: u64,
     active: bool,
 }
 
@@ -237,7 +234,6 @@ impl<T: RegionData> RegionWriteBinding<T> {
         RegionWriteBinding {
             obj,
             region,
-            token: next_token(),
             active: false,
         }
     }
@@ -248,7 +244,7 @@ impl<T: RegionData> RegionWriteBinding<T> {
 
     fn ensure_active(&mut self) {
         if !self.active {
-            self.obj.activate(self.token, &self.region, true);
+            self.obj.activate(&self.region, true);
             self.active = true;
         }
     }
@@ -266,6 +262,18 @@ impl<T: RegionData> RegionWriteBinding<T> {
             assert!(hi < data.region_len(), "region write past end of buffer");
             std::slice::from_raw_parts_mut(data.base_ptr().add(lo) as *mut T::Elem, hi - lo + 1)
         }
+    }
+
+    /// Mutably borrow the whole declared 1-D region. Panics if the
+    /// region is not one bounded dimension.
+    pub fn declared_mut(&mut self) -> &mut [T::Elem] {
+        let &[RegionBound::Bounds(lo, hi)] = self.region.dims() else {
+            panic!(
+                "declared_mut needs a bounded 1-D region, not {}",
+                self.region
+            );
+        };
+        self.slice_mut(lo, hi)
     }
 
     /// Read elements `lo..=hi` (for `inout` regions).
@@ -301,7 +309,7 @@ impl<T: RegionData> RegionWriteBinding<T> {
 impl<T: RegionData> Drop for RegionWriteBinding<T> {
     fn drop(&mut self) {
         if self.active {
-            self.obj.deactivate(self.token);
+            self.obj.deactivate(&self.region, true);
         }
     }
 }
@@ -349,6 +357,16 @@ mod tests {
         let o = obj(10);
         let mut r = RegionReadBinding::new(o, Region::d1(2..=5));
         let _ = r.slice(2, 6);
+    }
+
+    #[test]
+    fn declared_mut_is_the_whole_declared_range() {
+        let o = obj(10);
+        let mut w = RegionWriteBinding::new(o.clone(), Region::d1(3..=5));
+        w.declared_mut().fill(-1);
+        drop(w);
+        let mut r = RegionReadBinding::new(o, Region::d1(0..=9));
+        assert_eq!(r.slice(2, 6), &[2, -1, -1, -1, 6]);
     }
 
     #[test]

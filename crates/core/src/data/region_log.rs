@@ -80,18 +80,27 @@
 //! may be a member itself, and linking it to the join would close a
 //! cycle.
 //!
-//! `JOIN_MIN` is 8: a join costs one allocation and one extra link, so
-//! an access with more than 8 producers pays at most a quarter more for
-//! a join that is never reused, and one reuse repays it. Below that,
+//! `JOIN_MIN` is 8: a join costs one node and one extra link, so an
+//! access with more than 8 producers pays at most a quarter more for a
+//! join that is never reused, and one reuse repays it. Below that,
 //! direct links are cheap, and capping them at 8 per access keeps
 //! `dep.true_edges_per_task` single-digit on the workloads that fan in.
+//!
+//! ## What the frontier lets go of
+//!
+//! Every node the frontier drops — a retired writer, a superseded or
+//! spent entry, a memo's join, a join it did not memoise — is handed to
+//! [`Linker::release`] once the access is analysed, so the spawner's
+//! lane cache can reuse it and its spare successor links. A join dropped
+//! before it finished has no worker to hand it back, so it waits in
+//! `retiring` until it is spent.
 //!
 //! **Sharded analysis:** a buffer's frontier belongs to the lane that
 //! owns the buffer's *representant* id (`runtime::shard::lane_of`);
 //! `dep::region_deps` enters that lane's gate before touching it, so all
 //! analysis of one buffer stays serialised.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::data::region::{Region, RegionBound};
@@ -127,6 +136,9 @@ pub(crate) trait Linker {
     /// Gate the consumer on a memoised join. `recorded` are the producer
     /// edges it stands for (kept only while the graph is recorded).
     fn link_join(&mut self, join: &Arc<TaskNode>, kind: EdgeKind, recorded: &[(TaskId, EdgeKind)]);
+    /// Take back a node the frontier let go of: a retired or superseded
+    /// access, a spent producer, or a join it no longer keeps.
+    fn release(&mut self, node: Arc<TaskNode>);
 }
 
 /// A join kept for reuse, with the producer edges it stands for when
@@ -178,6 +190,9 @@ impl Entry {
 struct Arena {
     entries: Vec<Entry>,
     free: Vec<u32>,
+    /// Nodes the frontier let go of during the current access, handed
+    /// to the [`Linker`] when it is done (see [`RegionFrontier::record`]).
+    released: Vec<Arc<TaskNode>>,
 }
 
 impl Arena {
@@ -219,9 +234,11 @@ impl Arena {
                 return;
             }
             let next = entry.next;
-            entry.node = None;
+            let node = entry.node.take();
+            let memo = entry.memo.take();
             entry.rest = None;
-            entry.memo = None;
+            self.released.extend(node);
+            self.released.extend(memo.map(|m| m.join));
             self.free.push(e);
             e = next;
         }
@@ -280,6 +297,7 @@ impl PieceState for Written {
     }
 
     fn release(self, arena: &mut Arena) {
+        arena.released.extend(self.writer);
         arena.dec(self.writes);
     }
 
@@ -503,6 +521,10 @@ pub(crate) struct RegionFrontier {
     /// One reads list's producers, while a write decides its join.
     list: Gather,
     members: Vec<(Arc<TaskNode>, EdgeKind)>,
+    /// Joins let go of before they finished, oldest first. Nothing runs a
+    /// join, so no worker hands it back; the frontier does, once it is
+    /// spent (checking only the oldest keeps that O(1) per access).
+    retiring: VecDeque<Arc<TaskNode>>,
     /// Pieces and list entries visited (the history-independence test).
     #[cfg(test)]
     pub(crate) work: u64,
@@ -519,6 +541,7 @@ impl Default for RegionFrontier {
             gather: Gather::default(),
             list: Gather::default(),
             members: Vec::new(),
+            retiring: VecDeque::new(),
             #[cfg(test)]
             work: 0,
         }
@@ -576,7 +599,8 @@ fn walk(
 /// Link `gather`'s producers for one access as `kind`: through a join
 /// when more than [`JOIN_MIN`] of them are unfinished and of the
 /// consumer's session, directly otherwise. Returns the join as a memo
-/// when it stands for every producer.
+/// when it stands for every producer, and lets it go into `released`
+/// otherwise.
 fn link_producers(
     gather: &mut Gather,
     members: &mut Vec<(Arc<TaskNode>, EdgeKind)>,
@@ -584,6 +608,7 @@ fn link_producers(
     kind: EdgeKind,
     record: bool,
     linker: &mut dyn Linker,
+    released: &mut Vec<Arc<TaskNode>>,
 ) -> Option<Memo> {
     // A producer comes up once per piece it conflicts in, and once per
     // access of it: in spawn order, each (producer, kind) is linked once
@@ -625,7 +650,11 @@ fn link_producers(
     let newest = members.last().map_or(TaskId(0), |(p, _)| p.id());
     let join = linker.link_new_join(members, kind);
     members.clear();
-    complete.then_some(Memo {
+    if !complete {
+        released.push(join);
+        return None;
+    }
+    Some(Memo {
         join,
         newest,
         recorded,
@@ -635,8 +664,34 @@ fn link_producers(
 impl RegionFrontier {
     /// Analyse one access of task `node`: link it after every earlier
     /// access it conflicts with (through `linker`), then record it.
-    /// `prune` (graph not recorded) lets finished producers go.
+    /// `prune` (graph not recorded) lets finished producers go. Every
+    /// node the frontier lets go of meanwhile goes back through
+    /// [`Linker::release`], so the spawner can reuse it and its links.
     pub(crate) fn record(
+        &mut self,
+        region: &Region,
+        write: bool,
+        node: &Arc<TaskNode>,
+        prune: bool,
+        linker: &mut dyn Linker,
+    ) {
+        self.analyse(region, write, node, prune, linker);
+        let RegionFrontier {
+            arena, retiring, ..
+        } = self;
+        for n in arena.released.drain(..) {
+            if n.is_join() && !n.is_finished() {
+                retiring.push_back(n);
+            } else {
+                linker.release(n);
+            }
+        }
+        while retiring.front().is_some_and(|j| j.is_finished()) {
+            linker.release(retiring.pop_front().expect("front checked"));
+        }
+    }
+
+    fn analyse(
         &mut self,
         region: &Region,
         write: bool,
@@ -658,7 +713,8 @@ impl RegionFrontier {
             prune,
         };
         if write {
-            self.read_memos.clear();
+            let memos = self.read_memos.drain(..).map(|(_, m)| m.join);
+            self.arena.released.extend(memos);
         } else if let Some((_, memo)) = self
             .read_memos
             .iter()
@@ -747,10 +803,22 @@ impl RegionFrontier {
                     // write's region (invariant 1), so its join can
                     // serve every later write of any piece sharing this
                     // head.
-                    let memo = link_producers(list, members, node, EdgeKind::Anti, !prune, linker);
-                    if piece.state.0 != NIL {
-                        arena.entries[piece.state.0 as usize].memo = memo.map(Box::new);
-                    }
+                    let memo = link_producers(
+                        list,
+                        members,
+                        node,
+                        EdgeKind::Anti,
+                        !prune,
+                        linker,
+                        &mut arena.released,
+                    );
+                    let old = if piece.state.0 != NIL {
+                        let head = &mut arena.entries[piece.state.0 as usize];
+                        std::mem::replace(&mut head.memo, memo.map(Box::new))
+                    } else {
+                        memo.map(Box::new)
+                    };
+                    arena.released.extend(old.map(|m| m.join));
                 } else {
                     gather.producers.append(&mut list.producers);
                 }
@@ -768,11 +836,13 @@ impl RegionFrontier {
             kind,
             !prune,
             linker,
+            &mut self.arena.released,
         );
         if !write {
             if let Some(memo) = memo {
                 if self.read_memos.len() == READ_MEMOS {
-                    self.read_memos.remove(0);
+                    let (_, old) = self.read_memos.remove(0);
+                    self.arena.released.push(old.join);
                 }
                 self.read_memos.push((region.clone(), memo));
             }
@@ -959,6 +1029,8 @@ mod tests {
                 self.edges.push((m, self.consumer, k));
             }
         }
+
+        fn release(&mut self, _: Arc<TaskNode>) {}
     }
 
     fn record(

@@ -289,7 +289,9 @@ fn region_deps<T: RegionData, H: SpawnHost>(
 }
 
 /// The frontier's view of the spawning task: its three ways of linking
-/// a producer (direct, through a fresh join, through a memoised join).
+/// a producer (direct, through a fresh join, through a memoised join),
+/// and the way back into the lane cache for the nodes the frontier lets
+/// go of — the same rule as for a producer a writer displaces.
 impl<H: SpawnHost> Linker for &TaskSpawner<'_, H> {
     fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
         TaskSpawner::link(self, producer, kind);
@@ -305,5 +307,9 @@ impl<H: SpawnHost> Linker for &TaskSpawner<'_, H> {
 
     fn link_join(&mut self, join: &Arc<TaskNode>, kind: EdgeKind, recorded: &[(TaskId, EdgeKind)]) {
         TaskSpawner::link_join(self, join, kind, recorded);
+    }
+
+    fn release(&mut self, node: Arc<TaskNode>) {
+        self.release_producer(Some(node));
     }
 }

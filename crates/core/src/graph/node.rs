@@ -48,11 +48,13 @@
 //! analyser puts between a wide set of producers and their consumers:
 //! the producers are linked into the join once, and every consumer
 //! links to the join instead of to each producer. A join is never
-//! queued, never run and never recycled; the thread whose completion
+//! queued and never run; the thread whose completion
 //! releases its last dependency completes it on the spot, inside the
 //! same successor walk (see `release_successors`), so its consumers are
 //! released exactly as if they had been linked to the producers
-//! directly — poison included.
+//! directly — poison included. Joins come from the spawning lane's
+//! node cache and go back to it when the region frontier lets go of a
+//! spent one, like the producers it drops.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -237,15 +239,84 @@ pub(crate) unsafe fn free_link(link: *mut SuccNode) {
     drop(Box::from_raw(link));
 }
 
-/// Free a whole spare chain (succ slots dead).
-///
-/// # Safety
-/// `head` must be an owned chain of spare links (or null).
-unsafe fn free_spare_chain(mut head: *mut SuccNode) {
-    while !head.is_null() {
-        let next = (*head).next;
-        free_link(head);
-        head = next;
+/// A chain of spare links closed into a ring and named by its tail (the
+/// tail's `next` is the head), with its length. Two rings splice in
+/// O(1), touching only the two tails, so handing a finished node's links
+/// to a lane cache costs the same for one link as for a thousand. The
+/// ring owns its links: dropping it frees them.
+pub(crate) struct SpareRing {
+    tail: *mut SuccNode,
+    len: u32,
+}
+
+// SAFETY: a ring is exclusively-owned inert heap memory (succ slots
+// dead).
+unsafe impl Send for SpareRing {}
+
+impl SpareRing {
+    pub(crate) const EMPTY: SpareRing = SpareRing {
+        tail: ptr::null_mut(),
+        len: 0,
+    };
+
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Add one spare link.
+    ///
+    /// # Safety
+    /// `link` must be a spare link owned by the caller, not in any ring.
+    pub(crate) unsafe fn push(&mut self, link: *mut SuccNode) {
+        if self.tail.is_null() {
+            (*link).next = link;
+            self.tail = link;
+        } else {
+            (*link).next = (*self.tail).next;
+            (*self.tail).next = link;
+        }
+        self.len += 1;
+    }
+
+    /// Take the most recently added link, if any.
+    pub(crate) fn pop(&mut self) -> Option<*mut SuccNode> {
+        if self.tail.is_null() {
+            return None;
+        }
+        // SAFETY: the ring's links are spare and exclusively ours.
+        unsafe {
+            let head = (*self.tail).next;
+            if head == self.tail {
+                self.tail = ptr::null_mut();
+            } else {
+                (*self.tail).next = (*head).next;
+            }
+            self.len -= 1;
+            Some(head)
+        }
+    }
+
+    /// Move all of `other`'s links into this ring, ahead of its own.
+    pub(crate) fn splice(&mut self, mut other: SpareRing) {
+        let tail = std::mem::replace(&mut other.tail, ptr::null_mut());
+        if tail.is_null() {
+            return;
+        }
+        if !self.tail.is_null() {
+            // SAFETY: both rings are spare and exclusively ours.
+            unsafe { std::mem::swap(&mut (*self.tail).next, &mut (*tail).next) };
+        }
+        self.tail = tail;
+        self.len += other.len;
+    }
+}
+
+impl Drop for SpareRing {
+    fn drop(&mut self) {
+        while let Some(link) = self.pop() {
+            // SAFETY: popped links are spare and ours.
+            unsafe { free_link(link) };
+        }
     }
 }
 
@@ -260,8 +331,9 @@ pub struct TaskNode {
     pub(crate) id: TaskId,
     pub(crate) name: &'static str,
     pub(crate) high: AtomicBool,
-    /// A bodiless join node (see the module docs). Fixed at creation:
-    /// joins never enter the recycling pool.
+    /// A bodiless join node (see the module docs). Set when the node is
+    /// built or reset: a spent join goes back to its lane cache like a
+    /// task node, and either kind may be reused as the other.
     join: bool,
     /// Outstanding dependencies + the spawn guard.
     pub(crate) deps: AtomicUsize,
@@ -291,13 +363,15 @@ pub struct TaskNode {
     /// balanced under multi-submitter spawning.
     home: AtomicU32,
     /// Spare successor links harvested by `complete`: the walked list's
-    /// link nodes, succ slots dead, chained for reuse. Written by the
+    /// link nodes, succ slots dead, chained for reuse as a [`SpareRing`]
+    /// (its tail here, its length in `spare_len`). Written by the
     /// completing thread (which owns the detached list exclusively after
     /// the close swap); read and cleared by the spawner once it proves
     /// exclusive ownership for recycling (`reset` path), or by Drop.
     /// The node free stack's Release-push / Acquire-drain pair carries
     /// the hand-off ordering.
     spare_links: UnsafeCell<*mut SuccNode>,
+    spare_len: UnsafeCell<u32>,
     /// The session this task was admitted under, or null for the
     /// runtime's own session 0 (plain `Runtime`/`Submitter` spawns, and
     /// every pre-session build — the common case). Stamped by the
@@ -333,6 +407,15 @@ impl TaskNode {
         join
     }
 
+    /// [`reset_for_reuse`](Self::reset_for_reuse) into a join for
+    /// `consumer`'s session, the state [`new_join`](Self::new_join)
+    /// builds.
+    pub(crate) fn reset_as_join(&mut self, consumer: &TaskNode) {
+        self.reset_for_reuse(TaskId(0), "join", Priority::Normal);
+        self.join = true;
+        *self.sess_ctl.get_mut() = consumer.sess_ctl.load(Ordering::Relaxed);
+    }
+
     fn build(id: TaskId, name: &'static str, priority: Priority, join: bool) -> Arc<Self> {
         Arc::new(TaskNode {
             id,
@@ -347,6 +430,7 @@ impl TaskNode {
             free_next: AtomicPtr::new(ptr::null_mut()),
             home: AtomicU32::new(0),
             spare_links: UnsafeCell::new(ptr::null_mut()),
+            spare_len: UnsafeCell::new(0),
             sess_ctl: AtomicPtr::new(ptr::null_mut()),
         })
     }
@@ -369,6 +453,7 @@ impl TaskNode {
         debug_assert_eq!(*self.succs.get_mut(), closed(), "successor list not closed");
         self.id = id;
         self.name = name;
+        self.join = false;
         *self.high.get_mut() = priority == Priority::High;
         *self.deps.get_mut() = 1; // spawn guard
         *self.state.get_mut() = STATE_PENDING;
@@ -382,8 +467,11 @@ impl TaskNode {
     /// [`spare_links`](Self::spare_links)). Called by the spawner while
     /// it holds exclusive ownership (the recycling path), so the plain
     /// cell access is race-free.
-    pub(crate) fn take_spare_links(&mut self) -> *mut SuccNode {
-        std::mem::replace(self.spare_links.get_mut(), ptr::null_mut())
+    pub(crate) fn take_spare_links(&mut self) -> SpareRing {
+        SpareRing {
+            tail: std::mem::replace(self.spare_links.get_mut(), ptr::null_mut()),
+            len: std::mem::take(self.spare_len.get_mut()),
+        }
     }
 
     pub(crate) fn id(&self) -> TaskId {
@@ -740,7 +828,11 @@ impl TaskNode {
         }
         let mut n_ready = 0;
         let mut p = rev;
+        // The walked links, chained into a ring: the first one is its
+        // tail.
         let mut spares: *mut SuccNode = ptr::null_mut();
+        let spare_tail = rev;
+        let mut spare_len = 0u32;
         while !p.is_null() {
             // SAFETY: as above — unique owner; each link's Arc is moved
             // out exactly once, demoting the link to the spare state,
@@ -750,6 +842,7 @@ impl TaskNode {
                 let succ = (*p).succ.assume_init_read();
                 (*p).next = spares;
                 spares = p;
+                spare_len += 1;
                 p = next;
                 if poison && succ.same_session(self) {
                     // Sequenced before the release_dep below, whose
@@ -776,14 +869,19 @@ impl TaskNode {
                 }
             }
         }
-        // Stash the walked links on the finished node: the recycler
-        // harvests them into the spawner's link cache; a node that is
-        // never recycled frees them in Drop. Plain store — completion
+        // Stash the walked links on the finished node as a ring: the
+        // recycler splices them into its lane cache; a node that is
+        // never recycled frees them in Drop. Plain stores — completion
         // rights are exclusive after the close swap, and the node free
         // stack's Release/Acquire pair orders the hand-off.
         if !spares.is_null() {
-            // SAFETY: exclusive completion-side access (see field docs).
-            unsafe { *self.spare_links.get() = spares };
+            // SAFETY: exclusive completion-side access (see field docs);
+            // the chain runs from `spares` to `spare_tail`.
+            unsafe {
+                (*spare_tail).next = spares;
+                *self.spare_links.get() = spare_tail;
+                *self.spare_len.get() = spare_len;
+            }
         }
         n_ready
     }
@@ -816,8 +914,7 @@ impl Drop for TaskNode {
             }
         }
         // …and any harvested spare links (succ slots dead).
-        // SAFETY: exclusive access in Drop; the chain is spare.
-        unsafe { free_spare_chain(*self.spare_links.get_mut()) };
+        drop(self.take_spare_links());
     }
 }
 

@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::graph::node::{self, SuccNode, TaskNode};
+use crate::graph::node::{self, SpareRing, SuccNode, TaskNode};
 use crate::ids::{ObjectId, TaskId};
 use crate::padded::CachePadded;
 use crate::runtime::session::SessionCtl;
@@ -125,17 +125,11 @@ impl Shared {
 const NODE_CACHE_MAX: usize = 4096;
 
 /// Upper bound on a lane cache's spare successor links (same rationale
-/// as [`NODE_CACHE_MAX`]; a link is 24 bytes).
-const LINK_CACHE_MAX: usize = 4096;
-
-/// A spare successor link in a lane cache. Plain heap data with a dead
-/// payload slot, so moving it between threads is trivially fine; the
-/// newtype exists to keep the cache's owners `Send` despite the raw
-/// pointer.
-struct LinkPtr(*mut SuccNode);
-
-// SAFETY: a spare link is exclusively-owned inert heap memory.
-unsafe impl Send for LinkPtr {}
+/// as [`NODE_CACHE_MAX`]; a link is 16 bytes): the links of a full node
+/// cache at four edges per task, about what region and flood tasks
+/// link. A cap of one link per cached node freed most of the links a
+/// 1 Mi multisort harvests and made it allocate them again.
+const LINK_CACHE_MAX: usize = 4 * NODE_CACHE_MAX;
 
 /// One spawning thread's recycled task nodes and spare successor links,
 /// for analysis lane `lane`. The [`Runtime`] owns lane 0's; every
@@ -146,12 +140,16 @@ unsafe impl Send for LinkPtr {}
 /// nodes cycle spawn → completion → the home lane's free stack
 /// (`Shared::recycle_node`) → this cache, and links cycle spawn →
 /// successor stack → completion stash (`TaskNode::spare_links`) →
-/// harvested here when the node is reused.
+/// spliced in here when the node is reused. Nodes an owner lets go of —
+/// a task it ran, a producer a writer displaced, a producer, entry or
+/// join the region frontier dropped — come straight back through
+/// [`cache_node`](Self::cache_node), and region joins are drawn from the
+/// same nodes.
 pub(crate) struct LaneCache {
     shared: Arc<Shared>,
     lane: usize,
     nodes: RefCell<Vec<Arc<TaskNode>>>,
-    links: RefCell<Vec<LinkPtr>>,
+    links: RefCell<SpareRing>,
 }
 
 impl LaneCache {
@@ -160,7 +158,7 @@ impl LaneCache {
             shared,
             lane,
             nodes: RefCell::new(Vec::new()),
-            links: RefCell::new(Vec::new()),
+            links: RefCell::new(SpareRing::EMPTY),
         }
     }
 
@@ -179,36 +177,57 @@ impl LaneCache {
     /// dropped here and comes back when a later writer displaces it.
     #[inline]
     pub(crate) fn acquire_node(&self, id: TaskId, name: &'static str) -> Arc<TaskNode> {
-        let mut nodes = self.nodes.borrow_mut();
-        if nodes.is_empty() {
-            self.drain_free_stack(&mut nodes);
-        }
-        let node = loop {
-            let Some(mut node) = nodes.pop() else {
-                break TaskNode::new(id, name, Priority::Normal);
-            };
-            if let Some(n) = exclusive_node_mut(&mut node) {
-                let links = n.take_spare_links();
-                n.reset_for_reuse(id, name, Priority::Normal);
-                self.harvest(links);
+        let node = match self.reuse(|n| n.reset_for_reuse(id, name, Priority::Normal)) {
+            Some(node) => {
                 self.shared.stats.node_pool_hits();
-                break node;
+                node
             }
+            None => TaskNode::new(id, name, Priority::Normal),
         };
         node.set_home(self.lane);
         node
     }
 
+    /// Obtain a join node for `consumer`'s session, recycled when
+    /// possible. Joins are not tasks: a reused one is not counted as a
+    /// pool hit.
+    pub(crate) fn acquire_join(&self, consumer: &TaskNode) -> Arc<TaskNode> {
+        let join = self
+            .reuse(|n| n.reset_as_join(consumer))
+            .unwrap_or_else(|| TaskNode::new_join(consumer));
+        join.set_home(self.lane);
+        join
+    }
+
+    /// Pop cached nodes until one is exclusively ours, harvest its
+    /// spare links and `reset` it.
+    #[inline]
+    fn reuse(&self, reset: impl FnOnce(&mut TaskNode)) -> Option<Arc<TaskNode>> {
+        let mut nodes = self.nodes.borrow_mut();
+        if nodes.is_empty() {
+            self.drain_free_stack(&mut nodes);
+        }
+        loop {
+            let mut node = nodes.pop()?;
+            if let Some(n) = exclusive_node_mut(&mut node) {
+                self.harvest(n.take_spare_links());
+                reset(n);
+                return Some(node);
+            }
+        }
+    }
+
     /// Keep a node the owner is done with — a task the main thread just
-    /// ran, or a producer a writer displaced — if it is the node's last
-    /// reference and the cache has room; drop it otherwise. Such a node
-    /// skips the shared free stack. Caching a node still pinned as an
-    /// object's producer would only make the next acquire pop and drop
-    /// it; it comes back through this same call when a writer displaces
-    /// it. A node pinned elsewhere (a reader list, a region frontier
-    /// entry) is freed by whichever holder drops it last. The count is
-    /// only a filter: [`exclusive_node_mut`] proves exclusivity again,
-    /// with its fence, when the node is reused.
+    /// ran, a producer a writer displaced, or a node the region frontier
+    /// dropped — if it is the node's last reference and the cache has
+    /// room; drop it otherwise. Such a node skips the shared free stack.
+    /// Caching a node still pinned as an object's producer would only
+    /// make the next acquire pop and drop it; it comes back through this
+    /// same call when a writer displaces it. A node pinned elsewhere
+    /// (a reader list, a region frontier entry) is freed by whichever
+    /// holder drops it last. The count is only a filter:
+    /// [`exclusive_node_mut`] proves exclusivity again, with its fence,
+    /// when the node is reused.
     #[inline]
     pub(crate) fn cache_node(&self, node: Arc<TaskNode>) {
         let mut nodes = self.nodes.borrow_mut();
@@ -224,7 +243,6 @@ impl LaneCache {
         self.links
             .borrow_mut()
             .pop()
-            .map(|l| l.0)
             .unwrap_or_else(node::alloc_link)
     }
 
@@ -233,30 +251,23 @@ impl LaneCache {
     pub(crate) fn release_link(&self, link: *mut SuccNode) {
         let mut links = self.links.borrow_mut();
         if links.len() < LINK_CACHE_MAX {
-            links.push(LinkPtr(link));
-        } else {
             // SAFETY: the link is spare and exclusively ours.
+            unsafe { links.push(link) };
+        } else {
+            // SAFETY: as above.
             unsafe { node::free_link(link) };
         }
     }
 
-    /// Feed a reused node's spare-link chain into the link cache,
-    /// freeing the overflow. The exclusivity proof for the node covers
-    /// the chain: the completing thread stashed it before pushing the
-    /// node.
-    fn harvest(&self, mut chain: *mut SuccNode) {
+    /// Splice a reused node's spare-link ring into the link cache in
+    /// O(1) while the cache is under [`LINK_CACHE_MAX`] (so it holds at
+    /// most one ring more); a ring that finds the cache full is dropped,
+    /// which frees it. The exclusivity proof for the node covers the
+    /// ring: the completing thread stashed it before pushing the node.
+    fn harvest(&self, ring: SpareRing) {
         let mut links = self.links.borrow_mut();
-        while !chain.is_null() {
-            // SAFETY: exclusively-owned spare chain (see above).
-            unsafe {
-                let next = (*chain).next;
-                if links.len() < LINK_CACHE_MAX {
-                    links.push(LinkPtr(chain));
-                } else {
-                    node::free_link(chain);
-                }
-                chain = next;
-            }
+        if links.len() < LINK_CACHE_MAX {
+            links.splice(ring);
         }
     }
 
@@ -283,14 +294,10 @@ impl Drop for LaneCache {
     fn drop(&mut self) {
         // Hand cached nodes back to their lane's free stack (a later
         // cache on the lane reuses them; `Shared`'s Drop frees whatever
-        // remains) and free the spare links, which only this cache ever
-        // owned.
+        // remains). The spare links, which only this cache ever owned,
+        // are freed with its ring.
         for n in self.nodes.get_mut().drain(..) {
             self.shared.recycle_node(n);
-        }
-        for l in self.links.get_mut().drain(..) {
-            // SAFETY: cache entries are spare and exclusively ours.
-            unsafe { node::free_link(l.0) };
         }
     }
 }

@@ -246,11 +246,12 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         &self.node
     }
 
-    /// Hand the producer a writer just displaced from an object back to
-    /// the spawn host. While the task runs (or waits) its job holds the
-    /// node too, so this only keeps nodes of finished tasks, and it is
-    /// what lets a node pinned by an object's `producer` slot return to
-    /// the pool.
+    /// Hand the producer a writer just displaced from an object, or a
+    /// node the region frontier let go of, back to the spawn host. While
+    /// the task runs (or waits) its job holds the node too, so this only
+    /// keeps nodes of finished tasks (and spent joins), and it is what
+    /// lets a node pinned by an object's `producer` slot or by a region
+    /// frontier return to the pool.
     pub(crate) fn release_producer(&self, displaced: Option<Arc<TaskNode>>) {
         if let Some(node) = displaced {
             self.rt.lane_cache().cache_node(node);
@@ -321,7 +322,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
             }
         }
         shared.stats.joins();
-        let join = TaskNode::new_join(&self.node);
+        let join = self.rt.lane_cache().acquire_join(&self.node);
         // This task first, while the join's creation guard keeps it
         // unfinished: the successor link cannot fail, and if every
         // member turns out to be finished already, the join completes

@@ -226,21 +226,14 @@ impl<T> Drop for Inner<T> {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Flavor {
-    Lifo,
-    Fifo,
-}
-
 /// Owner end of a per-thread deque. Pushes go to the bottom; the owner
-/// pops the bottom (LIFO flavour) or the top (FIFO flavour); thieves
-/// always take the top, i.e. the oldest task.
+/// pops the bottom (LIFO); thieves always take the top, i.e. the oldest
+/// task.
 ///
 /// `Worker` is `Send` but not `Sync` — exactly one thread may own it,
 /// which is what makes the owner's uncontended path cheap.
 pub struct Worker<T> {
     inner: Arc<Inner<T>>,
-    flavor: Flavor,
     /// Owner ops are unsynchronised with each other: single thread only.
     _not_sync: PhantomData<Cell<()>>,
 }
@@ -249,15 +242,6 @@ impl<T> Worker<T> {
     pub fn new_lifo() -> Self {
         Worker {
             inner: Arc::new(Inner::new()),
-            flavor: Flavor::Lifo,
-            _not_sync: PhantomData,
-        }
-    }
-
-    pub fn new_fifo() -> Self {
-        Worker {
-            inner: Arc::new(Inner::new()),
-            flavor: Flavor::Fifo,
             _not_sync: PhantomData,
         }
     }
@@ -318,24 +302,6 @@ impl<T> Worker<T> {
 
     #[inline]
     pub fn pop(&self) -> Option<T> {
-        match self.flavor {
-            Flavor::Lifo => self.pop_lifo(),
-            Flavor::Fifo => {
-                // FIFO owners pop the thieves' end; the owner has no
-                // priority, it just retries through transient races.
-                let mut backoff = Backoff::new();
-                loop {
-                    match self.inner.steal() {
-                        Steal::Success(v) => return Some(v),
-                        Steal::Empty => return None,
-                        Steal::Retry => backoff.snooze(),
-                    }
-                }
-            }
-        }
-    }
-
-    fn pop_lifo(&self) -> Option<T> {
         let inner = &*self.inner;
         // Fast empty check, no fence: only the owner pushes, so if the
         // deque looks empty to the owner it *is* empty (thieves only
@@ -437,11 +403,6 @@ const HAS_NEXT: usize = 1;
 const WRITE: usize = 1;
 const READ: usize = 2;
 const DESTROY: usize = 4;
-
-/// Default cap for [`Injector::steal_batch_and_pop`]: enough to amortise
-/// the claim fence across several tasks without hoarding a queue's worth
-/// of work in one consumer.
-const MAX_BATCH: usize = 8;
 
 struct Slot<T> {
     value: UnsafeCell<MaybeUninit<T>>,
@@ -731,27 +692,14 @@ impl<T> Injector<T> {
         }
     }
 
-    /// Steal up to `MAX_BATCH` tasks in one head claim: the first is
-    /// returned, the rest are pushed into `dest` in FIFO order.
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        self.steal_batch_with_limit_and_pop(dest, MAX_BATCH)
-    }
-
     /// Steal up to `limit` tasks with a **single** head CAS (one fenced
-    /// claim instead of one per task), return the first and push the
-    /// rest into `dest` oldest-first — so a FIFO `dest` preserves the
-    /// injector's global FIFO order exactly.
-    pub fn steal_batch_with_limit_and_pop(&self, dest: &Worker<T>, limit: usize) -> Steal<T> {
-        self.steal_batch_with_limit_and_collect(limit, &mut |t| dest.push(t))
-    }
-
-    /// The batch-claim primitive behind
-    /// [`steal_batch_with_limit_and_pop`](Self::steal_batch_with_limit_and_pop):
-    /// returns the first claimed task and feeds the rest, oldest-first,
-    /// to `sink`. **Shim extension over upstream crossbeam**, exposed so
-    /// a caller with a private (single-owner, non-stealable) buffer can
-    /// receive the batch without paying deque atomics per element; the
-    /// runtime's claimed-task buffer is exactly that.
+    /// claim instead of one per task): returns the first claimed task and
+    /// feeds the rest, oldest-first, to `sink`, so the injector's global
+    /// FIFO order is preserved exactly. **Shim extension over upstream
+    /// crossbeam** (whose batch steals push into a `Worker`), so a caller
+    /// with a private (single-owner, non-stealable) buffer can receive
+    /// the batch without paying deque atomics per element; the runtime's
+    /// claimed-task buffer is exactly that.
     ///
     /// The claim never crosses a block boundary (so the batch walks one
     /// slot array) and never exceeds what the tail has published; like
@@ -939,15 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_worker_pops_oldest() {
-        let w = Worker::new_fifo();
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(w.pop(), Some(2));
-    }
-
-    #[test]
     fn injector_is_fifo_across_threads() {
         let inj = std::sync::Arc::new(Injector::new());
         for i in 0..100 {
@@ -1021,22 +960,23 @@ mod tests {
         assert_eq!(Arc::strong_count(&probe), 1);
     }
 
+    /// The batch size the runtime claims with.
+    const BATCH: usize = 8;
+
     #[test]
     fn batch_pop_preserves_fifo_order() {
         let inj = Injector::new();
-        let dest = Worker::new_fifo();
         let n = 3 * BLOCK_CAP + 11; // spans block boundaries
         for i in 0..n {
             inj.push(i);
         }
         let mut out = Vec::new();
         loop {
-            match inj.steal_batch_and_pop(&dest) {
+            let mut rest = Vec::new();
+            match inj.steal_batch_with_limit_and_collect(BATCH, &mut |v| rest.push(v)) {
                 Steal::Success(v) => {
                     out.push(v);
-                    while let Some(v) = dest.pop() {
-                        out.push(v);
-                    }
+                    out.append(&mut rest);
                 }
                 Steal::Empty => break,
                 Steal::Retry => {}
@@ -1048,21 +988,21 @@ mod tests {
     #[test]
     fn batch_pop_respects_limit_and_tail() {
         let inj = Injector::new();
-        let dest = Worker::new_fifo();
         for i in 0..5 {
             inj.push(i);
         }
-        // Limit 3: first returned, exactly 2 in dest.
-        assert_eq!(inj.steal_batch_with_limit_and_pop(&dest, 3), Steal::Success(0));
-        assert_eq!(dest.len(), 2);
+        let mut rest = Vec::new();
+        // Limit 3: first returned, exactly 2 collected.
+        let got = inj.steal_batch_with_limit_and_collect(3, &mut |v| rest.push(v));
+        assert_eq!(got, Steal::Success(0));
+        assert_eq!(rest, [1, 2]);
         // Only 2 left: a large limit must not over-claim.
-        assert_eq!(inj.steal_batch_with_limit_and_pop(&dest, 64), Steal::Success(3));
-        assert_eq!(dest.len(), 3);
-        assert!(inj.steal_batch_and_pop(&dest).is_empty());
-        assert_eq!(dest.pop(), Some(1));
-        assert_eq!(dest.pop(), Some(2));
-        assert_eq!(dest.pop(), Some(4));
-        assert_eq!(dest.pop(), None);
+        let got = inj.steal_batch_with_limit_and_collect(64, &mut |v| rest.push(v));
+        assert_eq!(got, Steal::Success(3));
+        assert_eq!(rest, [1, 2, 4]);
+        assert!(inj
+            .steal_batch_with_limit_and_collect(BATCH, &mut |v| rest.push(v))
+            .is_empty());
     }
 
     #[test]
@@ -1070,20 +1010,18 @@ mod tests {
         let probe = Arc::new(());
         {
             let inj = Injector::new();
-            let dest = Worker::new_fifo();
             for _ in 0..4 * BLOCK_CAP {
                 inj.push(Arc::clone(&probe));
             }
             let mut got = 0;
             loop {
-                match inj.steal_batch_and_pop(&dest) {
+                match inj.steal_batch_with_limit_and_collect(BATCH, &mut |v| {
+                    drop(v);
+                    got += 1;
+                }) {
                     Steal::Success(v) => {
                         drop(v);
                         got += 1;
-                        while let Some(v) = dest.pop() {
-                            drop(v);
-                            got += 1;
-                        }
                     }
                     Steal::Empty => break,
                     Steal::Retry => {}

@@ -100,22 +100,18 @@ fn injector_batch_mpmc_exactly_once() {
         let taken = Arc::clone(&taken);
         let use_batch = batcher < BATCHERS;
         handles.push(std::thread::spawn(move || {
-            let dest = Worker::new_fifo();
+            let take = |v: usize| {
+                seen[v].fetch_add(1, Ordering::Relaxed);
+                taken.fetch_add(1, Ordering::AcqRel);
+            };
             while taken.load(Ordering::Acquire) < TOTAL {
                 let got = if use_batch {
-                    inj.steal_batch_and_pop(&dest)
+                    inj.steal_batch_with_limit_and_collect(8, &mut |v| take(v))
                 } else {
                     inj.steal()
                 };
                 match got {
-                    Steal::Success(v) => {
-                        seen[v].fetch_add(1, Ordering::Relaxed);
-                        taken.fetch_add(1, Ordering::AcqRel);
-                        while let Some(v) = dest.pop() {
-                            seen[v].fetch_add(1, Ordering::Relaxed);
-                            taken.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
+                    Steal::Success(v) => take(v),
                     Steal::Empty | Steal::Retry => std::thread::yield_now(),
                 }
             }
@@ -313,27 +309,6 @@ proptest! {
             prop_assert_eq!(steal_one(|| s.steal()), Some(expect));
         }
         prop_assert!(w.is_empty());
-    }
-
-    #[test]
-    fn fifo_worker_matches_model(ops in ops_strategy()) {
-        let w = Worker::new_fifo();
-        let s = w.stealer();
-        let mut model: VecDeque<u32> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    w.push(v);
-                    model.push_back(v);
-                }
-                // FIFO flavour: owner and thief both take the oldest.
-                Op::Pop => prop_assert_eq!(w.pop(), model.pop_front()),
-                Op::Steal => prop_assert_eq!(steal_one(|| s.steal()), model.pop_front()),
-            }
-        }
-        while let Some(expect) = model.pop_front() {
-            prop_assert_eq!(w.pop(), Some(expect));
-        }
     }
 
     #[test]

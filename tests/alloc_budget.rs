@@ -17,6 +17,7 @@
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version slab) | ≤ 1 (binding traffic)         |
 //! | sharded submitter storm (per-lane pools) | 0 after warmup        |
+//! | 64 Ki region multisort, 1 thread | analysis ≤ 1.1 (the boxed `seqmerge` body), drain 0 |
 //!
 //! The chain and fan-out budgets dropped to **zero** with the
 //! BENCH_0004 completion-side fast path: successor-stack links are
@@ -362,6 +363,52 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
         "rename churn budget is ≤1 allocation per task, measured {} for {}",
         delta,
         tasks
+    );
+
+    // --- region multisort: the region path stays off the allocator ----
+    // The `region_sort` shape at 64 Ki elements on one thread, which runs
+    // nothing until the barrier: the spawn loop is the region analysis
+    // alone and the barrier is the drain. Regions are values, the
+    // frontier hands every node it lets go of (with its spare links)
+    // back to the lane cache, and joins come from that cache too, so the
+    // analysis is left with the boxed `seqmerge` bodies (too big for the
+    // inline slot): at most 1.1 allocations per task. The drain — bodies,
+    // their region checks, completion — allocates nothing.
+    use smpss_apps::sort::{multisort_range, random_input, SortParams};
+    const SORT_N: usize = 1 << 16;
+    let rt = Runtime::builder().threads(1).build();
+    let input = random_input(SORT_N, 5);
+    let data = rt.region_data(input.clone());
+    let tmp = rt.region_data(vec![0; SORT_N]);
+    let params = SortParams::default();
+    let sort = || {
+        rt.update_region(&data, |v| v.copy_from_slice(&input));
+        let before = allocs();
+        let spawned0 = rt.stats().tasks_spawned;
+        multisort_range(&rt, &data, &tmp, 0, SORT_N - 1, params);
+        let analysis = allocs() - before;
+        let tasks = rt.stats().tasks_spawned - spawned0;
+        let before = allocs();
+        rt.barrier();
+        (analysis, allocs() - before, tasks)
+    };
+    sort();
+    sort();
+    let (analysis, drain, tasks) = sort();
+    assert!(
+        rt.with_region(&data, |v| v.windows(2).all(|w| w[0] <= w[1])),
+        "the multisort must sort"
+    );
+    drop((data, tmp));
+    drop(rt);
+    assert!(
+        analysis * 10 <= tasks * 11,
+        "region analysis must stay within 1.1 allocations per task, \
+         measured {analysis} allocations for {tasks} tasks"
+    );
+    assert_eq!(
+        drain, 0,
+        "the region drain (bodies, region checks, completion) must not allocate"
     );
 
     // --- sharded spawning: per-lane pools keep submitters at 0 -------
