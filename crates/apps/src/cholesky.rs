@@ -100,9 +100,9 @@ pub fn cholesky_flat(rt: &Runtime, a: &mut FlatMatrix, m: usize, vendor: Vendor)
     {
         // `get_block_once` of Figure 10.
         let get_once = |cache: &mut Vec<Option<Handle<Block>>>,
-                            i: usize,
-                            j: usize,
-                            tasks: &mut usize|
+                        i: usize,
+                        j: usize,
+                        tasks: &mut usize|
          -> Handle<Block> {
             let slot = &mut cache[i * n + j];
             if slot.is_none() {

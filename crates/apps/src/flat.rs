@@ -215,7 +215,14 @@ impl FlatMatrix {
 /// must guarantee no concurrent conflicting access to the *same* block
 /// (the apps order these through handle dependencies; distinct blocks
 /// never alias).
-pub unsafe fn copy_block_out_raw(flat: *const f32, n: usize, m: usize, bi: usize, bj: usize, block: &mut Block) {
+pub unsafe fn copy_block_out_raw(
+    flat: *const f32,
+    n: usize,
+    m: usize,
+    bi: usize,
+    bj: usize,
+    block: &mut Block,
+) {
     debug_assert!(bi * m + m <= n && bj * m + m <= n);
     for r in 0..m {
         let src = flat.add((bi * m + r) * n + bj * m);
@@ -227,7 +234,14 @@ pub unsafe fn copy_block_out_raw(flat: *const f32, n: usize, m: usize, bi: usize
 ///
 /// # Safety
 /// Same contract as [`copy_block_out_raw`].
-pub unsafe fn copy_block_in_raw(flat: *mut f32, n: usize, m: usize, bi: usize, bj: usize, block: &Block) {
+pub unsafe fn copy_block_in_raw(
+    flat: *mut f32,
+    n: usize,
+    m: usize,
+    bi: usize,
+    bj: usize,
+    block: &Block,
+) {
     debug_assert!(bi * m + m <= n && bj * m + m <= n);
     for r in 0..m {
         let dst = flat.add((bi * m + r) * n + bj * m);

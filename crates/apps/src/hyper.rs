@@ -40,7 +40,11 @@ impl HyperMatrix {
     /// individual algorithms, mirroring Figure 9).
     pub fn from_flat(rt: &Runtime, src: &FlatMatrix, m: usize) -> Self {
         let nm = src.dim();
-        assert_eq!(nm % m, 0, "matrix dimension must be divisible by block size");
+        assert_eq!(
+            nm % m,
+            0,
+            "matrix dimension must be divisible by block size"
+        );
         let n = nm / m;
         let mut h = HyperMatrix::empty(n, m);
         for bi in 0..n {
@@ -48,8 +52,7 @@ impl HyperMatrix {
                 let mut blk = Block::zeros(m);
                 src.copy_block_out(m, bi, bj, &mut blk);
                 let mblk = m;
-                h.blocks[bi * n + bj] =
-                    Some(rt.data_with_alloc(blk, move || Block::zeros(mblk)));
+                h.blocks[bi * n + bj] = Some(rt.data_with_alloc(blk, move || Block::zeros(mblk)));
             }
         }
         h

@@ -146,10 +146,10 @@ pub fn matmul_flat(
 
     {
         let get_once = |cache: &mut Vec<Option<Handle<Block>>>,
-                            src: &Opaque<FlatMatrix>,
-                            i: usize,
-                            j: usize,
-                            tasks: &mut usize|
+                        src: &Opaque<FlatMatrix>,
+                        i: usize,
+                        j: usize,
+                        tasks: &mut usize|
          -> Handle<Block> {
             let slot = &mut cache[i * n + j];
             if slot.is_none() {

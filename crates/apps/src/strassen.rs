@@ -216,13 +216,24 @@ pub fn strassen(
     cutoff_blocks: usize,
 ) {
     let n = a.nblocks();
-    assert!(n.is_power_of_two(), "Strassen needs a power-of-two block count");
+    assert!(
+        n.is_power_of_two(),
+        "Strassen needs a power-of-two block count"
+    );
     assert_eq!(b.nblocks(), n);
     assert_eq!(c.nblocks(), n);
     let ga = Grid::from_hyper(a);
     let gb = Grid::from_hyper(b);
     let gc = Grid::from_hyper(c);
-    strassen_rec(rt, &ga, &gb, &gc, a.block_dim(), vendor, cutoff_blocks.max(1));
+    strassen_rec(
+        rt,
+        &ga,
+        &gb,
+        &gc,
+        a.block_dim(),
+        vendor,
+        cutoff_blocks.max(1),
+    );
 }
 
 #[cfg(test)]

@@ -92,7 +92,17 @@ fn sort_rec(ctx: &TaskCtx<'_>, d: SendPtr, t: SendPtr, lo: usize, n: usize, p: S
         merge_rec(ctx, d, lo, lo + q, lo + q, lo + 2 * q, t, lo, p)
     });
     ctx.spawn(&j2, move |ctx| {
-        merge_rec(ctx, d, lo + 2 * q, lo + 3 * q, lo + 3 * q, lo + n, t, lo + 2 * q, p)
+        merge_rec(
+            ctx,
+            d,
+            lo + 2 * q,
+            lo + 3 * q,
+            lo + 3 * q,
+            lo + n,
+            t,
+            lo + 2 * q,
+            p,
+        )
     });
     ctx.sync(&j2);
     merge_rec(ctx, t, lo, lo + 2 * q, lo + 2 * q, lo + n, d, lo, p);
@@ -139,7 +149,9 @@ fn merge_rec(
     };
     let left_len = (sa - a0) + (sb - b0);
     let j = Joiner::new();
-    ctx.spawn(&j, move |ctx| merge_rec(ctx, src, a0, sa, b0, sb, dst, d0, p));
+    ctx.spawn(&j, move |ctx| {
+        merge_rec(ctx, src, a0, sa, b0, sb, dst, d0, p)
+    });
     merge_rec(ctx, src, sa, a1, sb, b1, dst, d0 + left_len, p);
     ctx.sync(&j);
 }

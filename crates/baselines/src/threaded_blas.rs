@@ -61,7 +61,12 @@ impl BlockGrid {
 /// sequential right-looking outer loop; the panel `trsm`s and the
 /// trailing `syrk`/`gemm` updates of step `k` are each one fork-join
 /// region. Returns the factored matrix (lower triangle = L).
-pub fn threaded_cholesky(pool: &ForkJoinPool, a: &FlatMatrix, m: usize, vendor: Vendor) -> FlatMatrix {
+pub fn threaded_cholesky(
+    pool: &ForkJoinPool,
+    a: &FlatMatrix,
+    m: usize,
+    vendor: Vendor,
+) -> FlatMatrix {
     let nm = a.dim();
     assert_eq!(nm % m, 0);
     let n = nm / m;

@@ -110,9 +110,9 @@ fn cilk_and_omp_sort_agree_on_adversarial_inputs() {
         merge_size: 16,
     };
     let cases: Vec<Vec<i64>> = vec![
-        (0..2000).collect(),                        // sorted
-        (0..2000).rev().collect(),                  // reversed
-        vec![7; 1500],                              // constant
+        (0..2000).collect(),                         // sorted
+        (0..2000).rev().collect(),                   // reversed
+        vec![7; 1500],                               // constant
         (0..1500).map(|i| (i % 3) as i64).collect(), // few distinct
         smpss_apps::sort::random_input(3000, 5),
     ];

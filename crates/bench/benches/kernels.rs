@@ -13,14 +13,10 @@ fn gemm_vendors(c: &mut Criterion) {
         let a = Block::random(m, 1);
         let b = Block::random(m, 2);
         for vendor in [Vendor::Tuned, Vendor::Reference] {
-            g.bench_with_input(
-                BenchmarkId::new(vendor.label(), m),
-                &m,
-                |bench, _| {
-                    let mut cblk = Block::zeros(m);
-                    bench.iter(|| vendor.gemm_add(&a, &b, &mut cblk));
-                },
-            );
+            g.bench_with_input(BenchmarkId::new(vendor.label(), m), &m, |bench, _| {
+                let mut cblk = Block::zeros(m);
+                bench.iter(|| vendor.gemm_add(&a, &b, &mut cblk));
+            });
         }
     }
     g.finish();

@@ -61,7 +61,10 @@ fn ablation_renaming(cal: &Calibration) {
         s_off.renames
     );
     assert_eq!(s_on.anti_edges, 0);
-    assert!(s_off.anti_edges > 0, "hazard edges must appear without renaming");
+    assert!(
+        s_off.anti_edges > 0,
+        "hazard edges must appear without renaming"
+    );
 
     let bs = 512;
     let mut table = Table::new(
@@ -198,7 +201,11 @@ fn ablation_graph_limit(cal: &Calibration) {
             &SimGraph::from_record(&record, |n| cal.tuned.task_cost_us(n, bs)),
             &cfg,
         );
-        let x = if limit == usize::MAX { 0.0 } else { limit as f64 };
+        let x = if limit == usize::MAX {
+            0.0
+        } else {
+            limit as f64
+        };
         table.row(x, vec![r.makespan_us / 1e3, r.spawn_end_us / 1e3]);
     }
     table.print();

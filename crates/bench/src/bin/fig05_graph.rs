@@ -16,7 +16,11 @@ fn main() {
 
     println!("# Figure 5 — task graph of the 6x6 blocked Cholesky (Fig. 4 code)");
     println!("tasks:         {}", g.node_count());
-    println!("true edges:    {} ({} unique pairs)", g.edge_count(), g.unique_edge_count());
+    println!(
+        "true edges:    {} ({} unique pairs)",
+        g.edge_count(),
+        g.unique_edge_count()
+    );
     println!("roots:         {:?}", g.roots());
     let hist = g.histogram();
     for (name, count) in &hist {
@@ -41,5 +45,8 @@ fn main() {
     let dot = g.to_dot();
     let path = "fig05_cholesky_6x6.dot";
     std::fs::write(path, &dot).expect("write dot file");
-    println!("\nDOT written to {path} ({} bytes); render with `dot -Tpdf`.", dot.len());
+    println!(
+        "\nDOT written to {path} ({} bytes); render with `dot -Tpdf`.",
+        dot.len()
+    );
 }

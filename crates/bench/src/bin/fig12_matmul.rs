@@ -26,7 +26,9 @@ fn main() {
         Calibration::measure()
     };
     let total_flops = flops::matmul_total(matrix);
-    println!("# Figure 12 — matmul {matrix}x{matrix} f32 with on-demand copies, blocks {bs}x{bs}\n");
+    println!(
+        "# Figure 12 — matmul {matrix}x{matrix} f32 with on-demand copies, blocks {bs}x{bs}\n"
+    );
 
     let record = matmul_flat_graph(n);
     // The threaded libraries treat the multiply as one big, perfectly

@@ -27,7 +27,9 @@ fn main() {
     };
     // "The Gflops figures have been calculated using Strassen's formula".
     let total_flops = flops::strassen_total(matrix, cutoff * bs);
-    println!("# Figure 13 — Strassen {matrix}x{matrix}, blocks {bs}x{bs}, cutoff {cutoff} blocks\n");
+    println!(
+        "# Figure 13 — Strassen {matrix}x{matrix}, blocks {bs}x{bs}, cutoff {cutoff} blocks\n"
+    );
 
     let record = strassen_graph(n, cutoff);
     println!(

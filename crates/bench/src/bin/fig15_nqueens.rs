@@ -90,7 +90,9 @@ fn main() {
         smpss[at(1)] > cilk[at(1)] && smpss[at(1)] > omp[at(1)],
         "paper: at 1 thread SMPSs beats the copy-burdened baselines \
          (smpss={:.2} cilk={:.2} omp={:.2})",
-        smpss[at(1)], cilk[at(1)], omp[at(1)]
+        smpss[at(1)],
+        cilk[at(1)],
+        omp[at(1)]
     );
     assert!(
         cilk[at(1)] < 1.0 && omp[at(1)] < 1.0,
@@ -103,6 +105,9 @@ fn main() {
             PAPER_THREADS[i]
         );
     }
-    assert!(smpss[at(32)] > 8.0, "all versions scale well into the 20s-30s");
+    assert!(
+        smpss[at(32)] > 8.0,
+        "all versions scale well into the 20s-30s"
+    );
     println!("shape checks passed: SMPSs leads at every thread count.");
 }

@@ -44,7 +44,11 @@ fn main() {
         cfg.spawn_overhead_us = if serial_spawner { 1.0 } else { 0.0 };
         if !serial_spawner {
             // Per-runtime overheads; see fig14/fig15 for the reasoning.
-            cfg.dispatch_overhead_us = if policy == SimPolicy::CentralQueue { 0.5 } else { 0.1 };
+            cfg.dispatch_overhead_us = if policy == SimPolicy::CentralQueue {
+                0.5
+            } else {
+                0.1
+            };
             cfg.locality_factor = 1.0;
         }
         simulate(g, &cfg).makespan_us

@@ -71,7 +71,10 @@ fn main() {
             g.unique_edge_count()
         );
         println!("roots:      {}", g.roots().len());
-        println!("parallelism (work/span, unit costs): {:.2}", g.max_parallelism(|_| 1.0));
+        println!(
+            "parallelism (work/span, unit costs): {:.2}",
+            g.max_parallelism(|_| 1.0)
+        );
         println!("task types:");
         for (name, count) in g.histogram() {
             println!("  {name:<14} x{count}");

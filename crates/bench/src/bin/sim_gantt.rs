@@ -21,7 +21,9 @@ fn main() {
     let graph = SimGraph::from_record(&record, |name| cal.tuned.task_cost_us(name, bs));
     let cfg = MachineConfig::with_threads(threads);
     let (res, sched) = simulate_with_schedule(&graph, &cfg);
-    sched.validate().expect("simulated schedule must be feasible");
+    sched
+        .validate()
+        .expect("simulated schedule must be feasible");
 
     println!(
         "Cholesky {n}x{n} blocks of {bs} on {threads} virtual threads: {} tasks, makespan {:.1} ms",

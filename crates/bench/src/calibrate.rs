@@ -83,9 +83,7 @@ impl Calibration {
         let half: Vec<i64> = (0..n as i64 / 2).map(|x| x * 2).collect();
         let other: Vec<i64> = (0..n as i64 / 2).map(|x| x * 2 + 1).collect();
         let mut out = vec![0i64; n];
-        let merge_secs = best_of(3, || {
-            smpss_apps::sort::seq_merge(&half, &other, &mut out)
-        });
+        let merge_secs = best_of(3, || smpss_apps::sort::seq_merge(&half, &other, &mut out));
         let merge_ns_per_elem = merge_secs * 1e9 / n as f64;
 
         // N Queens node rate.
@@ -217,9 +215,7 @@ mod tests {
         let rt = smpss::Runtime::builder().threads(1).build();
         let count = smpss_apps::nqueens::nqueens_smpss(&rt, n, 4);
         assert_eq!(count, 92);
-        let g_explorers = rt
-            .stats()
-            .tasks_spawned;
+        let g_explorers = rt.stats().tasks_spawned;
         // tasks = set_cell (one per valid prefix above split) + explorers.
         assert!(g_explorers as usize > sizes.len());
         assert!(!sizes.is_empty());

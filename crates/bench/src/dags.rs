@@ -113,10 +113,7 @@ fn merge_node(
 pub fn cilk_nqueens(n: usize, cal: &Calibration, fj: &FjCosts) -> SimGraph {
     let mut b = DagBuilder::new();
     let per_node_work = cal.nqueens_ns_per_node / 1e3;
-    let root = b.task(
-        "queens",
-        fj.task_overhead_us + per_node_work,
-    );
+    let root = b.task("queens", fj.task_overhead_us + per_node_work);
     let mut sol = vec![0u32; n];
     build_queens_subtree(&mut b, root, &mut sol, 0, n, n, cal, fj, per_node_work);
     b.build()
@@ -198,7 +195,9 @@ pub fn multisort_seq_work_us(n: usize, quick: usize, cal: &Calibration) -> f64 {
         let q = n / 4;
         let parts = [q, q, q, n - 3 * q];
         let children: f64 = parts.iter().map(|&s| rec(s, quick, cal)).sum();
-        children + cal.seqmerge_us(parts[0] + parts[1]) + cal.seqmerge_us(parts[2] + parts[3])
+        children
+            + cal.seqmerge_us(parts[0] + parts[1])
+            + cal.seqmerge_us(parts[2] + parts[3])
             + cal.seqmerge_us(n)
     }
     rec(n, quick, cal)

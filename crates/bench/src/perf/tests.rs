@@ -220,8 +220,7 @@ fn tenant_storm_sheds_and_audits_at_small_scale() {
     assert_eq!(hog_runs.load(Ordering::Relaxed), admitted);
     let err = laggard.wait().expect_err("the elapsed deadline fired");
     assert!(err.failed.is_empty(), "nothing panicked");
-    let cancelled: std::collections::BTreeSet<u64> =
-        err.cancelled.iter().map(|c| c.id.0).collect();
+    let cancelled: std::collections::BTreeSet<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
     assert_eq!(cancelled, laggard_ids, "exact laggard cancelled set");
     let st = rt.stats();
     assert_eq!(st.admission_sheds, shed, "runtime counter agrees");
@@ -326,16 +325,22 @@ fn spec() -> Json {
 
 /// Apply `edit` to the fields of `doc`'s first workload.
 fn edit_first_workload(doc: &mut Json, edit: impl FnOnce(&mut Vec<(String, Json)>)) {
-    let Json::Obj(top) = doc else { panic!("a result file is an object") };
+    let Json::Obj(top) = doc else {
+        panic!("a result file is an object")
+    };
     let (_, Json::Obj(workloads)) = top.iter_mut().find(|(k, _)| k == "workloads").unwrap() else {
         panic!("workloads is an object")
     };
-    let Json::Obj(first) = &mut workloads[0].1 else { panic!("a workload is an object") };
+    let Json::Obj(first) = &mut workloads[0].1 else {
+        panic!("a workload is an object")
+    };
     edit(first);
 }
 
 fn set_field(doc: &mut Json, key: &str, value: Json) {
-    let Json::Obj(top) = doc else { panic!("a result file is an object") };
+    let Json::Obj(top) = doc else {
+        panic!("a result file is an object")
+    };
     top.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
 }
 
@@ -344,7 +349,12 @@ fn quick_suite_emits_valid_document() {
     let spec = spec();
     for (path, doc) in committed_runs() {
         check_full_run(&doc, &spec).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc, "{}", path.display());
+        assert_eq!(
+            Json::parse(&doc.pretty()).unwrap(),
+            doc,
+            "{}",
+            path.display()
+        );
     }
 }
 
@@ -360,7 +370,9 @@ fn validate_rejects_broken_documents() {
         };
         metrics.remove(0);
     });
-    assert!(check_full_run(&no_metric, &spec).unwrap_err().contains("missing"));
+    assert!(check_full_run(&no_metric, &spec)
+        .unwrap_err()
+        .contains("missing"));
 
     let mut failing = doc.clone();
     edit_first_workload(&mut failing, |w| {
@@ -370,7 +382,9 @@ fn validate_rejects_broken_documents() {
 
     let mut bogus = doc;
     set_field(&mut bogus, "schema", Json::str("bogus/9"));
-    assert!(check_full_run(&bogus, &spec).unwrap_err().contains("schema"));
+    assert!(check_full_run(&bogus, &spec)
+        .unwrap_err()
+        .contains("schema"));
     assert!(check_full_run(&Json::obj::<String>([]), &spec).is_err());
 }
 

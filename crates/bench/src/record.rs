@@ -118,10 +118,7 @@ mod tests {
         g.validate().unwrap();
         assert!(g.node_count() > 100);
         use smpss::graph::record::EdgeKind;
-        assert!(g
-            .edges()
-            .iter()
-            .all(|&(_, _, k)| k == EdgeKind::True));
+        assert!(g.edges().iter().all(|&(_, _, k)| k == EdgeKind::True));
     }
 
     #[test]

@@ -291,9 +291,13 @@ mod tests {
 
     #[test]
     fn builder_sets_on_panic() {
-        let c = RuntimeBuilder::default().on_panic(OnPanic::FailFast).config();
+        let c = RuntimeBuilder::default()
+            .on_panic(OnPanic::FailFast)
+            .config();
         assert_eq!(c.on_panic, OnPanic::FailFast);
-        let c = RuntimeBuilder::default().on_panic(OnPanic::Isolate).config();
+        let c = RuntimeBuilder::default()
+            .on_panic(OnPanic::Isolate)
+            .config();
         assert_eq!(c.on_panic, OnPanic::Isolate);
         assert_eq!(OnPanic::default(), OnPanic::CancelDependents);
     }
@@ -361,11 +365,15 @@ mod tests {
         assert!(c.sessions);
         assert_eq!(c.session_max_in_flight, Some(8));
 
-        let c = RuntimeBuilder::default().session_max_renamed_bytes(1 << 20).config();
+        let c = RuntimeBuilder::default()
+            .session_max_renamed_bytes(1 << 20)
+            .config();
         assert!(c.sessions);
         assert_eq!(c.session_max_renamed_bytes, Some(1 << 20));
 
-        let c = RuntimeBuilder::default().admission(AdmissionPolicy::Shed).config();
+        let c = RuntimeBuilder::default()
+            .admission(AdmissionPolicy::Shed)
+            .config();
         assert!(c.sessions);
         assert_eq!(c.admission, AdmissionPolicy::Shed);
     }

@@ -255,7 +255,12 @@ impl<T: TaskData> DataObject<T> {
     /// Make `buf`, written by `producer`, the current version; returns
     /// the displaced buffer.
     #[inline(always)]
-    fn install(&self, st: &mut ObjState<T>, buf: &Arc<VBuf<T>>, producer: Arc<TaskNode>) -> Arc<VBuf<T>> {
+    fn install(
+        &self,
+        st: &mut ObjState<T>,
+        buf: &Arc<VBuf<T>>,
+        producer: Arc<TaskNode>,
+    ) -> Arc<VBuf<T>> {
         let old = std::mem::replace(
             &mut st.current,
             CurrentVersion {
@@ -338,7 +343,10 @@ mod tests {
         // Rename four times, holding every displaced version as a reader
         // would: v0 (the initial one) .. v3 park in age order.
         let mut held: Vec<_> = (0..4)
-            .map(|_| o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE).1)
+            .map(|_| {
+                o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE)
+                    .1
+            })
             .collect();
         // Four parked entries exceed the three-entry cap: v0, the oldest
         // and front one, went first.
@@ -349,11 +357,18 @@ mod tests {
         // Two more renames reuse nothing (every parked entry is read)
         // and park v4 and v5; the second goes over the cap again.
         for _ in 0..2 {
-            held.push(o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE).1);
+            held.push(
+                o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE)
+                    .1,
+            );
         }
         // v2, the minimum age but not in the front slot, was evicted.
         let parked: Vec<usize> = held[1..].iter().map(Arc::strong_count).collect();
-        assert_eq!(parked, vec![1, 2, 2, 2], "v2 evicted; v3, v4 and v5 still parked");
+        assert_eq!(
+            parked,
+            vec![1, 2, 2, 2],
+            "v2 evicted; v3, v4 and v5 still parked"
+        );
         assert_eq!(slab.counters().evicted_live, 2);
     }
 

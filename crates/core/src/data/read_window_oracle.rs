@@ -124,4 +124,3 @@ fn last_reader_out_is_unique_under_contention() {
         assert_eq!(oracle.pending(), 0);
     }
 }
-

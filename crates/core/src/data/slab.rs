@@ -259,7 +259,10 @@ impl ClassShelf {
                  (slab entry is single-threaded unless shards >= 2 or sessions)"
             );
         }
-        ShelfEntry { shelf: self, concurrent }
+        ShelfEntry {
+            shelf: self,
+            concurrent,
+        }
     }
 }
 
@@ -414,7 +417,9 @@ pub(crate) struct VersionSlab {
 impl VersionSlab {
     pub(crate) fn new(cap: usize, concurrent: bool) -> Self {
         VersionSlab {
-            shelves: (0..CLASSES).map(|_| CachePadded::new(ClassShelf::new())).collect(),
+            shelves: (0..CLASSES)
+                .map(|_| CachePadded::new(ClassShelf::new()))
+                .collect(),
             cap,
             concurrent,
             peak: AtomicUsize::new(0),
@@ -447,7 +452,10 @@ impl VersionSlab {
 
     /// Total parked bytes across all shelves (gate-free, advisory).
     pub(crate) fn parked_bytes(&self) -> usize {
-        self.shelves.iter().map(|s| s.gauge.load(Ordering::Relaxed)).sum()
+        self.shelves
+            .iter()
+            .map(|s| s.gauge.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// First half of the renamer's version switch: enter the shape's
@@ -461,7 +469,10 @@ impl VersionSlab {
     /// is parked, so a renamer can never resurrect its own displaced
     /// buffer mid-switch.
     #[inline(always)]
-    pub(crate) fn begin(&self, key: ReuseKey) -> (ShelfGuard<'_>, Option<Arc<dyn Any + Send + Sync>>) {
+    pub(crate) fn begin(
+        &self,
+        key: ReuseKey,
+    ) -> (ShelfGuard<'_>, Option<Arc<dyn Any + Send + Sync>>) {
         let shelf = &self.shelves[key.class as usize];
         let mut st = shelf.enter(self.concurrent);
         // Unrolled front probe: in the steady storm the front entry is
@@ -484,7 +495,10 @@ impl VersionSlab {
                         // As above: pairs with the last reader's
                         // Release drop.
                         std::sync::atomic::fence(Ordering::Acquire);
-                        let p = st.entries.swap_remove_front(i).expect("probed index in range");
+                        let p = st
+                            .entries
+                            .swap_remove_front(i)
+                            .expect("probed index in range");
                         st.hits += 1;
                         found = Some(p.buf);
                         break;
@@ -620,7 +634,9 @@ mod tests {
         let slab = VersionSlab::new(1 << 20, true);
         let key = ReuseKey::shared::<VBuf<i32>>(1024);
         assert!(slab.exchange(key, buf(1, 1024, &acct)).is_none());
-        let got = slab.exchange(key, buf(2, 1024, &acct)).expect("parked spare is dead");
+        let got = slab
+            .exchange(key, buf(2, 1024, &acct))
+            .expect("parked spare is dead");
         let got = got.downcast::<VBuf<i32>>().expect("key pins the type");
         unsafe { assert_eq!(*got.peek(), 1) };
         let c = slab.counters();
@@ -638,10 +654,14 @@ mod tests {
             .exchange(ReuseKey::owned::<VBuf<i32>>(64, 8), buf(2, 64, &acct))
             .is_none());
         // Shared scope never sees owned buffers.
-        assert!(slab.exchange(ReuseKey::shared::<VBuf<i32>>(64), buf(3, 64, &acct)).is_none());
+        assert!(slab
+            .exchange(ReuseKey::shared::<VBuf<i32>>(64), buf(3, 64, &acct))
+            .is_none());
         // Same class (64 and 65 both round to 128? no — 64 is exact), but
         // different declared size: no reuse even within one shelf.
-        assert!(slab.exchange(ReuseKey::shared::<VBuf<i32>>(63), buf(4, 63, &acct)).is_none());
+        assert!(slab
+            .exchange(ReuseKey::shared::<VBuf<i32>>(63), buf(4, 63, &acct))
+            .is_none());
         assert_eq!(slab.counters().hits, 0);
     }
 

@@ -77,7 +77,11 @@ impl MemTicket {
     /// Mint a ticket through a [`TicketCharge`]: the lane credit (if
     /// any) pre-pays the global account in chunks, and the session (if
     /// any) is charged its quota-side bytes.
-    pub(crate) fn new_charged(bytes: usize, acct: Arc<AtomicUsize>, charge: TicketCharge<'_>) -> Self {
+    pub(crate) fn new_charged(
+        bytes: usize,
+        acct: Arc<AtomicUsize>,
+        charge: TicketCharge<'_>,
+    ) -> Self {
         let prepaid = match charge.credit {
             Some(credit) => credit.cover(bytes),
             None => false,
@@ -619,11 +623,23 @@ mod tests {
                 sess: None,
             },
         );
-        assert_eq!(acct.load(Ordering::Acquire), 400, "chunk grab, no per-ticket add");
+        assert_eq!(
+            acct.load(Ordering::Acquire),
+            400,
+            "chunk grab, no per-ticket add"
+        );
         drop(t);
-        assert_eq!(acct.load(Ordering::Acquire), 300, "ticket drop returns its bytes");
+        assert_eq!(
+            acct.load(Ordering::Acquire),
+            300,
+            "ticket drop returns its bytes"
+        );
         drop(credit);
-        assert_eq!(acct.load(Ordering::Acquire), 0, "credit drop returns the surplus");
+        assert_eq!(
+            acct.load(Ordering::Acquire),
+            0,
+            "credit drop returns the surplus"
+        );
     }
 
     #[test]

@@ -56,9 +56,7 @@ use std::sync::Arc;
 
 use crate::data::object::{CurrentVersion, Handle, ObjState};
 use crate::data::region::Region;
-use crate::data::region_handle::{
-    RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding,
-};
+use crate::data::region_handle::{RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding};
 use crate::data::region_log::Linker;
 use crate::data::version::{ReadBinding, VBuf, WriteBinding};
 use crate::data::TaskData;
@@ -201,7 +199,9 @@ fn rename<T: TaskData, H: SpawnHost>(
     st: &mut ObjState<T>,
 ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>) {
     let displaced = st.current.producer.take();
-    let switched = h.obj.rename_current(st, Arc::clone(sp.node()), sp.ticket_charge());
+    let switched = h
+        .obj
+        .rename_current(st, Arc::clone(sp.node()), sp.ticket_charge());
     sp.release_producer(displaced);
     switched
 }
@@ -213,7 +213,10 @@ fn rename<T: TaskData, H: SpawnHost>(
 /// before the in-place reuse that follows (one acquire per call instead
 /// of one per load).
 fn quiescent<T>(cur: &CurrentVersion<T>) -> bool {
-    let settled = cur.producer.as_ref().is_none_or(|p| p.is_finished_relaxed())
+    let settled = cur
+        .producer
+        .as_ref()
+        .is_none_or(|p| p.is_finished_relaxed())
         && cur.buf.window().pending_relaxed() == 0;
     if settled {
         std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);

@@ -330,7 +330,11 @@ mod tests {
         let a = FaultPlan::seeded(7).panic_one_in(4);
         let b = FaultPlan::seeded(7).panic_one_in(4);
         let c = FaultPlan::seeded(8).panic_one_in(4);
-        let hits = |p: &FaultPlan| (1..=1000u64).filter(|&i| p.hits_body(i)).collect::<Vec<_>>();
+        let hits = |p: &FaultPlan| {
+            (1..=1000u64)
+                .filter(|&i| p.hits_body(i))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(hits(&a), hits(&b), "same seed, same schedule");
         assert_ne!(hits(&a), hits(&c), "different seed, different schedule");
         // Roughly one in four, with generous slack.

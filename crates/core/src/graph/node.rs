@@ -629,12 +629,10 @@ impl TaskNode {
             (*link).next = head;
         }
         loop {
-            match self.succs.compare_exchange_weak(
-                head,
-                link,
-                Ordering::Release,
-                Ordering::Acquire,
-            ) {
+            match self
+                .succs
+                .compare_exchange_weak(head, link, Ordering::Release, Ordering::Acquire)
+            {
                 Ok(_) => return true,
                 Err(h) if h == closed() => {
                     // Producer completed between our load and the CAS.
@@ -1064,9 +1062,7 @@ mod tests {
         let out = Arc::new(AtomicUsize::new(0));
         let o = Arc::clone(&out);
         let n = node(1);
-        n.install_body(move || {
-            o.store(big.iter().map(|&b| b as usize).sum(), Ordering::SeqCst)
-        });
+        n.install_body(move || o.store(big.iter().map(|&b| b as usize).sum(), Ordering::SeqCst));
         n.take_body().run_in_place();
         assert_eq!(out.load(Ordering::SeqCst), 7 * 256);
     }

@@ -181,8 +181,7 @@ impl GraphRecord {
     /// dependencies").
     pub fn to_dot(&self) -> String {
         const PALETTE: &[&str] = &[
-            "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3", "#fdb462", "#b3de69",
-            "#fccde5",
+            "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3", "#fdb462", "#b3de69", "#fccde5",
         ];
         let mut colors: BTreeMap<&'static str, &str> = BTreeMap::new();
         for n in &self.nodes {

@@ -73,16 +73,14 @@ pub use data::region::{Region, RegionBound};
 pub use data::region_handle::{RegionData, RegionHandle};
 pub use data::representant::Representant;
 pub use data::version::{ReadBinding, WriteBinding};
-pub use graph::record::GraphRecord;
-pub use ids::{ObjectId, SessionId, TaskId};
-pub use runtime::session::{Overloaded, OverloadReason, Session};
-pub use runtime::shard::Submitter;
-pub use runtime::spawner::TaskSpawner;
-pub use runtime::{
-    CancelledTask, Priority, Runtime, RuntimeBuildError, TaskFailure, TaskFailures,
-};
 #[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
+pub use graph::record::GraphRecord;
+pub use ids::{ObjectId, SessionId, TaskId};
+pub use runtime::session::{OverloadReason, Overloaded, Session};
+pub use runtime::shard::Submitter;
+pub use runtime::spawner::TaskSpawner;
+pub use runtime::{CancelledTask, Priority, Runtime, RuntimeBuildError, TaskFailure, TaskFailures};
 pub use sched::TaskSource;
 pub use stats::StatsSnapshot;
 pub use trace::{Event, EventKind, Trace};

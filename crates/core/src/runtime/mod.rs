@@ -72,7 +72,10 @@ impl std::fmt::Debug for TaskFailure {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("session", &self.session)
-            .field("payload", &self.payload_str().unwrap_or("<non-string payload>"))
+            .field(
+                "payload",
+                &self.payload_str().unwrap_or("<non-string payload>"),
+            )
             .finish()
     }
 }
@@ -138,7 +141,11 @@ pub struct RuntimeBuildError {
 
 impl std::fmt::Display for RuntimeBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "could not spawn worker thread {}: {}", self.worker, self.source)
+        write!(
+            f,
+            "could not spawn worker thread {}: {}",
+            self.worker, self.source
+        )
     }
 }
 
@@ -304,7 +311,9 @@ impl Shared {
             main_q: Injector::new(),
             central: Injector::new(),
             stealers,
-            finished: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
+            finished: (0..n)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             live_bytes: Arc::new(AtomicUsize::new(0)),
             slab,
             next_task: CachePadded::new(AtomicU64::new(0)),
@@ -483,7 +492,10 @@ impl Shared {
     /// re-read, which the all-done wake pairs with).
     #[inline]
     pub(crate) fn finished_total(&self) -> u64 {
-        self.finished.iter().map(|s| s.load(Ordering::Acquire)).sum()
+        self.finished
+            .iter()
+            .map(|s| s.load(Ordering::Acquire))
+            .sum()
     }
 
     /// Spawned-but-unfinished task instances (the live graph size).
@@ -622,7 +634,10 @@ impl Runtime {
                     for j in joins {
                         let _ = j.join();
                     }
-                    return Err(RuntimeBuildError { worker: i + 1, source });
+                    return Err(RuntimeBuildError {
+                        worker: i + 1,
+                        source,
+                    });
                 }
             }
         }
@@ -885,7 +900,11 @@ impl Runtime {
         self.help_until(|| {
             let _lane = self.lane_enter(h.obj.id);
             let st = h.obj.state.lock();
-            st.current.producer.as_ref().is_none_or(|p| p.is_finished()).then_some(())
+            st.current
+                .producer
+                .as_ref()
+                .is_none_or(|p| p.is_finished())
+                .then_some(())
         })
     }
 
@@ -1086,7 +1105,15 @@ impl Runtime {
     fn run_inline(&self, job: Job) {
         let (done, handoff) = {
             let mut ctx = self.main_ctx.borrow_mut();
-            run_task(&self.shared, &mut ctx, 0, job, TaskSource::OwnList, false, true)
+            run_task(
+                &self.shared,
+                &mut ctx,
+                0,
+                job,
+                TaskSource::OwnList,
+                false,
+                true,
+            )
         };
         debug_assert!(handoff.is_none(), "hand-off declined");
         self.shared.stats.inline_runs();
@@ -1316,7 +1343,11 @@ mod tests {
             assert!(rt.help_once(), "three private tasks are waiting");
         }
         let order: Vec<u64> = ran.iter().map(|r| r.load(Ordering::SeqCst)).collect();
-        assert_eq!(order, vec![1, 2, 3], "hand-off, then own list, then main list");
+        assert_eq!(
+            order,
+            vec![1, 2, 3],
+            "hand-off, then own list, then main list"
+        );
         assert_eq!(rt.stats().handoffs, 1);
     }
 
@@ -1341,18 +1372,28 @@ mod tests {
         let t1 = producer();
         bump(2); // displaces task 1 while it is queued
         bump(3);
-        assert_ne!(producer(), t1, "a queued producer's node is never handed out");
+        assert_ne!(
+            producer(),
+            t1,
+            "a queued producer's node is never handed out"
+        );
         assert_eq!(rt.stats().node_pool_hits, 0);
         let t3 = producer();
         rt.barrier();
         assert_eq!(rt.read(&x), 1_123);
         bump(4); // displaces the finished task 3
         bump(5);
-        assert_eq!(producer(), t3, "the next spawn reuses the displaced, finished producer");
+        assert_eq!(
+            producer(),
+            t3,
+            "the next spawn reuses the displaced, finished producer"
+        );
         assert_eq!(rt.stats().node_pool_hits, 2);
         rt.barrier();
         assert_eq!(rt.read(&x), 112_345);
-        let chain: Vec<_> = (1..5).map(|i| (TaskId(i), TaskId(i + 1), EdgeKind::True)).collect();
+        let chain: Vec<_> = (1..5)
+            .map(|i| (TaskId(i), TaskId(i + 1), EdgeKind::True))
+            .collect();
         assert_eq!(rt.graph().unwrap().edges(), &chain[..]);
     }
 
@@ -1372,7 +1413,10 @@ mod tests {
         };
         let t0 = Instant::now();
         while !costs.is_cheap(SITE) {
-            assert!(t0.elapsed() < Duration::from_secs(30), "the site never measured cheap");
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "the site never measured cheap"
+            );
             storm(64);
             rt.barrier();
         }
@@ -1386,7 +1430,10 @@ mod tests {
             periods += 1;
         }
         rt.barrier();
-        assert!(rt.stats().inline_runs > before, "the spawner timed it inline");
+        assert!(
+            rt.stats().inline_runs > before,
+            "the spawner timed it inline"
+        );
     }
 
     /// High-priority work preempts the deferred hand-off: with a live
@@ -1408,9 +1455,17 @@ mod tests {
         rt.shared.hp_used.store(true, Ordering::Relaxed);
         rt.shared.hp.push(hp_job);
         assert!(rt.help_once());
-        assert_eq!(hp_ran.load(Ordering::SeqCst), 1, "HP first, the hand-off waits");
+        assert_eq!(
+            hp_ran.load(Ordering::SeqCst),
+            1,
+            "HP first, the hand-off waits"
+        );
         assert!(rt.help_once());
         assert_eq!(pending_ran.load(Ordering::SeqCst), 2);
-        assert_eq!(rt.stats().handoffs, 0, "a demoted hand-off is an own-list pop");
+        assert_eq!(
+            rt.stats().handoffs,
+            0,
+            "a demoted hand-off is an own-list pop"
+        );
     }
 }

@@ -179,7 +179,8 @@ impl SessionCtl {
     fn arm_deadline(&self, shared: &Shared, budget: Duration) {
         let now = elapsed_nanos(shared);
         let at = now.saturating_add(nanos_u64(budget));
-        self.deadline_nanos.store(at.min(u64::MAX - 1), Ordering::Relaxed);
+        self.deadline_nanos
+            .store(at.min(u64::MAX - 1), Ordering::Relaxed);
     }
 
     /// Probe the armed deadline; the first observation of expiry (real
@@ -436,7 +437,9 @@ impl Session {
                 // slab to free dead spares before refusing or blocking:
                 // each one minted by us returns its bytes to the quota
                 // through the ticket's drop.
-                self.sub.shared().reclaim_dead_spares(self.ctl.bytes() - limit);
+                self.sub
+                    .shared()
+                    .reclaim_dead_spares(self.ctl.bytes() - limit);
                 if self.ctl.bytes() > limit {
                     return Some(OverloadReason::RenamedBytes);
                 }
@@ -529,7 +532,11 @@ mod tests {
 
     #[test]
     fn sessions_get_distinct_ids_and_round_robin_lanes() {
-        let rt = Runtime::builder().threads(1).shards(2).sessions(true).build();
+        let rt = Runtime::builder()
+            .threads(1)
+            .shards(2)
+            .sessions(true)
+            .build();
         let a = rt.session();
         let b = rt.session();
         let c = rt.session();

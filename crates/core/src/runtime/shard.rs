@@ -449,8 +449,7 @@ impl SpawnHost for Submitter {
                 shared.reclaim_spares(limit);
                 if shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0 {
                     shared.stats.throttle_blocks();
-                    while shared.live_bytes.load(Ordering::Acquire) > limit
-                        && shared.live_now() > 0
+                    while shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0
                     {
                         // Completions may have killed the last readers
                         // of parked spares; a reclaim pass frees bytes

@@ -223,7 +223,9 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         F: FnOnce() + Send + 'static,
     {
         self.node.install_body(body);
-        self.rt.shared().trace_event(0, EventKind::Spawn(self.node.id()));
+        self.rt
+            .shared()
+            .trace_event(0, EventKind::Spawn(self.node.id()));
         self.submitted = true;
         // SAFETY: `submitted` is set, so Drop will not touch `node`
         // again; this is the move that replaces the old clone+drop pair.
@@ -460,7 +462,10 @@ impl<H: SpawnHost> Drop for TaskSpawner<'_, H> {
             let name = node.name();
             drop(node);
             if !std::thread::panicking() {
-                panic!("TaskSpawner for {:?} ({}) dropped without submit()", id, name);
+                panic!(
+                    "TaskSpawner for {:?} ({}) dropped without submit()",
+                    id, name
+                );
             }
         }
     }

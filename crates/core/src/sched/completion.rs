@@ -276,7 +276,8 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) =
+            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
         assert_eq!(handoff.expect("fan-out hands off").id(), TaskId(5));
         assert_eq!(wake, Wake::One, "surplus wakes one thief; it propagates");
         // The remaining successors sit in the own list; LIFO pops give
@@ -301,7 +302,8 @@ mod tests {
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) =
+            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
         assert_eq!(handoff.unwrap().id(), TaskId(2));
         assert_eq!(wake, Wake::None, "a hand-off needs no wake");
         assert!(local.is_empty());
@@ -320,7 +322,9 @@ mod tests {
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, false, true, &mut ready);
+        let (handoff, wake) = finish_task(
+            &shared, &local, 0, &producer, false, false, true, &mut ready,
+        );
         assert!(handoff.is_none());
         assert_eq!(wake, Wake::One, "empty-transition push wakes one");
         assert_eq!(local.pop().unwrap().id(), TaskId(2));
@@ -344,13 +348,17 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 3, &producer, false, true, true, &mut ready);
+        let (handoff, wake) =
+            finish_task(&shared, &local, 3, &producer, false, true, true, &mut ready);
         assert_eq!(handoff.expect("local successors hand off").id(), TaskId(4));
         assert_eq!(wake, Wake::One, "surplus on the own list wakes a thief");
         assert_eq!(local.pop().unwrap().id(), TaskId(3));
         assert_eq!(local.pop().unwrap().id(), TaskId(2));
         assert!(local.pop().is_none());
-        assert!(shared.main_q.is_empty(), "released tasks never go to the main list");
+        assert!(
+            shared.main_q.is_empty(),
+            "released tasks never go to the main list"
+        );
         assert_eq!(shared.stats.snapshot().locality_hits, 0);
         assert_eq!(shared.finished[3].load(Ordering::Relaxed), 1);
     }
@@ -376,13 +384,15 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
+        let (handoff, wake) =
+            finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
         assert!(handoff.is_none(), "the central queue takes every task");
         assert_eq!(wake, Wake::One);
         assert!(local.is_empty());
-        let order: Vec<_> = std::iter::from_fn(|| crate::sched::queues::pop_injector(&shared.central))
-            .map(|j| j.id())
-            .collect();
+        let order: Vec<_> =
+            std::iter::from_fn(|| crate::sched::queues::pop_injector(&shared.central))
+                .map(|j| j.id())
+                .collect();
         assert_eq!(order, vec![TaskId(2), TaskId(3)]);
     }
 
@@ -417,7 +427,9 @@ mod tests {
         // Helper path (no hand-off): the successor is pushed onto the
         // non-empty own list — the exact shape that used to lose the
         // wake.
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, false, true, &mut ready);
+        let (handoff, wake) = finish_task(
+            &shared, &local, 0, &producer, false, false, true, &mut ready,
+        );
         assert!(handoff.is_none());
         assert_eq!(
             wake,
@@ -451,9 +463,14 @@ mod tests {
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) =
+            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
         assert_eq!(handoff.unwrap().id(), TaskId(2));
-        assert_eq!(wake, Wake::None, "a hand-off publishes nothing — no wake owed");
+        assert_eq!(
+            wake,
+            Wake::None,
+            "a hand-off publishes nothing — no wake owed"
+        );
         shared.sleep.notify_all();
         parked.join().unwrap();
     }
@@ -480,7 +497,8 @@ mod tests {
             let last = ready_node(1);
             last.take_body().run_in_place();
             let mut ready = Vec::new();
-            let (handoff, wake) = finish_task(&shared, &local, idx, &last, false, false, true, &mut ready);
+            let (handoff, wake) =
+                finish_task(&shared, &local, idx, &last, false, false, true, &mut ready);
             assert!(handoff.is_none());
             assert_eq!(shared.finished_total(), 1, "the graph is done");
             assert_eq!(wake, want, "completion on thread {idx}");
@@ -496,7 +514,10 @@ mod tests {
     #[test]
     fn sharded_single_thread_uses_concurrent_close() {
         let shared = Shared::for_tests(
-            crate::RuntimeBuilder::default().threads(1).shards(2).config(),
+            crate::RuntimeBuilder::default()
+                .threads(1)
+                .shards(2)
+                .config(),
         );
         assert!(shared.sharded);
         let local = Worker::new_lifo();
@@ -532,8 +553,12 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
-        assert_eq!(handoff.expect("worker completions hand off").id(), TaskId(4));
+        let (handoff, wake) =
+            finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
+        assert_eq!(
+            handoff.expect("worker completions hand off").id(),
+            TaskId(4)
+        );
         assert_eq!(wake, Wake::One, "surplus wakes one thief, not all");
         assert_eq!(local.len(), 2);
         assert_eq!(shared.finished[0].load(Ordering::Relaxed), 0);

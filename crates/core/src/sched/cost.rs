@@ -247,14 +247,26 @@ mod tests {
         t.record("site", 36_000, true);
         assert!(!t.is_cheap("site") && t.is_watched("site"));
         t.record("site", 100, false);
-        assert!(!t.is_cheap("site"), "a worker's sample does not move a watched site");
+        assert!(
+            !t.is_cheap("site"),
+            "a worker's sample does not move a watched site"
+        );
         t.record("site", 1_500, true);
-        assert!(!t.is_cheap("site") && t.is_watched("site"), "still undecided");
+        assert!(
+            !t.is_cheap("site") && t.is_watched("site"),
+            "still undecided"
+        );
         t.record("site", 100, true);
-        assert!(t.is_cheap("site") && !t.is_watched("site"), "the spawner's sample decides");
+        assert!(
+            t.is_cheap("site") && !t.is_watched("site"),
+            "the spawner's sample decides"
+        );
         t.record("site", 36_000, true);
         t.record("site", 36_000, true);
-        assert!(!t.is_cheap("site") && !t.is_watched("site"), "confirmed dear");
+        assert!(
+            !t.is_cheap("site") && !t.is_watched("site"),
+            "confirmed dear"
+        );
         assert_eq!(t.estimate("site"), 36_000);
         for ns in [2_500, 900, 3_000] {
             t.record("dear", ns, true);

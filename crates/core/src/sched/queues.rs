@@ -101,10 +101,7 @@ const CLAIM_BATCH: usize = 8;
 /// BENCH_0008 head-of-line hang: a batch-claimer that picked up a
 /// tenant's parked blocker froze the other tenants' already-published
 /// tasks it had claimed alongside).
-pub(crate) fn pop_injector_batch(
-    inj: &Injector<Job>,
-    sink: &mut impl FnMut(Job),
-) -> Option<Job> {
+pub(crate) fn pop_injector_batch(inj: &Injector<Job>, sink: &mut impl FnMut(Job)) -> Option<Job> {
     if inj.is_empty() {
         return None;
     }

@@ -262,8 +262,7 @@ pub fn run_task(
     let skip = if shared.sessions_used() {
         session_skip(shared, &job)
     } else {
-        shared.faulted()
-            && (job.cancel_requested() || shared.cfg.on_panic == OnPanic::FailFast)
+        shared.faulted() && (job.cancel_requested() || shared.cfg.on_panic == OnPanic::FailFast)
     };
     let mut poisoned = false;
     if skip {

@@ -61,7 +61,9 @@ impl TraceCollector {
 
     pub(crate) fn record(&self, thread: usize, kind: EventKind) {
         let t_ns = self.start.elapsed().as_nanos() as u64;
-        self.buffers[thread].lock().push(Event { t_ns, thread, kind });
+        self.buffers[thread]
+            .lock()
+            .push(Event { t_ns, thread, kind });
     }
 
     pub(crate) fn drain(&self) -> Trace {
@@ -237,10 +239,7 @@ mod tests {
     fn drain_merges_and_sorts() {
         let trace = collector_with_events().drain();
         assert_eq!(trace.events().len(), 4);
-        assert!(trace
-            .events()
-            .windows(2)
-            .all(|w| w[0].t_ns <= w[1].t_ns));
+        assert!(trace.events().windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         assert_eq!(trace.thread_count(), 2);
     }
 

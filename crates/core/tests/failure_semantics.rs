@@ -126,7 +126,11 @@ fn cancel_dependents_cancels_the_transitive_chain_only() {
         "exactly the dependents are cancelled"
     );
     assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled bodies never run");
-    assert_eq!(rt.read(&healthy), healthy_runs, "independent chain completed");
+    assert_eq!(
+        rt.read(&healthy),
+        healthy_runs,
+        "independent chain completed"
+    );
     let st = rt.stats();
     assert_eq!(st.panics, 1);
     assert_eq!(st.cancelled, 8);
@@ -171,7 +175,11 @@ fn spawning_against_an_already_failed_producer_cancels() {
         let before = rt.stats().inline_runs;
         let bad = early_boom(&rt, &x, true);
         if threads > 1 {
-            assert_eq!(rt.stats().inline_runs - before, 1, "the producer ran inline");
+            assert_eq!(
+                rt.stats().inline_runs - before,
+                1,
+                "the producer ran inline"
+            );
         }
         // Run the failing task to completion before the dependent is
         // even analysed (main-thread help executes it when it did not
@@ -190,7 +198,11 @@ fn spawning_against_an_already_failed_producer_cancels() {
 
         let err = rt.wait_all().expect_err("producer failed");
         assert_eq!(failed_ids(&err), [bad], "threads({threads})");
-        assert_eq!(cancelled_ids(&err), [late].into_iter().collect(), "threads({threads})");
+        assert_eq!(
+            cancelled_ids(&err),
+            [late].into_iter().collect(),
+            "threads({threads})"
+        );
         assert!(!ran.load(Ordering::Relaxed), "threads({threads})");
     }
 }
@@ -428,7 +440,8 @@ fn run_program(
         .on_panic(policy)
         .build();
     let cells: Vec<_> = (0..CELLS).map(|_| rt.data(0i64)).collect();
-    let ran: Arc<Vec<AtomicBool>> = Arc::new((0..specs.len()).map(|_| AtomicBool::new(false)).collect());
+    let ran: Arc<Vec<AtomicBool>> =
+        Arc::new((0..specs.len()).map(|_| AtomicBool::new(false)).collect());
     let mut ids = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let mut sp = rt.task("t");

@@ -392,9 +392,10 @@ fn forced_deadline_fire_cancels_exactly_the_armed_session() {
         sp.submit(move || *w.get_mut() = 7);
     }
     gate.store(true, Ordering::Release);
-    let err = s.wait().expect_err("the fired deadline cancelled the dependents");
-    let cancelled: std::collections::BTreeSet<u64> =
-        err.cancelled.iter().map(|c| c.id.0).collect();
+    let err = s
+        .wait()
+        .expect_err("the fired deadline cancelled the dependents");
+    let cancelled: std::collections::BTreeSet<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
     assert_eq!(cancelled, pending, "exactly the pending set cancelled");
     assert!(err.failed.is_empty(), "nothing panicked");
     assert_eq!(rt.stats().deadline_fires, 1);

@@ -61,10 +61,7 @@ fn overlapping_writes_serialise() {
 
 #[test]
 fn disjoint_writes_have_no_edges() {
-    let rt = Runtime::builder()
-        .threads(1)
-        .record_graph(true)
-        .build();
+    let rt = Runtime::builder().threads(1).record_graph(true).build();
     let data = rt.region_data(vec![0u8; 100]);
     for k in 0..10usize {
         let (lo, hi) = (k * 10, k * 10 + 9);
@@ -88,10 +85,7 @@ fn disjoint_writes_have_no_edges() {
 #[test]
 fn read_write_edge_kinds_are_recorded() {
     use smpss::graph::record::EdgeKind;
-    let rt = Runtime::builder()
-        .threads(1)
-        .record_graph(true)
-        .build();
+    let rt = Runtime::builder().threads(1).record_graph(true).build();
     let data = rt.region_data(vec![0i64; 8]);
     // T1 writes [0..=7]; T2 reads [0..=3] (true); T3 writes [2..=5]
     // (anti on T2, output on T1).
@@ -275,7 +269,9 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
         // Deterministic LCG so both configurations see one program.
         let mut seed = 0x2545F4914F6CDD1Du64;
         let mut rand = move |m: usize| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 33) as usize) % m
         };
         for i in 0..160 {

@@ -59,9 +59,9 @@ fn own_list_lifo_depth_first() {
     let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
     let root = rt.data(0i64);
     bump(&rt, &root); // T1, born ready
-    // T2..T4 all depend on T1 only (they read root): when T1 finishes on
-    // the main thread, all three land on its own list; LIFO pop runs them
-    // in reverse spawn order.
+                      // T2..T4 all depend on T1 only (they read root): when T1 finishes on
+                      // the main thread, all three land on its own list; LIFO pop runs them
+                      // in reverse spawn order.
     for i in 0..3 {
         let mut sp = rt.task("child");
         let mut r = sp.read(&root);
@@ -162,10 +162,7 @@ fn chains_exhibit_locality() {
 #[test]
 fn central_queue_vs_smpss_same_result() {
     let run = |policy| {
-        let rt = Runtime::builder()
-            .threads(3)
-            .policy(policy)
-            .build();
+        let rt = Runtime::builder().threads(3).policy(policy).build();
         let x = rt.data(1i64);
         let y = rt.data(2i64);
         let release = gate(&rt, &[&x, &y]);

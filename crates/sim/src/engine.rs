@@ -291,9 +291,7 @@ impl Sim<'_> {
             self.hp.push_back(task);
         } else {
             match self.cfg.policy {
-                SimPolicy::Smpss | SimPolicy::StealLifo => {
-                    self.own[by as usize].push_back(task)
-                }
+                SimPolicy::Smpss | SimPolicy::StealLifo => self.own[by as usize].push_back(task),
                 SimPolicy::CentralQueue => self.central.push_back(task),
             }
         }
@@ -331,7 +329,10 @@ impl Sim<'_> {
 
     fn dispatch(&mut self, t: f64) {
         loop {
-            let Some(&w) = self.idle.iter().find(|&&w| w != 0 || self.main != MainState::Spawning)
+            let Some(&w) = self
+                .idle
+                .iter()
+                .find(|&&w| w != 0 || self.main != MainState::Spawning)
             else {
                 return;
             };

@@ -35,10 +35,7 @@ impl SimGraph {
     /// Like [`from_record`](Self::from_record) but the cost function also
     /// sees the zero-based spawn index, for workloads whose task costs
     /// vary per instance (e.g. the N Queens subtree-exploration tasks).
-    pub fn from_record_with(
-        g: &GraphRecord,
-        mut cost: impl FnMut(usize, &str) -> f64,
-    ) -> SimGraph {
+    pub fn from_record_with(g: &GraphRecord, mut cost: impl FnMut(usize, &str) -> f64) -> SimGraph {
         let mut out = SimGraph::default();
         for (idx, n) in g.nodes().iter().enumerate() {
             out.push_node(SimNode {
@@ -129,7 +126,6 @@ impl DagBuilder {
 
     /// Add a high-priority task.
     pub fn task_hp(&mut self, name: &str, cost: f64) -> usize {
-        
         self.g.push_node(SimNode {
             name: name.to_string(),
             cost,

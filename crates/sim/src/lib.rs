@@ -32,6 +32,6 @@ pub mod models;
 pub mod schedule;
 
 pub use engine::{simulate, simulate_with_schedule, SimResult};
-pub use schedule::{Placement, Schedule};
 pub use graph::{DagBuilder, SimGraph};
 pub use machine::{MachineConfig, SimPolicy};
+pub use schedule::{Placement, Schedule};

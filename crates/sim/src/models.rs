@@ -183,7 +183,10 @@ mod tests {
         let us = r.task_cost_us("sgemm_t", 256);
         let expect = 2.0 * 256.0f64.powi(3) / (5.6 * 1e3);
         assert!((us - expect).abs() < 1e-9);
-        assert!(us > 1000.0, "a 256-block gemm is a healthy-granularity task");
+        assert!(
+            us > 1000.0,
+            "a 256-block gemm is a healthy-granularity task"
+        );
         let tiny = r.task_cost_us("sgemm_t", 32);
         assert!(tiny < 20.0, "a 32-block gemm is runtime-overhead-bound");
     }
@@ -225,10 +228,7 @@ mod tests {
         let m = 256;
         let best_p = |fj: &ForkJoinBlas| {
             (1..=32)
-                .min_by(|&a, &b| {
-                    fj.cholesky_us(n, m, a)
-                        .total_cmp(&fj.cholesky_us(n, m, b))
-                })
+                .min_by(|&a, &b| fj.cholesky_us(n, m, a).total_cmp(&fj.cholesky_us(n, m, b)))
                 .unwrap()
         };
         let goto_best = best_p(&goto);
@@ -237,14 +237,20 @@ mod tests {
             mkl_best < goto_best,
             "MKL-like must saturate earlier (mkl={mkl_best}, goto={goto_best})"
         );
-        assert!(mkl_best <= 6, "paper: MKL does not scale beyond ~4 (got {mkl_best})");
+        assert!(
+            mkl_best <= 6,
+            "paper: MKL does not scale beyond ~4 (got {mkl_best})"
+        );
         assert!(
             (8..=14).contains(&goto_best),
             "paper: Goto scales to ~10 (got {goto_best})"
         );
         // Beyond the knee, more threads must not help meaningfully.
         let flat = mkl.cholesky_us(n, m, 32) / mkl.cholesky_us(n, m, mkl_best);
-        assert!(flat >= 0.95, "MKL curve must be flat past its knee ({flat})");
+        assert!(
+            flat >= 0.95,
+            "MKL curve must be flat past its knee ({flat})"
+        );
     }
 
     #[test]

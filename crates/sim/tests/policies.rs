@@ -30,7 +30,10 @@ fn comb_scales_to_chain_count() {
     let t32 = simulate(&g, &MachineConfig::ideal(32)).makespan_us;
     assert!((t1 - 1600.0).abs() < 1e-6);
     assert!((t8 - 200.0).abs() < 1e-6, "8 threads, 8 chains: perfect");
-    assert!((t32 - 200.0).abs() < 1e-6, "more threads than chains: no gain");
+    assert!(
+        (t32 - 200.0).abs() < 1e-6,
+        "more threads than chains: no gain"
+    );
 }
 
 #[test]

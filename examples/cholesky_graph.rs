@@ -11,10 +11,7 @@ use smpss_apps::{FlatMatrix, HyperMatrix};
 use smpss_blas::Vendor;
 
 fn main() {
-    let rt = Runtime::builder()
-        .threads(4)
-        .record_graph(true)
-        .build();
+    let rt = Runtime::builder().threads(4).record_graph(true).build();
 
     let n = 6;
     let m = 16;

@@ -19,7 +19,10 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let seq = nqueens_seq(n);
-    println!("sequential:     {seq} solutions  ({:.1} ms)", t0.elapsed().as_secs_f64() * 1e3);
+    println!(
+        "sequential:     {seq} solutions  ({:.1} ms)",
+        t0.elapsed().as_secs_f64() * 1e3
+    );
 
     let rt = Runtime::builder().threads(4).build();
     let t0 = std::time::Instant::now();

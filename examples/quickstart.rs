@@ -17,7 +17,10 @@ use smpss_blas::Vendor;
 fn main() {
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     let rt = Runtime::builder().threads(threads).build();
-    println!("SMPSs runtime with {threads} threads (1 main + {} workers)", threads - 1);
+    println!(
+        "SMPSs runtime with {threads} threads (1 main + {} workers)",
+        threads - 1
+    );
 
     // A 512x512 multiply tiled into 8x8 blocks of 64x64 elements.
     let (n, m) = (8, 64);

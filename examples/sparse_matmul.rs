@@ -52,7 +52,10 @@ fn main() {
 
     let expect = FlatMatrix::multiply_ref(&af, &bf);
     let got = c.to_flat(&rt);
-    println!("max |Δ| vs dense reference: {:.2e}", got.max_abs_diff(&expect));
+    println!(
+        "max |Δ| vs dense reference: {:.2e}",
+        got.max_abs_diff(&expect)
+    );
     assert!(got.max_abs_diff(&expect) < 1e-3);
     // The dense code on the same data also works — just does more tasks.
     let c2 = HyperMatrix::dense_zeros(&rt, n, m);
@@ -61,13 +64,22 @@ fn main() {
     for i in 0..n {
         for j in 0..n {
             for k in 0..n {
-                sgemm_t(&rt, a_dense.block(i, k), b_dense.block(k, j), c2.block(i, j), Vendor::Tuned);
+                sgemm_t(
+                    &rt,
+                    a_dense.block(i, k),
+                    b_dense.block(k, j),
+                    c2.block(i, j),
+                    Vendor::Tuned,
+                );
             }
         }
     }
     rt.barrier();
     assert!(c2.to_flat(&rt).max_abs_diff(&expect) < 1e-3);
-    println!("ok — sparse and dense agree; sparse spawned {}x fewer tasks.", (n * n * n) / (3 * n - 2));
+    println!(
+        "ok — sparse and dense agree; sparse spawned {}x fewer tasks.",
+        (n * n * n) / (3 * n - 2)
+    );
 }
 
 fn af_write(f: &mut FlatMatrix, m: usize, bi: usize, bj: usize, blk: &Block) {

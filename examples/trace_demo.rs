@@ -34,7 +34,11 @@ fn main() {
             s.tasks_run,
             s.busy_ns as f64 / 1e6,
             s.steals,
-            if t == 0 { "   (main: spawns, helps at the barrier)" } else { "" }
+            if t == 0 {
+                "   (main: spawns, helps at the barrier)"
+            } else {
+                ""
+            }
         );
     }
 

@@ -87,10 +87,7 @@ impl Criterion {
         };
         let rate = match throughput {
             Some(Throughput::Elements(n)) if per_iter_ns > 0.0 => {
-                format!(
-                    "  ({:.3} Melem/s)",
-                    *n as f64 / per_iter_ns * 1e9 / 1e6
-                )
+                format!("  ({:.3} Melem/s)", *n as f64 / per_iter_ns * 1e9 / 1e6)
             }
             Some(Throughput::Bytes(n)) if per_iter_ns > 0.0 => {
                 format!(

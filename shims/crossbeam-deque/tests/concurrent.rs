@@ -66,7 +66,12 @@ fn injector_mpmc_exactly_once() {
     }
     assert!(inj.is_empty());
     for (v, count) in seen.iter().enumerate() {
-        assert_eq!(count.load(Ordering::Relaxed), 1, "value {} lost or duplicated", v);
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            1,
+            "value {} lost or duplicated",
+            v
+        );
     }
 }
 
@@ -122,7 +127,12 @@ fn injector_batch_mpmc_exactly_once() {
     }
     assert!(inj.is_empty());
     for (v, count) in seen.iter().enumerate() {
-        assert_eq!(count.load(Ordering::Relaxed), 1, "value {} lost or duplicated", v);
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            1,
+            "value {} lost or duplicated",
+            v
+        );
     }
 }
 
@@ -237,7 +247,12 @@ fn chase_lev_owner_and_thieves_exactly_once() {
         h.join().unwrap();
     }
     for (v, count) in seen.iter().enumerate() {
-        assert_eq!(count.load(Ordering::Relaxed), 1, "value {} lost or duplicated", v);
+        assert_eq!(
+            count.load(Ordering::Relaxed),
+            1,
+            "value {} lost or duplicated",
+            v
+        );
     }
 }
 
@@ -277,10 +292,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// block boundaries.
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        prop_oneof![
-            op_strategy().boxed(),
-            (1u32..64).prop_map(Op::Push).boxed(),
-        ],
+        prop_oneof![op_strategy().boxed(), (1u32..64).prop_map(Op::Push).boxed(),],
         1..220,
     )
 }

@@ -33,7 +33,14 @@ fn all_examples_run_to_completion() {
     for name in EXAMPLES {
         let dir = scratch_dir(name);
         let out = Command::new(&cargo)
-            .args(["run", "--quiet", "--example", name, "--manifest-path", manifest])
+            .args([
+                "run",
+                "--quiet",
+                "--example",
+                name,
+                "--manifest-path",
+                manifest,
+            ])
             .current_dir(&dir)
             .output()
             .unwrap_or_else(|e| panic!("failed to launch `cargo run --example {name}`: {e}"));

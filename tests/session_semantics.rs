@@ -93,7 +93,11 @@ fn build(threads: usize, shards: usize) -> Runtime {
 /// The oracle: survivors only, no victim tenant ever opened. Returns
 /// their final cell values and the full recorded graph (which is
 /// exactly the survivors' graph).
-fn run_without_victim(progs: &[Vec<Op>; 2], threads: usize, shards: usize) -> (Vec<Vec<i64>>, Graph) {
+fn run_without_victim(
+    progs: &[Vec<Op>; 2],
+    threads: usize,
+    shards: usize,
+) -> (Vec<Vec<i64>>, Graph) {
     let rt = build(threads, shards);
     let survivors = [rt.session(), rt.session()];
     let cells: Vec<Vec<Handle<i64>>> = (0..2)
@@ -401,7 +405,9 @@ fn node_reuse_across_hosts_keeps_failure_attribution_exact() {
             }
         });
     }
-    let err = rt.wait_all().expect_err("every 8th main-thread task panics");
+    let err = rt
+        .wait_all()
+        .expect_err("every 8th main-thread task panics");
     assert_eq!(err.failed.len(), (MAIN / 8) as usize);
     assert!(err.cancelled.is_empty());
     assert!(
@@ -415,7 +421,9 @@ fn node_reuse_across_hosts_keeps_failure_attribution_exact() {
         "every main-thread spawn reuses a session-born node"
     );
 
-    s.task("boom").expect("no quota configured").submit(|| panic!("session task"));
+    s.task("boom")
+        .expect("no quota configured")
+        .submit(|| panic!("session task"));
     let err = s.wait().expect_err("the session task panics");
     assert_eq!(err.failed.len(), 1);
     assert_eq!(err.failed[0].session, s.id());
