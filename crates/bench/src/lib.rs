@@ -2,8 +2,7 @@
 //!
 //! One binary per figure of the paper's §VI (`fig05_graph` …
 //! `fig16_nqueens_scalability`), plus `ablations` for the design-choice
-//! studies DESIGN.md lists, and criterion micro-benchmarks for the
-//! runtime primitives and kernels. Performance of the runtime itself is
+//! studies DESIGN.md lists. Performance of the runtime itself is
 //! measured by the repository benchmark (`benchmark/`, declared in
 //! `BENCHMARK.json`), not here.
 //!

@@ -11,7 +11,14 @@
 //! direct hand-off, renamed-away versions park in the runtime-wide
 //! version slab, and ready tasks are placed by the §III order alone.
 //! What remains here are the paper's parameters, sizes and limits,
-//! the scheduler policy study, sharding and the session front door.
+//! the scheduler policy study, the analysis lane count and the session
+//! quotas.
+//!
+//! Whether more than one thread spawns is not configured: the runtime
+//! observes it. It starts in the paper's single-spawner mode and moves
+//! to concurrent spawners the first time
+//! [`Runtime::submitters`](crate::Runtime::submitters) or
+//! [`Runtime::session`](crate::Runtime::session) hands out a handle.
 
 /// How idle threads look for work. [`SchedulerPolicy::Smpss`] is the policy
 /// of §III of the paper; the alternatives exist for the ablation benches.
@@ -86,7 +93,6 @@ pub struct RuntimeConfig {
     pub(crate) slab_spare_bytes: Option<usize>,
     pub(crate) shards: usize,
     pub(crate) on_panic: OnPanic,
-    pub(crate) sessions: bool,
     pub(crate) session_max_in_flight: Option<usize>,
     pub(crate) session_max_renamed_bytes: Option<usize>,
     pub(crate) admission: AdmissionPolicy,
@@ -105,7 +111,6 @@ impl Default for RuntimeConfig {
             slab_spare_bytes: None,
             shards: 1,
             on_panic: OnPanic::CancelDependents,
-            sessions: false,
             session_max_in_flight: None,
             session_max_renamed_bytes: None,
             admission: AdmissionPolicy::Block,
@@ -189,16 +194,17 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Number of dependency-analysis lanes (default 1 — the paper's
-    /// single-spawner model, bit-for-bit). With `n >= 2` the runtime
-    /// hands out [`Submitter`](crate::Submitter)s
+    /// Number of dependency-analysis lanes (default 1). With `n >= 2`
+    /// the runtime hands out [`Submitter`](crate::Submitter)s
     /// ([`Runtime::submitters`](crate::Runtime::submitters)) so multiple
     /// threads can run dependency analysis concurrently: objects are
     /// hashed onto lanes, each lane's `SpawnerCell` universe is entered
     /// under that lane's gate, task-node pools are per lane, and
     /// cross-lane edges settle through the lock-free successor
-    /// machinery. `shards(1)` preserves today's single-spawner path
-    /// exactly (no gates, no RMWs on the spawn counters); every shard
+    /// machinery. Sessions open round-robin over the lanes. The lane
+    /// count alone switches no path: until the first submitter or
+    /// session exists the main thread keeps the paper's single-spawner
+    /// path (no gates, no RMWs on the spawn counters), and every shard
     /// count records the same graph (`tests/shard_semantics.rs`).
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "a runtime needs at least one analysis lane");
@@ -213,43 +219,28 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enable the multi-session front door (default: off). With it,
-    /// [`Runtime::session`](crate::Runtime::session) hands out
-    /// [`Session`](crate::Session) handles whose spawns are stamped with
-    /// a session id, admitted against the per-session quotas, and
-    /// cancellable/waitable as a group without disturbing other
-    /// sessions. Implied by any of the quota / admission setters below.
-    /// Sessions ride the sharded analysis lanes, so enabling them on a
-    /// `shards(1)` runtime runs the single lane gated.
-    pub fn sessions(mut self, on: bool) -> Self {
-        self.cfg.sessions = on;
-        self
-    }
-
     /// Per-session quota on in-flight tasks (spawned but unfinished).
     /// A session at the quota has further submissions blocked or shed
-    /// according to the [`AdmissionPolicy`]. Implies [`sessions`](Self::sessions).
+    /// according to the [`AdmissionPolicy`]. Applies to every
+    /// [`Session`](crate::Session) the runtime opens.
     pub fn session_max_in_flight(mut self, n: usize) -> Self {
         assert!(n >= 1, "a session quota below one task admits nothing");
         self.cfg.session_max_in_flight = Some(n);
-        self.cfg.sessions = true;
         self
     }
 
     /// Per-session quota on live renamed/version bytes attributed to the
     /// session's tasks — the session-scoped analogue of
-    /// [`memory_limit`](Self::memory_limit). Implies [`sessions`](Self::sessions).
+    /// [`memory_limit`](Self::memory_limit).
     pub fn session_max_renamed_bytes(mut self, bytes: usize) -> Self {
         self.cfg.session_max_renamed_bytes = Some(bytes);
-        self.cfg.sessions = true;
         self
     }
 
     /// What an over-quota session submission does (default
-    /// [`AdmissionPolicy::Block`]). Implies [`sessions`](Self::sessions).
+    /// [`AdmissionPolicy::Block`]).
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.cfg.admission = policy;
-        self.cfg.sessions = true;
         self
     }
 
@@ -353,29 +344,43 @@ mod tests {
     #[test]
     fn session_defaults_off() {
         let c = RuntimeConfig::default();
-        assert!(!c.sessions);
         assert!(c.session_max_in_flight.is_none());
         assert!(c.session_max_renamed_bytes.is_none());
         assert_eq!(c.admission, AdmissionPolicy::Block);
+        // No session is open until one is asked for: a default runtime
+        // starts in the single-spawner mode, and opening a session is
+        // what moves it on.
+        let rt = RuntimeBuilder::default().threads(2).build();
+        assert!(!rt.shared.concurrent_spawners() && !rt.shared.sessions_used());
+        let _s = rt.session();
+        assert!(rt.shared.concurrent_spawners() && rt.shared.sessions_used());
     }
 
+    /// The quota and admission setters set their own field and nothing
+    /// else: a runtime built with them still has one spawner until a
+    /// session opens.
     #[test]
     fn session_knobs_imply_sessions() {
         let c = RuntimeBuilder::default().session_max_in_flight(8).config();
-        assert!(c.sessions);
         assert_eq!(c.session_max_in_flight, Some(8));
-
         let c = RuntimeBuilder::default()
             .session_max_renamed_bytes(1 << 20)
             .config();
-        assert!(c.sessions);
         assert_eq!(c.session_max_renamed_bytes, Some(1 << 20));
-
         let c = RuntimeBuilder::default()
             .admission(AdmissionPolicy::Shed)
             .config();
-        assert!(c.sessions);
         assert_eq!(c.admission, AdmissionPolicy::Shed);
+
+        let rt = RuntimeBuilder::default()
+            .threads(2)
+            .session_max_in_flight(8)
+            .session_max_renamed_bytes(1 << 20)
+            .admission(AdmissionPolicy::Shed)
+            .build();
+        assert!(!rt.shared.concurrent_spawners(), "quotas imply nothing");
+        let _s = rt.session();
+        assert!(rt.shared.sessions_used());
     }
 
     #[test]

@@ -325,7 +325,7 @@ mod tests {
     }
 
     fn obj(v: i32) -> DataObject<i32> {
-        obj_in(v, 4, Arc::new(VersionSlab::new(1 << 20, false)))
+        obj_in(v, 4, Arc::new(VersionSlab::new(1 << 20)))
     }
 
     /// An object's displaced versions park in the slab, and an over-cap
@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn legacy_eviction_picks_minimum_age_not_front_slot() {
         const BYTES: usize = 4096;
-        let slab = Arc::new(VersionSlab::new(3 * BYTES, false));
+        let slab = Arc::new(VersionSlab::new(3 * BYTES));
         let o = obj_in(0, BYTES, Arc::clone(&slab));
         let mut st = o.state.lock();
         let producer = TaskNode::new(crate::ids::TaskId(1), "w", crate::runtime::Priority::Normal);

@@ -218,18 +218,21 @@ impl ClassShelf {
         }
     }
 
-    /// Own the shelf. `concurrent` is the runtime's slab-access mode,
-    /// fixed at build time (see [`VersionSlab::new`]):
+    /// Own the shelf. `concurrent` is the runtime's slab-access mode as
+    /// the caller read it from [`VersionSlab::concurrent`]:
     ///
     /// * `true` — spin until this thread owns the shelf. Hold times are
     ///   a bounded probe plus O(1) queue surgery, so the lane-gate
     ///   argument for CAS + backoff over parking machinery applies
     ///   verbatim.
-    /// * `false` — single-spawner mode: `shards(1)` without sessions
-    ///   means every slab entry (rename, throttle reclaim, trim, stats)
+    /// * `false` — single-spawner mode: until a submitter or session
+    ///   exists every slab entry (rename, throttle reclaim, trim, stats)
     ///   runs on the one spawning thread `Runtime: !Sync` pins analysis
-    ///   to — `submitters()` asserts `shards >= 2`, and workers only
-    ///   ever drop buffer `Arc`s, never touch shelf state. The object
+    ///   to, and workers only ever drop buffer `Arc`s, never touch shelf
+    ///   state. An entry made in this mode cannot race a later
+    ///   concurrent one: the runtime's spawner latch switches the mode
+    ///   on the main thread, outside any slab call, before the first
+    ///   other spawner exists. The object
     ///   cells above the slab in the rename path already carry a
     ///   release-mode `SpawnerCell` tripwire for exactly this
     ///   invariant, so the shelf keeps only a debug-build re-entry
@@ -256,7 +259,7 @@ impl ClassShelf {
             debug_assert!(
                 !self.busy.swap(true, Ordering::Relaxed),
                 "SMPSs invariant violated: concurrent version-slab access \
-                 (slab entry is single-threaded unless shards >= 2 or sessions)"
+                 (slab entry is single-threaded until a submitter or session exists)"
             );
         }
         ShelfEntry {
@@ -270,7 +273,7 @@ impl ClassShelf {
 /// the gate on drop.
 struct ShelfEntry<'a> {
     shelf: &'a ClassShelf,
-    /// Mirrors [`VersionSlab::new`]'s access mode: selects whether drop
+    /// The access mode this entry was made in: selects whether drop
     /// must publish the gate word (CAS mode) or only clear the
     /// debug-build tripwire.
     concurrent: bool,
@@ -404,10 +407,11 @@ pub(crate) struct VersionSlab {
     /// bytes than this (the per-object pool's 2-spares-per-object cap,
     /// globalised).
     cap: usize,
-    /// Whether slab entries can come from more than one thread
-    /// (`shards >= 2` or sessions); selects the shelf-gate flavor in
-    /// [`ClassShelf::enter`].
-    concurrent: bool,
+    /// Whether slab entries can come from more than one thread (a
+    /// submitter or session exists); selects the shelf-gate flavor in
+    /// [`ClassShelf::enter`]. False at build; only the runtime's spawner
+    /// latch (`Runtime::latch_spawners`) sets it.
+    pub(crate) concurrent: AtomicBool,
     /// High-water mark of the runtime-wide live-version account,
     /// sampled on every fresh allocation (the only moment the account
     /// can grow).
@@ -415,15 +419,21 @@ pub(crate) struct VersionSlab {
 }
 
 impl VersionSlab {
-    pub(crate) fn new(cap: usize, concurrent: bool) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         VersionSlab {
             shelves: (0..CLASSES)
                 .map(|_| CachePadded::new(ClassShelf::new()))
                 .collect(),
             cap,
-            concurrent,
+            concurrent: AtomicBool::new(false),
             peak: AtomicUsize::new(0),
         }
+    }
+
+    /// The access mode for one shelf entry.
+    #[inline(always)]
+    fn mode(&self) -> bool {
+        self.concurrent.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -446,7 +456,7 @@ impl VersionSlab {
     pub(crate) fn parked_entries(&self) -> usize {
         self.shelves
             .iter()
-            .map(|s| s.enter(self.concurrent).entries.len())
+            .map(|s| s.enter(self.mode()).entries.len())
             .sum()
     }
 
@@ -474,7 +484,7 @@ impl VersionSlab {
         key: ReuseKey,
     ) -> (ShelfGuard<'_>, Option<Arc<dyn Any + Send + Sync>>) {
         let shelf = &self.shelves[key.class as usize];
-        let mut st = shelf.enter(self.concurrent);
+        let mut st = shelf.enter(self.mode());
         // Unrolled front probe: in the steady storm the front entry is
         // the hit (readers drain in park order), so the common path is
         // one key compare, one strong-count load and a `pop_front`.
@@ -520,7 +530,7 @@ impl VersionSlab {
     /// of the class), then trim back under the spare cap.
     pub(crate) fn park_displaced(&self, key: ReuseKey, buf: Arc<dyn Any + Send + Sync>) {
         let shelf = &self.shelves[key.class as usize];
-        shelf.enter(self.concurrent).push(key, buf);
+        shelf.enter(self.mode()).push(key, buf);
         if self.parked_bytes() > self.cap {
             self.trim_to_cap();
         }
@@ -550,7 +560,7 @@ impl VersionSlab {
         let mut total = self.parked_bytes();
         for shelf in self.shelves.iter().rev() {
             while total > self.cap && shelf.gauge.load(Ordering::Relaxed) > 0 {
-                let mut st = shelf.enter(self.concurrent);
+                let mut st = shelf.enter(self.mode());
                 match evict_one(&mut st) {
                     Some(freed) => total -= freed.min(total),
                     None => break,
@@ -577,7 +587,7 @@ impl VersionSlab {
             if shelf.gauge.load(Ordering::Relaxed) == 0 {
                 continue;
             }
-            let mut st = shelf.enter(self.concurrent);
+            let mut st = shelf.enter(self.mode());
             let mut i = 0;
             while i < st.entries.len() {
                 if Arc::strong_count(&st.entries[i].buf) == 1 {
@@ -608,7 +618,7 @@ impl VersionSlab {
     pub(crate) fn counters(&self) -> SlabCounters {
         let mut c = SlabCounters::default();
         for shelf in self.shelves.iter() {
-            let st = shelf.enter(self.concurrent);
+            let st = shelf.enter(self.mode());
             c.hits += st.hits;
             c.evicted_dead += st.evicted_dead;
             c.evicted_live += st.evicted_live;
@@ -631,7 +641,7 @@ mod tests {
     #[test]
     fn exchange_misses_then_hits_same_key() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let slab = VersionSlab::new(1 << 20, true);
+        let slab = VersionSlab::new(1 << 20);
         let key = ReuseKey::shared::<VBuf<i32>>(1024);
         assert!(slab.exchange(key, buf(1, 1024, &acct)).is_none());
         let got = slab
@@ -647,7 +657,7 @@ mod tests {
     #[test]
     fn keys_do_not_cross_scopes_or_sizes() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let slab = VersionSlab::new(1 << 20, true);
+        let slab = VersionSlab::new(1 << 20);
         slab.exchange(ReuseKey::owned::<VBuf<i32>>(64, 7), buf(1, 64, &acct));
         // Same type + size, different scope: no reuse.
         assert!(slab
@@ -668,7 +678,7 @@ mod tests {
     #[test]
     fn live_entries_are_not_reused() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let slab = VersionSlab::new(1 << 20, true);
+        let slab = VersionSlab::new(1 << 20);
         let key = ReuseKey::shared::<VBuf<i32>>(64);
         let reader: Arc<dyn Any + Send + Sync> = {
             let b = buf(1, 64, &acct);
@@ -685,7 +695,7 @@ mod tests {
     #[test]
     fn over_cap_trim_prefers_dead_and_accounts_live_evictions() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let slab = VersionSlab::new(0, true); // nothing may stay parked
+        let slab = VersionSlab::new(0); // nothing may stay parked
         let key = ReuseKey::shared::<VBuf<i32>>(64);
         let held = {
             let b = buf(1, 64, &acct);
@@ -711,7 +721,7 @@ mod tests {
     #[test]
     fn reclaim_frees_only_dead_bytes() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let slab = VersionSlab::new(1 << 20, true);
+        let slab = VersionSlab::new(1 << 20);
         let key = ReuseKey::shared::<VBuf<i32>>(4096);
         let held = {
             let b = buf(1, 4096, &acct);
@@ -814,7 +824,7 @@ mod tests {
 
     #[test]
     fn peak_is_monotonic() {
-        let slab = VersionSlab::new(0, true);
+        let slab = VersionSlab::new(0);
         slab.note_peak(100);
         slab.note_peak(40);
         assert_eq!(slab.peak(), 100);
@@ -835,7 +845,7 @@ mod tests {
         use std::time::Instant;
         const N: usize = 2_000_000;
         let key = ReuseKey::shared::<Vec<f32>>(256);
-        let slab = VersionSlab::new(DEFAULT_SPARE_CAP, false);
+        let slab = VersionSlab::new(DEFAULT_SPARE_CAP);
         // Steady-state shape: one dead entry parked, cycled each iter.
         let seed: Arc<dyn Any + Send + Sync> = Arc::new(vec![0f32; 64]);
         slab.park_displaced(key, seed);

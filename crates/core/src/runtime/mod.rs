@@ -6,7 +6,9 @@ pub mod shard;
 pub mod spawner;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -198,7 +200,7 @@ pub struct Shared {
     pub(crate) shutdown: AtomicBool,
     /// Per-lane heads of the intrusive free stacks of recycled task
     /// nodes (the spawn-side node pool; one stack per analysis lane,
-    /// one lane total when unsharded). Completing threads push finished
+    /// one lane total at `shards(1)`). Completing threads push finished
     /// nodes through [`TaskNode::free_next`] onto the stack of the
     /// node's **home lane** (stamped at acquire); only that lane's
     /// caches (`shard::LaneCache`) pop, each with a single `swap` that
@@ -206,16 +208,14 @@ pub struct Shared {
     /// worker CAS-pushes here once per task while the spawner swaps it.
     pub(crate) free_nodes: Box<[CachePadded<AtomicPtr<TaskNode>>]>,
     /// One [`LaneGate`](shard::LaneGate) per analysis lane: entry
-    /// tickets to each lane's `SpawnerCell` universe. Only taken when
-    /// [`sharded`](Shared::sharded) — the single-spawner path never
-    /// touches them.
+    /// tickets to each lane's `SpawnerCell` universe. Only taken once
+    /// [`concurrent_spawners`](Shared::concurrent_spawners) — the
+    /// single-spawner path never touches them.
     pub(crate) lanes: Box<[shard::LaneGate]>,
-    /// More than one thread may spawn (`cfg.shards > 1`, or sessions):
-    /// spawn counters become RMWs, object accesses gate through
-    /// [`lanes`](Shared::lanes), and completion must assume concurrent
-    /// successor registration even at `threads == 1`. Derived once at
-    /// build.
-    pub(crate) sharded: bool,
+    /// The spawner mode ([`SINGLE`], [`CONCURRENT`], [`SESSIONS`]),
+    /// observed, not configured; [`Runtime::latch_spawners`] is its only
+    /// writer. Padded: the spawn path and the workers read it per task.
+    pub(crate) spawners: CachePadded<AtomicU8>,
     /// Latches true on the first failed or cancelled task. The
     /// `OnPanic::FailFast` probe and [`Submitter::has_failures`]
     /// (shard.rs stays greppably mutex-free) read only this flag, never
@@ -235,12 +235,6 @@ pub struct Shared {
     /// worker's expiry probe is one Relaxed `u64` load and a compare —
     /// no `Instant` arithmetic unless a deadline is actually armed).
     pub(crate) epoch: Instant,
-    /// Latches true on the first [`Runtime::session`] call. The worker
-    /// skip check and the ticket path probe only this flag before
-    /// touching a node's session slot — the session-less hot path pays
-    /// one always-false padded-line load, the same containment trick as
-    /// [`faulted`](Shared::faulted). Padded: probed once per task.
-    pub(crate) sessions_used: CachePadded<AtomicBool>,
     /// Session-0 fault flag: the `FailFast` scope for tasks spawned
     /// *outside* any session once sessions are in play. (`faulted`
     /// stays the runtime-wide tripwire; this splits its FailFast
@@ -256,15 +250,23 @@ pub struct Shared {
     pub(crate) next_session: AtomicU32,
     /// Sampled body cost per task name, which decides whether a
     /// born-ready task runs inline on the spawner
-    /// (`Runtime::publish_born_ready`). `Some` exactly when inlining
-    /// can apply: at least two threads, unsharded, without sessions,
-    /// under the SMPSs policy. At `threads(1)` there is no hand-off to
+    /// (`Runtime::publish_born_ready`). `Some` on at least two threads
+    /// under the SMPSs policy, and read only through
+    /// [`inline_costs`](Shared::inline_costs), which also requires the
+    /// single-spawner mode. At `threads(1)` there is no hand-off to
     /// save; submitter and session threads are producers whose time
     /// belongs to the caller; and the central-queue ablation keeps every
     /// task in its one queue, as it keeps them out of the SMPSs
     /// policy's other private fast path, the completion hand-off.
-    pub(crate) costs: Option<CostTable>,
+    costs: Option<CostTable>,
 }
+
+/// Spawner modes: only the main thread spawns (§III); submitter lanes
+/// may spawn beside it; and a session is open, so tasks may carry a
+/// session stamp that workers honour.
+pub(crate) const SINGLE: u8 = 0;
+pub(crate) const CONCURRENT: u8 = 1;
+pub(crate) const SESSIONS: u8 = 2;
 
 /// The failure registry payload: every panicked and every cancelled
 /// task since the last [`Runtime::wait_all`] drain.
@@ -281,31 +283,18 @@ impl Shared {
         let n = cfg.threads;
         let smpss = cfg.policy == crate::config::SchedulerPolicy::Smpss;
         let shards = cfg.shards;
-        // Sessions ride the submitter-lane machinery even at one shard:
-        // each session wraps a lane, so a sessioned runtime is sharded
-        // (concurrent spawners, gated object access, RMW id minting)
-        // regardless of the shard count.
-        let sharded = shards > 1 || cfg.sessions;
         // Spare cap: the explicit knob, else the memory limit (spares
         // should never out-budget the throttle), else a fixed default.
         let cap = cfg
             .slab_spare_bytes
             .or(cfg.memory_limit)
             .unwrap_or(crate::data::slab::DEFAULT_SPARE_CAP);
-        // `sharded` doubles as the slab's access mode: only submitter
-        // lanes (shards >= 2) or sessions let a second thread into the
-        // rename/reclaim paths, so the default runtime shape gets
-        // tripwire shelf gates instead of CAS.
-        let slab = Arc::new(crate::data::slab::VersionSlab::new(cap, sharded));
-        let mut stats = Stats::new(n);
-        // Sharded analysis has concurrent spawners: the spawner-side
-        // counters switch from single-writer load+store to RMWs.
-        stats.concurrent = sharded;
+        let slab = Arc::new(crate::data::slab::VersionSlab::new(cap));
         Shared {
             graph: cfg.record_graph.then(|| Mutex::new(GraphRecord::default())),
             tracer: cfg.tracing.then(|| TraceCollector::new(n)),
             cfg,
-            stats,
+            stats: Stats::new(n),
             hp: Injector::new(),
             hp_used: CachePadded::new(AtomicBool::new(false)),
             main_q: Injector::new(),
@@ -324,15 +313,14 @@ impl Shared {
                 .map(|_| CachePadded::new(AtomicPtr::new(std::ptr::null_mut())))
                 .collect(),
             lanes: (0..shards).map(|_| shard::LaneGate::new()).collect(),
-            sharded,
+            spawners: CachePadded::new(AtomicU8::new(SINGLE)),
             faulted: CachePadded::new(AtomicBool::new(false)),
             failures: Mutex::new(FailureLog::default()),
             epoch: Instant::now(),
-            sessions_used: CachePadded::new(AtomicBool::new(false)),
             faulted0: AtomicBool::new(false),
             sessions: Mutex::new(Vec::new()),
             next_session: AtomicU32::new(0),
-            costs: (n >= 2 && !sharded && smpss).then(CostTable::new),
+            costs: (n >= 2 && smpss).then(CostTable::new),
         }
     }
 
@@ -368,11 +356,27 @@ impl Shared {
         self.slab.reclaim(want)
     }
 
-    /// Has any [`Runtime::session`] been opened? One Relaxed flag load;
-    /// false for the whole lifetime of a session-less runtime.
+    /// Has a [`Submitter`](shard::Submitter) or a
+    /// [`Session`](session::Session) been handed out? One Relaxed load,
+    /// read on the main thread's paths, which see their own latch store.
+    #[inline]
+    pub(crate) fn concurrent_spawners(&self) -> bool {
+        self.spawners.load(Ordering::Relaxed) != SINGLE
+    }
+
+    /// Has any [`Runtime::session`] been opened? One Relaxed load. A
+    /// worker reads it after taking a task, and the queue hand-over
+    /// orders the latch before any session task's spawn.
     #[inline]
     pub(crate) fn sessions_used(&self) -> bool {
-        self.sessions_used.load(Ordering::Relaxed)
+        self.spawners.load(Ordering::Relaxed) == SESSIONS
+    }
+
+    /// The cost table while inline runs apply (one spawner); later
+    /// samples would decide nothing.
+    #[inline]
+    pub(crate) fn inline_costs(&self) -> Option<&CostTable> {
+        self.costs.as_ref().filter(|_| !self.concurrent_spawners())
     }
 
     /// Has a task spawned *outside* any session panicked since the last
@@ -383,12 +387,11 @@ impl Shared {
     }
 
     /// Enrol a session control block: keeps the pointee alive for the
-    /// runtime's lifetime (task nodes stamp raw pointers to it) and
-    /// latches the `sessions_used` probe. All registry locking lives
-    /// here so `session.rs` stays under the no-mutex test.
+    /// runtime's lifetime (task nodes stamp raw pointers to it). All
+    /// registry locking lives here so `session.rs` stays under the
+    /// no-mutex test.
     pub(crate) fn register_session(&self, ctl: &Arc<session::SessionCtl>) {
         self.sessions.lock().push(Arc::clone(ctl));
-        self.sessions_used.store(true, Ordering::Relaxed);
         self.stats.sessions_opened();
     }
 
@@ -508,7 +511,7 @@ impl Shared {
     }
 
     /// Hand a finished node to the spawn-side pool of its **home lane**
-    /// (always lane 0 when unsharded). Called by the thread that ran the
+    /// (always lane 0 at `shards(1)`). Called by the thread that ran the
     /// task, after `complete` — the last point the runtime touches the
     /// node. The node may still be referenced elsewhere (e.g. as an
     /// object's producer); the pool proves exclusivity with
@@ -850,8 +853,9 @@ impl Runtime {
             std::mem::take(&mut *log)
         };
         // Reset after the drain (not before): the graph is quiescent
-        // post-barrier, so no completion can race the flag here on an
-        // unsharded runtime, and a sharded racer merely re-latches it.
+        // post-barrier, so no completion can race the flag here while
+        // only the main thread spawns, and a racer from another spawner
+        // merely re-latches it.
         self.shared.faulted.store(false, Ordering::Relaxed);
         if self.shared.sessions_used() {
             // Per-tenant FailFast scopes reset with the global drain.
@@ -892,8 +896,8 @@ impl Runtime {
     /// # rt.barrier();
     /// ```
     pub fn wait_on<T: TaskData>(&self, h: &Handle<T>) {
-        // On a sharded runtime a submitter may be analysing a task on
-        // this object right now: enter its lane before touching the
+        // Once submitters or sessions exist, one may be analysing a task
+        // on this object right now: enter its lane before touching the
         // `SpawnerCell`. (The probe only synchronises with tasks spawned
         // so far — quiesce any submitter that may still *write* `h`
         // before relying on the result.)
@@ -914,7 +918,7 @@ impl Runtime {
         let _lane = self.lane_enter(h.obj.id);
         let st = h.obj.state.lock();
         // SAFETY: the producer has finished and no new writer can appear
-        // — the main thread is right here, and on a sharded runtime the
+        // — the main thread is right here, and with other spawners the
         // caller quiesces submitters that write `h` first (see
         // `wait_on`); concurrent readers share immutably.
         unsafe { st.current.buf.peek().clone() }
@@ -1122,14 +1126,45 @@ impl Runtime {
         self.finished_seen.set(self.finished_seen.get() + 1);
         self.cache.cache_node(done);
     }
+
+    /// Move the spawner mode forward to `mode` ([`CONCURRENT`] or
+    /// [`SESSIONS`]). The only writer of [`Shared::spawners`] and of the
+    /// copies `Stats` and the version slab keep for their hot paths;
+    /// [`submitters`](Runtime::submitters) and [`session`](Runtime::session)
+    /// call it before they build their first handle.
+    ///
+    /// Before the latch the main thread takes the single-spawner paths
+    /// (load+store ids and spawner counters, no lane gate, tripwire
+    /// shelf entry, inline runs, plain successor-list close). None of
+    /// them can race a concurrent spawner:
+    ///
+    /// 1. before the latch, only the main thread spawns (`Runtime` is
+    ///    `!Sync`, and no submitter or session exists yet);
+    /// 2. the latch stores are sequenced before any handle exists, and
+    ///    the main thread, being here, is inside none of those paths;
+    /// 3. moving a handle to another thread synchronises, so all of it
+    ///    happens-before the first concurrent spawn, which reads the
+    ///    concurrent copies.
+    ///
+    /// Submitters never read the mode; workers read only the sessions
+    /// level, after taking a task whose spawn the latch precedes.
+    fn latch_spawners(&self, mode: u8) {
+        let shared = &*self.shared;
+        if shared.spawners.load(Ordering::Relaxed) >= mode {
+            return;
+        }
+        shared.stats.concurrent.store(true, Ordering::Relaxed);
+        shared.slab.concurrent.store(true, Ordering::Relaxed);
+        shared.spawners.store(mode, Ordering::Relaxed);
+    }
 }
 
 /// The [`Runtime`] itself is the canonical spawn host: the paper's
 /// master thread, spawning through lane 0's cache. Single-writer id
-/// minting and inline runs stay exclusive to this impl; when the
-/// runtime is sharded its id counter switches to the same RMW the
-/// submitter lanes use, and its object accesses gate like any other
-/// lane's.
+/// minting and inline runs stay exclusive to this impl; once other
+/// threads may spawn (see [`Runtime::latch_spawners`]) its id counter
+/// switches to the same RMW the submitter lanes use, and its object
+/// accesses gate like any other lane's.
 impl SpawnHost for Runtime {
     #[inline]
     fn lane_cache(&self) -> &shard::LaneCache {
@@ -1138,7 +1173,7 @@ impl SpawnHost for Runtime {
 
     #[inline]
     fn next_task_id(&self) -> TaskId {
-        if self.shared.sharded {
+        if self.shared.concurrent_spawners() {
             TaskId(self.shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
         } else {
             // Single writer (`Runtime: !Sync` pins spawning to one
@@ -1160,9 +1195,9 @@ impl SpawnHost for Runtime {
     ///    completion, node back to the spawner's cache), so failure
     ///    policies and counts behave exactly as on a worker. A born-ready
     ///    task has no successors yet, so its completion releases
-    ///    nothing. Only `Priority::Normal` tasks inline, and only on a
-    ///    runtime that has a cost table (see [`Shared::costs`] for the
-    ///    scope); every other task, and every task of a site no thread
+    ///    nothing. Only `Priority::Normal` tasks inline, and only while
+    ///    the runtime has a cost table in use (see [`Shared::costs`]
+    ///    for the scope); every other task, and every task of a site no thread
     ///    has measured yet, takes the paths below unchanged. A site one
     ///    sample just evicted is watched: one in
     ///    [`SAMPLE_EVERY`](crate::sched::cost::SAMPLE_EVERY) of its
@@ -1172,7 +1207,7 @@ impl SpawnHost for Runtime {
     #[inline]
     fn publish_born_ready(&self, job: Job) {
         let shared = &*self.shared;
-        if let Some(costs) = &shared.costs {
+        if let Some(costs) = shared.inline_costs() {
             if job.priority() == Priority::Normal
                 && (costs.is_cheap(job.name())
                     || (costs.is_watched(job.name()) && self.main_ctx.borrow_mut().sample_turn()))
@@ -1263,13 +1298,13 @@ impl SpawnHost for Runtime {
         }
     }
 
-    /// Only a sharded runtime gates: submitter or session threads may
-    /// be analysing concurrently. Unsharded (the default), this is a
-    /// single branch and no atomics: the main thread is the only
-    /// spawner, exactly the paper's model.
+    /// Gates only once submitter or session threads may be analysing
+    /// concurrently. Until then (and forever on a runtime that opens
+    /// neither) this is one load and no RMW: the main thread is the
+    /// only spawner, exactly the paper's model.
     #[inline]
     fn lane_enter(&self, id: ObjectId) -> Option<shard::LaneEntry<'_>> {
-        if self.shared.sharded {
+        if self.shared.concurrent_spawners() {
             Some(self.shared.lane_enter(id))
         } else {
             None
@@ -1405,7 +1440,7 @@ mod tests {
         use crate::sched::cost::SAMPLE_EVERY;
         const SITE: &str = "blip";
         let rt = Runtime::builder().threads(2).build();
-        let costs = rt.shared.costs.as_ref().expect("two threads, unsharded");
+        let costs = rt.shared.inline_costs().expect("two threads, one spawner");
         let storm = |n: u32| {
             for _ in 0..n {
                 rt.task(SITE).submit(|| {});

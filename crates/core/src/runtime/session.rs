@@ -31,8 +31,10 @@
 //! ## Hot-path containment
 //!
 //! A runtime that never opens a session pays exactly one always-false
-//! padded flag load per task (`Shared::sessions_used`, the same trick
-//! as the fault probe) — no session pointer is ever read or written.
+//! padded load per task (`Shared::sessions_used`, the same trick as
+//! the fault probe) — no session pointer is ever read or written. The
+//! first [`Runtime::session`] call moves the runtime's spawner mode to
+//! sessions; nothing on the builder opts in.
 //! The admission path itself is atomics + backoff only: the session
 //! registry's locking lives behind `Shared` methods in `runtime/mod.rs`,
 //! and a unit test below (plus the workspace test
@@ -469,19 +471,15 @@ impl std::fmt::Debug for Session {
 
 impl Runtime {
     /// Open a session: a `Send` front-door handle for one tenant
-    /// thread. Requires sessions to be enabled on the builder
-    /// ([`sessions`](crate::RuntimeBuilder::sessions), or implied by
-    /// any session quota / admission setting). Sessions may be opened
-    /// at any time, from the main thread, and moved to their tenant's
-    /// thread; each wraps one analysis lane (round-robin over
-    /// `shards`), and any number of sessions can spawn concurrently —
-    /// lane access serialises on the lane gates.
+    /// thread, admitted against the builder's session quotas. Any
+    /// runtime opens sessions, at any time, from the main thread; move
+    /// each to its tenant's thread. Each wraps one analysis lane
+    /// (round-robin over `shards`), and any number of sessions can spawn
+    /// concurrently — lane access serialises on the lane gates. The
+    /// first call moves the runtime's own spawn path onto the
+    /// concurrent paths for good.
     pub fn session(&self) -> Session {
-        assert!(
-            self.shared.cfg.sessions,
-            "session() requires sessions to be enabled: \
-             RuntimeBuilder::sessions(true), or any session quota / admission setting"
-        );
+        self.latch_spawners(super::SESSIONS);
         let id = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1);
         let lane = (id.0 as usize - 1) % self.shared.cfg.shards;
         let ctl = Arc::new(SessionCtl::new(id));
@@ -523,20 +521,28 @@ mod tests {
         require_send::<Session>();
     }
 
+    /// A session needs no builder opt-in: a plain runtime starts with
+    /// one spawner and opening a session moves it to the sessions mode,
+    /// where the session's task runs and is waited for.
     #[test]
-    #[should_panic(expected = "requires sessions to be enabled")]
     fn session_requires_builder_opt_in() {
         let rt = Runtime::builder().threads(1).build();
-        let _ = rt.session();
+        assert!(!rt.shared.concurrent_spawners());
+        let s = rt.session();
+        assert!(rt.shared.sessions_used());
+        let x = rt.data(0u32);
+        let mut sp = s.task("set").expect("no quota configured");
+        let mut w = sp.write(&x);
+        sp.submit(move || *w.get_mut() = 3);
+        // One thread: the helping barrier runs the task, not `wait`.
+        rt.barrier();
+        s.wait().expect("no failures");
+        assert_eq!(rt.read(&x), 3);
     }
 
     #[test]
     fn sessions_get_distinct_ids_and_round_robin_lanes() {
-        let rt = Runtime::builder()
-            .threads(1)
-            .shards(2)
-            .sessions(true)
-            .build();
+        let rt = Runtime::builder().threads(1).shards(2).build();
         let a = rt.session();
         let b = rt.session();
         let c = rt.session();
@@ -549,14 +555,20 @@ mod tests {
         assert_eq!(rt.stats().sessions_opened, 3);
     }
 
-    /// `sessions(true)` alone makes the runtime sharded even at one
-    /// shard: the session wraps lane 0 and everything works, which is
-    /// what lets the isolation proptests run a `shards == 1` matrix.
+    /// A session opened at one shard wraps lane 0 and moves the runtime
+    /// to concurrent spawners, so the main thread gates lane 0 too,
+    /// which is what lets the isolation proptests run a `shards == 1`
+    /// matrix.
     #[test]
     fn single_shard_session_spawns_through_lane_zero() {
-        let rt = Runtime::builder().threads(2).sessions(true).build();
-        assert!(rt.shared.sharded);
+        let rt = Runtime::builder().threads(2).build();
+        assert!(
+            !rt.shared.concurrent_spawners(),
+            "one spawner until a session opens"
+        );
         let s = rt.session();
+        assert_eq!(s.sub.lane(), 0);
+        assert!(rt.shared.concurrent_spawners());
         let x = rt.data(0u32);
         let mut sp = s.task("set").expect("no quota configured");
         let mut w = sp.write(&x);
@@ -601,7 +613,7 @@ mod tests {
     /// session's `wait`), later submissions refuse, other sessions run.
     #[test]
     fn cancel_all_is_sticky_and_scoped() {
-        let rt = Runtime::builder().threads(2).sessions(true).build();
+        let rt = Runtime::builder().threads(2).build();
         let victim = rt.session();
         let other = rt.session();
         victim.cancel_all();
@@ -620,7 +632,7 @@ mod tests {
     /// `DeadlineExpired`; the fire is counted exactly once.
     #[test]
     fn expired_deadline_cancels_pending_and_sheds_new() {
-        let rt = Runtime::builder().threads(2).sessions(true).build();
+        let rt = Runtime::builder().threads(2).build();
         let s = rt.session().with_deadline(Duration::from_nanos(0));
         // The deadline is observed either at admission (this probe) or
         // by the worker-side skip — both paths end in a refusal here

@@ -37,9 +37,10 @@
 //!   count, so the §III blocking conditions bound the whole fleet, not
 //!   one lane.
 //!
-//! `shards(1)` (the default) builds none of the gating into the hot
-//! path: the runtime's own spawn path keeps its single-writer counters
-//! and takes no gate; the graph-equality proptests
+//! Until the first submitter or session exists none of the gating is
+//! on the hot path, whatever the shard count: the runtime's own spawn
+//! path keeps its single-writer counters and takes no gate (see
+//! `Runtime::latch_spawners`); the graph-equality proptests
 //! (`tests/shard_semantics.rs`) pin every shard count bit-for-bit
 //! against it.
 
@@ -326,7 +327,7 @@ fn exclusive_node_mut(node: &mut Arc<TaskNode>) -> Option<&mut TaskNode> {
     }
 }
 
-/// One dependency-analysis lane of a sharded runtime, handed out by
+/// One dependency-analysis lane of a runtime, handed out by
 /// [`Runtime::submitters`]. A `Submitter` is `Send` but not `Sync`:
 /// move each one onto its own thread and spawn through
 /// [`task`](Self::task) exactly as through [`Runtime::task`] — the
@@ -489,16 +490,19 @@ impl Runtime {
     /// only the runtime itself analyses.
     ///
     /// The runtime's own spawn path stays usable alongside the
-    /// submitters (it gates object accesses like any lane when the
-    /// runtime is sharded), and [`barrier`](Runtime::barrier) re-reads
-    /// the spawn count as it drains — call it after the submitter
-    /// threads have finished (or been joined) for a full quiesce.
+    /// submitters: from the first call on it gates object accesses like
+    /// any lane and mints ids with an RMW. [`barrier`](Runtime::barrier)
+    /// re-reads the spawn count as it drains — call it after the
+    /// submitter threads have finished (or been joined) for a full
+    /// quiesce.
     pub fn submitters(&self) -> Vec<Submitter> {
+        let shards = self.shared.cfg.shards;
         assert!(
-            self.shared.sharded,
+            shards >= 2,
             "submitters() requires a sharded runtime: RuntimeBuilder::shards(n) with n >= 2"
         );
-        (0..self.shared.cfg.shards)
+        self.latch_spawners(super::CONCURRENT);
+        (0..shards)
             .map(|lane| Submitter::new_lane(Arc::clone(&self.shared), lane, None))
             .collect()
     }

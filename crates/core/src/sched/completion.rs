@@ -33,7 +33,9 @@
 //!    cross-shard sum. The barrier announces, fences and re-sums, so
 //!    either it sees the last shard store or the last completer sees
 //!    its announcement, and two racing last completers see each
-//!    other's stores. The wake is exact; no park times out.
+//!    other's stores. The wake is exact; no park times out. It releases
+//!    the barrier's slot alone: workers parked beside it have nothing
+//!    to find in a drained graph.
 
 use std::sync::atomic::Ordering;
 
@@ -57,12 +59,15 @@ use crate::runtime::{Priority, Shared};
 pub enum Wake {
     /// Nothing was published (a chain hand-off, or a leaf): no probe.
     None,
+    /// The whole graph may just have drained: release the main thread
+    /// if it is parked in `barrier` (slot 0), and nobody else.
+    Barrier,
     /// New stealable or high-priority work: probe for sleepers; one
     /// comes, and brings the next one itself if there is more (wake
     /// propagation).
     One,
-    /// The whole graph may just have drained (or several high-priority
-    /// tasks appeared): everyone should look, the barrier included.
+    /// Several high-priority tasks appeared at once: everyone should
+    /// look.
     All,
 }
 
@@ -80,9 +85,9 @@ pub enum Wake {
 /// a failed or cancelled task otherwise completes exactly like a
 /// successful one, so counts, pools and the barrier never diverge.
 ///
-/// A completion on the main thread of an unsharded runtime (`idx == 0`,
-/// the only thread that registers successors there) closes the list
-/// with [`complete_single`](crate::graph::node::TaskNode::complete_single)'s
+/// A completion on the main thread while it is the only spawner
+/// (`idx == 0`, the only thread that registers successors then) closes
+/// the list with [`complete_single`](crate::graph::node::TaskNode::complete_single)'s
 /// plain stores; every other completion closes it with an AcqRel swap.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_task(
@@ -96,18 +101,20 @@ pub(crate) fn finish_task(
     ready: &mut Vec<Job>,
 ) -> (Option<Job>, Wake) {
     // The thread that registers successors closes lists with plain
-    // stores: on an unsharded runtime only the main thread (index 0)
-    // runs dependency analysis, so only it ever pushes onto a successor
-    // list, and a task it completes cannot have a push racing the close.
-    // Worker completions, and every completion on a sharded or session
-    // runtime (whose submitter lanes push concurrently, even at
+    // stores: until a submitter or session exists only the main thread
+    // (index 0) runs dependency analysis, so only it ever pushes onto a
+    // successor list, and a task it completes cannot have a push racing
+    // the close. The mode is read on the main thread, which wrote it
+    // (`Runtime::latch_spawners`), so a plain close is never made once
+    // another spawner exists. Worker completions, and every completion
+    // after that (submitter lanes push concurrently, even at
     // `threads == 1`), keep the AcqRel swap. "A lane has one registrar"
     // does not rescue the main thread there: lanes are per object, not
     // per task, and a producer is linked from whichever lane owns the
-    // consumer's objects. On a session runtime, session threads register
-    // successors on the main thread's tasks while it helps, so an
-    // `idx == 0` completion must assume a concurrent push.
-    let registrar = idx == 0 && !shared.sharded;
+    // consumer's objects. Session threads register successors on the
+    // main thread's tasks while it helps, so an `idx == 0` completion
+    // must assume a concurrent push.
+    let registrar = idx == 0 && !shared.concurrent_spawners();
     debug_assert!(ready.is_empty(), "ready buffer must be drained");
     let n_ready = if registrar {
         job.complete_single(poison, |s| ready.push(s))
@@ -135,7 +142,8 @@ pub(crate) fn finish_task(
     // whose own queues still hold work cannot have finished the graph.
     // None of these gates can skip the last task's wake. Past them the
     // fence orders the shard store above before the sleeper load and
-    // the cross-shard sum, pairing with the barrier's announcement.
+    // the cross-shard sum, pairing with the barrier's announcement; an
+    // announced slot 0 is therefore seen, and only it is released.
     if idx != 0
         && n_ready == 0
         && claimed_empty
@@ -143,7 +151,7 @@ pub(crate) fn finish_task(
         && shared.sleep.has_sleepers()
         && shared.finished_total() == shared.next_task.load(Ordering::Acquire)
     {
-        wake = Wake::All;
+        wake = Wake::Barrier;
     }
 
     // Session completion accounting: a task stamped with a session bumps
@@ -247,7 +255,8 @@ mod tests {
 
     #[test]
     fn wake_strength_orders() {
-        assert!(Wake::None < Wake::One);
+        assert!(Wake::None < Wake::Barrier);
+        assert!(Wake::Barrier < Wake::One);
         assert!(Wake::One < Wake::All);
     }
 
@@ -478,10 +487,11 @@ mod tests {
     /// The all-done wake is for the main thread parked in `barrier`: a
     /// completion on the main thread itself (an inline run, or a help)
     /// that finishes the graph owes no wake, even with a sleeper
-    /// registered; the same completion on a worker still wakes all.
+    /// registered; the same completion on a worker releases the
+    /// barrier's slot only.
     #[test]
     fn main_thread_completion_skips_the_all_done_wake() {
-        for (idx, want) in [(0, Wake::None), (1, Wake::All)] {
+        for (idx, want) in [(0, Wake::None), (1, Wake::Barrier)] {
             let shared = std::sync::Arc::new(shared(2));
             shared.next_task.store(1, Ordering::Relaxed);
             let parked = {
@@ -507,24 +517,23 @@ mod tests {
         }
     }
 
-    /// A sharded runtime must keep the AcqRel successor-list close even
-    /// on the main thread at `threads == 1`: submitter lanes may be
-    /// CAS-publishing links concurrently (`complete_single`'s plain close
-    /// would race them).
+    /// Once submitters exist the main thread must keep the AcqRel
+    /// successor-list close even at `threads == 1`: submitter lanes may
+    /// be CAS-publishing links concurrently (`complete_single`'s plain
+    /// close would race them). The lane count alone does not switch it;
+    /// handing out the submitters does.
     #[test]
     fn sharded_single_thread_uses_concurrent_close() {
-        let shared = Shared::for_tests(
-            crate::RuntimeBuilder::default()
-                .threads(1)
-                .shards(2)
-                .config(),
-        );
-        assert!(shared.sharded);
+        let rt = crate::Runtime::builder().threads(1).shards(2).build();
+        assert!(!rt.shared.concurrent_spawners(), "no submitter yet");
+        let _subs = rt.submitters();
+        assert!(rt.shared.concurrent_spawners());
+        let shared = &*rt.shared;
         let local = Worker::new_lifo();
         let producer = ready_node(1);
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (_, _) = finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (_, _) = finish_task(shared, &local, 0, &producer, false, true, true, &mut ready);
         // Both closes look alike from one thread, so the observable pin
         // is the list being closed at all — a late add_successor must
         // fail as "already finished".

@@ -94,7 +94,7 @@ const CLAIM_BATCH: usize = 8;
 /// buffer (plain fence-free pops) is sound only while nobody can starve
 /// on the claimed tasks: a single-thread runtime (no thieves exist), or
 /// the single-tenant model where every body is a terminating compute
-/// kernel. A multi-thread runtime with **sessions** enabled MUST route
+/// kernel. A multi-thread runtime with a **session** open MUST route
 /// the surplus somewhere stealable — tenant bodies may park
 /// indefinitely, and a private buffer would strand the whole batch
 /// behind one blocking body while every other worker idles (the
@@ -314,23 +314,34 @@ impl SleepCtl {
     pub fn notify_one(&self) {
         crate::fault::wake_site();
         if self.has_sleepers() {
-            self.release(false);
+            self.release(&self.slots, false);
         }
     }
 
-    /// Wake every announced thread (shutdown, the all-done wake, several
-    /// high-priority tasks at once).
+    /// Wake every announced thread (shutdown, several high-priority
+    /// tasks at once).
     #[inline]
     pub fn notify_all(&self) {
         crate::fault::wake_site();
         if self.has_sleepers() {
-            self.release(true);
+            self.release(&self.slots, true);
+        }
+    }
+
+    /// Wake the main thread if it has announced in slot 0 — the
+    /// barrier's all-done wake. Workers parked beside it stay parked: a
+    /// drained graph holds nothing for them.
+    #[inline]
+    pub fn notify_barrier(&self) {
+        crate::fault::wake_site();
+        if self.has_sleepers() {
+            self.release(&self.slots[..1], false);
         }
     }
 
     #[cold]
-    fn release(&self, all: bool) {
-        for slot in self.slots.iter() {
+    fn release(&self, slots: &[CachePadded<Slot>], all: bool) {
+        for slot in slots {
             if slot.state.load(Ordering::Relaxed) == PARKED
                 && slot
                     .state

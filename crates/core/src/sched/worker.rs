@@ -123,8 +123,8 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
             //   single-tenant model, where task bodies are compute
             //   kernels assumed to run to completion, so a claimed batch
             //   is pinned behind at most a few microseconds of work.
-            // - **The claimer's stealable deque** once the builder
-            //   enables sessions: the multi-tenant front door admits
+            // - **The claimer's stealable deque** once a session is
+            //   open: the multi-tenant front door admits
             //   bodies that may park indefinitely, and a private batch
             //   would strand one tenant's already-published tasks behind
             //   another tenant's blocker while the rest of the pool
@@ -140,21 +140,28 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
             // probe is a fence and a load; the futex wake is paid only
             // when someone has announced, which spinning workers in a
             // storm have not.
-            let private_ok = shared.cfg.threads == 1 || !shared.cfg.sessions;
-            let job = if private_ok {
-                pop_injector_batch(&shared.main_q, &mut |j| ctx.claimed.push_back(j))
-            } else {
-                let local = &ctx.local;
-                let mut spilled = false;
-                let job = pop_injector_batch(&shared.main_q, &mut |j| {
+            //
+            // The sessions level is read per surplus task, *after* the
+            // claim: the sink runs past the Acquire load that saw the
+            // task's push, and a session task is pushed after the first
+            // `Runtime::session` call latched the level, so a session
+            // task always reads it and spills. A task claimed into the
+            // private buffer before the latch is session-less.
+            let threads1 = shared.cfg.threads == 1;
+            let claimed = &mut ctx.claimed;
+            let local = &ctx.local;
+            let mut spilled = false;
+            let job = pop_injector_batch(&shared.main_q, &mut |j| {
+                if threads1 || !shared.sessions_used() {
+                    claimed.push_back(j);
+                } else {
                     local.push(j);
                     spilled = true;
-                });
-                if spilled {
-                    shared.sleep.notify_one();
                 }
-                job
-            };
+            });
+            if spilled {
+                shared.sleep.notify_one();
+            }
             if let Some(job) = job {
                 return Some((job, TaskSource::MainList));
             }
@@ -272,7 +279,7 @@ pub fn run_task(
     } else {
         // Cost sampling for inline placement (only on runtimes that can
         // inline): one body in `SAMPLE_EVERY` on this thread is timed.
-        let sample = shared.costs.as_ref().and_then(|costs| {
+        let sample = shared.inline_costs().and_then(|costs| {
             ctx.runs = (ctx.runs + 1) % SAMPLE_EVERY;
             (ctx.runs == 0).then(|| (costs, Instant::now()))
         });
@@ -283,8 +290,8 @@ pub fn run_task(
         })) {
             Ok(()) => {
                 if let Some((costs, t0)) = sample {
-                    // Thread 0 is the spawner: a cost table exists only
-                    // on an unsharded runtime.
+                    // Thread 0 is the spawner: the table is in use only
+                    // while it is the one spawner.
                     costs.record(job.name(), t0.elapsed().as_nanos() as u64, idx == 0);
                 }
             }
@@ -318,6 +325,7 @@ pub fn run_task(
     match wake {
         Wake::None => {}
         Wake::One => shared.sleep.notify_one(),
+        Wake::Barrier => shared.sleep.notify_barrier(),
         Wake::All => shared.sleep.notify_all(),
     }
     (job, handoff)

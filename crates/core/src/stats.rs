@@ -6,7 +6,7 @@
 //! and the §III own lists plus the completion hand-off should make
 //! `own_pops` dominate `steals` on dependency chains.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One thread's ready-list pop counters, cacheline-aligned so threads
 /// never share a counter line. Each shard has a single writer (the
@@ -90,11 +90,13 @@ pub struct Stats {
     /// Session deadlines that fired — at the admission gate or by
     /// cancelling already-admitted tasks at dispatch. Multi-writer.
     pub(crate) deadline_fires: AtomicU64,
-    /// Sharded-spawner mode: several submitter lanes bump the
-    /// spawn-path counters concurrently, so the single-writer
-    /// load+store bumps upgrade to Relaxed `fetch_add`s. False (the
-    /// default) keeps the `Runtime: !Sync` single-writer fast path.
-    pub(crate) concurrent: bool,
+    /// Concurrent-spawner mode: submitter or session lanes may bump the
+    /// spawn-path counters beside the main thread, so the single-writer
+    /// load+store bumps upgrade to Relaxed `fetch_add`s. False until the
+    /// runtime's spawner latch (`Runtime::latch_spawners`, its only
+    /// writer) sets it, which keeps the `Runtime: !Sync` single-writer
+    /// fast path until then.
+    pub(crate) concurrent: AtomicBool,
 }
 
 impl Default for Stats {
@@ -109,15 +111,18 @@ impl Default for Stats {
 /// analysis, barriers, throttling), which `Runtime: !Sync` pins to one
 /// thread — so a plain load+store replaces the locked RMW on the
 /// per-task hot path. Other threads may concurrently *read* (snapshot),
-/// which Relaxed atomics permit. In sharded-spawner mode (`concurrent`)
-/// several submitter lanes spawn at once and the bump upgrades to a
-/// Relaxed `fetch_add` — exact counts, no ordering obligations.
+/// which Relaxed atomics permit. Once other spawners exist
+/// (`concurrent`, set by the spawner latch before the first submitter
+/// or session handle is built) the bump upgrades to a Relaxed
+/// `fetch_add` — exact counts, no ordering obligations. A load+store
+/// made before the latch cannot race one of theirs: the handle's move
+/// to its thread orders it first.
 macro_rules! bump_spawner {
     ($($name:ident),* $(,)?) => {
         $(
             #[inline]
             pub(crate) fn $name(&self) {
-                if self.concurrent {
+                if self.concurrent.load(Ordering::Relaxed) {
                     self.$name.fetch_add(1, Ordering::Relaxed);
                 } else {
                     let v = self.$name.load(Ordering::Relaxed);
@@ -162,7 +167,7 @@ impl Stats {
             admission_sheds: AtomicU64::new(0),
             admission_waits: AtomicU64::new(0),
             deadline_fires: AtomicU64::new(0),
-            concurrent: false,
+            concurrent: AtomicBool::new(false),
         }
     }
 
@@ -433,7 +438,10 @@ mod tests {
     #[test]
     fn fault_counters_bump_concurrently() {
         let s = Stats::default();
-        assert!(!s.concurrent, "fault bumps must be RMWs even when not");
+        assert!(
+            !s.concurrent.load(Ordering::Relaxed),
+            "fault bumps must be RMWs even when not"
+        );
         s.panics();
         s.cancelled();
         s.cancelled();

@@ -439,6 +439,9 @@ fn run_program(
         .record_graph(true)
         .on_panic(policy)
         .build();
+    if shards > 1 {
+        drop(rt.submitters()); // the main thread now takes the gated paths
+    }
     let cells: Vec<_> = (0..CELLS).map(|_| rt.data(0i64)).collect();
     let ran: Arc<Vec<AtomicBool>> =
         Arc::new((0..specs.len()).map(|_| AtomicBool::new(false)).collect());

@@ -198,7 +198,7 @@ fn wake_stalls_never_lose_a_wakeup() {
     });
 
     within_30s("50 000-task session fan-out flood", || {
-        let rt = parked_runtime(Runtime::builder().threads(3).sessions(true));
+        let rt = parked_runtime(Runtime::builder().threads(3));
         let s = rt.session();
         let ran = Arc::new(AtomicU64::new(0));
         for _ in 0..50_000 {
@@ -242,7 +242,7 @@ fn wake_stalls_never_lose_a_wakeup() {
     // tenants' born-ready tasks on the main list; whichever worker
     // claims the batch blocks, and the other must run the rest.
     within_30s("batch-claimed tasks beside a blocking neighbour", || {
-        let rt = parked_runtime(Runtime::builder().threads(3).sessions(true));
+        let rt = parked_runtime(Runtime::builder().threads(3));
         let hog = rt.session();
         let tenants: Vec<_> = (0..8).map(|_| rt.session()).collect();
         let release = Arc::new(AtomicBool::new(false));
@@ -285,13 +285,45 @@ fn idle_runtime_parks_each_worker_once() {
     drop(rt);
 }
 
+/// The all-done wake releases the barrier's slot only. Each round
+/// hands one task that outlasts the spin window to a worker of an idle
+/// pool and waits for it in a barrier, so the main thread parks and the
+/// last completion wakes it; the two workers that ran nothing stay
+/// parked. A wake of every sleeper would have each of them re-scan and
+/// park again, once per round (4 parks a round instead of 2).
+#[test]
+fn barrier_wake_leaves_idle_workers_parked() {
+    const ROUNDS: u64 = 40;
+    let _installed = Installed::new(FaultPlan::seeded(8));
+    let rt = Runtime::builder().threads(4).build();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let before = smpss::fault::park_calls();
+    for _ in 0..ROUNDS {
+        rt.task("slow")
+            .submit(|| std::thread::sleep(std::time::Duration::from_millis(1)));
+        // Let a worker take the task before the barrier could help.
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        rt.barrier();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let parks = smpss::fault::park_calls() - before;
+    // Per round: the main thread parks in the barrier, and the worker
+    // that ran the task parks after it. Waking the two idle workers
+    // too would add two parks a round.
+    assert!(
+        parks <= ROUNDS * 5 / 2,
+        "{parks} parks in {ROUNDS} rounds: the barrier's wake reached idle workers"
+    );
+    drop(rt);
+}
+
 /// Session site: forced admission stalls. The planned hits read as
 /// over-quota probes, so the first submission takes the Block wait path
 /// (counted once) and then admits — no work is lost, no quota needed.
 #[test]
 fn forced_admission_stalls_engage_the_wait_path() {
     let _installed = Installed::new(FaultPlan::seeded(3).admission_stalls(3));
-    let rt = Runtime::builder().threads(2).sessions(true).build();
+    let rt = Runtime::builder().threads(2).build();
     let s = rt.session();
     let x = rt.data(0i64);
     for _ in 0..10 {
@@ -349,7 +381,7 @@ fn forced_deadline_fire_cancels_exactly_the_armed_session() {
     use std::sync::Arc;
 
     let _installed = Installed::new(FaultPlan::seeded(5).deadline_fires(1));
-    let rt = Runtime::builder().threads(2).sessions(true).build();
+    let rt = Runtime::builder().threads(2).build();
     let s = rt.session();
     let other = rt.session();
     let gate = Arc::new(AtomicBool::new(false));

@@ -7,70 +7,46 @@
 //! are bitwise identical across thread counts — any divergence here is
 //! a scheduler or renaming regression, not numerical noise.
 
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{run, Front, Op, CELLS};
 use smpss::Runtime;
 use smpss_apps::cholesky;
 use smpss_apps::sort::{multisort, random_input, SortParams};
 use smpss_apps::FlatMatrix;
 use smpss_blas::Vendor;
 
-/// Fixed-seed xorshift so every run sees the identical task program.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
-/// A 600-task integer program over 6 cells mixing every directionality
-/// the runtime analyses (input/output/inout), run on `threads` workers.
+/// A fixed 600-task program over the oracle's cells (fixed-seed
+/// xorshift) mixing every directionality the runtime analyses
+/// (input/output/inout), run on `threads` workers.
 fn run_mixed_program(threads: usize, renaming: bool) -> Vec<i64> {
-    const CELLS: usize = 6;
-    let rt = Runtime::builder()
-        .threads(threads)
-        .renaming(renaming)
-        .build();
-    let hs: Vec<_> = (0..CELLS).map(|i| rt.data(i as i64)).collect();
-    let mut rng = Rng(0x5eed_cafe);
-    for _ in 0..600 {
-        let a = (rng.next() % CELLS as u64) as usize;
-        let b = (rng.next() % CELLS as u64) as usize;
-        let dst = (rng.next() % CELLS as u64) as usize;
-        match rng.next() % 4 {
-            0 => {
-                let mut sp = rt.task("add");
-                let mut ra = sp.read(&hs[a]);
-                let mut rb = sp.read(&hs[b]);
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
+    let mut x = 0x5eed_cafe_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let ops: Vec<Op> = (0..600)
+        .map(|_| {
+            let (a, b, dst) = [next(), next(), next()]
+                .map(|r| (r % CELLS as u64) as usize)
+                .into();
+            match next() % 4 {
+                0 => Op::Add { a, b, dst },
+                1 => Op::Acc { a, dst },
+                2 => Op::Set {
+                    dst,
+                    k: next() as i64 & 0xff,
+                },
+                _ => Op::Mut { dst },
             }
-            1 => {
-                let mut sp = rt.task("acc");
-                let mut ra = sp.read(&hs[a]);
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-            }
-            2 => {
-                let k = rng.next() as i64 & 0xff;
-                let mut sp = rt.task("set");
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || *w.get_mut() = k);
-            }
-            _ => {
-                let mut sp = rt.task("mut");
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || {
-                    let v = w.get_mut();
-                    *v = v.wrapping_mul(3).wrapping_add(1);
-                });
-            }
-        }
-    }
-    rt.barrier();
-    hs.iter().map(|h| rt.read(h)).collect()
+        })
+        .collect();
+    let b = Runtime::builder().threads(threads).renaming(renaming);
+    run(&ops, b, Front::Runtime).values
 }
 
 #[test]

@@ -204,10 +204,12 @@ fn a_site_that_turns_dear_stops_inlining() {
     assert!(after_jump <= 32, "{after_jump} inline runs after the jump");
 }
 
-/// The rule's scope: high-priority tasks, sharded runtimes, sessioned
-/// runtimes and single-thread runtimes never inline, however cheap the
-/// site. Each storm runs twice, so the site is measured before the
-/// second (one body in 16 is timed on every thread).
+/// The rule's scope: high-priority tasks, runtimes that have handed
+/// out submitters or a session, and single-thread runtimes never
+/// inline, however cheap the site. A lane count alone does not take a
+/// runtime out of scope: `shards(2)` with no submitter opened inlines
+/// like the default. Each storm runs twice, so the site is measured
+/// before the second (one body in 16 is timed on every thread).
 #[test]
 fn out_of_scope_runtimes_and_tasks_never_inline() {
     const N: usize = 500;
@@ -231,21 +233,28 @@ fn out_of_scope_runtimes_and_tasks_never_inline() {
         rt.stats().inline_runs > 0,
         "control: the same storm in scope inlines"
     );
+    let rt = Runtime::builder().threads(2).shards(2).build();
+    cheap_storm(&rt, false);
+    assert!(
+        rt.stats().inline_runs > 0,
+        "control: shards(2) with no submitter opened inlines"
+    );
     let rt = Runtime::builder().threads(2).build();
     cheap_storm(&rt, true);
     assert_eq!(rt.stats().inline_runs, 0, "high priority");
+    let submitters = Runtime::builder().threads(2).shards(2).build();
+    drop(submitters.submitters());
+    let sessions = Runtime::builder().threads(2).build();
+    drop(sessions.session());
     for (what, rt) in [
-        ("shards(2)", Runtime::builder().threads(2).shards(2).build()),
-        (
-            "sessions",
-            Runtime::builder().threads(2).sessions(true).build(),
-        ),
+        ("shards(2) with submitters opened", submitters),
+        ("a session opened", sessions),
         ("threads(1)", Runtime::builder().threads(1).build()),
     ] {
         cheap_storm(&rt, false);
         assert_eq!(rt.stats().inline_runs, 0, "{what}");
     }
-    let rt = Runtime::builder().threads(2).sessions(true).build();
+    let rt = Runtime::builder().threads(2).build();
     let session = rt.session();
     for _ in 0..N {
         session.task("cheap").expect("no quota set").submit(|| {

@@ -3,89 +3,18 @@
 //! semantics** — for random task programs, any thread count, renaming on
 //! or off, any scheduler policy.
 
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{program, run, sequential, Front, Op};
 use proptest::prelude::*;
 use smpss::Runtime;
 
-/// A random straight-line task program over a small set of integer
-/// cells. Each op is one task invocation with paper-style directionality.
-#[derive(Clone, Debug)]
-enum Op {
-    /// cells[dst] = cells[a] + cells[b]   (input, input, output)
-    Add { a: usize, b: usize, dst: usize },
-    /// cells[dst] += cells[a]             (input, inout)
-    Acc { a: usize, dst: usize },
-    /// cells[dst] = k                     (output)
-    Set { dst: usize, k: i64 },
-    /// cells[dst] = cells[dst] * 3 + 1    (inout)
-    Mut { dst: usize },
-}
-
-fn op_strategy(cells: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..cells, 0..cells, 0..cells).prop_map(|(a, b, dst)| Op::Add { a, b, dst }),
-        (0..cells, 0..cells).prop_map(|(a, dst)| Op::Acc { a, dst }),
-        (0..cells, -100i64..100).prop_map(|(dst, k)| Op::Set { dst, k }),
-        (0..cells).prop_map(|dst| Op::Mut { dst }),
-    ]
-}
-
-/// Ground truth: run the program sequentially.
-fn run_sequential(ops: &[Op], cells: usize) -> Vec<i64> {
-    let mut v = vec![0i64; cells];
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => v[dst] = v[a].wrapping_add(v[b]),
-            Op::Acc { a, dst } => v[dst] = v[dst].wrapping_add(v[a]),
-            Op::Set { dst, k } => v[dst] = k,
-            Op::Mut { dst } => v[dst] = v[dst].wrapping_mul(3).wrapping_add(1),
-        }
-    }
-    v
-}
-
 /// Run the program as SMPSs tasks under the given configuration.
-fn run_tasks(ops: &[Op], cells: usize, threads: usize, renaming: bool) -> Vec<i64> {
-    let rt = Runtime::builder()
-        .threads(threads)
-        .renaming(renaming)
-        .build();
-    let hs: Vec<_> = (0..cells).map(|_| rt.data(0i64)).collect();
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => {
-                let mut sp = rt.task("add");
-                let mut ra = sp.read(&hs[a]);
-                let mut rb = sp.read(&hs[b]);
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || {
-                    *w.get_mut() = ra.get().wrapping_add(*rb.get());
-                });
-            }
-            Op::Acc { a, dst } => {
-                let mut sp = rt.task("acc");
-                let mut ra = sp.read(&hs[a]);
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || {
-                    *w.get_mut() = w.get_mut().wrapping_add(*ra.get());
-                });
-            }
-            Op::Set { dst, k } => {
-                let mut sp = rt.task("set");
-                let mut w = sp.write(&hs[dst]);
-                sp.submit(move || *w.get_mut() = k);
-            }
-            Op::Mut { dst } => {
-                let mut sp = rt.task("mut");
-                let mut w = sp.inout(&hs[dst]);
-                sp.submit(move || {
-                    let v = w.get_mut();
-                    *v = v.wrapping_mul(3).wrapping_add(1);
-                });
-            }
-        }
-    }
-    rt.barrier();
-    hs.iter().map(|h| rt.read(h)).collect()
+fn run_tasks(ops: &[Op], threads: usize, renaming: bool) -> Vec<i64> {
+    let b = Runtime::builder().threads(threads).renaming(renaming);
+    run(ops, b, Front::Runtime).values
 }
 
 // Note on the Add/Acc aliasing: when dst == a (or b), the task both
@@ -100,30 +29,30 @@ proptest! {
     /// Parallel = sequential, with renaming, multiple threads.
     #[test]
     fn parallel_preserves_sequential_semantics(
-        ops in prop::collection::vec(op_strategy(5), 1..120)
+        ops in program(1..120)
     ) {
-        let expect = run_sequential(&ops, 5);
-        let got = run_tasks(&ops, 5, 4, true);
+        let expect = sequential(&ops);
+        let got = run_tasks(&ops, 4, true);
         prop_assert_eq!(&got, &expect);
     }
 
     /// Same without renaming (hazard edges instead of versions).
     #[test]
     fn no_renaming_preserves_semantics(
-        ops in prop::collection::vec(op_strategy(4), 1..80)
+        ops in program(1..80)
     ) {
-        let expect = run_sequential(&ops, 4);
-        let got = run_tasks(&ops, 4, 3, false);
+        let expect = sequential(&ops);
+        let got = run_tasks(&ops, 3, false);
         prop_assert_eq!(&got, &expect);
     }
 
     /// One thread is the degenerate case: pure sequential scheduling.
     #[test]
     fn single_thread_matches(
-        ops in prop::collection::vec(op_strategy(3), 1..60)
+        ops in program(1..60)
     ) {
-        let expect = run_sequential(&ops, 3);
-        let got = run_tasks(&ops, 3, 1, true);
+        let expect = sequential(&ops);
+        let got = run_tasks(&ops, 1, true);
         prop_assert_eq!(&got, &expect);
     }
 

@@ -8,72 +8,25 @@
 //! cancelled tenant never existed. On top of the graph equality, the
 //! cancelled set itself is exact: every pending task of the victim,
 //! nothing of anyone else — pinned across the threads {1, 8} × shards
-//! {1, 4} matrix (sessions make a `shards(1)` runtime sharded, which is
-//! what lets the single-lane corner run at all).
+//! {1, 4} matrix (a session opened at `shards(1)` wraps lane 0 and
+//! moves the runtime to concurrent spawners, which is what lets the
+//! single-lane corner run at all).
+
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use oracle::{cells, program, sequential, Op};
 use proptest::prelude::*;
 use smpss::{Handle, Runtime, Session, SessionId};
 
-/// A random straight-line program over one survivor's private cells.
-#[derive(Clone, Debug)]
-enum Op {
-    /// cells[dst] = cells[a] + cells[b]
-    Add { a: usize, b: usize, dst: usize },
-    /// cells[dst] += cells[a]
-    Acc { a: usize, dst: usize },
-    /// cells[dst] = k
-    Set { dst: usize, k: i64 },
-}
-
-const CELLS: usize = 4;
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..CELLS, 0..CELLS, 0..CELLS).prop_map(|(a, b, dst)| Op::Add { a, b, dst }),
-        (0..CELLS, 0..CELLS).prop_map(|(a, dst)| Op::Acc { a, dst }),
-        (0..CELLS, -100i64..100).prop_map(|(dst, k)| Op::Set { dst, k }),
-    ]
-}
-
-fn run_sequential(ops: &[Op]) -> Vec<i64> {
-    let mut cells = vec![0i64; CELLS];
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => cells[dst] = cells[a].wrapping_add(cells[b]),
-            Op::Acc { a, dst } => cells[dst] = cells[dst].wrapping_add(cells[a]),
-            Op::Set { dst, k } => cells[dst] = k,
-        }
-    }
-    cells
-}
-
+/// Spawn `ops` through session `s` over its private `cells`.
 fn submit_ops(s: &Session, cells: &[Handle<i64>], ops: &[Op]) {
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => {
-                let mut sp = s.task("add").expect("no quota configured");
-                let mut ra = sp.read(&cells[a]);
-                let mut rb = sp.read(&cells[b]);
-                let mut w = sp.write(&cells[dst]);
-                sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
-            }
-            Op::Acc { a, dst } => {
-                let mut sp = s.task("acc").expect("no quota configured");
-                let mut ra = sp.read(&cells[a]);
-                let mut w = sp.inout(&cells[dst]);
-                sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-            }
-            Op::Set { dst, k } => {
-                let mut sp = s.task("set").expect("no quota configured");
-                let mut w = sp.write(&cells[dst]);
-                sp.submit(move || *w.get_mut() = k);
-            }
-        }
-    }
+    drive!(ops, cells, (|n| s.task(n).expect("no quota configured")));
 }
 
 type Graph = (
@@ -85,7 +38,6 @@ fn build(threads: usize, shards: usize) -> Runtime {
     Runtime::builder()
         .threads(threads)
         .shards(shards)
-        .sessions(true)
         .record_graph(true)
         .build()
 }
@@ -100,9 +52,7 @@ fn run_without_victim(
 ) -> (Vec<Vec<i64>>, Graph) {
     let rt = build(threads, shards);
     let survivors = [rt.session(), rt.session()];
-    let cells: Vec<Vec<Handle<i64>>> = (0..2)
-        .map(|_| (0..CELLS).map(|_| rt.data(0i64)).collect())
-        .collect();
+    let cells: Vec<Vec<Handle<i64>>> = (0..2).map(|_| cells(&rt)).collect();
     for (s, (cs, prog)) in survivors.iter().zip(cells.iter().zip(progs)) {
         submit_ops(s, cs, prog);
     }
@@ -147,9 +97,7 @@ fn run_with_victim(
     let rt = build(threads, shards);
     let survivors = [rt.session(), rt.session()];
     let victim = rt.session();
-    let cells: Vec<Vec<Handle<i64>>> = (0..2)
-        .map(|_| (0..CELLS).map(|_| rt.data(0i64)).collect())
-        .collect();
+    let cells: Vec<Vec<Handle<i64>>> = (0..2).map(|_| cells(&rt)).collect();
     for (s, (cs, prog)) in survivors.iter().zip(cells.iter().zip(progs)) {
         submit_ops(s, cs, prog);
     }
@@ -250,12 +198,12 @@ proptest! {
     /// to a run without the cancelled tenant.
     #[test]
     fn revoking_one_session_never_touches_another(
-        prog_a in prop::collection::vec(op_strategy(), 1..25),
-        prog_b in prop::collection::vec(op_strategy(), 1..25),
+        prog_a in program(1..25),
+        prog_b in program(1..25),
         deps in 1..4usize,
     ) {
         let progs = [prog_a, prog_b];
-        let expect: Vec<Vec<i64>> = progs.iter().map(|p| run_sequential(p)).collect();
+        let expect: Vec<Vec<i64>> = progs.iter().map(|p| sequential(p)).collect();
         for threads in [1usize, 8] {
             for shards in [1usize, 4] {
                 let (base_vals, base_graph) = run_without_victim(&progs, threads, shards);
@@ -373,7 +321,7 @@ fn batch_claimed_tasks_survive_a_blocking_neighbour() {
 fn node_reuse_across_hosts_keeps_failure_attribution_exact() {
     const CHAIN: u64 = 1_000;
     const MAIN: u64 = 64;
-    let rt = Runtime::builder().sessions(true).threads(2).build();
+    let rt = Runtime::builder().threads(2).build();
     let s = rt.session();
     let x = rt.data(0u64);
     // The chain starts behind a gate task, so the session spawns every

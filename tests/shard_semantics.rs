@@ -7,8 +7,9 @@
 //!    main thread, a runtime built with `shards(k)` for any `k` records
 //!    *bit-identical* dependency graphs to the default single-spawner
 //!    runtime — same nodes, same edges, same order. `shards(1)` is the
-//!    ablation that must preserve today's scheduler exactly; `k > 1`
-//!    additionally routes every object access through its lane gate and
+//!    ablation that must preserve today's scheduler exactly; at `k > 1`
+//!    the run first hands out (and drops) the submitters, which routes
+//!    every main-thread object access through its lane gate and
 //!    switches the spawn counters to RMWs, none of which may change one
 //!    analysis decision.
 //! 2. **Multi-submitter semantics.** With real concurrent [`Submitter`]
@@ -84,6 +85,9 @@ fn run_recorded(ops: &[Op], shards: usize) -> Recorded {
         b = b.shards(shards);
     }
     let rt = b.build();
+    if shards > 1 {
+        drop(rt.submitters()); // the main thread now takes the gated paths
+    }
     let cells: Vec<_> = (0..CELLS).map(|_| rt.data(0i64)).collect();
     let buf = rt.region_data(vec![0i64; BUF]);
     for op in ops {
@@ -259,7 +263,7 @@ fn renamed_bytes_account_spans_lanes() {
 }
 
 /// Submitter spawns settle against main-thread spawns: the runtime's own
-/// spawn path gates object accesses when sharded, so a producer spawned
+/// spawn path gates object accesses once submitters exist, so a producer spawned
 /// by a submitter and a consumer spawned by the main thread (and vice
 /// versa) get a true edge exactly as if one thread had spawned both.
 #[test]

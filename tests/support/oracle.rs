@@ -202,11 +202,6 @@ pub struct Outcome {
 /// Run `ops` on a runtime built from `builder`, through `front`, then
 /// barrier and read every cell.
 pub fn run(ops: &[Op], builder: RuntimeBuilder, front: Front) -> Outcome {
-    let builder = if front == Front::Session {
-        builder.sessions(true)
-    } else {
-        builder
-    };
     let rt = builder.build();
     let cells = cells(&rt);
     match front {
