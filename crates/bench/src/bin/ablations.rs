@@ -5,7 +5,8 @@
 //!    inflation and the simulated slowdown on the renaming-heavy
 //!    workloads (Strassen, N Queens).
 //! 2. **queue policy** — §VII.C: per-thread ready lists + FIFO stealing
-//!    (SMPSs) vs one central queue (SuperMatrix) vs LIFO stealing.
+//!    (SMPSs) vs one central queue (SuperMatrix) vs LIFO stealing, in
+//!    the simulator; the runtime implements the SMPSs policy only.
 //! 3. **graph-size limit** — §III blocking condition: how hard can the
 //!    main thread be throttled before makespan suffers?
 //!
@@ -15,7 +16,6 @@
 //! either: recorded-graph equality across `shards(k)` and concurrent
 //! submitters on one object are tests in `tests/shard_semantics.rs`.
 
-use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
 use smpss_apps::{strassen, FlatMatrix, HyperMatrix};
 use smpss_bench::calibrate::Calibration;
@@ -162,25 +162,6 @@ fn ablation_queues(cal: &Calibration) {
             "SMPSs policy must be at least on par with a central queue"
         );
     }
-    println!();
-
-    // Real-runtime counter comparison (scheduling behaviour, not time).
-    let run = |policy| {
-        let rt = Runtime::builder().threads(4).policy(policy).build();
-        let spd = FlatMatrix::random_spd(32, 53);
-        let a = HyperMatrix::from_flat(&rt, &spd, 4);
-        smpss_apps::cholesky::cholesky_hyper(&rt, &a, Vendor::Tuned);
-        rt.barrier();
-        rt.stats()
-    };
-    let s = run(SchedulerPolicy::Smpss);
-    let c = run(SchedulerPolicy::CentralQueue);
-    println!(
-        "real runtime, 4 threads: SMPSs own-pops {} / steals {}; central own-pops {} (must be 0)",
-        s.own_pops, s.steals, c.own_pops
-    );
-    assert!(s.own_pops > 0);
-    assert_eq!(c.own_pops, 0);
 }
 
 fn ablation_graph_limit(cal: &Calibration) {

@@ -10,28 +10,17 @@
 //! completions publish their released successors as one batch with a
 //! direct hand-off, renamed-away versions park in the runtime-wide
 //! version slab, and ready tasks are placed by the §III order alone.
-//! What remains here are the paper's parameters, sizes and limits,
-//! the scheduler policy study, the analysis lane count and the session
-//! quotas.
+//! What remains here are the paper's parameters, sizes and limits, the
+//! analysis lane count and the session quotas. The SuperMatrix-style
+//! central queue the paper compares against (§VII.C) is studied in the
+//! simulator (`smpss-sim`'s `SimPolicy::CentralQueue`) and the fork-join
+//! baseline, not in the runtime.
 //!
 //! Whether more than one thread spawns is not configured: the runtime
 //! observes it. It starts in the paper's single-spawner mode and moves
 //! to concurrent spawners the first time
 //! [`Runtime::submitters`](crate::Runtime::submitters) or
 //! [`Runtime::session`](crate::Runtime::session) hands out a handle.
-
-/// How idle threads look for work. [`SchedulerPolicy::Smpss`] is the policy
-/// of §III of the paper; the alternatives exist for the ablation benches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// High-priority list, then own list (LIFO), then main list (FIFO), then
-    /// steal from other threads in creation order (FIFO). The paper's policy.
-    Smpss,
-    /// A single central FIFO queue shared by all threads, as in SuperMatrix
-    /// (§VII.C). Tasks that become ready go to the central queue instead of
-    /// the finishing thread's own list.
-    CentralQueue,
-}
 
 /// What the runtime does with the dependents of a task whose body
 /// panicked. The panic itself is always contained: the failed task still
@@ -89,7 +78,6 @@ pub struct RuntimeConfig {
     pub(crate) memory_limit: Option<usize>,
     pub(crate) record_graph: bool,
     pub(crate) tracing: bool,
-    pub(crate) policy: SchedulerPolicy,
     pub(crate) slab_spare_bytes: Option<usize>,
     pub(crate) shards: usize,
     pub(crate) on_panic: OnPanic,
@@ -107,7 +95,6 @@ impl Default for RuntimeConfig {
             memory_limit: None,
             record_graph: false,
             tracing: false,
-            policy: SchedulerPolicy::Smpss,
             slab_spare_bytes: None,
             shards: 1,
             on_panic: OnPanic::CancelDependents,
@@ -172,12 +159,6 @@ impl RuntimeBuilder {
     /// analysis (the paper's Paraver-instrumented runtime flavour).
     pub fn tracing(mut self, on: bool) -> Self {
         self.cfg.tracing = on;
-        self
-    }
-
-    /// Scheduler policy (default [`SchedulerPolicy::Smpss`]).
-    pub fn policy(mut self, policy: SchedulerPolicy) -> Self {
-        self.cfg.policy = policy;
         self
     }
 
@@ -274,7 +255,6 @@ mod tests {
         assert!(c.graph_size_limit.is_none());
         assert!(!c.record_graph);
         assert!(!c.tracing);
-        assert_eq!(c.policy, SchedulerPolicy::Smpss);
         assert!(c.slab_spare_bytes.is_none());
         assert_eq!(c.shards, 1);
         assert_eq!(c.on_panic, OnPanic::CancelDependents);
@@ -297,18 +277,14 @@ mod tests {
     /// spin window is a constant inside the 60–100 µs band that covers
     /// the open loop's 50 µs arrival gap, and the park has no timeout.
     /// What the builder still sets on the scheduling path is the thread
-    /// count, the analysis lanes and the policy.
+    /// count and the analysis lanes: the §III lookup order is the only
+    /// policy, so it has no setter.
     #[test]
     fn builder_sets_fast_path_knobs() {
         let window = crate::sched::queues::SPIN_WINDOW.as_micros();
         assert!((60..=100).contains(&window), "spin window {window} us");
-        let c = RuntimeBuilder::default()
-            .threads(3)
-            .shards(2)
-            .policy(SchedulerPolicy::CentralQueue)
-            .config();
+        let c = RuntimeBuilder::default().threads(3).shards(2).config();
         assert_eq!((c.threads, c.shards), (3, 2));
-        assert_eq!(c.policy, SchedulerPolicy::CentralQueue);
     }
 
     #[test]
@@ -324,15 +300,15 @@ mod tests {
             .renaming(false)
             .graph_size_limit(100)
             .record_graph(true)
+            .memory_limit(1 << 16)
             .tracing(true)
-            .policy(SchedulerPolicy::CentralQueue)
             .config();
         assert_eq!(c.threads, 4);
         assert!(!c.renaming);
         assert_eq!(c.graph_size_limit, Some(100));
+        assert_eq!(c.memory_limit, Some(1 << 16));
         assert!(c.record_graph);
         assert!(c.tracing);
-        assert_eq!(c.policy, SchedulerPolicy::CentralQueue);
     }
 
     #[test]

@@ -33,6 +33,12 @@ pub struct NodeInfo {
 }
 
 /// A recorded task graph.
+///
+/// Node `id` sits at slot `id - 1` of [`nodes`](Self::nodes) in
+/// whatever order concurrent spawners record them; one whose spawner
+/// has minted its id but not yet recorded it reads as a placeholder
+/// with an empty name. Edges keep recording order, which is
+/// deterministic only with one spawner.
 #[derive(Clone, Debug, Default)]
 pub struct GraphRecord {
     nodes: Vec<NodeInfo>,
@@ -40,13 +46,18 @@ pub struct GraphRecord {
 }
 
 impl GraphRecord {
+    /// Record node `info.id` at its slot, first filling any gap below it
+    /// with placeholders that the missing nodes' own calls overwrite.
     pub(crate) fn add_node(&mut self, info: NodeInfo) {
-        debug_assert_eq!(
-            info.id.0 as usize,
-            self.nodes.len() + 1,
-            "nodes must be recorded in invocation order"
-        );
-        self.nodes.push(info);
+        let slot = info.id.index();
+        while self.nodes.len() <= slot {
+            self.nodes.push(NodeInfo {
+                id: TaskId(self.nodes.len() as u64 + 1),
+                name: "",
+                high_priority: false,
+            });
+        }
+        self.nodes[slot] = info;
     }
 
     pub(crate) fn add_edge(&mut self, from: TaskId, to: TaskId, kind: EdgeKind) {
@@ -268,6 +279,9 @@ impl GraphRecord {
                     let name = parts
                         .next()
                         .ok_or_else(|| format!("line {}: missing node name", lineno + 1))?;
+                    if id != g.nodes.len() as u64 + 1 {
+                        return Err(format!("line {}: node {id} out of order", lineno + 1));
+                    }
                     let hp = parts.next() == Some("hp");
                     g.add_node(NodeInfo {
                         id: TaskId(id),
@@ -326,9 +340,10 @@ mod tests {
     use super::*;
 
     fn diamond() -> GraphRecord {
-        // 1 -> {2,3} -> 4
+        // 1 -> {2,3} -> 4, its nodes recorded out of id order, as
+        // concurrent spawners record them.
         let mut g = GraphRecord::default();
-        for (i, name) in [(1, "a"), (2, "b"), (3, "b"), (4, "c")] {
+        for (i, name) in [(3, "b"), (1, "a"), (4, "c"), (2, "b")] {
             g.add_node(NodeInfo {
                 id: TaskId(i),
                 name,
@@ -428,6 +443,8 @@ mod tests {
     #[test]
     fn from_text_rejects_garbage() {
         assert!(GraphRecord::from_text("node x y").is_err());
+        assert!(GraphRecord::from_text("node 0 a").is_err());
+        assert!(GraphRecord::from_text("node 2 a\nnode 1 a").is_err()); // out of order
         assert!(GraphRecord::from_text("frobnicate 1 2").is_err());
         assert!(GraphRecord::from_text("node 1 a\nedge 1 1 T").is_err()); // not forward
         assert!(GraphRecord::from_text("node 1 a\nedge 1 2 Q").is_err());

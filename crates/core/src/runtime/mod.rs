@@ -170,8 +170,6 @@ pub struct Shared {
     /// The main ready list (FIFO): "a point of distribution of tasks in
     /// areas of the graph that are not being explored".
     pub(crate) main_q: Injector<Job>,
-    /// Single central queue for [`SchedulerPolicy::CentralQueue`](crate::config::SchedulerPolicy).
-    pub(crate) central: Injector<Job>,
     /// FIFO-stealing ends of every thread's own list (index 0 = main).
     pub(crate) stealers: Vec<Stealer<Job>>,
     /// Tasks that have finished executing, sharded per thread and
@@ -250,14 +248,11 @@ pub struct Shared {
     pub(crate) next_session: AtomicU32,
     /// Sampled body cost per task name, which decides whether a
     /// born-ready task runs inline on the spawner
-    /// (`Runtime::publish_born_ready`). `Some` on at least two threads
-    /// under the SMPSs policy, and read only through
-    /// [`inline_costs`](Shared::inline_costs), which also requires the
-    /// single-spawner mode. At `threads(1)` there is no hand-off to
-    /// save; submitter and session threads are producers whose time
-    /// belongs to the caller; and the central-queue ablation keeps every
-    /// task in its one queue, as it keeps them out of the SMPSs
-    /// policy's other private fast path, the completion hand-off.
+    /// (`Runtime::publish_born_ready`). `Some` on at least two threads,
+    /// and read only through [`inline_costs`](Shared::inline_costs),
+    /// which also requires the single-spawner mode. At `threads(1)`
+    /// there is no hand-off to save, and submitter and session threads
+    /// are producers whose time belongs to the caller.
     costs: Option<CostTable>,
 }
 
@@ -281,7 +276,6 @@ impl Shared {
     /// finished shard and one stealer per thread).
     fn build(cfg: RuntimeConfig, stealers: Vec<Stealer<Job>>) -> Shared {
         let n = cfg.threads;
-        let smpss = cfg.policy == crate::config::SchedulerPolicy::Smpss;
         let shards = cfg.shards;
         // Spare cap: the explicit knob, else the memory limit (spares
         // should never out-budget the throttle), else a fixed default.
@@ -298,7 +292,6 @@ impl Shared {
             hp: Injector::new(),
             hp_used: CachePadded::new(AtomicBool::new(false)),
             main_q: Injector::new(),
-            central: Injector::new(),
             stealers,
             finished: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -320,7 +313,7 @@ impl Shared {
             faulted0: AtomicBool::new(false),
             sessions: Mutex::new(Vec::new()),
             next_session: AtomicU32::new(0),
-            costs: (n >= 2 && smpss).then(CostTable::new),
+            costs: (n >= 2).then(CostTable::new),
         }
     }
 
@@ -475,14 +468,13 @@ impl Shared {
     }
 
     /// Is any task published where a thread could take it: the
-    /// high-priority list, the main list, the central queue, or any
-    /// thread's own list? The pre-park re-scan of the sleep protocol
-    /// (see `SleepCtl`): run after the announcement, it sees every push
-    /// whose publisher's sleeper probe missed that announcement.
+    /// high-priority list, the main list, or any thread's own list? The
+    /// pre-park re-scan of the sleep protocol (see `SleepCtl`): run after
+    /// the announcement, it sees every push whose publisher's sleeper
+    /// probe missed that announcement.
     pub(crate) fn has_work(&self) -> bool {
         !self.hp.is_empty()
             || !self.main_q.is_empty()
-            || !self.central.is_empty()
             || self.stealers.iter().any(|s| !s.is_empty())
     }
 
@@ -1023,6 +1015,9 @@ impl Runtime {
 
     /// Clone the recorded task graph. Returns `None` unless the runtime was
     /// built with [`record_graph`](crate::RuntimeBuilder::record_graph).
+    /// Node `i` of the record is task `TaskId(i + 1)` whichever spawners
+    /// minted the ids; edges are in recording order, which repeats from
+    /// run to run only when one thread spawns (see [`GraphRecord`]).
     pub fn graph(&self) -> Option<GraphRecord> {
         self.shared.graph.as_ref().map(|g| g.lock().clone())
     }

@@ -42,7 +42,6 @@ use std::sync::atomic::Ordering;
 use crossbeam_deque::Worker;
 
 use super::queues::Job;
-use crate::config::SchedulerPolicy;
 use crate::runtime::{Priority, Shared};
 
 /// How strongly to wake sleepers after a completion. The caller
@@ -171,13 +170,12 @@ pub(crate) fn finish_task(
 /// Publish one completion's released successors as a batch. Successors
 /// arrive in registration order (the order `complete` releases and the
 /// policy tests pin). High-priority successors go to the global HP list
-/// ("independently of any locality consideration"). Under the SMPSs
-/// policy every other successor stays with the completing worker — the
-/// §III rule for a task whose last input dependency this thread removed
-/// — and the *last* one is returned as the hand-off when allowed,
-/// exactly the task the own list's LIFO pop would have produced next;
-/// the rest are pushed to the own list. The central-queue policy pushes
-/// everything to the central FIFO. One wake decision covers the batch:
+/// ("independently of any locality consideration"). Every other
+/// successor stays with the completing worker — the §III rule for a
+/// task whose last input dependency this thread removed — and the
+/// *last* one is returned as the hand-off when allowed, exactly the
+/// task the own list's LIFO pop would have produced next; the rest are
+/// pushed to the own list. One wake decision covers the batch:
 /// `One` whenever anything was pushed (the notify's sleeper probe is
 /// what keeps the publication exact; the woken thief propagates further
 /// wakes on demand), `All` only when several high-priority tasks appear
@@ -189,12 +187,11 @@ fn publish_batch(
     allow_handoff: bool,
     handoff: &mut Option<Job>,
 ) -> Wake {
-    let central = shared.cfg.policy == SchedulerPolicy::CentralQueue;
     let normals = ready
         .iter()
         .filter(|s| s.priority() == Priority::Normal)
         .count();
-    let take_handoff = allow_handoff && !central && normals > 0;
+    let take_handoff = allow_handoff && normals > 0;
     let mut hp_pushed = 0usize;
     let mut pushed = 0usize;
     let mut normals_seen = 0usize;
@@ -207,9 +204,6 @@ fn publish_batch(
             normals_seen += 1;
             if take_handoff && normals_seen == normals {
                 *handoff = Some(s);
-            } else if central {
-                shared.central.push(s);
-                pushed += 1;
             } else {
                 local.push(s);
                 pushed += 1;
@@ -372,20 +366,18 @@ mod tests {
         assert_eq!(shared.finished[3].load(Ordering::Relaxed), 1);
     }
 
-    /// Under the central-queue policy a completion hands nothing off and
-    /// keeps nothing: every released successor goes to the one central
-    /// FIFO, in release order, and the own list stays empty.
+    /// A completion never routes by policy: on the helper path (no
+    /// hand-off allowed) every released normal successor goes to the
+    /// completing thread's own list, in release order, and a released
+    /// high-priority successor to the HP list. Nothing reaches the main
+    /// list, which holds born-ready tasks only.
     #[test]
     fn locality_off_never_routes() {
-        let shared = Shared::for_tests(
-            crate::RuntimeBuilder::default()
-                .threads(4)
-                .policy(SchedulerPolicy::CentralQueue)
-                .config(),
-        );
+        let shared = shared(4);
         let local = Worker::new_lifo();
         let producer = ready_node(1);
-        let succs: Vec<Job> = (2..4).map(ready_node).collect();
+        let succs: Vec<Job> = (2..5).map(ready_node).collect();
+        succs[1].set_high_priority();
         for s in &succs {
             assert!(producer.add_successor(s));
             s.retain_dep();
@@ -393,16 +385,21 @@ mod tests {
         }
         producer.take_body().run_in_place();
         let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
-        assert!(handoff.is_none(), "the central queue takes every task");
+        let (handoff, wake) = finish_task(
+            &shared, &local, 1, &producer, false, false, true, &mut ready,
+        );
+        assert!(handoff.is_none(), "the helper path takes no hand-off");
         assert_eq!(wake, Wake::One);
-        assert!(local.is_empty());
-        let order: Vec<_> =
-            std::iter::from_fn(|| crate::sched::queues::pop_injector(&shared.central))
-                .map(|j| j.id())
-                .collect();
-        assert_eq!(order, vec![TaskId(2), TaskId(3)]);
+        let own: Vec<_> = std::iter::from_fn(|| local.pop()).map(|j| j.id()).collect();
+        assert_eq!(own, vec![TaskId(4), TaskId(2)], "own list, LIFO");
+        let hp: Vec<_> = std::iter::from_fn(|| crate::sched::queues::pop_injector(&shared.hp))
+            .map(|j| j.id())
+            .collect();
+        assert_eq!(hp, vec![TaskId(3)]);
+        assert!(
+            shared.main_q.is_empty(),
+            "released tasks never go to the main list"
+        );
     }
 
     /// Lost-wakeup regression (the batched-publication bugfix): a push

@@ -18,7 +18,7 @@ use crossbeam_deque::Worker;
 use super::completion::{finish_task, Wake};
 use super::cost::SAMPLE_EVERY;
 use super::queues::{pop_injector, pop_injector_batch, steal_from, Idle, Job, TaskSource};
-use crate::config::{OnPanic, SchedulerPolicy};
+use crate::config::OnPanic;
 use crate::runtime::{Priority, Shared};
 use crate::trace::EventKind;
 
@@ -104,93 +104,85 @@ pub fn find_task(shared: &Shared, ctx: &mut WorkerCtx, idx: usize) -> Option<(Jo
             return Some((job, TaskSource::HighPriority));
         }
     }
-    match shared.cfg.policy {
-        SchedulerPolicy::Smpss => {
-            if let Some(job) = ctx.local.pop() {
-                return Some((job, TaskSource::OwnList));
-            }
-            // Previously claimed main-list tasks: the front of the main
-            // list, FIFO, already paid for — a plain buffer pop.
-            if let Some(job) = ctx.claimed.pop_front() {
-                return Some((job, TaskSource::MainList));
-            }
-            // Batch claims: one fenced head claim pays for the whole
-            // batch. Where the surplus lands is a policy split:
-            //
-            // - **A private buffer** (plain fence-free pops) whenever the
-            //   claimer can't starve anyone: a single-thread runtime (no
-            //   thieves exist), or a sessions-off runtime — the paper's
-            //   single-tenant model, where task bodies are compute
-            //   kernels assumed to run to completion, so a claimed batch
-            //   is pinned behind at most a few microseconds of work.
-            // - **The claimer's stealable deque** once a session is
-            //   open: the multi-tenant front door admits
-            //   bodies that may park indefinitely, and a private batch
-            //   would strand one tenant's already-published tasks behind
-            //   another tenant's blocker while the rest of the pool
-            //   idles (the BENCH_0008 head-of-line hang). Isolation
-            //   costs those runtimes one fenced owner pop per surplus
-            //   task — the price of making every claimed task reachable
-            //   without the claimer's cooperation.
-            //
-            // A spill is a publication like any other, so it probes for
-            // sleepers: the claim emptied the main list, and a worker
-            // that announced before it would otherwise sleep next to
-            // stealable work while the claimer blocks in a body. The
-            // probe is a fence and a load; the futex wake is paid only
-            // when someone has announced, which spinning workers in a
-            // storm have not.
-            //
-            // The sessions level is read per surplus task, *after* the
-            // claim: the sink runs past the Acquire load that saw the
-            // task's push, and a session task is pushed after the first
-            // `Runtime::session` call latched the level, so a session
-            // task always reads it and spills. A task claimed into the
-            // private buffer before the latch is session-less.
-            let threads1 = shared.cfg.threads == 1;
-            let claimed = &mut ctx.claimed;
-            let local = &ctx.local;
-            let mut spilled = false;
-            let job = pop_injector_batch(&shared.main_q, &mut |j| {
-                if threads1 || !shared.sessions_used() {
-                    claimed.push_back(j);
-                } else {
-                    local.push(j);
-                    spilled = true;
-                }
-            });
-            if spilled {
+    if let Some(job) = ctx.local.pop() {
+        return Some((job, TaskSource::OwnList));
+    }
+    // Previously claimed main-list tasks: the front of the main
+    // list, FIFO, already paid for — a plain buffer pop.
+    if let Some(job) = ctx.claimed.pop_front() {
+        return Some((job, TaskSource::MainList));
+    }
+    // Batch claims: one fenced head claim pays for the whole
+    // batch. Where the surplus lands is a policy split:
+    //
+    // - **A private buffer** (plain fence-free pops) whenever the
+    //   claimer can't starve anyone: a single-thread runtime (no
+    //   thieves exist), or a sessions-off runtime — the paper's
+    //   single-tenant model, where task bodies are compute
+    //   kernels assumed to run to completion, so a claimed batch
+    //   is pinned behind at most a few microseconds of work.
+    // - **The claimer's stealable deque** once a session is
+    //   open: the multi-tenant front door admits
+    //   bodies that may park indefinitely, and a private batch
+    //   would strand one tenant's already-published tasks behind
+    //   another tenant's blocker while the rest of the pool
+    //   idles (the BENCH_0008 head-of-line hang). Isolation
+    //   costs those runtimes one fenced owner pop per surplus
+    //   task — the price of making every claimed task reachable
+    //   without the claimer's cooperation.
+    //
+    // A spill is a publication like any other, so it probes for
+    // sleepers: the claim emptied the main list, and a worker
+    // that announced before it would otherwise sleep next to
+    // stealable work while the claimer blocks in a body. The
+    // probe is a fence and a load; the futex wake is paid only
+    // when someone has announced, which spinning workers in a
+    // storm have not.
+    //
+    // The sessions level is read per surplus task, *after* the
+    // claim: the sink runs past the Acquire load that saw the
+    // task's push, and a session task is pushed after the first
+    // `Runtime::session` call latched the level, so a session
+    // task always reads it and spills. A task claimed into the
+    // private buffer before the latch is session-less.
+    let threads1 = shared.cfg.threads == 1;
+    let claimed = &mut ctx.claimed;
+    let local = &ctx.local;
+    let mut spilled = false;
+    let job = pop_injector_batch(&shared.main_q, &mut |j| {
+        if threads1 || !shared.sessions_used() {
+            claimed.push_back(j);
+        } else {
+            local.push(j);
+            spilled = true;
+        }
+    });
+    if spilled {
+        shared.sleep.notify_one();
+    }
+    if let Some(job) = job {
+        return Some((job, TaskSource::MainList));
+    }
+    let n = shared.stealers.len();
+    for off in 1..n {
+        let victim = (idx + off) % n;
+        if let Some(job) = steal_from(&shared.stealers[victim]) {
+            if !shared.stealers[victim].is_empty() {
+                // The victim has more: propagate the wake so the
+                // next sleeper comes for it.
                 shared.sleep.notify_one();
             }
-            if let Some(job) = job {
-                return Some((job, TaskSource::MainList));
-            }
-            let n = shared.stealers.len();
-            for off in 1..n {
-                let victim = (idx + off) % n;
-                if let Some(job) = steal_from(&shared.stealers[victim]) {
-                    if !shared.stealers[victim].is_empty() {
-                        // The victim has more: propagate the wake so the
-                        // next sleeper comes for it.
-                        shared.sleep.notify_one();
-                    }
-                    return Some((job, TaskSource::Stolen { victim }));
-                }
-            }
-            None
-        }
-        SchedulerPolicy::CentralQueue => {
-            pop_injector(&shared.central).map(|job| (job, TaskSource::MainList))
+            return Some((job, TaskSource::Stolen { victim }));
         }
     }
+    None
 }
 
 /// Publish a task born ready on the spawning path: to the main list
-/// under the SMPSs policy (the §III "point of distribution of tasks in
-/// areas of the graph that are not being explored"), to the central
-/// queue under the central-queue policy. High-priority tasks always go
-/// to the global high-priority list so that they are "scheduled as soon
-/// as possible independently of any locality consideration".
+/// (the §III "point of distribution of tasks in areas of the graph that
+/// are not being explored"). High-priority tasks always go to the
+/// global high-priority list so that they are "scheduled as soon as
+/// possible independently of any locality consideration".
 ///
 /// Tasks a completion releases never come here: the completing thread
 /// keeps them (`finish_task`'s batch and hand-off).
@@ -203,10 +195,7 @@ pub fn enqueue_ready(shared: &Shared, job: Job) {
         shared.hp_used.store(true, Ordering::Relaxed);
         shared.hp.push(job);
     } else {
-        match shared.cfg.policy {
-            SchedulerPolicy::Smpss => shared.main_q.push(job),
-            SchedulerPolicy::CentralQueue => shared.central.push(job),
-        }
+        shared.main_q.push(job);
     }
     shared.sleep.notify_one();
 }

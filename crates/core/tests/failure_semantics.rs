@@ -7,8 +7,33 @@
 use proptest::prelude::*;
 use smpss::{OnPanic, Runtime, TaskFailures, TaskId};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+#[macro_use]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::{check, config, faulty_program, program, run, Front, Kind, Op};
+
+/// A failing head over cell 0, `n` dependents chained on it (`inout`
+/// cell 0), and `n` independent tasks on cell 1, run at two threads
+/// under `policy`: the shape of the policy tests below.
+fn chain_behind_a_failure(n: usize, policy: OnPanic) -> oracle::Outcome {
+    let mut ops = vec![Op {
+        panics: true,
+        ..Op::from(Kind::Set { dst: 0, k: 1 })
+    }];
+    ops.extend((0..n).map(|_| Op::from(Kind::Mut { dst: 0 })));
+    ops.extend((0..n).map(|_| Op::from(Kind::Mut { dst: 1 })));
+    let out = run(
+        &ops,
+        Runtime::builder().threads(2).on_panic(policy),
+        Front::Runtime,
+    );
+    check(&ops, &out, true, policy).unwrap();
+    out
+}
 
 /// Worker-thread panics are the *subject* of these tests, not failures
 /// of them: silence the default hook's backtrace spam for panics that
@@ -37,35 +62,28 @@ fn cancelled_ids(e: &TaskFailures) -> BTreeSet<TaskId> {
     e.cancelled.iter().map(|c| c.id).collect()
 }
 
+/// One panicking task among 16 independent ones: the panic is
+/// contained, reported with its name and payload, and cancels nothing.
 #[test]
 fn panicked_task_is_contained_and_reported() {
-    quiet_worker_panics();
-    let rt = Runtime::builder().threads(2).build();
-    let ok_runs = Arc::new(AtomicUsize::new(0));
-    let x = rt.data(0i64);
-    let mut sp = rt.task("boom");
-    let _w = sp.write(&x);
-    let bad = sp.id();
-    sp.submit(|| panic!("boom payload"));
-    for _ in 0..16 {
-        let h = rt.data(0i64);
-        let mut sp = rt.task("ok");
-        let mut w = sp.write(&h);
-        let ok_runs = ok_runs.clone();
-        sp.submit(move || {
-            *w.get_mut() = 1;
-            ok_runs.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let err = rt.wait_all().expect_err("one task panicked");
-    assert_eq!(failed_ids(&err), [bad]);
-    assert_eq!(err.failed[0].name, "boom");
-    assert_eq!(err.failed[0].payload_str(), Some("boom payload"));
+    let mut ops = vec![Op {
+        panics: true,
+        ..Op::from(Kind::Set { dst: 0, k: 1 })
+    }];
+    ops.extend((0..16).map(|k| {
+        Op::from(Kind::Set {
+            dst: 1 + k % 5,
+            k: k as i64,
+        })
+    }));
+    let out = run(&ops, Runtime::builder().threads(2), Front::Runtime);
+    check(&ops, &out, true, OnPanic::CancelDependents).unwrap();
+    let err = out.failures.expect_err("one task panicked");
+    assert_eq!(failed_ids(&err), [TaskId(1)]);
+    assert_eq!(err.failed[0].name, "set");
+    assert_eq!(err.failed[0].payload_str(), Some(oracle::INJECTED));
     assert!(err.cancelled.is_empty(), "no task depended on the failure");
-    assert_eq!(ok_runs.load(Ordering::Relaxed), 16, "independent tasks ran");
-    let st = rt.stats();
-    assert_eq!(st.panics, 1);
-    assert_eq!(st.cancelled, 0);
+    assert_eq!((out.stats.panics, out.stats.cancelled), (1, 0));
 }
 
 #[test]
@@ -88,52 +106,11 @@ fn string_payloads_survive_into_the_report() {
 /// chains are untouched.
 #[test]
 fn cancel_dependents_cancels_the_transitive_chain_only() {
-    quiet_worker_panics();
-    let rt = Runtime::builder().threads(2).build();
-    let poisoned = rt.data(0i64);
-    let healthy = rt.data(0i64);
-    let ran = Arc::new(AtomicUsize::new(0));
-
-    let mut sp = rt.task("head");
-    let _w = sp.write(&poisoned);
-    let bad = sp.id();
-    sp.submit(|| panic!("head failed"));
-
-    let mut chain = Vec::new();
-    for _ in 0..8 {
-        let mut sp = rt.task("dependent");
-        let mut w = sp.inout(&poisoned);
-        chain.push(sp.id());
-        let ran = ran.clone();
-        sp.submit(move || {
-            *w.get_mut() += 1;
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let mut healthy_runs = 0;
-    for _ in 0..8 {
-        let mut sp = rt.task("independent");
-        let mut w = sp.inout(&healthy);
-        healthy_runs += 1;
-        sp.submit(move || *w.get_mut() += 1);
-    }
-
-    let err = rt.wait_all().expect_err("the chain head panicked");
-    assert_eq!(failed_ids(&err), [bad]);
-    assert_eq!(
-        cancelled_ids(&err),
-        chain.iter().copied().collect::<BTreeSet<_>>(),
-        "exactly the dependents are cancelled"
-    );
-    assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled bodies never run");
-    assert_eq!(
-        rt.read(&healthy),
-        healthy_runs,
-        "independent chain completed"
-    );
-    let st = rt.stats();
-    assert_eq!(st.panics, 1);
-    assert_eq!(st.cancelled, 8);
+    let out = chain_behind_a_failure(8, OnPanic::CancelDependents);
+    let err = out.failures.expect_err("the chain head panicked");
+    assert_eq!(failed_ids(&err), [TaskId(1)]);
+    assert_eq!(cancelled_ids(&err), (2..=9).map(TaskId).collect());
+    assert_eq!((out.stats.panics, out.stats.cancelled), (1, 8));
 }
 
 /// A task spawned *after* its producer already failed must still be
@@ -211,64 +188,34 @@ fn spawning_against_an_already_failed_producer_cancels() {
 /// dependents run against whatever the failed task left behind.
 #[test]
 fn isolate_policy_runs_dependents() {
-    quiet_worker_panics();
-    let rt = Runtime::builder()
-        .threads(2)
-        .on_panic(OnPanic::Isolate)
-        .build();
-    let x = rt.data(0i64);
-    let mut sp = rt.task("boom");
-    let _w = sp.write(&x);
-    let bad = sp.id();
-    sp.submit(|| panic!("isolated failure"));
-    let ran = Arc::new(AtomicUsize::new(0));
-    for _ in 0..8 {
-        let mut sp = rt.task("dependent");
-        let mut w = sp.inout(&x);
-        let ran = ran.clone();
-        sp.submit(move || {
-            *w.get_mut() += 1;
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let err = rt.wait_all().expect_err("the panic is still reported");
-    assert_eq!(failed_ids(&err), [bad]);
+    let out = chain_behind_a_failure(8, OnPanic::Isolate);
+    let err = out.failures.expect_err("the panic is still reported");
+    assert_eq!(failed_ids(&err), [TaskId(1)]);
     assert!(err.cancelled.is_empty(), "Isolate cancels nothing");
-    assert_eq!(ran.load(Ordering::Relaxed), 8, "dependents all ran");
+    assert!(out.parts[0].runs.iter().all(|&r| r == 1), "every task ran");
 }
 
 /// `OnPanic::FailFast`: after the first panic, every not-yet-executed
-/// task — related or not — is cancelled.
+/// task — related or not — is cancelled. At one thread the failing head
+/// is the first main-list pop, so every other task is still pending.
 #[test]
 fn fail_fast_cancels_unrelated_pending_tasks() {
-    quiet_worker_panics();
-    let rt = Runtime::builder()
-        .threads(1)
-        .on_panic(OnPanic::FailFast)
-        .build();
-    let x = rt.data(0i64);
-    let mut sp = rt.task("boom");
-    let _w = sp.write(&x);
-    let bad = sp.id();
-    sp.submit(|| panic!("fail fast"));
-    rt.wait_on(&x); // the failure has happened by the time these spawn
-    let ran = Arc::new(AtomicUsize::new(0));
-    let mut others = BTreeSet::new();
-    for _ in 0..16 {
-        let h = rt.data(0i64);
-        let mut sp = rt.task("unrelated");
-        let mut w = sp.write(&h);
-        others.insert(sp.id());
-        let ran = ran.clone();
-        sp.submit(move || {
-            *w.get_mut() = 1;
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-    let err = rt.wait_all().expect_err("fail fast");
-    assert_eq!(failed_ids(&err), [bad]);
-    assert_eq!(cancelled_ids(&err), others, "every pending task cancelled");
-    assert_eq!(ran.load(Ordering::Relaxed), 0);
+    let mut ops = vec![Op {
+        panics: true,
+        ..Op::from(Kind::Set { dst: 0, k: 1 })
+    }];
+    ops.extend((0..16).map(|k| {
+        Op::from(Kind::Set {
+            dst: 1 + k % 5,
+            k: k as i64,
+        })
+    }));
+    let b = Runtime::builder().threads(1).on_panic(OnPanic::FailFast);
+    let out = run(&ops, b, Front::Runtime);
+    check(&ops, &out, true, OnPanic::FailFast).unwrap();
+    let err = out.failures.expect_err("fail fast");
+    assert_eq!(failed_ids(&err), [TaskId(1)]);
+    assert_eq!(cancelled_ids(&err), (2..=17).map(TaskId).collect());
 }
 
 /// `wait_all` drains: a second call reports `Ok`, and the runtime keeps
@@ -396,144 +343,38 @@ fn submitter_drop_during_unwind_does_not_double_panic() {
     assert!(unwound.is_err());
 }
 
-// ---------------------------------------------------------------------
-// Satellite proptest: one injected panic in a random task of a random
-// graph.
-// ---------------------------------------------------------------------
-
-const CELLS: usize = 6;
-
-/// One task: reads a few cells, writes one. With renaming on, the
-/// recorded graph holds exactly the true dependencies of this program.
-#[derive(Clone, Debug)]
-struct Spec {
-    writes: usize,
-    reads: Vec<usize>,
-}
-
-fn program_strategy() -> impl Strategy<Value = Vec<Spec>> {
-    prop::collection::vec(
-        (0..CELLS, prop::collection::vec(0..CELLS, 0..3))
-            .prop_map(|(writes, reads)| Spec { writes, reads }),
-        2..14,
-    )
-}
-
-struct Run {
-    ids: Vec<TaskId>,
-    ran: Vec<bool>,
-    result: Result<(), TaskFailures>,
-    graph: smpss::GraphRecord,
-}
-
-fn run_program(
-    specs: &[Spec],
-    threads: usize,
-    shards: usize,
-    policy: OnPanic,
-    fail_idx: Option<usize>,
-) -> Run {
-    let rt = Runtime::builder()
-        .threads(threads)
-        .shards(shards)
-        .record_graph(true)
-        .on_panic(policy)
-        .build();
-    if shards > 1 {
-        drop(rt.submitters()); // the main thread now takes the gated paths
-    }
-    let cells: Vec<_> = (0..CELLS).map(|_| rt.data(0i64)).collect();
-    let ran: Arc<Vec<AtomicBool>> =
-        Arc::new((0..specs.len()).map(|_| AtomicBool::new(false)).collect());
-    let mut ids = Vec::with_capacity(specs.len());
-    for (i, spec) in specs.iter().enumerate() {
-        let mut sp = rt.task("t");
-        let mut reads: Vec<_> = spec.reads.iter().map(|&r| sp.read(&cells[r])).collect();
-        let mut w = sp.inout(&cells[spec.writes]);
-        ids.push(sp.id());
-        let ran = ran.clone();
-        let fails = fail_idx == Some(i);
-        sp.submit(move || {
-            let mut sum = 0i64;
-            for r in &mut reads {
-                sum += *r.get();
-            }
-            *w.get_mut() += sum + 1;
-            ran[i].store(true, Ordering::Relaxed);
-            if fails {
-                panic!("injected");
-            }
-        });
-    }
-    let result = rt.wait_all();
-    let graph = rt.graph().expect("graph recording was enabled");
-    Run {
-        ids,
-        ran: ran.iter().map(|f| f.load(Ordering::Relaxed)).collect(),
-        result,
-        graph,
-    }
-}
-
-/// Transitive successors of `root` in the recorded graph.
-fn descendants(g: &smpss::GraphRecord, root: TaskId) -> BTreeSet<TaskId> {
-    let mut seen = BTreeSet::new();
-    let mut work = vec![root];
-    while let Some(n) = work.pop() {
-        for s in g.successors(n) {
-            if seen.insert(s) {
-                work.push(s);
-            }
-        }
-    }
-    seen
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Inject one panic into a random task of a random graph. Under the
-    /// default policy, `wait_all` must report exactly {failed task} and
-    /// {its transitive dependents in the recorded graph}; every other
-    /// task must have run. Under `Isolate`, everything runs and the
-    /// recorded graph is identical to the no-failure oracle's.
+    /// The whole oracle: random programs with region accesses, priority
+    /// tasks and one panicking task in eight, under one drawn
+    /// configuration each (threads, lanes, front door, renaming, memory
+    /// limit, `OnPanic`).
+    #[test]
+    fn drawn_programs_fail_and_cancel_as_the_oracle_says(
+        ops in faulty_program(1..60),
+        cfg in config(),
+    ) {
+        let checked = check(&ops, &oracle::run_config(&ops, &cfg), cfg.renaming, cfg.on_panic);
+        prop_assert!(checked.is_ok(), "{:?}: {:?}", cfg, checked);
+    }
+
+    /// Inject one panic into a random task of a random program, under a
+    /// drawn configuration. `CancelDependents` and `Isolate` report
+    /// exactly the failed task and the closure of its dependents in the
+    /// program (nothing under `Isolate`); `FailFast` cancels at least
+    /// that closure; every task runs, fails or is cancelled once, and
+    /// every untainted value is the sequential program's.
     #[test]
     fn one_injected_panic_fails_exactly_the_dependent_closure(
-        specs in program_strategy(),
+        mut ops in program(2..40),
         fail_sel in 0usize..4096,
+        cfg in config(),
     ) {
-        quiet_worker_panics();
-        let f = fail_sel % specs.len();
-        for &threads in &[1usize, 8] {
-            for &shards in &[1usize, 4] {
-                // Default policy: exact failed + cancelled sets.
-                let run = run_program(&specs, threads, shards, OnPanic::CancelDependents, Some(f));
-                let err = run.result.as_ref().expect_err("one task panicked");
-                prop_assert_eq!(failed_ids(err), [run.ids[f]]);
-                let expect = descendants(&run.graph, run.ids[f]);
-                prop_assert_eq!(
-                    cancelled_ids(err), expect.clone(),
-                    "cancelled = recorded dependents (threads={}, shards={})", threads, shards
-                );
-                for (i, &id) in run.ids.iter().enumerate() {
-                    let should_run = i == f || !expect.contains(&id);
-                    prop_assert_eq!(
-                        run.ran[i], should_run,
-                        "task {} ran-ness (threads={}, shards={})", i, threads, shards
-                    );
-                }
-
-                // Isolate: same graph as the no-failure oracle, all ran.
-                let oracle = run_program(&specs, threads, shards, OnPanic::Isolate, None);
-                prop_assert!(oracle.result.is_ok());
-                let iso = run_program(&specs, threads, shards, OnPanic::Isolate, Some(f));
-                let err = iso.result.as_ref().expect_err("still reported");
-                prop_assert_eq!(failed_ids(err), [iso.ids[f]]);
-                prop_assert!(err.cancelled.is_empty());
-                prop_assert!(iso.ran.iter().all(|&r| r), "Isolate runs every task");
-                prop_assert_eq!(iso.graph.nodes(), oracle.graph.nodes());
-                prop_assert_eq!(iso.graph.edges(), oracle.graph.edges());
-            }
-        }
+        let f = fail_sel % ops.len();
+        ops[f].panics = true;
+        let out = oracle::run_config(&ops, &cfg);
+        let checked = check(&ops, &out, cfg.renaming, cfg.on_panic);
+        prop_assert!(checked.is_ok(), "{:?}: {:?}", cfg, checked);
     }
 }

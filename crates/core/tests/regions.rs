@@ -1,115 +1,100 @@
 //! Black-box tests of the array-region extension (§V.A) and its
 //! equivalence with the representant workaround (§V.B).
 
-use smpss::{region, Region, Runtime};
+use proptest::prelude::*;
+use smpss::{region, OnPanic, Region, Runtime, TaskId};
 
-/// Sort-free miniature of the Figure 7 pattern: write four quarters
-/// independently, then merge pairs, then merge the result.
+#[macro_use]
+#[path = "../../../tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::{check, program, run, Front, Kind, Op, Span};
+
+/// Run `kinds` with the graph recorded, check the run against the
+/// oracle and return what it left.
+fn run_checked(kinds: &[Kind], threads: usize) -> oracle::Outcome {
+    let ops: Vec<Op> = kinds.iter().copied().map(Op::from).collect();
+    let b = Runtime::builder().threads(threads).record_graph(true);
+    let out = run(&ops, b, Front::Runtime);
+    check(&ops, &out, true, OnPanic::CancelDependents).unwrap();
+    out
+}
+
+/// Sort-free miniature of the Figure 7 pattern: four independent
+/// writers of quarter bands, then two readers of a half each, then one
+/// reader of the whole.
 #[test]
 fn quarters_then_merges() {
-    let rt = Runtime::builder().threads(4).build();
-    let n = 64usize;
-    let data = rt.region_data(vec![0i64; n]);
-    let q = n / 4;
-    // Four independent writers (disjoint regions -> no edges, can run in
-    // any order / in parallel).
-    for k in 0..4 {
-        let (lo, hi) = (k * q, (k + 1) * q - 1);
-        let mut sp = rt.task("fill_quarter");
-        let mut w = sp.write_region(&data, region![lo..=hi]);
-        sp.submit(move || {
-            for (off, v) in w.slice_mut(lo, hi).iter_mut().enumerate() {
-                *v = (k * q + off) as i64;
-            }
-        });
-    }
-    // Two half-sums reading two quarters each.
-    let sums = rt.region_data(vec![0i64; 2]);
-    for half in 0..2 {
-        let (lo, hi) = (half * 2 * q, (half + 1) * 2 * q - 1);
-        let mut sp = rt.task("sum_half");
-        let mut r = sp.read_region(&data, region![lo..=hi]);
-        let mut w = sp.write_region(&sums, region![half..=half]);
-        sp.submit(move || {
-            let s: i64 = r.slice(lo, hi).iter().sum();
-            w.slice_mut(half, half)[0] = s;
-        });
-    }
-    rt.barrier();
-    let expected: i64 = (0..n as i64).sum();
-    let got = rt.with_region(&sums, |v| v[0] + v[1]);
-    assert_eq!(got, expected);
+    let q = oracle::ROWS / 4;
+    let fills = (0..4).map(|k| Kind::Fill {
+        src: k,
+        at: Span::Rows(k * q, k * q + q - 1),
+    });
+    let halves = (0..2).map(|h| Kind::Sum {
+        dst: 4 + h,
+        at: Span::Rows(h * 2 * q, h * 2 * q + 2 * q - 1),
+    });
+    let whole = Kind::Sum {
+        dst: 0,
+        at: Span::Rows(0, oracle::ROWS - 1),
+    };
+    let kinds: Vec<_> = fills.chain(halves).chain([whole]).collect();
+    let g = run_checked(&kinds, 4).graph.unwrap();
+    assert_eq!(g.predecessors(TaskId(5)), [1, 2].map(TaskId).into());
+    assert_eq!(g.predecessors(TaskId(7)).len(), 4);
 }
 
+/// 100 `inout`s of windows that all hold row 5 serialise: every value
+/// is the sequential program's.
 #[test]
 fn overlapping_writes_serialise() {
-    let rt = Runtime::builder().threads(4).build();
-    let data = rt.region_data(vec![0i64; 10]);
-    // 100 tasks incrementing an overlapping window; all overlap index 5,
-    // so every task is serialised against every other: final value exact.
-    for i in 0..100usize {
-        let lo = (i % 5).min(5);
-        let mut sp = rt.task("bump");
-        let mut w = sp.inout_region(&data, region![lo..=9]);
-        sp.submit(move || {
-            w.slice_mut(5, 5)[0] += 1;
-        });
-    }
-    rt.barrier();
-    assert_eq!(rt.with_region(&data, |v| v[5]), 100);
+    let kinds: Vec<_> = (0..100)
+        .map(|i| Kind::Scale {
+            at: Span::Rows(i % 5, 9),
+        })
+        .collect();
+    run_checked(&kinds, 4);
 }
 
+/// Writers of disjoint row bands never order against each other.
 #[test]
 fn disjoint_writes_have_no_edges() {
-    let rt = Runtime::builder().threads(1).record_graph(true).build();
-    let data = rt.region_data(vec![0u8; 100]);
-    for k in 0..10usize {
-        let (lo, hi) = (k * 10, k * 10 + 9);
-        let mut sp = rt.task("disjoint");
-        let mut w = sp.write_region(&data, region![lo..=hi]);
-        sp.submit(move || {
-            w.slice_mut(lo, hi).fill(k as u8);
-        });
-    }
-    rt.barrier();
-    let g = rt.graph().unwrap();
+    let kinds: Vec<_> = (0..10)
+        .map(|k| Kind::Fill {
+            src: k % 6,
+            at: Span::Rows(k, k),
+        })
+        .collect();
+    let g = run_checked(&kinds, 1).graph.unwrap();
     assert_eq!(g.node_count(), 10);
     assert_eq!(g.edge_count(), 0, "disjoint regions must not serialise");
-    rt.with_region(&data, |v| {
-        for (i, &b) in v.iter().enumerate() {
-            assert_eq!(b as usize, i / 10);
-        }
-    });
 }
 
+/// T1 writes rows 0..=7; T2 reads rows 0..=3 (true); T3 writes rows
+/// 2..=5 (anti on T2, output on T1).
 #[test]
 fn read_write_edge_kinds_are_recorded() {
     use smpss::graph::record::EdgeKind;
-    let rt = Runtime::builder().threads(1).record_graph(true).build();
-    let data = rt.region_data(vec![0i64; 8]);
-    // T1 writes [0..=7]; T2 reads [0..=3] (true); T3 writes [2..=5]
-    // (anti on T2, output on T1).
-    {
-        let mut sp = rt.task("w1");
-        let mut w = sp.write_region(&data, region![0..=7]);
-        sp.submit(move || w.slice_mut(0, 7).fill(1));
-    }
-    {
-        let mut sp = rt.task("r2");
-        let mut r = sp.read_region(&data, region![0..=3]);
-        sp.submit(move || {
-            let _ = r.slice(0, 3);
-        });
-    }
-    {
-        let mut sp = rt.task("w3");
-        let mut w = sp.write_region(&data, region![2..=5]);
-        sp.submit(move || w.slice_mut(2, 5).fill(2));
-    }
-    rt.barrier();
-    let g = rt.graph().unwrap();
-    use smpss::TaskId;
-    let kinds: Vec<_> = g.edges().to_vec();
+    let g = run_checked(
+        &[
+            Kind::Fill {
+                src: 0,
+                at: Span::Rows(0, 7),
+            },
+            Kind::Sum {
+                dst: 1,
+                at: Span::Rows(0, 3),
+            },
+            Kind::Fill {
+                src: 2,
+                at: Span::Rows(2, 5),
+            },
+        ],
+        1,
+    )
+    .graph
+    .unwrap();
+    let kinds = g.edges();
     assert!(kinds.contains(&(TaskId(1), TaskId(2), EdgeKind::True)));
     assert!(kinds.contains(&(TaskId(2), TaskId(3), EdgeKind::Anti)));
     assert!(kinds.contains(&(TaskId(1), TaskId(3), EdgeKind::Output)));
@@ -203,186 +188,51 @@ fn representants_equal_regions_for_disjoint_sets() {
     }
 }
 
+/// 2-D regions track submatrices: a row-0 read overlaps the top-left
+/// tile's writer and not the bottom-right one's.
 #[test]
 fn two_dimensional_regions_track_submatrices() {
-    // A 4x4 logical matrix stored row-major in a Vec; regions are 2-D.
-    let rt = Runtime::builder().threads(1).record_graph(true).build();
-    let m = rt.region_data(vec![0i64; 16]);
-    // Top-left and bottom-right 2x2 blocks: disjoint in both dims? No —
-    // disjoint overall because rows AND cols both disjoint.
-    {
-        let mut sp = rt.task("tl");
-        let mut w = sp.write_region(&m, Region::d2(0..=1, 0..=1));
-        sp.submit(move || {
-            // Row-major manual addressing; region guards only check dim 0
-            // bounds for the slice API, so use per-row slices of dim-0
-            // flattened index space. For 2-D we write within the declared
-            // rows only. (Access checked against dim 0 of the region: the
-            // slice API is 1-D; see module docs.)
-            let _ = &mut w;
-        });
-    }
-    {
-        let mut sp = rt.task("br");
-        let _w = sp.write_region(&m, Region::d2(2..=3, 2..=3));
-        sp.submit(move || {});
-    }
-    {
-        let mut sp = rt.task("row0");
-        let _r = sp.read_region(&m, Region::d2(0..=0, 0..=3));
-        sp.submit(move || {});
-    }
-    rt.barrier();
-    let g = rt.graph().unwrap();
-    use smpss::TaskId;
-    // row0 overlaps tl (row 0, cols 0..=1) but not br.
+    let g = run_checked(
+        &[
+            Kind::Fill {
+                src: 0,
+                at: Span::Tile(0, 1, 0, 1),
+            },
+            Kind::Fill {
+                src: 1,
+                at: Span::Tile(2, 3, 2, 3),
+            },
+            Kind::Sum {
+                dst: 2,
+                at: Span::Tile(0, 0, 0, 3),
+            },
+        ],
+        1,
+    )
+    .graph
+    .unwrap();
     assert_eq!(g.predecessors(TaskId(3)), [TaskId(1)].into_iter().collect());
     assert_eq!(g.predecessors(TaskId(2)).len(), 0);
 }
 
-/// Reachability through the public API: on a pseudo-random program of
-/// overlapping 1-D and 2-D region accesses interleaved with whole-object
-/// traffic, the recorded graph (joins expanded) must hold only
-/// conflicting, overlapping earlier→later pairs, and its transitive
-/// closure must equal that of the full pair set a linear scan of every
-/// earlier access finds — renaming on and off (the region analyser never
-/// renames, but whole-object renaming interleaves with region tracking
-/// in mixed programs, so both switches are exercised).
-#[test]
-fn indexed_region_log_records_the_same_graph_as_linear() {
-    use std::collections::BTreeSet;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One access: buffer (0 = `a`, 1 = `b`, 2 = the whole object),
-    /// region, write.
-    type Access = (usize, Region, bool);
-
-    fn run(renaming: bool) -> (Vec<(u64, u64)>, Vec<Vec<Access>>) {
-        let rt = Runtime::builder()
-            .threads(1)
-            .renaming(renaming)
-            .record_graph(true)
-            .build();
-        let a = rt.region_data(vec![0u32; 400]);
-        let b = rt.region_data(vec![0u32; 1024]); // 32x32, row-major
-        let obj = rt.data(0u64); // whole-object traffic interleaved
-        let mut program: Vec<Vec<Access>> = Vec::new();
-        // Deterministic LCG so both configurations see one program.
-        let mut seed = 0x2545F4914F6CDD1Du64;
-        let mut rand = move |m: usize| {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as usize) % m
-        };
-        for i in 0..160 {
-            match rand(5) {
-                0 => {
-                    // 1-D block write on `a`.
-                    let lo = rand(380);
-                    let hi = lo + 1 + rand(19);
-                    let mut sp = rt.task("w1d");
-                    let mut w = sp.write_region(&a, region![lo..=hi]);
-                    sp.submit(move || w.slice_mut(lo, hi)[0] = i);
-                    program.push(vec![(0, region![lo..=hi], true)]);
-                }
-                1 => {
-                    // 1-D read, sometimes the whole array.
-                    let mut sp = rt.task("r1d");
-                    let whole = rand(4) == 0;
-                    let (lo, hi) = if whole { (0, 399) } else { (rand(380), 399) };
-                    let mut r = sp.read_region(&a, region![lo..=hi]);
-                    sp.submit(move || {
-                        std::hint::black_box(r.slice(lo, hi)[0]);
-                    });
-                    program.push(vec![(0, region![lo..=hi], false)]);
-                }
-                2 => {
-                    // 2-D tile inout on `b`.
-                    let r0 = rand(28);
-                    let c0 = rand(28);
-                    let (r1, c1) = (r0 + rand(4), c0 + rand(4));
-                    let mut sp = rt.task("w2d");
-                    let mut w = sp.inout_region(&b, region![r0..=r1, c0..=c1]);
-                    sp.submit(move || w.row_slice_mut(32, r0, c0, c1)[0] = i);
-                    program.push(vec![(1, region![r0..=r1, c0..=c1], true)]);
-                }
-                3 => {
-                    // Full-dimension row read on `b`.
-                    let r0 = rand(32);
-                    let mut sp = rt.task("rrow");
-                    let mut r = sp.read_region(&b, region![r0..=r0, ..]);
-                    sp.submit(move || {
-                        std::hint::black_box(r.row_slice(32, r0, 0, 31)[0]);
-                    });
-                    program.push(vec![(1, region![r0..=r0, ..], false)]);
-                }
-                _ => {
-                    // Whole-object churn: exercises renaming next to the
-                    // region analysis. An `inout` orders after every
-                    // earlier access of the object.
-                    let mut sp = rt.task("bump");
-                    let mut w = sp.inout(&obj);
-                    sp.submit(move || *w.get_mut() += 1);
-                    program.push(vec![(2, Region::all(), true)]);
-                }
-            }
-        }
-        rt.barrier();
-        let g = rt.graph().expect("recording on");
-        assert_eq!(g.node_count(), program.len(), "joins are not graph nodes");
-        let edges = g.edges().iter().map(|&(f, t, _)| (f.0, t.0)).collect();
-        (edges, program)
-    }
-
-    /// The linear oracle: every earlier access each access conflicts with.
-    fn linear_pairs(program: &[Vec<Access>]) -> BTreeSet<(u64, u64)> {
-        let mut pairs = BTreeSet::new();
-        for (j, later) in program.iter().enumerate() {
-            for (i, earlier) in program[..j].iter().enumerate() {
-                let conflict = later.iter().any(|(bl, rl, wl)| {
-                    earlier
-                        .iter()
-                        .any(|(be, re, we)| be == bl && (*we || *wl) && re.overlaps(rl))
-                });
-                if conflict {
-                    pairs.insert((i as u64 + 1, j as u64 + 1));
-                }
-            }
-        }
-        pairs
-    }
-
-    /// `reach[j]` = every id that reaches id `j` (ids are 1-based and
-    /// edges point forward, so visiting edges by target builds it in one
-    /// pass).
-    fn closure(n: usize, edges: &BTreeSet<(u64, u64)>) -> Vec<BTreeSet<u64>> {
-        let mut by_target: Vec<(u64, u64)> = edges.iter().copied().collect();
-        by_target.sort_by_key(|&(f, t)| (t, f));
-        let mut reach: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n + 1];
-        for (f, t) in by_target {
-            let from = reach[f as usize].clone();
-            reach[t as usize].insert(f);
-            reach[t as usize].extend(from);
-        }
-        reach
-    }
-
-    for renaming in [true, false] {
-        let (edges, program) = run(renaming);
-        assert!(!edges.is_empty(), "program must induce edges");
-        let oracle = linear_pairs(&program);
-        let recorded: BTreeSet<(u64, u64)> = edges.into_iter().collect();
-        for e in &recorded {
-            assert!(
-                oracle.contains(e),
-                "recorded edge {e:?} is not a conflicting pair (renaming={renaming})"
-            );
-        }
-        assert_eq!(
-            closure(program.len(), &recorded),
-            closure(program.len(), &oracle),
-            "reachability diverged (renaming={renaming})"
-        );
+    /// Reachability through the public API: on random programs of
+    /// overlapping 1-D and 2-D region accesses interleaved with
+    /// whole-object traffic, the recorded graph holds only conflicting
+    /// earlier→later pairs and orders every conflicting region pair —
+    /// the closure a linear scan of every earlier access gives — with
+    /// renaming on and off (regions never rename; whole-object renaming
+    /// interleaves with region tracking in mixed programs).
+    #[test]
+    fn indexed_region_log_records_the_same_graph_as_linear(
+        ops in program(80..160),
+        renaming in prop_oneof![Just(true), Just(false)],
+    ) {
+        let b = Runtime::builder().threads(1).renaming(renaming).record_graph(true);
+        let checked = check(&ops, &run(&ops, b, Front::Runtime), renaming, OnPanic::CancelDependents);
+        prop_assert!(checked.is_ok(), "renaming {}: {:?}", renaming, checked);
     }
 }
 
@@ -390,13 +240,11 @@ fn indexed_region_log_records_the_same_graph_as_linear() {
 /// tasks each read the whole buffer: a complete bipartite fan-in, the
 /// shape of one chunked `par_merge` level. At one thread nothing runs
 /// before the barrier, so every producer is live at every read. Returns
-/// where the readers push their sums once they run; `writer bad`
-/// panics instead of writing.
+/// where the readers push their sums once they run.
 fn fan_in(
     rt: &Runtime,
     writers: usize,
     readers: usize,
-    bad: Option<usize>,
 ) -> std::sync::Arc<std::sync::Mutex<Vec<u64>>> {
     let chunk = 4usize;
     let n = writers * chunk;
@@ -405,12 +253,7 @@ fn fan_in(
         let (lo, hi) = (w * chunk, w * chunk + chunk - 1);
         let mut sp = rt.task("fill");
         let mut out = sp.write_region(&data, region![lo..=hi]);
-        sp.submit(move || {
-            if bad == Some(w) {
-                panic!("fan-in writer failed");
-            }
-            out.slice_mut(lo, hi).fill(w as u64);
-        });
+        sp.submit(move || out.slice_mut(lo, hi).fill(w as u64));
     }
     let sums = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     for _ in 0..readers {
@@ -429,7 +272,7 @@ fn fan_in(
 fn wide_fan_in_links_through_shared_joins() {
     let rt = Runtime::builder().threads(1).build();
     let k = 1024u64;
-    let sums = fan_in(&rt, k as usize, k as usize, None);
+    let sums = fan_in(&rt, k as usize, k as usize);
     rt.barrier();
     let chunk_sum = 4 * k * (k - 1) / 2;
     assert_eq!(*sums.lock().unwrap(), vec![chunk_sum; k as usize]);
@@ -448,7 +291,7 @@ fn wide_fan_in_links_through_shared_joins() {
 fn joins_stay_out_of_task_counts_ids_and_the_graph() {
     let rt = Runtime::builder().threads(1).record_graph(true).build();
     let (w, r) = (64usize, 64usize);
-    fan_in(&rt, w, r, None);
+    fan_in(&rt, w, r);
     rt.barrier();
     let st = rt.stats();
     assert!(st.joins >= 1, "the fan-in must go through a join");
@@ -564,68 +407,48 @@ fn a_memoised_join_never_serves_one_of_its_members() {
 }
 
 /// A panic in one writer of a fan-in that goes through a join gives the
-/// exact failure sets under every policy: with `CancelDependents` the
-/// cancelled set is the failed task's descendant closure in the recorded
-/// graph (every reader), `Isolate` cancels nothing, and `FailFast` at one
-/// thread cancels exactly the tasks that had not started.
+/// oracle's failure sets under every policy: 16 single-row writers, the
+/// sixth panicking, then 16 readers of the whole buffer, at one thread.
+/// `FailFast` is exact there too: the writers run in spawn order, so
+/// everything after the panic is cancelled.
 #[test]
 fn a_panic_through_a_join_gives_the_exact_failure_sets() {
-    use smpss::{OnPanic, TaskId};
-    use std::collections::BTreeSet;
-
-    static QUIET: std::sync::Once = std::sync::Once::new();
-    QUIET.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<&str>() != Some(&"fan-in writer failed") {
-                prev(info);
-            }
-        }));
-    });
-
-    let (w, r, bad) = (32usize, 32usize, 5usize);
-    let bad_id = TaskId(bad as u64 + 1);
+    let (rows, bad) = (oracle::ROWS, 5);
+    let mut ops: Vec<Op> = (0..rows)
+        .map(|k| Op {
+            panics: k == bad,
+            ..Op::from(Kind::Fill {
+                src: 0,
+                at: Span::Rows(k, k),
+            })
+        })
+        .collect();
+    ops.extend((0..rows).map(|k| {
+        Op::from(Kind::Sum {
+            dst: k % oracle::CELLS,
+            at: Span::Rows(0, rows - 1),
+        })
+    }));
     for policy in [
         OnPanic::CancelDependents,
         OnPanic::Isolate,
         OnPanic::FailFast,
     ] {
-        let rt = Runtime::builder()
+        let b = Runtime::builder()
             .threads(1)
             .record_graph(true)
-            .on_panic(policy)
-            .build();
-        let sums = fan_in(&rt, w, r, Some(bad));
-        let err = rt.wait_all().expect_err("a writer panicked");
+            .on_panic(policy);
+        let out = run(&ops, b, Front::Runtime);
+        check(&ops, &out, true, policy).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         assert!(
-            rt.stats().joins >= 1,
+            out.stats.joins >= 1,
             "{policy:?}: the fan-in must go through a join"
         );
-        let failed: Vec<TaskId> = err.failed.iter().map(|f| f.id).collect();
-        assert_eq!(failed, [bad_id], "{policy:?}");
-        let cancelled: BTreeSet<TaskId> = err.cancelled.iter().map(|c| c.id).collect();
-        let all = (w + r) as u64;
-        let expected: BTreeSet<TaskId> = match policy {
-            OnPanic::CancelDependents => {
-                // Descendant closure of the failed task in the record.
-                let g = rt.graph().unwrap();
-                let mut closure = BTreeSet::from([bad_id]);
-                for &(f, t, _) in g.edges() {
-                    if closure.contains(&f) {
-                        closure.insert(t);
-                    }
-                }
-                closure.remove(&bad_id);
-                closure
-            }
-            OnPanic::Isolate => BTreeSet::new(),
-            // One thread runs the writers in spawn order, the readers
-            // after them: everything after the panic is cancelled.
-            OnPanic::FailFast => (bad as u64 + 2..=all).map(TaskId).collect(),
-        };
-        assert_eq!(cancelled, expected, "{policy:?}");
-        let ran = sums.lock().unwrap().len();
-        let want_ran = if policy == OnPanic::Isolate { r } else { 0 };
-        assert_eq!(ran, want_ran, "{policy:?}: readers that ran");
+        if policy == OnPanic::FailFast {
+            let err = out.failures.unwrap_err();
+            let cancelled: Vec<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
+            assert_eq!(cancelled.len(), 2 * rows - bad - 1);
+            assert!(cancelled.iter().all(|&id| id > bad as u64 + 1));
+        }
     }
 }

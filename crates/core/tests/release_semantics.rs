@@ -5,7 +5,6 @@
 //! at one thread or many.
 
 use proptest::prelude::*;
-use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
 
 #[macro_use]
@@ -84,24 +83,27 @@ fn chains_ride_the_handoff_and_counters_stay_conserved() {
     );
 }
 
-/// The one release that never hands off is the central-queue policy's:
-/// every released task goes to the central FIFO, chains included.
+/// Born-ready tasks never ride the hand-off: at one thread (no inline
+/// runs, no thieves) 200 independent tasks are main-list pops taken in
+/// spawn order, FIFO, and no completion has a successor to hand off.
 #[test]
 fn legacy_release_never_hands_off() {
-    let rt = Runtime::builder()
-        .threads(4)
-        .policy(SchedulerPolicy::CentralQueue)
-        .build();
-    let x = rt.data(0i64);
-    for _ in 0..200 {
-        let mut sp = rt.task("bump");
-        let mut w = sp.inout(&x);
-        sp.submit(move || *w.get_mut() += 1);
+    let rt = Runtime::builder().threads(1).build();
+    let order = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    for i in 0..200 {
+        let x = rt.data(0i64);
+        let mut sp = rt.task("independent");
+        let mut w = sp.write(&x);
+        let order = std::sync::Arc::clone(&order);
+        sp.submit(move || {
+            *w.get_mut() = 1;
+            order.lock().unwrap().push(i);
+        });
     }
     rt.barrier();
-    assert_eq!(rt.read(&x), 200);
+    assert_eq!(*order.lock().unwrap(), (0..200).collect::<Vec<_>>());
     let st = rt.stats();
     assert_eq!(st.handoffs, 0);
-    assert_eq!(st.own_pops, 0, "the central queue is a main-list pop");
+    assert_eq!((st.main_pops, st.own_pops), (200, 0));
     assert_eq!(st.total_pops(), 200);
 }

@@ -279,21 +279,30 @@ fn tracing_runtime_captures_events() {
     assert!(trace.to_paraver().lines().count() > 10);
 }
 
+/// A 300-link chain computes the same value at one thread and at four,
+/// with the main thread free or throttled by the §III graph-size limit
+/// into helping, and at four threads the chain is consumed from the own
+/// lists (its links are released, never born ready, after the first).
 #[test]
 fn central_queue_policy_still_correct() {
-    let rt = Runtime::builder()
-        .threads(4)
-        .policy(smpss::config::SchedulerPolicy::CentralQueue)
-        .build();
-    let x = rt.data(0i64);
-    for _ in 0..300 {
-        slow_incless(&rt, &x);
+    for threads in [1, 4] {
+        for limit in [None, Some(8)] {
+            let mut b = Runtime::builder().threads(threads);
+            if let Some(l) = limit {
+                b = b.graph_size_limit(l);
+            }
+            let rt = b.build();
+            let x = rt.data(0i64);
+            for _ in 0..300 {
+                slow_incless(&rt, &x);
+            }
+            rt.barrier();
+            assert_eq!(rt.read(&x), 300, "threads {threads} limit {limit:?}");
+            let st = rt.stats();
+            assert_eq!(st.total_pops(), 300, "threads {threads} limit {limit:?}");
+            assert_eq!(st.hp_pops, 0);
+        }
     }
-    rt.barrier();
-    assert_eq!(rt.read(&x), 300);
-    let st = rt.stats();
-    assert_eq!(st.own_pops, 0, "central queue never uses own lists");
-    assert_eq!(st.steals, 0);
 }
 
 #[test]

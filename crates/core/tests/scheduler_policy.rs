@@ -156,13 +156,15 @@ fn chains_exhibit_locality() {
     );
 }
 
-/// Ablation guard: the central-queue policy must not use own lists at all,
-/// and both policies compute the same result. Both chains start behind a
-/// gate task, so the placements below do not depend on the spawn race.
+/// Two chains behind a gate compute the same values at one thread and
+/// at three, and at both every link after the gate is consumed through
+/// the own lists (the completion hand-off), not the main list: only the
+/// gate is born ready, and at three threads one of its two successors
+/// may be stolen.
 #[test]
 fn central_queue_vs_smpss_same_result() {
-    let run = |policy| {
-        let rt = Runtime::builder().threads(3).policy(policy).build();
+    for threads in [1, 3] {
+        let rt = Runtime::builder().threads(threads).build();
         let x = rt.data(1i64);
         let y = rt.data(2i64);
         let release = gate(&rt, &[&x, &y]);
@@ -172,15 +174,10 @@ fn central_queue_vs_smpss_same_result() {
         }
         release.store(true, Ordering::Release);
         rt.barrier();
-        (rt.read(&x), rt.read(&y), rt.stats())
-    };
-    let (x1, y1, s1) = run(smpss::config::SchedulerPolicy::Smpss);
-    let (x2, y2, s2) = run(smpss::config::SchedulerPolicy::CentralQueue);
-    assert_eq!((x1, y1), (x2, y2));
-    // Behind the gate every bump is pending when its predecessor
-    // finishes: each chain continues on the finisher's own list, except
-    // that one of the gate's two successors may be stolen.
-    assert_eq!(s1.own_pops + s1.steals, 100);
-    assert!(s1.own_pops >= 99);
-    assert_eq!(s2.own_pops, 0);
+        assert_eq!((rt.read(&x), rt.read(&y)), (51, 52), "threads({threads})");
+        let st = rt.stats();
+        assert_eq!(st.main_pops, 1, "threads({threads}): only the gate");
+        assert_eq!(st.own_pops + st.steals, 100, "threads({threads})");
+        assert!(st.own_pops >= 99, "threads({threads}): {st:?}");
+    }
 }

@@ -122,7 +122,8 @@ fn nqueens_four_ways() {
 }
 
 /// The same SMPSs program must produce identical results under every
-/// runtime configuration (threads, renaming, policy, throttling).
+/// runtime configuration (threads, and the main thread throttled by the
+/// §III graph-size limit or not).
 #[test]
 fn smpss_configuration_matrix() {
     let input = random_input(5_000, 123);
@@ -133,17 +134,13 @@ fn smpss_configuration_matrix() {
         merge_chunk: 256,
     };
     for threads in [1usize, 2, 4] {
-        for policy in [
-            smpss::config::SchedulerPolicy::Smpss,
-            smpss::config::SchedulerPolicy::CentralQueue,
-        ] {
-            let rt = Runtime::builder()
-                .threads(threads)
-                .policy(policy)
-                .graph_size_limit(64)
-                .build();
-            let out = multisort(&rt, input.clone(), params);
-            assert_eq!(out, expect, "threads={threads} policy={policy:?}");
+        for limit in [None, Some(64)] {
+            let mut b = Runtime::builder().threads(threads);
+            if let Some(l) = limit {
+                b = b.graph_size_limit(l);
+            }
+            let out = multisort(&b.build(), input.clone(), params);
+            assert_eq!(out, expect, "threads={threads} limit={limit:?}");
         }
     }
 }

@@ -11,42 +11,19 @@
 #[path = "support/oracle.rs"]
 mod oracle;
 
-use oracle::{run, Front, Op, CELLS};
+use oracle::{fixed_program, run, Front};
 use smpss::Runtime;
 use smpss_apps::cholesky;
 use smpss_apps::sort::{multisort, random_input, SortParams};
 use smpss_apps::FlatMatrix;
 use smpss_blas::Vendor;
 
-/// A fixed 600-task program over the oracle's cells (fixed-seed
-/// xorshift) mixing every directionality the runtime analyses
-/// (input/output/inout), run on `threads` workers.
+/// A fixed 600-task oracle program, mixing every directionality the
+/// runtime analyses (input/output/inout, objects and regions), run on
+/// `threads` workers.
 fn run_mixed_program(threads: usize, renaming: bool) -> Vec<i64> {
-    let mut x = 0x5eed_cafe_u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let ops: Vec<Op> = (0..600)
-        .map(|_| {
-            let (a, b, dst) = [next(), next(), next()]
-                .map(|r| (r % CELLS as u64) as usize)
-                .into();
-            match next() % 4 {
-                0 => Op::Add { a, b, dst },
-                1 => Op::Acc { a, dst },
-                2 => Op::Set {
-                    dst,
-                    k: next() as i64 & 0xff,
-                },
-                _ => Op::Mut { dst },
-            }
-        })
-        .collect();
     let b = Runtime::builder().threads(threads).renaming(renaming);
-    run(&ops, b, Front::Runtime).values
+    run(&fixed_program(600), b, Front::Runtime).values
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! released them (the completion hand-off, then its own list), and idle
 //! threads steal one task at a time in creation order. Placement must
 //! never change what the analyser records or what a program computes —
-//! checked against the shared sequential oracle under both scheduler
-//! policies, with and without the §III throttle — and the counts a
+//! checked against the shared sequential oracle at one thread and at
+//! four, with and without the §III throttle — and the counts a
 //! fixed schedule determines are pinned through the public stats.
 
 use proptest::prelude::*;
-use smpss::config::SchedulerPolicy;
 use smpss::Runtime;
 use smpss_apps::stencil;
 
@@ -22,28 +21,27 @@ use oracle::{check_graph, program, run, sequential, Front};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under both policies, with the main thread throttled into helping
-    /// or not, the recorded graph passes the oracle's check and the
-    /// values are the sequential program's.
+    /// At one thread and at four, with the main thread throttled into
+    /// helping or not, the recorded graph passes the oracle's check and
+    /// the values are the sequential program's.
     #[test]
     fn placement_records_identical_graphs(
         ops in program(10..80),
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
-        for policy in [SchedulerPolicy::Smpss, SchedulerPolicy::CentralQueue] {
+        for threads in [1, 4] {
             for limit in [None, Some(2)] {
                 let mut b = Runtime::builder()
-                    .threads(4)
-                    .policy(policy)
+                    .threads(threads)
                     .renaming(renaming)
                     .record_graph(true);
                 if let Some(l) = limit {
                     b = b.graph_size_limit(l);
                 }
                 let out = run(&ops, b, Front::Runtime);
-                prop_assert_eq!(&out.values, &sequential(&ops), "{:?} limit {:?}", policy, limit);
+                prop_assert_eq!(&out.values, &sequential(&ops), "t{} limit {:?}", threads, limit);
                 let check = check_graph(&ops, &out.graph.expect("recording was on"), renaming);
-                prop_assert!(check.is_ok(), "{:?} limit {:?}: {:?}", policy, limit, check);
+                prop_assert!(check.is_ok(), "t{} limit {:?}: {:?}", threads, limit, check);
             }
         }
     }

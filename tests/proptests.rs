@@ -1,7 +1,7 @@
 //! Property-based tests of the core invariant the whole paper rests on:
 //! **dependency-scheduled parallel execution preserves sequential
 //! semantics** — for random task programs, any thread count, renaming on
-//! or off, any scheduler policy.
+//! or off.
 
 #[macro_use]
 #[path = "support/oracle.rs"]

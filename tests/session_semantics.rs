@@ -20,13 +20,13 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use oracle::{cells, program, sequential, Op};
+use oracle::{program, sequential, Data, Op};
 use proptest::prelude::*;
-use smpss::{Handle, Runtime, Session, SessionId};
+use smpss::{Runtime, Session, SessionId};
 
-/// Spawn `ops` through session `s` over its private `cells`.
-fn submit_ops(s: &Session, cells: &[Handle<i64>], ops: &[Op]) {
-    drive!(ops, cells, (|n| s.task(n).expect("no quota configured")));
+/// Spawn `ops` through session `s` over its private `data`.
+fn submit_ops(s: &Session, data: &Data, ops: &[Op]) {
+    drive!(ops, data, (|n| s.task(n).expect("no quota configured")));
 }
 
 type Graph = (
@@ -52,18 +52,15 @@ fn run_without_victim(
 ) -> (Vec<Vec<i64>>, Graph) {
     let rt = build(threads, shards);
     let survivors = [rt.session(), rt.session()];
-    let cells: Vec<Vec<Handle<i64>>> = (0..2).map(|_| cells(&rt)).collect();
-    for (s, (cs, prog)) in survivors.iter().zip(cells.iter().zip(progs)) {
-        submit_ops(s, cs, prog);
+    let data: Vec<Data> = (0..2).map(|_| Data::new(&rt)).collect();
+    for (s, (d, prog)) in survivors.iter().zip(data.iter().zip(progs)) {
+        submit_ops(s, d, prog);
     }
     rt.barrier();
     for s in &survivors {
         s.wait().expect("survivors never fail");
     }
-    let vals = cells
-        .iter()
-        .map(|cs| cs.iter().map(|h| rt.read(h)).collect())
-        .collect();
+    let vals = data.iter().map(|d| d.values(&rt)).collect();
     let g = rt.graph().expect("recording enabled");
     (vals, (g.nodes().to_vec(), g.edges().to_vec()))
 }
@@ -97,9 +94,9 @@ fn run_with_victim(
     let rt = build(threads, shards);
     let survivors = [rt.session(), rt.session()];
     let victim = rt.session();
-    let cells: Vec<Vec<Handle<i64>>> = (0..2).map(|_| cells(&rt)).collect();
-    for (s, (cs, prog)) in survivors.iter().zip(cells.iter().zip(progs)) {
-        submit_ops(s, cs, prog);
+    let data: Vec<Data> = (0..2).map(|_| Data::new(&rt)).collect();
+    for (s, (d, prog)) in survivors.iter().zip(data.iter().zip(progs)) {
+        submit_ops(s, d, prog);
     }
     let survivor_tasks = (progs[0].len() + progs[1].len()) as u64;
 
@@ -161,10 +158,7 @@ fn run_with_victim(
     for o in &outs {
         assert_eq!(rt.read(o), 0, "cancelled dependents never wrote");
     }
-    let survivor_vals = cells
-        .iter()
-        .map(|cs| cs.iter().map(|h| rt.read(h)).collect())
-        .collect();
+    let survivor_vals = data.iter().map(|d| d.values(&rt)).collect();
     let blocker_ran = rt.read(&vh) == 1;
     let g = rt.graph().expect("recording enabled");
     let nodes: Vec<_> = g

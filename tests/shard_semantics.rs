@@ -14,126 +14,23 @@
 //!    analysis decision.
 //! 2. **Multi-submitter semantics.** With real concurrent [`Submitter`]
 //!    threads the task *ids* interleave nondeterministically, so the
-//!    graphs are not comparable — but program outcomes still are:
-//!    per-lane programs over disjoint objects give exactly their
-//!    sequential results, and commutative updates to one shared object
-//!    survive any interleaving (the lane gate serialises the analysis,
-//!    the graph serialises the bodies).
+//!    graphs are not comparable run to run — but each submitter's part
+//!    of the graph passes the oracle's check, per-lane programs over
+//!    disjoint objects give exactly their sequential results, and
+//!    commutative updates to one shared object survive any
+//!    interleaving (the lane gate serialises the analysis, the graph
+//!    serialises the bodies).
 
 use proptest::prelude::*;
-use smpss::{region, Runtime};
+use smpss::{OnPanic, Runtime};
 
-/// A random straight-line program over whole-object cells *and* one
-/// shared region buffer, so lane hashing sees both id kinds: cell
-/// accesses gate on the object id, region accesses on the buffer's
-/// representant id — and one buffer's regions always share a lane even
-/// when the program's objects straddle every shard boundary.
-#[derive(Clone, Debug)]
-enum Op {
-    /// cells[dst] = cells[a] + cells[b]
-    Add { a: usize, b: usize, dst: usize },
-    /// cells[dst] += cells[a]
-    Acc { a: usize, dst: usize },
-    /// cells[dst] = k
-    Set { dst: usize, k: i64 },
-    /// buf[lo..=lo+len-1] = cells[src]        (region write)
-    Blit { src: usize, lo: usize, len: usize },
-    /// cells[dst] = sum(buf[lo..=lo+len-1])   (region read)
-    Gather { dst: usize, lo: usize, len: usize },
-}
+#[macro_use]
+#[path = "support/oracle.rs"]
+mod oracle;
 
-const CELLS: usize = 6;
-const BUF: usize = 32;
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..CELLS, 0..CELLS, 0..CELLS).prop_map(|(a, b, dst)| Op::Add { a, b, dst }),
-        (0..CELLS, 0..CELLS).prop_map(|(a, dst)| Op::Acc { a, dst }),
-        (0..CELLS, -100i64..100).prop_map(|(dst, k)| Op::Set { dst, k }),
-        (0..CELLS, 0..BUF - 8, 1..8usize).prop_map(|(src, lo, len)| Op::Blit { src, lo, len }),
-        (0..CELLS, 0..BUF - 8, 1..8usize).prop_map(|(dst, lo, len)| Op::Gather { dst, lo, len }),
-    ]
-}
-
-/// Ground truth: run the program sequentially.
-fn run_sequential(ops: &[Op]) -> Vec<i64> {
-    let mut cells = vec![0i64; CELLS];
-    let mut buf = vec![0i64; BUF];
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => cells[dst] = cells[a].wrapping_add(cells[b]),
-            Op::Acc { a, dst } => cells[dst] = cells[dst].wrapping_add(cells[a]),
-            Op::Set { dst, k } => cells[dst] = k,
-            Op::Blit { src, lo, len } => buf[lo..lo + len].fill(cells[src]),
-            Op::Gather { dst, lo, len } => cells[dst] = buf[lo..lo + len].iter().sum(),
-        }
-    }
-    cells
-}
-
-type Recorded = (
-    Vec<i64>,
-    Vec<smpss::graph::record::NodeInfo>,
-    Vec<(smpss::TaskId, smpss::TaskId, smpss::graph::record::EdgeKind)>,
-);
-
-/// Run the program through a runtime, main-thread submission, recording
-/// the graph. Returns (final cell values, nodes, edges).
-fn run_recorded(ops: &[Op], shards: usize) -> Recorded {
-    let mut b = Runtime::builder().threads(2).record_graph(true);
-    if shards > 0 {
-        b = b.shards(shards);
-    }
-    let rt = b.build();
-    if shards > 1 {
-        drop(rt.submitters()); // the main thread now takes the gated paths
-    }
-    let cells: Vec<_> = (0..CELLS).map(|_| rt.data(0i64)).collect();
-    let buf = rt.region_data(vec![0i64; BUF]);
-    for op in ops {
-        match *op {
-            Op::Add { a, b, dst } => {
-                let mut sp = rt.task("add");
-                let mut ra = sp.read(&cells[a]);
-                let mut rb = sp.read(&cells[b]);
-                let mut w = sp.write(&cells[dst]);
-                sp.submit(move || *w.get_mut() = ra.get().wrapping_add(*rb.get()));
-            }
-            Op::Acc { a, dst } => {
-                let mut sp = rt.task("acc");
-                let mut ra = sp.read(&cells[a]);
-                let mut w = sp.inout(&cells[dst]);
-                sp.submit(move || *w.get_mut() = w.get_mut().wrapping_add(*ra.get()));
-            }
-            Op::Set { dst, k } => {
-                let mut sp = rt.task("set");
-                let mut w = sp.write(&cells[dst]);
-                sp.submit(move || *w.get_mut() = k);
-            }
-            Op::Blit { src, lo, len } => {
-                let hi = lo + len - 1;
-                let mut sp = rt.task("blit");
-                let mut r = sp.read(&cells[src]);
-                let mut w = sp.write_region(&buf, region![lo..=hi]);
-                sp.submit(move || {
-                    let v = *r.get();
-                    w.slice_mut(lo, hi).fill(v);
-                });
-            }
-            Op::Gather { dst, lo, len } => {
-                let hi = lo + len - 1;
-                let mut sp = rt.task("gather");
-                let mut r = sp.read_region(&buf, region![lo..=hi]);
-                let mut w = sp.write(&cells[dst]);
-                sp.submit(move || *w.get_mut() = r.slice(lo, hi).iter().sum());
-            }
-        }
-    }
-    rt.barrier();
-    let vals = cells.iter().map(|h| rt.read(h)).collect();
-    let g = rt.graph().expect("graph recording was enabled");
-    (vals, g.nodes().to_vec(), g.edges().to_vec())
-}
+use oracle::{
+    check, check_graph, fixed_program, program, run_config, run_on, sequential, Config, Front,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -141,52 +38,52 @@ proptest! {
     /// The BENCH_0006 equality gate: for every shard count — including
     /// the `shards(1)` ablation that must be today's scheduler exactly —
     /// main-thread submission records the same graph, node for node and
-    /// edge for edge, as the unsharded oracle, and produces the
-    /// sequential values.
+    /// edge for edge, as a runtime built without `shards`, passes the
+    /// oracle's check and produces the sequential values. The programs
+    /// mix whole objects and region accesses, so lane hashing sees both
+    /// id kinds.
     #[test]
-    fn sharding_never_changes_the_recorded_graph(
-        ops in prop::collection::vec(op_strategy(), 1..80)
-    ) {
-        let expect = run_sequential(&ops);
-        // shards == 0 means "don't call .shards() at all": the oracle is
-        // a builder untouched by this PR's knob.
-        let (base_vals, base_nodes, base_edges) = run_recorded(&ops, 0);
-        prop_assert_eq!(&base_vals, &expect);
+    fn sharding_never_changes_the_recorded_graph(ops in program(1..80)) {
+        let recorded = |shards: Option<usize>| {
+            let b = Runtime::builder().threads(2).record_graph(true);
+            let rt = match shards {
+                Some(k) => b.shards(k).build(),
+                None => b.build(),
+            };
+            if shards > Some(1) {
+                drop(rt.submitters()); // the main thread now takes the gated paths
+            }
+            let out = run_on(rt, &ops, Front::Runtime);
+            (out.values, out.graph.expect("graph recording was enabled"))
+        };
+        let (base_vals, base) = recorded(None);
+        prop_assert_eq!(&base_vals, &sequential(&ops));
+        let checked = check_graph(&ops, &base, true);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
         for shards in [1usize, 2, 7, 64] {
-            let (vals, nodes, edges) = run_recorded(&ops, shards);
-            prop_assert_eq!(&vals, &expect, "values at shards={}", shards);
-            prop_assert_eq!(&nodes, &base_nodes, "nodes at shards={}", shards);
-            prop_assert_eq!(&edges, &base_edges, "edges at shards={}", shards);
+            let (vals, g) = recorded(Some(shards));
+            prop_assert_eq!(&vals, &base_vals, "values at shards={}", shards);
+            prop_assert_eq!(g.nodes(), base.nodes(), "nodes at shards={}", shards);
+            prop_assert_eq!(g.edges(), base.edges(), "edges at shards={}", shards);
         }
     }
 
-    /// Concurrent submitters, disjoint objects: each lane's program is
-    /// sequential on its own cells, so every cell must end at exactly
-    /// its per-lane sequential value — whatever the global interleaving
-    /// of analysis across lanes was.
+    /// Concurrent submitters over disjoint objects: each spawns its own
+    /// copy of a program, and each copy ends at exactly its sequential
+    /// values and records its own graph, whatever the interleaving of
+    /// analysis across lanes was.
     #[test]
-    fn concurrent_submitters_preserve_per_lane_semantics(
-        chains in prop::collection::vec(1u64..200, 4..5),
-    ) {
-        let rt = Runtime::builder().threads(2).shards(4).build();
-        let handles: Vec<_> = chains.iter().map(|_| rt.data(0u64)).collect();
-        let submitters = rt.submitters();
-        std::thread::scope(|s| {
-            for (sub, (h, &n)) in submitters.into_iter().zip(handles.iter().zip(&chains)) {
-                let h = h.clone();
-                s.spawn(move || {
-                    for _ in 0..n {
-                        let mut sp = sub.task("bump");
-                        let mut w = sp.inout(&h);
-                        sp.submit(move || *w.get_mut() += 1);
-                    }
-                });
-            }
-        });
-        rt.barrier();
-        for (h, &n) in handles.iter().zip(&chains) {
-            prop_assert_eq!(rt.read(h), n);
-        }
+    fn concurrent_submitters_preserve_per_lane_semantics(ops in program(1..120)) {
+        let cfg = Config {
+            threads: 2,
+            shards: 4,
+            front: Front::Submitters,
+            renaming: true,
+            tight: false,
+            on_panic: OnPanic::CancelDependents,
+        };
+        let checked = check(&ops, &run_config(&ops, &cfg), true, cfg.on_panic);
+        prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 }
 
@@ -218,48 +115,25 @@ fn concurrent_submitters_share_one_object_safely() {
     assert_eq!(rt.read(&total), PER_LANE * lanes);
 }
 
-/// Cross-lane renaming folds into one account: submitters force renames
-/// on objects hashing to different lanes while a memory limit is set;
-/// the throttle must bound the fleet-wide renamed bytes and the program
-/// must still finish with the right values.
+/// Cross-lane renaming folds into one account: two submitters spawn
+/// a program each, renaming objects that hash to different lanes, under
+/// a memory limit of the programs' initial data. The throttle watches
+/// the fleet-wide renamed bytes, and both programs still end at their
+/// sequential values.
 #[test]
 fn renamed_bytes_account_spans_lanes() {
-    let rt = Runtime::builder()
-        .threads(2)
-        .shards(2)
-        .memory_limit(64 * 1024)
-        .build();
-    let objs: Vec<_> = (0..8)
-        .map(|_| rt.data_sized(vec![0u8; 4096], 4096, || vec![0u8; 4096]))
-        .collect();
-    let submitters = rt.submitters();
-    std::thread::scope(|s| {
-        for (lane, sub) in submitters.into_iter().enumerate() {
-            let objs = objs.to_vec();
-            s.spawn(move || {
-                for round in 0..200u64 {
-                    for h in objs.iter().skip(lane % 2).step_by(2) {
-                        // read-then-write forces a rename per round once
-                        // the reader is in flight.
-                        let mut sp = sub.task("r");
-                        let mut r = sp.read(h);
-                        sp.submit(move || {
-                            std::hint::black_box(r.get()[0]);
-                        });
-                        let mut sp = sub.task("w");
-                        let mut w = sp.write(h);
-                        sp.submit(move || w.get_mut()[0] = round as u8);
-                    }
-                }
-            });
-        }
-    });
-    rt.barrier();
-    let st = rt.stats();
-    assert!(st.renames > 0, "the workload must actually rename");
-    for h in &objs {
-        assert_eq!(rt.read(h)[0], 199, "last write per object wins");
-    }
+    let ops = fixed_program(400);
+    let cfg = Config {
+        threads: 2,
+        shards: 2,
+        front: Front::Submitters,
+        renaming: true,
+        tight: true,
+        on_panic: OnPanic::CancelDependents,
+    };
+    let out = run_config(&ops, &cfg);
+    check(&ops, &out, true, cfg.on_panic).unwrap();
+    assert!(out.stats.renames > 0, "the workload must actually rename");
 }
 
 /// Submitter spawns settle against main-thread spawns: the runtime's own
