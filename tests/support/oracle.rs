@@ -235,7 +235,7 @@ fn span() -> impl Strategy<Value = Span> {
 }
 
 /// One random op kind.
-pub fn kind_strategy() -> impl Strategy<Value = Kind> {
+fn kind_strategy() -> impl Strategy<Value = Kind> {
     let cell = || 0..CELLS;
     prop_oneof![
         (cell(), cell(), cell()).prop_map(|(a, b, dst)| Kind::Add { a, b, dst }),
@@ -527,7 +527,7 @@ pub struct Config {
 }
 
 impl Config {
-    pub fn builder(&self) -> RuntimeBuilder {
+    fn builder(&self) -> RuntimeBuilder {
         let b = Runtime::builder()
             .threads(self.threads)
             .shards(self.shards)
