@@ -9,7 +9,8 @@
 //! ## The structure
 //!
 //! A per-buffer [`RegionFrontier`] keeps two maps of **disjoint dim-0
-//! pieces**, each tiling `0..=usize::MAX`:
+//! pieces**, each tiling `0..=usize::MAX` (a linked list in index order
+//! with a finger at the last piece touched, see `Tiles`):
 //!
 //! * the **written** map: per piece, its *writer* — the last write that
 //!   covered the piece in every dimension (any 1-D write does) — and a
@@ -45,11 +46,15 @@
 //!    supersedes it the same way. So the structure's size follows the
 //!    live intervals, not history.
 //! 3. Finished producers gate nothing: unless the graph is being
-//!    recorded, they are skipped and leave the lists as walks meet them
-//!    — spliced out of the shared chain, or, at the front of a list,
-//!    dropped by the piece whose walk met them (a producer that finished
-//!    *poisoned* is still linked, so a late consumer is cancelled like a
-//!    directly linked one).
+//!    recorded, they are skipped and leave the lists as walks meet them,
+//!    **once** for every piece sharing them: one behind a kept entry is
+//!    spliced out of the shared chain; a leading run leaves the walking
+//!    piece, and the old head — still the head of the other pieces — is
+//!    relinked past the run, so each of them drops it in one step (a
+//!    producer that finished *poisoned* is still linked, so a late
+//!    consumer is cancelled like a directly linked one). Without the
+//!    relink, every chunk write into a range whose whole-range readers
+//!    had finished walked all of them again.
 //!
 //! The unit tests check all of it against the retired linear scan as an
 //! oracle: every edge the frontier makes, joins expanded, is a
@@ -93,7 +98,9 @@
 //! [`Linker::release`] once the access is analysed, so the spawner's
 //! lane cache can reuse it and its spare successor links. A join dropped
 //! before it finished has no worker to hand it back, so it waits in
-//! `retiring` until it is spent.
+//! `retiring` until it is spent. Its own storage — list entries,
+//! reader-side memos and pieces — lives in slabs whose freed slots are
+//! reused; only the piece index allocates, when a map grows.
 //!
 //! **Sharded analysis:** a buffer's frontier belongs to the lane that
 //! owns the buffer's *representant* id (`runtime::shard::lane_of`);
@@ -174,8 +181,8 @@ struct Entry {
     /// Last query that visited this entry.
     stamp: u64,
     /// Reads lists only: the reader-side join memo of the list headed
-    /// here.
-    memo: Option<Box<Memo>>,
+    /// here, a slot of [`Arena::memos`] (or `NIL`).
+    memo: u32,
 }
 
 impl Entry {
@@ -190,6 +197,9 @@ impl Entry {
 struct Arena {
     entries: Vec<Entry>,
     free: Vec<u32>,
+    /// Reader-side memos, slots reused like entries' (`None` when free).
+    memos: Vec<Option<Memo>>,
+    free_memos: Vec<u32>,
     /// Nodes the frontier let go of during the current access, handed
     /// to the [`Linker`] when it is done (see [`RegionFrontier::record`]).
     released: Vec<Arc<TaskNode>>,
@@ -204,7 +214,7 @@ impl Arena {
             next,
             rc: 0,
             stamp: 0,
-            memo: None,
+            memo: NIL,
         };
         match self.free.pop() {
             Some(i) => {
@@ -235,12 +245,46 @@ impl Arena {
             }
             let next = entry.next;
             let node = entry.node.take();
-            let memo = entry.memo.take();
+            let memo = std::mem::replace(&mut entry.memo, NIL);
             entry.rest = None;
             self.released.extend(node);
-            self.released.extend(memo.map(|m| m.join));
+            self.drop_memo(memo);
             self.free.push(e);
             e = next;
+        }
+    }
+
+    /// The memo of the list headed at `e`, if any.
+    fn memo(&self, e: u32) -> Option<&Memo> {
+        match self.entries[e as usize].memo {
+            NIL => None,
+            m => self.memos[m as usize].as_ref(),
+        }
+    }
+
+    /// Store `memo` in a free slot; returns the slot (`NIL` for none).
+    fn store_memo(&mut self, memo: Option<Memo>) -> u32 {
+        let Some(memo) = memo else {
+            return NIL;
+        };
+        match self.free_memos.pop() {
+            Some(m) => {
+                self.memos[m as usize] = Some(memo);
+                m
+            }
+            None => {
+                self.memos.push(Some(memo));
+                (self.memos.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Free memo slot `m` (`NIL`: none), letting its join go.
+    fn drop_memo(&mut self, m: u32) {
+        if m != NIL {
+            let memo = self.memos[m as usize].take().expect("a live memo slot");
+            self.released.push(memo.join);
+            self.free_memos.push(m);
         }
     }
 
@@ -334,127 +378,195 @@ impl PieceState for Reads {
 }
 
 struct Piece<S> {
-    /// Inclusive end; the start is the map key.
+    start: usize,
+    /// Inclusive.
     end: usize,
+    /// Neighbour slots in index order (`NIL` at either end).
+    prev: u32,
+    next: u32,
     state: S,
 }
 
-/// Disjoint pieces tiling `0..=usize::MAX`, keyed by their start.
+/// Disjoint pieces tiling `0..=usize::MAX`: a doubly linked list of
+/// slab slots in index order, with a **finger** at the last piece
+/// touched and a start-keyed search index.
+///
+/// The multisort walks each buffer left to right over boundaries that
+/// mostly exist already, so nearly every lookup lands on the finger or
+/// one of its neighbours and costs no descent; only a miss searches the
+/// index. Splits and merges are O(1) in the list plus one index update,
+/// O(log pieces) wherever they fall — no position is costlier than
+/// another. Slots are reused, so in steady state the map allocates only
+/// when the index itself grows.
 struct Tiles<S> {
-    map: BTreeMap<usize, Piece<S>>,
-    keys: Vec<usize>,
+    pieces: Vec<Piece<S>>,
+    free: Vec<u32>,
+    /// Piece start → slot, for lookups the finger misses.
+    index: BTreeMap<usize, u32>,
+    finger: u32,
 }
 
 impl<S: PieceState> Tiles<S> {
     fn new() -> Self {
-        let mut map = BTreeMap::new();
-        map.insert(
-            0,
-            Piece {
-                end: usize::MAX,
-                state: S::empty(),
-            },
-        );
+        let first = Piece {
+            start: 0,
+            end: usize::MAX,
+            prev: NIL,
+            next: NIL,
+            state: S::empty(),
+        };
         Tiles {
-            map,
-            keys: Vec::new(),
+            pieces: vec![first],
+            free: Vec::new(),
+            index: BTreeMap::from([(0, 0)]),
+            finger: 0,
         }
     }
 
-    /// Start of the piece holding `x`.
-    fn start_of(&self, x: usize) -> usize {
-        *self
-            .map
-            .range(..=x)
-            .next_back()
-            .expect("pieces tile the index space")
-            .0
+    fn piece(&self, p: u32) -> &Piece<S> {
+        &self.pieces[p as usize]
     }
 
-    /// Make `x` the start of a piece.
-    fn split_at(&mut self, x: usize, arena: &mut Arena) {
-        // Most cuts fall on a boundary an earlier access made: a point
-        // lookup settles those, cheaper than the range search.
-        if self.map.contains_key(&x) {
-            return;
+    fn state_mut(&mut self, p: u32) -> &mut S {
+        &mut self.pieces[p as usize].state
+    }
+
+    /// The piece holding `x`: the finger or a neighbour of it, or else
+    /// an index search. Moves the finger there.
+    fn find(&mut self, x: usize) -> u32 {
+        let holds = |p: u32| p != NIL && (self.piece(p).start..=self.piece(p).end).contains(&x);
+        let f = self.piece(self.finger);
+        let p = [self.finger, f.next, f.prev]
+            .into_iter()
+            .find(|&p| holds(p))
+            .unwrap_or_else(|| {
+                *self
+                    .index
+                    .range(..=x)
+                    .next_back()
+                    .expect("pieces tile the index space")
+                    .1
+            });
+        self.finger = p;
+        p
+    }
+
+    /// The piece after `p`, if it still overlaps `..=hi`.
+    fn next_within(&self, p: u32, hi: usize) -> Option<u32> {
+        let piece = self.piece(p);
+        (piece.end < hi).then_some(piece.next)
+    }
+
+    /// A fresh unlinked slot.
+    fn alloc(&mut self, piece: Piece<S>) -> u32 {
+        match self.free.pop() {
+            Some(p) => {
+                self.pieces[p as usize] = piece;
+                p
+            }
+            None => {
+                self.pieces.push(piece);
+                (self.pieces.len() - 1) as u32
+            }
         }
-        let (_, piece) = self
-            .map
-            .range_mut(..x)
-            .next_back()
-            .expect("pieces tile the index space");
+    }
+
+    /// Make `x` the start of a piece; returns that piece.
+    fn split_at(&mut self, x: usize, arena: &mut Arena) -> u32 {
+        let p = self.find(x);
+        let piece = self.piece(p);
+        if piece.start == x {
+            return p;
+        }
         let tail = Piece {
+            start: x,
             end: piece.end,
+            prev: p,
+            next: piece.next,
             state: piece.state.share(arena),
         };
+        let q = self.alloc(tail);
+        let next = self.piece(q).next;
+        if next != NIL {
+            self.pieces[next as usize].prev = q;
+        }
+        let piece = &mut self.pieces[p as usize];
         piece.end = x - 1;
-        self.map.insert(x, tail);
+        piece.next = q;
+        self.index.insert(x, q);
+        self.finger = q;
+        q
     }
 
-    /// Make `lo..=hi` a union of whole pieces.
-    fn cut(&mut self, lo: usize, hi: usize, arena: &mut Arena) {
-        self.split_at(lo, arena);
+    /// Make `lo..=hi` a union of whole pieces; returns the first.
+    fn cut(&mut self, lo: usize, hi: usize, arena: &mut Arena) -> u32 {
+        let first = self.split_at(lo, arena);
         if hi < usize::MAX {
             self.split_at(hi + 1, arena);
         }
+        first
     }
 
-    /// The pieces overlapping `lo..=hi`. `cut`: the range was cut, so
-    /// `lo` starts a piece and needs no search.
-    fn overlapping(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        cut: bool,
-    ) -> impl Iterator<Item = &mut Piece<S>> {
-        let start = if cut { lo } else { self.start_of(lo) };
-        self.map.range_mut(start..=hi).map(|(_, p)| p)
-    }
-
-    /// Make the (cut) pieces of `lo..=hi` one piece in `state`.
-    fn replace(&mut self, lo: usize, hi: usize, state: S, arena: &mut Arena) {
-        self.keys.clear();
-        self.keys
-            .extend(self.map.range(lo..=hi).skip(1).map(|(&k, _)| k));
-        for k in self.keys.drain(..) {
-            self.map
-                .remove(&k)
-                .expect("key just listed")
-                .state
-                .release(arena);
+    /// Unlink piece `p` (not the first) and free its slot, releasing
+    /// its state.
+    fn remove(&mut self, p: u32, arena: &mut Arena) {
+        let Piece {
+            start, prev, next, ..
+        } = *self.piece(p);
+        self.pieces[prev as usize].next = next;
+        if next != NIL {
+            self.pieces[next as usize].prev = prev;
         }
-        let first = self.map.get_mut(&lo).expect("cut at the access start");
-        first.end = hi;
-        std::mem::replace(&mut first.state, state).release(arena);
+        self.index.remove(&start);
+        std::mem::replace(self.state_mut(p), S::empty()).release(arena);
+        self.free.push(p);
+        if self.finger == p {
+            self.finger = prev;
+        }
     }
 
-    /// Merge equal adjacent pieces among those overlapping `lo..=hi`
-    /// and their two neighbours, after a `replace`. (A prepend gives each
-    /// run of equal heads one fresh entry, so it never makes neighbours
-    /// equal; a walk that drops spent heads can, and those stay apart
-    /// until a covering write merges them — a size cost only.)
-    fn coalesce(&mut self, lo: usize, hi: usize, arena: &mut Arena) {
-        let from = self.start_of(lo.saturating_sub(1));
-        // One pass lists the pieces equal to their predecessor; only
-        // those cost a removal.
-        self.keys.clear();
-        let mut prev: Option<&S> = None;
-        for (&k, p) in self.map.range(from..=hi.saturating_add(1)) {
-            if prev.is_some_and(|s| s.same(&p.state)) {
-                self.keys.push(k);
+    /// Make the cut pieces from `first` through `hi` one piece in
+    /// `state`, then merge it with its neighbours where they are in the
+    /// same state. (A prepend gives each run of equal heads one fresh
+    /// entry, so it never makes neighbours equal; a walk that drops
+    /// spent heads can, and those stay apart until a covering write
+    /// merges them — a size cost only.)
+    fn replace(&mut self, first: u32, hi: usize, state: S, arena: &mut Arena) {
+        loop {
+            let next = self.piece(first).next;
+            if next == NIL || self.piece(next).start > hi {
+                break;
             }
-            prev = Some(&p.state);
+            self.remove(next, arena);
         }
-        for i in 0..self.keys.len() {
-            let gone = self.map.remove(&self.keys[i]).expect("key just listed");
-            let (_, keep) = self
-                .map
-                .range_mut(..self.keys[i])
-                .next_back()
-                .expect("merged into its predecessor");
-            keep.end = gone.end;
-            gone.state.release(arena);
+        let piece = &mut self.pieces[first as usize];
+        piece.end = hi;
+        std::mem::replace(&mut piece.state, state).release(arena);
+        let mut p = first;
+        let prev = self.piece(p).prev;
+        if prev != NIL && self.piece(prev).state.same(&self.piece(p).state) {
+            self.pieces[prev as usize].end = hi;
+            self.remove(p, arena);
+            p = prev;
         }
+        let next = self.piece(p).next;
+        if next != NIL && self.piece(next).state.same(&self.piece(p).state) {
+            self.pieces[p as usize].end = self.piece(next).end;
+            self.remove(next, arena);
+        }
+        self.finger = p;
+    }
+
+    /// Every piece's state, in index order.
+    fn states(&self) -> impl Iterator<Item = &S> {
+        let mut p = 0;
+        std::iter::from_fn(move || {
+            (p != NIL).then(|| {
+                let piece = self.piece(p);
+                p = piece.next;
+                &piece.state
+            })
+        })
     }
 }
 
@@ -525,9 +637,12 @@ pub(crate) struct RegionFrontier {
     /// join, so no worker hands it back; the frontier does, once it is
     /// spent (checking only the oldest keeps that O(1) per access).
     retiring: VecDeque<Arc<TaskNode>>,
-    /// Pieces and list entries visited (the history-independence test).
+    /// Pieces and list entries visited (the history-independence test),
+    /// and the entries alone.
     #[cfg(test)]
     pub(crate) work: u64,
+    #[cfg(test)]
+    pub(crate) entries_visited: u64,
 }
 
 impl Default for RegionFrontier {
@@ -544,6 +659,8 @@ impl Default for RegionFrontier {
             retiring: VecDeque::new(),
             #[cfg(test)]
             work: 0,
+            #[cfg(test)]
+            entries_visited: 0,
         }
     }
 }
@@ -560,11 +677,13 @@ fn dim0(region: &Region) -> (usize, usize) {
 /// Walk the list at `*head`, visiting every entry this query has not
 /// seen yet (a seen entry's tail was seen with it). `visit` returns
 /// whether the entry may go. One behind a kept entry is spliced out of
-/// the chain, which every piece sharing the chain sees; a leading one
-/// only leaves this piece (`*head` moves past it), as other pieces may
-/// hold it as their head — each drops it when it meets it. Returns
-/// whether the walk reached the end of the list, and how many entries
-/// it visited.
+/// the chain, which every piece sharing the chain sees. A leading run
+/// that may go leaves this piece (`*head` moves past it), and the old
+/// head — which other pieces may still hold as their head — is relinked
+/// past the rest of the run, so each of them drops the whole run in one
+/// step when it meets the old head (see [`drop_run`]). Returns whether
+/// the walk reached the end of the list, and how many entries it
+/// visited.
 fn walk(
     arena: &mut Arena,
     head: &mut u32,
@@ -574,26 +693,49 @@ fn walk(
     let mut prev = NIL;
     let mut e = *head;
     let mut visited = 0;
+    let mut whole = true;
     while e != NIL {
         let entry = &mut arena.entries[e as usize];
         if entry.stamp == query {
-            return (false, visited);
+            whole = false;
+            break;
         }
         entry.stamp = query;
         visited += 1;
         let next = entry.next;
         if !visit(entry) {
+            if prev == NIL {
+                drop_run(arena, head, e);
+            }
             prev = e;
-        } else if prev == NIL {
-            arena.set(head, next);
-        } else {
+        } else if prev != NIL {
             arena.inc(next);
             arena.entries[prev as usize].next = next;
             arena.dec(e);
         }
         e = next;
     }
-    (true, visited)
+    if prev == NIL {
+        drop_run(arena, head, e);
+    }
+    (whole, visited)
+}
+
+/// Drop the leading run `*head ..` up to (not including) `rest` from
+/// the list at `*head`: relink the old head past the run, then move the
+/// head to `rest`. The run's entries are finished or superseded, so
+/// every piece still headed at the old head may skip them too.
+fn drop_run(arena: &mut Arena, head: &mut u32, rest: u32) {
+    let old = *head;
+    if old == rest {
+        return;
+    }
+    let mut link = arena.entries[old as usize].next;
+    if link != rest {
+        arena.set(&mut link, rest);
+        arena.entries[old as usize].next = link;
+    }
+    arena.set(head, rest);
 }
 
 /// Link `gather`'s producers for one access as `kind`: through a join
@@ -731,7 +873,7 @@ impl RegionFrontier {
             EdgeKind::True
         };
         let query = self.query;
-        let mut visited = 0u64;
+        let (mut visited, mut entries) = (0u64, 0u64);
         let RegionFrontier {
             written,
             reads,
@@ -742,18 +884,23 @@ impl RegionFrontier {
             ..
         } = self;
         gather.saw_self = false;
-        if write {
-            written.cut(lo, hi, arena);
-        }
+        let w_first = if write {
+            written.cut(lo, hi, arena)
+        } else {
+            written.find(lo)
+        };
         // A partial write joins the pieces' writes lists in the same pass
         // (a covering one replaces the pieces once the walks are done).
         let mut prepend = (write && !acc.rest_full).then(|| Prepend::new(&acc));
-        for piece in written.overlapping(lo, hi, write) {
+        let mut cursor = Some(w_first);
+        while let Some(p) = cursor {
+            cursor = written.next_within(p, hi);
+            let state = written.state_mut(p);
             visited += 1;
-            if let Some(w) = &piece.state.writer {
+            if let Some(w) = &state.writer {
                 gather.offer(&acc, w, kind);
             }
-            visited += walk(arena, &mut piece.state.writes, query, |e| {
+            entries += walk(arena, &mut state.writes, query, |e| {
                 if !acc.overlaps(e) {
                     return false;
                 }
@@ -762,33 +909,39 @@ impl RegionFrontier {
             })
             .1;
             if let Some(prepend) = &mut prepend {
-                prepend.to(&mut piece.state.writes, arena);
+                prepend.to(&mut state.writes, arena);
             }
         }
+        let mut r_first = NIL;
         if write {
-            if acc.rest_full {
-                reads.cut(lo, hi, arena);
-            }
-            for piece in reads.overlapping(lo, hi, acc.rest_full) {
+            r_first = if acc.rest_full {
+                reads.cut(lo, hi, arena)
+            } else {
+                reads.find(lo)
+            };
+            let mut cursor = Some(r_first);
+            while let Some(p) = cursor {
+                cursor = reads.next_within(p, hi);
+                let state = reads.state_mut(p);
                 visited += 1;
                 // Reads to order this write after: seen already, one
                 // memo hit, or a walk whose producers may become the
                 // list head's memo.
-                if piece.state.0 == NIL {
+                if state.0 == NIL {
                     continue;
                 }
-                let head = &mut arena.entries[piece.state.0 as usize];
-                if head.stamp == query {
+                let h = state.0;
+                if arena.entries[h as usize].stamp == query {
                     continue;
                 }
-                if let Some(memo) = head.memo.as_ref().filter(|m| m.serves(node)) {
+                if let Some(memo) = arena.memo(h).filter(|m| m.serves(node)) {
                     linker.link_join(&memo.join, EdgeKind::Anti, &memo.recorded);
-                    head.stamp = query;
+                    arena.entries[h as usize].stamp = query;
                     continue;
                 }
                 list.saw_self = false;
                 let mut one_dim = true;
-                let (whole, n) = walk(arena, &mut piece.state.0, query, |e| {
+                let (whole, n) = walk(arena, &mut state.0, query, |e| {
                     one_dim &= e.rest.is_none();
                     if !acc.overlaps(e) {
                         return false;
@@ -796,7 +949,7 @@ impl RegionFrontier {
                     let spent = list.offer(&acc, e.task(), EdgeKind::Anti);
                     (acc.prune && spent) || acc.supersedes(e)
                 });
-                visited += n;
+                entries += n;
                 gather.saw_self |= list.saw_self;
                 if whole && one_dim {
                     // The list's membership does not depend on this
@@ -812,13 +965,13 @@ impl RegionFrontier {
                         linker,
                         &mut arena.released,
                     );
-                    let old = if piece.state.0 != NIL {
-                        let head = &mut arena.entries[piece.state.0 as usize];
-                        std::mem::replace(&mut head.memo, memo.map(Box::new))
+                    if state.0 == NIL {
+                        arena.released.extend(memo.map(|m| m.join));
                     } else {
-                        memo.map(Box::new)
-                    };
-                    arena.released.extend(old.map(|m| m.join));
+                        let h = state.0 as usize;
+                        arena.drop_memo(arena.entries[h].memo);
+                        arena.entries[h].memo = arena.store_memo(memo);
+                    }
                 } else {
                     gather.producers.append(&mut list.producers);
                 }
@@ -826,9 +979,10 @@ impl RegionFrontier {
         }
         #[cfg(test)]
         {
-            self.work += visited;
+            self.work += visited + entries;
+            self.entries_visited += entries;
         }
-        let _ = visited; // only the tests read the count
+        let _ = (visited, entries); // only the tests read the counts
         let memo = link_producers(
             &mut self.gather,
             &mut self.members,
@@ -853,29 +1007,27 @@ impl RegionFrontier {
                 writer: Some(Arc::clone(node)),
                 writes: NIL,
             };
-            self.written.replace(lo, hi, writer, &mut self.arena);
-            self.written.coalesce(lo, hi, &mut self.arena);
-            self.reads.replace(lo, hi, Reads(NIL), &mut self.arena);
-            self.reads.coalesce(lo, hi, &mut self.arena);
+            self.written.replace(w_first, hi, writer, &mut self.arena);
+            self.reads.replace(r_first, hi, Reads(NIL), &mut self.arena);
         }
     }
 
     /// Add a read to the reads map.
     fn add_read(&mut self, acc: &Access<'_>, lo: usize, hi: usize) {
         let RegionFrontier { reads, arena, .. } = self;
-        reads.cut(lo, hi, arena);
         let mut prepend = Prepend::new(acc);
-        for piece in reads.overlapping(lo, hi, true) {
-            prepend.to(&mut piece.state.0, arena);
+        let mut cursor = Some(reads.cut(lo, hi, arena));
+        while let Some(p) = cursor {
+            cursor = reads.next_within(p, hi);
+            prepend.to(&mut reads.state_mut(p).0, arena);
         }
     }
 
     /// Have all tracked accessors finished? (The `with_region` wait.)
     pub(crate) fn all_finished(&self) -> bool {
         self.written
-            .map
-            .values()
-            .all(|p| p.state.writer.as_ref().is_none_or(|w| w.is_finished()))
+            .states()
+            .all(|s| s.writer.as_ref().is_none_or(|w| w.is_finished()))
             && self
                 .arena
                 .entries
@@ -896,15 +1048,15 @@ impl RegionFrontier {
     /// Pieces of the written and the reads map (test observability).
     #[cfg(test)]
     pub(crate) fn piece_counts(&self) -> (usize, usize) {
-        (self.written.map.len(), self.reads.map.len())
+        (self.written.index.len(), self.reads.index.len())
     }
 }
 
 /// Prepends one access to the lists of the pieces it covers, visited in
 /// order: one entry per run of pieces that shared a head. When pruning,
-/// the new entry skips a spent prefix of the list, and the prefix's
-/// first entry — still the head of other pieces — is relinked past it
-/// too, so the next piece sharing it skips it in one step.
+/// the new entry skips a spent prefix of the list, which leaves the
+/// list the way a walk drops a leading run ([`drop_run`]): the next
+/// piece sharing the old head skips the prefix in one step.
 struct Prepend<'a, 'r> {
     acc: &'a Access<'r>,
     /// The last run's old head and its new entry.
@@ -922,19 +1074,15 @@ impl<'a, 'r> Prepend<'a, 'r> {
         let new = match self.last {
             Some((o, n)) if o == old => n,
             _ => {
-                let mut next = old;
                 if self.acc.prune && old != NIL && spent(arena.node(old)) {
                     let mut after = arena.entries[old as usize].next;
                     while after != NIL && spent(arena.node(after)) {
                         after = arena.entries[after as usize].next;
                     }
-                    let mut link = arena.entries[old as usize].next;
-                    arena.set(&mut link, after);
-                    arena.entries[old as usize].next = link;
-                    next = after;
+                    drop_run(arena, head, after);
                 }
                 let rest = (!self.acc.rest_full).then_some(self.acc.region);
-                let n = arena.alloc(self.acc.node, rest, next);
+                let n = arena.alloc(self.acc.node, rest, *head);
                 self.last = Some((old, n));
                 n
             }
@@ -1256,11 +1404,11 @@ mod tests {
 
         /// One scripted access: region shape, position, length,
         /// direction, and how many of the oldest unfinished accessors
-        /// complete first.
+        /// complete first (`3`: every one).
         type Op = (usize, usize, usize, usize, usize);
 
         fn op() -> impl Strategy<Value = Op> {
-            (0..7usize, 0..90usize, 1..24usize, 0..2usize, 0..3usize)
+            (0..8usize, 0..90usize, 1..24usize, 0..2usize, 0..4usize)
         }
 
         fn region_of(kind: usize, a: usize, len: usize) -> Region {
@@ -1272,7 +1420,13 @@ mod tests {
                 4 => Region::d1(a * 100..=a * 100 + len),
                 5 => Region::d2(a..=a + 2 * len, RegionBound::Full),
                 // Aligned blocks: wide fan-ins that form joins.
-                _ => Region::d1((a % 4) * 32..=(a % 4) * 32 + 31),
+                6 => Region::d1((a % 4) * 32..=(a % 4) * 32 + 31),
+                // Aligned eighths of those blocks: a block read whole,
+                // then overwritten chunk by chunk.
+                _ => {
+                    let lo = (a % 4) * 32 + (len % 8) * 4;
+                    Region::d1(lo..=lo + 3)
+                }
             }
         }
 
@@ -1287,7 +1441,11 @@ mod tests {
                 let mut c = Check::new(prune == 1);
                 let mut finished = 0usize;
                 for &(kind, a, len, write, fin) in &ops {
-                    finished = (finished + fin).min(c.nodes.len());
+                    finished = if fin == 3 {
+                        c.nodes.len()
+                    } else {
+                        (finished + fin).min(c.nodes.len())
+                    };
                     c.finish_upto(finished);
                     c.access(&region_of(kind, a, len), write == 1);
                 }
@@ -1428,45 +1586,192 @@ mod tests {
     }
 
     /// ROADMAP aim 3, "no input size at which analysis goes
-    /// superlinear": a banded 1-D program in which nothing retires
-    /// during the spawn (one thread) costs the same frontier work per
-    /// access at N, 2N and 4N accesses.
+    /// superlinear": a 1-D program costs the same frontier work per
+    /// access at N, 2N and 4N accesses — banded, when nothing retires
+    /// during the spawn (one thread); banded, when a barrier between
+    /// rounds lets every reader finish before the next round's band
+    /// writes overwrite the buffer they read whole; and with random
+    /// boundaries, which keep the piece maps large and ragged.
     #[test]
     fn per_access_work_is_independent_of_history() {
         use crate::Runtime;
-        let per_access = |rounds: usize| {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Shape {
+            Banded,
+            Barrier,
+            Random,
+        }
+        const LEN: usize = 16 * 64;
+        let per_access = |rounds: usize, shape: Shape| {
             let rt = Runtime::builder().threads(1).build();
-            let bands = 16usize;
-            let h = rt.region_data(vec![0u32; bands * 64]);
+            let h = rt.region_data(vec![0u32; LEN]);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut range = |len: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let lo = (rng >> 32) as usize % (LEN - len);
+                (lo, lo + 1 + (rng as usize % len))
+            };
             let mut accesses = 0u64;
+            let read = |rlo: usize, rhi: usize| {
+                let mut sp = rt.task("read");
+                let mut r = sp.read_region(&h, Region::d1(rlo..=rhi));
+                sp.submit(move || {
+                    std::hint::black_box(r.slice(rlo, rhi)[0]);
+                });
+            };
             for round in 0..rounds {
-                for b in 0..bands {
-                    let (lo, hi) = (b * 64, b * 64 + 63);
+                for b in 0..16 {
+                    let (lo, hi) = match shape {
+                        Shape::Random => range(64),
+                        _ => (b * 64, b * 64 + 63),
+                    };
                     let mut sp = rt.task("write");
                     let mut w = sp.write_region(&h, Region::d1(lo..=hi));
                     sp.submit(move || w.slice_mut(lo, hi)[0] = round as u32);
-                    // A reader straddling the band and the next one.
-                    let hi2 = (hi + 32).min(bands * 64 - 1);
-                    let mut sp = rt.task("read");
-                    let mut r = sp.read_region(&h, Region::d1(lo + 32..=hi2));
-                    sp.submit(move || {
-                        std::hint::black_box(r.slice(lo + 32, hi2)[0]);
-                    });
+                    match shape {
+                        // A reader straddling the band and the next one.
+                        Shape::Banded => read(lo + 32, (hi + 32).min(LEN - 1)),
+                        Shape::Random => {
+                            let (lo, hi) = range(96);
+                            read(lo, hi);
+                        }
+                        Shape::Barrier => {}
+                    }
                     accesses += 2;
+                }
+                if shape == Shape::Barrier {
+                    // Readers of the whole buffer, finished before the
+                    // next round's band writes.
+                    for _ in 0..16 {
+                        read(0, LEN - 1);
+                    }
+                    rt.barrier();
                 }
             }
             let work = h.obj.frontier.lock().work;
-            assert_eq!(rt.stats().tasks_executed, 0, "nothing ran during the spawn");
+            if shape != Shape::Barrier {
+                assert_eq!(rt.stats().tasks_executed, 0, "nothing ran during the spawn");
+            }
             rt.barrier();
             work as f64 / accesses as f64
         };
         let n = 64;
-        let (w1, w2, w4) = (per_access(n), per_access(2 * n), per_access(4 * n));
-        for (w, label) in [(w2, "2N"), (w4, "4N")] {
-            assert!(
-                w <= 1.3 * w1 && w1 <= 1.3 * w,
-                "per-access work {w1} at N vs {w} at {label}"
-            );
+        for shape in [Shape::Banded, Shape::Barrier, Shape::Random] {
+            let w1 = per_access(n, shape);
+            for (k, label) in [(2, "2N"), (4, "4N")] {
+                let w = per_access(k * n, shape);
+                assert!(
+                    w <= 1.3 * w1 && w1 <= 1.3 * w,
+                    "per-access work {w1} at N vs {w} at {label} ({shape:?})"
+                );
+            }
+            if shape == Shape::Barrier {
+                // A band write meets the finished readers of the whole
+                // buffer once per round, not once per band.
+                assert!(w1 <= 6.0, "per-access work {w1} ({shape:?})");
+            }
         }
+    }
+
+    /// The multisort's access shape (Figure 7 with `par_merge`'s chunked
+    /// merges) at 256 Ki elements on one thread: in a steady-state
+    /// repetition, whose writes meet the previous one's finished readers
+    /// and writers, the frontier visits a few pieces and entries per
+    /// task, not the ~95 it did while each chunk write walked the whole
+    /// finished reads list again.
+    #[test]
+    fn a_multisort_repetition_visits_few_entries_per_task() {
+        use crate::{RegionHandle, Runtime};
+        type H = RegionHandle<Vec<u32>>;
+        const LEAF: usize = 1024;
+        fn merge(rt: &Runtime, src: &H, a: (usize, usize), b: (usize, usize), dst: &H, d: usize) {
+            let total = (a.1 - a.0 + 1) + (b.1 - b.0 + 1);
+            for k in (0..total).step_by(LEAF) {
+                let (lo, hi) = (d + k, d + (k + LEAF).min(total) - 1);
+                let mut sp = rt.task("merge");
+                let mut ra = sp.read_region(src, Region::d1(a.0..=a.1));
+                let mut rb = sp.read_region(src, Region::d1(b.0..=b.1));
+                let mut w = sp.write_region(dst, Region::d1(lo..=hi));
+                sp.submit(move || {
+                    let x = ra.slice(a.0, a.0)[0] ^ rb.slice(b.0, b.0)[0];
+                    w.slice_mut(lo, lo)[0] = x;
+                });
+            }
+        }
+        fn sort(rt: &Runtime, data: &H, tmp: &H, lo: usize, hi: usize) {
+            let size = hi - lo + 1;
+            if size <= LEAF {
+                let mut sp = rt.task("leaf");
+                let mut w = sp.inout_region(data, Region::d1(lo..=hi));
+                sp.submit(move || w.slice_mut(lo, hi).reverse());
+                return;
+            }
+            let q = size / 4;
+            let b = [lo, lo + q, lo + 2 * q, lo + 3 * q, hi + 1];
+            for i in 0..4 {
+                sort(rt, data, tmp, b[i], b[i + 1] - 1);
+            }
+            merge(rt, data, (b[0], b[1] - 1), (b[1], b[2] - 1), tmp, b[0]);
+            merge(rt, data, (b[2], b[3] - 1), (b[3], b[4] - 1), tmp, b[2]);
+            merge(rt, tmp, (b[0], b[2] - 1), (b[2], hi), data, b[0]);
+        }
+        const N: usize = 1 << 18;
+        let rt = Runtime::builder().threads(1).build();
+        let data = rt.region_data(vec![0u32; N]);
+        let tmp = rt.region_data(vec![0u32; N]);
+        let work = || {
+            let (d, t) = (data.obj.frontier.lock(), tmp.obj.frontier.lock());
+            (d.work + t.work, d.entries_visited + t.entries_visited)
+        };
+        let mut per_task = Vec::new();
+        for _ in 0..3 {
+            let (w0, t0) = (work(), rt.stats().tasks_spawned);
+            sort(&rt, &data, &tmp, 0, N - 1);
+            let (w1, tasks) = (work(), (rt.stats().tasks_spawned - t0) as f64);
+            per_task.push(((w1.0 - w0.0) as f64 / tasks, (w1.1 - w0.1) as f64 / tasks));
+            rt.barrier();
+        }
+        // (pieces and entries, entries) per task
+        let (all, entries) = per_task[2];
+        assert!(
+            entries <= 5.0 && all <= 12.0,
+            "visits per task by repetition: {per_task:?}"
+        );
+    }
+
+    /// 1 024 finished readers of one range, then the range overwritten in
+    /// 1 024 chunks: the first write drops the finished run for every
+    /// piece that shares it, so the chunk writes cost a few visits each,
+    /// not a walk of the whole run apiece.
+    #[test]
+    fn a_finished_run_leaves_its_shared_list_once() {
+        const N: usize = 1024;
+        let mut f = RegionFrontier::default();
+        let mut r = Recorder::default();
+        let readers: Vec<_> = (1..=N as u64).map(node).collect();
+        for n in &readers {
+            record(&mut f, &mut r, &Region::d1(0..=N * 4 - 1), false, n, true);
+        }
+        for n in &readers {
+            finish(n);
+        }
+        let before = f.work;
+        for c in 0..N {
+            let w = node((N + 1 + c) as u64);
+            let preds = record(
+                &mut f,
+                &mut r,
+                &Region::d1(c * 4..=c * 4 + 3),
+                true,
+                &w,
+                true,
+            );
+            assert!(preds.is_empty(), "finished readers gate nothing");
+        }
+        let per_write = (f.work - before) as f64 / N as f64;
+        assert!(per_write <= 8.0, "{per_write} visits per chunk write");
+        assert!(f.live_len() <= 2, "{} live entries", f.live_len());
     }
 }

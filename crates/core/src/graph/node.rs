@@ -32,8 +32,10 @@
 //! - the body slot is a fixed `BODY_INLINE`-byte inline buffer; any
 //!   closure that fits (almost every task body in this tree — a handful
 //!   of bindings) is written in place with monomorphised call/drop
-//!   thunks, no box. Oversized closures fall back to a box stored in
-//!   the same buffer.
+//!   thunks, no box. An oversized closure (the multisort's `seqmerge`,
+//!   three region bindings and its indices) is written to the node's
+//!   *spill block* instead, which the node keeps when it is recycled:
+//!   the next big body spawned on it reuses the block.
 //! - finished nodes are returned to a runtime-wide free stack through
 //!   the intrusive `free_next` hook (see
 //!   `Shared::recycle_node`), and producers a writer displaces from an
@@ -56,6 +58,7 @@
 //! node cache and go back to it when the region frontier lets go of a
 //! spent one, like the producers it drops.
 
+use std::alloc::{self, Layout};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
@@ -64,9 +67,6 @@ use std::sync::Arc;
 
 use crate::ids::TaskId;
 use crate::runtime::Priority;
-
-/// Boxed fallback for task bodies that do not fit the inline buffer.
-pub(crate) type TaskBody = Box<dyn FnOnce() + Send>;
 
 const STATE_PENDING: u8 = 0;
 const STATE_RUNNING: u8 = 1;
@@ -88,13 +88,14 @@ const FAULT_CANCELLED: u8 = 3;
 /// `Arc`-sized bindings plus scalars (storm/chain/region bodies are
 /// 24-64 bytes) — while keeping the node itself small enough that a
 /// storm with tens of thousands of live nodes stays cache-resident.
-/// Bigger closures take the `Box<dyn FnOnce>` fallback (16 bytes,
-/// which always fits), exactly the allocation every body paid before
-/// the inline slot existed.
+/// Bigger closures (a `seqmerge` body is ~280 bytes) go to the node's
+/// spill block, which lives as long as the node, so in steady state
+/// they allocate nothing either; growing the slot instead would grow
+/// every node of every workload for the few that spawn big bodies.
 const BODY_INLINE: usize = 64;
 
-/// Alignment of the inline buffer; closures needing more fall back to
-/// the box path.
+/// Alignment of the inline buffer; closures needing more go to the
+/// spill block.
 const BODY_ALIGN: usize = 16;
 
 /// The inline closure buffer. `#[repr(align(16))]` so any
@@ -128,10 +129,28 @@ unsafe fn drop_thunk<F>(p: *mut u8) {
     ptr::drop_in_place(p as *mut F)
 }
 
+/// [`call_thunk`] for a closure in a spill block whose address is
+/// stored at `p`.
+///
+/// # Safety
+/// Same contract as [`call_thunk`], for the block `p` points to.
+unsafe fn call_spilled<F: FnOnce()>(p: *mut u8) {
+    call_thunk::<F>(*(p as *mut *mut u8))
+}
+
+/// [`drop_thunk`] for a closure in a spill block.
+///
+/// # Safety
+/// Same contract as [`call_spilled`].
+unsafe fn drop_spilled<F>(p: *mut u8) {
+    drop_thunk::<F>(*(p as *mut *mut u8))
+}
+
 unsafe fn nop_thunk(_: *mut u8) {}
 
-/// The one-shot body slot: an installed closure (inline or boxed-then-
-/// inlined) plus the monomorphised thunks that consume it.
+/// The one-shot body slot: an installed closure (inline, or in the
+/// spill block with its address inline) plus the monomorphised thunks
+/// that consume it.
 struct BodySlot {
     present: bool,
     /// Bytes of `buf` actually occupied by the closure — `take_body`
@@ -140,6 +159,13 @@ struct BodySlot {
     call: unsafe fn(*mut u8),
     drop_fn: unsafe fn(*mut u8),
     buf: BodyBuf,
+    /// Heap block for closures that do not fit `buf`, or null. Kept when
+    /// the node is recycled and freed with it; its layout is
+    /// `spill_size` bytes aligned to `1 << spill_align`. (These three
+    /// fields fill the slot's padding: the node does not grow.)
+    spill: *mut u8,
+    spill_size: u32,
+    spill_align: u8,
 }
 
 impl BodySlot {
@@ -150,6 +176,9 @@ impl BodySlot {
             call: nop_thunk,
             drop_fn: nop_thunk,
             buf: BodyBuf::uninit(),
+            spill: ptr::null_mut(),
+            spill_size: 0,
+            spill_align: 0,
         }
     }
 
@@ -163,19 +192,61 @@ impl BodySlot {
             self.call = call_thunk::<F>;
             self.drop_fn = drop_thunk::<F>;
         } else {
-            let boxed: TaskBody = Box::new(f);
-            // SAFETY: a box (16-byte fat pointer) always fits the buffer.
-            unsafe { ptr::write(self.buf.ptr() as *mut TaskBody, boxed) };
-            self.size = std::mem::size_of::<TaskBody>() as u16;
-            self.call = call_thunk::<TaskBody>;
-            self.drop_fn = drop_thunk::<TaskBody>;
+            let block = self.spill_block(Layout::new::<F>());
+            // SAFETY: the block fits `F` and is dead (a body is taken out
+            // of it before its node can be recycled); a pointer always
+            // fits the buffer.
+            unsafe {
+                ptr::write(block as *mut F, f);
+                ptr::write(self.buf.ptr() as *mut *mut u8, block);
+            }
+            self.size = std::mem::size_of::<*mut u8>() as u16;
+            self.call = call_spilled::<F>;
+            self.drop_fn = drop_spilled::<F>;
         }
         self.present = true;
+    }
+
+    /// The spill block, grown first if it does not fit `layout`.
+    fn spill_block(&mut self, layout: Layout) -> *mut u8 {
+        let fits = !self.spill.is_null()
+            && layout.size() <= self.spill_size as usize
+            && layout.align() <= 1 << self.spill_align;
+        if !fits {
+            self.free_spill();
+            let size = u32::try_from(layout.size().max(1)).expect("task body over 4 GiB");
+            let align = layout.align().max(BODY_ALIGN);
+            let layout = Layout::from_size_align(size as usize, align).expect("a type's layout");
+            // SAFETY: the size is non-zero.
+            let block = unsafe { alloc::alloc(layout) };
+            if block.is_null() {
+                alloc::handle_alloc_error(layout);
+            }
+            self.spill = block;
+            self.spill_size = size;
+            self.spill_align = align.trailing_zeros() as u8;
+        }
+        self.spill
+    }
+
+    fn free_spill(&mut self) {
+        if !self.spill.is_null() {
+            let layout = Layout::from_size_align(self.spill_size as usize, 1 << self.spill_align)
+                .expect("the layout the block was allocated with");
+            // SAFETY: allocated by `spill_block` with this layout, and
+            // dead (no body is installed).
+            unsafe { alloc::dealloc(self.spill, layout) };
+            self.spill = ptr::null_mut();
+            self.spill_size = 0;
+        }
     }
 }
 
 /// A body moved out of its node, ready to run exactly once on the
 /// executing thread. Dropping it without running drops the closure.
+/// A spilled body is still in its node's spill block until it runs
+/// (running reads it out first), so it is run or dropped before the
+/// node completes — as every caller does.
 pub(crate) struct TakenBody {
     call: unsafe fn(*mut u8),
     drop_fn: unsafe fn(*mut u8),
@@ -677,7 +748,8 @@ impl TaskNode {
 
     /// Install the body. Must happen before the spawn guard is released.
     /// Closures up to [`BODY_INLINE`] bytes are stored inline in the
-    /// node (no allocation); larger ones are boxed.
+    /// node; larger ones in its spill block (allocated only when the
+    /// node has none big enough yet).
     pub(crate) fn install_body<F: FnOnce() + Send + 'static>(&self, body: F) {
         // SAFETY: called once, by the spawning thread, before the spawn
         // guard is released — no other thread can reach the slot yet.
@@ -740,7 +812,9 @@ impl TaskNode {
         };
         // Move the closure bytes out of the node (a Rust move is a
         // bitwise copy) so the node can complete and be recycled while
-        // the body is still running. Only the occupied prefix is copied.
+        // the body is still running. Only the occupied prefix is copied
+        // (for a spilled body, the block's address: the call thunk moves
+        // the closure out of the block before it runs).
         // SAFETY: both buffers are BODY_INLINE >= size bytes; the slot
         // holds a live closure that is now owned by `taken`.
         unsafe { ptr::copy_nonoverlapping(slot.buf.ptr(), taken.buf.ptr(), slot.size as usize) };
@@ -896,6 +970,7 @@ impl Drop for TaskNode {
             // consumed.
             unsafe { (slot.drop_fn)(slot.buf.ptr()) };
         }
+        slot.free_spill();
         // It also still owns its successor links (live: each holds an
         // Arc that must drop)…
         let head = *self.succs.get_mut();
@@ -1056,8 +1131,8 @@ mod tests {
 
     #[test]
     fn oversized_body_boxes_and_runs() {
-        // 256 bytes of captured state: exceeds BODY_INLINE, takes the
-        // boxed fallback, must still run correctly.
+        // 256 bytes of captured state: exceeds BODY_INLINE, goes to the
+        // spill block, must still run correctly.
         let big = [7u8; 256];
         let out = Arc::new(AtomicUsize::new(0));
         let o = Arc::clone(&out);
@@ -1065,6 +1140,52 @@ mod tests {
         n.install_body(move || o.store(big.iter().map(|&b| b as usize).sum(), Ordering::SeqCst));
         n.take_body().run_in_place();
         assert_eq!(out.load(Ordering::SeqCst), 7 * 256);
+    }
+
+    /// A recycled node keeps its spill block: the next big body reuses
+    /// it, a bigger or more aligned one replaces it, and captures drop
+    /// exactly once whether a spilled body runs, is dropped taken, or is
+    /// never taken.
+    #[test]
+    fn a_spill_block_outlives_its_body() {
+        #[repr(align(64))]
+        struct Wide([u8; 64]);
+        let token = Arc::new(());
+        let mut n = node(1);
+        let spill = |n: &mut Arc<TaskNode>| Arc::get_mut(n).unwrap().body.get_mut().spill;
+        let reuse = |n: &mut Arc<TaskNode>| {
+            let _ = n.complete(false, |_| {});
+            Arc::get_mut(n)
+                .unwrap()
+                .reset_for_reuse(TaskId(2), "t", Priority::Normal);
+        };
+        let (t, big) = (Arc::clone(&token), [1u8; 200]);
+        n.install_body(move || drop((t, big)));
+        let first = spill(&mut n);
+        assert!(!first.is_null());
+        n.take_body().run_in_place();
+        assert_eq!(Arc::strong_count(&token), 1);
+        reuse(&mut n);
+        let (t, big) = (Arc::clone(&token), [2u8; 120]);
+        n.install_body(move || drop((t, big)));
+        assert_eq!(spill(&mut n), first, "a smaller body reuses the block");
+        drop(n.take_body());
+        assert_eq!(Arc::strong_count(&token), 1);
+        reuse(&mut n);
+        let (t, wide) = (Arc::clone(&token), Wide([3; 64]));
+        // `&wide` makes the closure capture the whole (64-aligned) value.
+        n.install_body(move || drop((t, std::hint::black_box(&wide).0)));
+        assert_eq!(spill(&mut n) as usize % 64, 0, "a more aligned body moves");
+        drop(n);
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    /// The spill block lives in the body slot's padding: every workload's
+    /// nodes stay the size they were.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_spill_block_does_not_grow_the_node() {
+        assert!(std::mem::size_of::<TaskNode>() <= 176);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version slab) | ≤ 1 (binding traffic)         |
 //! | sharded submitter storm (per-lane pools) | 0 after warmup        |
-//! | 64 Ki region multisort, 1 thread | analysis ≤ 1.1 (the boxed `seqmerge` body), drain 0 |
+//! | 64 Ki region multisort, 1 thread | analysis ≤ 0.1 (big bodies reuse their node's spill block), drain 0 |
 //!
 //! The chain and fan-out budgets dropped to **zero** with the
 //! BENCH_0004 completion-side fast path: successor-stack links are
@@ -370,10 +370,11 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     // nothing until the barrier: the spawn loop is the region analysis
     // alone and the barrier is the drain. Regions are values, the
     // frontier hands every node it lets go of (with its spare links)
-    // back to the lane cache, and joins come from that cache too, so the
-    // analysis is left with the boxed `seqmerge` bodies (too big for the
-    // inline slot): at most 1.1 allocations per task. The drain — bodies,
-    // their region checks, completion — allocates nothing.
+    // back to the lane cache, joins come from that cache too, its memos
+    // and pieces live in reused slots, and a `seqmerge` body (too big
+    // for the inline slot) goes to its recycled node's spill block: at
+    // most 0.1 allocations per task. The drain — bodies, their region
+    // checks, completion — allocates nothing.
     use smpss_apps::sort::{multisort_range, random_input, SortParams};
     const SORT_N: usize = 1 << 16;
     let rt = Runtime::builder().threads(1).build();
@@ -402,8 +403,8 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     drop((data, tmp));
     drop(rt);
     assert!(
-        analysis * 10 <= tasks * 11,
-        "region analysis must stay within 1.1 allocations per task, \
+        analysis * 10 <= tasks,
+        "region analysis must stay within 0.1 allocations per task, \
          measured {analysis} allocations for {tasks} tasks"
     );
     assert_eq!(
