@@ -12,9 +12,10 @@
 //!
 //! The runtime's fast paths (completion hand-off, version slab) have no
 //! off switch, so they have no ablation here: the tier-1 suites check
-//! them against a sequential oracle instead. Sharded analysis has none
-//! either: recorded-graph equality across `shards(k)` and concurrent
-//! submitters on one object are tests in `tests/shard_semantics.rs`.
+//! them against a sequential oracle instead. Concurrent spawners have
+//! none either: recorded-graph equality with and without a session open
+//! and concurrent sessions on one object are tests in
+//! `tests/shard_semantics.rs`.
 
 use smpss::Runtime;
 use smpss_apps::{strassen, FlatMatrix, HyperMatrix};

@@ -34,7 +34,7 @@ fn storm_counts_every_task_exactly_once() {
     assert_eq!(st.total_pops(), 500);
 }
 
-/// One gated program through two concurrent submitters and through the
+/// One gated program through two concurrent sessions and through the
 /// main thread: per lane, a writer that holds a gate object until the
 /// spawn ends, then 200 readers of it. Both runs execute every task once
 /// and count the same pops.
@@ -44,12 +44,13 @@ fn submit_storm_modes_agree_on_structure() {
     const READERS: u64 = 200;
     const TASKS: u64 = LANES as u64 * (READERS + 1);
 
-    // One lane of the program, spawned through `$host`: a runtime or a
-    // submitter.
+    // One lane of the program, spawned through `$task`: a closure from
+    // a task name to a spawner of the runtime or of a session.
     macro_rules! lane {
-        ($host:expr, $gate:expr, $release:expr, $ran:expr) => {{
+        ($task:expr, $gate:expr, $release:expr, $ran:expr) => {{
+            let task = $task;
             let release = Arc::clone($release);
-            let mut sp = $host.task("hold");
+            let mut sp = task("hold");
             let mut w = sp.write($gate);
             sp.submit(move || {
                 *w.get_mut() = 1;
@@ -57,7 +58,7 @@ fn submit_storm_modes_agree_on_structure() {
             });
             for _ in 0..READERS {
                 let ran = Arc::clone($ran);
-                let mut sp = $host.task("submit");
+                let mut sp = task("submit");
                 let mut r = sp.read($gate);
                 sp.submit(move || {
                     assert_eq!(*r.get(), 1, "readers run after the gate");
@@ -67,25 +68,29 @@ fn submit_storm_modes_agree_on_structure() {
         }};
     }
 
-    let run = |sharded: bool| {
-        let rt = if sharded {
-            Runtime::builder().threads(2).shards(LANES).build()
-        } else {
-            Runtime::builder().threads(2).build()
-        };
+    let run = |sessions: bool| {
+        let rt = Runtime::builder().threads(2).build();
         let gates: Vec<_> = (0..LANES).map(|_| rt.data(0u64)).collect();
         let release = Arc::new(AtomicBool::new(false));
         let ran = Arc::new(AtomicU64::new(0));
-        if sharded {
+        if sessions {
+            let sessions: Vec<_> = gates.iter().map(|_| rt.session()).collect();
             std::thread::scope(|s| {
-                for (sub, gate) in rt.submitters().into_iter().zip(&gates) {
+                for (sess, gate) in sessions.into_iter().zip(&gates) {
                     let (release, ran) = (&release, &ran);
-                    s.spawn(move || lane!(sub, gate, release, ran));
+                    s.spawn(move || {
+                        lane!(
+                            |n| sess.task(n).expect("no quota configured"),
+                            gate,
+                            release,
+                            ran
+                        )
+                    });
                 }
             });
         } else {
             for gate in &gates {
-                lane!(rt, gate, &release, &ran);
+                lane!(|n| rt.task(n), gate, &release, &ran);
             }
         }
         release.store(true, Ordering::Release);
@@ -93,10 +98,10 @@ fn submit_storm_modes_agree_on_structure() {
         assert_eq!(ran.load(Ordering::Relaxed), LANES as u64 * READERS);
         rt.stats()
     };
-    let (sharded, main) = (run(true), run(false));
-    assert_eq!(sharded.tasks_executed, TASKS);
+    let (sessions, main) = (run(true), run(false));
+    assert_eq!(sessions.tasks_executed, TASKS);
     assert_eq!(main.tasks_executed, TASKS);
-    assert_eq!(sharded.total_pops(), TASKS);
+    assert_eq!(sessions.total_pops(), TASKS);
     assert_eq!(main.total_pops(), TASKS);
 }
 

@@ -10,8 +10,9 @@
 //! completions publish their released successors as one batch with a
 //! direct hand-off, renamed-away versions park in the runtime-wide
 //! version slab, and ready tasks are placed by the §III order alone.
-//! What remains here are the paper's parameters, sizes and limits, the
-//! analysis lane count and the session quotas. The SuperMatrix-style
+//! What remains here are the paper's parameters, sizes and limits and
+//! the session quotas. Dependency analysis has one lane, as in the
+//! paper: there is no lane count to configure. The SuperMatrix-style
 //! central queue the paper compares against (§VII.C) is studied in the
 //! simulator (`smpss-sim`'s `SimPolicy::CentralQueue`) and the fork-join
 //! baseline, not in the runtime.
@@ -19,7 +20,6 @@
 //! Whether more than one thread spawns is not configured: the runtime
 //! observes it. It starts in the paper's single-spawner mode and moves
 //! to concurrent spawners the first time
-//! [`Runtime::submitters`](crate::Runtime::submitters) or
 //! [`Runtime::session`](crate::Runtime::session) hands out a handle.
 
 /// What the runtime does with the dependents of a task whose body
@@ -79,7 +79,6 @@ pub struct RuntimeConfig {
     pub(crate) record_graph: bool,
     pub(crate) tracing: bool,
     pub(crate) slab_spare_bytes: Option<usize>,
-    pub(crate) shards: usize,
     pub(crate) on_panic: OnPanic,
     pub(crate) session_max_in_flight: Option<usize>,
     pub(crate) session_max_renamed_bytes: Option<usize>,
@@ -96,7 +95,6 @@ impl Default for RuntimeConfig {
             record_graph: false,
             tracing: false,
             slab_spare_bytes: None,
-            shards: 1,
             on_panic: OnPanic::CancelDependents,
             session_max_in_flight: None,
             session_max_renamed_bytes: None,
@@ -175,24 +173,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Number of dependency-analysis lanes (default 1). With `n >= 2`
-    /// the runtime hands out [`Submitter`](crate::Submitter)s
-    /// ([`Runtime::submitters`](crate::Runtime::submitters)) so multiple
-    /// threads can run dependency analysis concurrently: objects are
-    /// hashed onto lanes, each lane's `SpawnerCell` universe is entered
-    /// under that lane's gate, task-node pools are per lane, and
-    /// cross-lane edges settle through the lock-free successor
-    /// machinery. Sessions open round-robin over the lanes. The lane
-    /// count alone switches no path: until the first submitter or
-    /// session exists the main thread keeps the paper's single-spawner
-    /// path (no gates, no RMWs on the spawn counters), and every shard
-    /// count records the same graph (`tests/shard_semantics.rs`).
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "a runtime needs at least one analysis lane");
-        self.cfg.shards = n;
-        self
-    }
-
     /// Failure policy for panicking task bodies (default
     /// [`OnPanic::CancelDependents`]). See [`OnPanic`].
     pub fn on_panic(mut self, policy: OnPanic) -> Self {
@@ -256,7 +236,6 @@ mod tests {
         assert!(!c.record_graph);
         assert!(!c.tracing);
         assert!(c.slab_spare_bytes.is_none());
-        assert_eq!(c.shards, 1);
         assert_eq!(c.on_panic, OnPanic::CancelDependents);
     }
 
@@ -277,14 +256,14 @@ mod tests {
     /// spin window is a constant inside the 60–100 µs band that covers
     /// the open loop's 50 µs arrival gap, and the park has no timeout.
     /// What the builder still sets on the scheduling path is the thread
-    /// count and the analysis lanes: the §III lookup order is the only
-    /// policy, so it has no setter.
+    /// count: the §III lookup order is the only policy, so it has no
+    /// setter.
     #[test]
     fn builder_sets_fast_path_knobs() {
         let window = crate::sched::queues::SPIN_WINDOW.as_micros();
         assert!((60..=100).contains(&window), "spin window {window} us");
-        let c = RuntimeBuilder::default().threads(3).shards(2).config();
-        assert_eq!((c.threads, c.shards), (3, 2));
+        let c = RuntimeBuilder::default().threads(3).config();
+        assert_eq!(c.threads, 3);
     }
 
     #[test]
@@ -311,10 +290,13 @@ mod tests {
         assert!(c.tracing);
     }
 
+    /// Analysis has one lane and no setter: the configuration holds
+    /// one field per builder setter (11) and no lane count.
     #[test]
     fn builder_sets_shards() {
-        let c = RuntimeBuilder::default().shards(4).config();
-        assert_eq!(c.shards, 4);
+        let debug = format!("{:?}", RuntimeBuilder::default().config());
+        assert_eq!(debug.matches(": ").count(), 11, "{debug}");
+        assert!(!debug.contains("shards"), "{debug}");
     }
 
     #[test]
@@ -327,9 +309,9 @@ mod tests {
         // starts in the single-spawner mode, and opening a session is
         // what moves it on.
         let rt = RuntimeBuilder::default().threads(2).build();
-        assert!(!rt.shared.concurrent_spawners() && !rt.shared.sessions_used());
+        assert!(!rt.shared.sessions_used());
         let _s = rt.session();
-        assert!(rt.shared.concurrent_spawners() && rt.shared.sessions_used());
+        assert!(rt.shared.sessions_used());
     }
 
     /// The quota and admission setters set their own field and nothing
@@ -354,7 +336,7 @@ mod tests {
             .session_max_renamed_bytes(1 << 20)
             .admission(AdmissionPolicy::Shed)
             .build();
-        assert!(!rt.shared.concurrent_spawners(), "quotas imply nothing");
+        assert!(!rt.shared.sessions_used(), "quotas imply nothing");
         let _s = rt.session();
         assert!(rt.shared.sessions_used());
     }
@@ -371,9 +353,14 @@ mod tests {
         let _ = RuntimeBuilder::default().threads(0);
     }
 
+    /// There is no lane count to zero: the one count the builder
+    /// rejects at zero is the thread count, and no setter before it
+    /// (a session quota here) lifts that.
     #[test]
-    #[should_panic(expected = "at least one analysis lane")]
+    #[should_panic(expected = "at least the main thread")]
     fn zero_shards_rejected() {
-        let _ = RuntimeBuilder::default().shards(0);
+        let _ = RuntimeBuilder::default()
+            .session_max_in_flight(4)
+            .threads(0);
     }
 }

@@ -34,12 +34,10 @@ use crate::ids::ObjectId;
 /// single-spawner mode this is structural — `Runtime` is `!Sync`
 /// (compile-fail doctest), task bodies receive bindings, never handles,
 /// and no worker-side code path names `DataObject::state` — so only the
-/// one spawning thread ever enters. With sharded analysis
-/// ([`RuntimeBuilder::shards`](crate::RuntimeBuilder::shards) ≥ 2),
-/// multiple submitter threads analyse concurrently, but every entry to
-/// an object's cell happens under the owning *lane gate*
-/// (`runtime::shard`): the lane is chosen by hashing the object id (or
-/// a region's representant id), so two threads can never hold the same
+/// one spawning thread ever enters. Once a [`Session`](crate::Session)
+/// is open, session threads analyse beside the main thread, but every
+/// entry to an object's cell happens under the runtime's one *analysis
+/// gate* (`runtime::shard`), so two threads can never hold the same
 /// object's state at once — they exclude each other on the gate before
 /// the cell is touched, and the gate's Acquire/Release pair carries the
 /// state written by the previous holder. Either way the swap-based flag
@@ -76,7 +74,7 @@ impl<S> SpawnerCell<S> {
         assert!(
             !self.busy.load(Ordering::Relaxed),
             "SMPSs invariant violated: concurrent object-state access \
-             (analysis is single-threaded, or lane-gated when sharded)"
+             (analysis is single-threaded, or gated once sessions open)"
         );
         self.busy.store(true, Ordering::Relaxed);
         SpawnerGuard { owner: self }
@@ -188,7 +186,7 @@ impl<T: TaskData> DataObject<T> {
     }
 
     /// A fresh version buffer for the renamer, with its memory ticket
-    /// minted through `charge` (lane credit pre-payment and session
+    /// minted through `charge` (session credit pre-payment and session
     /// attribution; [`TicketCharge::NONE`] for the exact single-spawner
     /// accounting).
     pub(crate) fn fresh_version_buf(&self, charge: TicketCharge<'_>) -> Arc<VBuf<T>> {

@@ -82,7 +82,7 @@ pub(crate) struct RegionObject<T: RegionData> {
     pub(crate) id: ObjectId,
     pub(crate) buf: Arc<VBuf<T>>,
     /// The live accesses dependency analysis orders new ones after (see
-    /// [`RegionFrontier`]). Taken only by the spawning lane and by
+    /// [`RegionFrontier`]). Taken only by the spawners and by
     /// `with_region`/`update_region`; finished accesses leave it unless
     /// the runtime records graphs.
     pub(crate) frontier: Mutex<RegionFrontier>,

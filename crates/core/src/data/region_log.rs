@@ -96,16 +96,15 @@
 //! Every node the frontier drops — a retired writer, a superseded or
 //! spent entry, a memo's join, a join it did not memoise — is handed to
 //! [`Linker::release`] once the access is analysed, so the spawner's
-//! lane cache can reuse it and its spare successor links. A join dropped
+//! cache can reuse it and its spare successor links. A join dropped
 //! before it finished has no worker to hand it back, so it waits in
 //! `retiring` until it is spent. Its own storage — list entries,
 //! reader-side memos and pieces — lives in slabs whose freed slots are
 //! reused; only the piece index allocates, when a map grows.
 //!
-//! **Sharded analysis:** a buffer's frontier belongs to the lane that
-//! owns the buffer's *representant* id (`runtime::shard::lane_of`);
-//! `dep::region_deps` enters that lane's gate before touching it, so all
-//! analysis of one buffer stays serialised.
+//! **Concurrent spawners:** once sessions are open, `dep::region_deps`
+//! enters the runtime's one analysis gate before touching a frontier,
+//! so all analysis of one buffer stays serialised.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -131,14 +130,20 @@ const NIL: u32 = u32::MAX;
 /// its accesses. The runtime implements it on the task spawner; the
 /// tests implement it with an edge recorder.
 pub(crate) trait Linker {
-    /// Gate the consumer on `producer` directly.
+    /// Gate the consumer on `producer` directly, recording the edge.
     fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind);
+    /// Gate the consumer on `producer` directly without recording the
+    /// edge: the join path records its access's edges all at once.
+    fn gate(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind);
     /// Gate the consumer on a fresh join over `members` (linked with
     /// their own kinds), the consumer→join link being `kind`.
+    /// `recorded` are the producer edges of the whole access, in spawn
+    /// order (kept only while the graph is recorded).
     fn link_new_join(
         &mut self,
         members: &[(Arc<TaskNode>, EdgeKind)],
         kind: EdgeKind,
+        recorded: &[(TaskId, EdgeKind)],
     ) -> Arc<TaskNode>;
     /// Gate the consumer on a memoised join. `recorded` are the producer
     /// edges it stands for (kept only while the graph is recorded).
@@ -740,9 +745,10 @@ fn drop_run(arena: &mut Arena, head: &mut u32, rest: u32) {
 
 /// Link `gather`'s producers for one access as `kind`: through a join
 /// when more than [`JOIN_MIN`] of them are unfinished and of the
-/// consumer's session, directly otherwise. Returns the join as a memo
-/// when it stands for every producer, and lets it go into `released`
-/// otherwise.
+/// consumer's session, directly otherwise. Either way the graph records
+/// every producer's edge in spawn order, whichever had finished, so the
+/// record does not depend on timing. Returns the join as a memo when it
+/// stands for every producer, and lets it go into `released` otherwise.
 fn link_producers(
     gather: &mut Gather,
     members: &mut Vec<(Arc<TaskNode>, EdgeKind)>,
@@ -786,11 +792,11 @@ fn link_producers(
             members.push((p, k));
         } else {
             complete &= spent(&p) && p.same_session(consumer);
-            linker.link(&p, k);
+            linker.gate(&p, k);
         }
     }
     let newest = members.last().map_or(TaskId(0), |(p, _)| p.id());
-    let join = linker.link_new_join(members, kind);
+    let join = linker.link_new_join(members, kind, &recorded);
     members.clear();
     if !complete {
         released.push(join);
@@ -1145,16 +1151,21 @@ mod tests {
             self.edges.push((producer.id().0, self.consumer, kind));
         }
 
+        fn gate(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+            self.link(producer, kind);
+        }
+
         fn link_new_join(
             &mut self,
             members: &[(Arc<TaskNode>, EdgeKind)],
             kind: EdgeKind,
+            recorded: &[(TaskId, EdgeKind)],
         ) -> Arc<TaskNode> {
             let join = TaskNode::new_join(&node(0));
             let m: Vec<_> = members.iter().map(|(p, k)| (p.id().0, *k)).collect();
             self.joins.insert(Arc::as_ptr(&join), m);
             self.links += members.len();
-            self.link_join(&join, kind, &[]);
+            self.link_join(&join, kind, recorded);
             join
         }
 
@@ -1773,5 +1784,45 @@ mod tests {
         let per_write = (f.work - before) as f64 / N as f64;
         assert!(per_write <= 8.0, "{per_write} visits per chunk write");
         assert!(f.live_len() <= 2, "{} live entries", f.live_len());
+    }
+
+    /// One access whose producers take the join path, some of them
+    /// finished when it is analysed: the recorded edges come in the
+    /// producers' spawn order all the same, so the graph of a run where
+    /// they had finished equals the graph of a run where none had. At
+    /// one thread nothing runs unless the main thread helps, and a
+    /// help runs the high-priority writers first.
+    #[test]
+    fn recorded_edges_do_not_depend_on_which_producers_finished() {
+        const ELEMS: usize = 16;
+        let recorded = |finish_some: bool| {
+            let rt = crate::Runtime::builder()
+                .threads(1)
+                .record_graph(true)
+                .build();
+            let buf = rt.region_data(vec![0u32; ELEMS]);
+            let flag = rt.data(0u32);
+            for i in 0..ELEMS - 2 {
+                let mut sp = rt.task("writer");
+                if (1..=4).contains(&i) {
+                    sp.high_priority(); // writers 2..=5
+                }
+                let w = sp.write_region(&buf, Region::d1(i..=i));
+                let f = (i == 4).then(|| sp.write(&flag)); // writer 5
+                sp.submit(move || drop((w, f)));
+                if finish_some && i == 4 {
+                    rt.wait_on(&flag); // runs writers 2..=5, not writer 1
+                }
+            }
+            let mut sp = rt.task("reader");
+            let r = sp.read_region(&buf, Region::d1(0..=ELEMS - 1));
+            sp.submit(move || drop(r));
+            rt.barrier();
+            rt.graph().expect("recording").edges().to_vec()
+        };
+        let edges = recorded(false);
+        let into_reader: Vec<u64> = edges.iter().map(|e| e.0 .0).collect();
+        assert_eq!(into_reader, (1..=ELEMS as u64 - 2).collect::<Vec<_>>());
+        assert_eq!(recorded(true), edges);
     }
 }

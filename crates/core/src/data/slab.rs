@@ -33,12 +33,12 @@
 //!
 //! # Concurrency discipline
 //!
-//! Same no-mutex rules as the shard and completion paths (pinned by the
+//! Same no-mutex rules as the analysis gate and completion paths (pinned by the
 //! workspace test `tests/lock_free_sources.rs`):
 //! each shelf is a one-word CAS gate in front of plain state, exactly
 //! the [`LaneGate`](crate::runtime::shard::LaneGate) shape. Gates are
 //! never nested — a caller holds at most one shelf gate, and the
-//! analyser's lane-gate → object-cell → shelf-gate order is a strict
+//! analyser's analysis-gate → object-cell → shelf-gate order is a strict
 //! hierarchy — so there is nothing to deadlock on. Deadness of a
 //! parked buffer is `Arc::strong_count == 1` (only the slab holds it)
 //! followed by an Acquire fence pairing with the last dropped `Arc`'s
@@ -222,11 +222,11 @@ impl ClassShelf {
     /// the caller read it from [`VersionSlab::concurrent`]:
     ///
     /// * `true` — spin until this thread owns the shelf. Hold times are
-    ///   a bounded probe plus O(1) queue surgery, so the lane-gate
+    ///   a bounded probe plus O(1) queue surgery, so the analysis-gate
     ///   argument for CAS + backoff over parking machinery applies
     ///   verbatim.
-    /// * `false` — single-spawner mode: until a submitter or session
-    ///   exists every slab entry (rename, throttle reclaim, trim, stats)
+    /// * `false` — single-spawner mode: until a session exists every
+    ///   slab entry (rename, throttle reclaim, trim, stats)
     ///   runs on the one spawning thread `Runtime: !Sync` pins analysis
     ///   to, and workers only ever drop buffer `Arc`s, never touch shelf
     ///   state. An entry made in this mode cannot race a later
@@ -259,7 +259,7 @@ impl ClassShelf {
             debug_assert!(
                 !self.busy.swap(true, Ordering::Relaxed),
                 "SMPSs invariant violated: concurrent version-slab access \
-                 (slab entry is single-threaded until a submitter or session exists)"
+                 (slab entry is single-threaded until a session exists)"
             );
         }
         ShelfEntry {
@@ -408,7 +408,7 @@ pub(crate) struct VersionSlab {
     /// globalised).
     cap: usize,
     /// Whether slab entries can come from more than one thread (a
-    /// submitter or session exists); selects the shelf-gate flavor in
+    /// session exists); selects the shelf-gate flavor in
     /// [`ClassShelf::enter`]. False at build; only the runtime's spawner
     /// latch (`Runtime::latch_spawners`) sets it.
     pub(crate) concurrent: AtomicBool,
@@ -573,7 +573,7 @@ impl VersionSlab {
     }
 
     /// Free up to `want` bytes of **dead** parked spares — the throttle,
-    /// the submitter backoff loop and the session quota probe call this
+    /// the session-side throttle and the session quota probe call this
     /// before (and instead of) waiting, which is what turns the §III
     /// memory limit into backpressure the slab can actually answer.
     /// Returns the bytes released. Empty shelves are skipped gate-free,
@@ -880,8 +880,8 @@ mod tests {
         println!("slab begin/park: {slab_ns:.1} ns/op, legacy pool: {legacy_ns:.1} ns/op, delta {:.1} ns", slab_ns - legacy_ns);
     }
 
-    /// The slab is part of the analysis hot path: like the shard and
-    /// completion modules, it must stay free of blocking primitives
+    /// The slab is part of the analysis hot path: like the analysis-gate
+    /// and completion modules, it must stay free of blocking primitives
     /// (the workspace test `tests/lock_free_sources.rs` checks the same
     /// needles across every lock-free file).
     #[test]

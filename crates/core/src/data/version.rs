@@ -31,18 +31,18 @@ use crate::runtime::session::SessionCtl;
 /// what the §III *memory limit* blocking condition watches — renaming
 /// trades memory for parallelism, and the ticket count is exactly that
 /// traded memory. The counter is a single shared atomic (AcqRel both
-/// ways), so under sharded analysis every lane's renames fold into one
+/// ways), so with sessions open every spawner's renames fold into one
 /// account: the spawn throttle (`Runtime::after_submit`, and each
-/// `Submitter`'s post-submit wait) observes the *sum* of renamed bytes
-/// across all submitter lanes, never a per-lane undercount.
+/// session's post-submit wait) observes the *sum* of renamed bytes
+/// across all spawners, never a per-spawner undercount.
 ///
-/// Lanes may pre-pay the global side through a [`ByteCredit`]
+/// Sessions pre-pay the global side through a [`ByteCredit`]
 /// ([`new_charged`](Self::new_charged) with `prepaid == true`): the
 /// creation-time `fetch_add` is skipped because the credit's chunk grab
 /// already registered the bytes. The Drop side always `fetch_sub`s the
 /// global account — symmetric with the chunk grab, never with the
 /// (skipped) per-ticket add — so the invariant is
-/// `live_bytes == Σ live ticket bytes + Σ lane surpluses`.
+/// `live_bytes == Σ live ticket bytes + Σ session surpluses`.
 ///
 /// Tickets minted on behalf of a [`Session`](crate::Session) also carry
 /// the session's byte account: the bytes count against the session's
@@ -74,7 +74,7 @@ impl MemTicket {
         }
     }
 
-    /// Mint a ticket through a [`TicketCharge`]: the lane credit (if
+    /// Mint a ticket through a [`TicketCharge`]: the session credit (if
     /// any) pre-pays the global account in chunks, and the session (if
     /// any) is charged its quota-side bytes.
     pub(crate) fn new_charged(
@@ -107,7 +107,7 @@ impl Drop for MemTicket {
 }
 
 /// Spawn-side accounting context for a freshly minted version ticket:
-/// which lane credit (if any) pre-pays the global account, and which
+/// which session credit (if any) pre-pays the global account, and which
 /// session (if any) the bytes are attributed to. Threaded from the
 /// [`SpawnHost`](crate::runtime::spawner::SpawnHost) through the
 /// analyser's rename calls down to the ticket mint.
@@ -126,24 +126,24 @@ impl TicketCharge<'_> {
     };
 }
 
-/// Max bytes a lane credit grabs from the global account in one RMW.
+/// Max bytes a session credit grabs from the global account in one RMW.
 const CREDIT_CHUNK_CAP: usize = 32 << 10;
 
-/// A lane's chunked pre-payment against the global renamed-bytes
-/// account. One per [`Submitter`](crate::Submitter) (and per
-/// [`Session`](crate::Session), which wraps a lane): instead of one
-/// contended `fetch_add` per renamed version, the lane grabs up to
+/// A session's chunked pre-payment against the global renamed-bytes
+/// account. One per [`Session`](crate::Session): instead of one
+/// contended `fetch_add` per renamed version, the session grabs up to
 /// [`CREDIT_CHUNK_CAP`] bytes at a time and covers subsequent tickets
 /// from the local surplus — a `Cell`, single-threaded like the
-/// `Submitter` itself.
+/// `Session` itself.
 ///
 /// The surplus is real debt against the global account: `live_bytes`
-/// over-reports by exactly the sum of lane surpluses, which errs toward
-/// throttling (safe) and is bounded by `lanes × CREDIT_CHUNK_CAP`. The
-/// surplus is returned by [`release`](Self::release) — called when the
-/// lane hits the memory-limit wait (so the wait observes true bytes)
-/// and unconditionally by Drop, which is what keeps a `Submitter`
-/// dropped mid-graph from leaking its un-returned debt in the global
+/// over-reports by exactly the sum of session surpluses, which errs
+/// toward throttling (safe) and is bounded by `sessions ×
+/// CREDIT_CHUNK_CAP`. The surplus is returned by
+/// [`release`](Self::release) — called when the session hits the
+/// memory-limit wait (so the wait observes true bytes) and
+/// unconditionally by Drop, which is what keeps a `Session` dropped
+/// mid-graph from leaking its un-returned debt in the global
 /// throttle account forever.
 pub(crate) struct ByteCredit {
     surplus: Cell<usize>,
@@ -158,7 +158,7 @@ impl ByteCredit {
         }
     }
 
-    /// Cover a `bytes`-sized ticket from the lane surplus, growing the
+    /// Cover a `bytes`-sized ticket from the surplus, growing the
     /// surplus with one chunked global `fetch_add` when it runs dry.
     /// Always succeeds (returns `true`: the ticket is prepaid).
     pub(crate) fn cover(&self, bytes: usize) -> bool {

@@ -46,7 +46,7 @@
 //! `Arc` clone per parameter) while *inside* the cell. The cell is not
 //! a lock, so no lock-ordering concern arises from taking the
 //! structural-recording mutex within it. The region frontier's mutex is
-//! a real lock, but workers never take it: only the spawning lane (here,
+//! a real lock, but workers never take it: only the spawners (here,
 //! in `region_deps`) and the main thread's `with_region` /
 //! `update_region` waits do. The analyser takes the graph mutex inside
 //! it, and nothing acquires the frontier mutex while holding the graph
@@ -70,7 +70,7 @@ pub(crate) fn read<T: TaskData, H: SpawnHost>(
     sp: &TaskSpawner<'_, H>,
     h: &Handle<T>,
 ) -> ReadBinding<T> {
-    let _lane = sp.lane_enter(h.obj.id);
+    let _lane = sp.lane_enter();
     let mut st = h.obj.state.lock();
     if !sp.renaming() {
         st.readers_list.push(Arc::clone(sp.node()));
@@ -89,7 +89,7 @@ pub(crate) fn write<T: TaskData, H: SpawnHost>(
     sp: &TaskSpawner<'_, H>,
     h: &Handle<T>,
 ) -> WriteBinding<T> {
-    let _lane = sp.lane_enter(h.obj.id);
+    let _lane = sp.lane_enter();
     if sp.renaming() {
         let mut renamed = false;
         let binding = {
@@ -134,7 +134,7 @@ pub(crate) fn inout<T: TaskData, H: SpawnHost>(
     sp: &TaskSpawner<'_, H>,
     h: &Handle<T>,
 ) -> WriteBinding<T> {
-    let _lane = sp.lane_enter(h.obj.id);
+    let _lane = sp.lane_enter();
     if sp.renaming() {
         let mut renamed = false;
         let mut st = h.obj.state.lock();
@@ -275,12 +275,11 @@ fn region_deps<T: RegionData, H: SpawnHost>(
     region: &Region,
     write: bool,
 ) {
-    // Region analysis gates on the lane of the region's representant
-    // object id, like scalar analysis gates on the object id: the
-    // frontier mutex alone would keep the data safe, but the lane keeps
-    // one region's analysis ordered with respect to the rest of its
-    // lane's universe on a sharded runtime.
-    let _lane = sp.lane_enter(h.obj.id);
+    // Region analysis enters the analysis gate like scalar analysis
+    // does: the frontier mutex alone would keep the data safe, but the
+    // gate keeps one region's analysis ordered with respect to every
+    // other spawner's once sessions are open.
+    let _lane = sp.lane_enter();
     // Finished producers can no longer gate anything; the frontier lets
     // them go unless the structural recorder needs the history.
     let prune = !sp.record_graph();
@@ -293,19 +292,24 @@ fn region_deps<T: RegionData, H: SpawnHost>(
 
 /// The frontier's view of the spawning task: its three ways of linking
 /// a producer (direct, through a fresh join, through a memoised join),
-/// and the way back into the lane cache for the nodes the frontier lets
+/// and the way back into the spawner's cache for the nodes the frontier lets
 /// go of — the same rule as for a producer a writer displaces.
 impl<H: SpawnHost> Linker for &TaskSpawner<'_, H> {
     fn link(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
         TaskSpawner::link(self, producer, kind);
     }
 
+    fn gate(&mut self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+        TaskSpawner::gate(self, producer, kind);
+    }
+
     fn link_new_join(
         &mut self,
         members: &[(Arc<TaskNode>, EdgeKind)],
         kind: EdgeKind,
+        recorded: &[(TaskId, EdgeKind)],
     ) -> Arc<TaskNode> {
-        TaskSpawner::link_new_join(self, members, kind)
+        TaskSpawner::link_new_join(self, members, kind, recorded)
     }
 
     fn link_join(&mut self, join: &Arc<TaskNode>, kind: EdgeKind, recorded: &[(TaskId, EdgeKind)]) {

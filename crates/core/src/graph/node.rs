@@ -39,7 +39,7 @@
 //! - finished nodes are returned to a runtime-wide free stack through
 //!   the intrusive `free_next` hook (see
 //!   `Shared::recycle_node`), and producers a writer displaces from an
-//!   object go back to the spawner's lane cache (`runtime::shard`);
+//!   object go back to the spawner's own cache (`runtime::shard`);
 //!   the spawner proves exclusive ownership (`exclusive_node_mut`) and
 //!   resets them (`reset_for_reuse`) — steady-state spawning performs
 //!   **zero** allocations.
@@ -54,7 +54,7 @@
 //! releases its last dependency completes it on the spot, inside the
 //! same successor walk (see `release_successors`), so its consumers are
 //! released exactly as if they had been linked to the producers
-//! directly — poison included. Joins come from the spawning lane's
+//! directly — poison included. Joins come from the spawner's
 //! node cache and go back to it when the region frontier lets go of a
 //! spent one, like the producers it drops.
 
@@ -62,7 +62,7 @@ use std::alloc::{self, Layout};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::ids::TaskId;
@@ -426,13 +426,6 @@ pub struct TaskNode {
     /// Written exactly once per lifecycle, by the completing thread as
     /// it pushes the node; cleared on reset.
     pub(crate) free_next: AtomicPtr<TaskNode>,
-    /// Analysis lane whose pool this node belongs to (0 for the main
-    /// runtime and every unsharded build). Stamped by the acquiring
-    /// lane pre-publication — the publication's Release/Acquire edges
-    /// carry it to the completing worker, which routes the recycled
-    /// node back to that lane's free stack so per-lane pools stay
-    /// balanced under multi-submitter spawning.
-    home: AtomicU32,
     /// Spare successor links harvested by `complete`: the walked list's
     /// link nodes, succ slots dead, chained for reuse as a [`SpareRing`]
     /// (its tail here, its length in `spare_len`). Written by the
@@ -444,7 +437,7 @@ pub struct TaskNode {
     spare_links: UnsafeCell<*mut SuccNode>,
     spare_len: UnsafeCell<u32>,
     /// The session this task was admitted under, or null for the
-    /// runtime's own session 0 (plain `Runtime`/`Submitter` spawns, and
+    /// runtime's own session 0 (plain `Runtime` spawns, and
     /// every pre-session build — the common case). Stamped by the
     /// session's spawn path pre-publication (a plain store the
     /// publication's Release/Acquire edges carry), nulled on reset. The
@@ -499,7 +492,6 @@ impl TaskNode {
             body: UnsafeCell::new(BodySlot::empty()),
             succs: AtomicPtr::new(ptr::null_mut()),
             free_next: AtomicPtr::new(ptr::null_mut()),
-            home: AtomicU32::new(0),
             spare_links: UnsafeCell::new(ptr::null_mut()),
             spare_len: UnsafeCell::new(0),
             sess_ctl: AtomicPtr::new(ptr::null_mut()),
@@ -569,19 +561,6 @@ impl TaskNode {
 
     pub(crate) fn set_high_priority(&self) {
         self.high.store(true, Ordering::Relaxed);
-    }
-
-    /// Stamp the owning analysis lane (pre-publication plain store;
-    /// see the [`home`](Self::home) field docs).
-    #[inline]
-    pub(crate) fn set_home(&self, lane: usize) {
-        self.home.store(lane as u32, Ordering::Relaxed);
-    }
-
-    /// The analysis lane whose pool recycles this node.
-    #[inline]
-    pub(crate) fn home(&self) -> usize {
-        self.home.load(Ordering::Relaxed) as usize
     }
 
     /// Stamp the owning session (pre-publication plain store; see the
@@ -843,7 +822,7 @@ impl TaskNode {
     }
 
     /// [`complete`](Self::complete) on the thread that registers
-    /// successors: the main thread of an unsharded runtime. Only that
+    /// successors: the main thread before any session opens. Only that
     /// thread ever calls [`add_successor_with`](Self::add_successor_with),
     /// so when it completes a task no push can race the close, and the
     /// close and the finish flag become plain stores. Every later

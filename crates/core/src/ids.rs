@@ -46,9 +46,8 @@ impl fmt::Debug for ObjectId {
 /// front door — see [`Session`](crate::Session)).
 ///
 /// Session 0 is the runtime itself: tasks spawned through
-/// [`Runtime::task`](crate::Runtime::task) or a bare
-/// [`Submitter`](crate::Submitter) carry it and are subject to no
-/// per-session quota. Real sessions are numbered from 1 in creation
+/// [`Runtime::task`](crate::Runtime::task) carry it and are subject to
+/// no per-session quota. Real sessions are numbered from 1 in creation
 /// order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SessionId(pub u32);

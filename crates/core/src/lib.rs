@@ -78,7 +78,6 @@ pub use fault::FaultPlan;
 pub use graph::record::GraphRecord;
 pub use ids::{ObjectId, SessionId, TaskId};
 pub use runtime::session::{OverloadReason, Overloaded, Session};
-pub use runtime::shard::Submitter;
 pub use runtime::spawner::TaskSpawner;
 pub use runtime::{CancelledTask, Priority, Runtime, RuntimeBuildError, TaskFailure, TaskFailures};
 pub use sched::TaskSource;

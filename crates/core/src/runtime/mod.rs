@@ -2,13 +2,11 @@
 //! blocking conditions, and runtime introspection.
 
 pub mod session;
-pub mod shard;
+pub(crate) mod shard;
 pub mod spawner;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{
-    AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -196,31 +194,30 @@ pub struct Shared {
     pub(crate) tracer: Option<TraceCollector>,
     pub(crate) sleep: SleepCtl,
     pub(crate) shutdown: AtomicBool,
-    /// Per-lane heads of the intrusive free stacks of recycled task
-    /// nodes (the spawn-side node pool; one stack per analysis lane,
-    /// one lane total at `shards(1)`). Completing threads push finished
-    /// nodes through [`TaskNode::free_next`] onto the stack of the
-    /// node's **home lane** (stamped at acquire); only that lane's
-    /// caches (`shard::LaneCache`) pop, each with a single `swap` that
-    /// detaches the whole chain, so no pop can see ABA. Padded: every
-    /// worker CAS-pushes here once per task while the spawner swaps it.
-    pub(crate) free_nodes: Box<[CachePadded<AtomicPtr<TaskNode>>]>,
-    /// One [`LaneGate`](shard::LaneGate) per analysis lane: entry
-    /// tickets to each lane's `SpawnerCell` universe. Only taken once
-    /// [`concurrent_spawners`](Shared::concurrent_spawners) — the
-    /// single-spawner path never touches them.
-    pub(crate) lanes: Box<[shard::LaneGate]>,
-    /// The spawner mode ([`SINGLE`], [`CONCURRENT`], [`SESSIONS`]),
-    /// observed, not configured; [`Runtime::latch_spawners`] is its only
-    /// writer. Padded: the spawn path and the workers read it per task.
-    pub(crate) spawners: CachePadded<AtomicU8>,
+    /// Head of the intrusive free stack of recycled task nodes (the
+    /// spawn-side node pool). Completing threads push finished nodes
+    /// through [`TaskNode::free_next`]; the spawners' caches
+    /// (`shard::LaneCache`) pop, each with a single `swap` that detaches
+    /// the whole chain, so no pop can see ABA. Padded: every worker
+    /// CAS-pushes here once per task while the spawner swaps it.
+    pub(crate) free_nodes: CachePadded<AtomicPtr<TaskNode>>,
+    /// The analysis gate ([`LaneGate`](shard::LaneGate)): the entry
+    /// ticket to every object's `SpawnerCell`. Only taken once
+    /// [`sessions_used`](Shared::sessions_used) — the single-spawner
+    /// path never touches it.
+    pub(crate) lane: shard::LaneGate,
+    /// The spawner mode: false while only the main thread spawns
+    /// (§III), true once a session has been opened. Observed, not
+    /// configured; [`Runtime::latch_spawners`] is its only writer.
+    /// Padded: the spawn path and the workers read it per task.
+    pub(crate) sessions: CachePadded<AtomicBool>,
     /// Latches true on the first failed or cancelled task. The
-    /// `OnPanic::FailFast` probe and [`Submitter::has_failures`]
-    /// (shard.rs stays greppably mutex-free) read only this flag, never
-    /// the registry below. Padded: under `FailFast` it is probed once
-    /// per task.
+    /// `OnPanic::FailFast` probe and [`Session::has_failures`]
+    /// (session.rs stays greppably mutex-free) read only this flag,
+    /// never the registry below. Padded: under `FailFast` it is probed
+    /// once per task.
     ///
-    /// [`Submitter::has_failures`]: shard::Submitter::has_failures
+    /// [`Session::has_failures`]: session::Session::has_failures
     pub(crate) faulted: CachePadded<AtomicBool>,
     /// Failure registry, drained by [`Runtime::wait_all`]. Mutex-backed
     /// deliberately: it is written only when a task actually panics or
@@ -243,7 +240,7 @@ pub struct Shared {
     /// the raw session pointers stamped on task nodes stay valid (see
     /// `TaskNode::sess_ctl`). Mutex-backed like `failures`: touched at
     /// session open and at `wait_all`'s fault reset, never per task.
-    pub(crate) sessions: Mutex<Vec<Arc<session::SessionCtl>>>,
+    pub(crate) registry: Mutex<Vec<Arc<session::SessionCtl>>>,
     /// Session id mint (1-based; 0 is [`SessionId::NONE`]).
     pub(crate) next_session: AtomicU32,
     /// Sampled body cost per task name, which decides whether a
@@ -251,17 +248,10 @@ pub struct Shared {
     /// (`Runtime::publish_born_ready`). `Some` on at least two threads,
     /// and read only through [`inline_costs`](Shared::inline_costs),
     /// which also requires the single-spawner mode. At `threads(1)`
-    /// there is no hand-off to save, and submitter and session threads
-    /// are producers whose time belongs to the caller.
+    /// there is no hand-off to save, and session threads are producers
+    /// whose time belongs to the caller.
     costs: Option<CostTable>,
 }
-
-/// Spawner modes: only the main thread spawns (§III); submitter lanes
-/// may spawn beside it; and a session is open, so tasks may carry a
-/// session stamp that workers honour.
-pub(crate) const SINGLE: u8 = 0;
-pub(crate) const CONCURRENT: u8 = 1;
-pub(crate) const SESSIONS: u8 = 2;
 
 /// The failure registry payload: every panicked and every cancelled
 /// task since the last [`Runtime::wait_all`] drain.
@@ -276,7 +266,6 @@ impl Shared {
     /// finished shard and one stealer per thread).
     fn build(cfg: RuntimeConfig, stealers: Vec<Stealer<Job>>) -> Shared {
         let n = cfg.threads;
-        let shards = cfg.shards;
         // Spare cap: the explicit knob, else the memory limit (spares
         // should never out-budget the throttle), else a fixed default.
         let cap = cfg
@@ -302,16 +291,14 @@ impl Shared {
             next_obj: AtomicU64::new(0),
             sleep: SleepCtl::new(n),
             shutdown: AtomicBool::new(false),
-            free_nodes: (0..shards)
-                .map(|_| CachePadded::new(AtomicPtr::new(std::ptr::null_mut())))
-                .collect(),
-            lanes: (0..shards).map(|_| shard::LaneGate::new()).collect(),
-            spawners: CachePadded::new(AtomicU8::new(SINGLE)),
+            free_nodes: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
+            lane: shard::LaneGate::new(),
+            sessions: CachePadded::new(AtomicBool::new(false)),
             faulted: CachePadded::new(AtomicBool::new(false)),
             failures: Mutex::new(FailureLog::default()),
             epoch: Instant::now(),
             faulted0: AtomicBool::new(false),
-            sessions: Mutex::new(Vec::new()),
+            registry: Mutex::new(Vec::new()),
             next_session: AtomicU32::new(0),
             costs: (n >= 2).then(CostTable::new),
         }
@@ -327,7 +314,7 @@ impl Shared {
     /// Ask the version slab to free dead parked spares until the live
     /// account fits `limit` again; returns the bytes released. This is
     /// what makes the §III blocking conditions real backpressure: the
-    /// throttle, the submitter backoff loop and the session quota probe
+    /// throttle, the session-side throttle and the session quota probe
     /// all reclaim before (and instead of) waiting. Cheap when there is
     /// nothing to do — under the limit, or nothing parked.
     pub(crate) fn reclaim_spares(&self, limit: usize) -> usize {
@@ -349,27 +336,22 @@ impl Shared {
         self.slab.reclaim(want)
     }
 
-    /// Has a [`Submitter`](shard::Submitter) or a
-    /// [`Session`](session::Session) been handed out? One Relaxed load,
-    /// read on the main thread's paths, which see their own latch store.
-    #[inline]
-    pub(crate) fn concurrent_spawners(&self) -> bool {
-        self.spawners.load(Ordering::Relaxed) != SINGLE
-    }
-
-    /// Has any [`Runtime::session`] been opened? One Relaxed load. A
-    /// worker reads it after taking a task, and the queue hand-over
-    /// orders the latch before any session task's spawn.
+    /// Has any [`Runtime::session`] been opened, so that threads other
+    /// than the main thread may spawn and tasks may carry a session
+    /// stamp? One Relaxed load. The main thread's paths see their own
+    /// latch store; a worker reads it after taking a task, and the
+    /// queue hand-over orders the latch before any session task's
+    /// spawn.
     #[inline]
     pub(crate) fn sessions_used(&self) -> bool {
-        self.spawners.load(Ordering::Relaxed) == SESSIONS
+        self.sessions.load(Ordering::Relaxed)
     }
 
     /// The cost table while inline runs apply (one spawner); later
     /// samples would decide nothing.
     #[inline]
     pub(crate) fn inline_costs(&self) -> Option<&CostTable> {
-        self.costs.as_ref().filter(|_| !self.concurrent_spawners())
+        self.costs.as_ref().filter(|_| !self.sessions_used())
     }
 
     /// Has a task spawned *outside* any session panicked since the last
@@ -384,7 +366,7 @@ impl Shared {
     /// registry locking lives here so `session.rs` stays under the
     /// no-mutex test.
     pub(crate) fn register_session(&self, ctl: &Arc<session::SessionCtl>) {
-        self.sessions.lock().push(Arc::clone(ctl));
+        self.registry.lock().push(Arc::clone(ctl));
         self.stats.sessions_opened();
     }
 
@@ -502,17 +484,14 @@ impl Shared {
         spawned.saturating_sub(self.finished_total()) as usize
     }
 
-    /// Hand a finished node to the spawn-side pool of its **home lane**
-    /// (always lane 0 at `shards(1)`). Called by the thread that ran the
-    /// task, after `complete` — the last point the runtime touches the
-    /// node. The node may still be referenced elsewhere (e.g. as an
+    /// Hand a finished node to the spawn-side pool. Called by the thread
+    /// that ran the task, after `complete` and before the completion
+    /// counts — the last point the runtime touches the node. The node may still be referenced elsewhere (e.g. as an
     /// object's producer); the pool proves exclusivity with
     /// `Arc::get_mut` before reuse.
     #[inline]
     pub(crate) fn recycle_node(&self, node: Arc<TaskNode>) {
-        let lane = node.home();
-        debug_assert!(lane < self.free_nodes.len(), "home lane out of range");
-        let stack = &self.free_nodes[lane];
+        let stack = &self.free_nodes;
         let raw = Arc::into_raw(node) as *mut TaskNode;
         let mut head = stack.load(Ordering::Relaxed);
         loop {
@@ -530,16 +509,14 @@ impl Shared {
 
 impl Drop for Shared {
     fn drop(&mut self) {
-        // Release the strong references parked in the free stacks.
-        for stack in self.free_nodes.iter_mut() {
-            let mut p = *stack.get_mut();
-            while !p.is_null() {
-                // SAFETY: exclusive access in Drop; pointers came from
-                // `Arc::into_raw`.
-                let next = unsafe { *(*p).free_next.get_mut() };
-                drop(unsafe { Arc::from_raw(p) });
-                p = next;
-            }
+        // Release the strong references parked in the free stack.
+        let mut p = *self.free_nodes.get_mut();
+        while !p.is_null() {
+            // SAFETY: exclusive access in Drop; pointers came from
+            // `Arc::into_raw`.
+            let next = unsafe { *(*p).free_next.get_mut() };
+            drop(unsafe { Arc::from_raw(p) });
+            p = next;
         }
     }
 }
@@ -563,11 +540,10 @@ impl Drop for Shared {
 /// require_sync::<smpss::Runtime>();
 /// ```
 ///
-/// Sharded analysis ([`shards(n)`](crate::RuntimeBuilder::shards)) does
-/// not relax this: the runtime stays one main thread. Extra analysis
-/// capacity comes from [`Submitter`](crate::Submitter) lanes
-/// ([`submitters`](Runtime::submitters)), each itself `Send + !Sync`
-/// and pinned to one producer thread.
+/// Sessions do not relax this: the runtime stays one main thread.
+/// Other threads spawn through [`Session`](session::Session)s
+/// ([`session`](Runtime::session)), each itself `Send + !Sync` and
+/// pinned to one producer thread.
 pub struct Runtime {
     pub(crate) shared: Arc<Shared>,
     /// The main thread's scheduling state (thread index 0): own ready
@@ -580,9 +556,9 @@ pub struct Runtime {
     /// Monotonic-safe: the bound only lags, so `spawned - bound` only
     /// overestimates liveness — the throttle can never under-block.
     finished_seen: Cell<u64>,
-    /// Lane 0's cache of recycled task nodes and spare successor links:
-    /// the spawn-side pool of the main thread, shared by no one else
-    /// (its `RefCell`s keep `Runtime: !Sync` too).
+    /// The main thread's cache of recycled task nodes and spare
+    /// successor links, shared by no one else (its `RefCell`s keep
+    /// `Runtime: !Sync` too).
     cache: shard::LaneCache,
     joins: Vec<std::thread::JoinHandle<()>>,
 }
@@ -637,7 +613,7 @@ impl Runtime {
             }
         }
         Ok(Runtime {
-            cache: shard::LaneCache::new(Arc::clone(&shared), 0),
+            cache: shard::LaneCache::new(Arc::clone(&shared)),
             shared,
             main_ctx: RefCell::new(WorkerCtx::new(main_local)),
             finished_seen: Cell::new(0),
@@ -775,20 +751,20 @@ impl Runtime {
     pub fn barrier(&self) {
         self.shared.stats.barriers();
         self.shared.trace_event(0, EventKind::BarrierBegin);
-        // Submitter lanes and sessions may still be spawning, so the
-        // spawn count is **not** stable here: re-read it every pass. The
-        // barrier quiesces every task spawned up to the moment both
-        // counters agree; join (or pause) the submitter threads first
-        // for a full program quiesce. Drain on the cached finished lower
-        // bound: while the main thread is helping, each run task
-        // advances the bound by one (its own completion is real), so the
-        // busy loop never pays the cross-shard sum; only an idle pass
-        // (workers hold the last tasks) re-sums before waiting. The wait
-        // is a worker's: spin within the window, then park in slot 0.
-        // The park's re-scan re-reads both counters after announcing,
-        // and the last worker completion pairs its finished-shard store
-        // with that announcement (`finish_task`'s all-done wake), so
-        // the barrier needs no timeout.
+        // Sessions may still be spawning, so the spawn count is **not**
+        // stable here: re-read it every pass. The barrier quiesces every
+        // task spawned up to the moment both counters agree; join (or
+        // pause) the session threads first for a full program quiesce.
+        // Drain on the cached finished lower bound: while the main
+        // thread is helping, each run task advances the bound by one
+        // (its own completion is real), so the busy loop never pays the
+        // cross-shard sum; only an idle pass (workers hold the last
+        // tasks) re-sums before waiting. The wait is a worker's: spin
+        // within the window, then park in slot 0. The park's re-scan
+        // re-reads both counters after announcing, and the last worker
+        // completion pairs its finished-shard store with that
+        // announcement (`finish_task`'s all-done wake), so the barrier
+        // needs no timeout.
         let mut seen = self.finished_seen.get();
         let mut idle = Idle::default();
         loop {
@@ -855,7 +831,7 @@ impl Runtime {
             // or expired session never silently resumes — open a new
             // one.
             self.shared.faulted0.store(false, Ordering::Relaxed);
-            for ctl in self.shared.sessions.lock().iter() {
+            for ctl in self.shared.registry.lock().iter() {
                 ctl.clear_faulted();
             }
         }
@@ -888,13 +864,13 @@ impl Runtime {
     /// # rt.barrier();
     /// ```
     pub fn wait_on<T: TaskData>(&self, h: &Handle<T>) {
-        // Once submitters or sessions exist, one may be analysing a task
-        // on this object right now: enter its lane before touching the
+        // Once sessions exist, one may be analysing a task on this
+        // object right now: enter the gate before touching the
         // `SpawnerCell`. (The probe only synchronises with tasks spawned
-        // so far — quiesce any submitter that may still *write* `h`
+        // so far — quiesce any session that may still *write* `h`
         // before relying on the result.)
         self.help_until(|| {
-            let _lane = self.lane_enter(h.obj.id);
+            let _lane = self.lane_enter();
             let st = h.obj.state.lock();
             st.current
                 .producer
@@ -907,11 +883,11 @@ impl Runtime {
     /// Wait for `h` to be produced, then return a copy of its value.
     pub fn read<T: TaskData>(&self, h: &Handle<T>) -> T {
         self.wait_on(h);
-        let _lane = self.lane_enter(h.obj.id);
+        let _lane = self.lane_enter();
         let st = h.obj.state.lock();
         // SAFETY: the producer has finished and no new writer can appear
         // — the main thread is right here, and with other spawners the
-        // caller quiesces submitters that write `h` first (see
+        // caller quiesces sessions that write `h` first (see
         // `wait_on`); concurrent readers share immutably.
         unsafe { st.current.buf.peek().clone() }
     }
@@ -920,15 +896,15 @@ impl Runtime {
     /// then mutate it in place from the main thread.
     pub fn update<T: TaskData>(&self, h: &Handle<T>, f: impl FnOnce(&mut T)) {
         let (_lane, st) = self.help_until(|| {
-            let lane = self.lane_enter(h.obj.id);
+            let lane = self.lane_enter();
             let st = h.obj.state.lock();
             let settled = st.current.producer.as_ref().is_none_or(|p| p.is_finished())
                 && st.current.buf.window().pending_acquire() == 0;
             settled.then_some((lane, st))
         });
         // SAFETY: no producer running, no pending readers, and no
-        // concurrent spawns on this object — the lane and the object's
-        // state are held for the mutation, and submitters that access
+        // concurrent spawns on this object — the gate and the object's
+        // state are held for the mutation, and sessions that access
         // `h` must be quiesced by the caller (see `wait_on`).
         unsafe { f(st.current.buf.peek_mut()) };
     }
@@ -951,9 +927,9 @@ impl Runtime {
 
     /// Help until every task that accessed `h` has finished, and return
     /// the locked frontier. While the guard is held no task can gain
-    /// access to the buffer: every spawner — the main thread, a
-    /// submitter or a session — records a region access under this
-    /// same mutex (`dep::region_deps`), so no new accessor can appear.
+    /// access to the buffer: every spawner — the main thread or a
+    /// session — records a region access under this same mutex
+    /// (`dep::region_deps`), so no new accessor can appear.
     fn region_settled<'a, T: RegionData>(
         &self,
         h: &'a RegionHandle<T>,
@@ -967,7 +943,7 @@ impl Runtime {
     /// The one helping wait: run `probe` until it yields, helping run a
     /// task (or yielding when none is ready) between probes, then
     /// republish any deferred hand-off before returning the probe's
-    /// value. Whatever the value holds (a lane entry, a lock) is held
+    /// value. Whatever the value holds (a gate entry, a lock) is held
     /// across that republication and released by the caller.
     fn help_until<R>(&self, mut probe: impl FnMut() -> Option<R>) -> R {
         let out = loop {
@@ -1066,13 +1042,21 @@ impl Runtime {
             find_task(&self.shared, &mut ctx, 0).map(|(job, src)| (job, src, false))
         };
         if let Some((job, src, owned)) = found {
-            let (done, handoff) = run_task(&self.shared, &mut ctx, 0, job, src, true, owned);
+            // While the main thread is the only spawner the node skips
+            // the shared free stack for its own cache. Once sessions
+            // spawn it goes back to that stack, as a worker's does: the
+            // main thread may never spawn again, and its cache would
+            // keep the node from the sessions.
+            let handoff = run_task(&self.shared, &mut ctx, 0, job, src, true, owned, |done| {
+                if self.shared.sessions_used() {
+                    self.shared.recycle_node(done);
+                } else {
+                    self.cache.cache_node(done);
+                }
+            });
             if handoff.is_some() {
                 ctx.pending = handoff;
             }
-            // The main thread is lane 0's spawner, so the node skips
-            // the shared free stack.
-            self.cache.cache_node(done);
             true
         } else {
             false
@@ -1102,7 +1086,7 @@ impl Runtime {
     /// owned. Counted as an own-list pop of thread 0 and in
     /// `inline_runs`.
     fn run_inline(&self, job: Job) {
-        let (done, handoff) = {
+        let handoff = {
             let mut ctx = self.main_ctx.borrow_mut();
             run_task(
                 &self.shared,
@@ -1112,6 +1096,7 @@ impl Runtime {
                 TaskSource::OwnList,
                 false,
                 true,
+                |done| self.cache.cache_node(done),
             )
         };
         debug_assert!(handoff.is_none(), "hand-off declined");
@@ -1119,64 +1104,51 @@ impl Runtime {
         // Our own completion: the cached finished lower bound stays a
         // lower bound, and the next barrier need not re-sum the shards.
         self.finished_seen.set(self.finished_seen.get() + 1);
-        self.cache.cache_node(done);
     }
 
-    /// Move the spawner mode forward to `mode` ([`CONCURRENT`] or
-    /// [`SESSIONS`]). The only writer of [`Shared::spawners`] and of the
-    /// copies `Stats` and the version slab keep for their hot paths;
-    /// [`submitters`](Runtime::submitters) and [`session`](Runtime::session)
-    /// call it before they build their first handle.
+    /// Latch the spawner mode to sessions. The only writer of
+    /// [`Shared::sessions`] and of the copies `Stats` and the version
+    /// slab keep for their hot paths; [`session`](Runtime::session)
+    /// calls it before it builds its handle.
     ///
     /// Before the latch the main thread takes the single-spawner paths
-    /// (load+store ids and spawner counters, no lane gate, tripwire
+    /// (load+store ids and spawner counters, no analysis gate, tripwire
     /// shelf entry, inline runs, plain successor-list close). None of
-    /// them can race a concurrent spawner:
+    /// them can race a session:
     ///
     /// 1. before the latch, only the main thread spawns (`Runtime` is
-    ///    `!Sync`, and no submitter or session exists yet);
-    /// 2. the latch stores are sequenced before any handle exists, and
-    ///    the main thread, being here, is inside none of those paths;
-    /// 3. moving a handle to another thread synchronises, so all of it
-    ///    happens-before the first concurrent spawn, which reads the
-    ///    concurrent copies.
+    ///    `!Sync`, and no session exists yet);
+    /// 2. the latch stores are sequenced before the first session
+    ///    exists, and the main thread, being here, is inside none of
+    ///    those paths;
+    /// 3. moving a session to another thread synchronises, so all of it
+    ///    happens-before the session's first spawn, which takes the
+    ///    concurrent paths unconditionally.
     ///
-    /// Submitters never read the mode; workers read only the sessions
-    /// level, after taking a task whose spawn the latch precedes.
-    fn latch_spawners(&self, mode: u8) {
+    /// After the latch the main thread reads its own stores and takes
+    /// the concurrent paths too. Sessions never read the mode; workers
+    /// read it after taking a task, whose spawn the latch precedes.
+    fn latch_spawners(&self) {
         let shared = &*self.shared;
-        if shared.spawners.load(Ordering::Relaxed) >= mode {
+        if shared.sessions_used() {
             return;
         }
         shared.stats.concurrent.store(true, Ordering::Relaxed);
         shared.slab.concurrent.store(true, Ordering::Relaxed);
-        shared.spawners.store(mode, Ordering::Relaxed);
+        shared.sessions.store(true, Ordering::Relaxed);
     }
 }
 
 /// The [`Runtime`] itself is the canonical spawn host: the paper's
-/// master thread, spawning through lane 0's cache. Single-writer id
-/// minting and inline runs stay exclusive to this impl; once other
-/// threads may spawn (see [`Runtime::latch_spawners`]) its id counter
-/// switches to the same RMW the submitter lanes use, and its object
-/// accesses gate like any other lane's.
+/// master thread, spawning through its own cache. Single-writer id
+/// minting and inline runs stay exclusive to this impl; once sessions
+/// may spawn (see [`Runtime::latch_spawners`]) its id counter switches
+/// to the same RMW the sessions use, and its object accesses enter the
+/// analysis gate like theirs.
 impl SpawnHost for Runtime {
     #[inline]
     fn lane_cache(&self) -> &shard::LaneCache {
         &self.cache
-    }
-
-    #[inline]
-    fn next_task_id(&self) -> TaskId {
-        if self.shared.concurrent_spawners() {
-            TaskId(self.shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
-        } else {
-            // Single writer (`Runtime: !Sync` pins spawning to one
-            // thread): load+store avoids a locked RMW per task.
-            let next = self.shared.next_task.load(Ordering::Relaxed) + 1;
-            self.shared.next_task.store(next, Ordering::Relaxed);
-            TaskId(next)
-        }
     }
 
     /// Publish a task that is ready at submit time. Two cases, first
@@ -1290,19 +1262,6 @@ impl SpawnHost for Runtime {
                 self.finish_helping();
                 self.shared.trace_event(0, EventKind::BarrierEnd);
             }
-        }
-    }
-
-    /// Gates only once submitter or session threads may be analysing
-    /// concurrently. Until then (and forever on a runtime that opens
-    /// neither) this is one load and no RMW: the main thread is the
-    /// only spawner, exactly the paper's model.
-    #[inline]
-    fn lane_enter(&self, id: ObjectId) -> Option<shard::LaneEntry<'_>> {
-        if self.shared.concurrent_spawners() {
-            Some(self.shared.lane_enter(id))
-        } else {
-            None
         }
     }
 }

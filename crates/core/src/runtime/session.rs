@@ -1,7 +1,8 @@
 //! The multi-session front door: admission control, deadlines,
 //! per-session cancellation and graceful overload shedding.
 //!
-//! A [`Session`] is a tenant's handle onto a shared runtime: every task
+//! A [`Session`] is a tenant's handle onto a shared runtime, and the one
+//! way for a thread other than the main thread to spawn: every task
 //! spawned through it is stamped with the session's control block, and
 //! three per-tenant behaviours hang off that stamp —
 //!
@@ -33,8 +34,8 @@
 //! A runtime that never opens a session pays exactly one always-false
 //! padded load per task (`Shared::sessions_used`, the same trick as
 //! the fault probe) — no session pointer is ever read or written. The
-//! first [`Runtime::session`] call moves the runtime's spawner mode to
-//! sessions; nothing on the builder opts in.
+//! first [`Runtime::session`] call latches the runtime's spawner mode
+//! to sessions; nothing on the builder opts in.
 //! The admission path itself is atomics + backoff only: the session
 //! registry's locking lives behind `Shared` methods in `runtime/mod.rs`,
 //! and a unit test below (plus the workspace test
@@ -49,9 +50,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::AdmissionPolicy;
+use crate::data::version::{ByteCredit, TicketCharge};
 use crate::ids::SessionId;
 use crate::padded::CachePadded;
-use crate::runtime::shard::Submitter;
+use crate::runtime::shard::LaneCache;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
 use crate::runtime::{Runtime, Shared, TaskFailures};
 use crate::sched::queues::Backoff;
@@ -271,11 +273,19 @@ impl std::fmt::Display for Overloaded {
 
 impl std::error::Error for Overloaded {}
 
-/// One tenant's front door onto a shared [`Runtime`]: a [`Submitter`]
-/// lane that stamps its tasks with the session, plus admission control.
-/// Created by [`Runtime::session`]; `Send + !Sync` like the submitter it
-/// is — move it onto the tenant's thread and spawn through
-/// [`task`](Session::task).
+/// One tenant's front door onto a shared [`Runtime`]: a spawner that
+/// stamps its tasks with the session, plus admission control. Created
+/// by [`Runtime::session`]; `Send + !Sync` — move it onto the tenant's
+/// thread and spawn through [`task`](Session::task). Any number of
+/// sessions may spawn at once, beside the main thread: the analysis
+/// sequence, renaming decisions and recorded graph are the main
+/// thread's, only the id mint turns into an RMW and every object access
+/// enters the runtime's one analysis gate.
+///
+/// A session does not run tasks. A runtime whose sessions meet a §III
+/// blocking condition should keep `threads >= 2`: the session-side
+/// throttle waits for workers to drain the graph rather than helping
+/// (it has no scheduling context to help with).
 ///
 /// ```
 /// # use smpss::Runtime;
@@ -292,13 +302,19 @@ impl std::error::Error for Overloaded {}
 /// assert_eq!(rt.read(&x), 7);
 /// ```
 pub struct Session {
-    /// The analysis lane this session spawns through (lane index
-    /// `(id - 1) % shards`), carrying `ctl`: the session spawns exactly
-    /// as a submitter does — same id minting, pools, publication and
-    /// throttle, so its recorded graph is bit-identical to a submitter
-    /// run's — and the lane stamps every node it acquires with `ctl`.
-    sub: Submitter,
+    /// This session's recycled nodes and spare links.
+    cache: LaneCache,
+    /// Stamped on every node the session acquires; renamed versions
+    /// are attributed to it.
     ctl: Arc<SessionCtl>,
+    /// Chunked pre-payment against `Shared::live_bytes`: the session's
+    /// renames are covered from a local surplus instead of one global
+    /// RMW each. The surplus is returned when the session hits the
+    /// memory throttle and — crucially — by `ByteCredit`'s Drop, so a
+    /// session dropped mid-graph never leaks its debt in the global
+    /// throttle account (pinned by `dropped_submitter_returns_byte_credit_debt`
+    /// in `runtime::shard`).
+    pub(crate) credit: ByteCredit,
 }
 
 impl Session {
@@ -315,7 +331,7 @@ impl Session {
     /// Tasks already executing run to completion — cancellation is
     /// between tasks, never inside one.
     pub fn with_deadline(self, budget: Duration) -> Self {
-        self.ctl.arm_deadline(self.sub.shared(), budget);
+        self.ctl.arm_deadline(self.shared(), budget);
         self
     }
 
@@ -332,9 +348,21 @@ impl Session {
     /// [`Runtime::task`](crate::Runtime::task). `Err` means the quota
     /// verdict of the configured [`AdmissionPolicy`] (or a revoked /
     /// expired session) — nothing was created.
-    pub fn task(&self, name: &'static str) -> Result<TaskSpawner<'_, Submitter>, Overloaded> {
+    pub fn task(&self, name: &'static str) -> Result<TaskSpawner<'_, Session>, Overloaded> {
         self.admit()?;
-        Ok(self.sub.task(name))
+        Ok(TaskSpawner::new(self, name))
+    }
+
+    /// Has any task failed (body panicked) or been cancelled since the
+    /// runtime's last [`wait_all`](Runtime::wait_all) drain? One Relaxed
+    /// flag load — a producer thread can probe this per submission to
+    /// stop feeding a graph whose downstream already died, without
+    /// waiting for a barrier. The payloads stay with
+    /// [`wait`](Self::wait) and [`wait_all`](Runtime::wait_all); this is
+    /// only the tripwire.
+    #[inline]
+    pub fn has_failures(&self) -> bool {
+        self.shared().faulted()
     }
 
     /// Block until every task admitted through this session has
@@ -343,14 +371,14 @@ impl Session {
     /// their own `wait` (or the runtime's
     /// [`wait_all`](crate::Runtime::wait_all)). Helps nobody: the
     /// session thread is a producer, not a worker, so this parks on
-    /// backoff like the submitter-side throttle.
+    /// backoff like the session-side throttle.
     pub fn wait(&self) -> Result<(), TaskFailures> {
         let target = self.ctl.spawned.load(Ordering::Relaxed);
         let mut backoff = Backoff::new();
         while self.ctl.finished.load(Ordering::Acquire) < target {
             backoff.snooze();
         }
-        let log = self.sub.shared().drain_session_failures(self.ctl.id());
+        let log = self.shared().drain_session_failures(self.ctl.id());
         // A drained session resumes scheduling under FailFast, exactly
         // like `wait_all`'s global reset — but scoped to this tenant.
         self.ctl.clear_faulted();
@@ -387,7 +415,7 @@ impl Session {
             if self.ctl.revoked() {
                 return Err(self.refuse(OverloadReason::Revoked));
             }
-            if self.ctl.deadline_expired(self.sub.shared()) {
+            if self.ctl.deadline_expired(self.shared()) {
                 return Err(self.refuse(OverloadReason::DeadlineExpired));
             }
             match self.over_quota() {
@@ -395,9 +423,9 @@ impl Session {
                     self.ctl.note_spawned();
                     return Ok(());
                 }
-                Some(reason) => match self.sub.shared().cfg.admission {
+                Some(reason) => match self.shared().cfg.admission {
                     AdmissionPolicy::Shed => {
-                        self.sub.shared().stats.admission_sheds();
+                        self.shared().stats.admission_sheds();
                         return Err(self.refuse(reason));
                     }
                     // `Deadline` is `Block` whose wait the loop head
@@ -406,7 +434,7 @@ impl Session {
                     AdmissionPolicy::Block | AdmissionPolicy::Deadline => {
                         if !counted_wait {
                             counted_wait = true;
-                            self.sub.shared().stats.admission_waits();
+                            self.shared().stats.admission_waits();
                         }
                         backoff.snooze();
                     }
@@ -424,7 +452,7 @@ impl Session {
         if crate::fault::admission_site() || crate::fault::shed_site() {
             return Some(OverloadReason::InFlight);
         }
-        let cfg = &self.sub.shared().cfg;
+        let cfg = &self.shared().cfg;
         if let Some(limit) = cfg.session_max_in_flight {
             if self.ctl.in_flight() >= limit as u64 {
                 return Some(OverloadReason::InFlight);
@@ -439,9 +467,7 @@ impl Session {
                 // slab to free dead spares before refusing or blocking:
                 // each one minted by us returns its bytes to the quota
                 // through the ticket's drop.
-                self.sub
-                    .shared()
-                    .reclaim_dead_spares(self.ctl.bytes() - limit);
+                self.shared().reclaim_dead_spares(self.ctl.bytes() - limit);
                 if self.ctl.bytes() > limit {
                     return Some(OverloadReason::RenamedBytes);
                 }
@@ -463,9 +489,67 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("id", &self.ctl.id())
-            .field("lane", &self.sub.lane())
             .field("in_flight", &self.ctl.in_flight())
             .finish()
+    }
+}
+
+impl SpawnHost for Session {
+    #[inline]
+    fn lane_cache(&self) -> &LaneCache {
+        &self.cache
+    }
+
+    /// The session-side §III throttle: watch the same shared live-task
+    /// count and renamed-bytes counter as the runtime's throttle, but
+    /// *wait* for the workers instead of helping (a session has no
+    /// worker context).
+    fn after_submit(&self) {
+        let shared = self.shared();
+        if let Some(limit) = shared.cfg.graph_size_limit {
+            if shared.live_now() > limit {
+                shared.stats.throttle_blocks();
+                while shared.live_now() > limit {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        if let Some(limit) = shared.cfg.memory_limit {
+            if shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0 {
+                // About to wait on the account: return this session's
+                // un-spent surplus first, so the wait watches true live
+                // bytes rather than our own pre-payment — then give the
+                // version slab a chance to free dead parked spares
+                // before blocking at all.
+                self.credit.release();
+                shared.reclaim_spares(limit);
+                if shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0 {
+                    shared.stats.throttle_blocks();
+                    while shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0
+                    {
+                        // Completions may have killed the last readers
+                        // of parked spares; a reclaim pass frees bytes
+                        // a bare yield would keep waiting on.
+                        if shared.reclaim_spares(limit) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Renamed-version tickets minted by a session charge its byte
+    /// credit (chunked pre-payment) and carry the session attribution,
+    /// so the renamed-bytes quota tracks exactly the versions this
+    /// tenant forced into existence. The session is also what
+    /// `TaskSpawner::new` stamps on every node it acquires.
+    #[inline]
+    fn ticket_charge(&self) -> TicketCharge<'_> {
+        TicketCharge {
+            credit: Some(&self.credit),
+            sess: Some(&self.ctl),
+        }
     }
 }
 
@@ -473,19 +557,18 @@ impl Runtime {
     /// Open a session: a `Send` front-door handle for one tenant
     /// thread, admitted against the builder's session quotas. Any
     /// runtime opens sessions, at any time, from the main thread; move
-    /// each to its tenant's thread. Each wraps one analysis lane
-    /// (round-robin over `shards`), and any number of sessions can spawn
-    /// concurrently — lane access serialises on the lane gates. The
-    /// first call moves the runtime's own spawn path onto the
-    /// concurrent paths for good.
+    /// each to its tenant's thread. Any number of sessions can spawn
+    /// concurrently — object accesses serialise on the runtime's one
+    /// analysis gate. The first call moves the runtime's own spawn
+    /// path onto the gated paths for good.
     pub fn session(&self) -> Session {
-        self.latch_spawners(super::SESSIONS);
+        self.latch_spawners();
         let id = SessionId(self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1);
-        let lane = (id.0 as usize - 1) % self.shared.cfg.shards;
         let ctl = Arc::new(SessionCtl::new(id));
         self.shared.register_session(&ctl);
         Session {
-            sub: Submitter::new_lane(Arc::clone(&self.shared), lane, Some(Arc::clone(&ctl))),
+            cache: LaneCache::new(Arc::clone(&self.shared)),
+            credit: ByteCredit::new(Arc::clone(&self.shared.live_bytes)),
             ctl,
         }
     }
@@ -527,7 +610,7 @@ mod tests {
     #[test]
     fn session_requires_builder_opt_in() {
         let rt = Runtime::builder().threads(1).build();
-        assert!(!rt.shared.concurrent_spawners());
+        assert!(!rt.shared.sessions_used());
         let s = rt.session();
         assert!(rt.shared.sessions_used());
         let x = rt.data(0u32);
@@ -540,35 +623,36 @@ mod tests {
         assert_eq!(rt.read(&x), 3);
     }
 
+    /// Sessions get distinct ids and spawn into one runtime: every
+    /// session's cache feeds from the runtime's one free stack.
     #[test]
     fn sessions_get_distinct_ids_and_round_robin_lanes() {
-        let rt = Runtime::builder().threads(1).shards(2).build();
+        let rt = Runtime::builder().threads(1).build();
         let a = rt.session();
         let b = rt.session();
         let c = rt.session();
         assert_eq!(a.id(), SessionId(1));
         assert_eq!(b.id(), SessionId(2));
         assert_eq!(c.id(), SessionId(3));
-        assert_eq!(a.sub.lane(), 0);
-        assert_eq!(b.sub.lane(), 1);
-        assert_eq!(c.sub.lane(), 0);
+        for s in [&a, &b, &c] {
+            assert!(std::ptr::eq(s.shared(), &*rt.shared));
+        }
         assert_eq!(rt.stats().sessions_opened, 3);
     }
 
-    /// A session opened at one shard wraps lane 0 and moves the runtime
-    /// to concurrent spawners, so the main thread gates lane 0 too,
-    /// which is what lets the isolation proptests run a `shards == 1`
-    /// matrix.
+    /// Opening a session moves the runtime to concurrent spawners, so
+    /// the main thread enters the one gate too; the session spawns
+    /// through that same gate and its task runs.
     #[test]
     fn single_shard_session_spawns_through_lane_zero() {
         let rt = Runtime::builder().threads(2).build();
         assert!(
-            !rt.shared.concurrent_spawners(),
+            !rt.shared.sessions_used(),
             "one spawner until a session opens"
         );
         let s = rt.session();
-        assert_eq!(s.sub.lane(), 0);
-        assert!(rt.shared.concurrent_spawners());
+        assert!(rt.shared.sessions_used());
+        assert!(s.lane_enter().is_some(), "a session always gates");
         let x = rt.data(0u32);
         let mut sp = s.task("set").expect("no quota configured");
         let mut w = sp.write(&x);

@@ -19,18 +19,17 @@
 //!
 //! The spawner is generic over **who** is running the analysis: the
 //! [`Runtime`] itself — the paper's single master thread, with
-//! single-writer counters, inline runs and no gates on the default
-//! shape — or a [`Submitter`](crate::Submitter) lane, handed out by
-//! [`Runtime::submitters`] on a sharded runtime or wrapped, with
-//! admission in front, by every [`Session`](crate::Session). These two
-//! are the only hosts. Both draw nodes and links from one lane cache
-//! (lane 0's for the runtime, the submitter's own lane's otherwise), so
-//! the pool code exists once. The host supplies only what differs: the
-//! id minting discipline, the born-ready publication route, the
-//! post-submit blocking condition, the lane gate, and the ticket
-//! charge, which on a session's lane also names the session every
-//! acquired node is stamped with. The analysis sequence itself is
-//! identical, which is what the shard-equality proptests pin.
+//! single-writer counters, inline runs and no gate until a session
+//! opens — or a [`Session`](crate::Session), the one way for another
+//! thread to spawn. These two are the only hosts. Each draws nodes and
+//! links from its own lane cache, so the pool code exists once. Id
+//! minting and the analysis gate follow the runtime's spawner mode
+//! alone, so both hosts share them. A host supplies only what differs:
+//! the born-ready publication route (the main thread may run a cheap
+//! task inline), the post-submit blocking condition, and the ticket
+//! charge, which on a session also names the session every acquired
+//! node is stamped with. The analysis sequence itself is identical,
+//! which is what the graph-equality proptests pin.
 
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
@@ -44,20 +43,19 @@ use crate::data::TaskData;
 use crate::dep;
 use crate::graph::node::TaskNode;
 use crate::graph::record::{EdgeKind, NodeInfo};
-use crate::ids::{ObjectId, TaskId};
+use crate::ids::TaskId;
 use crate::runtime::shard::{LaneCache, LaneEntry};
 use crate::runtime::{Runtime, Shared};
 use crate::sched::queues::Job;
+use crate::sched::worker::enqueue_ready;
 use crate::stats::Stats;
 use crate::trace::EventKind;
 
 /// A thread that may run dependency analysis: the [`Runtime`] (the
-/// paper's single master thread) or one [`Submitter`](crate::Submitter)
-/// lane, a session's included. The host decides how task ids are
-/// minted (single-writer load+store vs. an RMW), how a born-ready task
-/// is published, what the post-submit blocking condition looks like,
-/// whether object state must be entered under a lane gate, and how
-/// renamed versions are charged; its lane cache feeds the spawn.
+/// paper's single master thread) or a [`Session`](crate::Session). The
+/// host decides how a born-ready task is published, what the
+/// post-submit blocking condition looks like and how renamed versions
+/// are charged; its lane cache feeds the spawn.
 pub(crate) trait SpawnHost {
     /// Where this host's spawns get nodes and links, and where the
     /// producers its analyser displaces go back.
@@ -67,17 +65,41 @@ pub(crate) trait SpawnHost {
     fn shared(&self) -> &Shared {
         self.lane_cache().shared()
     }
-    /// Mint the next task id (1-based invocation order).
-    fn next_task_id(&self) -> TaskId;
-    /// Publish a task that is ready at submit time.
-    fn publish_born_ready(&self, job: Job);
+    /// Mint the next task id (1-based invocation order). While the
+    /// main thread is the only spawner (`Runtime: !Sync` pins it to one
+    /// thread) a load+store avoids a locked RMW per task; once sessions
+    /// may spawn beside it, the id counter is an RMW. A session exists
+    /// only after the latch, so it always takes the RMW.
+    #[inline]
+    fn next_task_id(&self) -> TaskId {
+        let shared = self.shared();
+        if shared.sessions_used() {
+            TaskId(shared.next_task.fetch_add(1, Ordering::Relaxed) + 1)
+        } else {
+            let next = shared.next_task.load(Ordering::Relaxed) + 1;
+            shared.next_task.store(next, Ordering::Relaxed);
+            TaskId(next)
+        }
+    }
+    /// Publish a task that is ready at submit time. By default through
+    /// the public routes — the HP list or the main list, with the usual
+    /// wake — which is all a session does: it never runs tasks.
+    #[inline]
+    fn publish_born_ready(&self, job: Job) {
+        enqueue_ready(self.shared(), job);
+    }
     /// Run the §III blocking conditions after a submit.
     fn after_submit(&self);
-    /// Enter the analysis lane owning object `id`. `None` on an
-    /// unsharded runtime: the single spawning thread needs no gate, and
-    /// the `shards(1)` path must stay free of it.
-    fn lane_enter(&self, id: ObjectId) -> Option<LaneEntry<'_>>;
-    /// How the renamer's fresh version tickets are charged: lane-credit
+    /// Enter the analysis gate once sessions may be analysing
+    /// concurrently. Until then (and forever on a runtime that opens
+    /// none) this is one load and no RMW: the main thread is the only
+    /// spawner, exactly the paper's model.
+    #[inline]
+    fn lane_enter(&self) -> Option<LaneEntry<'_>> {
+        let shared = self.shared();
+        shared.sessions_used().then(|| shared.lane.enter())
+    }
+    /// How the renamer's fresh version tickets are charged: credit
     /// pre-payment and/or session attribution. The default is the exact
     /// per-mint accounting of the single master thread.
     #[inline]
@@ -88,7 +110,7 @@ pub(crate) trait SpawnHost {
 
 /// One in-flight task invocation. Create with
 /// [`Runtime::task`](crate::Runtime::task) (or
-/// [`Submitter::task`](crate::Submitter::task) on a sharded runtime);
+/// [`Session::task`](crate::Session::task) on another thread);
 /// consume with [`submit`](Self::submit). Dropping a spawner without
 /// submitting is a programming error and panics (the node already
 /// exists in the graph).
@@ -125,7 +147,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     pub(crate) fn new(rt: &'rt H, name: &'static str) -> Self {
         let id = rt.next_task_id();
         let node = rt.lane_cache().acquire_node(id, name);
-        // A session's lane stamps its tasks before analysis links them
+        // A session stamps its tasks before analysis links them
         // anywhere, so the containment walk, the completion accounting
         // and the failure records all see the stamp.
         if let Some(ctl) = rt.ticket_charge().sess {
@@ -264,13 +286,12 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         self.renaming
     }
 
-    /// Enter the analysis lane owning object `id` (see
-    /// [`SpawnHost::lane_enter`]). The analyser takes this before
-    /// touching an object's `SpawnerCell` state; on an unsharded
-    /// runtime it is a single branch.
+    /// Enter the analysis gate (see [`SpawnHost::lane_enter`]). The
+    /// analyser takes this before touching an object's `SpawnerCell`
+    /// state; with one spawner it is a single branch.
     #[inline]
-    pub(crate) fn lane_enter(&self, id: ObjectId) -> Option<LaneEntry<'_>> {
-        self.rt.lane_enter(id)
+    pub(crate) fn lane_enter(&self) -> Option<LaneEntry<'_>> {
+        self.rt.lane_enter()
     }
 
     pub(crate) fn record_graph(&self) -> bool {
@@ -291,38 +312,50 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     /// and counting it for scheduling if the producer is still unfinished.
     #[inline]
     pub(crate) fn link(&self, producer: &Arc<TaskNode>, kind: EdgeKind) {
-        if Arc::ptr_eq(producer, &self.node) {
-            // A task never depends on itself (e.g. `inout` then `input` of
-            // the same handle within one invocation).
-            return;
+        if self.record && !Arc::ptr_eq(producer, &self.node) {
+            self.record_edges(&[(producer.id(), kind)]);
         }
-        let shared = self.rt.shared();
-        if let Some(g) = &shared.graph {
-            g.lock().add_edge(producer.id(), self.node.id(), kind);
+        self.gate(producer, kind);
+    }
+
+    /// [`link`](Self::link) without the structural record, for a
+    /// caller that records the edge itself.
+    #[inline]
+    pub(crate) fn gate(&self, producer: &Arc<TaskNode>, kind: EdgeKind) {
+        // A task never depends on itself (e.g. `inout` then `input` of
+        // the same handle within one invocation).
+        if !Arc::ptr_eq(producer, &self.node) {
+            self.count_link(kind);
+            self.attach(producer);
         }
-        self.count_link(kind);
-        self.attach(producer);
+    }
+
+    /// Record the edges `producer -> self` for each of `edges`, in order.
+    fn record_edges(&self, edges: &[(TaskId, EdgeKind)]) {
+        if let Some(g) = &self.rt.shared().graph {
+            let mut g = g.lock();
+            for &(p, k) in edges {
+                g.add_edge(p, self.node.id(), k);
+            }
+        }
     }
 
     /// Link this task through a fresh **join node** standing for
     /// `members` (distinct, unfinished producers of one access, all of
     /// this task's session): each member is linked into the join once,
-    /// and this task to the join, as `kind`. The recorded graph gets the
-    /// expanded member→task edges; the stats count the links made.
-    /// Returns the join so the analyser can memoise it for later
-    /// consumers of the same producers ([`link_join`](Self::link_join)).
+    /// and this task to the join, as `kind`. The recorded graph gets
+    /// `recorded`, the access's expanded producer→task edges; the stats
+    /// count the links made. Returns the join so the analyser can
+    /// memoise it for later consumers of the same producers
+    /// ([`link_join`](Self::link_join)).
     pub(crate) fn link_new_join(
         &self,
         members: &[(Arc<TaskNode>, EdgeKind)],
         kind: EdgeKind,
+        recorded: &[(TaskId, EdgeKind)],
     ) -> Arc<TaskNode> {
+        self.record_edges(recorded);
         let shared = self.rt.shared();
-        if let Some(g) = &shared.graph {
-            let mut g = g.lock();
-            for (m, k) in members {
-                g.add_edge(m.id(), self.node.id(), *k);
-            }
-        }
         shared.stats.joins();
         let join = self.rt.lane_cache().acquire_join(&self.node);
         // This task first, while the join's creation guard keeps it
@@ -351,12 +384,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         kind: EdgeKind,
         recorded: &[(TaskId, EdgeKind)],
     ) {
-        if let Some(g) = &self.rt.shared().graph {
-            let mut g = g.lock();
-            for &(p, k) in recorded {
-                g.add_edge(p, self.node.id(), k);
-            }
-        }
+        self.record_edges(recorded);
         self.count_link(kind);
         self.attach(join);
     }
@@ -386,8 +414,8 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         // publishes, and its completion path must find the count already
         // in place (otherwise the task could be released twice — once by
         // the uncounted completion, once by the spawn guard). This
-        // ordering is also what makes **cross-shard** edges safe: a
-        // producer analysed on another lane may be completing on a
+        // ordering is also what makes edges between spawners safe: a
+        // producer another spawner analysed may be completing on a
         // worker right now, and the publication CAS (Release) is the
         // only hand-off the two sides need — no extra machinery.
         if self.counted_edges.get() == 0 {

@@ -71,7 +71,8 @@ pub enum Wake {
 }
 
 /// Close out a finished task: mark it finished, publish every successor
-/// it released, and account the completion. Returns the direct hand-off
+/// it released, hand the node to `give_back`, and account the
+/// completion. Returns the direct hand-off
 /// (the task this worker should run next, bypassing all queues) and the
 /// wake plan.
 ///
@@ -93,27 +94,25 @@ pub(crate) fn finish_task(
     shared: &Shared,
     local: &Worker<Job>,
     idx: usize,
-    job: &Job,
+    job: Job,
     poison: bool,
     allow_handoff: bool,
     claimed_empty: bool,
     ready: &mut Vec<Job>,
+    give_back: impl FnOnce(Job),
 ) -> (Option<Job>, Wake) {
     // The thread that registers successors closes lists with plain
-    // stores: until a submitter or session exists only the main thread
-    // (index 0) runs dependency analysis, so only it ever pushes onto a
-    // successor list, and a task it completes cannot have a push racing
-    // the close. The mode is read on the main thread, which wrote it
+    // stores: until a session exists only the main thread (index 0)
+    // runs dependency analysis, so only it ever pushes onto a successor
+    // list, and a task it completes cannot have a push racing the
+    // close. The mode is read on the main thread, which wrote it
     // (`Runtime::latch_spawners`), so a plain close is never made once
     // another spawner exists. Worker completions, and every completion
-    // after that (submitter lanes push concurrently, even at
-    // `threads == 1`), keep the AcqRel swap. "A lane has one registrar"
-    // does not rescue the main thread there: lanes are per object, not
-    // per task, and a producer is linked from whichever lane owns the
-    // consumer's objects. Session threads register successors on the
-    // main thread's tasks while it helps, so an `idx == 0` completion
-    // must assume a concurrent push.
-    let registrar = idx == 0 && !shared.concurrent_spawners();
+    // after that, keep the AcqRel swap: session threads register
+    // successors on the main thread's tasks while it helps (even at
+    // `threads == 1`), so an `idx == 0` completion must assume a
+    // concurrent push.
+    let registrar = idx == 0 && !shared.sessions_used();
     debug_assert!(ready.is_empty(), "ready buffer must be drained");
     let n_ready = if registrar {
         job.complete_single(poison, |s| ready.push(s))
@@ -126,6 +125,23 @@ pub(crate) fn finish_task(
     if !ready.is_empty() {
         wake = publish_batch(shared, local, ready, allow_handoff, &mut handoff);
     }
+
+    // Session completion accounting: a task stamped with a session bumps
+    // its session's `finished` counter with a Release RMW that pairs with
+    // `Session::wait`'s Acquire load, ordering the task's effects before
+    // the waiter proceeds. Gated behind the always-false-until-used
+    // `sessions_used` probe (one Relaxed load, same trick as the fault
+    // probe) so session-less runs never touch the node's session slot.
+    if shared.sessions_used() {
+        if let Some(ctl) = job.session_ctl() {
+            ctl.note_finished();
+        }
+    }
+    // The node goes back to the spawn-side pool before the completion
+    // counts: a spawner that a §III throttle holds until this completion
+    // then finds the node there instead of allocating a new one. The
+    // node is not touched after this.
+    give_back(job);
 
     // Completion accounting. The shards are indexed by thread, padded
     // and single-writer: a load + Release store, no RMW. The Release
@@ -151,18 +167,6 @@ pub(crate) fn finish_task(
         && shared.finished_total() == shared.next_task.load(Ordering::Acquire)
     {
         wake = Wake::Barrier;
-    }
-
-    // Session completion accounting: a task stamped with a session bumps
-    // its session's `finished` counter with a Release RMW that pairs with
-    // `Session::wait`'s Acquire load, ordering the task's effects before
-    // the waiter proceeds. Gated behind the always-false-until-used
-    // `sessions_used` probe (one Relaxed load, same trick as the fault
-    // probe) so session-less runs never touch the node's session slot.
-    if shared.sessions_used() {
-        if let Some(ctl) = job.session_ctl() {
-            ctl.note_finished();
-        }
     }
     (handoff, wake)
 }
@@ -227,6 +231,30 @@ mod tests {
     use super::*;
     use crate::graph::node::TaskNode;
     use crate::ids::TaskId;
+    use std::sync::Arc;
+
+    /// `finish_task` for a completion of `node` on thread `idx`: no
+    /// poison, an empty claimed buffer, and the node dropped.
+    fn finish(
+        shared: &Shared,
+        local: &Worker<Job>,
+        idx: usize,
+        node: &Job,
+        allow_handoff: bool,
+    ) -> (Option<Job>, Wake) {
+        let node = Arc::clone(node);
+        finish_task(
+            shared,
+            local,
+            idx,
+            node,
+            false,
+            allow_handoff,
+            true,
+            &mut Vec::new(),
+            drop,
+        )
+    }
 
     /// The acceptance gate of the completion-side rewrite: the path a
     /// worker takes from a finished body to the next task must contain
@@ -278,9 +306,7 @@ mod tests {
             assert!(!s.release_dep()); // drop the spawn guard
         }
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) = finish(&shared, &local, 0, &producer, true);
         assert_eq!(handoff.expect("fan-out hands off").id(), TaskId(5));
         assert_eq!(wake, Wake::One, "surplus wakes one thief; it propagates");
         // The remaining successors sit in the own list; LIFO pops give
@@ -304,9 +330,7 @@ mod tests {
         succ.retain_dep();
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) = finish(&shared, &local, 0, &producer, true);
         assert_eq!(handoff.unwrap().id(), TaskId(2));
         assert_eq!(wake, Wake::None, "a hand-off needs no wake");
         assert!(local.is_empty());
@@ -324,10 +348,7 @@ mod tests {
         succ.retain_dep();
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(
-            &shared, &local, 0, &producer, false, false, true, &mut ready,
-        );
+        let (handoff, wake) = finish(&shared, &local, 0, &producer, false);
         assert!(handoff.is_none());
         assert_eq!(wake, Wake::One, "empty-transition push wakes one");
         assert_eq!(local.pop().unwrap().id(), TaskId(2));
@@ -350,9 +371,7 @@ mod tests {
             assert!(!s.release_dep());
         }
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 3, &producer, false, true, true, &mut ready);
+        let (handoff, wake) = finish(&shared, &local, 3, &producer, true);
         assert_eq!(handoff.expect("local successors hand off").id(), TaskId(4));
         assert_eq!(wake, Wake::One, "surplus on the own list wakes a thief");
         assert_eq!(local.pop().unwrap().id(), TaskId(3));
@@ -384,10 +403,7 @@ mod tests {
             assert!(!s.release_dep());
         }
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) = finish_task(
-            &shared, &local, 1, &producer, false, false, true, &mut ready,
-        );
+        let (handoff, wake) = finish(&shared, &local, 1, &producer, false);
         assert!(handoff.is_none(), "the helper path takes no hand-off");
         assert_eq!(wake, Wake::One);
         let own: Vec<_> = std::iter::from_fn(|| local.pop()).map(|j| j.id()).collect();
@@ -429,13 +445,10 @@ mod tests {
         succ.retain_dep();
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
         // Helper path (no hand-off): the successor is pushed onto the
         // non-empty own list — the exact shape that used to lose the
         // wake.
-        let (handoff, wake) = finish_task(
-            &shared, &local, 0, &producer, false, false, true, &mut ready,
-        );
+        let (handoff, wake) = finish(&shared, &local, 0, &producer, false);
         assert!(handoff.is_none());
         assert_eq!(
             wake,
@@ -468,9 +481,7 @@ mod tests {
         succ.retain_dep();
         assert!(!succ.release_dep());
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (handoff, wake) = finish(&shared, &local, 0, &producer, true);
         assert_eq!(handoff.unwrap().id(), TaskId(2));
         assert_eq!(
             wake,
@@ -503,9 +514,7 @@ mod tests {
             let local = Worker::new_lifo();
             let last = ready_node(1);
             last.take_body().run_in_place();
-            let mut ready = Vec::new();
-            let (handoff, wake) =
-                finish_task(&shared, &local, idx, &last, false, false, true, &mut ready);
+            let (handoff, wake) = finish(&shared, &local, idx, &last, false);
             assert!(handoff.is_none());
             assert_eq!(shared.finished_total(), 1, "the graph is done");
             assert_eq!(wake, want, "completion on thread {idx}");
@@ -514,23 +523,22 @@ mod tests {
         }
     }
 
-    /// Once submitters exist the main thread must keep the AcqRel
-    /// successor-list close even at `threads == 1`: submitter lanes may
-    /// be CAS-publishing links concurrently (`complete_single`'s plain
-    /// close would race them). The lane count alone does not switch it;
-    /// handing out the submitters does.
+    /// Once a session exists the main thread must keep the AcqRel
+    /// successor-list close even at `threads == 1`: the session may be
+    /// CAS-publishing links concurrently (`complete_single`'s plain
+    /// close would race it). Nothing on the builder switches it;
+    /// opening the session does.
     #[test]
     fn sharded_single_thread_uses_concurrent_close() {
-        let rt = crate::Runtime::builder().threads(1).shards(2).build();
-        assert!(!rt.shared.concurrent_spawners(), "no submitter yet");
-        let _subs = rt.submitters();
-        assert!(rt.shared.concurrent_spawners());
+        let rt = crate::Runtime::builder().threads(1).build();
+        assert!(!rt.shared.sessions_used(), "no session yet");
+        let _session = rt.session();
+        assert!(rt.shared.sessions_used());
         let shared = &*rt.shared;
         let local = Worker::new_lifo();
         let producer = ready_node(1);
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (_, _) = finish_task(shared, &local, 0, &producer, false, true, true, &mut ready);
+        let (_, _) = finish(shared, &local, 0, &producer, true);
         // Both closes look alike from one thread, so the observable pin
         // is the list being closed at all — a late add_successor must
         // fail as "already finished".
@@ -558,9 +566,7 @@ mod tests {
             assert!(!s.release_dep());
         }
         producer.take_body().run_in_place();
-        let mut ready = Vec::new();
-        let (handoff, wake) =
-            finish_task(&shared, &local, 1, &producer, false, true, true, &mut ready);
+        let (handoff, wake) = finish(&shared, &local, 1, &producer, true);
         assert_eq!(
             handoff.expect("worker completions hand off").id(),
             TaskId(4)

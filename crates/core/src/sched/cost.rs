@@ -104,9 +104,9 @@ impl CostTable {
         }
     }
 
-    /// Home slot of a key: Fibonacci hash of the address.
+    /// First probe slot of a key: Fibonacci hash of the address.
     #[inline]
-    fn home(key: usize) -> usize {
+    fn first_slot(key: usize) -> usize {
         ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros())) as usize
     }
 
@@ -119,7 +119,7 @@ impl CostTable {
     /// `None` when the key is absent (or the table is full).
     #[inline]
     fn find(&self, key: usize, claim: bool) -> Option<&Slot> {
-        let mut i = Self::home(key);
+        let mut i = Self::first_slot(key);
         for _ in 0..SLOTS {
             let slot = &self.slots[i];
             let k = slot.key.load(Ordering::Relaxed);

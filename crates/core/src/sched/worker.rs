@@ -200,14 +200,16 @@ pub fn enqueue_ready(shared: &Shared, job: Job) {
     shared.sleep.notify_one();
 }
 
-/// Execute one task and propagate readiness to its successors. Returns
-/// the finished node (so the caller can recycle it into the spawn-side
-/// pool) and the direct hand-off, if any: the released successor this
-/// worker should run next without any queue round-trip.
+/// Execute one task and propagate readiness to its successors. The
+/// finished node goes to `give_back` (the caller's way back into the
+/// spawn-side pool) before the completion counts. Returns the direct
+/// hand-off, if any: the released successor this worker should run
+/// next without any queue round-trip.
 ///
 /// `owned` marks a job that was never published to any queue (a direct
 /// hand-off): its consumer is statically unique, so the body take skips
 /// the consumer-election CAS.
+#[allow(clippy::too_many_arguments)]
 pub fn run_task(
     shared: &Shared,
     ctx: &mut WorkerCtx,
@@ -216,7 +218,8 @@ pub fn run_task(
     source: TaskSource,
     allow_handoff: bool,
     owned: bool,
-) -> (Job, Option<Job>) {
+    give_back: impl FnOnce(Job),
+) -> Option<Job> {
     let claimed_empty = ctx.claimed.is_empty();
     match source {
         TaskSource::HighPriority => shared.stats.hp_pops(idx),
@@ -305,11 +308,12 @@ pub fn run_task(
         shared,
         &ctx.local,
         idx,
-        &job,
+        job,
         poison,
         allow_handoff,
         claimed_empty,
         &mut ctx.ready,
+        give_back,
     );
     match wake {
         Wake::None => {}
@@ -317,7 +321,7 @@ pub fn run_task(
         Wake::Barrier => shared.sleep.notify_barrier(),
         Wake::All => shared.sleep.notify_all(),
     }
-    (job, handoff)
+    handoff
 }
 
 /// Session-aware skip decision, taken only once some session has been
@@ -384,10 +388,12 @@ pub fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, idx: usize) {
             idle.end();
             let mut next = Some((job, src, false));
             while let Some((job, src, owned)) = next.take() {
-                let (done, handoff) = run_task(&shared, &mut ctx, idx, job, src, true, owned);
-                // Spawn-side fast path: hand the finished node back via
-                // the lock-free free stack; the spawner recycles it.
-                shared.recycle_node(done);
+                // Spawn-side fast path: the finished node goes back
+                // through the lock-free free stack; the spawner recycles
+                // it.
+                let handoff = run_task(&shared, &mut ctx, idx, job, src, true, owned, |done| {
+                    shared.recycle_node(done)
+                });
                 if let Some(succ) = handoff {
                     if shared.hp_used.load(Ordering::Relaxed) && !shared.hp.is_empty() {
                         // High-priority work preempts the chain: park the

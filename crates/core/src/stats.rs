@@ -30,7 +30,7 @@ impl PopShard {
     /// Single-writer bump on every runtime shape: a pop shard is indexed
     /// by the thread that runs the task, and only task-running threads
     /// (the workers, and the main thread as it helps or runs inline)
-    /// bump one. Submitter and session threads never run tasks.
+    /// bump one. Session threads never run tasks.
     #[inline]
     fn bump(c: &AtomicU64) {
         c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -90,7 +90,7 @@ pub struct Stats {
     /// Session deadlines that fired — at the admission gate or by
     /// cancelling already-admitted tasks at dispatch. Multi-writer.
     pub(crate) deadline_fires: AtomicU64,
-    /// Concurrent-spawner mode: submitter or session lanes may bump the
+    /// Concurrent-spawner mode: session threads may bump the
     /// spawn-path counters beside the main thread, so the single-writer
     /// load+store bumps upgrade to Relaxed `fetch_add`s. False until the
     /// runtime's spawner latch (`Runtime::latch_spawners`, its only
@@ -112,8 +112,8 @@ impl Default for Stats {
 /// thread — so a plain load+store replaces the locked RMW on the
 /// per-task hot path. Other threads may concurrently *read* (snapshot),
 /// which Relaxed atomics permit. Once other spawners exist
-/// (`concurrent`, set by the spawner latch before the first submitter
-/// or session handle is built) the bump upgrades to a Relaxed
+/// (`concurrent`, set by the spawner latch before the first session
+/// handle is built) the bump upgrades to a Relaxed
 /// `fetch_add` — exact counts, no ordering obligations. A load+store
 /// made before the latch cannot race one of theirs: the handle's move
 /// to its thread orders it first.
@@ -304,8 +304,8 @@ pub struct StatsSnapshot {
     /// because their task name's sampled body cost is under the inline
     /// threshold (1 µs) — too cheap to pay for a hand-off to another
     /// core. A subset of `own_pops` (thread 0 ran them without any
-    /// queue), like `handoffs`. Zero at one thread, with shards or
-    /// sessions, and for high-priority tasks.
+    /// queue), like `handoffs`. Zero at one thread, once a session has
+    /// opened, and for high-priority tasks.
     pub inline_runs: u64,
     /// Join nodes the region analyser created: each stands for a wide
     /// set of producers that several consumers share (one `par_merge`'s

@@ -250,23 +250,24 @@ fn wait_all_drains_and_the_runtime_recovers() {
     assert_eq!(err.failed[0].payload_str(), Some("second"));
 }
 
-/// `Submitter::has_failures` is the sharded-lane view of the fault flag:
-/// a single atomic load, observable from any lane, reset by `wait_all`.
+/// `Session::has_failures` is the producer-side view of the fault flag:
+/// a single atomic load, observable from any session, reset by
+/// `wait_all`.
 #[test]
 fn submitter_side_failure_flag() {
     quiet_worker_panics();
-    let rt = Runtime::builder().threads(2).shards(2).build();
-    let subs = rt.submitters();
-    assert!(!subs[0].has_failures());
+    let rt = Runtime::builder().threads(2).build();
+    let sessions = [rt.session(), rt.session()];
+    assert!(!sessions[0].has_failures());
     let x = rt.data(0i64);
-    let mut sp = subs[1].task("boom");
+    let mut sp = sessions[1].task("boom").expect("no quota configured");
     let _w = sp.write(&x);
-    sp.submit(|| panic!("lane failure"));
+    sp.submit(|| panic!("session failure"));
     rt.barrier();
-    assert!(subs[0].has_failures(), "visible from another lane");
+    assert!(sessions[0].has_failures(), "visible from another session");
     let err = rt.wait_all().expect_err("reported");
     assert_eq!(err.failed.len(), 1);
-    assert!(!subs[0].has_failures(), "wait_all resets the flag");
+    assert!(!sessions[0].has_failures(), "wait_all resets the flag");
 }
 
 /// Satellite: fallible construction. `try_build` hands back a runtime
@@ -326,19 +327,18 @@ fn spawner_drop_during_unwind_does_not_double_panic() {
     assert!(unwound.is_err());
 }
 
-/// And for a sharded runtime with live `Submitter`s on the unwinding
-/// thread.
+/// And for a runtime with a live `Session` on the unwinding thread.
 #[test]
 fn submitter_drop_during_unwind_does_not_double_panic() {
     quiet_worker_panics();
     let unwound = std::panic::catch_unwind(|| {
-        let rt = Runtime::builder().threads(2).shards(2).build();
-        let subs = rt.submitters();
+        let rt = Runtime::builder().threads(2).build();
+        let session = rt.session();
         let x = rt.data(0i64);
-        let mut sp = subs[0].task("pending");
+        let mut sp = session.task("pending").expect("no quota configured");
         let mut w = sp.write(&x);
         sp.submit(move || *w.get_mut() = 1);
-        panic!("user code failed with submitters live");
+        panic!("user code failed with a session live");
     });
     assert!(unwound.is_err());
 }
@@ -348,8 +348,8 @@ proptest! {
 
     /// The whole oracle: random programs with region accesses, priority
     /// tasks and one panicking task in eight, under one drawn
-    /// configuration each (threads, lanes, front door, renaming, memory
-    /// limit, `OnPanic`).
+    /// configuration each (threads, front door, renaming, memory limit,
+    /// `OnPanic`).
     #[test]
     fn drawn_programs_fail_and_cancel_as_the_oracle_says(
         ops in faulty_program(1..60),

@@ -16,8 +16,8 @@
 //! | `inout` dependency chain         | 0 (successor links recycle)   |
 //! | fan-out release (1 writer + 12 readers) | 0 (batch buffer + links reused) |
 //! | read+rename churn (version slab) | ≤ 1 (binding traffic)         |
-//! | sharded submitter storm (per-lane pools) | 0 after warmup        |
 //! | 64 Ki region multisort, 1 thread | analysis ≤ 0.1 (big bodies reuse their node's spill block), drain 0 |
+//! | two sessions, 2 threads (throttled): empty-body storm, `inout` chain | ≤ 1 per 100 tasks each (one of 3 rounds), pool hits > 9/10 |
 //!
 //! The chain and fan-out budgets dropped to **zero** with the
 //! BENCH_0004 completion-side fast path: successor-stack links are
@@ -370,7 +370,7 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
     // nothing until the barrier: the spawn loop is the region analysis
     // alone and the barrier is the drain. Regions are values, the
     // frontier hands every node it lets go of (with its spare links)
-    // back to the lane cache, joins come from that cache too, its memos
+    // back to the spawner's cache, joins come from that cache too, its memos
     // and pieces live in reused slots, and a `seqmerge` body (too big
     // for the inline slot) goes to its recycled node's spill block: at
     // most 0.1 allocations per task. The drain — bodies, their region
@@ -412,44 +412,68 @@ fn steady_state_spawning_stays_within_the_documented_budget() {
         "the region drain (bodies, region checks, completion) must not allocate"
     );
 
-    // --- sharded spawning: per-lane pools keep submitters at 0 -------
-    // The BENCH_0006 claim: a sharded runtime's per-lane free stacks
-    // recirculate nodes back to the lane that spawned them (home-lane
-    // stamps), so steady-state spawning through `Submitter`s is as
-    // allocation-free as the single spawner's storm above. Submission
-    // happens from this thread through both submitters round-robin —
-    // the budget is a property of the pools, not of which thread drives
-    // them — while the worker drains under the graph-size throttle.
-    const SHARD_TASKS: u64 = 8_192;
-    let rt = Runtime::builder()
-        .threads(2)
-        .shards(2)
-        .graph_size_limit(64)
-        .build();
-    let subs = rt.submitters();
-    let storm = |n: u64| {
+    // --- session spawning: both sessions feed from one pool ---------
+    // Two sessions on one runtime, spawned into from this thread in
+    // turn while the worker drains under the graph-size throttle (the
+    // budget is a property of the pools, not of which thread drives
+    // them). Every session's cache draws from the runtime's one free
+    // stack, a session never runs tasks, and a completion hands its
+    // node back before it counts, so the spawn the throttle releases
+    // finds that node: an empty-body storm and an `inout` chain each
+    // stay within 1 allocation per 100 tasks. A stall of this thread
+    // lets the worker drain the whole window, and the session that
+    // drains the free stack next takes every node, so the other one
+    // allocates up to a window's worth of nodes and links. No such
+    // stall strikes every round: one of `SESSION_TRIES` measured
+    // rounds of each shape must meet the budget.
+    const SESSION_TASKS: u64 = 8_192;
+    const SESSION_TRIES: usize = 3;
+    let rt = Runtime::builder().threads(2).graph_size_limit(64).build();
+    let sessions = [rt.session(), rt.session()];
+    let x = rt.data(0u64);
+    let mut chained = 0;
+    let mut spawn = |chain: bool, n: u64| {
         for i in 0..n {
-            subs[(i % 2) as usize].task("storm").submit(|| {});
+            let mut sp = sessions[(i % 2) as usize]
+                .task("session")
+                .expect("no quota configured");
+            if chain {
+                let mut w = sp.inout(&x);
+                sp.submit(move || *w.get_mut() += 1);
+                chained += 1;
+            } else {
+                sp.submit(|| {});
+            }
         }
         rt.barrier();
     };
-    let delta = measure(|| storm(4_096), || storm(SHARD_TASKS));
-    let st = rt.stats();
-    assert!(
-        st.node_pool_hits > st.tasks_spawned * 9 / 10,
-        "per-lane pools must serve steady-state submitter spawns \
-         (hits={} spawned={})",
-        st.node_pool_hits,
-        st.tasks_spawned
-    );
-    drop(subs);
-    drop(rt);
-    assert!(
-        delta <= SHARD_TASKS / 100,
-        "steady-state multi-submitter spawning must be allocation-free \
-         (documented budget 0/task, per lane), measured {} allocations \
-         for {} tasks",
-        delta,
-        SHARD_TASKS
-    );
+    for (what, chain) in [("storm", false), ("chain", true)] {
+        spawn(chain, 4_096);
+        let mut tries = Vec::new();
+        for _ in 0..SESSION_TRIES {
+            let st0 = rt.stats();
+            let delta = measure(|| {}, || spawn(chain, SESSION_TASKS));
+            let st = rt.stats();
+            let (spawned, hits) = (
+                st.tasks_spawned - st0.tasks_spawned,
+                st.node_pool_hits - st0.node_pool_hits,
+            );
+            assert!(
+                hits > spawned * 9 / 10,
+                "the pool must serve steady-state session spawns ({what}: \
+                 hits={hits} spawned={spawned})"
+            );
+            tries.push(delta);
+            if delta <= SESSION_TASKS / 100 {
+                break;
+            }
+        }
+        assert!(
+            tries.iter().any(|&d| d <= SESSION_TASKS / 100),
+            "steady-state session spawning must stay within 1 allocation \
+             per 100 tasks ({what}), measured {tries:?} allocations per \
+             {SESSION_TASKS} tasks"
+        );
+    }
+    assert_eq!(rt.read(&x), chained);
 }

@@ -204,11 +204,10 @@ fn a_site_that_turns_dear_stops_inlining() {
     assert!(after_jump <= 32, "{after_jump} inline runs after the jump");
 }
 
-/// The rule's scope: high-priority tasks, runtimes that have handed
-/// out submitters or a session, and single-thread runtimes never
-/// inline, however cheap the site. A lane count alone does not take a
-/// runtime out of scope: `shards(2)` with no submitter opened inlines
-/// like the default. Each storm runs twice, so the site is measured
+/// The rule's scope: high-priority tasks, runtimes that have opened a
+/// session, and single-thread runtimes never inline, however cheap the
+/// site. A session quota alone does not take a runtime out of scope:
+/// with no session opened it inlines like the default. Each storm runs twice, so the site is measured
 /// before the second (one body in 16 is timed on every thread).
 #[test]
 fn out_of_scope_runtimes_and_tasks_never_inline() {
@@ -233,21 +232,21 @@ fn out_of_scope_runtimes_and_tasks_never_inline() {
         rt.stats().inline_runs > 0,
         "control: the same storm in scope inlines"
     );
-    let rt = Runtime::builder().threads(2).shards(2).build();
+    let rt = Runtime::builder()
+        .threads(2)
+        .session_max_in_flight(8)
+        .build();
     cheap_storm(&rt, false);
     assert!(
         rt.stats().inline_runs > 0,
-        "control: shards(2) with no submitter opened inlines"
+        "control: a session quota with no session opened inlines"
     );
     let rt = Runtime::builder().threads(2).build();
     cheap_storm(&rt, true);
     assert_eq!(rt.stats().inline_runs, 0, "high priority");
-    let submitters = Runtime::builder().threads(2).shards(2).build();
-    drop(submitters.submitters());
     let sessions = Runtime::builder().threads(2).build();
     drop(sessions.session());
     for (what, rt) in [
-        ("shards(2) with submitters opened", submitters),
         ("a session opened", sessions),
         ("threads(1)", Runtime::builder().threads(1).build()),
     ] {

@@ -2,7 +2,7 @@
 //! `UnsafeCell`, CAS gates and backoff only. One gate for all of them —
 //! the deque/injector shim, the queue plumbing and its sleep protocol
 //! (an event count over `thread::park`), the completion path and the
-//! version / read-window layer it closes, the sharded analysis lanes,
+//! version / read-window layer it closes, the analysis gate,
 //! session admission, and the version slab.
 //!
 //! Each file is embedded with `include_str!`, so moving or renaming one

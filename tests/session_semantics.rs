@@ -7,10 +7,7 @@
 //! edges, in order) must be **bit-identical** to a run in which the
 //! cancelled tenant never existed. On top of the graph equality, the
 //! cancelled set itself is exact: every pending task of the victim,
-//! nothing of anyone else — pinned across the threads {1, 8} × shards
-//! {1, 4} matrix (a session opened at `shards(1)` wraps lane 0 and
-//! moves the runtime to concurrent spawners, which is what lets the
-//! single-lane corner run at all).
+//! nothing of anyone else — pinned at threads {1, 8}.
 
 #[macro_use]
 #[path = "support/oracle.rs"]
@@ -34,10 +31,9 @@ type Graph = (
     Vec<(smpss::TaskId, smpss::TaskId, smpss::graph::record::EdgeKind)>,
 );
 
-fn build(threads: usize, shards: usize) -> Runtime {
+fn build(threads: usize) -> Runtime {
     Runtime::builder()
         .threads(threads)
-        .shards(shards)
         .record_graph(true)
         .build()
 }
@@ -45,12 +41,8 @@ fn build(threads: usize, shards: usize) -> Runtime {
 /// The oracle: survivors only, no victim tenant ever opened. Returns
 /// their final cell values and the full recorded graph (which is
 /// exactly the survivors' graph).
-fn run_without_victim(
-    progs: &[Vec<Op>; 2],
-    threads: usize,
-    shards: usize,
-) -> (Vec<Vec<i64>>, Graph) {
-    let rt = build(threads, shards);
+fn run_without_victim(progs: &[Vec<Op>; 2], threads: usize) -> (Vec<Vec<i64>>, Graph) {
+    let rt = build(threads);
     let survivors = [rt.session(), rt.session()];
     let data: Vec<Data> = (0..2).map(|_| Data::new(&rt)).collect();
     for (s, (d, prog)) in survivors.iter().zip(data.iter().zip(progs)) {
@@ -88,10 +80,9 @@ fn run_with_victim(
     progs: &[Vec<Op>; 2],
     deps: usize,
     threads: usize,
-    shards: usize,
     by_deadline: bool,
 ) -> VictimRun {
-    let rt = build(threads, shards);
+    let rt = build(threads);
     let survivors = [rt.session(), rt.session()];
     let victim = rt.session();
     let data: Vec<Data> = (0..2).map(|_| Data::new(&rt)).collect();
@@ -186,8 +177,8 @@ fn run_with_victim(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The isolation gate, across threads {1, 8} × shards {1, 4} and
-    /// both revocation paths: the victim's pending set cancels exactly,
+    /// The isolation gate, at threads {1, 8} and across both
+    /// revocation paths: the victim's pending set cancels exactly,
     /// and the survivors' values *and recorded graphs* are bit-identical
     /// to a run without the cancelled tenant.
     #[test]
@@ -199,36 +190,34 @@ proptest! {
         let progs = [prog_a, prog_b];
         let expect: Vec<Vec<i64>> = progs.iter().map(|p| sequential(p)).collect();
         for threads in [1usize, 8] {
-            for shards in [1usize, 4] {
-                let (base_vals, base_graph) = run_without_victim(&progs, threads, shards);
-                prop_assert_eq!(&base_vals, &expect, "oracle at t{}/s{}", threads, shards);
-                for by_deadline in [false, true] {
-                    let run = run_with_victim(&progs, deps, threads, shards, by_deadline);
-                    let mut want = run.dep_ids.clone();
-                    if !run.blocker_ran {
-                        want.insert(run.blocker_id);
-                    }
-                    prop_assert_eq!(
-                        &run.cancelled, &want,
-                        "exact victim cancel set at t{}/s{}/deadline={}",
-                        threads, shards, by_deadline
-                    );
-                    prop_assert!(
-                        run.cancelled.iter().all(|id| *id == run.blocker_id
-                            || run.dep_ids.contains(id)),
-                        "no foreign task cancelled"
-                    );
-                    prop_assert_eq!(
-                        &run.survivor_vals, &expect,
-                        "survivor values at t{}/s{}/deadline={}",
-                        threads, shards, by_deadline
-                    );
-                    prop_assert_eq!(
-                        &run.survivor_graph, &base_graph,
-                        "survivor graph bit-identical at t{}/s{}/deadline={}",
-                        threads, shards, by_deadline
-                    );
+            let (base_vals, base_graph) = run_without_victim(&progs, threads);
+            prop_assert_eq!(&base_vals, &expect, "oracle at t{}", threads);
+            for by_deadline in [false, true] {
+                let run = run_with_victim(&progs, deps, threads, by_deadline);
+                let mut want = run.dep_ids.clone();
+                if !run.blocker_ran {
+                    want.insert(run.blocker_id);
                 }
+                prop_assert_eq!(
+                    &run.cancelled, &want,
+                    "exact victim cancel set at t{}/deadline={}",
+                    threads, by_deadline
+                );
+                prop_assert!(
+                    run.cancelled.iter().all(|id| *id == run.blocker_id
+                        || run.dep_ids.contains(id)),
+                    "no foreign task cancelled"
+                );
+                prop_assert_eq!(
+                    &run.survivor_vals, &expect,
+                    "survivor values at t{}/deadline={}",
+                    threads, by_deadline
+                );
+                prop_assert_eq!(
+                    &run.survivor_graph, &base_graph,
+                    "survivor graph bit-identical at t{}/deadline={}",
+                    threads, by_deadline
+                );
             }
         }
     }
@@ -252,7 +241,7 @@ fn batch_claimed_tasks_survive_a_blocking_neighbour() {
     // threads=3 → two workers: one absorbed by the blocker, one left
     // to (steal and) run everything else. The smallest pool where the
     // strand is observable and the rescue is possible.
-    let rt = build(3, 1);
+    let rt = build(3);
     let hog = rt.session();
     let tenants: Vec<_> = (0..TENANTS).map(|_| rt.session()).collect();
 
@@ -306,8 +295,8 @@ fn batch_claimed_tasks_survive_a_blocking_neighbour() {
     assert_eq!(rt.read(&gate), 1);
 }
 
-/// The main thread and a session spawn from one node pool (lane 0 at
-/// one shard), so main-thread tasks run on nodes a session task used
+/// The main thread and a session spawn from one node pool, so
+/// main-thread tasks run on nodes a session task used
 /// before, and a session task may run on a node the main thread used.
 /// Reuse must not carry a session stamp across: each failure names the
 /// session its task was spawned under, and nothing else.

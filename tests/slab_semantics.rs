@@ -4,7 +4,7 @@
 //! Three layers of evidence:
 //!
 //! 1. **The oracle.** For random task programs, every run — threads
-//!    {1,8} × shards {1,4} × sessions on/off, and a slab starved to a
+//!    {1,8} × sessions on/off, and a slab starved to a
 //!    zero-byte spare cap so every parked version is evicted mid-run —
 //!    computes the sequential program's values and records a graph the
 //!    shared oracle accepts. Where a renamed buffer comes *from* may
@@ -30,12 +30,12 @@ mod oracle;
 
 use oracle::{check_graph, program, run, sequential, Front};
 
-/// threads {1,8} × shards {1,4} × sessions on/off, covered pairwise.
-const COMBOS: &[(usize, usize, Front)] = &[
-    (1, 1, Front::Runtime),
-    (8, 4, Front::Runtime),
-    (1, 4, Front::Session),
-    (8, 1, Front::Session),
+/// threads {1,8} × sessions on/off.
+const COMBOS: &[(usize, Front)] = &[
+    (1, Front::Runtime),
+    (8, Front::Runtime),
+    (1, Front::Session),
+    (8, Front::Session),
 ];
 
 proptest! {
@@ -47,18 +47,18 @@ proptest! {
     #[test]
     fn the_slab_never_changes_the_recorded_graph(ops in program(1..60)) {
         let expect = sequential(&ops);
-        let starved = (2, 1, Front::Runtime);
-        for &(threads, shards, front) in COMBOS.iter().chain([&starved]) {
-            let mut b = Runtime::builder().threads(threads).shards(shards).record_graph(true);
-            if (threads, shards, front) == starved {
+        let starved = (2, Front::Runtime);
+        for &(threads, front) in COMBOS.iter().chain([&starved]) {
+            let mut b = Runtime::builder().threads(threads).record_graph(true);
+            if (threads, front) == starved {
                 // Cap 0: renames always miss, and eviction runs on the
                 // analysis path.
                 b = b.slab_spare_bytes(0);
             }
             let out = run(&ops, b, front);
-            prop_assert_eq!(&out.values, &expect, "t{} sh{} {:?}", threads, shards, front);
+            prop_assert_eq!(&out.values, &expect, "t{} {:?}", threads, front);
             let check = check_graph(&ops, &out.graph.expect("recording was on"), true);
-            prop_assert!(check.is_ok(), "t{} sh{} {:?}: {:?}", threads, shards, front, check);
+            prop_assert!(check.is_ok(), "t{} {:?}: {:?}", threads, front, check);
             prop_assert_eq!(out.stats.slab_hits, out.stats.version_pool_hits);
         }
     }

@@ -401,8 +401,8 @@ pub struct Spawned {
 
 /// Spawn `$ops` over `$data` (a [`Data`]) through a spawner source:
 /// `$spawn` is a closure from a task name to a ready `TaskSpawner`, so
-/// one body serves the runtime, a session and a submitter (their
-/// spawner types differ). Evaluates to a [`Spawned`]. Include this file
+/// one body serves the runtime and a session (their spawner types
+/// differ). Evaluates to a [`Spawned`]. Include this file
 /// with `#[macro_use]` to use it.
 macro_rules! drive {
     ($ops:expr, $data:expr, $spawn:expr) => {{
@@ -504,24 +504,24 @@ macro_rules! drive {
 pub enum Front {
     /// The main thread.
     Runtime,
-    /// One session, drained by `Session::wait`.
+    /// One session on its own thread, drained by `Session::wait`.
     Session,
-    /// Two submitter threads at once, each spawning its own copy of the
-    /// program over its own [`Data`]: their ids interleave.
-    Submitters,
+    /// Two sessions on their own threads at once, each spawning its own
+    /// copy of the program over its own [`Data`] (their ids interleave)
+    /// and drained by its own `Session::wait`.
+    Sessions,
 }
 
 /// One runtime configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     pub threads: usize,
-    pub shards: usize,
     pub front: Front,
     pub renaming: bool,
     /// A `memory_limit` of the program's initial data, so a live
-    /// renamed version trips the §III throttle. Submitters and
-    /// sessions wait for workers instead of helping, so at one thread
-    /// they run without it.
+    /// renamed version trips the §III throttle. Sessions wait for
+    /// workers instead of helping, so at one thread they run without
+    /// it.
     pub tight: bool,
     pub on_panic: OnPanic,
 }
@@ -530,52 +530,43 @@ impl Config {
     fn builder(&self) -> RuntimeBuilder {
         let b = Runtime::builder()
             .threads(self.threads)
-            .shards(self.shards)
             .renaming(self.renaming)
             .on_panic(self.on_panic)
             .record_graph(true);
         if !self.tight || self.threads == 1 && self.front != Front::Runtime {
             return b;
         }
-        let copies = if self.front == Front::Submitters {
-            2
-        } else {
-            1
-        };
-        b.memory_limit(copies * CELLS * std::mem::size_of::<i64>())
+        b.memory_limit(copies(self.front) * CELLS * std::mem::size_of::<i64>())
     }
 }
 
-/// One configuration per case: threads {1, 2, 8} × shards {1, 4} ×
-/// front × renaming × memory limit × `OnPanic`. Two submitters need
-/// two lanes, so that front always runs at four.
+/// How many copies of the program `front` spawns.
+fn copies(front: Front) -> usize {
+    if front == Front::Sessions {
+        2
+    } else {
+        1
+    }
+}
+
+/// One configuration per case: threads {1, 2, 8} × front × renaming ×
+/// memory limit × `OnPanic`.
 pub fn config() -> impl Strategy<Value = Config> {
     let policies = [
         OnPanic::CancelDependents,
         OnPanic::Isolate,
         OnPanic::FailFast,
     ];
-    let fronts = [Front::Runtime, Front::Session, Front::Submitters];
-    (
-        0..3usize,
-        0..2usize,
-        0..3usize,
-        0..2usize,
-        0..2usize,
-        0..3usize,
-    )
-        .prop_map(move |(t, s, f, r, m, p)| Config {
+    let fronts = [Front::Runtime, Front::Session, Front::Sessions];
+    (0..3usize, 0..3usize, 0..2usize, 0..2usize, 0..3usize).prop_map(move |(t, f, r, m, p)| {
+        Config {
             threads: [1, 2, 8][t],
-            shards: if fronts[f] == Front::Submitters {
-                4
-            } else {
-                [1, 4][s]
-            },
             front: fronts[f],
             renaming: r == 1,
             tight: m == 1,
             on_panic: policies[p],
-        })
+        }
+    })
 }
 
 /// One spawner's share of a run.
@@ -583,6 +574,9 @@ pub struct Part {
     pub ids: Vec<TaskId>,
     pub values: Vec<i64>,
     pub runs: Vec<u32>,
+    /// The session the part was spawned under; every failure among its
+    /// tasks must name it.
+    pub session: SessionId,
 }
 
 /// What a run left behind.
@@ -590,10 +584,8 @@ pub struct Outcome {
     /// The first part's values.
     pub values: Vec<i64>,
     pub parts: Vec<Part>,
-    /// The report of `wait_all`, or of `Session::wait` on a session.
+    /// The report of `wait_all`, or of the sessions' `Session::wait`s.
     pub failures: Result<(), smpss::TaskFailures>,
-    /// The session every failure must name.
-    pub session: SessionId,
     /// The recorded graph, when the builder records one.
     pub graph: Option<GraphRecord>,
     pub stats: smpss::StatsSnapshot,
@@ -604,72 +596,71 @@ pub fn run(ops: &[Op], builder: RuntimeBuilder, front: Front) -> Outcome {
     run_on(builder.build(), ops, front)
 }
 
-/// Run `ops` under `cfg`. At more than one shard the main thread takes
-/// the gated analysis paths: the runtime hands out (and drops) its
-/// submitters first.
+/// Run `ops` under `cfg`.
 pub fn run_config(ops: &[Op], cfg: &Config) -> Outcome {
-    let rt = cfg.builder().build();
-    if cfg.front == Front::Runtime && cfg.shards > 1 {
-        drop(rt.submitters());
-    }
-    run_on(rt, ops, cfg.front)
+    run_on(cfg.builder().build(), ops, cfg.front)
 }
 
 /// Run `ops` on `rt` through `front`, wait for every task and read
 /// every value.
 pub fn run_on(rt: Runtime, ops: &[Op], front: Front) -> Outcome {
     quiet_injected_panics();
-    let copies = if front == Front::Submitters { 2 } else { 1 };
-    let data: Vec<Data> = (0..copies).map(|_| Data::new(&rt)).collect();
-    let mut session = SessionId::NONE;
+    let data: Vec<Data> = (0..copies(front)).map(|_| Data::new(&rt)).collect();
     let (spawned, failures) = match front {
-        Front::Runtime => (vec![drive!(ops, data[0], (|n| rt.task(n)))], rt.wait_all()),
-        Front::Session => {
-            let sess = rt.session();
-            session = sess.id();
-            let s = drive!(
-                ops,
-                data[0],
-                (|n| sess.task(n).expect("no quota configured"))
-            );
+        Front::Runtime => (
+            vec![(drive!(ops, data[0], (|n| rt.task(n))), SessionId::NONE)],
+            rt.wait_all(),
+        ),
+        Front::Session | Front::Sessions => {
+            let sessions: Vec<_> = data.iter().map(|_| rt.session()).collect();
+            let spawned: Vec<_> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (sessions.into_iter().zip(&data))
+                    .map(|(sess, d)| {
+                        scope.spawn(move || {
+                            let s =
+                                drive!(ops, *d, (|n| sess.task(n).expect("no quota configured")));
+                            (s, sess)
+                        })
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|t| t.join().expect("session"))
+                    .collect()
+            });
             // A session wait helps nobody: at one thread the barrier
             // runs the tasks first.
             if rt.threads() == 1 {
                 rt.barrier();
             }
-            let failures = sess.wait();
-            if let Err(e) = rt.wait_all() {
-                panic!("failures left outside the session's own report: {e:?}");
-            }
-            (vec![s], failures)
-        }
-        Front::Submitters => {
-            let subs = rt.submitters();
-            let spawned = std::thread::scope(|scope| {
-                let threads: Vec<_> = subs
-                    .into_iter()
-                    .zip(&data)
-                    .map(|(sub, d)| scope.spawn(move || drive!(ops, *d, (|n| sub.task(n)))))
-                    .collect();
-                threads
-                    .into_iter()
-                    .map(|t| t.join().expect("submitter"))
-                    .collect()
+            let (mut failed, mut cancelled) = (Vec::new(), Vec::new());
+            let spawned = spawned.into_iter().map(|(s, sess)| {
+                if let Err(e) = sess.wait() {
+                    failed.extend(e.failed);
+                    cancelled.extend(e.cancelled);
+                }
+                (s, sess.id())
             });
-            (spawned, rt.wait_all())
+            let spawned: Vec<_> = spawned.collect();
+            if let Err(e) = rt.wait_all() {
+                panic!("failures left outside the sessions' own reports: {e:?}");
+            }
+            let failures = smpss::TaskFailures { failed, cancelled };
+            let none = failures.failed.is_empty() && failures.cancelled.is_empty();
+            (spawned, if none { Ok(()) } else { Err(failures) })
         }
     };
-    let part = |(s, d): (Spawned, &Data)| Part {
+    let part = |((s, session), d): ((Spawned, SessionId), &Data)| Part {
         values: d.values(&rt),
         runs: s.runs.iter().map(|r| r.load(Ordering::Relaxed)).collect(),
         ids: s.ids,
+        session,
     };
     let parts: Vec<Part> = spawned.into_iter().zip(&data).map(part).collect();
     Outcome {
         values: parts[0].values.clone(),
         parts,
         failures,
-        session,
         graph: rt.graph(),
         stats: rt.stats(),
     }
@@ -686,8 +677,16 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
             e.cancelled.iter().map(|c| (c.id, c.session)).collect(),
         ),
     };
-    if let Some(r) = failed.iter().chain(&cancelled).find(|r| r.1 != out.session) {
-        return Err(format!("{r:?} reported, spawned under {:?}", out.session));
+    let spawner = |id: TaskId| out.parts.iter().find(|p| p.ids.contains(&id));
+    if let Some(r) = failed
+        .iter()
+        .chain(&cancelled)
+        .find(|r| spawner(r.0).map(|p| p.session) != Some(r.1))
+    {
+        return Err(format!(
+            "{r:?} reported, spawned under {:?}",
+            spawner(r.0).map(|p| p.session)
+        ));
     }
     let ids =
         |v: Vec<(TaskId, SessionId)>| -> BTreeSet<TaskId> { v.into_iter().map(|r| r.0).collect() };
@@ -695,7 +694,6 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
     if ops.iter().any(|op| op.panics) == failed.is_empty() {
         return Err(format!("failed {failed:?} for the program {ops:?}"));
     }
-    let mut reported = 0;
     for part in &out.parts {
         let pick = |set: &BTreeSet<TaskId>| -> BTreeSet<usize> {
             (0..ops.len())
@@ -703,7 +701,6 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
                 .collect()
         };
         let (f, c) = (pick(&failed), pick(&cancelled));
-        reported += f.len() + c.len();
         // Each task ran, failed or was cancelled exactly once.
         for (i, &runs) in part.runs.iter().enumerate() {
             if runs != u32::from(!c.contains(&i)) || f.contains(&i) && !ops[i].panics {
@@ -729,9 +726,6 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
                 part.values[k], want[k]
             ));
         }
-    }
-    if reported != failed.len() + cancelled.len() {
-        return Err("a reported task is not the program's".into());
     }
     let Some(g) = &out.graph else { return Ok(()) };
     if g.node_count() != ops.len() * out.parts.len() {
