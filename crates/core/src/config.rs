@@ -11,44 +11,22 @@
 //! direct hand-off, renamed-away versions park in the runtime-wide
 //! version slab, and ready tasks are placed by the §III order alone.
 //! What remains here are the paper's parameters, sizes and limits and
-//! the session quotas. Dependency analysis has one lane, as in the
-//! paper: there is no lane count to configure. The SuperMatrix-style
-//! central queue the paper compares against (§VII.C) is studied in the
-//! simulator (`smpss-sim`'s `SimPolicy::CentralQueue`) and the fork-join
-//! baseline, not in the runtime.
+//! the one session quota with its admission policy. Dependency analysis
+//! has one lane, as in the paper: there is no lane count to configure.
+//! Failure handling has one policy and no setter: a panicking body
+//! cancels its transitive dependents spawned under the same session
+//! (see [`Runtime::wait_all`](crate::Runtime::wait_all)). The
+//! SuperMatrix-style central queue the paper compares against (§VII.C)
+//! is studied in the simulator (`smpss-sim`'s `SimPolicy::CentralQueue`)
+//! and the fork-join baseline, not in the runtime.
 //!
 //! Whether more than one thread spawns is not configured: the runtime
 //! observes it. It starts in the paper's single-spawner mode and moves
 //! to concurrent spawners the first time
 //! [`Runtime::session`](crate::Runtime::session) hands out a handle.
 
-/// What the runtime does with the dependents of a task whose body
-/// panicked. The panic itself is always contained: the failed task still
-/// runs the full completion protocol (successors settled, read windows
-/// closed, pools recycled), the scheduler never loses count, and the
-/// failure is reported by [`Runtime::wait_all`](crate::Runtime::wait_all).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum OnPanic {
-    /// Cancel every transitive dependent of the failed task: their bodies
-    /// never run (captured bindings are dropped, closing read windows),
-    /// but they complete through the normal protocol so independent
-    /// subgraphs keep running and barriers still drain. The default.
-    #[default]
-    CancelDependents,
-    /// Stop scheduling new bodies runtime-wide after the first panic:
-    /// every task that has not started yet is cancelled, dependent or
-    /// not. Tasks already executing run to completion.
-    FailFast,
-    /// Contain the panic to the failed task only. Dependents still run —
-    /// a renamed output the failed body never wrote holds its
-    /// allocator-fresh (or stale in-place) value, which is memory-safe
-    /// but semantically the caller's responsibility.
-    Isolate,
-}
-
 /// What a [`Session`](crate::Session) submission does when the session is
-/// at one of its quotas ([`RuntimeBuilder::session_max_in_flight`],
-/// [`RuntimeBuilder::session_max_renamed_bytes`]).
+/// at its in-flight quota ([`RuntimeBuilder::session_max_in_flight`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Wait (bounded spin, then yielding backoff) until the session drops
@@ -62,10 +40,6 @@ pub enum AdmissionPolicy {
     /// happens, so no analysed state is ever silently dropped — the caller
     /// keeps its closure and data handles and can retry.
     Shed,
-    /// Block like [`AdmissionPolicy::Block`] until the session's deadline
-    /// ([`Session::with_deadline`](crate::Session::with_deadline)) passes,
-    /// then shed. A session with no deadline behaves like `Block`.
-    Deadline,
 }
 
 /// Complete, validated runtime configuration. Build one with
@@ -79,9 +53,7 @@ pub struct RuntimeConfig {
     pub(crate) record_graph: bool,
     pub(crate) tracing: bool,
     pub(crate) slab_spare_bytes: Option<usize>,
-    pub(crate) on_panic: OnPanic,
     pub(crate) session_max_in_flight: Option<usize>,
-    pub(crate) session_max_renamed_bytes: Option<usize>,
     pub(crate) admission: AdmissionPolicy,
 }
 
@@ -95,9 +67,7 @@ impl Default for RuntimeConfig {
             record_graph: false,
             tracing: false,
             slab_spare_bytes: None,
-            on_panic: OnPanic::CancelDependents,
             session_max_in_flight: None,
-            session_max_renamed_bytes: None,
             admission: AdmissionPolicy::Block,
         }
     }
@@ -173,13 +143,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Failure policy for panicking task bodies (default
-    /// [`OnPanic::CancelDependents`]). See [`OnPanic`].
-    pub fn on_panic(mut self, policy: OnPanic) -> Self {
-        self.cfg.on_panic = policy;
-        self
-    }
-
     /// Per-session quota on in-flight tasks (spawned but unfinished).
     /// A session at the quota has further submissions blocked or shed
     /// according to the [`AdmissionPolicy`]. Applies to every
@@ -187,14 +150,6 @@ impl RuntimeBuilder {
     pub fn session_max_in_flight(mut self, n: usize) -> Self {
         assert!(n >= 1, "a session quota below one task admits nothing");
         self.cfg.session_max_in_flight = Some(n);
-        self
-    }
-
-    /// Per-session quota on live renamed/version bytes attributed to the
-    /// session's tasks — the session-scoped analogue of
-    /// [`memory_limit`](Self::memory_limit).
-    pub fn session_max_renamed_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.session_max_renamed_bytes = Some(bytes);
         self
     }
 
@@ -236,20 +191,30 @@ mod tests {
         assert!(!c.record_graph);
         assert!(!c.tracing);
         assert!(c.slab_spare_bytes.is_none());
-        assert_eq!(c.on_panic, OnPanic::CancelDependents);
     }
 
+    /// The failure policy is not configurable: the configuration holds
+    /// no panic policy, and a panic cancels exactly its same-session
+    /// dependents while an independent task still runs.
     #[test]
     fn builder_sets_on_panic() {
-        let c = RuntimeBuilder::default()
-            .on_panic(OnPanic::FailFast)
-            .config();
-        assert_eq!(c.on_panic, OnPanic::FailFast);
-        let c = RuntimeBuilder::default()
-            .on_panic(OnPanic::Isolate)
-            .config();
-        assert_eq!(c.on_panic, OnPanic::Isolate);
-        assert_eq!(OnPanic::default(), OnPanic::CancelDependents);
+        let debug = format!("{:?}", RuntimeBuilder::default().config());
+        assert!(!debug.contains("panic"), "{debug}");
+        let rt = RuntimeBuilder::default().threads(2).build();
+        let (x, y) = (rt.data(0u32), rt.data(0u32));
+        let mut sp = rt.task("boom");
+        let _w = sp.write(&x);
+        sp.submit(|| panic!("contained"));
+        let mut sp = rt.task("dependent");
+        let mut r = sp.inout(&x);
+        sp.submit(move || *r.get_mut() = 1);
+        let mut sp = rt.task("independent");
+        let mut w = sp.write(&y);
+        sp.submit(move || *w.get_mut() = 1);
+        let err = rt.wait_all().expect_err("one body panicked");
+        assert_eq!((err.failed.len(), err.cancelled.len()), (1, 1));
+        assert_eq!(err.cancelled[0].name, "dependent");
+        assert_eq!((rt.read(&x), rt.read(&y)), (0, 1));
     }
 
     /// The fast paths have no switches, and idle workers no tuning: the
@@ -291,11 +256,11 @@ mod tests {
     }
 
     /// Analysis has one lane and no setter: the configuration holds
-    /// one field per builder setter (11) and no lane count.
+    /// one field per builder setter (9) and no lane count.
     #[test]
     fn builder_sets_shards() {
         let debug = format!("{:?}", RuntimeBuilder::default().config());
-        assert_eq!(debug.matches(": ").count(), 11, "{debug}");
+        assert_eq!(debug.matches(": ").count(), 9, "{debug}");
         assert!(!debug.contains("shards"), "{debug}");
     }
 
@@ -303,7 +268,6 @@ mod tests {
     fn session_defaults_off() {
         let c = RuntimeConfig::default();
         assert!(c.session_max_in_flight.is_none());
-        assert!(c.session_max_renamed_bytes.is_none());
         assert_eq!(c.admission, AdmissionPolicy::Block);
         // No session is open until one is asked for: a default runtime
         // starts in the single-spawner mode, and opening a session is
@@ -322,10 +286,6 @@ mod tests {
         let c = RuntimeBuilder::default().session_max_in_flight(8).config();
         assert_eq!(c.session_max_in_flight, Some(8));
         let c = RuntimeBuilder::default()
-            .session_max_renamed_bytes(1 << 20)
-            .config();
-        assert_eq!(c.session_max_renamed_bytes, Some(1 << 20));
-        let c = RuntimeBuilder::default()
             .admission(AdmissionPolicy::Shed)
             .config();
         assert_eq!(c.admission, AdmissionPolicy::Shed);
@@ -333,7 +293,6 @@ mod tests {
         let rt = RuntimeBuilder::default()
             .threads(2)
             .session_max_in_flight(8)
-            .session_max_renamed_bytes(1 << 20)
             .admission(AdmissionPolicy::Shed)
             .build();
         assert!(!rt.shared.sessions_used(), "quotas imply nothing");

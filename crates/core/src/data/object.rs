@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use super::slab::{ReuseKey, VersionSlab};
-use super::version::{TicketCharge, VBuf};
+use super::version::{MemTicket, VBuf};
 use super::TaskData;
 use crate::graph::node::TaskNode;
 use crate::ids::ObjectId;
@@ -161,7 +161,7 @@ impl<T: TaskData> DataObject<T> {
         slab: Arc<VersionSlab>,
         shape_exact: bool,
     ) -> Self {
-        let ticket = crate::data::version::MemTicket::new(version_bytes, Arc::clone(&acct));
+        let ticket = MemTicket::new(version_bytes, Arc::clone(&acct));
         slab.note_peak(acct.load(Ordering::Acquire));
         let reuse_key = if shape_exact {
             ReuseKey::shared::<VBuf<T>>(version_bytes)
@@ -185,16 +185,10 @@ impl<T: TaskData> DataObject<T> {
         }
     }
 
-    /// A fresh version buffer for the renamer, with its memory ticket
-    /// minted through `charge` (session credit pre-payment and session
-    /// attribution; [`TicketCharge::NONE`] for the exact single-spawner
-    /// accounting).
-    pub(crate) fn fresh_version_buf(&self, charge: TicketCharge<'_>) -> Arc<VBuf<T>> {
-        let ticket = crate::data::version::MemTicket::new_charged(
-            self.version_bytes,
-            Arc::clone(&self.acct),
-            charge,
-        );
+    /// A fresh version buffer for the renamer, with its own memory
+    /// ticket.
+    pub(crate) fn fresh_version_buf(&self) -> Arc<VBuf<T>> {
+        let ticket = MemTicket::new(self.version_bytes, Arc::clone(&self.acct));
         self.slab.note_peak(self.acct.load(Ordering::Acquire));
         Arc::new(VBuf::with_ticket((self.alloc)(), ticket))
     }
@@ -214,13 +208,12 @@ impl<T: TaskData> DataObject<T> {
     /// count stays ≥ 2 until the rename is fully wired and a concurrent
     /// probe can never see it dead early — deadness is strictly "only
     /// the slab holds it". A recycled buffer keeps its creation-time
-    /// memory ticket, so `charge` applies only to a fresh allocation.
+    /// memory ticket; only a fresh allocation mints one.
     #[inline(always)]
     pub(crate) fn rename_current(
         &self,
         st: &mut ObjState<T>,
         producer: Arc<TaskNode>,
-        charge: TicketCharge<'_>,
     ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>) {
         let (guard, found) = self.slab.begin(self.reuse_key);
         let buf = match found {
@@ -237,7 +230,7 @@ impl<T: TaskData> DataObject<T> {
             }
             None => {
                 drop(guard);
-                let buf = self.fresh_version_buf(charge);
+                let buf = self.fresh_version_buf();
                 let old = self.install(st, &buf, producer);
                 let old_buf = Arc::clone(&old);
                 self.slab.park_displaced(self.reuse_key, old as _);
@@ -341,10 +334,7 @@ mod tests {
         // Rename four times, holding every displaced version as a reader
         // would: v0 (the initial one) .. v3 park in age order.
         let mut held: Vec<_> = (0..4)
-            .map(|_| {
-                o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE)
-                    .1
-            })
+            .map(|_| o.rename_current(&mut st, Arc::clone(&producer)).1)
             .collect();
         // Four parked entries exceed the three-entry cap: v0, the oldest
         // and front one, went first.
@@ -355,10 +345,7 @@ mod tests {
         // Two more renames reuse nothing (every parked entry is read)
         // and park v4 and v5; the second goes over the cap again.
         for _ in 0..2 {
-            held.push(
-                o.rename_current(&mut st, Arc::clone(&producer), TicketCharge::NONE)
-                    .1,
-            );
+            held.push(o.rename_current(&mut st, Arc::clone(&producer)).1);
         }
         // v2, the minimum age but not in the front slot, was evicted.
         let parked: Vec<usize> = held[1..].iter().map(Arc::strong_count).collect();

@@ -572,10 +572,10 @@ impl VersionSlab {
         }
     }
 
-    /// Free up to `want` bytes of **dead** parked spares — the throttle,
-    /// the session-side throttle and the session quota probe call this
-    /// before (and instead of) waiting, which is what turns the §III
-    /// memory limit into backpressure the slab can actually answer.
+    /// Free up to `want` bytes of **dead** parked spares — the throttle
+    /// and the session-side throttle call this before (and instead of)
+    /// waiting, which is what turns the §III memory limit into
+    /// backpressure the slab can actually answer.
     /// Returns the bytes released. Empty shelves are skipped gate-free,
     /// so the call is two loads per class when there is nothing parked.
     pub(crate) fn reclaim(&self, want: usize) -> usize {
@@ -599,7 +599,7 @@ impl VersionSlab {
                     // bytes): that is what the ticket drop releases.
                     freed += p.key.bytes;
                     // Dropping the dead buffer here releases its ticket
-                    // (and any session attribution) immediately.
+                    // immediately.
                     drop(p);
                     if freed >= want {
                         return freed;

@@ -19,38 +19,22 @@
 //! on the buffer — a dependency-analysis or scheduler bug trips an assert in
 //! any build profile rather than silently racing.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use super::TaskData;
-use crate::runtime::session::SessionCtl;
 
 /// Memory-accounting ticket: registers `bytes` against a runtime-wide
 /// counter for as long as the owning version buffer is alive. This is
 /// what the §III *memory limit* blocking condition watches — renaming
 /// trades memory for parallelism, and the ticket count is exactly that
 /// traded memory. The counter is a single shared atomic (AcqRel both
-/// ways), so with sessions open every spawner's renames fold into one
-/// account: the spawn throttle (`Runtime::after_submit`, and each
-/// session's post-submit wait) observes the *sum* of renamed bytes
-/// across all spawners, never a per-spawner undercount.
-///
-/// Sessions pre-pay the global side through a [`ByteCredit`]
-/// ([`new_charged`](Self::new_charged) with `prepaid == true`): the
-/// creation-time `fetch_add` is skipped because the credit's chunk grab
-/// already registered the bytes. The Drop side always `fetch_sub`s the
-/// global account — symmetric with the chunk grab, never with the
-/// (skipped) per-ticket add — so the invariant is
-/// `live_bytes == Σ live ticket bytes + Σ session surpluses`.
-///
-/// Tickets minted on behalf of a [`Session`](crate::Session) also carry
-/// the session's byte account: the bytes count against the session's
-/// `session_max_renamed_bytes` quota from creation until Drop.
-/// Attribution is creation-time: a pooled version buffer reused by a
-/// different session keeps its original ticket and hence its original
-/// attribution (the pool hit allocates nothing, so there is nothing new
-/// to attribute).
+/// ways), and every ticket is minted through [`new`](Self::new),
+/// whichever thread spawned the renaming task: with sessions open every
+/// spawner's renames fold into one exact account, and the spawn
+/// throttle (`Runtime::after_submit`, and each session's post-submit
+/// wait) observes the *sum* of renamed bytes across all spawners.
 ///
 /// The ticket travels **inside** its [`VBuf`], so it is released by the
 /// buffer's final `Arc` drop and nothing else. This is the accounting
@@ -61,135 +45,18 @@ use crate::runtime::session::SessionCtl;
 pub(crate) struct MemTicket {
     bytes: usize,
     acct: Arc<AtomicUsize>,
-    sess: Option<Arc<SessionCtl>>,
 }
 
 impl MemTicket {
     pub(crate) fn new(bytes: usize, acct: Arc<AtomicUsize>) -> Self {
         acct.fetch_add(bytes, Ordering::AcqRel);
-        MemTicket {
-            bytes,
-            acct,
-            sess: None,
-        }
-    }
-
-    /// Mint a ticket through a [`TicketCharge`]: the session credit (if
-    /// any) pre-pays the global account in chunks, and the session (if
-    /// any) is charged its quota-side bytes.
-    pub(crate) fn new_charged(
-        bytes: usize,
-        acct: Arc<AtomicUsize>,
-        charge: TicketCharge<'_>,
-    ) -> Self {
-        let prepaid = match charge.credit {
-            Some(credit) => credit.cover(bytes),
-            None => false,
-        };
-        if !prepaid {
-            acct.fetch_add(bytes, Ordering::AcqRel);
-        }
-        let sess = charge.sess.map(Arc::clone);
-        if let Some(ctl) = &sess {
-            ctl.add_bytes(bytes);
-        }
-        MemTicket { bytes, acct, sess }
+        MemTicket { bytes, acct }
     }
 }
 
 impl Drop for MemTicket {
     fn drop(&mut self) {
         self.acct.fetch_sub(self.bytes, Ordering::AcqRel);
-        if let Some(ctl) = &self.sess {
-            ctl.sub_bytes(self.bytes);
-        }
-    }
-}
-
-/// Spawn-side accounting context for a freshly minted version ticket:
-/// which session credit (if any) pre-pays the global account, and which
-/// session (if any) the bytes are attributed to. Threaded from the
-/// [`SpawnHost`](crate::runtime::spawner::SpawnHost) through the
-/// analyser's rename calls down to the ticket mint.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct TicketCharge<'a> {
-    pub(crate) credit: Option<&'a ByteCredit>,
-    pub(crate) sess: Option<&'a Arc<SessionCtl>>,
-}
-
-impl TicketCharge<'_> {
-    /// The `Runtime` host's charge: exact per-mint global accounting, no
-    /// session attribution — the pre-session behaviour, bit for bit.
-    pub(crate) const NONE: TicketCharge<'static> = TicketCharge {
-        credit: None,
-        sess: None,
-    };
-}
-
-/// Max bytes a session credit grabs from the global account in one RMW.
-const CREDIT_CHUNK_CAP: usize = 32 << 10;
-
-/// A session's chunked pre-payment against the global renamed-bytes
-/// account. One per [`Session`](crate::Session): instead of one
-/// contended `fetch_add` per renamed version, the session grabs up to
-/// [`CREDIT_CHUNK_CAP`] bytes at a time and covers subsequent tickets
-/// from the local surplus — a `Cell`, single-threaded like the
-/// `Session` itself.
-///
-/// The surplus is real debt against the global account: `live_bytes`
-/// over-reports by exactly the sum of session surpluses, which errs
-/// toward throttling (safe) and is bounded by `sessions ×
-/// CREDIT_CHUNK_CAP`. The surplus is returned by
-/// [`release`](Self::release) — called when the session hits the
-/// memory-limit wait (so the wait observes true bytes) and
-/// unconditionally by Drop, which is what keeps a `Session` dropped
-/// mid-graph from leaking its un-returned debt in the global
-/// throttle account forever.
-pub(crate) struct ByteCredit {
-    surplus: Cell<usize>,
-    acct: Arc<AtomicUsize>,
-}
-
-impl ByteCredit {
-    pub(crate) fn new(acct: Arc<AtomicUsize>) -> Self {
-        ByteCredit {
-            surplus: Cell::new(0),
-            acct,
-        }
-    }
-
-    /// Cover a `bytes`-sized ticket from the surplus, growing the
-    /// surplus with one chunked global `fetch_add` when it runs dry.
-    /// Always succeeds (returns `true`: the ticket is prepaid).
-    pub(crate) fn cover(&self, bytes: usize) -> bool {
-        let mut s = self.surplus.get();
-        if s < bytes {
-            let grab = bytes.saturating_mul(4).min(CREDIT_CHUNK_CAP).max(bytes);
-            self.acct.fetch_add(grab, Ordering::AcqRel);
-            s += grab;
-        }
-        self.surplus.set(s - bytes);
-        true
-    }
-
-    /// Return the un-spent surplus to the global account.
-    pub(crate) fn release(&self) {
-        let s = self.surplus.replace(0);
-        if s > 0 {
-            self.acct.fetch_sub(s, Ordering::AcqRel);
-        }
-    }
-
-    /// Current un-spent surplus (test observability).
-    #[cfg(test)]
-    pub(crate) fn surplus(&self) -> usize {
-        self.surplus.get()
-    }
-}
-
-impl Drop for ByteCredit {
-    fn drop(&mut self) {
-        self.release();
     }
 }
 
@@ -494,6 +361,7 @@ impl<T: TaskData> Drop for WriteBinding<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::spawner::SpawnHost;
 
     fn vbuf(v: i32) -> Arc<VBuf<i32>> {
         Arc::new(VBuf::new(v))
@@ -582,70 +450,71 @@ mod tests {
         let _ = w.get_mut(); // must not panic: reader window closed
     }
 
-    #[test]
-    fn byte_credit_grabs_chunks_and_returns_surplus_on_drop() {
-        let acct = Arc::new(AtomicUsize::new(0));
-        let credit = ByteCredit::new(Arc::clone(&acct));
-        assert!(credit.cover(1000));
-        assert_eq!(acct.load(Ordering::Acquire), 4000, "one 4x chunk grab");
-        assert_eq!(credit.surplus(), 3000);
-        assert!(credit.cover(3000));
-        assert_eq!(acct.load(Ordering::Acquire), 4000, "covered from surplus");
-        assert_eq!(credit.surplus(), 0);
-        assert!(credit.cover(100_000));
-        assert_eq!(
-            acct.load(Ordering::Acquire),
-            104_000,
-            "over-cap mints grab exactly their own size"
-        );
-        assert_eq!(credit.surplus(), 0);
-        assert!(credit.cover(8));
-        let surplus = credit.surplus();
-        assert!(surplus > 0);
-        let before = acct.load(Ordering::Acquire);
-        drop(credit);
-        assert_eq!(
-            acct.load(Ordering::Acquire),
-            before - surplus,
-            "dropping the credit returns the un-spent surplus"
-        );
+    const BYTES: usize = 1024;
+
+    fn object(rt: &crate::Runtime) -> crate::Handle<Vec<u8>> {
+        rt.data_sized(vec![0u8; BYTES], BYTES, || vec![0u8; BYTES])
     }
 
+    /// One write task on `h`. At one thread nothing runs before the
+    /// barrier, so a write that finds the previous writer pending
+    /// renames.
+    fn write<H: SpawnHost>(mut sp: crate::TaskSpawner<'_, H>, h: &crate::Handle<Vec<u8>>) {
+        let mut w = sp.write(h);
+        sp.submit(move || w.get_mut()[0] = 1);
+    }
+
+    /// A session's renames add exactly their version bytes to the
+    /// runtime-wide account, one ticket each, and dropping the session
+    /// mid-graph leaves the account as it is: a session holds no bytes
+    /// of its own.
+    #[test]
+    fn byte_credit_grabs_chunks_and_returns_surplus_on_drop() {
+        let rt = crate::Runtime::builder().threads(1).build();
+        let h = object(&rt);
+        let s = rt.session();
+        for k in 0..4 {
+            write(s.task("w").expect("no quota configured"), &h);
+            // The first write reuses the quiescent initial version.
+            assert_eq!(rt.live_version_bytes(), (1 + k) * BYTES, "write {k}");
+        }
+        drop(s);
+        assert_eq!(rt.live_version_bytes(), 4 * BYTES, "the drop moves nothing");
+        rt.barrier();
+        // The superseded versions are dead, parked and still charged.
+        assert_eq!(rt.stats().slab_parked_bytes, 3 * BYTES as u64);
+        assert_eq!(rt.shared.slab.reclaim(usize::MAX), 3 * BYTES);
+        assert_eq!(rt.live_version_bytes(), BYTES);
+    }
+
+    /// Renames from several spawners fold into one exact account: the
+    /// main thread and two sessions rename objects of their own, and
+    /// after every spawn the account is the sum of the live versions,
+    /// whichever host minted the ticket — also once both sessions are
+    /// dropped with their tasks pending.
     #[test]
     fn prepaid_ticket_balances_global_account() {
-        let acct = Arc::new(AtomicUsize::new(0));
-        let credit = ByteCredit::new(Arc::clone(&acct));
-        let t = MemTicket::new_charged(
-            100,
-            Arc::clone(&acct),
-            TicketCharge {
-                credit: Some(&credit),
-                sess: None,
-            },
-        );
-        assert_eq!(
-            acct.load(Ordering::Acquire),
-            400,
-            "chunk grab, no per-ticket add"
-        );
-        drop(t);
-        assert_eq!(
-            acct.load(Ordering::Acquire),
-            300,
-            "ticket drop returns its bytes"
-        );
-        drop(credit);
-        assert_eq!(
-            acct.load(Ordering::Acquire),
-            0,
-            "credit drop returns the surplus"
-        );
+        let rt = crate::Runtime::builder().threads(1).build();
+        let objs: Vec<_> = (0..3).map(|_| object(&rt)).collect();
+        let sessions = [rt.session(), rt.session()];
+        for round in 0..3 {
+            write(rt.task("main"), &objs[0]);
+            for (s, h) in sessions.iter().zip(&objs[1..]) {
+                write(s.task("session").expect("no quota configured"), h);
+            }
+            assert_eq!(rt.live_version_bytes(), (3 + 3 * round) * BYTES);
+        }
+        drop(sessions);
+        assert_eq!(rt.live_version_bytes(), 9 * BYTES);
+        rt.barrier();
+        assert_eq!(rt.shared.slab.reclaim(usize::MAX), 6 * BYTES);
+        assert_eq!(rt.live_version_bytes(), 3 * BYTES);
     }
 
     #[test]
     fn uncharged_ticket_is_exact() {
         let acct = Arc::new(AtomicUsize::new(0));
-        let t = MemTicket::new_charged(64, Arc::clone(&acct), TicketCharge::NONE);
+        let t = MemTicket::new(64, Arc::clone(&acct));
         assert_eq!(acct.load(Ordering::Acquire), 64);
         drop(t);
         assert_eq!(acct.load(Ordering::Acquire), 0);

@@ -199,9 +199,7 @@ fn rename<T: TaskData, H: SpawnHost>(
     st: &mut ObjState<T>,
 ) -> (Arc<VBuf<T>>, Arc<VBuf<T>>) {
     let displaced = st.current.producer.take();
-    let switched = h
-        .obj
-        .rename_current(st, Arc::clone(sp.node()), sp.ticket_charge());
+    let switched = h.obj.rename_current(st, Arc::clone(sp.node()));
     sp.release_producer(displaced);
     switched
 }

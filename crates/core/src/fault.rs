@@ -38,13 +38,11 @@ mod imp {
 
     static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
     /// Monotone site-invocation counters (throttle, park, admission,
-    /// deadline, shed) for the one-in-N / first-N decisions; reset on
-    /// install.
+    /// shed) for the one-in-N / first-N decisions; reset on install.
     static THROTTLE_HITS: AtomicU64 = AtomicU64::new(0);
     static PARK_CALLS: AtomicU64 = AtomicU64::new(0);
     static WAKE_CALLS: AtomicU64 = AtomicU64::new(0);
     static ADMISSION_HITS: AtomicU64 = AtomicU64::new(0);
-    static DEADLINE_HITS: AtomicU64 = AtomicU64::new(0);
     static SHED_HITS: AtomicU64 = AtomicU64::new(0);
 
     /// splitmix64: one cheap, statistically solid mix of seed and id.
@@ -74,10 +72,6 @@ mod imp {
         /// Force the first N session admission checks to report
         /// over-quota (stalling Block sessions, shedding Shed ones).
         admission_stalls: u64,
-        /// Force the first N session deadline probes to report the
-        /// deadline as already passed (deadline-fire race: the probe
-        /// fires while submissions are still arriving).
-        deadline_fires: u64,
         /// Force the first N Shed-policy admissions to shed even while
         /// under quota (shed-under-load race).
         forced_sheds: u64,
@@ -132,18 +126,10 @@ mod imp {
         }
 
         /// Force the first `n` session admission checks to see the
-        /// session as over-quota: Block/Deadline sessions stall one
-        /// backoff quantum each, Shed sessions return `Err(Overloaded)`.
+        /// session as over-quota: Block sessions stall one backoff
+        /// quantum each, Shed sessions return `Err(Overloaded)`.
         pub fn admission_stalls(mut self, n: u64) -> Self {
             self.admission_stalls = n;
-            self
-        }
-
-        /// Force the first `n` session deadline probes to fire as if the
-        /// deadline had already passed, exercising the race between a
-        /// firing deadline and in-flight submissions/dispatches.
-        pub fn deadline_fires(mut self, n: u64) -> Self {
-            self.deadline_fires = n;
             self
         }
 
@@ -173,7 +159,6 @@ mod imp {
             PARK_CALLS.store(0, Ordering::Relaxed);
             WAKE_CALLS.store(0, Ordering::Relaxed);
             ADMISSION_HITS.store(0, Ordering::Relaxed);
-            DEADLINE_HITS.store(0, Ordering::Relaxed);
             SHED_HITS.store(0, Ordering::Relaxed);
             *PLAN.write().unwrap() = Some(Arc::new(self));
         }
@@ -252,16 +237,6 @@ mod imp {
         }
     }
 
-    /// Deadline site: `true` forces this session deadline probe to fire.
-    pub fn deadline_site() -> bool {
-        match plan() {
-            Some(p) if p.deadline_fires > 0 => {
-                DEADLINE_HITS.fetch_add(1, Ordering::Relaxed) < p.deadline_fires
-            }
-            _ => false,
-        }
-    }
-
     /// Shed site: `true` forces this under-quota Shed admission to shed.
     pub fn shed_site() -> bool {
         match plan() {
@@ -275,8 +250,8 @@ mod imp {
 
 #[cfg(feature = "fault-inject")]
 pub use imp::{
-    admission_site, body_site, deadline_site, park_calls, park_site, shed_site, throttle_site,
-    wake_site, FaultPlan,
+    admission_site, body_site, park_calls, park_site, shed_site, throttle_site, wake_site,
+    FaultPlan,
 };
 
 /// Default build: every site is an empty inline function the optimiser
@@ -306,20 +281,13 @@ mod imp {
     }
 
     #[inline(always)]
-    pub fn deadline_site() -> bool {
-        false
-    }
-
-    #[inline(always)]
     pub fn shed_site() -> bool {
         false
     }
 }
 
 #[cfg(not(feature = "fault-inject"))]
-pub use imp::{
-    admission_site, body_site, deadline_site, park_site, shed_site, throttle_site, wake_site,
-};
+pub use imp::{admission_site, body_site, park_site, shed_site, throttle_site, wake_site};
 
 #[cfg(all(test, feature = "fault-inject"))]
 mod tests {

@@ -812,7 +812,7 @@ impl TaskNode {
     ///
     /// With `poison`, every registered successor gets a cancellation
     /// request stamped before its dependency is released — the
-    /// `OnPanic::CancelDependents` propagation step. A failed or
+    /// cancel-dependents propagation step. A failed or
     /// cancelled task completes through this same protocol, so the
     /// scheduler's counts and pools never diverge on failure.
     pub(crate) fn complete(&self, poison: bool, on_ready: impl FnMut(Arc<TaskNode>)) -> usize {
@@ -899,13 +899,12 @@ impl TaskNode {
                     // Sequenced before the release_dep below, whose
                     // release sequence the eventual consumer joins.
                     // Poison stays inside the failing task's session: a
-                    // cross-session successor keeps running (Isolate
-                    // semantics for the edge — its renamed input holds
-                    // whatever the failed body left, which is memory-
-                    // safe; the blast radius of a tenant's panic is the
-                    // tenant). With no sessions anywhere both stamps
-                    // are null and every successor qualifies, exactly
-                    // the pre-session walk.
+                    // cross-session successor keeps running (its renamed
+                    // input holds whatever the failed body left, which
+                    // is memory-safe; the blast radius of a tenant's
+                    // panic is the tenant). With no sessions anywhere
+                    // both stamps are null and every successor
+                    // qualifies, exactly the pre-session walk.
                     succ.request_cancel();
                 }
                 if succ.release_dep() {

@@ -53,7 +53,7 @@ impl fmt::Debug for ObjectId {
 pub struct SessionId(pub u32);
 
 impl SessionId {
-    /// The runtime's own pseudo-session (no quotas, never cancellable).
+    /// The runtime's own pseudo-session (no quota, never cancellable).
     pub const NONE: SessionId = SessionId(0);
 
     /// Is this a real tenant session (as opposed to the runtime's own

@@ -66,7 +66,7 @@ pub mod sched;
 pub mod stats;
 pub mod trace;
 
-pub use config::{AdmissionPolicy, OnPanic, RuntimeBuilder, RuntimeConfig};
+pub use config::{AdmissionPolicy, RuntimeBuilder, RuntimeConfig};
 pub use data::object::Handle;
 pub use data::opaque::Opaque;
 pub use data::region::{Region, RegionBound};

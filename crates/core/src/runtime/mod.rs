@@ -8,7 +8,6 @@ pub mod spawner;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::Mutex;
@@ -40,8 +39,9 @@ pub enum Priority {
 }
 
 /// One task whose body panicked. The panic was contained: the task
-/// completed through the normal protocol and the rest of the graph kept
-/// running (subject to the [`OnPanic`](crate::OnPanic) policy).
+/// completed through the normal protocol, its transitive dependents
+/// spawned under the same session were cancelled, and the rest of the
+/// graph kept running.
 pub struct TaskFailure {
     /// Id of the failed task.
     pub id: TaskId,
@@ -80,8 +80,8 @@ impl std::fmt::Debug for TaskFailure {
     }
 }
 
-/// One task whose body never ran because a failure upstream (or a
-/// [`FailFast`](crate::OnPanic::FailFast) trip) cancelled it.
+/// One task whose body never ran because a failure upstream (or
+/// [`Session::cancel_all`](crate::Session::cancel_all)) cancelled it.
 #[derive(Clone, Debug)]
 pub struct CancelledTask {
     /// Id of the cancelled task.
@@ -211,11 +211,10 @@ pub struct Shared {
     /// configured; [`Runtime::latch_spawners`] is its only writer.
     /// Padded: the spawn path and the workers read it per task.
     pub(crate) sessions: CachePadded<AtomicBool>,
-    /// Latches true on the first failed or cancelled task. The
-    /// `OnPanic::FailFast` probe and [`Session::has_failures`]
-    /// (session.rs stays greppably mutex-free) read only this flag,
-    /// never the registry below. Padded: under `FailFast` it is probed
-    /// once per task.
+    /// Latches true on the first failed or cancelled task. The worker's
+    /// cancel probe and [`Session::has_failures`] (session.rs stays
+    /// greppably mutex-free) read only this flag, never the registry
+    /// below. Padded: it is probed once per task.
     ///
     /// [`Session::has_failures`]: session::Session::has_failures
     pub(crate) faulted: CachePadded<AtomicBool>,
@@ -225,21 +224,11 @@ pub struct Shared {
     /// pins on completion/shard/version are untouched, and the healthy
     /// alloc budget stays zero.
     pub(crate) failures: Mutex<FailureLog>,
-    /// Construction instant: the time base every session deadline is
-    /// measured against (deadlines store nanoseconds-since-epoch, so a
-    /// worker's expiry probe is one Relaxed `u64` load and a compare —
-    /// no `Instant` arithmetic unless a deadline is actually armed).
-    pub(crate) epoch: Instant,
-    /// Session-0 fault flag: the `FailFast` scope for tasks spawned
-    /// *outside* any session once sessions are in play. (`faulted`
-    /// stays the runtime-wide tripwire; this splits its FailFast
-    /// consequence per tenant — see `sched::worker::session_skip`.)
-    pub(crate) faulted0: AtomicBool,
     /// Session registry: every control block handed out by
     /// [`Runtime::session`], kept alive for the runtime's lifetime so
     /// the raw session pointers stamped on task nodes stay valid (see
     /// `TaskNode::sess_ctl`). Mutex-backed like `failures`: touched at
-    /// session open and at `wait_all`'s fault reset, never per task.
+    /// session open only, never per task.
     pub(crate) registry: Mutex<Vec<Arc<session::SessionCtl>>>,
     /// Session id mint (1-based; 0 is [`SessionId::NONE`]).
     pub(crate) next_session: AtomicU32,
@@ -296,8 +285,6 @@ impl Shared {
             sessions: CachePadded::new(AtomicBool::new(false)),
             faulted: CachePadded::new(AtomicBool::new(false)),
             failures: Mutex::new(FailureLog::default()),
-            epoch: Instant::now(),
-            faulted0: AtomicBool::new(false),
             registry: Mutex::new(Vec::new()),
             next_session: AtomicU32::new(0),
             costs: (n >= 2).then(CostTable::new),
@@ -314,9 +301,9 @@ impl Shared {
     /// Ask the version slab to free dead parked spares until the live
     /// account fits `limit` again; returns the bytes released. This is
     /// what makes the §III blocking conditions real backpressure: the
-    /// throttle, the session-side throttle and the session quota probe
-    /// all reclaim before (and instead of) waiting. Cheap when there is
-    /// nothing to do — under the limit, or nothing parked.
+    /// throttle and the session-side throttle both reclaim before (and
+    /// instead of) waiting. Cheap when there is nothing to do — under
+    /// the limit, or nothing parked.
     pub(crate) fn reclaim_spares(&self, limit: usize) -> usize {
         let live = self.live_bytes.load(Ordering::Acquire);
         if live > limit {
@@ -324,16 +311,6 @@ impl Shared {
         } else {
             0
         }
-    }
-
-    /// Free up to `want` bytes of dead parked spares unconditionally —
-    /// the session quota probe's variant of [`reclaim_spares`]
-    /// (session attribution travels with each ticket, so global frees
-    /// are how a session gets its quota bytes back).
-    ///
-    /// [`reclaim_spares`]: Shared::reclaim_spares
-    pub(crate) fn reclaim_dead_spares(&self, want: usize) -> usize {
-        self.slab.reclaim(want)
     }
 
     /// Has any [`Runtime::session`] been opened, so that threads other
@@ -352,13 +329,6 @@ impl Shared {
     #[inline]
     pub(crate) fn inline_costs(&self) -> Option<&CostTable> {
         self.costs.as_ref().filter(|_| !self.sessions_used())
-    }
-
-    /// Has a task spawned *outside* any session panicked since the last
-    /// drain? (The FailFast scope for session-0 tasks.)
-    #[inline]
-    pub(crate) fn faulted0(&self) -> bool {
-        self.faulted0.load(Ordering::Relaxed)
     }
 
     /// Enrol a session control block: keeps the pointee alive for the
@@ -385,17 +355,6 @@ impl Shared {
         self.stats.panics();
         self.faulted.store(true, Ordering::Relaxed);
         let session = self.job_session(job);
-        // Scope the FailFast consequence to the offending tenant: the
-        // panicking task's own session trips its session flag, a
-        // session-less panic trips the session-0 flag. (Cancellations
-        // below deliberately trip neither — a revoked or past-deadline
-        // session is already shedding via its own probes.)
-        if self.sessions_used() {
-            match job.session_ctl() {
-                Some(ctl) => ctl.set_faulted(),
-                None => self.faulted0.store(true, Ordering::Relaxed),
-            }
-        }
         self.failures.lock().failed.push(TaskFailure {
             id: job.id(),
             name: job.name(),
@@ -794,12 +753,13 @@ impl Runtime {
     /// [`barrier`](Self::barrier) that also reports failures: block
     /// until every spawned task has finished, then return `Err` if any
     /// task body panicked — or was cancelled — since the last drain.
-    /// The error carries each failed task's id, name and panic payload,
-    /// and the id/name of every cancelled dependent.
+    /// A panic cancels the failed task's transitive dependents spawned
+    /// under the same session (none run their body); every other task
+    /// keeps running. The error carries each failed task's id, name and
+    /// panic payload, and the id/name of every cancelled dependent.
     ///
     /// Draining resets the failure state: a second call (with no new
-    /// failures in between) returns `Ok(())`, and an `OnPanic::FailFast`
-    /// runtime resumes scheduling new bodies.
+    /// failures in between) returns `Ok(())`.
     ///
     /// ```
     /// # use smpss::Runtime;
@@ -825,16 +785,6 @@ impl Runtime {
         // only the main thread spawns, and a racer from another spawner
         // merely re-latches it.
         self.shared.faulted.store(false, Ordering::Relaxed);
-        if self.shared.sessions_used() {
-            // Per-tenant FailFast scopes reset with the global drain.
-            // Revocations and fired deadlines stay sticky: a cancelled
-            // or expired session never silently resumes — open a new
-            // one.
-            self.shared.faulted0.store(false, Ordering::Relaxed);
-            for ctl in self.shared.registry.lock().iter() {
-                ctl.clear_faulted();
-            }
-        }
         if log.failed.is_empty() && log.cancelled.is_empty() {
             return Ok(());
         }
@@ -1294,7 +1244,7 @@ mod tests {
     use super::*;
     use crate::ids::TaskId;
     use std::sync::atomic::AtomicU64;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// A stamping body: writes the next tick of `clock` into `slot`.
     fn stamp(clock: &Arc<AtomicU64>, slot: &Arc<AtomicU64>) -> impl FnOnce() + Send + 'static {

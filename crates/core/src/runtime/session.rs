@@ -1,33 +1,25 @@
-//! The multi-session front door: admission control, deadlines,
-//! per-session cancellation and graceful overload shedding.
+//! The multi-session front door: admission control, per-session
+//! cancellation and graceful overload shedding.
 //!
 //! A [`Session`] is a tenant's handle onto a shared runtime, and the one
 //! way for a thread other than the main thread to spawn: every task
 //! spawned through it is stamped with the session's control block, and
-//! three per-tenant behaviours hang off that stamp —
+//! two per-tenant behaviours hang off that stamp —
 //!
 //! * **Admission control**: [`Session::task`] enforces the builder's
-//!   per-session quotas ([`session_max_in_flight`], [`session_max_renamed_bytes`])
-//!   as real backpressure *before* the task exists. The
-//!   [`AdmissionPolicy`] decides what over-quota means: `Block` waits
-//!   (bounded backoff, draining as workers finish), `Shed` returns
-//!   [`Overloaded`] immediately — never silently dropping analysed
-//!   state, because the rejection happens before any analysis — and
-//!   `Deadline` blocks until the session's deadline, then sheds.
-//! * **Deadlines**: [`Session::with_deadline`] arms a wall-clock budget.
-//!   A task observed past the deadline never runs its body — it is
-//!   cancelled through the same skip/stamp machinery as failure
-//!   containment, so the exact cancelled set is reported — and the
-//!   session is revoked so later submissions shed.
+//!   per-session in-flight quota ([`session_max_in_flight`]) as real
+//!   backpressure *before* the task exists. The [`AdmissionPolicy`]
+//!   decides what over-quota means: `Block` waits (bounded backoff,
+//!   draining as workers finish), `Shed` returns [`Overloaded`]
+//!   immediately — never silently dropping analysed state, because the
+//!   rejection happens before any analysis.
 //! * **Scoped cancellation**: [`Session::cancel_all`] revokes one
 //!   session; its pending tasks cancel while every other tenant keeps
 //!   running untouched. [`Session::wait`] quiesces and reports exactly
 //!   this session's failures, leaving other tenants' records in place.
 //!
-//! Failure containment is session-scoped too: a panic under
-//! `CancelDependents` poisons only same-session dependents (see
-//! `TaskNode::same_session`), and under `FailFast` only the offending
-//! session's pending set sheds (see `sched::worker::session_skip`).
+//! Failure containment is session-scoped too: a panic poisons only
+//! same-session dependents (see `TaskNode::same_session`).
 //!
 //! ## Hot-path containment
 //!
@@ -43,19 +35,16 @@
 //! primitives, like the completion path and the shard module.
 //!
 //! [`session_max_in_flight`]: crate::RuntimeBuilder::session_max_in_flight
-//! [`session_max_renamed_bytes`]: crate::RuntimeBuilder::session_max_renamed_bytes
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::config::AdmissionPolicy;
-use crate::data::version::{ByteCredit, TicketCharge};
 use crate::ids::SessionId;
 use crate::padded::CachePadded;
 use crate::runtime::shard::LaneCache;
 use crate::runtime::spawner::{SpawnHost, TaskSpawner};
-use crate::runtime::{Runtime, Shared, TaskFailures};
+use crate::runtime::{Runtime, TaskFailures};
 use crate::sched::queues::Backoff;
 
 /// Per-session control block. One allocation per session, owned by the
@@ -67,29 +56,18 @@ use crate::sched::queues::Backoff;
 ///   admission (a `Session` is `!Sync`, so no RMW needed);
 /// * `finished` is multi-writer — whichever worker completes a session
 ///   task bumps it with a Release RMW that [`Session::wait`]'s Acquire
-///   load pairs with;
-/// * `bytes` is the session's renamed-version footprint, maintained by
-///   the version tickets themselves (creation-time attribution: a
-///   pooled-buffer reuse keeps its original session's charge, exactly
-///   like the global account).
+///   load pairs with.
 ///
 /// Each counter sits on its own cache line: workers hammer `finished`
-/// and `bytes` while the session thread polls them plus its own
-/// `spawned` on every admission check.
+/// while the session thread polls it plus its own `spawned` on every
+/// admission check.
 pub(crate) struct SessionCtl {
     id: SessionId,
     spawned: CachePadded<AtomicU64>,
     finished: CachePadded<AtomicU64>,
-    bytes: CachePadded<AtomicUsize>,
-    /// Sticky once set (by `cancel_all` or a fired deadline): pending
-    /// tasks skip as cancelled, new submissions shed.
+    /// Sticky once set by `cancel_all`: pending tasks skip as
+    /// cancelled, new submissions shed.
     revoked: AtomicBool,
-    /// This session's FailFast scope: latched by a panic in one of its
-    /// tasks, cleared by `Session::wait` / `Runtime::wait_all`.
-    faulted: AtomicBool,
-    /// Armed deadline in nanoseconds since `Shared::epoch`; `u64::MAX`
-    /// means none, so the common probe is one load and a compare.
-    deadline_nanos: AtomicU64,
 }
 
 impl SessionCtl {
@@ -98,10 +76,7 @@ impl SessionCtl {
             id,
             spawned: CachePadded::new(AtomicU64::new(0)),
             finished: CachePadded::new(AtomicU64::new(0)),
-            bytes: CachePadded::new(AtomicUsize::new(0)),
             revoked: AtomicBool::new(false),
-            faulted: AtomicBool::new(false),
-            deadline_nanos: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -136,96 +111,17 @@ impl SessionCtl {
         spawned.saturating_sub(self.finished.load(Ordering::Acquire))
     }
 
-    /// Version-ticket attribution (see `MemTicket::new_charged`).
-    #[inline]
-    pub(crate) fn add_bytes(&self, n: usize) {
-        self.bytes.fetch_add(n, Ordering::AcqRel);
-    }
-
-    /// Ticket retirement returns the session's share.
-    #[inline]
-    pub(crate) fn sub_bytes(&self, n: usize) {
-        self.bytes.fetch_sub(n, Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Acquire)
-    }
-
     #[inline]
     fn revoke(&self) {
         self.revoked.store(true, Ordering::Relaxed);
     }
 
+    /// Has [`Session::cancel_all`] revoked this session? The worker-side
+    /// skip probe for a session-stamped task: one Relaxed flag load.
     #[inline]
-    fn revoked(&self) -> bool {
+    pub(crate) fn revoked(&self) -> bool {
         self.revoked.load(Ordering::Relaxed)
     }
-
-    #[inline]
-    pub(crate) fn set_faulted(&self) {
-        self.faulted.store(true, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn clear_faulted(&self) {
-        self.faulted.store(false, Ordering::Relaxed);
-    }
-
-    /// Has a task of *this* session panicked since the last drain? (The
-    /// FailFast probe a worker runs for session-stamped tasks.)
-    #[inline]
-    pub(crate) fn is_faulted(&self) -> bool {
-        self.faulted.load(Ordering::Relaxed)
-    }
-
-    fn arm_deadline(&self, shared: &Shared, budget: Duration) {
-        let now = elapsed_nanos(shared);
-        let at = now.saturating_add(nanos_u64(budget));
-        self.deadline_nanos
-            .store(at.min(u64::MAX - 1), Ordering::Relaxed);
-    }
-
-    /// Probe the armed deadline; the first observation of expiry (real
-    /// clock, or a planned fault-injection fire) revokes the session —
-    /// so the expensive `Instant` read happens at most until the first
-    /// fire, after which the cheap `revoked` flag answers — and counts
-    /// exactly one `deadline_fires` stat.
-    fn deadline_expired(&self, shared: &Shared) -> bool {
-        let d = self.deadline_nanos.load(Ordering::Relaxed);
-        if d == u64::MAX {
-            return false;
-        }
-        let fired = crate::fault::deadline_site() || elapsed_nanos(shared) >= d;
-        if fired && !self.revoked.swap(true, Ordering::Relaxed) {
-            shared.stats.deadline_fires();
-        }
-        fired
-    }
-
-    /// Worker-side skip decision for a session-stamped task: revoked
-    /// sessions (including those whose deadline already fired) skip on
-    /// one Relaxed flag; an armed, unexpired deadline pays the clock
-    /// probe until it fires.
-    pub(crate) fn should_skip(&self, shared: &Shared) -> bool {
-        if self.revoked() {
-            return true;
-        }
-        self.deadline_expired(shared)
-    }
-}
-
-/// Nanoseconds since the runtime's construction epoch, saturating.
-#[inline]
-fn elapsed_nanos(shared: &Shared) -> u64 {
-    let n = shared.epoch.elapsed().as_nanos();
-    n.min(u64::MAX as u128) as u64
-}
-
-#[inline]
-fn nanos_u64(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Why a submission was refused. Carried by [`Overloaded`].
@@ -235,15 +131,7 @@ pub enum OverloadReason {
     /// ([`session_max_in_flight`](crate::RuntimeBuilder::session_max_in_flight))
     /// is full.
     InFlight,
-    /// The session's renamed-bytes quota
-    /// ([`session_max_renamed_bytes`](crate::RuntimeBuilder::session_max_renamed_bytes))
-    /// is exceeded.
-    RenamedBytes,
-    /// The session's deadline fired (submission-side observation; the
-    /// session is now revoked).
-    DeadlineExpired,
-    /// The session was revoked by [`Session::cancel_all`] (or an
-    /// earlier deadline fire).
+    /// The session was revoked by [`Session::cancel_all`].
     Revoked,
 }
 
@@ -263,8 +151,6 @@ impl std::fmt::Display for Overloaded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let what = match self.reason {
             OverloadReason::InFlight => "in-flight task quota full",
-            OverloadReason::RenamedBytes => "renamed-bytes quota exceeded",
-            OverloadReason::DeadlineExpired => "deadline expired",
             OverloadReason::Revoked => "session revoked",
         };
         write!(f, "{} rejected a submission: {}", self.session, what)
@@ -304,17 +190,8 @@ impl std::error::Error for Overloaded {}
 pub struct Session {
     /// This session's recycled nodes and spare links.
     cache: LaneCache,
-    /// Stamped on every node the session acquires; renamed versions
-    /// are attributed to it.
+    /// Stamped on every node the session acquires.
     ctl: Arc<SessionCtl>,
-    /// Chunked pre-payment against `Shared::live_bytes`: the session's
-    /// renames are covered from a local surplus instead of one global
-    /// RMW each. The surplus is returned when the session hits the
-    /// memory throttle and — crucially — by `ByteCredit`'s Drop, so a
-    /// session dropped mid-graph never leaks its debt in the global
-    /// throttle account (pinned by `dropped_submitter_returns_byte_credit_debt`
-    /// in `runtime::shard`).
-    pub(crate) credit: ByteCredit,
 }
 
 impl Session {
@@ -324,21 +201,13 @@ impl Session {
         self.ctl.id()
     }
 
-    /// Arm a wall-clock budget, measured from now. Once it elapses, the
-    /// session's not-yet-started tasks are cancelled (stamped and
-    /// reported exactly, like failure-containment cancellations) and
-    /// new submissions return [`OverloadReason::DeadlineExpired`].
-    /// Tasks already executing run to completion — cancellation is
-    /// between tasks, never inside one.
-    pub fn with_deadline(self, budget: Duration) -> Self {
-        self.ctl.arm_deadline(self.shared(), budget);
-        self
-    }
-
     /// Revoke the session: every pending (not-yet-started) task of this
-    /// session cancels, every later submission returns
-    /// [`OverloadReason::Revoked`] — and no other session is touched.
-    /// Sticky: open a new session to continue work.
+    /// session cancels (stamped and reported exactly, like
+    /// failure-containment cancellations), every later submission
+    /// returns [`OverloadReason::Revoked`] — and no other session is
+    /// touched. Tasks already executing run to completion: cancellation
+    /// is between tasks, never inside one. Sticky: open a new session
+    /// to continue work.
     pub fn cancel_all(&self) {
         self.ctl.revoke();
     }
@@ -346,8 +215,8 @@ impl Session {
     /// Begin a task invocation, subject to admission control. `Ok` is a
     /// reserved slot: the spawner analyses and submits exactly like
     /// [`Runtime::task`](crate::Runtime::task). `Err` means the quota
-    /// verdict of the configured [`AdmissionPolicy`] (or a revoked /
-    /// expired session) — nothing was created.
+    /// verdict of the configured [`AdmissionPolicy`] (or a revoked
+    /// session) — nothing was created.
     pub fn task(&self, name: &'static str) -> Result<TaskSpawner<'_, Session>, Overloaded> {
         self.admit()?;
         Ok(TaskSpawner::new(self, name))
@@ -379,9 +248,6 @@ impl Session {
             backoff.snooze();
         }
         let log = self.shared().drain_session_failures(self.ctl.id());
-        // A drained session resumes scheduling under FailFast, exactly
-        // like `wait_all`'s global reset — but scoped to this tenant.
-        self.ctl.clear_faulted();
         if log.failed.is_empty() && log.cancelled.is_empty() {
             return Ok(());
         }
@@ -396,18 +262,11 @@ impl Session {
         self.ctl.in_flight()
     }
 
-    /// Bytes currently attributed to this session's data versions.
-    pub fn renamed_bytes(&self) -> usize {
-        self.ctl.bytes()
-    }
-
     /// The admission state machine (see DESIGN.md): revoked → refuse;
-    /// deadline fired → revoke + refuse; under quota → reserve + admit;
-    /// over quota → the policy decides (shed now, or wait and re-probe
-    /// — with the wait itself bounded by the deadline when one is
-    /// armed). Stats count one `admission_waits` per waiting
-    /// *submission* (not per spin) and one `admission_sheds` per
-    /// refusal.
+    /// under quota → reserve + admit; over quota → the policy decides
+    /// (shed now, or wait and re-probe). Stats count one
+    /// `admission_waits` per waiting *submission* (not per spin) and
+    /// one `admission_sheds` per refusal.
     fn admit(&self) -> Result<(), Overloaded> {
         let mut backoff = Backoff::new();
         let mut counted_wait = false;
@@ -415,30 +274,22 @@ impl Session {
             if self.ctl.revoked() {
                 return Err(self.refuse(OverloadReason::Revoked));
             }
-            if self.ctl.deadline_expired(self.shared()) {
-                return Err(self.refuse(OverloadReason::DeadlineExpired));
+            if !self.over_quota() {
+                self.ctl.note_spawned();
+                return Ok(());
             }
-            match self.over_quota() {
-                None => {
-                    self.ctl.note_spawned();
-                    return Ok(());
+            match self.shared().cfg.admission {
+                AdmissionPolicy::Shed => {
+                    self.shared().stats.admission_sheds();
+                    return Err(self.refuse(OverloadReason::InFlight));
                 }
-                Some(reason) => match self.shared().cfg.admission {
-                    AdmissionPolicy::Shed => {
-                        self.shared().stats.admission_sheds();
-                        return Err(self.refuse(reason));
+                AdmissionPolicy::Block => {
+                    if !counted_wait {
+                        counted_wait = true;
+                        self.shared().stats.admission_waits();
                     }
-                    // `Deadline` is `Block` whose wait the loop head
-                    // bounds: once the armed deadline fires, the next
-                    // iteration refuses with `DeadlineExpired`.
-                    AdmissionPolicy::Block | AdmissionPolicy::Deadline => {
-                        if !counted_wait {
-                            counted_wait = true;
-                            self.shared().stats.admission_waits();
-                        }
-                        backoff.snooze();
-                    }
-                },
+                    backoff.snooze();
+                }
             }
         }
     }
@@ -448,32 +299,14 @@ impl Session {
     /// number of probes; a planned forced shed (`shed_site`) likewise —
     /// under the `Shed` policy the latter turns into a refusal, which
     /// is the injection's point.
-    fn over_quota(&self) -> Option<OverloadReason> {
+    fn over_quota(&self) -> bool {
         if crate::fault::admission_site() || crate::fault::shed_site() {
-            return Some(OverloadReason::InFlight);
+            return true;
         }
-        let cfg = &self.shared().cfg;
-        if let Some(limit) = cfg.session_max_in_flight {
-            if self.ctl.in_flight() >= limit as u64 {
-                return Some(OverloadReason::InFlight);
-            }
-        }
-        if let Some(limit) = cfg.session_max_renamed_bytes {
-            if self.ctl.bytes() > limit {
-                // Versions this session renamed may be sitting dead in
-                // the runtime's slab, still charged to our quota (a
-                // parked spare keeps its ticket, and the ticket its
-                // session attribution, until it is dropped). Ask the
-                // slab to free dead spares before refusing or blocking:
-                // each one minted by us returns its bytes to the quota
-                // through the ticket's drop.
-                self.shared().reclaim_dead_spares(self.ctl.bytes() - limit);
-                if self.ctl.bytes() > limit {
-                    return Some(OverloadReason::RenamedBytes);
-                }
-            }
-        }
-        None
+        self.shared()
+            .cfg
+            .session_max_in_flight
+            .is_some_and(|limit| self.ctl.in_flight() >= limit as u64)
     }
 
     #[cold]
@@ -501,7 +334,7 @@ impl SpawnHost for Session {
     }
 
     /// The session-side §III throttle: watch the same shared live-task
-    /// count and renamed-bytes counter as the runtime's throttle, but
+    /// count and live-version bytes as the runtime's throttle, but
     /// *wait* for the workers instead of helping (a session has no
     /// worker context).
     fn after_submit(&self) {
@@ -516,12 +349,8 @@ impl SpawnHost for Session {
         }
         if let Some(limit) = shared.cfg.memory_limit {
             if shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0 {
-                // About to wait on the account: return this session's
-                // un-spent surplus first, so the wait watches true live
-                // bytes rather than our own pre-payment — then give the
-                // version slab a chance to free dead parked spares
-                // before blocking at all.
-                self.credit.release();
+                // Give the version slab a chance to free dead parked
+                // spares before blocking at all.
                 shared.reclaim_spares(limit);
                 if shared.live_bytes.load(Ordering::Acquire) > limit && shared.live_now() > 0 {
                     shared.stats.throttle_blocks();
@@ -539,23 +368,17 @@ impl SpawnHost for Session {
         }
     }
 
-    /// Renamed-version tickets minted by a session charge its byte
-    /// credit (chunked pre-payment) and carry the session attribution,
-    /// so the renamed-bytes quota tracks exactly the versions this
-    /// tenant forced into existence. The session is also what
-    /// `TaskSpawner::new` stamps on every node it acquires.
+    /// Every node the session acquires is stamped with its control
+    /// block (`TaskSpawner::new`).
     #[inline]
-    fn ticket_charge(&self) -> TicketCharge<'_> {
-        TicketCharge {
-            credit: Some(&self.credit),
-            sess: Some(&self.ctl),
-        }
+    fn session_ctl(&self) -> Option<&SessionCtl> {
+        Some(&self.ctl)
     }
 }
 
 impl Runtime {
     /// Open a session: a `Send` front-door handle for one tenant
-    /// thread, admitted against the builder's session quotas. Any
+    /// thread, admitted against the builder's in-flight quota. Any
     /// runtime opens sessions, at any time, from the main thread; move
     /// each to its tenant's thread. Any number of sessions can spawn
     /// concurrently — object accesses serialise on the runtime's one
@@ -568,7 +391,6 @@ impl Runtime {
         self.shared.register_session(&ctl);
         Session {
             cache: LaneCache::new(Arc::clone(&self.shared)),
-            credit: ByteCredit::new(Arc::clone(&self.shared.live_bytes)),
             ctl,
         }
     }
@@ -711,41 +533,57 @@ mod tests {
         assert_eq!(rt.read(&x), 5);
     }
 
-    /// An already-expired deadline cancels the session's pending tasks
-    /// (exact set reported by `wait`) and refuses new submissions with
-    /// `DeadlineExpired`; the fire is counted exactly once.
+    /// `cancel_all` after admission: every admitted task that has not
+    /// started cancels (the exact set, reported by this session's
+    /// `wait`), and new submissions refuse with `Revoked`. At one
+    /// thread nothing runs before the barrier, so all are pending.
     #[test]
     fn expired_deadline_cancels_pending_and_sheds_new() {
-        let rt = Runtime::builder().threads(2).build();
-        let s = rt.session().with_deadline(Duration::from_nanos(0));
-        // The deadline is observed either at admission (this probe) or
-        // by the worker-side skip — both paths end in a refusal here
-        // because admission probes first.
-        let err = s.task("too-late").expect_err("deadline already passed");
-        assert_eq!(err.reason, OverloadReason::DeadlineExpired);
-        assert_eq!(rt.stats().deadline_fires, 1, "counted once");
-        let err2 = s.task("still-late").expect_err("sticky");
-        assert_eq!(err2.reason, OverloadReason::Revoked);
-        assert_eq!(rt.stats().deadline_fires, 1, "not recounted");
+        let rt = Runtime::builder().threads(1).build();
+        let s = rt.session();
+        let x = rt.data(0u32);
+        let pending: Vec<_> = (0..3)
+            .map(|_| {
+                let mut sp = s.task("pending").expect("no quota configured");
+                let id = sp.id();
+                let mut w = sp.inout(&x);
+                sp.submit(move || *w.get_mut() += 1);
+                id
+            })
+            .collect();
+        s.cancel_all();
+        let err = s.task("too-late").expect_err("revoked sessions refuse");
+        assert_eq!(err.reason, OverloadReason::Revoked);
+        rt.barrier();
+        let err = s.wait().expect_err("the pending tasks were cancelled");
+        assert!(err.failed.is_empty(), "nothing panicked");
+        let cancelled: Vec<_> = err.cancelled.iter().map(|c| c.id).collect();
+        assert_eq!(cancelled, pending);
+        assert_eq!(rt.read(&x), 0, "no cancelled body ran");
+        let st = rt.stats();
+        assert_eq!((st.cancelled, st.admission_sheds), (3, 0));
+        assert_eq!(st.deadline_fires, 0, "sessions have no deadline");
     }
 
-    /// Renamed-bytes quota: forcing a rename under a session charges
-    /// the session's byte account, and the Shed policy refuses while
-    /// the charge is live. The displaced version parks in the slab; it
-    /// was never this session's, so freeing it leaves the quota alone.
+    /// A renaming task is admitted like any other: the Shed policy
+    /// refuses on the in-flight quota while the renaming tasks are live
+    /// and admits once they retire. The renamed bytes count in the
+    /// runtime-wide account only, exactly.
     #[test]
     fn renamed_bytes_quota_sheds_until_versions_retire() {
         let rt = Runtime::builder()
             .threads(2)
-            .session_max_renamed_bytes(512)
+            .session_max_in_flight(2)
             .admission(AdmissionPolicy::Shed)
             .build();
         let s = rt.session();
         let h = rt.data_sized(vec![0u8; 1024], 1024, || vec![0u8; 1024]);
         let gate = Arc::new(AtomicBool::new(false));
-        {
+        for name in ["blocker", "renamer"] {
+            // The second write finds the first one's producer live: a
+            // forced rename. Both bodies hold their slot until the gate.
             let g = Arc::clone(&gate);
-            let mut sp = s.task("blocker").expect("bytes start at zero");
+            let mut sp = s.task(name).expect("under quota");
             let mut w = sp.write(&h);
             sp.submit(move || {
                 let _ = w.get_mut();
@@ -754,29 +592,19 @@ mod tests {
                 }
             });
         }
-        {
-            // Write while the producer is live: forced rename, 1024
-            // bytes attributed to this session.
-            let mut sp = s.task("renamer").expect("quota probed before the rename");
-            let mut w = sp.write(&h);
-            sp.submit(move || {
-                let _ = w.get_mut();
-            });
-        }
-        assert_eq!(s.renamed_bytes(), 1024);
-        let err = s.task("refused").expect_err("1024 > 512");
-        assert_eq!(err.reason, OverloadReason::RenamedBytes);
+        assert_eq!(rt.live_version_bytes(), 2048, "initial + renamed");
+        let err = s.task("refused").expect_err("two tasks in flight");
+        assert_eq!(err.reason, OverloadReason::InFlight);
         gate.store(true, Ordering::Release);
         s.wait().expect("no failures");
-        rt.barrier();
-        // The superseded initial version sits dead in the slab. It was
-        // minted outside the session, so reclaiming it returns global
-        // bytes only; the renamed current version stays charged.
+        assert_eq!(s.in_flight(), 0);
+        s.task("admitted").expect("quota drained").submit(|| {});
+        s.wait().expect("no failures");
+        // The superseded initial version sits dead in the slab, still
+        // charged; reclaiming it leaves the renamed current version.
         assert_eq!(rt.stats().slab_parked_bytes, 1024);
-        let live = rt.live_version_bytes();
-        assert_eq!(rt.shared.reclaim_dead_spares(usize::MAX), 1024);
-        assert_eq!(rt.live_version_bytes(), live - 1024);
-        assert_eq!(s.renamed_bytes(), 1024, "current version still charged");
+        assert_eq!(rt.shared.slab.reclaim(usize::MAX), 1024);
+        assert_eq!(rt.live_version_bytes(), 1024);
     }
 
     /// The Block policy waits instead of refusing: a second submission
@@ -805,7 +633,7 @@ mod tests {
         let opener = {
             let g = Arc::clone(&gate);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(std::time::Duration::from_millis(20));
                 g.store(true, Ordering::Release);
             })
         };

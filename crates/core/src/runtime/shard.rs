@@ -389,12 +389,12 @@ mod tests {
         require_send::<LaneCache>();
     }
 
-    /// Regression: a session dropped mid-graph with un-returned
-    /// byte-credit surplus must hand the debt back to the global
-    /// throttle account — `live_bytes` may only count live version
-    /// tickets once no spawner holds a credit. The rename parks the
-    /// displaced version in the slab, where its ticket stays charged
-    /// until the slab lets it go.
+    /// A session dropped mid-graph leaves the live-version account
+    /// exact: its renames minted one ticket each into the runtime-wide
+    /// account, so the drop has nothing to return, and the account
+    /// counts exactly the live versions throughout. The rename parks
+    /// the displaced version in the slab, where its ticket stays
+    /// charged until the slab lets it go.
     #[test]
     fn dropped_submitter_returns_byte_credit_debt() {
         const BYTES: usize = 1024;
@@ -416,37 +416,26 @@ mod tests {
             });
         }
         {
-            // Forced rename: the fresh version's ticket is covered by
-            // the session's credit, leaving a chunk surplus behind.
+            // Forced rename: one fresh version, one ticket.
             let mut t = s.task("renamer").expect("no quota configured");
             let mut w = t.write(&h);
             t.submit(move || {
                 let _ = w.get_mut();
             });
         }
-        let surplus = s.credit.surplus();
-        assert!(surplus > 0, "a fresh rename must leave a surplus");
-        // The gate stays shut until after the check: a blocker finishing
-        // in between would release the displaced version's bytes too.
-        let before = rt.shared.live_bytes.load(Ordering::Acquire);
+        // The gate stays shut until after the checks: a blocker
+        // finishing in between would let the displaced version die.
+        let live = || rt.shared.live_bytes.load(Ordering::Acquire);
+        assert_eq!(live(), 2 * BYTES, "the current and the displaced version");
         drop(s);
-        assert_eq!(
-            rt.shared.live_bytes.load(Ordering::Acquire),
-            before - surplus,
-            "dropping the session must return exactly the surplus"
-        );
-        assert_eq!(
-            rt.shared.live_bytes.load(Ordering::Acquire),
-            2 * BYTES,
-            "the current version and the displaced one parked in the slab"
-        );
+        assert_eq!(live(), 2 * BYTES, "dropping the session moves nothing");
         gate.store(true, Ordering::Release);
         rt.barrier();
         // The blocker's binding has dropped: the parked version is dead,
         // still charged, and the slab's reclaim is what returns it.
         assert_eq!(rt.stats().slab_parked_bytes, BYTES as u64);
-        assert_eq!(rt.shared.live_bytes.load(Ordering::Acquire), 2 * BYTES);
-        assert_eq!(rt.shared.reclaim_dead_spares(usize::MAX), BYTES);
-        assert_eq!(rt.shared.live_bytes.load(Ordering::Acquire), BYTES);
+        assert_eq!(live(), 2 * BYTES);
+        assert_eq!(rt.shared.slab.reclaim(usize::MAX), BYTES);
+        assert_eq!(live(), BYTES);
     }
 }

@@ -26,10 +26,9 @@
 //! minting and the analysis gate follow the runtime's spawner mode
 //! alone, so both hosts share them. A host supplies only what differs:
 //! the born-ready publication route (the main thread may run a cheap
-//! task inline), the post-submit blocking condition, and the ticket
-//! charge, which on a session also names the session every acquired
-//! node is stamped with. The analysis sequence itself is identical,
-//! which is what the graph-equality proptests pin.
+//! task inline), the post-submit blocking condition, and the session
+//! every acquired node is stamped with. The analysis sequence itself is
+//! identical, which is what the graph-equality proptests pin.
 
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
@@ -38,12 +37,13 @@ use std::sync::Arc;
 use crate::data::object::Handle;
 use crate::data::region::Region;
 use crate::data::region_handle::{RegionData, RegionHandle, RegionReadBinding, RegionWriteBinding};
-use crate::data::version::{ReadBinding, TicketCharge, WriteBinding};
+use crate::data::version::{ReadBinding, WriteBinding};
 use crate::data::TaskData;
 use crate::dep;
 use crate::graph::node::TaskNode;
 use crate::graph::record::{EdgeKind, NodeInfo};
 use crate::ids::TaskId;
+use crate::runtime::session::SessionCtl;
 use crate::runtime::shard::{LaneCache, LaneEntry};
 use crate::runtime::{Runtime, Shared};
 use crate::sched::queues::Job;
@@ -54,8 +54,8 @@ use crate::trace::EventKind;
 /// A thread that may run dependency analysis: the [`Runtime`] (the
 /// paper's single master thread) or a [`Session`](crate::Session). The
 /// host decides how a born-ready task is published, what the
-/// post-submit blocking condition looks like and how renamed versions
-/// are charged; its lane cache feeds the spawn.
+/// post-submit blocking condition looks like and which session its
+/// tasks belong to; its lane cache feeds the spawn.
 pub(crate) trait SpawnHost {
     /// Where this host's spawns get nodes and links, and where the
     /// producers its analyser displaces go back.
@@ -99,12 +99,11 @@ pub(crate) trait SpawnHost {
         let shared = self.shared();
         shared.sessions_used().then(|| shared.lane.enter())
     }
-    /// How the renamer's fresh version tickets are charged: credit
-    /// pre-payment and/or session attribution. The default is the exact
-    /// per-mint accounting of the single master thread.
+    /// The session this host's tasks are stamped with; none for the
+    /// main thread.
     #[inline]
-    fn ticket_charge(&self) -> TicketCharge<'_> {
-        TicketCharge::NONE
+    fn session_ctl(&self) -> Option<&SessionCtl> {
+        None
     }
 }
 
@@ -134,11 +133,6 @@ pub struct TaskSpawner<'rt, H: SpawnHost = Runtime> {
     /// RMW for born-ready tasks. (`Cell`: the analyser links through
     /// `&TaskSpawner`.)
     counted_edges: std::cell::Cell<usize>,
-    /// Cached `cfg.on_panic == CancelDependents`: an edge linked against
-    /// an already-finished **poisoned** producer must cancel this task
-    /// (the completion walk only poisons successors registered before
-    /// the producer finished; this covers spawn-after-failure).
-    poison_new_deps: bool,
 }
 
 #[allow(private_bounds)]
@@ -150,8 +144,8 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
         // A session stamps its tasks before analysis links them
         // anywhere, so the containment walk, the completion accounting
         // and the failure records all see the stamp.
-        if let Some(ctl) = rt.ticket_charge().sess {
-            node.set_session_ctl(Arc::as_ptr(ctl));
+        if let Some(ctl) = rt.session_ctl() {
+            node.set_session_ctl(ctl);
         }
         let shared = rt.shared();
         // Liveness accounting is free here: `next_task` *is* the spawn
@@ -171,7 +165,6 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
             renaming: shared.cfg.renaming,
             record: shared.cfg.record_graph,
             counted_edges: std::cell::Cell::new(0),
-            poison_new_deps: shared.cfg.on_panic == crate::config::OnPanic::CancelDependents,
         }
     }
 
@@ -296,12 +289,6 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
 
     pub(crate) fn record_graph(&self) -> bool {
         self.record
-    }
-
-    /// The host's ticket-charging context for this spawn's renames.
-    #[inline]
-    pub(crate) fn ticket_charge(&self) -> TicketCharge<'_> {
-        self.rt.ticket_charge()
     }
 
     pub(crate) fn stats(&self) -> &Stats {
@@ -463,7 +450,7 @@ impl<'rt, H: SpawnHost> TaskSpawner<'rt, H> {
     /// itself: a poisoned producer from *another* session never cancels
     /// the consumer.
     fn inherit_poison(&self, consumer: &TaskNode, producer: &TaskNode) {
-        if self.poison_new_deps && producer.finished_poisoned() && producer.same_session(consumer) {
+        if producer.finished_poisoned() && producer.same_session(consumer) {
             consumer.request_cancel();
         }
     }

@@ -81,7 +81,7 @@ pub enum Wake {
 /// so the all-done probe (a cross-shard sum) is skipped outright.
 ///
 /// `poison` stamps a cancellation request on every registered successor
-/// as it is released (the `OnPanic::CancelDependents` propagation step);
+/// as it is released (the cancel-dependents propagation step);
 /// a failed or cancelled task otherwise completes exactly like a
 /// successful one, so counts, pools and the barrier never diverge.
 ///

@@ -18,7 +18,6 @@ use crossbeam_deque::Worker;
 use super::completion::{finish_task, Wake};
 use super::cost::SAMPLE_EVERY;
 use super::queues::{pop_injector, pop_injector_batch, steal_from, Idle, Job, TaskSource};
-use crate::config::OnPanic;
 use crate::runtime::{Priority, Shared};
 use crate::trace::EventKind;
 
@@ -248,21 +247,18 @@ pub fn run_task(
     // the scheduler never loses count. `catch_unwind` costs nothing on
     // the non-panic path (a landing pad, no allocation), keeping the
     // alloc-budget and perf gates intact.
-    // The whole check rides behind one Relaxed load of the runtime-wide
+    // The cancel probe rides behind one Relaxed load of the runtime-wide
     // fault flag (false until some task has failed): a cancellation
     // stamp can only exist after a failure was noted, and the note's
     // flag store is ordered before the stamp's release edge, so leading
     // with the flag never misses a stamped node — and the fault-free
     // hot path pays one always-false padded-line load instead of a
-    // per-node probe plus a policy compare. Sessions add one more
-    // always-false padded-line probe (`sessions_used`, latched by the
-    // first `Runtime::session()` call): session-less runs take the
-    // original branch bit for bit, sessioned runs take the scoped one.
-    let skip = if shared.sessions_used() {
-        session_skip(shared, &job)
-    } else {
-        shared.faulted() && (job.cancel_requested() || shared.cfg.on_panic == OnPanic::FailFast)
-    };
+    // per-node probe. Sessions add one more always-false padded-line
+    // probe (`sessions_used`, latched by the first `Runtime::session()`
+    // call), behind which a session task also skips once its session
+    // is revoked (`Session::cancel_all`).
+    let skip = (shared.faulted() && job.cancel_requested())
+        || (shared.sessions_used() && job.session_ctl().is_some_and(|c| c.revoked()));
     let mut poisoned = false;
     if skip {
         drop(body); // bindings drop here: read windows close lock-free
@@ -293,10 +289,6 @@ pub fn run_task(
             }
         }
     }
-    // CancelDependents propagates through the completion walk below;
-    // FailFast relies on the runtime-wide flag instead, and Isolate
-    // contains the fault to this node.
-    let poison = poisoned && shared.cfg.on_panic == OnPanic::CancelDependents;
     shared.trace_event(idx, EventKind::End(job.id()));
 
     // The completion hand-off is lock-free end to end: `complete`
@@ -309,7 +301,7 @@ pub fn run_task(
         &ctx.local,
         idx,
         job,
-        poison,
+        poisoned,
         allow_handoff,
         claimed_empty,
         &mut ctx.ready,
@@ -322,34 +314,6 @@ pub fn run_task(
         Wake::All => shared.sleep.notify_all(),
     }
     handoff
-}
-
-/// Session-aware skip decision, taken only once some session has been
-/// opened (`sessions_used`). Extends the fault-driven skip of the
-/// session-less branch with **session-scoped FailFast** — a panic under
-/// `FailFast` sheds at most the offending session's pending set (a
-/// session task probes its own session's fault flag, a session-less
-/// task probes the session-0 flag) — and adds the two session-driven
-/// skips: revocation (`Session::cancel_all`) and an armed, expired
-/// deadline, which revokes the session on first observation so every
-/// later task of that session skips on the cheap revoked probe.
-fn session_skip(shared: &Shared, job: &Job) -> bool {
-    let ctl = job.session_ctl();
-    if shared.faulted() {
-        if job.cancel_requested() {
-            return true;
-        }
-        if shared.cfg.on_panic == OnPanic::FailFast {
-            let hit = match ctl {
-                Some(c) => c.is_faulted(),
-                None => shared.faulted0(),
-            };
-            if hit {
-                return true;
-            }
-        }
-    }
-    ctl.is_some_and(|c| c.should_skip(shared))
 }
 
 /// Skip path for a cancelled task: stamp the node, log it. `#[cold]`

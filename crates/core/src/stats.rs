@@ -81,15 +81,12 @@ pub struct Stats {
     /// (sessions are opened from arbitrary threads), like `panics`.
     pub(crate) sessions_opened: AtomicU64,
     /// Submissions refused with `Err(Overloaded)` by the admission gate
-    /// (Shed policy, or Deadline past its deadline). Multi-writer.
+    /// (Shed policy). Multi-writer.
     pub(crate) admission_sheds: AtomicU64,
     /// Submissions that waited at least once at the admission gate
-    /// before being admitted (Block/Deadline backpressure; counts
-    /// waits, not snooze iterations). Multi-writer.
+    /// before being admitted (Block backpressure; counts waits, not
+    /// snooze iterations). Multi-writer.
     pub(crate) admission_waits: AtomicU64,
-    /// Session deadlines that fired — at the admission gate or by
-    /// cancelling already-admitted tasks at dispatch. Multi-writer.
-    pub(crate) deadline_fires: AtomicU64,
     /// Concurrent-spawner mode: session threads may bump the
     /// spawn-path counters beside the main thread, so the single-writer
     /// load+store bumps upgrade to Relaxed `fetch_add`s. False until the
@@ -166,7 +163,6 @@ impl Stats {
             sessions_opened: AtomicU64::new(0),
             admission_sheds: AtomicU64::new(0),
             admission_waits: AtomicU64::new(0),
-            deadline_fires: AtomicU64::new(0),
             concurrent: AtomicBool::new(false),
         }
     }
@@ -228,11 +224,6 @@ impl Stats {
         self.admission_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn deadline_fires(&self) {
-        self.deadline_fires.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let sum = |f: fn(&PopShard) -> &AtomicU64| self.shards.iter().map(|s| ld(f(s))).sum();
@@ -263,7 +254,7 @@ impl Stats {
             sessions_opened: ld(&self.sessions_opened),
             admission_sheds: ld(&self.admission_sheds),
             admission_waits: ld(&self.admission_waits),
-            deadline_fires: ld(&self.deadline_fires),
+            deadline_fires: 0,
             // The slab counts its own hits and occupancy; `Runtime::stats`
             // overlays them.
             version_pool_hits: 0,
@@ -335,9 +326,10 @@ pub struct StatsSnapshot {
     /// tasks completed through the normal protocol (see
     /// [`Runtime::wait_all`](crate::Runtime::wait_all)).
     pub panics: u64,
-    /// Tasks cancelled without running their body — dependents of a
-    /// failed task under `OnPanic::CancelDependents`, or any not-yet-
-    /// started task after a `FailFast` trip. Cancelled tasks still count
+    /// Tasks cancelled without running their body — same-session
+    /// transitive dependents of a failed task, and the pending tasks of
+    /// a session revoked by [`Session::cancel_all`](crate::Session::cancel_all).
+    /// Cancelled tasks still count
     /// one pop (`tasks_executed`): they pass through the scheduler like
     /// any other task.
     pub cancelled: u64,
@@ -350,8 +342,9 @@ pub struct StatsSnapshot {
     /// Submissions that waited at the admission gate before being
     /// admitted (one per submission that waited, not per backoff spin).
     pub admission_waits: u64,
-    /// Session deadlines that fired (shed at admission or cancelled at
-    /// dispatch).
+    /// Always 0. Sessions have no deadline; revocation is
+    /// [`Session::cancel_all`](crate::Session::cancel_all), counted in
+    /// `cancelled`. The field stays so snapshot consumers keep compiling.
     pub deadline_fires: u64,
     /// Renames served by the runtime-wide version slab; equal to
     /// [`version_pool_hits`](Self::version_pool_hits).
@@ -457,12 +450,11 @@ mod tests {
         s.admission_sheds();
         s.admission_sheds();
         s.admission_waits();
-        s.deadline_fires();
         let snap = s.snapshot();
         assert_eq!(snap.sessions_opened, 1);
         assert_eq!(snap.admission_sheds, 2);
         assert_eq!(snap.admission_waits, 1);
-        assert_eq!(snap.deadline_fires, 1);
+        assert_eq!(snap.deadline_fires, 0, "no deadline to fire");
     }
 
     #[test]

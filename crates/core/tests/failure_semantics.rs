@@ -1,11 +1,11 @@
 //! Failure containment semantics (default build, no fault-inject
 //! feature): a panicking task body is a contained event — the node is
-//! stamped `Failed`, the completion protocol still runs in full, the
-//! `OnPanic` policy decides what happens to dependents, and
-//! [`Runtime::wait_all`] reports the exact failed + cancelled sets.
+//! stamped `Failed`, the completion protocol still runs in full, its
+//! transitive dependents are cancelled while independent tasks run,
+//! and [`Runtime::wait_all`] reports the exact failed + cancelled sets.
 
 use proptest::prelude::*;
-use smpss::{OnPanic, Runtime, TaskFailures, TaskId};
+use smpss::{Runtime, TaskFailures, TaskId};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,21 +17,17 @@ mod oracle;
 use oracle::{check, config, faulty_program, program, run, Front, Kind, Op};
 
 /// A failing head over cell 0, `n` dependents chained on it (`inout`
-/// cell 0), and `n` independent tasks on cell 1, run at two threads
-/// under `policy`: the shape of the policy tests below.
-fn chain_behind_a_failure(n: usize, policy: OnPanic) -> oracle::Outcome {
+/// cell 0), and `n` independent tasks on cell 1, run at two threads:
+/// the shape of the cancellation tests below.
+fn chain_behind_a_failure(n: usize) -> oracle::Outcome {
     let mut ops = vec![Op {
         panics: true,
         ..Op::from(Kind::Set { dst: 0, k: 1 })
     }];
     ops.extend((0..n).map(|_| Op::from(Kind::Mut { dst: 0 })));
     ops.extend((0..n).map(|_| Op::from(Kind::Mut { dst: 1 })));
-    let out = run(
-        &ops,
-        Runtime::builder().threads(2).on_panic(policy),
-        Front::Runtime,
-    );
-    check(&ops, &out, true, policy).unwrap();
+    let out = run(&ops, Runtime::builder().threads(2), Front::Runtime);
+    check(&ops, &out, true).unwrap();
     out
 }
 
@@ -77,7 +73,7 @@ fn panicked_task_is_contained_and_reported() {
         })
     }));
     let out = run(&ops, Runtime::builder().threads(2), Front::Runtime);
-    check(&ops, &out, true, OnPanic::CancelDependents).unwrap();
+    check(&ops, &out, true).unwrap();
     let err = out.failures.expect_err("one task panicked");
     assert_eq!(failed_ids(&err), [TaskId(1)]);
     assert_eq!(err.failed[0].name, "set");
@@ -101,12 +97,12 @@ fn string_payloads_survive_into_the_report() {
     assert!(msg.contains("bad value: 42"), "Display was: {msg}");
 }
 
-/// Default policy: a panic poisons the failed task's *transitive*
-/// dependents — they are cancelled without running — while independent
-/// chains are untouched.
+/// A panic poisons the failed task's *transitive* dependents — they
+/// are cancelled without running — while independent chains are
+/// untouched.
 #[test]
 fn cancel_dependents_cancels_the_transitive_chain_only() {
-    let out = chain_behind_a_failure(8, OnPanic::CancelDependents);
+    let out = chain_behind_a_failure(8);
     let err = out.failures.expect_err("the chain head panicked");
     assert_eq!(failed_ids(&err), [TaskId(1)]);
     assert_eq!(cancelled_ids(&err), (2..=9).map(TaskId).collect());
@@ -184,20 +180,23 @@ fn spawning_against_an_already_failed_producer_cancels() {
     }
 }
 
-/// `OnPanic::Isolate`: the failure is recorded but nothing is cancelled —
-/// dependents run against whatever the failed task left behind.
+/// There is no policy that lets dependents run: every dependent of the
+/// failed head is cancelled without starting, and every independent
+/// task runs once.
 #[test]
 fn isolate_policy_runs_dependents() {
-    let out = chain_behind_a_failure(8, OnPanic::Isolate);
+    let out = chain_behind_a_failure(8);
     let err = out.failures.expect_err("the panic is still reported");
     assert_eq!(failed_ids(&err), [TaskId(1)]);
-    assert!(err.cancelled.is_empty(), "Isolate cancels nothing");
-    assert!(out.parts[0].runs.iter().all(|&r| r == 1), "every task ran");
+    assert_eq!(cancelled_ids(&err), (2..=9).map(TaskId).collect());
+    let runs = &out.parts[0].runs;
+    assert!(runs[1..=8].iter().all(|&r| r == 0), "no dependent started");
+    assert!(runs[9..].iter().all(|&r| r == 1), "every independent ran");
 }
 
-/// `OnPanic::FailFast`: after the first panic, every not-yet-executed
-/// task — related or not — is cancelled. At one thread the failing head
-/// is the first main-list pop, so every other task is still pending.
+/// There is no policy that stops unrelated work: at one thread the
+/// failing head is the first main-list pop, so every other task is
+/// still pending when it panics, and every one of them still runs.
 #[test]
 fn fail_fast_cancels_unrelated_pending_tasks() {
     let mut ops = vec![Op {
@@ -210,12 +209,12 @@ fn fail_fast_cancels_unrelated_pending_tasks() {
             k: k as i64,
         })
     }));
-    let b = Runtime::builder().threads(1).on_panic(OnPanic::FailFast);
-    let out = run(&ops, b, Front::Runtime);
-    check(&ops, &out, true, OnPanic::FailFast).unwrap();
-    let err = out.failures.expect_err("fail fast");
+    let out = run(&ops, Runtime::builder().threads(1), Front::Runtime);
+    check(&ops, &out, true).unwrap();
+    let err = out.failures.expect_err("the head panicked");
     assert_eq!(failed_ids(&err), [TaskId(1)]);
-    assert_eq!(cancelled_ids(&err), (2..=17).map(TaskId).collect());
+    assert!(err.cancelled.is_empty(), "no task depended on the head");
+    assert!(out.parts[0].runs.iter().all(|&r| r == 1), "every task ran");
 }
 
 /// `wait_all` drains: a second call reports `Ok`, and the runtime keeps
@@ -348,23 +347,21 @@ proptest! {
 
     /// The whole oracle: random programs with region accesses, priority
     /// tasks and one panicking task in eight, under one drawn
-    /// configuration each (threads, front door, renaming, memory limit,
-    /// `OnPanic`).
+    /// configuration each (threads, front door, renaming, memory limit).
     #[test]
     fn drawn_programs_fail_and_cancel_as_the_oracle_says(
         ops in faulty_program(1..60),
         cfg in config(),
     ) {
-        let checked = check(&ops, &oracle::run_config(&ops, &cfg), cfg.renaming, cfg.on_panic);
+        let checked = check(&ops, &oracle::run_config(&ops, &cfg), cfg.renaming);
         prop_assert!(checked.is_ok(), "{:?}: {:?}", cfg, checked);
     }
 
     /// Inject one panic into a random task of a random program, under a
-    /// drawn configuration. `CancelDependents` and `Isolate` report
-    /// exactly the failed task and the closure of its dependents in the
-    /// program (nothing under `Isolate`); `FailFast` cancels at least
-    /// that closure; every task runs, fails or is cancelled once, and
-    /// every untainted value is the sequential program's.
+    /// drawn configuration: the report is exactly the failed task and
+    /// the closure of its dependents in the program; every task runs,
+    /// fails or is cancelled once, and every untainted value is the
+    /// sequential program's.
     #[test]
     fn one_injected_panic_fails_exactly_the_dependent_closure(
         mut ops in program(2..40),
@@ -374,7 +371,7 @@ proptest! {
         let f = fail_sel % ops.len();
         ops[f].panics = true;
         let out = oracle::run_config(&ops, &cfg);
-        let checked = check(&ops, &out, cfg.renaming, cfg.on_panic);
+        let checked = check(&ops, &out, cfg.renaming);
         prop_assert!(checked.is_ok(), "{:?}: {:?}", cfg, checked);
     }
 }

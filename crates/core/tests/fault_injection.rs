@@ -371,16 +371,17 @@ fn forced_sheds_refuse_exactly_the_planned_submissions() {
     assert_eq!(rt.read(&x), 8);
 }
 
-/// Session site: a deadline-fire race. The session's deadline is armed
-/// far in the future but the plan fires it at the first worker-side
-/// probe — every not-yet-started task of that session cancels (exact
-/// set reported by its `wait`), while another session's work survives.
+/// Revocation mid-run: the session is revoked while its blocker is
+/// executing and its dependents are pending — every not-yet-started
+/// task of that session cancels (exact set reported by its `wait`),
+/// while another session's work survives. The empty plan holds the plan
+/// lock, so no other test's plan fires here.
 #[test]
 fn forced_deadline_fire_cancels_exactly_the_armed_session() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let _installed = Installed::new(FaultPlan::seeded(5).deadline_fires(1));
+    let _installed = Installed::new(FaultPlan::seeded(5));
     let rt = Runtime::builder().threads(2).build();
     let s = rt.session();
     let other = rt.session();
@@ -409,14 +410,13 @@ fn forced_deadline_fire_cancels_exactly_the_armed_session() {
         let mut w = sp.write(o);
         sp.submit(move || *w.get_mut() = *r.get() + 10);
     }
-    // Arm only once the blocker is *executing* (it can no longer be
-    // skipped) and *after* submitting, so admission never observes the
-    // fire — only the worker-side probe of a pending dependent can
-    // consume it.
+    // Revoke only once the blocker is *executing* (it can no longer be
+    // skipped) and *after* submitting, so only the worker-side probe of
+    // a pending dependent observes the revocation.
     while !started.load(Ordering::Acquire) {
         std::thread::yield_now();
     }
-    let s = s.with_deadline(std::time::Duration::from_secs(3600));
+    s.cancel_all();
     let y = rt.data(0i64);
     {
         let mut sp = other.task("survivor").expect("other tenant");
@@ -426,11 +426,11 @@ fn forced_deadline_fire_cancels_exactly_the_armed_session() {
     gate.store(true, Ordering::Release);
     let err = s
         .wait()
-        .expect_err("the fired deadline cancelled the dependents");
+        .expect_err("the revocation cancelled the dependents");
     let cancelled: std::collections::BTreeSet<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
     assert_eq!(cancelled, pending, "exactly the pending set cancelled");
     assert!(err.failed.is_empty(), "nothing panicked");
-    assert_eq!(rt.stats().deadline_fires, 1);
+    assert_eq!(rt.stats().cancelled, pending.len() as u64);
     other.wait().expect("the other session is untouched");
     assert_eq!(rt.read(&y), 7);
     assert_eq!(rt.read(&h), 1, "the running blocker completed normally");

@@ -2,7 +2,7 @@
 //! equivalence with the representant workaround (§V.B).
 
 use proptest::prelude::*;
-use smpss::{region, OnPanic, Region, Runtime, TaskId};
+use smpss::{region, Region, Runtime, TaskId};
 
 #[macro_use]
 #[path = "../../../tests/support/oracle.rs"]
@@ -16,7 +16,7 @@ fn run_checked(kinds: &[Kind], threads: usize) -> oracle::Outcome {
     let ops: Vec<Op> = kinds.iter().copied().map(Op::from).collect();
     let b = Runtime::builder().threads(threads).record_graph(true);
     let out = run(&ops, b, Front::Runtime);
-    check(&ops, &out, true, OnPanic::CancelDependents).unwrap();
+    check(&ops, &out, true).unwrap();
     out
 }
 
@@ -231,7 +231,7 @@ proptest! {
         renaming in prop_oneof![Just(true), Just(false)],
     ) {
         let b = Runtime::builder().threads(1).renaming(renaming).record_graph(true);
-        let checked = check(&ops, &run(&ops, b, Front::Runtime), renaming, OnPanic::CancelDependents);
+        let checked = check(&ops, &run(&ops, b, Front::Runtime), renaming);
         prop_assert!(checked.is_ok(), "renaming {}: {:?}", renaming, checked);
     }
 }
@@ -407,10 +407,10 @@ fn a_memoised_join_never_serves_one_of_its_members() {
 }
 
 /// A panic in one writer of a fan-in that goes through a join gives the
-/// oracle's failure sets under every policy: 16 single-row writers, the
-/// sixth panicking, then 16 readers of the whole buffer, at one thread.
-/// `FailFast` is exact there too: the writers run in spawn order, so
-/// everything after the panic is cancelled.
+/// oracle's failure sets: 16 single-row writers, the sixth panicking,
+/// then 16 readers of the whole buffer, at one thread. The join carries
+/// the cancellation: every reader is cancelled, every other writer
+/// runs.
 #[test]
 fn a_panic_through_a_join_gives_the_exact_failure_sets() {
     let (rows, bad) = (oracle::ROWS, 5);
@@ -429,26 +429,16 @@ fn a_panic_through_a_join_gives_the_exact_failure_sets() {
             at: Span::Rows(0, rows - 1),
         })
     }));
-    for policy in [
-        OnPanic::CancelDependents,
-        OnPanic::Isolate,
-        OnPanic::FailFast,
-    ] {
-        let b = Runtime::builder()
-            .threads(1)
-            .record_graph(true)
-            .on_panic(policy);
-        let out = run(&ops, b, Front::Runtime);
-        check(&ops, &out, true, policy).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-        assert!(
-            out.stats.joins >= 1,
-            "{policy:?}: the fan-in must go through a join"
-        );
-        if policy == OnPanic::FailFast {
-            let err = out.failures.unwrap_err();
-            let cancelled: Vec<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
-            assert_eq!(cancelled.len(), 2 * rows - bad - 1);
-            assert!(cancelled.iter().all(|&id| id > bad as u64 + 1));
-        }
-    }
+    let b = Runtime::builder().threads(1).record_graph(true);
+    let out = run(&ops, b, Front::Runtime);
+    check(&ops, &out, true).unwrap();
+    assert!(out.stats.joins >= 1, "the fan-in must go through a join");
+    let err = out.failures.unwrap_err();
+    assert_eq!(err.failed[0].id, TaskId(bad as u64 + 1));
+    let mut cancelled: Vec<u64> = err.cancelled.iter().map(|c| c.id.0).collect();
+    cancelled.sort_unstable();
+    assert_eq!(
+        cancelled,
+        (rows as u64 + 1..=2 * rows as u64).collect::<Vec<_>>()
+    );
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use smpss::{Handle, OnPanic, Runtime, TaskFailures, TaskId};
+use smpss::{Handle, Runtime, TaskFailures, TaskId};
 
 fn spin_for(d: Duration) {
     let t0 = Instant::now();
@@ -288,71 +288,50 @@ fn ids(e: &TaskFailures) -> (BTreeSet<TaskId>, BTreeSet<TaskId>) {
 }
 
 /// One task that panics while running inline, one dependent and one
-/// independent task spawned after it: each policy reports exactly the
-/// failed and cancelled sets a worker-run panic would.
+/// independent task spawned after it: the report holds exactly the
+/// failed and cancelled sets a worker-run panic would give.
 #[test]
 fn an_inline_panic_gives_the_exact_failure_sets() {
     quiet_inline_panics();
-    for policy in [
-        OnPanic::CancelDependents,
-        OnPanic::FailFast,
-        OnPanic::Isolate,
-    ] {
-        let rt = Runtime::builder().threads(2).on_panic(policy).build();
-        let cell = |rt: &Runtime, out: &Handle<u64>, input: Option<&Handle<u64>>, fail: bool| {
-            let mut sp = rt.task("cell");
-            let id = sp.id();
-            let mut r = input.map(|h| sp.read(h));
-            let mut w = sp.inout(out);
-            sp.submit(move || {
-                if fail {
-                    panic!("inline boom");
-                }
-                *w.get_mut() += 1 + r.as_mut().map_or(0, |r| *r.get());
-            });
-            id
-        };
-        // Warm the site until the spawner inlines it.
-        let warm: Vec<_> = (0..64).map(|_| rt.data(0u64)).collect();
-        let t0 = Instant::now();
-        while rt.stats().inline_runs == 0 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(30),
-                "the site never inlined"
-            );
-            for h in &warm {
-                cell(&rt, h, None, false);
+    let rt = Runtime::builder().threads(2).build();
+    let cell = |rt: &Runtime, out: &Handle<u64>, input: Option<&Handle<u64>>, fail: bool| {
+        let mut sp = rt.task("cell");
+        let id = sp.id();
+        let mut r = input.map(|h| sp.read(h));
+        let mut w = sp.inout(out);
+        sp.submit(move || {
+            if fail {
+                panic!("inline boom");
             }
-            rt.barrier();
+            *w.get_mut() += 1 + r.as_mut().map_or(0, |r| *r.get());
+        });
+        id
+    };
+    // Warm the site until the spawner inlines it.
+    let warm: Vec<_> = (0..64).map(|_| rt.data(0u64)).collect();
+    let t0 = Instant::now();
+    while rt.stats().inline_runs == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the site never inlined"
+        );
+        for h in &warm {
+            cell(&rt, h, None, false);
         }
-        let (x, y, z) = (rt.data(0u64), rt.data(0u64), rt.data(0u64));
-        let before = rt.stats().inline_runs;
-        let bad = cell(&rt, &x, None, true);
-        assert_eq!(
-            inline_since(&rt, before),
-            1,
-            "{policy:?}: the panic ran inline"
-        );
-        let dependent = cell(&rt, &y, Some(&x), false);
-        let independent = cell(&rt, &z, None, false);
-        let err = rt.wait_all().expect_err("one task panicked");
-        assert_eq!(err.failed[0].payload_str(), Some("inline boom"));
-        let (failed, cancelled) = ids(&err);
-        let expect: BTreeSet<TaskId> = match policy {
-            OnPanic::CancelDependents => [dependent].into(),
-            OnPanic::FailFast => [dependent, independent].into(),
-            OnPanic::Isolate => BTreeSet::new(),
-        };
-        assert_eq!(failed, [bad].into(), "{policy:?}");
-        assert_eq!(cancelled, expect, "{policy:?}");
-        let ran = |h: &Handle<u64>| rt.read(h) == 1;
-        assert!(!ran(&x), "{policy:?}: the failed body wrote nothing");
-        assert_eq!(ran(&y), policy == OnPanic::Isolate, "{policy:?}: dependent");
-        assert_eq!(
-            ran(&z),
-            policy != OnPanic::FailFast,
-            "{policy:?}: independent"
-        );
-        assert!(rt.wait_all().is_ok(), "{policy:?}: drained");
+        rt.barrier();
     }
+    let (x, y, z) = (rt.data(0u64), rt.data(0u64), rt.data(0u64));
+    let before = rt.stats().inline_runs;
+    let bad = cell(&rt, &x, None, true);
+    assert_eq!(inline_since(&rt, before), 1, "the panic ran inline");
+    let dependent = cell(&rt, &y, Some(&x), false);
+    let independent = cell(&rt, &z, None, false);
+    let err = rt.wait_all().expect_err("one task panicked");
+    assert_eq!(err.failed[0].payload_str(), Some("inline boom"));
+    assert_eq!(ids(&err), ([bad].into(), [dependent].into()));
+    let ran = |h: &Handle<u64>| rt.read(h) == 1;
+    assert!(!ran(&x), "the failed body wrote nothing");
+    assert!(!ran(&y), "the dependent was cancelled");
+    assert!(ran(&z), "the independent task {independent:?} ran");
+    assert!(rt.wait_all().is_ok(), "drained");
 }

@@ -1,5 +1,5 @@
-//! Session isolation: cancelling one tenant — by `cancel_all` or by a
-//! fired deadline — must not touch any other tenant.
+//! Session isolation: cancelling one tenant with `cancel_all` must not
+//! touch any other tenant.
 //!
 //! The oracle is the single-tenant run: survivors submit the *same*
 //! programs first in both runs, so their task ids are an identical
@@ -74,14 +74,9 @@ struct VictimRun {
 }
 
 /// Survivors submit first (identical id prefix), then the victim
-/// submits a gated blocker plus `deps` dependents and is revoked —
-/// by `cancel_all` or an already-elapsed deadline.
-fn run_with_victim(
-    progs: &[Vec<Op>; 2],
-    deps: usize,
-    threads: usize,
-    by_deadline: bool,
-) -> VictimRun {
+/// submits a gated blocker plus `deps` dependents and is revoked by
+/// `cancel_all`.
+fn run_with_victim(progs: &[Vec<Op>; 2], deps: usize, threads: usize) -> VictimRun {
     let rt = build(threads);
     let survivors = [rt.session(), rt.session()];
     let victim = rt.session();
@@ -127,12 +122,7 @@ fn run_with_victim(
             std::thread::yield_now();
         }
     }
-    let victim = if by_deadline {
-        victim.with_deadline(std::time::Duration::ZERO)
-    } else {
-        victim.cancel_all();
-        victim
-    };
+    victim.cancel_all();
     gate.store(true, Ordering::Release);
     rt.barrier();
 
@@ -177,10 +167,9 @@ fn run_with_victim(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The isolation gate, at threads {1, 8} and across both
-    /// revocation paths: the victim's pending set cancels exactly,
-    /// and the survivors' values *and recorded graphs* are bit-identical
-    /// to a run without the cancelled tenant.
+    /// The isolation gate, at threads {1, 8}: the victim's pending set
+    /// cancels exactly, and the survivors' values *and recorded graphs*
+    /// are bit-identical to a run without the cancelled tenant.
     #[test]
     fn revoking_one_session_never_touches_another(
         prog_a in program(1..25),
@@ -192,33 +181,22 @@ proptest! {
         for threads in [1usize, 8] {
             let (base_vals, base_graph) = run_without_victim(&progs, threads);
             prop_assert_eq!(&base_vals, &expect, "oracle at t{}", threads);
-            for by_deadline in [false, true] {
-                let run = run_with_victim(&progs, deps, threads, by_deadline);
-                let mut want = run.dep_ids.clone();
-                if !run.blocker_ran {
-                    want.insert(run.blocker_id);
-                }
-                prop_assert_eq!(
-                    &run.cancelled, &want,
-                    "exact victim cancel set at t{}/deadline={}",
-                    threads, by_deadline
-                );
-                prop_assert!(
-                    run.cancelled.iter().all(|id| *id == run.blocker_id
-                        || run.dep_ids.contains(id)),
-                    "no foreign task cancelled"
-                );
-                prop_assert_eq!(
-                    &run.survivor_vals, &expect,
-                    "survivor values at t{}/deadline={}",
-                    threads, by_deadline
-                );
-                prop_assert_eq!(
-                    &run.survivor_graph, &base_graph,
-                    "survivor graph bit-identical at t{}/deadline={}",
-                    threads, by_deadline
-                );
+            let run = run_with_victim(&progs, deps, threads);
+            let mut want = run.dep_ids.clone();
+            if !run.blocker_ran {
+                want.insert(run.blocker_id);
             }
+            prop_assert_eq!(&run.cancelled, &want, "exact victim cancel set at t{}", threads);
+            prop_assert!(
+                run.cancelled.iter().all(|id| *id == run.blocker_id
+                    || run.dep_ids.contains(id)),
+                "no foreign task cancelled"
+            );
+            prop_assert_eq!(&run.survivor_vals, &expect, "survivor values at t{}", threads);
+            prop_assert_eq!(
+                &run.survivor_graph, &base_graph,
+                "survivor graph bit-identical at t{}", threads
+            );
         }
     }
 }

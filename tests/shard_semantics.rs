@@ -21,7 +21,7 @@
 //!    serialises the bodies).
 
 use proptest::prelude::*;
-use smpss::{OnPanic, Runtime};
+use smpss::Runtime;
 
 #[macro_use]
 #[path = "support/oracle.rs"]
@@ -73,9 +73,8 @@ proptest! {
             front: Front::Sessions,
             renaming: true,
             tight: false,
-            on_panic: OnPanic::CancelDependents,
         };
-        let checked = check(&ops, &run_config(&ops, &cfg), true, cfg.on_panic);
+        let checked = check(&ops, &run_config(&ops, &cfg), true);
         prop_assert!(checked.is_ok(), "{:?}", checked);
     }
 }
@@ -119,10 +118,9 @@ fn renamed_bytes_account_spans_lanes() {
         front: Front::Sessions,
         renaming: true,
         tight: true,
-        on_panic: OnPanic::CancelDependents,
     };
     let out = run_config(&ops, &cfg);
-    check(&ops, &out, true, cfg.on_panic).unwrap();
+    check(&ops, &out, true).unwrap();
     assert!(out.stats.renames > 0, "the workload must actually rename");
 }
 

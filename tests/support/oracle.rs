@@ -15,10 +15,10 @@
 //! - every value no failed or cancelled task tainted with the
 //!   sequential interpreter's ([`interpret`]);
 //! - the failed and cancelled sets with the program's dependences
-//!   ([`deps`]): exact under `CancelDependents` and `Isolate`, closed
-//!   under dependence under `FailFast`. Each task ran, failed or was
-//!   cancelled once, and each failure names the session that spawned
-//!   it;
+//!   ([`deps`]): a task with a failed or cancelled dependence is
+//!   cancelled, and any other panicking task fails. Each task ran,
+//!   failed or was cancelled once, and each failure names the session
+//!   that spawned it;
 //! - the recorded graph: node `i` is task `i + 1` with its task's name
 //!   and priority, every edge joins an earlier task to a later one
 //!   with the conflict its kind names (true ones only for renamed
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use smpss::graph::record::{EdgeKind, GraphRecord};
-use smpss::{Handle, OnPanic, Region, RegionHandle, Runtime, RuntimeBuilder, SessionId, TaskId};
+use smpss::{Handle, Region, RegionHandle, Runtime, RuntimeBuilder, SessionId, TaskId};
 
 /// Cells a program works on. Even cells are created with `data` (their
 /// spare versions return to that object only), odd ones with
@@ -523,7 +523,6 @@ pub struct Config {
     /// workers instead of helping, so at one thread they run without
     /// it.
     pub tight: bool,
-    pub on_panic: OnPanic,
 }
 
 impl Config {
@@ -531,7 +530,6 @@ impl Config {
         let b = Runtime::builder()
             .threads(self.threads)
             .renaming(self.renaming)
-            .on_panic(self.on_panic)
             .record_graph(true);
         if !self.tight || self.threads == 1 && self.front != Front::Runtime {
             return b;
@@ -550,22 +548,14 @@ fn copies(front: Front) -> usize {
 }
 
 /// One configuration per case: threads {1, 2, 8} × front × renaming ×
-/// memory limit × `OnPanic`.
+/// memory limit.
 pub fn config() -> impl Strategy<Value = Config> {
-    let policies = [
-        OnPanic::CancelDependents,
-        OnPanic::Isolate,
-        OnPanic::FailFast,
-    ];
     let fronts = [Front::Runtime, Front::Session, Front::Sessions];
-    (0..3usize, 0..3usize, 0..2usize, 0..2usize, 0..3usize).prop_map(move |(t, f, r, m, p)| {
-        Config {
-            threads: [1, 2, 8][t],
-            front: fronts[f],
-            renaming: r == 1,
-            tight: m == 1,
-            on_panic: policies[p],
-        }
+    (0..3usize, 0..3usize, 0..2usize, 0..2usize).prop_map(move |(t, f, r, m)| Config {
+        threads: [1, 2, 8][t],
+        front: fronts[f],
+        renaming: r == 1,
+        tight: m == 1,
     })
 }
 
@@ -666,9 +656,9 @@ pub fn run_on(rt: Runtime, ops: &[Op], front: Front) -> Outcome {
     }
 }
 
-/// Check everything a run of `ops` under `renaming` and `on_panic`
-/// left behind (see the module docs).
-pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Result<(), String> {
+/// Check everything a run of `ops` under `renaming` left behind (see
+/// the module docs).
+pub fn check(ops: &[Op], out: &Outcome, renaming: bool) -> Result<(), String> {
     let deps = deps(ops, renaming);
     let (failed, cancelled): (Vec<_>, Vec<_>) = match &out.failures {
         Ok(()) => Default::default(),
@@ -709,15 +699,8 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
                 ));
             }
         }
-        if on_panic == OnPanic::FailFast {
-            let poisoned = |j: usize| deps[j].iter().any(|p| f.contains(p) || c.contains(p));
-            if let Some(j) = (0..ops.len()).find(|&j| poisoned(j) && !c.contains(&j)) {
-                return Err(format!(
-                    "task {j} not cancelled, failed {f:?}, cancelled {c:?}"
-                ));
-            }
-        } else if (f.clone(), c.clone()) != expected_failures(ops, &deps, on_panic) {
-            return Err(format!("failed {f:?}, cancelled {c:?} under {on_panic:?}"));
+        if (f.clone(), c.clone()) != expected_failures(ops, &deps) {
+            return Err(format!("failed {f:?}, cancelled {c:?}"));
         }
         let (want, taint) = interpret(ops, &f.union(&c).copied().collect());
         if let Some(k) = (0..want.len()).find(|&k| !taint[k] && part.values[k] != want[k]) {
@@ -741,19 +724,12 @@ pub fn check(ops: &[Op], out: &Outcome, renaming: bool, on_panic: OnPanic) -> Re
         .try_for_each(|p| check_ids(ops, &p.ids, g, &deps, renaming))
 }
 
-/// The failed and cancelled sets under `CancelDependents` or `Isolate`.
-/// Under `Isolate` every panicking task fails and nothing is cancelled;
-/// under `CancelDependents` a task with a failed or cancelled
+/// The failed and cancelled sets: a task with a failed or cancelled
 /// dependence is cancelled, and any other panicking task fails.
-fn expected_failures(
-    ops: &[Op],
-    deps: &[BTreeSet<usize>],
-    policy: OnPanic,
-) -> (BTreeSet<usize>, BTreeSet<usize>) {
+fn expected_failures(ops: &[Op], deps: &[BTreeSet<usize>]) -> (BTreeSet<usize>, BTreeSet<usize>) {
     let (mut f, mut c) = (BTreeSet::new(), BTreeSet::new());
     for (j, op) in ops.iter().enumerate() {
-        let poisoned = deps[j].iter().any(|p| f.contains(p) || c.contains(p));
-        if policy == OnPanic::CancelDependents && poisoned {
+        if deps[j].iter().any(|p| f.contains(p) || c.contains(p)) {
             c.insert(j);
         } else if op.panics {
             f.insert(j);
